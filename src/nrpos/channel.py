@@ -127,29 +127,21 @@ class NoiseModel:
     def thermal_dbm(self) -> float:
         return -174.0 + 10.0 * math.log10(self.bandwidth_hz) + self.noise_figure_db
 
-    def power_dbm(self, bandwidth_hz: float) -> float:
-        if bandwidth_hz <= 0:
-            raise ValueError("bandwidth must be positive")
-        return -174.0 + 10.0 * math.log10(bandwidth_hz) + self.noise_figure_db
-
 
 @dataclass(frozen=True)
 class LinkRealization:
-    """One TRP-UE propagation draw."""
+    """One TRP-UE propagation draw with its link budget."""
 
     los: bool
-    path_loss_db: float
+    path_loss_db: float  # at the carrier; NLOS never undercuts the LOS law
     shadow_db: float
     taps: tuple[tuple[float, complex], ...]  # (delay_s, gain), sorted
     first_path_excess_s: float
-    aoa_true: tuple[float, float]  # azimuth, zenith at the TRP, degrees
-    aod_true: tuple[float, float]
-    antenna_gain_db: float = 0.0
-    distance_m: float = 0.0
-
-    @property
-    def first_path_delay_s(self) -> float:
-        return self.taps[0][0]
+    # azimuth, zenith of the first path at the TRP, degrees: the uplink
+    # arrival and the downlink departure angle alike
+    angles_deg: tuple[float, float]
+    antenna_gain_db: float  # sector gain toward the geometric UE direction
+    distance_m: float
 
 
 def los_probability(params: ChannelParams, d2d_m: float) -> float:
@@ -186,9 +178,10 @@ def _angles_from_to(src: np.ndarray, dst: np.ndarray) -> tuple[float, float]:
     return az, zen
 
 
-def realize_link(rng: np.random.Generator, params: ChannelParams, trp, ue_pos,
-                 sample_period_s: float) -> LinkRealization:
-    """Draw LOS state, path loss, shadow and taps for one TRP-UE link.
+def realize_budget_link(rng: np.random.Generator, params: ChannelParams, trp, ue_pos,
+                        carrier_hz: float, sample_period_s: float) -> LinkRealization:
+    """Draw LOS state, taps and shadow for one TRP-UE link and fill in its
+    budget: path loss at the carrier and the sector gain toward the UE.
 
     `sample_period_s` sets the tap spacing (one receiver sample).
     """
@@ -201,8 +194,11 @@ def realize_link(rng: np.random.Generator, params: ChannelParams, trp, ue_pos,
 
     los = bool(rng.uniform() < los_probability(params, d2))
 
-    # angles at the TRP (arrival of uplink == departure of downlink here)
+    # angles at the TRP (arrival of uplink == departure of downlink here);
+    # the sector gain sees the geometric azimuth, NLOS perturbs only the
+    # angles a receiver measures
     az, zen = _angles_from_to(trp_pos, ue)
+    gain = sector_gain_db(params, az - trp.sector_azimuth_deg)
     if not los and not params.ideal:
         az += float(rng.normal(0.0, 15.0))
         zen += float(rng.normal(0.0, 3.0))
@@ -229,34 +225,19 @@ def realize_link(rng: np.random.Generator, params: ChannelParams, trp, ue_pos,
     law = params.los if los else params.nlos
     if not params.ideal:
         shadow = float(rng.normal(0.0, law.shadow_sigma_db))
+    path_loss = law.at(d3, carrier_hz)
+    if not los:
+        path_loss = max(path_loss, params.los.at(d3, carrier_hz))
     return LinkRealization(
         los=los,
-        path_loss_db=0.0,  # filled by link_budget with the carrier frequency
+        path_loss_db=path_loss,
         shadow_db=shadow,
         taps=tuple((float(d), complex(g)) for d, g in zip(delays, gains)),
         first_path_excess_s=0.0 if los else excess,
-        aoa_true=(az, zen),
-        aod_true=(az, zen),
+        angles_deg=(az, zen),
+        antenna_gain_db=gain,
         distance_m=d3,
     )
-
-
-def with_budget(link: LinkRealization, params: ChannelParams, trp, ue_pos,
-                carrier_hz: float) -> LinkRealization:
-    """Fill in path loss (at the carrier) and the sector gain toward the UE."""
-    law = params.los if link.los else params.nlos
-    pl = law.at(link.distance_m, carrier_hz)
-    if not link.los:
-        pl = max(pl, params.los.at(link.distance_m, carrier_hz))
-    az_dep, _ = _angles_from_to(np.asarray(trp.position), np.asarray(ue_pos))
-    gain = sector_gain_db(params, az_dep - trp.sector_azimuth_deg)
-    return replace(link, path_loss_db=pl, antenna_gain_db=gain)
-
-
-def realize_budget_link(rng, params: ChannelParams, trp, ue_pos, carrier_hz: float,
-                        sample_period_s: float) -> LinkRealization:
-    link = realize_link(rng, params, trp, ue_pos, sample_period_s)
-    return with_budget(link, params, trp, ue_pos, carrier_hz)
 
 
 def link_amplitude(link: LinkRealization, tx_power_dbm: float, n_occupied_per_symbol: int) -> float:
@@ -283,14 +264,19 @@ def frequency_response(link: LinkRealization, freqs_hz: np.ndarray,
     return (gains[None, :] * np.exp(-2j * np.pi * freqs_hz[:, None] * delays[None, :])).sum(axis=1)
 
 
-def noise_amplitude(noise: NoiseModel, scs_hz: float) -> float:
-    """Per-RE complex noise RMS in sqrt(mW)."""
-    return 10.0 ** (noise.power_dbm(scs_hz) / 20.0)
+def noise_amplitude(noise: NoiseModel) -> float:
+    """Complex noise RMS in sqrt(mW) over the model's bandwidth; per RE when
+    that bandwidth is the subcarrier spacing."""
+    return 10.0 ** (noise.thermal_dbm / 20.0)
 
 
-def draw_noise(rng: np.random.Generator, shape, noise: NoiseModel, scs_hz: float) -> np.ndarray:
-    sigma = noise_amplitude(noise, scs_hz)
-    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (sigma / np.sqrt(2.0))
+def draw_noise(rng: np.random.Generator, shape, std: float) -> np.ndarray:
+    """Circular complex Gaussian noise, `std` per real component.
+
+    All real parts are drawn before all imaginary parts, so a draw of
+    shape (a, b) is not a stack of a draws of shape b.
+    """
+    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * std
 
 
 def received_grid(tx_grids, noise: NoiseModel | None, numerology: Numerology,
@@ -328,24 +314,8 @@ def received_grid(tx_grids, noise: NoiseModel | None, numerology: Numerology,
     elif noise is not None:
         if rng is None:
             raise ValueError("rng required to draw noise")
-        acc += draw_noise(rng, shape, noise, numerology.scs_khz * 1e3)
+        acc += draw_noise(rng, shape, noise_amplitude(noise) / np.sqrt(2.0))
     out = ResourceGrid(*shape)
     out.cells[:] = acc
     return out
 
-
-def snr_at_re(tx_power_dbm: float, antenna_gain_db: float, path_loss_db: float,
-              shadow_db: float, noise_figure_db: float, bandwidth_hz: float,
-              n_occupied_per_symbol: int = 1) -> float:
-    """Per-RE link budget SNR in dB. Bandwidth is the per-RE bandwidth."""
-    if bandwidth_hz <= 0:
-        raise ValueError("bandwidth must be positive")
-    signal = (
-        tx_power_dbm
-        - 10.0 * math.log10(max(n_occupied_per_symbol, 1))
-        + antenna_gain_db
-        - path_loss_db
-        - shadow_db
-    )
-    thermal = -174.0 + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
-    return signal - thermal

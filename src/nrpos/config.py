@@ -87,7 +87,6 @@ class ExperimentConfig(BaseModel):
 
     channel: ChannelOverrides = Field(default_factory=ChannelOverrides)
     solver: SolverConfig = Field(default_factory=SolverConfig)
-    threads: int = Field(1, ge=1)
 
     @model_validator(mode="after")
     def _check(self):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,10 +24,6 @@ from .config import ExperimentConfig
 from .simulate import DropOutcome, Simulator
 
 PERCENTILES = (50, 67, 90, 95)
-
-
-class ExperimentError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -107,7 +102,7 @@ def _cdf_csv(errors: np.ndarray) -> str:
     lines = ["horizontal_error_m,probability"]
     if len(errors):
         for i, e in enumerate(np.sort(errors)):
-            lines.append(f"{e!r},{(i + 1) / len(errors)!r}")
+            lines.append(f"{float(e)!r},{(i + 1) / len(errors)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -115,17 +110,12 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Run every drop of the experiment, deterministically in the seed.
 
     Per-drop randomness comes from substreams keyed by (master_seed,
-    drop_index), so results are byte-identical for any worker count.
+    drop_index), so a drop's result does not depend on the other drops.
     Writes results.csv, cdf.csv and summary.json when out_dir is given.
     """
     started = time.monotonic()
     sim = Simulator(config)
-    indices = range(config.n_drops)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            outcomes = list(pool.map(sim.run_drop, indices))
-    else:
-        outcomes = [sim.run_drop(i) for i in indices]
+    outcomes = [sim.run_drop(i) for i in range(config.n_drops)]
 
     errors = np.array([o.horizontal_error_m for o in outcomes if o.converged])
     n_converged = int(sum(1 for o in outcomes if o.converged))

@@ -440,10 +440,16 @@ def read_records(path) -> list[MeasurementRecord]:
 
 
 def timing_record(kind: str, trp_id: int, t_seconds: float, k: int, fr: str,
-                  resource_id: int | None = None, extra: dict | None = None) -> MeasurementRecord:
-    report = quantize_timing(t_seconds, k, fr)
-    payload = {"value_tc": report.value_tc, "k": report.k, "fr": report.fr,
-               "clamped": report.clamped}
+                  resource_id: int | None = None, extra: dict | None = None,
+                  quantize: bool = True) -> MeasurementRecord:
+    """Timing report of `t_seconds`; unquantized, value_tc is the exact
+    value in Tc units and k only labels the report."""
+    if quantize:
+        report = quantize_timing(t_seconds, k, fr)
+        payload = {"value_tc": report.value_tc, "k": report.k, "fr": report.fr,
+                   "clamped": report.clamped}
+    else:
+        payload = {"value_tc": t_seconds / TC_SECONDS, "k": k, "fr": fr, "clamped": False}
     if extra:
         payload.update(extra)
     return MeasurementRecord(kind=kind, trp_id=trp_id, resource_id=resource_id,
@@ -451,6 +457,5 @@ def timing_record(kind: str, trp_id: int, t_seconds: float, k: int, fr: str,
 
 
 def record_seconds(record: MeasurementRecord) -> float:
-    """Dequantized timing value of a timing record."""
-    p = record.payload
-    return TimingReport(value_tc=p["value_tc"], k=p["k"], fr=p["fr"]).seconds
+    """Timing value of a timing record, seconds."""
+    return record.payload["value_tc"] * TC_SECONDS

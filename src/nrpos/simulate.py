@@ -1,18 +1,33 @@
 """Per-drop simulation pipeline: generate the configured downlink/uplink
 signals for a deployment, push them through link realizations onto
-received grids, form quantized measurement reports, and solve.
+received resource elements (REs), form quantized measurement reports, and
+solve.
 
 Interference is comb-exact: transmitters sharing a comb offset occupy the
-same resource elements and superpose there; distinct offsets never
-interact. Receiver noise for a drop is drawn once per stage from a
-substream keyed by (master_seed, drop), so runs that differ only in which
-transmitters are summed see identical noise.
+same REs and superpose there; distinct offsets never interact. The
+downlink arrival, uplink arrival and downlink beam-sweep stages all sum
+their received REs in one kernel, `receive_groups`, over groups of
+sources that share REs:
+
+- Group sharing. With interference on, all TRPs on one downlink comb
+  offset form one group and share one received signal, hence one RSRP.
+  With interference off each TRP is its own group. In the uplink each TRP
+  is always its own group: it receives the terminal's sounding signal
+  alone, under its own noise.
+- Noise order. Receiver noise comes only from `channel.draw_noise`, on
+  substreams keyed by (master_seed, drop), so runs that differ only in
+  which transmitters are summed see identical noise. The downlink stages
+  draw one full (subcarrier, symbol) grid per sample or beam, real parts
+  first, and gather it onto each group's REs; the uplink draws one RE
+  vector per TRP, in TRP order. A group's REs are its noise plus each
+  member's (amp*H)*ref, added in TRP order. Results are pinned to this
+  order bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +35,7 @@ from .channel import (
     CHANNEL_DEFAULTS,
     ChannelParams,
     NoiseModel,
+    draw_noise,
     link_amplitude,
     noise_amplitude,
     realize_budget_link,
@@ -30,15 +46,15 @@ from .measurements import (
     BeamformerGrid,
     MeasurementFailed,
     MeasurementRecord,
-    TC_SECONDS,
     _polish_peak,
     delay_spectrum_size,
     estimate_aoa,
     first_path_from_magnitude,
     quantize_power,
-    quantize_timing,
+    record_seconds,
     steering_vector,
     taper_vector,
+    timing_record,
 )
 from .numerology import SPEED_OF_LIGHT, Numerology
 from .prs import DlPrsResource, SrsPosResource, dl_prs_reference, srs_reference
@@ -94,6 +110,56 @@ class DropOutcome:
         return float(abs(self.fix.position[2] - self.truth[2]))
 
 
+@dataclass(frozen=True)
+class ReGroup:
+    """Sources whose signals land on the same resource elements."""
+
+    members: tuple[int, ...]  # source indices, in summation order
+    k: np.ndarray  # subcarrier of each RE
+    s: np.ndarray  # symbol of each RE
+
+
+def receive_groups(groups, noise, amps, h, refs):
+    """Received REs of each group, and the RSRP each source's group sees.
+
+    noise[g] is the receiver noise already gathered onto group g's REs;
+    each member's amps[i] * h[i, k] * refs[i] is added to it in place, in
+    member order. h is the (source, subcarrier) channel matrix and refs[i]
+    source i's reference values on its group's REs. Returns the received
+    REs per group and, per source, the mean power on its group's REs in
+    dBm.
+    """
+    rsrp = [0.0] * len(refs)
+    for g, rx in zip(groups, noise):
+        for i in g.members:
+            rx += amps[i] * h[i, g.k] * refs[i]
+        power = float(np.mean(np.abs(rx) ** 2))
+        dbm = 10.0 * math.log10(power) if power > 0 else -300.0
+        for i in g.members:
+            rsrp[i] = dbm
+    return noise, rsrp
+
+
+def despread_groups(groups, rx, refs, n_sc: int) -> np.ndarray:
+    """Per-source channel estimate over all subcarriers: each member's
+    reference matched against its group's received REs. Every subcarrier
+    is sounded at least once over the comb sweep."""
+    vecs = np.zeros((len(refs), n_sc), dtype=complex)
+    for g, r in zip(groups, rx):
+        for i in g.members:
+            np.add.at(vecs[i], g.k, r * np.conj(refs[i]))
+    return vecs
+
+
+def _flatten(triples):
+    """(subcarriers, symbols, values) of all REs of a reference."""
+    return (
+        np.concatenate([k for k, _, _ in triples]),
+        np.concatenate([np.full(len(k), s) for k, s, _ in triples]),
+        np.concatenate([v for _, _, v in triples]),
+    )
+
+
 def _channel_for(config: ExperimentConfig) -> ChannelParams:
     params = CHANNEL_DEFAULTS[config.scenario]
     overrides = {
@@ -137,13 +203,14 @@ class Simulator:
             )
             for t in self.trps
         }
-        self._dl_ref = {}
-        for trp_id, res in self.dl_resources.items():
-            triples = dl_prs_reference(res, slot=0)
-            k_all = np.concatenate([k for k, _, _ in triples])
-            s_all = np.concatenate([np.full(len(k), s) for k, s, _ in triples])
-            v_all = np.concatenate([v for _, _, v in triples])
-            self._dl_ref[trp_id] = (k_all, s_all, v_all)
+        dl_refs = [_flatten(dl_prs_reference(self.dl_resources[t.trp_id], slot=0))
+                   for t in self.trps]
+        self._dl_vals = [v for _, _, v in dl_refs]
+        # same comb offset -> same REs
+        members: dict[int, list[int]] = {}
+        for i, t in enumerate(self.trps):
+            members.setdefault(t.comb_offset if config.interference else i, []).append(i)
+        self._dl_groups = [ReGroup(tuple(m), *dl_refs[m[0]][:2]) for m in members.values()]
         self.dl_occupied_per_symbol = config.n_prb * 12 // config.dl_comb_size
 
         # uplink sounding signal (single terminal per drop)
@@ -153,18 +220,13 @@ class Simulator:
             n_symbols=config.ul_n_symbols,
             n_prb=config.n_prb,
         )
-        triples = srs_reference(self.srs)
-        self._ul_ref = (
-            np.concatenate([k for k, _, _ in triples]),
-            np.concatenate([np.full(len(k), s) for k, s, _ in triples]),
-            np.concatenate([v for _, _, v in triples]),
-        )
+        ul_k, ul_s, self._ul_vals = _flatten(srs_reference(self.srs))
+        self._ul_groups = [ReGroup((i,), ul_k, ul_s) for i in range(len(self.trps))]
         self.ul_occupied_per_symbol = config.n_prb * 12 // config.ul_comb_size
 
-        self.dl_noise = NoiseModel(config.dl_noise_figure_db, self.scs_hz)
-        self.ul_noise = NoiseModel(config.ul_noise_figure_db, self.scs_hz)
-        self._dl_sigma = 0.0 if config.ideal else noise_amplitude(self.dl_noise, self.scs_hz)
-        self._ul_sigma = 0.0 if config.ideal else noise_amplitude(self.ul_noise, self.scs_hz)
+        # an ideal run has noiseless receivers
+        self.dl_noise = None if config.ideal else NoiseModel(config.dl_noise_figure_db, self.scs_hz)
+        self.ul_noise = None if config.ideal else NoiseModel(config.ul_noise_figure_db, self.scs_hz)
 
         self.freqs = self.numerology.subcarrier_frequencies_hz()
         self.sample_period_s = 1.0 / self.numerology.sample_rate_hz
@@ -197,14 +259,6 @@ class Simulator:
         )
         self._beamformer: BeamformerGrid | None = None
         self._beam_azimuths = self._make_beam_azimuths()
-
-        # comb-offset interference groups (same offset -> same REs)
-        groups: dict[int, list[int]] = {}
-        for t in self.trps:
-            groups.setdefault(t.comb_offset, []).append(t.trp_id)
-        self._offset_group = {
-            t.trp_id: groups[t.comb_offset] for t in self.trps
-        }
 
     # -- helpers ----------------------------------------------------------
 
@@ -273,18 +327,18 @@ class Simulator:
             out.append(float(_polish_peak(tapered[row], self.scs_hz, tau, span=bin_s)))
         return out
 
-    def _timing_payload(self, seconds: float) -> dict:
-        cfg = self.config
-        if cfg.quantize:
-            rep = quantize_timing(seconds, cfg.effective_timing_k, cfg.fr)
-            return {"value_tc": rep.value_tc, "k": rep.k, "fr": rep.fr,
-                    "clamped": rep.clamped}
-        return {"value_tc": seconds / TC_SECONDS, "k": cfg.effective_timing_k,
-                "fr": cfg.fr, "clamped": False}
-
     @staticmethod
-    def _payload_seconds(payload: dict) -> float:
-        return payload["value_tc"] * TC_SECONDS
+    def _noise(rng, shape, model: NoiseModel | None) -> np.ndarray:
+        if model is None:
+            return np.zeros(shape, dtype=complex)
+        return draw_noise(rng, shape, noise_amplitude(model) / np.sqrt(2.0))
+
+    def _dl_receive(self, rng, amps, h):
+        """Downlink REs and RSRP of every group under one fresh noise grid."""
+        grid = self._noise(rng, (self.numerology.n_subcarriers, self.config.dl_n_symbols),
+                           self.dl_noise)
+        noise = [grid[g.k, g.s] for g in self._dl_groups]
+        return receive_groups(self._dl_groups, noise, amps, h, self._dl_vals)
 
     # -- downlink stage ----------------------------------------------------
 
@@ -296,43 +350,26 @@ class Simulator:
         offset - transmitter offset.
         """
         cfg = self.config
-        position = {t.trp_id: i for i, t in enumerate(self.trps)}
-        amps = np.array([
+        amps = [
             link_amplitude(l, t.tx_power_dbm, self.dl_occupied_per_symbol)
             for l, t in zip(links, self.trps)
-        ])
+        ]
         h = self._channel_matrix(links, extra_s=ue_clock_s - trp_clock_s)
 
-        n_sc = self.numerology.n_subcarriers
-        toas: dict[int, list[float]] = {t.trp_id: [] for t in self.trps}
-        rsrp: dict[int, float] = {}
+        toas: list[list[float]] = [[] for _ in self.trps]
         for sample in range(cfg.n_samples):
             rng = substream(cfg.master_seed, "noise", drop_idx, 0, sample)
-            if self._dl_sigma > 0:
-                noise = (rng.normal(size=(n_sc, cfg.dl_n_symbols))
-                         + 1j * rng.normal(size=(n_sc, cfg.dl_n_symbols)))
-                noise *= self._dl_sigma / np.sqrt(2.0)
-            else:
-                noise = np.zeros((n_sc, cfg.dl_n_symbols), dtype=complex)
-            vecs = np.zeros((len(self.trps), n_sc), dtype=complex)
-            for i, t in enumerate(self.trps):
-                k_idx, s_idx, vals = self._dl_ref[t.trp_id]
-                rx = noise[k_idx, s_idx].copy()
-                sources = self._offset_group[t.trp_id] if cfg.interference else [t.trp_id]
-                for src in sources:
-                    _, _, src_vals = self._dl_ref[src]
-                    rx += amps[position[src]] * h[position[src], k_idx] * src_vals
-                if sample == 0:
-                    power = float(np.mean(np.abs(rx) ** 2))
-                    rsrp[t.trp_id] = 10.0 * math.log10(power) if power > 0 else -300.0
-                # every subcarrier is sounded at least once over the comb sweep
-                np.add.at(vecs[i], k_idx, rx * np.conj(vals))
+            rx, power = self._dl_receive(rng, amps, h)
+            if sample == 0:
+                rsrp = {t.trp_id: p for t, p in zip(self.trps, power)}
+            vecs = despread_groups(self._dl_groups, rx, self._dl_vals,
+                                   self.numerology.n_subcarriers)
             for i, tau in enumerate(self._batched_toa(vecs)):
                 if tau is not None:
-                    toas[self.trps[i].trp_id].append(tau)
+                    toas[i].append(tau)
         toa_out = {
-            trp_id: (float(np.mean(vals[:MAX_SAMPLES])) if vals else None)
-            for trp_id, vals in toas.items()
+            t.trp_id: (float(np.mean(vals[:MAX_SAMPLES])) if vals else None)
+            for t, vals in zip(self.trps, toas)
         }
         return toa_out, rsrp
 
@@ -341,30 +378,20 @@ class Simulator:
     def _ul_stage(self, links, trp_clock_s, ue_clock_s, drop_idx):
         """Sounding-signal arrival time and received power at every TRP."""
         cfg = self.config
-        k_idx, s_idx, vals = self._ul_ref
-        conj_vals = np.conj(vals)
-        amps = np.array([
+        amps = [
             link_amplitude(l, cfg.ue_tx_power_dbm, self.ul_occupied_per_symbol)
             for l in links
-        ])
+        ]
         h = self._channel_matrix(links, extra_s=trp_clock_s - ue_clock_s)
 
         rng = substream(cfg.master_seed, "noise", drop_idx, 1)
-        n_sc = self.numerology.n_subcarriers
-        rsrp: dict[int, float] = {}
-        vecs = np.zeros((len(self.trps), n_sc), dtype=complex)
-        for i, t in enumerate(self.trps):
-            if self._ul_sigma > 0:
-                noise = (rng.normal(size=len(k_idx)) + 1j * rng.normal(size=len(k_idx)))
-                noise *= self._ul_sigma / np.sqrt(2.0)
-            else:
-                noise = np.zeros(len(k_idx), dtype=complex)
-            rx = amps[i] * h[i, k_idx] * vals + noise
-            power = float(np.mean(np.abs(rx) ** 2))
-            rsrp[t.trp_id] = 10.0 * math.log10(power) if power > 0 else -300.0
-            np.add.at(vecs[i], k_idx, rx * conj_vals)
+        noise = [self._noise(rng, len(g.k), self.ul_noise) for g in self._ul_groups]
+        refs = [self._ul_vals] * len(self.trps)
+        rx, power = receive_groups(self._ul_groups, noise, amps, h, refs)
+        vecs = despread_groups(self._ul_groups, rx, refs, self.numerology.n_subcarriers)
         taus = self._batched_toa(vecs)
         toa = {t.trp_id: taus[i] for i, t in enumerate(self.trps)}
+        rsrp = {t.trp_id: power[i] for i, t in enumerate(self.trps)}
         return toa, rsrp
 
     # -- arrival angles ----------------------------------------------------
@@ -375,12 +402,11 @@ class Simulator:
         rng = substream(cfg.master_seed, "aoa", drop_idx)
         array = self.trps[0].array
         grid = self.beamformer()
-        k_idx, _, vals = self._ul_ref
-        n_re = len(k_idx)
+        n_re = len(self._ul_vals)
         angles: dict[int, tuple[float, float] | None] = {}
         for i, t in enumerate(self.trps):
             link = links[i]
-            sv = steering_vector(array, link.aoa_true[0], link.aoa_true[1])
+            sv = steering_vector(array, link.angles_deg[0], link.angles_deg[1])
             if cfg.fixed_snr_db is not None:
                 signal = 1.0 + 0j
                 noise_var = 10 ** (-cfg.fixed_snr_db / 10.0)
@@ -391,10 +417,11 @@ class Simulator:
                 amp = link_amplitude(link, cfg.ue_tx_power_dbm, self.ul_occupied_per_symbol)
                 # matched-filter output: coherent sum across the sounded band
                 signal = amp * n_re
-                noise_var = n_re * self._ul_sigma**2
+                noise_var = 0.0 if self.ul_noise is None else \
+                    n_re * noise_amplitude(self.ul_noise) ** 2
             x = sv * signal
             if noise_var > 0:
-                x = x + (rng.normal(size=len(sv)) + 1j * rng.normal(size=len(sv))) * math.sqrt(noise_var / 2.0)
+                x = x + draw_noise(rng, len(sv), math.sqrt(noise_var / 2.0))
             try:
                 angles[t.trp_id] = estimate_aoa(x, array, grid)
             except MeasurementFailed:
@@ -415,37 +442,22 @@ class Simulator:
         """
         cfg = self.config
         rng = substream(cfg.master_seed, "rsrp", drop_idx)
-        position = {t.trp_id: i for i, t in enumerate(self.trps)}
         h = self._channel_matrix(links)
-        reports: dict[int, list[tuple[float, float, float]]] = {}
+        reports: dict[int, list[tuple[float, float, float]]] = {t.trp_id: [] for t in self.trps}
         for b in range(cfg.n_beams):
-            if self._dl_sigma > 0:
-                noise_full = (rng.normal(size=(self.numerology.n_subcarriers, cfg.dl_n_symbols))
-                              + 1j * rng.normal(size=(self.numerology.n_subcarriers, cfg.dl_n_symbols)))
-                noise_full *= self._dl_sigma / np.sqrt(2.0)
-            else:
-                noise_full = np.zeros((self.numerology.n_subcarriers, cfg.dl_n_symbols), dtype=complex)
-            for t in self.trps:
-                k_idx, s_idx, _vals = self._dl_ref[t.trp_id]
-                rx = noise_full[k_idx, s_idx].copy()
-                sources = self._offset_group[t.trp_id] if cfg.interference else [t.trp_id]
-                for src in sources:
-                    src_i = position[src]
-                    src_link = links[src_i]
-                    gain = self._beam_gain_db(self._beam_azimuths[src][b],
-                                              src_link.aod_true[0])
-                    amp = link_amplitude(
-                        src_link, self.trps[src_i].tx_power_dbm + gain,
-                        self.dl_occupied_per_symbol,
-                    )
-                    _, _, src_vals = self._dl_ref[src]
-                    rx += amp * h[src_i, k_idx] * src_vals
-                power = float(np.mean(np.abs(rx) ** 2))
-                rsrp_dbm = 10.0 * math.log10(power) if power > 0 else -300.0
+            amps = [
+                link_amplitude(
+                    l, t.tx_power_dbm
+                    + self._beam_gain_db(self._beam_azimuths[t.trp_id][b], l.angles_deg[0]),
+                    self.dl_occupied_per_symbol,
+                )
+                for l, t in zip(links, self.trps)
+            ]
+            _, rsrp = self._dl_receive(rng, amps, h)
+            for t, rsrp_dbm in zip(self.trps, rsrp):
                 if cfg.quantize:
                     rsrp_dbm = float(quantize_power(rsrp_dbm).value_dbm)
-                beam_az = self._beam_azimuths[t.trp_id][b]
-                reports.setdefault(t.trp_id, []).append((beam_az, 95.0, rsrp_dbm))
+                reports[t.trp_id].append((self._beam_azimuths[t.trp_id][b], 95.0, rsrp_dbm))
         return reports
 
     # -- record assembly and solving ---------------------------------------
@@ -525,16 +537,14 @@ class Simulator:
         ]
         if len(selected) < 4:
             raise SolverError("not enough usable downlink arrivals")
+        cfg = self.config
         ref = selected[0]  # strongest received power
         for t in selected:
             if t == ref:
                 continue
-            payload = self._timing_payload(toa[t] - toa[ref])
-            payload["ref_trp_id"] = ref
-            records.append(MeasurementRecord(
-                kind="RSTD", trp_id=t, resource_id=t, payload=payload,
-                raw={"seconds": toa[t] - toa[ref]},
-            ))
+            records.append(timing_record(
+                "RSTD", t, toa[t] - toa[ref], cfg.effective_timing_k, cfg.fr,
+                resource_id=t, extra={"ref_trp_id": ref}, quantize=cfg.quantize))
         fix = solve_records(records, self.deployment, "dl-tdoa", self.options)
         return records, fix
 
@@ -552,11 +562,10 @@ class Simulator:
             )
             for t in selected
         ]
+        cfg = self.config
         for t in selected:
-            records.append(MeasurementRecord(
-                kind="UL_RTOA", trp_id=t, payload=self._timing_payload(toa[t]),
-                raw={"seconds": toa[t]},
-            ))
+            records.append(timing_record(
+                "UL_RTOA", t, toa[t], cfg.effective_timing_k, cfg.fr, quantize=cfg.quantize))
         fix = solve_records(records, self.deployment, "ul-tdoa", self.options)
         return records, fix
 
@@ -569,16 +578,13 @@ class Simulator:
         ]
         if len(selected) < 3:
             raise SolverError("not enough usable round-trip pairs")
+        cfg = self.config
         records = []
         for t in selected:
-            records.append(MeasurementRecord(
-                kind="UE_RXTX", trp_id=t, payload=self._timing_payload(dl_toa[t]),
-                raw={"seconds": dl_toa[t]},
-            ))
-            records.append(MeasurementRecord(
-                kind="GNB_RXTX", trp_id=t, payload=self._timing_payload(ul_toa[t]),
-                raw={"seconds": ul_toa[t]},
-            ))
+            records.append(timing_record(
+                "UE_RXTX", t, dl_toa[t], cfg.effective_timing_k, cfg.fr, quantize=cfg.quantize))
+            records.append(timing_record(
+                "GNB_RXTX", t, ul_toa[t], cfg.effective_timing_k, cfg.fr, quantize=cfg.quantize))
         fix = solve_records(records, self.deployment, "multi-rtt", self.options)
         return records, fix
 
@@ -625,10 +631,6 @@ def solve_records(records, deployment: Deployment, method: str,
     trp_ids = [t.trp_id for t in deployment.trps]
     index = {t: i for i, t in enumerate(trp_ids)}
     anchors = deployment.trp_positions()
-
-    def seconds(rec):
-        return rec.payload["value_tc"] * TC_SECONDS
-
     rsrp_by_trp = {
         r.trp_id: r.payload["value_dbm"] for r in records
         if r.kind in ("PRS_RSRP", "SRS_RSRP") and "beam_azimuth_deg" not in r.payload
@@ -638,11 +640,11 @@ def solve_records(records, deployment: Deployment, method: str,
         if method == "dl-tdoa":
             rows = [
                 (index[r.trp_id], index[r.payload["ref_trp_id"]],
-                 seconds(r) * SPEED_OF_LIGHT)
+                 record_seconds(r) * SPEED_OF_LIGHT)
                 for r in records if r.kind == "RSTD"
             ]
         else:
-            rtoa = {r.trp_id: seconds(r) for r in records if r.kind == "UL_RTOA"}
+            rtoa = {r.trp_id: record_seconds(r) for r in records if r.kind == "UL_RTOA"}
             if len(rtoa) < 2:
                 raise SolverError("need at least two uplink arrivals")
             ref = min(rtoa, key=lambda t: rtoa[t])
@@ -660,8 +662,8 @@ def solve_records(records, deployment: Deployment, method: str,
         return tdoa_solve(anchors, rows, options, x0=x0)
 
     if method == "multi-rtt":
-        ue_rxtx = {r.trp_id: seconds(r) for r in records if r.kind == "UE_RXTX"}
-        gnb_rxtx = {r.trp_id: seconds(r) for r in records if r.kind == "GNB_RXTX"}
+        ue_rxtx = {r.trp_id: record_seconds(r) for r in records if r.kind == "UE_RXTX"}
+        gnb_rxtx = {r.trp_id: record_seconds(r) for r in records if r.kind == "GNB_RXTX"}
         ranges = []
         for t in sorted(ue_rxtx):
             if t in gnb_rxtx:

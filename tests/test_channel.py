@@ -10,11 +10,10 @@ from nrpos.channel import (
     frequency_response,
     link_amplitude,
     los_probability,
+    noise_amplitude,
     realize_budget_link,
-    realize_link,
     received_grid,
     sector_gain_db,
-    snr_at_re,
 )
 from nrpos.numerology import SPEED_OF_LIGHT, Numerology, ResourceGrid
 from nrpos.scenario import Trp
@@ -46,7 +45,7 @@ class TestLosProbability:
         ue = (30.0, 0.0, 1.5)
         n = 100_000
         hits = sum(
-            realize_link(rng, IOO, trp, ue, TS).los for _ in range(n)
+            realize_budget_link(rng, IOO, trp, ue, 2e9, TS).los for _ in range(n)
         )
         expected = los_probability(IOO, 30.0)
         assert abs(hits / n - expected) < 0.01
@@ -58,7 +57,7 @@ class TestRealizeLink:
         params = IOO.overridden(force_los=True)
         trp = trp_at()
         ue = (40.0, 0.0, 1.5)
-        link = realize_link(rng, params, trp, ue, TS)
+        link = realize_budget_link(rng, params, trp, ue, 2e9, TS)
         d = math.dist(trp.position, ue)
         assert link.los
         assert link.first_path_excess_s == 0.0
@@ -70,7 +69,7 @@ class TestRealizeLink:
         ue = (100.0, 0.0, 1.5)
         excesses = []
         for _ in range(2000):
-            link = realize_link(rng, IOO, trp, ue, TS)
+            link = realize_budget_link(rng, IOO, trp, ue, 2e9, TS)
             if not link.los:
                 excesses.append(link.first_path_excess_s)
         assert excesses
@@ -78,7 +77,7 @@ class TestRealizeLink:
 
     def test_taps_sorted_and_offset(self):
         rng = np.random.default_rng(3)
-        link = realize_link(rng, IOO, trp_at(), (20.0, 5.0, 1.5), TS)
+        link = realize_budget_link(rng, IOO, trp_at(), (20.0, 5.0, 1.5), 2e9, TS)
         delays = [t[0] for t in link.taps]
         assert delays == sorted(delays)
         assert len(delays) == IOO.n_taps
@@ -87,7 +86,7 @@ class TestRealizeLink:
     def test_zero_distance_rejected(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
-            realize_link(rng, IOO, trp_at(), (0.0, 0.0, 3.0), TS)
+            realize_budget_link(rng, IOO, trp_at(), (0.0, 0.0, 3.0), 2e9, TS)
 
     def test_budget_fills_path_loss(self):
         rng = np.random.default_rng(5)
@@ -97,6 +96,19 @@ class TestRealizeLink:
         for _ in range(50):
             l = realize_budget_link(rng, IOO, trp_at(), (20.0, 0.0, 1.5), 2e9, TS)
             assert l.path_loss_db >= IOO.los.at(l.distance_m, 2e9) - 1e-9
+
+    def test_sector_gain_sees_geometric_azimuth(self):
+        # NLOS perturbs the reported angles, not the antenna gain
+        rng = np.random.default_rng(6)
+        trp = trp_at(sector_azimuth_deg=30.0)
+        ue = (150.0, 60.0, 1.5)
+        geometric = math.degrees(math.atan2(60.0, 150.0))
+        links = [realize_budget_link(rng, UMA, trp, ue, 2e9, TS) for _ in range(100)]
+        nlos = [l for l in links if not l.los]
+        assert nlos
+        for l in nlos:
+            assert l.antenna_gain_db == pytest.approx(sector_gain_db(UMA, geometric - 30.0))
+        assert any(abs(l.angles_deg[0] - geometric) > 1.0 for l in nlos)
 
 
 class TestSectorGain:
@@ -120,8 +132,7 @@ def single_tap_link(delay_s, gain=1.0 + 0j, pl_db=60.0):
         shadow_db=0.0,
         taps=((delay_s, gain),),
         first_path_excess_s=0.0,
-        aoa_true=(0.0, 90.0),
-        aod_true=(0.0, 90.0),
+        angles_deg=(0.0, 90.0),
         antenna_gain_db=0.0,
         distance_m=delay_s * SPEED_OF_LIGHT,
     )
@@ -170,7 +181,8 @@ class TestReceivedGrid:
         grids = [full_grid(), full_grid(0.5)]
         noise = NoiseModel(noise_figure_db=9.0, bandwidth_hz=FR1.scs_khz * 1e3)
         noise_draw = draw_noise(
-            np.random.default_rng(rng_seed), grids[0].cells.shape, noise, FR1.scs_khz * 1e3
+            np.random.default_rng(rng_seed), grids[0].cells.shape,
+            noise_amplitude(noise) / np.sqrt(2.0),
         )
         combined = received_grid(
             list(zip(grids, links, [23.0, 23.0])), None, FR1, noise_grid=noise_draw
@@ -196,9 +208,17 @@ class TestReceivedGrid:
     def test_noise_energy_matches_thermal(self):
         noise = NoiseModel(noise_figure_db=9.0, bandwidth_hz=FR1.scs_khz * 1e3)
         rng = np.random.default_rng(0)
-        draws = draw_noise(rng, (1000, 1000), noise, FR1.scs_khz * 1e3)
+        draws = draw_noise(rng, (1000, 1000), noise_amplitude(noise) / np.sqrt(2.0))
         measured_dbm = 10 * np.log10(np.mean(np.abs(draws) ** 2))
         assert abs(measured_dbm - noise.thermal_dbm) < 0.1
+
+
+def re_snr_db(pl_db, n_occupied_per_symbol=1):
+    """Per-RE SNR in dB of a 23 dBm transmitter through pl_db to a 9 dB
+    noise-figure receiver on 30 kHz subcarriers."""
+    amp = link_amplitude(single_tap_link(1e-7, pl_db=pl_db), 23.0, n_occupied_per_symbol)
+    noise = NoiseModel(noise_figure_db=9.0, bandwidth_hz=30e3)
+    return 20 * math.log10(amp) - noise.thermal_dbm
 
 
 class TestBudget:
@@ -209,20 +229,18 @@ class TestBudget:
         assert 20 * math.log10(amp) == pytest.approx(expected_dbm)
 
     def test_snr_shifts_with_path_loss(self):
-        base = snr_at_re(23.0, 0.0, 60.0, 0.0, 9.0, 30e3)
-        worse = snr_at_re(23.0, 0.0, 70.0, 0.0, 9.0, 30e3)
+        base = re_snr_db(60.0)
+        worse = re_snr_db(70.0)
         assert base - worse == pytest.approx(10.0)
 
     def test_ioo_defaults_positive_snr_at_20m(self):
         pl = IOO.los.at(20.0, 2e9)
-        snr = snr_at_re(23.0, 0.0, pl, 0.0, 9.0, 30e3, n_occupied_per_symbol=272)
+        snr = re_snr_db(pl, n_occupied_per_symbol=272)
         assert snr > 0
         # regression anchor for the default budget
         assert snr == pytest.approx(57.95, abs=0.05)
 
     def test_zero_bandwidth_rejected(self):
-        with pytest.raises(ValueError):
-            snr_at_re(23.0, 0.0, 60.0, 0.0, 9.0, 0.0)
         with pytest.raises(ValueError):
             NoiseModel(noise_figure_db=9.0, bandwidth_hz=0.0)
 

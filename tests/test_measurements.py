@@ -318,6 +318,12 @@ class TestRecords:
         rec = timing_record("UL_RTOA", trp_id=0, t_seconds=10e-9, k=2, fr="fr1")
         assert record_seconds(rec) == pytest.approx(10.17e-9, rel=1e-3)
 
+    def test_unquantized_record_keeps_exact_value(self):
+        rec = timing_record("UL_RTOA", trp_id=0, t_seconds=10e-9, k=2, fr="fr1",
+                            quantize=False)
+        assert record_seconds(rec) == pytest.approx(10e-9, rel=1e-12)
+        assert rec.payload["k"] == 2 and not rec.payload["clamped"]
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             MeasurementRecord(kind="WEIRD", trp_id=0, payload={})
