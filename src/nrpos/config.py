@@ -12,8 +12,6 @@ from pydantic import BaseModel, ConfigDict, Field, model_validator
 
 CONFIG_VERSION = 1
 
-METHODS = ("dl-tdoa", "ul-tdoa", "multi-rtt", "ul-aoa", "dl-aod")
-
 # carrier frequency and subcarrier spacing per frequency range
 FR_DEFAULTS = {"fr1": (2e9, 30), "fr2": (28e9, 120)}
 

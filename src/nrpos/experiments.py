@@ -152,20 +152,3 @@ def write_artifacts(result: ExperimentResult, out_dir):
         json.dumps(result.summary.to_dict(), indent=2, sort_keys=False) + "\n"
     )
 
-
-def compare_runs(a: ResultSummary, b: ResultSummary) -> dict:
-    """Signed per-percentile deltas (b minus a) with config compatibility flags."""
-    mismatches = []
-    if a.n_drops != b.n_drops:
-        mismatches.append("n_drops")
-    if a.config.get("master_seed") != b.config.get("master_seed"):
-        mismatches.append("master_seed")
-    deltas = {
-        p: b.percentiles.get(p, math.nan) - a.percentiles.get(p, math.nan)
-        for p in PERCENTILES
-    }
-    return {
-        "deltas": deltas,
-        "comparable": not mismatches,
-        "mismatched_fields": mismatches,
-    }

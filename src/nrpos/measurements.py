@@ -79,10 +79,6 @@ def quantize_timing(t_seconds: float, k: int, fr: str = "fr1") -> TimingReport:
     return TimingReport(value_tc=value, k=k, fr=fr, clamped=clamped)
 
 
-def dequantize_timing(report: TimingReport) -> float:
-    return report.seconds
-
-
 def quantize_power(p_dbm: float) -> PowerReport:
     value = int(np.round(p_dbm))
     clamped = False
@@ -268,11 +264,6 @@ def estimate_toa_from_vector(
 def rstd(toa_target_s: float, toa_reference_s: float) -> float:
     """Time difference of arrival; the common receiver clock term cancels."""
     return toa_target_s - toa_reference_s
-
-
-def rx_tx_difference(rx_toa_s: float, tx_time_s: float) -> float:
-    """Interval between a received and a transmitted event, one local clock."""
-    return rx_toa_s - tx_time_s
 
 
 def rtt(ue_rxtx_s: float, gnb_rxtx_s: float) -> tuple[float, bool]:

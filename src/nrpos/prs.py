@@ -1,11 +1,11 @@
-"""Downlink and uplink positioning signal configuration: comb patterns on
-the resource grid, the frequency-layer/TRP/set/resource hierarchy, and
-repetition/muting scheduling of resource sets.
+"""Downlink and uplink positioning signal configuration: one downlink
+positioning resource or uplink sounding resource each, their staggered
+comb patterns on the resource grid, and the reference values they carry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,13 +38,6 @@ UL_COMB_STAGGER = {
 }
 
 UL_VALID_SYMBOLS = (1, 2, 4, 8, 12)
-
-# Hierarchy caps: layers per config, TRPs per layer, sets per TRP per
-# layer, resources per set.
-MAX_LAYERS = 4
-MAX_TRPS_PER_LAYER = 64
-MAX_SETS_PER_TRP = 2
-MAX_RESOURCES_PER_SET = 64
 
 CYCLIC_SHIFT_MAX = 12
 
@@ -85,155 +78,6 @@ class DlPrsResource:
             raise ConfigError("symbols do not fit in a 14-symbol slot")
         if not (24 <= self.n_prb <= 276) or (self.n_prb - 24) % 4 != 0:
             raise ConfigError("n_prb must be 24..276 in steps of 4")
-
-
-@dataclass(frozen=True)
-class DlPrsResourceSet:
-    """Beams of one TRP on one frequency plus their repetition schedule."""
-
-    set_id: int
-    resources: tuple[DlPrsResource, ...]
-    period_ms: float = 4.0
-    gap_slots: int = 1
-    repetitions: int = 1
-    muting_repetition: tuple[int, ...] = ()
-    muting_occasion: tuple[int, ...] = ()
-    order: str = "repeat_before_sweep"
-
-    def __post_init__(self):
-        if not self.resources:
-            raise ConfigError("resource set needs at least one resource")
-        if len(self.resources) > MAX_RESOURCES_PER_SET:
-            raise ConfigError(f"more than {MAX_RESOURCES_PER_SET} resources in a set")
-        ids = [r.resource_id for r in self.resources]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("duplicate resource_id within a set")
-        if not 1 <= self.repetitions <= 32:
-            raise ConfigError("repetitions must be 1..32")
-        if not 4.0 <= self.period_ms <= 10240.0:
-            raise ConfigError("period must be 4..10240 ms")
-        if self.gap_slots < 1:
-            raise ConfigError("gap_slots must be >= 1")
-        if self.order not in ("repeat_before_sweep", "sweep_before_repeat"):
-            raise ConfigError(f"unknown order {self.order!r}")
-        if self.muting_repetition and len(self.muting_repetition) != self.repetitions:
-            raise ConfigError("muting_repetition length must equal repetitions")
-
-
-@dataclass(frozen=True)
-class FrequencyLayer:
-    """TRPs sharing one positioning frequency layer."""
-
-    layer_id: int
-    trps: tuple[tuple[int, tuple[DlPrsResourceSet, ...]], ...]
-
-    def __post_init__(self):
-        if len(self.trps) > MAX_TRPS_PER_LAYER:
-            raise ConfigError(f"more than {MAX_TRPS_PER_LAYER} TRPs in a layer")
-        for trp_id, sets in self.trps:
-            if len(sets) > MAX_SETS_PER_TRP:
-                raise ConfigError(
-                    f"TRP {trp_id}: more than {MAX_SETS_PER_TRP} sets per layer"
-                )
-            set_ids = [s.set_id for s in sets]
-            if len(set(set_ids)) != len(set_ids):
-                raise ConfigError(f"TRP {trp_id}: duplicate set_id")
-
-
-@dataclass(frozen=True)
-class PrsConfigTree:
-    """Full downlink configuration hierarchy: layers -> TRPs -> sets -> beams."""
-
-    layers: tuple[FrequencyLayer, ...]
-
-    def __post_init__(self):
-        if not self.layers:
-            raise ConfigError("config tree needs at least one layer")
-        if len(self.layers) > MAX_LAYERS:
-            raise ConfigError(f"more than {MAX_LAYERS} frequency layers")
-
-    def total_resources(self) -> int:
-        return sum(
-            len(s.resources)
-            for layer in self.layers
-            for _, sets in layer.trps
-            for s in sets
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "version": CONFIG_FORMAT_VERSION,
-            "layers": [
-                {
-                    "layer_id": layer.layer_id,
-                    "trps": [
-                        {
-                            "trp_id": trp_id,
-                            "resource_sets": [_set_to_dict(s) for s in sets],
-                        }
-                        for trp_id, sets in layer.trps
-                    ],
-                }
-                for layer in self.layers
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PrsConfigTree":
-        if doc.get("version") != CONFIG_FORMAT_VERSION:
-            raise ConfigError(f"unsupported config version {doc.get('version')!r}")
-        layers = []
-        for ld in doc["layers"]:
-            trps = tuple(
-                (
-                    td["trp_id"],
-                    tuple(_set_from_dict(sd) for sd in td["resource_sets"]),
-                )
-                for td in ld["trps"]
-            )
-            layers.append(FrequencyLayer(layer_id=ld["layer_id"], trps=trps))
-        return cls(layers=tuple(layers))
-
-
-def _set_to_dict(s: DlPrsResourceSet) -> dict:
-    return {
-        "set_id": s.set_id,
-        "period_ms": s.period_ms,
-        "gap_slots": s.gap_slots,
-        "repetitions": s.repetitions,
-        "muting_repetition": list(s.muting_repetition),
-        "muting_occasion": list(s.muting_occasion),
-        "order": s.order,
-        "resources": [
-            {
-                "resource_id": r.resource_id,
-                "seq_id": r.seq_id,
-                "comb_size": r.comb_size,
-                "re_offset": r.re_offset,
-                "first_symbol": r.first_symbol,
-                "n_symbols": r.n_symbols,
-                "start_prb": r.start_prb,
-                "n_prb": r.n_prb,
-                "beam_azimuth_deg": r.beam_azimuth_deg,
-                "beam_zenith_deg": r.beam_zenith_deg,
-            }
-            for r in s.resources
-        ],
-    }
-
-
-def _set_from_dict(d: dict) -> DlPrsResourceSet:
-    resources = tuple(DlPrsResource(**rd) for rd in d["resources"])
-    return DlPrsResourceSet(
-        set_id=d["set_id"],
-        resources=resources,
-        period_ms=d.get("period_ms", 4.0),
-        gap_slots=d.get("gap_slots", 1),
-        repetitions=d.get("repetitions", 1),
-        muting_repetition=tuple(d.get("muting_repetition", ())),
-        muting_occasion=tuple(d.get("muting_occasion", ())),
-        order=d.get("order", "repeat_before_sweep"),
-    )
 
 
 @dataclass(frozen=True)
@@ -391,49 +235,3 @@ def map_srs(grid: ResourceGrid, resource: SrsPosResource) -> ResourceGrid:
         grid.cells[k_idx, sym] = values
     return grid
 
-
-def schedule_occasions(
-    prs_set: DlPrsResourceSet, horizon_slots: int, slots_per_ms: int = 1
-) -> list[tuple[int, int, bool]]:
-    """(slot, resource_id, transmitted) schedule over `horizon_slots`.
-
-    repeat_before_sweep sends each resource `repetitions` times (spaced
-    gap_slots apart) before moving to the next one; sweep_before_repeat
-    sends one full sweep and repeats it with period gap_slots. Repetition-
-    level muting clears individual repetitions inside every occasion;
-    occasion-level muting clears whole periods (bitmap applied cyclically).
-    """
-    period_slots = int(round(prs_set.period_ms * slots_per_ms))
-    if horizon_slots < period_slots:
-        raise ConfigError("horizon must cover at least one period")
-    n_res = len(prs_set.resources)
-    if prs_set.order == "sweep_before_repeat" and prs_set.gap_slots < n_res:
-        raise ConfigError("sweep_before_repeat needs gap_slots >= number of resources")
-
-    occasion: list[tuple[int, int, bool]] = []
-    for r_pos, res in enumerate(prs_set.resources):
-        for rep in range(prs_set.repetitions):
-            if prs_set.order == "repeat_before_sweep":
-                slot = r_pos * prs_set.repetitions * prs_set.gap_slots + rep * prs_set.gap_slots
-            else:
-                slot = rep * prs_set.gap_slots + r_pos
-            tx = True
-            if prs_set.muting_repetition:
-                tx = bool(prs_set.muting_repetition[rep])
-            occasion.append((slot, res.resource_id, tx))
-    occasion.sort()
-    if occasion and occasion[-1][0] >= period_slots:
-        raise ConfigError("occasion does not fit inside the set period")
-
-    out = []
-    for period in range(horizon_slots // period_slots):
-        period_tx = True
-        if prs_set.muting_occasion:
-            period_tx = bool(
-                prs_set.muting_occasion[period % len(prs_set.muting_occasion)]
-            )
-        for slot, rid, tx in occasion:
-            abs_slot = period * period_slots + slot
-            if abs_slot < horizon_slots:
-                out.append((abs_slot, rid, tx and period_tx))
-    return out

@@ -6,19 +6,24 @@ transport, producing an auditable message trace.
 Message bodies are JSON-friendly dicts; the trace file is JSON lines with
 a stable field order (seq, kind, from, to, timestamp, payload), which is
 the contract for replay tooling.
+
+Each entry of a measurement report (`ue_rxtx`, `gnb_rxtx`, `rstd`) is the
+payload of one `MeasurementRecord`, so the live server and trace replay
+both solve with `simulate.solve_records`, the solver of batch runs.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .measurements import MeasurementRecord, timing_record
 from .numerology import SPEED_OF_LIGHT
-from .measurements import quantize_timing, TC_SECONDS
-from .solvers import SolverOptions, rtt_solve, tdoa_solve
+from .simulate import solve_records
+from .solvers import SolverOptions
 
 LPP_KINDS = {
     "LppRequestCapabilities",
@@ -35,7 +40,6 @@ NRPPA_KINDS = {
     "NrppaMeasurementResponse",
 }
 RRC_KINDS = {"RrcSrsConfig"}
-MESSAGE_KINDS = LPP_KINDS | NRPPA_KINDS | RRC_KINDS
 
 ABORT_KIND = "SessionAborted"
 
@@ -267,22 +271,19 @@ class GeometricHook:
     def _distance(self, ue_id, trp_id) -> float:
         return float(np.linalg.norm(self.ue_positions[ue_id] - self.trp_positions[trp_id]))
 
-    def _report(self, seconds: float) -> dict:
-        if self.quantize:
-            rep = quantize_timing(seconds, self.k, self.fr)
-            return {"value_tc": rep.value_tc, "k": rep.k, "fr": rep.fr}
-        steps = seconds / TC_SECONDS
-        return {"value_tc": steps, "k": self.k, "fr": self.fr}
+    def _report(self, kind: str, trp_id, seconds: float) -> dict:
+        return timing_record(kind, trp_id, seconds, self.k, self.fr, resource_id=trp_id,
+                             quantize=self.quantize).payload
 
     def ue_rxtx(self, ue_id, trp_id) -> dict:
-        return self._report(self._distance(ue_id, trp_id) / SPEED_OF_LIGHT)
+        return self._report("UE_RXTX", trp_id, self._distance(ue_id, trp_id) / SPEED_OF_LIGHT)
 
     def gnb_rxtx(self, ue_id, trp_id) -> dict:
-        return self._report(self._distance(ue_id, trp_id) / SPEED_OF_LIGHT)
+        return self._report("GNB_RXTX", trp_id, self._distance(ue_id, trp_id) / SPEED_OF_LIGHT)
 
     def rstd(self, ue_id, trp_id, ref_trp_id) -> dict:
         dt = (self._distance(ue_id, trp_id) - self._distance(ue_id, ref_trp_id)) / SPEED_OF_LIGHT
-        return self._report(dt)
+        return self._report("RSTD", trp_id, dt)
 
 
 class Lmf(Node):
@@ -308,7 +309,7 @@ class Lmf(Node):
             "gnbs": list(gnb_ids),
             "pending_info": set(gnb_ids),
             "pending_meas": set(gnb_ids),
-            "ue_rxtx": None,
+            "report": None,
             "gnb_rxtx": {},
             "trp_ids": [],
             "done": False,
@@ -322,7 +323,7 @@ class Lmf(Node):
             "method": "dl-tdoa",
             "ref_trp_id": ref_trp_id,
             "trp_ids": list(trp_ids),
-            "rstd": None,
+            "report": None,
             "done": False,
         }
         self.send("LppProvideAssistanceData", ue_id, {"prs_tree": self.prs_tree})
@@ -355,14 +356,13 @@ class Lmf(Node):
             s = self.sessions[ue_id]
             if s["done"]:
                 return
+            s["report"] = msg.payload
             if s["method"] == "multi-rtt":
-                s["ue_rxtx"] = msg.payload["ue_rxtx"]
                 # UE report first, then collect the radio-node side
                 for g in s["gnbs"]:
                     self.send("NrppaMeasurementRequest", g, {"ue_id": ue_id})
             else:
-                s["rstd"] = msg.payload["rstd"]
-                self._solve_dl_tdoa(ue_id)
+                self._solve(ue_id)
         elif msg.kind == "NrppaMeasurementResponse":
             ue_id = msg.payload["ue_id"]
             s = self.sessions[ue_id]
@@ -372,7 +372,7 @@ class Lmf(Node):
             for entry in msg.payload["gnb_rxtx"]:
                 s["gnb_rxtx"][entry["trp_id"]] = entry
             if not s["pending_meas"]:
-                self._solve_multi_rtt(ue_id)
+                self._solve(ue_id)
         elif msg.kind == "LppRequestAssistanceData":
             if "ue_id" not in msg.payload:
                 raise ProtocolError("malformed assistance request")
@@ -382,50 +382,27 @@ class Lmf(Node):
 
     # -- solving
 
-    def _solve_multi_rtt(self, ue_id: str):
+    def _solve(self, ue_id: str):
         s = self.sessions[ue_id]
         s["done"] = True
-        fix = solve_multi_rtt_report(self.anchors, s["ue_rxtx"], s["gnb_rxtx"], self.options)
-        self.results[ue_id] = SessionResult(ue_id=ue_id, status="fixed", fix=fix)
-
-    def _solve_dl_tdoa(self, ue_id: str):
-        s = self.sessions[ue_id]
-        s["done"] = True
-        fix = solve_dl_tdoa_report(self.anchors, s["rstd"], self.options)
+        records = _report_records(s["report"], s.get("gnb_rxtx", {}).values())
+        fix = solve_records(records, self.anchors, s["method"], self.options)
         self.results[ue_id] = SessionResult(ue_id=ue_id, status="fixed", fix=fix)
 
 
-def _seconds(entry: dict) -> float:
-    return entry["value_tc"] * TC_SECONDS
-
-
-def solve_multi_rtt_report(anchors: dict[int, np.ndarray], ue_rxtx, gnb_rxtx,
-                           options: SolverOptions):
-    """Round-trip solve from reported one-sided intervals (shared by the
-    live session and offline replay, so both produce identical fixes)."""
-    trp_order = sorted(anchors)
-    index = {t: i for i, t in enumerate(trp_order)}
-    positions = np.array([anchors[t] for t in trp_order])
-    ranges = []
-    ue_by_trp = {e["trp_id"]: e for e in ue_rxtx}
-    for trp_id, gnb_entry in sorted(gnb_rxtx.items()):
-        if trp_id not in ue_by_trp:
-            continue
-        total = _seconds(ue_by_trp[trp_id]) + _seconds(gnb_entry)
-        ranges.append((index[trp_id], max(total, 0.0) * SPEED_OF_LIGHT / 2.0))
-    return rtt_solve(positions, ranges, options)
-
-
-def solve_dl_tdoa_report(anchors: dict[int, np.ndarray], rstd_entries,
-                         options: SolverOptions):
-    trp_order = sorted(anchors)
-    index = {t: i for i, t in enumerate(trp_order)}
-    positions = np.array([anchors[t] for t in trp_order])
-    rows = [
-        (index[e["trp_id"]], index[e["ref_trp_id"]], _seconds(e) * SPEED_OF_LIGHT)
-        for e in rstd_entries
+def _report_records(report: dict, gnb_rxtx) -> list[MeasurementRecord]:
+    """One UE's location report, plus the radio-node Rx-Tx entries of a
+    round-trip session, as measurement records whose payloads are the
+    report entries; each entry's TRP doubles as its resource id."""
+    if report["method"] == "multi-rtt":
+        parts = [("UE_RXTX", report["ue_rxtx"]), ("GNB_RXTX", gnb_rxtx)]
+    else:
+        parts = [("RSTD", report["rstd"])]
+    return [
+        MeasurementRecord(kind=kind, trp_id=e["trp_id"], resource_id=e["trp_id"], payload=e)
+        for kind, entries in parts
+        for e in entries
     ]
-    return tdoa_solve(positions, rows, options)
 
 
 def run_multi_rtt(lmf: Lmf, gnbs, ues, transport: Transport):
@@ -469,7 +446,7 @@ def replay_solve(trace: list[dict], anchors: dict[int, np.ndarray],
                  options: SolverOptions) -> dict[str, object]:
     """Re-run the solver on measurement reports extracted from a trace.
 
-    Produces exactly the live fixes: the same inputs feed the same solver.
+    Produces exactly the live fixes: the same records feed the same solver.
     """
     fixes: dict[str, object] = {}
     ue_reports: dict[str, dict] = {}
@@ -483,10 +460,8 @@ def replay_solve(trace: list[dict], anchors: dict[int, np.ndarray],
             for item in entry["payload"]["gnb_rxtx"]:
                 store[item["trp_id"]] = item
     for ue_id, payload in ue_reports.items():
-        if payload["method"] == "multi-rtt":
-            if ue_id in gnb_reports:
-                fixes[ue_id] = solve_multi_rtt_report(
-                    anchors, payload["ue_rxtx"], gnb_reports[ue_id], options)
-        else:
-            fixes[ue_id] = solve_dl_tdoa_report(anchors, payload["rstd"], options)
+        if payload["method"] == "multi-rtt" and ue_id not in gnb_reports:
+            continue
+        records = _report_records(payload, gnb_reports.get(ue_id, {}).values())
+        fixes[ue_id] = solve_records(records, anchors, payload["method"], options)
     return fixes

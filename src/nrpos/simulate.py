@@ -52,6 +52,7 @@ from .measurements import (
     first_path_from_magnitude,
     quantize_power,
     record_seconds,
+    rtt,
     steering_vector,
     taper_vector,
     timing_record,
@@ -78,10 +79,6 @@ from .solvers import (
     rtt_solve,
     tdoa_solve,
 )
-
-UL_METHODS = ("ul-tdoa", "multi-rtt", "ul-aoa")
-DL_METHODS = ("dl-tdoa", "multi-rtt", "dl-aod")
-
 
 @dataclass
 class DropOutcome:
@@ -186,8 +183,9 @@ class Simulator:
         )
         self.deployment: Deployment = assign_comb_offsets(deployment, config.dl_comb_size)
         self.trps = self.deployment.trps
-        self.anchors = self.deployment.trp_positions()
-        self.hull = convex_hull(self.anchors)
+        self.anchors = {t.trp_id: t.position for t in self.trps}
+        self.anchor_xyz = self.deployment.trp_positions()
+        self.hull = convex_hull(self.anchor_xyz)
         self.ues = drop_ues(config.n_drops, self.deployment, config.master_seed,
                             full_area=config.full_area)
 
@@ -518,7 +516,7 @@ class Simulator:
         kind = {"dl-tdoa": "tdoa", "ul-tdoa": "tdoa", "multi-rtt": "rtt",
                 "ul-aoa": "aoa", "dl-aod": "aod"}[method]
         try:
-            return gdop(self.anchors, position, kind, ref_index=0,
+            return gdop(self.anchor_xyz, position, kind, ref_index=0,
                         fix_height=self.options.fix_height)
         except SolverError:
             return math.inf
@@ -545,7 +543,7 @@ class Simulator:
             records.append(timing_record(
                 "RSTD", t, toa[t] - toa[ref], cfg.effective_timing_k, cfg.fr,
                 resource_id=t, extra={"ref_trp_id": ref}, quantize=cfg.quantize))
-        fix = solve_records(records, self.deployment, "dl-tdoa", self.options)
+        fix = solve_records(records, self.anchors, "dl-tdoa", self.options)
         return records, fix
 
     def _run_ul_tdoa(self, links, trp_clock, ue_clock, drop_idx):
@@ -566,7 +564,7 @@ class Simulator:
         for t in selected:
             records.append(timing_record(
                 "UL_RTOA", t, toa[t], cfg.effective_timing_k, cfg.fr, quantize=cfg.quantize))
-        fix = solve_records(records, self.deployment, "ul-tdoa", self.options)
+        fix = solve_records(records, self.anchors, "ul-tdoa", self.options)
         return records, fix
 
     def _run_multi_rtt(self, links, trp_clock, ue_clock, drop_idx):
@@ -585,7 +583,7 @@ class Simulator:
                 "UE_RXTX", t, dl_toa[t], cfg.effective_timing_k, cfg.fr, quantize=cfg.quantize))
             records.append(timing_record(
                 "GNB_RXTX", t, ul_toa[t], cfg.effective_timing_k, cfg.fr, quantize=cfg.quantize))
-        fix = solve_records(records, self.deployment, "multi-rtt", self.options)
+        fix = solve_records(records, self.anchors, "multi-rtt", self.options)
         return records, fix
 
     def _run_ul_aoa(self, links, trp_clock, ue_clock, drop_idx):
@@ -605,7 +603,7 @@ class Simulator:
             )
             for t in selected
         ]
-        fix = solve_records(records, self.deployment, "ul-aoa", self.options)
+        fix = solve_records(records, self.anchors, "ul-aoa", self.options)
         return records, fix
 
     def _run_dl_aod(self, links, drop_idx):
@@ -620,17 +618,20 @@ class Simulator:
                     payload={"value_dbm": rsrp_dbm, "beam_azimuth_deg": az,
                              "beam_zenith_deg": zen},
                 ))
-        fix = solve_records(records, self.deployment, "dl-aod", self.options)
+        fix = solve_records(records, self.anchors, "dl-aod", self.options)
         return records, fix
 
 
-def solve_records(records, deployment: Deployment, method: str,
-                  options: SolverOptions):
-    """Position solve from measurement records (live pipeline and offline
-    re-solve share this path)."""
-    trp_ids = [t.trp_id for t in deployment.trps]
+def solve_records(records, anchors, method: str, options: SolverOptions):
+    """Position solve from measurement records.
+
+    anchors maps each trp_id to its position; the solver's anchor rows
+    follow the mapping's order. The batch pipeline, the location-session
+    server and offline re-solves of written records all solve here.
+    """
+    trp_ids = list(anchors)
     index = {t: i for i, t in enumerate(trp_ids)}
-    anchors = deployment.trp_positions()
+    anchors = np.array([anchors[t] for t in trp_ids], dtype=float)
     rsrp_by_trp = {
         r.trp_id: r.payload["value_dbm"] for r in records
         if r.kind in ("PRS_RSRP", "SRS_RSRP") and "beam_azimuth_deg" not in r.payload
@@ -667,8 +668,8 @@ def solve_records(records, deployment: Deployment, method: str,
         ranges = []
         for t in sorted(ue_rxtx):
             if t in gnb_rxtx:
-                total = ue_rxtx[t] + gnb_rxtx[t]
-                ranges.append((index[t], max(total, 0.0) * SPEED_OF_LIGHT / 2.0))
+                total, _ = rtt(ue_rxtx[t], gnb_rxtx[t])
+                ranges.append((index[t], total * SPEED_OF_LIGHT / 2.0))
         return rtt_solve(anchors, ranges, options)
 
     if method == "ul-aoa":

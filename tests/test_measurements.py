@@ -7,7 +7,6 @@ from nrpos.measurements import (
     TimingReport,
     aggregate_samples,
     despread,
-    dequantize_timing,
     estimate_aoa,
     estimate_toa,
     quantize_power,
@@ -17,7 +16,6 @@ from nrpos.measurements import (
     rsrp,
     rstd,
     rtt,
-    rx_tx_difference,
     steering_vector,
     timing_record,
     write_records,
@@ -57,13 +55,13 @@ class TestQuantizeTiming:
     def test_ten_ns_at_k2(self):
         report = quantize_timing(10e-9, 2)
         assert report.value_tc == 20
-        assert dequantize_timing(report) == pytest.approx(10.17e-9, rel=1e-3)
+        assert report.seconds == pytest.approx(10.17e-9, rel=1e-3)
 
     def test_out_of_range_clamps(self):
         report = quantize_timing(600e-6, 2)
         assert report.value_tc == 985024
         assert report.clamped
-        assert dequantize_timing(report) == pytest.approx(501e-6, rel=2e-3)
+        assert report.seconds == pytest.approx(501e-6, rel=2e-3)
         neg = quantize_timing(-600e-6, 2)
         assert neg.value_tc == -985024
 
@@ -81,7 +79,7 @@ class TestQuantizeTiming:
         bound = (1 << k) * TC_SECONDS / 2
         for t in rng.uniform(-400e-6, 400e-6, 200):
             report = quantize_timing(t, k, fr)
-            assert abs(dequantize_timing(report) - t) <= bound * (1 + 1e-12)
+            assert abs(report.seconds - t) <= bound * (1 + 1e-12)
 
     def test_report_always_aligned_and_in_range(self):
         rng = np.random.default_rng(0)
@@ -219,9 +217,6 @@ class TestDifferences:
     def test_negative_rtt_clamped(self):
         total, clamped = rtt(-1e-9, 0.2e-9)
         assert total == 0.0 and clamped
-
-    def test_rx_tx_difference(self):
-        assert rx_tx_difference(10e-6, 2e-6) == pytest.approx(8e-6)
 
 
 class TestRsrp:

@@ -10,15 +10,11 @@ from nrpos.prs import (
     UL_VALID_SYMBOLS,
     ConfigError,
     DlPrsResource,
-    DlPrsResourceSet,
-    FrequencyLayer,
-    PrsConfigTree,
     SrsPosResource,
     comb_pattern,
     map_dl_prs,
     map_srs,
     resource_re_indices,
-    schedule_occasions,
     srs_comb_pattern,
     srs_re_indices,
 )
@@ -29,15 +25,6 @@ def make_resource(**kwargs):
                     first_symbol=0, n_symbols=12, n_prb=272)
     defaults.update(kwargs)
     return DlPrsResource(**defaults)
-
-
-def make_set(n_resources=1, **kwargs):
-    resources = tuple(
-        make_resource(resource_id=i, comb_size=2, n_symbols=2) for i in range(n_resources)
-    )
-    defaults = dict(set_id=0, resources=resources)
-    defaults.update(kwargs)
-    return DlPrsResourceSet(**defaults)
 
 
 class TestCombPattern:
@@ -193,113 +180,6 @@ class TestSrs:
         assert SrsPosResource.from_dict(res.to_dict()) == res
 
 
-class TestScheduling:
-    def test_repeat_before_sweep(self):
-        s = make_set(n_resources=3, gap_slots=1, repetitions=2)
-        occ = schedule_occasions(s, horizon_slots=8, slots_per_ms=2)
-        order = [rid for _, rid, _ in occ]
-        assert order == [0, 0, 1, 1, 2, 2]
-        assert [slot for slot, _, _ in occ] == [0, 1, 2, 3, 4, 5]
-
-    def test_sweep_before_repeat(self):
-        s = make_set(n_resources=3, gap_slots=4, repetitions=2,
-                     order="sweep_before_repeat")
-        occ = schedule_occasions(s, horizon_slots=8, slots_per_ms=2)
-        order = [rid for _, rid, _ in occ]
-        assert order == [0, 1, 2, 0, 1, 2]
-        assert [slot for slot, _, _ in occ] == [0, 1, 2, 4, 5, 6]
-
-    def test_occasion_muting(self):
-        s = make_set(n_resources=2, repetitions=1, muting_occasion=(1, 0))
-        occ = schedule_occasions(s, horizon_slots=16, slots_per_ms=2)
-        first = [tx for slot, _, tx in occ if slot < 8]
-        second = [tx for slot, _, tx in occ if slot >= 8]
-        assert all(first) and not any(second)
-
-    def test_repetition_muting(self):
-        s = make_set(n_resources=2, repetitions=2, muting_repetition=(1, 0))
-        occ = schedule_occasions(s, horizon_slots=8, slots_per_ms=2)
-        # second repetition of each resource is muted
-        by_resource = {}
-        for slot, rid, tx in occ:
-            by_resource.setdefault(rid, []).append(tx)
-        assert by_resource[0] == [True, False]
-        assert by_resource[1] == [True, False]
-
-    def test_periodicity(self):
-        s = make_set(n_resources=3, repetitions=2, muting_occasion=(1, 1))
-        period_slots = int(s.period_ms * 2)
-        one = schedule_occasions(s, horizon_slots=period_slots, slots_per_ms=2)
-        two = schedule_occasions(s, horizon_slots=2 * period_slots, slots_per_ms=2)
-        shifted = [(slot + period_slots, rid, tx) for slot, rid, tx in one]
-        assert two == one + shifted
-
-    def test_muting_length_mismatch(self):
-        with pytest.raises(ConfigError):
-            make_set(n_resources=1, repetitions=4, muting_repetition=(1, 0))
-
-    def test_horizon_too_short(self):
-        s = make_set()
-        with pytest.raises(ConfigError):
-            schedule_occasions(s, horizon_slots=3, slots_per_ms=2)
-
-
-class TestHierarchy:
-    def test_caps_at_exact_limits(self):
-        sets = tuple(
-            DlPrsResourceSet(
-                set_id=i,
-                resources=tuple(
-                    make_resource(resource_id=r, comb_size=12) for r in range(64)
-                ),
-            )
-            for i in range(2)
-        )
-        layer = FrequencyLayer(layer_id=0, trps=tuple((t, sets) for t in range(64)))
-        tree = PrsConfigTree(layers=tuple(
-            FrequencyLayer(layer_id=i, trps=layer.trps) for i in range(4)
-        ))
-        assert tree.total_resources() == 4 * 64 * 2 * 64
-
-    def test_too_many_layers(self):
-        layer = FrequencyLayer(layer_id=0, trps=((0, (make_set(),)),))
-        with pytest.raises(ConfigError):
-            PrsConfigTree(layers=tuple(
-                FrequencyLayer(layer_id=i, trps=layer.trps) for i in range(5)
-            ))
-
-    def test_too_many_trps(self):
-        with pytest.raises(ConfigError):
-            FrequencyLayer(layer_id=0, trps=tuple(
-                (t, (make_set(),)) for t in range(65)
-            ))
-
-    def test_too_many_sets_per_trp(self):
-        sets = tuple(make_set(set_id=i) for i in range(3))
-        with pytest.raises(ConfigError):
-            FrequencyLayer(layer_id=0, trps=((0, sets),))
-
-    def test_too_many_resources_per_set(self):
-        with pytest.raises(ConfigError):
-            DlPrsResourceSet(set_id=0, resources=tuple(
-                make_resource(resource_id=i, comb_size=2, n_symbols=2)
-                for i in range(65)
-            ))
-
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ConfigError):
-            DlPrsResourceSet(set_id=0, resources=(
-                make_resource(resource_id=1), make_resource(resource_id=1, seq_id=2),
-            ))
-
-    def test_tree_serialization_round_trip(self):
-        sets = (make_set(n_resources=2, repetitions=2, muting_repetition=(1, 0)),)
-        tree = PrsConfigTree(layers=(
-            FrequencyLayer(layer_id=0, trps=((0, sets), (1, sets))),
-        ))
-        assert PrsConfigTree.from_dict(tree.to_dict()) == tree
-
-
 class TestResourceValidation:
     def test_bad_comb(self):
         with pytest.raises(ConfigError):
@@ -320,11 +200,3 @@ class TestResourceValidation:
     def test_comb_symbol_minimum(self):
         with pytest.raises(ConfigError):
             make_resource(comb_size=12, n_symbols=6)
-
-    def test_period_bounds(self):
-        with pytest.raises(ConfigError):
-            make_set(period_ms=2.0)
-        with pytest.raises(ConfigError):
-            make_set(period_ms=20000.0)
-        with pytest.raises(ConfigError):
-            make_set(repetitions=33)

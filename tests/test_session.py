@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from nrpos.measurements import MeasurementRecord
 from nrpos.scenario import build_deployment
 from nrpos.session import (
     ABORT_KIND,
@@ -22,6 +23,7 @@ from nrpos.session import (
     run_dl_tdoa,
     run_multi_rtt,
 )
+from nrpos.simulate import solve_records
 from nrpos.solvers import SolverOptions
 
 OPTIONS = SolverOptions(fix_height=1.5)
@@ -175,6 +177,25 @@ class TestDlTdoa:
         fixes = replay_solve(load_trace(path), lmf.anchors, OPTIONS)
         for uid, live in results.items():
             assert np.array_equal(fixes[uid].position, live.fix.position)
+
+    def test_anchor_subset_solves_like_batch_records(self):
+        # over 4 of the 5 anchors the solve starts at the centroid of the
+        # anchors used, in the live session, in replay and in batch runs
+        transport, lmf, gnbs, ues, _ = make_world(n_gnbs=5, n_ues=2)
+        trp_ids = sorted(lmf.anchors)[:4]
+        results, trace = run_dl_tdoa(lmf, ues, transport, trp_ids, ref_trp_id=trp_ids[0])
+        fixes = replay_solve(trace, lmf.anchors, OPTIONS)
+        reports = {e["from"]: e["payload"] for e in trace
+                   if e["kind"] == "LppProvideLocationInformation"}
+        for uid, live in results.items():
+            records = [
+                MeasurementRecord(kind="RSTD", trp_id=e["trp_id"], resource_id=e["trp_id"],
+                                  payload=e)
+                for e in reports[uid]["rstd"]
+            ]
+            batch = solve_records(records, lmf.anchors, "dl-tdoa", OPTIONS)
+            assert np.array_equal(fixes[uid].position, live.fix.position)
+            assert np.array_equal(batch.position, live.fix.position)
 
 
 class TestAssistance:

@@ -9,10 +9,10 @@ import pytest
 from nrpos.channel import link_amplitude, received_grid
 from nrpos.config import preset_config
 from nrpos.experiments import run_experiment
-from nrpos.measurements import despread, rsrp
+from nrpos.measurements import despread, read_records, rsrp, write_records
 from nrpos.numerology import ResourceGrid
 from nrpos.prs import dl_prs_reference, map_dl_prs
-from nrpos.simulate import Simulator, despread_groups
+from nrpos.simulate import Simulator, despread_groups, solve_records
 
 N_DROPS = 8
 
@@ -80,6 +80,17 @@ def test_kernel_matches_grid_path(interference):
         expected = despread(grid, ref)
         assert np.allclose(vecs[i], expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max())
         assert kernel_rsrp[i] == pytest.approx(rsrp(grid, ref), abs=1e-9)
+
+
+@pytest.mark.parametrize("method", ["dl-tdoa", "ul-tdoa", "multi-rtt", "ul-aoa", "dl-aod"])
+def test_written_records_resolve_to_the_drop_fix(method, tmp_path):
+    sim = Simulator(preset_config("ioo-fr1", method=method, n_prb=24, n_drops=4))
+    outcome = next(o for o in map(sim.run_drop, range(4)) if o.converged)
+    path = tmp_path / "records.jsonl"
+    write_records(outcome.records, path)
+    fix = solve_records(read_records(path), sim.anchors, method, sim.options)
+    assert np.array_equal(fix.position, outcome.fix.position)
+    assert fix.residual_rms == outcome.fix.residual_rms
 
 
 def test_cdf_cells_are_plain_numbers(tmp_path):
