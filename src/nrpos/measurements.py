@@ -109,41 +109,161 @@ def despread(rx_grid: ResourceGrid, reference) -> np.ndarray:
     return acc
 
 
-def _refine_peak(mag: np.ndarray, idx: int) -> float:
-    """3-point parabolic vertex around mag[idx] (circular), in bins."""
-    n = len(mag)
-    a, b, c = mag[(idx - 1) % n], mag[idx], mag[(idx + 1) % n]
-    denom = a - 2 * b + c
-    if denom == 0:
-        return float(idx)
-    return idx + 0.5 * (a - c) / denom
+def _smooth5_at_least(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n (an FFT length without large prime factors)."""
+    while True:
+        rest = n
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
 
 
-def _polish_peak(despread_vec: np.ndarray, scs_hz: float, tau0: float, span: float) -> float:
-    """Newton maximization of |sum_k D_k e^{2j pi k f tau}|^2 near tau0.
+class DelayWindow:
+    """Delay-domain magnitudes |ifft(x, m)| at the search-window bins only.
 
-    Stays within +-span of the parabolic estimate; returns tau0 unchanged
-    if the local curvature does not look like a maximum.
+    Bluestein chirp-z: with k*j = (k^2 + j^2 - (j-k)^2)/2 the window bins
+    lo..hi of an m-point inverse DFT of an n-point vector become one linear
+    convolution with a chirp, done by FFT at the 5-smooth length
+    L >= n + W - 1 for W window bins. The output chirp has unit modulus and
+    drops out of the magnitude. Chirp phases are reduced exactly in
+    integers, pi*((2*k*lo + k^2) mod 2m)/m, so they stay accurate at large
+    k. Bins wrap modulo m, so a negative lo reaches the end of the spectrum.
     """
-    k = np.arange(len(despread_vec))
+
+    def __init__(self, n_sc: int, m: int, scs_hz: float,
+                 search_window_s: tuple[float, float]):
+        self.scs_hz = scs_hz
+        self.bin_s = 1.0 / (m * scs_hz)
+        self.lo_bin = int(np.floor(search_window_s[0] / self.bin_s))
+        hi_bin = int(np.ceil(search_window_s[1] / self.bin_s))
+        if hi_bin <= self.lo_bin:
+            raise ValueError("empty search window")
+        self.n_bins = hi_bin - self.lo_bin + 1
+        self._fft_len = _smooth5_at_least(n_sc + self.n_bins - 1)
+        k = np.arange(n_sc, dtype=np.int64)
+        self._chirp = np.exp(1j * np.pi * ((2 * k * self.lo_bin + k * k) % (2 * m)) / m)
+        n = np.arange(-(n_sc - 1), self.n_bins, dtype=np.int64)
+        kernel = np.zeros(self._fft_len, dtype=complex)
+        kernel[n % self._fft_len] = np.exp(-1j * np.pi * ((n * n) % (2 * m)) / m) / m
+        self._kernel_f = np.fft.fft(kernel)
+
+    def magnitudes(self, stack: np.ndarray) -> np.ndarray:
+        """(rows, n_sc) vectors -> (rows, n_bins) window magnitudes."""
+        spec = np.fft.fft(stack * self._chirp, self._fft_len, axis=-1)
+        spec *= self._kernel_f
+        return np.abs(np.fft.ifft(spec, axis=-1)[..., :self.n_bins])
+
+
+def first_path_from_magnitude(
+    wmag: np.ndarray,
+    lo_bin: int,
+    bin_s: float,
+    first_path_rel_db: float = FIRST_PATH_REL_DB,
+    noise_sigma_mult: float = NOISE_SIGMA_MULT,
+) -> np.ndarray:
+    """Coarse first-path delay, seconds, of each row of window magnitudes.
+
+    Row j holds the magnitudes of bins lo_bin.. of its delay profile. The
+    pick is the earliest interior local maximum within `first_path_rel_db`
+    of the row's peak and above the noise floor (the strongest bin if none
+    qualifies), refined by a 3-point parabola. A row whose peak does not
+    rise above the noise floor gives NaN.
+    """
+    peak_val = wmag.max(axis=1)
+    # Rayleigh-magnitude noise floor from the window median; the signal
+    # occupies a tiny fraction of the bins so the median is noise-dominated
+    noise_floor = noise_sigma_mult * (np.median(wmag, axis=1) / 0.8326)
+    threshold = np.maximum(peak_val * 10 ** (-first_path_rel_db / 20.0), noise_floor)
+    failed = (peak_val < noise_floor) | (peak_val == 0.0)
+
+    # interior local maxima at or above the threshold; column j is bin j+1
+    mid = wmag[:, 1:-1]
+    candidate = (mid >= wmag[:, :-2]) & (mid >= wmag[:, 2:]) & (mid >= threshold[:, None])
+    first = np.where(candidate.any(axis=1), candidate.argmax(axis=1) + 1, wmag.argmax(axis=1))
+
+    # 3-point parabolic vertex around the pick (circular), in bins
+    rows, n = np.arange(len(wmag)), wmag.shape[1]
+    a, b, c = wmag[rows, (first - 1) % n], wmag[rows, first], wmag[rows, (first + 1) % n]
+    denom = a - 2 * b + c
+    flat = denom == 0
+    frac_bin = np.where(flat, first, first + 0.5 * (a - c) / np.where(flat, 1.0, denom))
+    return np.where(failed, np.nan, (lo_bin + frac_bin) * bin_s)
+
+
+# block length of the polish's exponentials: e^{j w_k tau} = z^a * z^(64b)
+# for k = 64b + a
+_POLISH_BLOCK = 64
+
+
+def _polish_peak(vecs: np.ndarray, scs_hz: float, tau0: np.ndarray, span: float) -> np.ndarray:
+    """Newton maximization of |sum_k D_k e^{2j pi k f tau}|^2 near tau0, per row.
+
+    Each row stays within +-span of its parabolic estimate and keeps tau0
+    if its local curvature does not look like a maximum. The exponentials
+    of one step are blocked: 64 + n/64 complex exponentials per row
+    instead of n.
+    """
+    rows, n = vecs.shape
+    n_blocks = -(-n // _POLISH_BLOCK)
+    k = np.arange(n_blocks * _POLISH_BLOCK)
     omega = 2j * np.pi * k * scs_hz
-    tau = tau0
+    if n < len(k):
+        vecs = np.pad(vecs, ((0, 0), (0, len(k) - n)))
+    # D_k, D_k w_k and D_k w_k^2 in blocks of 64 subcarriers
+    moments = (vecs[:, None, :] * np.stack([np.ones(len(k)), omega, omega**2])
+               ).reshape(rows, 3 * n_blocks, _POLISH_BLOCK)
+    inner = 2 * np.pi * scs_hz * k[:_POLISH_BLOCK]
+    outer = 2 * np.pi * scs_hz * k[::_POLISH_BLOCK]
+
+    tau0 = np.asarray(tau0, dtype=float)
+    tau = tau0.copy()
+    out = tau0.copy()
+    live = np.ones(rows, dtype=bool)
     for _ in range(4):
-        e = np.exp(omega * tau)
-        c0 = np.dot(despread_vec, e)
-        c1 = np.dot(despread_vec, omega * e)
-        c2 = np.dot(despread_vec, omega**2 * e)
+        # c_i = sum_b z^(64b) sum_a moments_i[64b + a] z^a, z = e^{j 2 pi f tau}
+        part = moments @ np.exp(1j * np.outer(tau, inner))[:, :, None]
+        c0, c1, c2 = (part.reshape(rows, 3, n_blocks)
+                      @ np.exp(1j * np.outer(tau, outer))[:, :, None])[:, :, 0].T
         g = 2.0 * np.real(c1 * np.conj(c0))
         h = 2.0 * np.real(c2 * np.conj(c0)) + 2.0 * np.abs(c1) ** 2
-        if h >= 0:
-            return tau0
-        step = -g / h
-        if not np.isfinite(step) or abs(tau + step - tau0) > span:
-            return tau0 if abs(tau - tau0) > span else tau
-        tau += step
-        if abs(step) < 1e-16:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -g / h
+        # h >= 0 keeps tau0 (already in out); a NaN curvature is left to
+        # the step check, as a bad step
+        concave = live & ~(h >= 0)
+        bad_step = ~np.isfinite(step) | (np.abs(tau + step - tau0) > span)
+        stop = concave & bad_step
+        out[stop] = np.where(np.abs(tau - tau0) > span, tau0, tau)[stop]
+        moving = concave & ~bad_step
+        tau[moving] += step[moving]
+        live = moving & ~(np.abs(step) < 1e-16)
+        out[moving & ~live] = tau[moving & ~live]
+        if not live.any():
             break
-    return float(tau)
+    out[live] = tau[live]
+    return out
+
+
+def first_paths(
+    stack: np.ndarray,
+    window: DelayWindow,
+    first_path_rel_db: float = FIRST_PATH_REL_DB,
+    noise_sigma_mult: float = NOISE_SIGMA_MULT,
+    polish: bool = True,
+) -> np.ndarray:
+    """First-significant-path delay, seconds, of every row of a despread
+    (already tapered) stack; NaN where nothing rises above the noise floor."""
+    taus = first_path_from_magnitude(
+        window.magnitudes(stack), window.lo_bin, window.bin_s,
+        first_path_rel_db=first_path_rel_db, noise_sigma_mult=noise_sigma_mult,
+    )
+    found = ~np.isnan(taus)
+    if polish and found.any():
+        taus[found] = _polish_peak(stack[found], window.scs_hz, taus[found], span=window.bin_s)
+    return taus
 
 
 def estimate_toa(
@@ -160,10 +280,11 @@ def estimate_toa(
     """First-significant-path delay of the reference signal, in seconds.
 
     Matched filter in the frequency domain: despread the reference REs,
-    inverse-transform to the delay domain, pick the earliest local peak
-    within `first_path_rel_db` of the strongest one and above the noise
-    floor, then refine with a 3-point parabola (plus a short local
-    maximization of the continuous correlation when polish is set).
+    inverse-transform to the delay domain over the search window, pick the
+    earliest local peak within `first_path_rel_db` of the strongest one and
+    above the noise floor, then refine with a 3-point parabola (plus a
+    short local maximization of the continuous correlation when polish is
+    set).
 
     The despread spectrum is tapered by default so that correlation
     sidelobes (-13.3 dB untapered, right at the first-path cut) cannot be
@@ -193,49 +314,6 @@ def delay_spectrum_size(n_sc: int, pad_factor: int) -> int:
     return m * pad_factor
 
 
-def first_path_from_magnitude(
-    mag: np.ndarray,
-    m: int,
-    scs_hz: float,
-    search_window_s: tuple[float, float],
-    first_path_rel_db: float = FIRST_PATH_REL_DB,
-    noise_sigma_mult: float = NOISE_SIGMA_MULT,
-) -> tuple[float, float]:
-    """Coarse first-path delay from a delay-domain magnitude.
-
-    Returns (tau_seconds, bin_seconds). Raises MeasurementFailed when no
-    bin in the window rises above the noise floor.
-    """
-    bin_s = 1.0 / (m * scs_hz)
-    lo_bin = int(np.floor(search_window_s[0] / bin_s))
-    hi_bin = int(np.ceil(search_window_s[1] / bin_s))
-    if hi_bin <= lo_bin:
-        raise ValueError("empty search window")
-    idx = np.arange(lo_bin, hi_bin + 1)
-    wmag = mag[idx % m]
-
-    peak_val = float(wmag.max())
-    # Rayleigh-magnitude noise floor from the window median; the signal
-    # occupies a tiny fraction of the bins so the median is noise-dominated
-    noise_rms = float(np.median(wmag)) / 0.8326
-    threshold = max(
-        peak_val * 10 ** (-first_path_rel_db / 20.0),
-        noise_sigma_mult * noise_rms,
-    )
-    if peak_val < noise_sigma_mult * noise_rms or peak_val == 0.0:
-        raise MeasurementFailed("no peak above the noise floor")
-
-    left = np.roll(wmag, 1)
-    right = np.roll(wmag, -1)
-    local_max = (wmag >= left) & (wmag >= right)
-    local_max[0] = local_max[-1] = False
-    candidates = np.nonzero(local_max & (wmag >= threshold))[0]
-    first = int(candidates[0]) if len(candidates) else int(np.argmax(wmag))
-
-    frac_bin = _refine_peak(wmag, first)
-    return (lo_bin + frac_bin) * bin_s, bin_s
-
-
 def estimate_toa_from_vector(
     vec: np.ndarray,
     numerology: Numerology,
@@ -249,15 +327,12 @@ def estimate_toa_from_vector(
     """estimate_toa on an already-despread per-subcarrier vector."""
     if taper:
         vec = taper_vector(vec)
-    m = delay_spectrum_size(len(vec), pad_factor)
-    scs_hz = numerology.scs_khz * 1e3
-    mag = np.abs(np.fft.ifft(vec, m))
-    tau, bin_s = first_path_from_magnitude(
-        mag, m, scs_hz, search_window_s,
-        first_path_rel_db=first_path_rel_db, noise_sigma_mult=noise_sigma_mult,
-    )
-    if polish:
-        tau = _polish_peak(vec, scs_hz, tau, span=bin_s)
+    window = DelayWindow(len(vec), delay_spectrum_size(len(vec), pad_factor),
+                         numerology.scs_khz * 1e3, search_window_s)
+    tau = first_paths(vec[None, :], window, first_path_rel_db=first_path_rel_db,
+                      noise_sigma_mult=noise_sigma_mult, polish=polish)[0]
+    if np.isnan(tau):
+        raise MeasurementFailed("no peak above the noise floor")
     return float(tau)
 
 

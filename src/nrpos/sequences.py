@@ -15,26 +15,57 @@ _GOLD_WARMUP = 1600
 _SEQ_ID_MAX = 4095
 
 
+def _lfsr_outputs(state: np.ndarray, taps: tuple[int, ...], total: int) -> np.ndarray:
+    """First `total` outputs of the 31-bit recurrence
+    x(n+31) = sum of x(n+t) over taps (mod 2), one row per initial state
+    (row = x(0..30)). No tap exceeds 3, so 28 outputs follow from the
+    previous 31 in one step."""
+    x = np.zeros((state.shape[0], total), dtype=np.uint8)
+    x[:, :31] = state
+    for n in range(0, total - 31, 28):
+        end = min(n + 28, total - 31)
+        acc = np.zeros((state.shape[0], end - n), dtype=np.uint8)
+        for t in taps:
+            acc ^= x[:, n + t : end + t]
+        x[:, n + 31 : end + 31] = acc
+    return x
+
+
+_x1_bits = np.zeros(0, dtype=np.uint8)
+# row i: second-register output from the unit initial state e_i
+_x2_basis = np.zeros((31, 0), dtype=np.uint8)
+
+
+def _gold_tables(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Post-warm-up first-register output and second-register basis, grown
+    to at least `length` outputs."""
+    global _x1_bits, _x2_basis
+    if _x1_bits.size < length:
+        total = _GOLD_WARMUP + length
+        first = np.zeros((1, 31), dtype=np.uint8)
+        first[0, 0] = 1
+        _x1_bits = _lfsr_outputs(first, (0, 3), total)[0, _GOLD_WARMUP:]
+        _x2_basis = _lfsr_outputs(np.eye(31, dtype=np.uint8), (0, 1, 2, 3),
+                                  total)[:, _GOLD_WARMUP:]
+    return _x1_bits[:length], _x2_basis[:, :length]
+
+
 def gold_sequence(c_init: int, length: int) -> np.ndarray:
     """Length-31 Gold code as a 0/1 int array.
 
     Two 31-bit LFSRs with feedback x^31 + x^3 + 1 and
     x^31 + x^3 + x^2 + x + 1; the first register starts from 1, the second
     from the binary expansion of c_init, and the output is their XOR after
-    1600 warm-up steps.
+    1600 warm-up steps. The second register is linear in its initial state,
+    so its output is the XOR of the cached unit-state outputs selected by
+    c_init's 31 bits.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    total = length + _GOLD_WARMUP + 31
-    x1 = np.zeros(total, dtype=np.int64)
-    x2 = np.zeros(total, dtype=np.int64)
-    x1[0] = 1
-    for i in range(31):
-        x2[i] = (int(c_init) >> i) & 1
-    for i in range(total - 31):
-        x1[i + 31] = (x1[i + 3] + x1[i]) & 1
-        x2[i + 31] = (x2[i + 3] + x2[i + 2] + x2[i + 1] + x2[i]) & 1
-    return (x1[_GOLD_WARMUP : _GOLD_WARMUP + length] + x2[_GOLD_WARMUP : _GOLD_WARMUP + length]) & 1
+    x1, basis = _gold_tables(length)
+    bits = np.array([(int(c_init) >> i) & 1 for i in range(31)], dtype=np.uint8)
+    x2 = (bits @ basis) & 1
+    return (x1 ^ x2).astype(np.int64)
 
 
 def prs_c_init(seq_id: int, slot: int, symbol: int) -> int:

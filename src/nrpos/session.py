@@ -23,7 +23,7 @@ import numpy as np
 from .measurements import MeasurementRecord, timing_record
 from .numerology import SPEED_OF_LIGHT
 from .simulate import solve_records
-from .solvers import SolverOptions
+from .solvers import SolverError, SolverOptions
 
 LPP_KINDS = {
     "LppRequestCapabilities",
@@ -386,7 +386,13 @@ class Lmf(Node):
         s = self.sessions[ue_id]
         s["done"] = True
         records = _report_records(s["report"], s.get("gnb_rxtx", {}).values())
-        fix = solve_records(records, self.anchors, s["method"], self.options)
+        try:
+            fix = solve_records(records, self.anchors, s["method"], self.options)
+        except SolverError as exc:
+            # one UE's unsolvable report must not end the other sessions
+            self.transport.record_abort(ue_id, str(exc))
+            self.results[ue_id] = SessionResult(ue_id=ue_id, status="aborted")
+            return
         self.results[ue_id] = SessionResult(ue_id=ue_id, status="fixed", fix=fix)
 
 
@@ -446,7 +452,8 @@ def replay_solve(trace: list[dict], anchors: dict[int, np.ndarray],
                  options: SolverOptions) -> dict[str, object]:
     """Re-run the solver on measurement reports extracted from a trace.
 
-    Produces exactly the live fixes: the same records feed the same solver.
+    Produces exactly the live fixes: the same records feed the same solver,
+    and a UE whose solve fails, aborted live, gets no fix.
     """
     fixes: dict[str, object] = {}
     ue_reports: dict[str, dict] = {}
@@ -463,5 +470,8 @@ def replay_solve(trace: list[dict], anchors: dict[int, np.ndarray],
         if payload["method"] == "multi-rtt" and ue_id not in gnb_reports:
             continue
         records = _report_records(payload, gnb_reports.get(ue_id, {}).values())
-        fixes[ue_id] = solve_records(records, anchors, payload["method"], options)
+        try:
+            fixes[ue_id] = solve_records(records, anchors, payload["method"], options)
+        except SolverError:
+            continue
     return fixes

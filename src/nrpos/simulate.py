@@ -44,12 +44,12 @@ from .config import ExperimentConfig
 from .measurements import (
     MAX_SAMPLES,
     BeamformerGrid,
+    DelayWindow,
     MeasurementFailed,
     MeasurementRecord,
-    _polish_peak,
     delay_spectrum_size,
     estimate_aoa,
-    first_path_from_magnitude,
+    first_paths,
     quantize_power,
     record_seconds,
     rtt,
@@ -241,9 +241,10 @@ class Simulator:
             * (np.arange(n_taps)[:, None] * self.sample_period_s)
             * self.freqs[None, :]
         )
-        self._pad = 4
-        self._m = delay_spectrum_size(self.numerology.n_subcarriers, self._pad)
-        self._window = taper_vector(np.ones(self.numerology.n_subcarriers))
+        n_sc = self.numerology.n_subcarriers
+        self._delay_window = DelayWindow(n_sc, delay_spectrum_size(n_sc, 4), self.scs_hz,
+                                         self.search_window)
+        self._taper = taper_vector(np.ones(n_sc))
 
         w, hgt = self.deployment.area
         area = (0.0, 0.0, w, hgt) if config.scenario == "ioo" else \
@@ -312,18 +313,8 @@ class Simulator:
 
     def _batched_toa(self, vec_matrix: np.ndarray) -> list[float | None]:
         """First-path delays for a stack of despread vectors (None = failed)."""
-        tapered = vec_matrix * self._window[None, :]
-        mags = np.abs(np.fft.ifft(tapered, self._m, axis=1))
-        out: list[float | None] = []
-        for row in range(vec_matrix.shape[0]):
-            try:
-                tau, bin_s = first_path_from_magnitude(
-                    mags[row], self._m, self.scs_hz, self.search_window)
-            except MeasurementFailed:
-                out.append(None)
-                continue
-            out.append(float(_polish_peak(tapered[row], self.scs_hz, tau, span=bin_s)))
-        return out
+        taus = first_paths(vec_matrix * self._taper, self._delay_window)
+        return [None if np.isnan(tau) else float(tau) for tau in taus]
 
     @staticmethod
     def _noise(rng, shape, model: NoiseModel | None) -> np.ndarray:

@@ -6,7 +6,7 @@ departure-angle inputs, plus geometric dilution diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -7,7 +7,6 @@ from nrpos.channel import (
     CHANNEL_DEFAULTS,
     NoiseModel,
     draw_noise,
-    frequency_response,
     link_amplitude,
     los_probability,
     noise_amplitude,

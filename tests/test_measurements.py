@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from first_path_oracle import oracle_pick, oracle_polish
+from nrpos.config import preset_config
 from nrpos.measurements import (
+    DelayWindow,
     MeasurementFailed,
     MeasurementRecord,
     TimingReport,
@@ -20,10 +23,16 @@ from nrpos.measurements import (
     timing_record,
     write_records,
     BeamformerGrid,
+    _polish_peak,
+    _smooth5_at_least,
+    delay_spectrum_size,
+    first_path_from_magnitude,
+    taper_vector,
 )
 from nrpos.numerology import SPEED_OF_LIGHT, TC_SECONDS, Numerology, ResourceGrid
 from nrpos.prs import DlPrsResource, dl_prs_reference
 from nrpos.scenario import AntennaArray
+from nrpos.simulate import Simulator
 
 NUM = Numerology(scs_khz=30, n_prb=24)
 SAMPLE_S = 1.0 / NUM.sample_rate_hz
@@ -181,6 +190,97 @@ class TestToa:
             grid.cells[k_idx, sym] = values * h
         tau = estimate_toa(grid, REF, NUM, WINDOW)
         assert abs(tau - early) / SAMPLE_S < 0.5
+
+
+def preset_window(preset):
+    """The delay window a simulation of `preset` detects over."""
+    sim = Simulator(preset_config(preset, n_drops=1))
+    n_sc = sim.numerology.n_subcarriers
+    m = delay_spectrum_size(n_sc, 4)
+    return DelayWindow(n_sc, m, sim.scs_hz, sim.search_window), m, sim.search_window
+
+
+def path_vector(n_sc, scs_hz, delays_s, gains):
+    freqs = np.arange(n_sc) * scs_hz
+    return sum(g * np.exp(-2j * np.pi * freqs * d) for d, g in zip(delays_s, gains))
+
+
+def detection_stack(window):
+    """Tapered despread rows: random multipath at several SNRs, a weak early
+    path ahead of a strong one, pure noise and all zeros."""
+    rng = np.random.default_rng(7)
+    n_sc, scs = 3264, window.scs_hz
+    noise = lambda: rng.normal(size=n_sc) + 1j * rng.normal(size=n_sc)
+    rows = []
+    for snr_db in (30, 10, 0, -10, -20):
+        delays = rng.uniform(0.0, 1.5e-6, 3)
+        gains = rng.normal(size=3) + 1j * rng.normal(size=3)
+        rows.append(path_vector(n_sc, scs, delays, gains) + 10 ** (-snr_db / 20) * noise())
+    rows.append(path_vector(n_sc, scs, (0.2e-6, 0.9e-6), (0.3, 1.0)) + 0.01 * noise())
+    rows.append(noise())
+    rows.append(np.zeros(n_sc, dtype=complex))
+    return np.array(rows) * taper_vector(np.ones(n_sc))
+
+
+@pytest.fixture(scope="module", params=["ioo-fr1", "uma"])
+def window(request):
+    return preset_window(request.param)
+
+
+class TestFirstPathKernel:
+    def test_fft_length_is_smallest_5_smooth(self):
+        # N + W - 1 on the indoor-office and urban-macro windows
+        assert _smooth5_at_least(3264 + 1231 - 1) == 4500
+        assert _smooth5_at_least(3264 + 5515 - 1) == 9000
+        assert _smooth5_at_least(1) == 1 and _smooth5_at_least(4097) == 4320
+
+    def test_window_magnitudes_match_full_ifft(self, window):
+        win, m, _ = window
+        assert win.lo_bin < 0  # the window wraps to the end of the spectrum
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(3, 3264)) + 1j * rng.normal(size=(3, 3264))
+        bins = np.arange(win.lo_bin, win.lo_bin + win.n_bins) % m
+        want = np.abs(np.fft.ifft(x, m, axis=1))[:, bins]
+        assert np.allclose(win.magnitudes(x), want, rtol=1e-9, atol=0)
+
+    def test_pick_matches_per_row_picker_bit_for_bit(self, window):
+        win, m, search = window
+        mags = win.magnitudes(detection_stack(win))
+        taus = first_path_from_magnitude(mags, win.lo_bin, win.bin_s)
+        bins = np.arange(win.lo_bin, win.lo_bin + win.n_bins) % m
+        want = []
+        for row in mags:
+            full = np.zeros(m)
+            full[bins] = row
+            try:
+                want.append(oracle_pick(full, m, win.scs_hz, search)[0])
+            except MeasurementFailed:
+                want.append(np.nan)
+        assert np.isnan(want[-2:]).all()  # noise only, all zeros
+        assert not np.isnan(want[:-2]).any()
+        assert abs(want[5] - 0.2e-6) < win.bin_s  # weak early path is picked
+        assert np.array_equal(taus, np.array(want), equal_nan=True)
+
+    def test_polish_matches_direct_newton(self, window):
+        win, _, _ = window
+        stack = detection_stack(win)[:-2]
+        tau0 = first_path_from_magnitude(win.magnitudes(stack), win.lo_bin, win.bin_s)
+        got = _polish_peak(stack, win.scs_hz, tau0, span=win.bin_s)
+        want = [oracle_polish(v, win.scs_hz, t, win.bin_s) for v, t in zip(stack, tau0)]
+        assert np.max(np.abs(got - want)) < 1e-20
+        assert np.any(got != tau0)
+
+    def test_polish_keeps_tau0_off_a_maximum_or_out_of_span(self):
+        n_sc, scs, delay = 3264, 30e3, 0.4e-6
+        vec = path_vector(n_sc, scs, (delay,), (1.0,))
+        null = delay + 1.0 / (n_sc * scs)  # |C|^2 has a minimum here: h >= 0
+        slope = delay + 0.3 / (n_sc * scs)  # first step leaves a 1 ps span
+        stack = np.array([vec, vec])
+        tau0 = np.array([null, slope])
+        spans = {"null": 1e-9, "slope": 1e-12}
+        for i, (name, span) in enumerate(spans.items()):
+            got = _polish_peak(stack[i:i + 1], scs, tau0[i:i + 1], span=span)[0]
+            assert got == tau0[i] == oracle_polish(vec, scs, tau0[i], span), name
 
 
 class TestDifferences:

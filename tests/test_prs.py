@@ -6,7 +6,6 @@ import pytest
 from nrpos.numerology import GridError, ResourceGrid
 from nrpos.prs import (
     DL_VALID_SYMBOLS,
-    UL_COMB_STAGGER,
     UL_VALID_SYMBOLS,
     ConfigError,
     DlPrsResource,

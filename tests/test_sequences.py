@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lfsr_oracle import bits_to_hex, oracle_gold
+from nrpos import sequences
 from nrpos.sequences import (
     gold_sequence,
     largest_coprime_root,
@@ -59,6 +60,17 @@ class TestGold:
     def test_rejects_zero_length(self):
         with pytest.raises(ValueError):
             gold_sequence(1, 0)
+
+    def test_all_ones_seed_long_run_matches_oracle(self):
+        # every basis row contributes
+        assert list(gold_sequence(2**31 - 1, 4000)) == oracle_gold(2**31 - 1, 4000)
+
+    def test_tables_grow_for_a_longer_call(self, monkeypatch):
+        monkeypatch.setattr(sequences, "_x1_bits", np.zeros(0, dtype=np.uint8))
+        monkeypatch.setattr(sequences, "_x2_basis", np.zeros((31, 0), dtype=np.uint8))
+        for c_init, length in ((5, 40), (123456, 2000), (2**31 - 1, 40), (77, 1999)):
+            assert list(gold_sequence(c_init, length)) == oracle_gold(c_init, length)
+        assert sequences._x2_basis.shape == (31, 2000)
 
 
 class TestCInit:

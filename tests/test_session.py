@@ -7,8 +7,6 @@ from nrpos.measurements import MeasurementRecord
 from nrpos.scenario import build_deployment
 from nrpos.session import (
     ABORT_KIND,
-    LPP_KINDS,
-    NRPPA_KINDS,
     GeometricHook,
     Gnb,
     Lmf,
@@ -196,6 +194,34 @@ class TestDlTdoa:
             batch = solve_records(records, lmf.anchors, "dl-tdoa", OPTIONS)
             assert np.array_equal(fixes[uid].position, live.fix.position)
             assert np.array_equal(batch.position, live.fix.position)
+
+
+    def test_unsolvable_report_aborts_the_session_only(self):
+        # three anchors give two time differences, too few to solve: each
+        # UE's session aborts with the solver's reason and the run completes
+        transport, lmf, gnbs, ues, _ = make_world(n_gnbs=3, n_ues=2)
+        trp_ids = sorted(lmf.anchors)
+        results, trace = run_dl_tdoa(lmf, ues, transport, trp_ids, ref_trp_id=trp_ids[0])
+        assert {uid: r.status for uid, r in results.items()} == {
+            "ue:0": "aborted", "ue:1": "aborted"}
+        aborts = [e["payload"] for e in trace if e["kind"] == ABORT_KIND]
+        assert [a["ue_id"] for a in aborts] == ["ue:0", "ue:1"]
+        assert all("got 2" in a["reason"] for a in aborts)
+        assert replay_solve(trace, lmf.anchors, OPTIONS) == {}
+
+    def test_unsolvable_report_leaves_other_sessions_fixed(self):
+        transport, lmf, gnbs, ues, _ = make_world(n_gnbs=3, n_ues=2)
+        for node in [lmf, *gnbs, *ues]:
+            transport.register(node)
+        trp_ids = sorted(lmf.anchors)
+        lmf.start_multi_rtt("ue:0", [g.node_id for g in gnbs])
+        lmf.start_dl_tdoa("ue:1", trp_ids, trp_ids[0])
+        transport.run()
+        assert lmf.results["ue:0"].status == "fixed"
+        assert lmf.results["ue:1"].status == "aborted"
+        fixes = replay_solve(transport.trace, lmf.anchors, OPTIONS)
+        assert list(fixes) == ["ue:0"]
+        assert np.array_equal(fixes["ue:0"].position, lmf.results["ue:0"].fix.position)
 
 
 class TestAssistance:
