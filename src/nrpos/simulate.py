@@ -5,9 +5,8 @@ solve.
 
 Interference is comb-exact: transmitters sharing a comb offset occupy the
 same REs and superpose there; distinct offsets never interact. The
-downlink arrival, uplink arrival and downlink beam-sweep stages all sum
-their received REs in one kernel, `receive_groups`, over groups of
-sources that share REs:
+downlink and uplink arrival stages sum their received REs in one kernel,
+`receive_groups`, over groups of sources that share REs:
 
 - Group sharing. With interference on, all TRPs on one downlink comb
   offset form one group and share one received signal, hence one RSRP.
@@ -16,12 +15,21 @@ sources that share REs:
   alone, under its own noise.
 - Noise order. Receiver noise comes only from `channel.draw_noise`, on
   substreams keyed by (master_seed, drop), so runs that differ only in
-  which transmitters are summed see identical noise. The downlink stages
-  draw one full (subcarrier, symbol) grid per sample or beam, real parts
-  first, and gather it onto each group's REs; the uplink draws one RE
-  vector per TRP, in TRP order. A group's REs are its noise plus each
-  member's (amp*H)*ref, added in TRP order. Results are pinned to this
-  order bit for bit.
+  which transmitters are summed see identical noise. The downlink stage
+  draws one full (subcarrier, symbol) grid per sample, real parts first,
+  and gathers it onto each group's REs; the uplink draws one RE vector per
+  TRP, in TRP order. A group's REs are its noise plus each member's
+  (amp*H)*ref, added in TRP order. Results are pinned to this order bit
+  for bit.
+
+The downlink beam sweep needs only each group's mean power per beam, so
+it never forms REs. `sweep_powers` draws every group's power on every
+beam from its comb offset's sufficient statistic: the triangular factor
+of the offset's (RE, TRP) signal matrix, r complex normals for the noise
+in that matrix's span and one chi-square for the rest. This is the exact
+joint distribution of the RE-level powers, including the shared noise of
+same-offset TRPs with interference off. Draws go beam by beam, offsets in
+increasing order, on the "rsrp" substream.
 """
 
 from __future__ import annotations
@@ -130,11 +138,53 @@ def receive_groups(groups, noise, amps, h, refs):
     for g, rx in zip(groups, noise):
         for i in g.members:
             rx += amps[i] * h[i, g.k] * refs[i]
-        power = float(np.mean(np.abs(rx) ** 2))
-        dbm = 10.0 * math.log10(power) if power > 0 else -300.0
+        dbm = power_dbm(float(np.mean(np.abs(rx) ** 2)))
         for i in g.members:
             rsrp[i] = dbm
     return noise, rsrp
+
+
+def power_dbm(power: float) -> float:
+    """Mean RE power in mW as dBm; -300 dBm for no power at all."""
+    return 10.0 * math.log10(power) if power > 0 else -300.0
+
+
+def sweep_powers(sets, factors, amps, shared: bool, rng, std: float) -> np.ndarray:
+    """Mean RE power of every source's group on every beam, drawn from each
+    RE set's sufficient statistic instead of its received REs.
+
+    sets are the RE sets (all sources on one comb offset), in draw order,
+    and factors[e] is R of the reduced QR C = QR of set e's (RE, member)
+    matrix of h[i, k] * refs[i]. amps is (source, beam). With shared, a
+    set's members form one group and see one power; otherwise each member
+    is alone on the set's REs but sees the same noise as the others.
+
+    Given C, the received REs y = n + C a of a group with amplitudes a have
+    |y|^2 = |z + R a|^2 + rest, where z = Q^H n holds r complex normals and
+    rest, the noise energy outside span(Q), is std**2 times a chi-square
+    with 2(N - r) degrees of freedom, independent of z. Per beam and per
+    set, in that order, z is drawn with `draw_noise`, then rest; std = 0
+    (a noiseless receiver) draws nothing.
+    """
+    n_beams = amps.shape[1]
+    z = [np.zeros((len(g.members), n_beams), dtype=complex) for g in sets]
+    rest = np.zeros((len(sets), n_beams))
+    if std > 0:
+        for b in range(n_beams):
+            for e, g in enumerate(sets):
+                r = len(g.members)
+                z[e][:, b] = draw_noise(rng, r, std)
+                rest[e, b] = std**2 * rng.chisquare(2 * (len(g.k) - r))
+    power = np.empty(amps.shape)
+    for g, fac, ze, rest_e in zip(sets, factors, z, rest):
+        members = list(g.members)
+        r = len(members)
+        together = np.ones((r, r)) if shared else np.eye(r)
+        # y[:, m, b]: span coordinates of member m's group on beam b
+        y = ze[:, None, :] + np.tensordot(fac, together[:, :, None] * amps[members][:, None, :],
+                                          axes=1)
+        power[members] = ((y.real**2 + y.imag**2).sum(axis=0) + rest_e) / len(g.k)
+    return power
 
 
 def despread_groups(groups, rx, refs, n_sc: int) -> np.ndarray:
@@ -204,11 +254,15 @@ class Simulator:
         dl_refs = [_flatten(dl_prs_reference(self.dl_resources[t.trp_id], slot=0))
                    for t in self.trps]
         self._dl_vals = [v for _, _, v in dl_refs]
-        # same comb offset -> same REs
-        members: dict[int, list[int]] = {}
+        # same comb offset -> same REs; with interference the TRPs on one
+        # offset also share one received signal
+        on_offset: dict[int, list[int]] = {}
         for i, t in enumerate(self.trps):
-            members.setdefault(t.comb_offset if config.interference else i, []).append(i)
-        self._dl_groups = [ReGroup(tuple(m), *dl_refs[m[0]][:2]) for m in members.values()]
+            on_offset.setdefault(t.comb_offset, []).append(i)
+        self._dl_sets = [ReGroup(tuple(m), *dl_refs[m[0]][:2])
+                         for _, m in sorted(on_offset.items())]
+        self._dl_groups = self._dl_sets if config.interference else \
+            [ReGroup((i,), g.k, g.s) for g in self._dl_sets for i in g.members]
         self.dl_occupied_per_symbol = config.n_prb * 12 // config.dl_comb_size
 
         # uplink sounding signal (single terminal per drop)
@@ -317,10 +371,15 @@ class Simulator:
         return [None if np.isnan(tau) else float(tau) for tau in taus]
 
     @staticmethod
-    def _noise(rng, shape, model: NoiseModel | None) -> np.ndarray:
+    def _noise_std(model: NoiseModel | None) -> float:
+        """Receiver noise std per real component; 0 for a noiseless one."""
+        return 0.0 if model is None else noise_amplitude(model) / np.sqrt(2.0)
+
+    @classmethod
+    def _noise(cls, rng, shape, model: NoiseModel | None) -> np.ndarray:
         if model is None:
             return np.zeros(shape, dtype=complex)
-        return draw_noise(rng, shape, noise_amplitude(model) / np.sqrt(2.0))
+        return draw_noise(rng, shape, cls._noise_std(model))
 
     def _dl_receive(self, rng, amps, h):
         """Downlink REs and RSRP of every group under one fresh noise grid."""
@@ -328,6 +387,15 @@ class Simulator:
                            self.dl_noise)
         noise = [grid[g.k, g.s] for g in self._dl_groups]
         return receive_groups(self._dl_groups, noise, amps, h, self._dl_vals)
+
+    def _sweep_factors(self, h) -> list[np.ndarray]:
+        """R of the reduced QR of each RE set's (RE, member) matrix of
+        h[i, k] * ref_i, for `sweep_powers`."""
+        return [
+            np.linalg.qr((h[np.ix_(g.members, g.k)]
+                          * np.array([self._dl_vals[i] for i in g.members])).T, mode="r")
+            for g in self._dl_sets
+        ]
 
     # -- downlink stage ----------------------------------------------------
 
@@ -428,25 +496,27 @@ class Simulator:
 
         Sweeps are slot-aligned across TRPs: beam b of every TRP transmits
         in the same occasion, so same-offset TRPs interfere beam by beam.
+        Powers are drawn by `sweep_powers` from each RE set's factor R.
         """
         cfg = self.config
         rng = substream(cfg.master_seed, "rsrp", drop_idx)
         h = self._channel_matrix(links)
-        reports: dict[int, list[tuple[float, float, float]]] = {t.trp_id: [] for t in self.trps}
-        for b in range(cfg.n_beams):
-            amps = [
-                link_amplitude(
-                    l, t.tx_power_dbm
-                    + self._beam_gain_db(self._beam_azimuths[t.trp_id][b], l.angles_deg[0]),
-                    self.dl_occupied_per_symbol,
-                )
-                for l, t in zip(links, self.trps)
-            ]
-            _, rsrp = self._dl_receive(rng, amps, h)
-            for t, rsrp_dbm in zip(self.trps, rsrp):
+        amps = np.array([
+            [link_amplitude(l, t.tx_power_dbm + self._beam_gain_db(az, l.angles_deg[0]),
+                            self.dl_occupied_per_symbol)
+             for az in self._beam_azimuths[t.trp_id]]
+            for l, t in zip(links, self.trps)
+        ])
+        power = sweep_powers(self._dl_sets, self._sweep_factors(h), amps, cfg.interference, rng,
+                             self._noise_std(self.dl_noise))
+        reports: dict[int, list[tuple[float, float, float]]] = {}
+        for t, beams in zip(self.trps, power):
+            rows = reports[t.trp_id] = []
+            for az, p in zip(self._beam_azimuths[t.trp_id], beams):
+                rsrp_dbm = power_dbm(float(p))
                 if cfg.quantize:
                     rsrp_dbm = float(quantize_power(rsrp_dbm).value_dbm)
-                reports[t.trp_id].append((self._beam_azimuths[t.trp_id][b], 95.0, rsrp_dbm))
+                rows.append((az, 95.0, rsrp_dbm))
         return reports
 
     # -- record assembly and solving ---------------------------------------

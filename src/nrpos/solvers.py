@@ -205,24 +205,27 @@ class _AngleProblem(_Problem):
 
 
 def _gauss_newton(problem: _Problem, x0: np.ndarray, options: SolverOptions) -> PositionFix:
-    """Damped Gauss-Newton: halve the step while the residual RMS grows."""
+    """Damped Gauss-Newton: halve the step while the residual RMS grows.
+
+    Residuals are evaluated once per point: the line search's residuals at
+    the accepted candidate drive the next step and the returned fix.
+    """
     fix_h = options.fix_height
     x = np.asarray(x0, dtype=float).copy()
     if fix_h is not None:
         x[2] = fix_h
     var = x[:2].copy() if fix_h is not None else x.copy()
 
-    def rms(v):
+    def evaluate(v):
         r = problem.residuals(_expand(v, fix_h))
-        return float(np.sqrt(np.mean(r**2)))
+        return float(np.sqrt(np.add.reduce(r * r) / len(r))), r
 
-    history = [rms(var)]
+    rms, r = evaluate(var)
+    history = [rms]
     converged = False
     iterations = 0
     for iterations in range(1, options.max_iterations + 1):
-        xf = _expand(var, fix_h)
-        r = problem.residuals(xf)
-        j = problem.jacobian(xf)
+        j = problem.jacobian(_expand(var, fix_h))
         try:
             step, *_ = np.linalg.lstsq(j, r, rcond=None)
         except np.linalg.LinAlgError:
@@ -230,34 +233,32 @@ def _gauss_newton(problem: _Problem, x0: np.ndarray, options: SolverOptions) -> 
         if not np.all(np.isfinite(step)):
             break
         scale = 1.0
-        best = history[-1]
         accepted = None
         for _ in range(25):
             cand = var - scale * step
-            cand_rms = rms(cand)
-            if cand_rms <= best:
-                accepted = (cand, cand_rms, scale)
+            cand_rms, cand_r = evaluate(cand)
+            if cand_rms <= rms:
+                accepted = (cand, cand_rms, cand_r, scale)
                 break
             scale *= 0.5
         if accepted is None:
             break
-        var, new_rms, scale = accepted
-        history.append(new_rms)
+        var, rms, r, scale = accepted
+        history.append(rms)
         if float(np.linalg.norm(scale * step)) < options.tolerance_m:
             converged = True
             break
 
     xf = _expand(var, fix_h)
-    r = problem.residuals(xf)
     j = problem.jacobian(xf)
     grad = 2.0 * j.T @ r / max(len(r), 1)
     return PositionFix(
         position=xf,
-        residual_rms=float(np.sqrt(np.mean(r**2))),
+        residual_rms=rms,
         iterations=iterations,
         converged=converged,
         method=problem.method,
-        objective=float(np.sum(r**2)),
+        objective=float(np.add.reduce(r * r)),
         gradient_norm=float(np.linalg.norm(grad)),
         residual_history=tuple(history),
     )
