@@ -20,7 +20,13 @@ downlink and uplink arrival stages sum their received REs in one kernel,
   and gathers it onto each group's REs; the uplink draws one RE vector per
   TRP, in TRP order. A group's REs are its noise plus each member's
   (amp*H)*ref, added in TRP order. Results are pinned to this order bit
-  for bit.
+  for bit. Noise is drawn for every source, but only the sources that
+  cell selection keeps are despread and detected: selection ranks by
+  RSRP, known before detection, and afterwards only drops sources without
+  an arrival, and `first_paths` treats every row on its own, so the kept
+  arrivals are those a detection of every source would give. UL-AoA is
+  the exception and detects every TRP, because its angle stage draws
+  noise only for TRPs with an uplink arrival.
 
 The downlink beam sweep needs only each group's mean power per beam, so
 it never forms REs. `sweep_powers` draws every group's power on every
@@ -187,14 +193,17 @@ def sweep_powers(sets, factors, amps, shared: bool, rng, std: float) -> np.ndarr
     return power
 
 
-def despread_groups(groups, rx, refs, n_sc: int) -> np.ndarray:
-    """Per-source channel estimate over all subcarriers: each member's
-    reference matched against its group's received REs. Every subcarrier
-    is sounded at least once over the comb sweep."""
-    vecs = np.zeros((len(refs), n_sc), dtype=complex)
+def despread_groups(groups, rx, refs, n_sc: int, rows) -> np.ndarray:
+    """Channel estimates over all subcarriers of the sources in rows, in
+    that order: each one's reference matched against its group's received
+    REs. Members of the groups that rows does not name are skipped. Every
+    subcarrier is sounded at least once over the comb sweep."""
+    slot = {i: j for j, i in enumerate(rows)}
+    vecs = np.zeros((len(slot), n_sc), dtype=complex)
     for g, r in zip(groups, rx):
         for i in g.members:
-            np.add.at(vecs[i], g.k, r * np.conj(refs[i]))
+            if i in slot:
+                np.add.at(vecs[slot[i]], g.k, r * np.conj(refs[i]))
     return vecs
 
 
@@ -234,6 +243,7 @@ class Simulator:
         self.deployment: Deployment = assign_comb_offsets(deployment, config.dl_comb_size)
         self.trps = self.deployment.trps
         self.anchors = {t.trp_id: t.position for t in self.trps}
+        self._row = {t.trp_id: i for i, t in enumerate(self.trps)}
         self.anchor_xyz = self.deployment.trp_positions()
         self.hull = convex_hull(self.anchor_xyz)
         self.ues = drop_ues(config.n_drops, self.deployment, config.master_seed,
@@ -400,11 +410,15 @@ class Simulator:
     # -- downlink stage ----------------------------------------------------
 
     def _dl_stage(self, links, trp_clock_s, ue_clock_s, drop_idx):
-        """First-path arrival and received power of every TRP's signal.
+        """First-path arrivals of the selected TRPs and received power of
+        every TRP's signal.
 
-        Returns ({trp_id: toa_seconds_or_None}, {trp_id: rsrp_dbm}).
-        Arrival times are in the terminal clock: propagation + terminal
-        offset - transmitter offset.
+        Sample 0's RSRP ranks the TRPs, and only `_select_trps(rsrp)` are
+        despread and detected, in every sample; every sample still draws
+        its full noise grid. Returns ({trp_id: toa_seconds_or_None},
+        {trp_id: rsrp_dbm}); an unselected TRP reports None. Arrival times
+        are in the terminal clock: propagation + terminal offset -
+        transmitter offset.
         """
         cfg = self.config
         amps = [
@@ -413,27 +427,36 @@ class Simulator:
         ]
         h = self._channel_matrix(links, extra_s=ue_clock_s - trp_clock_s)
 
-        toas: list[list[float]] = [[] for _ in self.trps]
+        toas: dict[int, list[float]] = {}
         for sample in range(cfg.n_samples):
             rng = substream(cfg.master_seed, "noise", drop_idx, 0, sample)
             rx, power = self._dl_receive(rng, amps, h)
             if sample == 0:
                 rsrp = {t.trp_id: p for t, p in zip(self.trps, power)}
+                rows = [self._row[t] for t in self._select_trps(rsrp)]
             vecs = despread_groups(self._dl_groups, rx, self._dl_vals,
-                                   self.numerology.n_subcarriers)
-            for i, tau in enumerate(self._batched_toa(vecs)):
+                                   self.numerology.n_subcarriers, rows)
+            for i, tau in zip(rows, self._batched_toa(vecs)):
                 if tau is not None:
-                    toas[i].append(tau)
+                    toas.setdefault(i, []).append(tau)
         toa_out = {
-            t.trp_id: (float(np.mean(vals[:MAX_SAMPLES])) if vals else None)
-            for t, vals in zip(self.trps, toas)
+            t.trp_id: (float(np.mean(toas[i][:MAX_SAMPLES])) if i in toas else None)
+            for i, t in enumerate(self.trps)
         }
         return toa_out, rsrp
 
     # -- uplink stage ------------------------------------------------------
 
-    def _ul_stage(self, links, trp_clock_s, ue_clock_s, drop_idx):
-        """Sounding-signal arrival time and received power at every TRP."""
+    def _ul_stage(self, links, trp_clock_s, ue_clock_s, drop_idx, detect=None):
+        """Sounding-signal arrival times and received powers at the TRPs.
+
+        Every TRP's noise vector is drawn, in TRP order. With detect (a
+        list of trp_ids) only those TRPs sum their REs, get a power and
+        are despread and detected. Without it every TRP is received and
+        `_select_trps` of the sounding RSRP picks the ones to detect.
+        Returns ({trp_id: toa_seconds_or_None}, {trp_id: rsrp_dbm} of the
+        received TRPs); a TRP not detected reports None.
+        """
         cfg = self.config
         amps = [
             link_amplitude(l, cfg.ue_tx_power_dbm, self.ul_occupied_per_symbol)
@@ -443,12 +466,17 @@ class Simulator:
 
         rng = substream(cfg.master_seed, "noise", drop_idx, 1)
         noise = [self._noise(rng, len(g.k), self.ul_noise) for g in self._ul_groups]
+        received = range(len(self.trps)) if detect is None else [self._row[t] for t in detect]
+        groups = [self._ul_groups[i] for i in received]
         refs = [self._ul_vals] * len(self.trps)
-        rx, power = receive_groups(self._ul_groups, noise, amps, h, refs)
-        vecs = despread_groups(self._ul_groups, rx, refs, self.numerology.n_subcarriers)
-        taus = self._batched_toa(vecs)
-        toa = {t.trp_id: taus[i] for i, t in enumerate(self.trps)}
-        rsrp = {t.trp_id: power[i] for i, t in enumerate(self.trps)}
+        rx, power = receive_groups(groups, [noise[i] for i in received], amps, h, refs)
+        rsrp = {self.trps[i].trp_id: power[i] for i in received}
+        if detect is None:
+            detect = self._select_trps(rsrp)
+        rows = [self._row[t] for t in detect]
+        vecs = despread_groups(groups, rx, refs, self.numerology.n_subcarriers, rows)
+        toa = dict.fromkeys(self.anchors)
+        toa.update((self.trps[i].trp_id, tau) for i, tau in zip(rows, self._batched_toa(vecs)))
         return toa, rsrp
 
     # -- arrival angles ----------------------------------------------------
@@ -630,11 +658,9 @@ class Simulator:
 
     def _run_multi_rtt(self, links, trp_clock, ue_clock, drop_idx):
         dl_toa, rsrp = self._dl_stage(links, trp_clock, ue_clock, drop_idx)
-        ul_toa, _ = self._ul_stage(links, trp_clock, ue_clock, drop_idx)
-        selected = [
-            t for t in self._select_trps(rsrp)
-            if dl_toa[t] is not None and ul_toa[t] is not None
-        ]
+        ranked = self._select_trps(rsrp)
+        ul_toa, _ = self._ul_stage(links, trp_clock, ue_clock, drop_idx, detect=ranked)
+        selected = [t for t in ranked if dl_toa[t] is not None and ul_toa[t] is not None]
         if len(selected) < 3:
             raise SolverError("not enough usable round-trip pairs")
         cfg = self.config
@@ -649,7 +675,10 @@ class Simulator:
 
     def _run_ul_aoa(self, links, trp_clock, ue_clock, drop_idx):
         if self.config.fixed_snr_db is None:
-            ul_toa, rsrp = self._ul_stage(links, trp_clock, ue_clock, drop_idx)
+            # every TRP: the AoA stage draws noise only for TRPs with an
+            # uplink arrival, so detecting a subset would shift its stream
+            ul_toa, rsrp = self._ul_stage(links, trp_clock, ue_clock, drop_idx,
+                                          detect=list(self.anchors))
         else:
             ul_toa = {t.trp_id: 0.0 for t in self.trps}
             rsrp = {t.trp_id: 0.0 for t in self.trps}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from first_path_oracle import oracle_pick, oracle_polish
+from nrpos.channel import link_amplitude
 from nrpos.config import preset_config
 from nrpos.measurements import (
     DelayWindow,
@@ -27,12 +28,13 @@ from nrpos.measurements import (
     _smooth5_at_least,
     delay_spectrum_size,
     first_path_from_magnitude,
+    first_paths,
     taper_vector,
 )
 from nrpos.numerology import SPEED_OF_LIGHT, TC_SECONDS, Numerology, ResourceGrid
 from nrpos.prs import DlPrsResource, dl_prs_reference
 from nrpos.scenario import AntennaArray
-from nrpos.simulate import Simulator
+from nrpos.simulate import Simulator, despread_groups
 
 NUM = Numerology(scs_khz=30, n_prb=24)
 SAMPLE_S = 1.0 / NUM.sample_rate_hz
@@ -227,7 +229,33 @@ def window(request):
     return preset_window(request.param)
 
 
+def despread_stack(preset):
+    """Tapered despread rows of every TRP in drop 0 of `preset`, under a
+    fixed noise draw, with the last TRP silent so that its row fails; and
+    the simulation's delay window."""
+    sim = Simulator(preset_config(preset, n_drops=1))
+    links = sim._links(0, sim.ues[0])
+    amps = [link_amplitude(l, t.tx_power_dbm, sim.dl_occupied_per_symbol)
+            for l, t in zip(links, sim.trps)]
+    amps[-1] = 0.0
+    rx, _ = sim._dl_receive(np.random.default_rng(5), amps, sim._channel_matrix(links))
+    vecs = despread_groups(sim._dl_groups, rx, sim._dl_vals, sim.numerology.n_subcarriers,
+                           range(len(sim.trps)))
+    return vecs * sim._taper, sim._delay_window
+
+
 class TestFirstPathKernel:
+    @pytest.mark.parametrize("preset", ["ioo-fr1", "uma"])
+    def test_rows_are_independent(self, preset):
+        """Detecting a subset of rows gives those rows of the full stack's
+        result bit for bit, so detection can skip rows selection drops."""
+        stack, win = despread_stack(preset)
+        full = first_paths(stack, win)
+        failed = len(stack) - 1
+        assert np.isnan(full[failed]) and not np.isnan(full).all()
+        for rows in ([3], [5, 0, 2], [failed, 1, 6]):
+            assert np.array_equal(first_paths(stack[rows], win), full[rows], equal_nan=True)
+
     def test_fft_length_is_smallest_5_smooth(self):
         # N + W - 1 on the indoor-office and urban-macro windows
         assert _smooth5_at_least(3264 + 1231 - 1) == 4500

@@ -1,6 +1,7 @@
 """Top-level simulation path: pinned results, the received-RE kernel
 against the grid path, the beam sweep's power draw against the RE-level
-draw, accuracy on an ideal channel, and the experiment artifacts."""
+draw, detection of the selected TRPs only, accuracy on an ideal channel,
+and the experiment artifacts."""
 
 import hashlib
 import json
@@ -42,6 +43,11 @@ PINNED = [
      "2f6da768caefbec01d0fd94f84c019b017d143fd67e32746e8399f5ccfe22b4c"),
     ("ioo-fr1", dict(method="dl-tdoa", ideal=True),
      "7befd00f88cbb749e06952d35cb26851f5b80d587be4636e14c4ccebb6ca5449"),
+    # uplink selection on 21 TRPs, where detection skips the most rows
+    ("uma", dict(method="ul-tdoa"),
+     "7f1c3c87571c2edff9f09cf7b3a72a04645c2aa0ae4c03d55e0e08ed7496d741"),
+    ("uma", dict(method="multi-rtt"),
+     "bdd6b26a2cd95bf0f56e3a9e5f0f45c07bf8eea9888e3b39f1b7dd3b15708d93"),
 ]
 
 
@@ -69,7 +75,8 @@ def test_kernel_matches_grid_path(interference):
     assert any(len(g.members) > 1 for g in sim._dl_groups) == interference
 
     rx, kernel_rsrp = sim._dl_receive(np.random.default_rng(7), amps, h)
-    vecs = despread_groups(sim._dl_groups, rx, sim._dl_vals, num.n_subcarriers)
+    vecs = despread_groups(sim._dl_groups, rx, sim._dl_vals, num.n_subcarriers,
+                           range(len(sim.trps)))
     noise_grid = sim._noise(np.random.default_rng(7), (num.n_subcarriers, cfg.dl_n_symbols),
                             sim.dl_noise)
 
@@ -124,6 +131,29 @@ def test_sweep_draw_matches_re_level_draw(interference, scale):
     _, expected = receive_groups(sim._dl_groups, noise, amps, h, sim._dl_vals)
     noiseless = sweep_powers(sim._dl_sets, factors, amps[:, None], interference, None, 0.0)
     assert [power_dbm(p) for p in noiseless[:, 0]] == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("method", ["dl-tdoa", "multi-rtt", "ul-tdoa", "ul-aoa"])
+def test_detection_runs_on_selected_trps_only(method, monkeypatch):
+    """First-path detection sees only the TRPs cell selection keeps: the
+    selection by downlink RSRP for DL-TDOA, and for multi-RTT in both
+    links; the selection by sounding RSRP for UL-TDOA. UL-AoA detects
+    every TRP, since its angle noise follows the uplink arrivals."""
+    sim = Simulator(preset_config("uma", method=method, n_prb=24, n_drops=3))
+    rows = []
+    batched_toa = Simulator._batched_toa
+    monkeypatch.setattr(Simulator, "_batched_toa",
+                        lambda self, vecs: rows.append(len(vecs)) or batched_toa(self, vecs))
+    for d in range(3):
+        links = sim._links(d, sim.ues[d])
+        stage = sim._ul_stage if method == "ul-tdoa" else sim._dl_stage
+        _, rsrp = stage(links, *sim._sync_offsets(d), d)
+        n = len(sim._select_trps(rsrp))
+        assert n < len(sim.trps)
+        rows.clear()
+        sim.run_drop(d)
+        assert rows == {"dl-tdoa": [n], "multi-rtt": [n, n], "ul-tdoa": [n],
+                        "ul-aoa": [len(sim.trps)]}[method]
 
 
 @pytest.mark.parametrize("method,bound_m", [
