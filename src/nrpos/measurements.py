@@ -80,7 +80,7 @@ def quantize_timing(t_seconds: float, k: int, fr: str = "fr1") -> TimingReport:
 
 
 def quantize_power(p_dbm: float) -> PowerReport:
-    value = int(np.round(p_dbm))
+    value = round(p_dbm)  # half to even, as np.round
     clamped = False
     if value < POWER_RANGE_DBM[0]:
         value, clamped = POWER_RANGE_DBM[0], True

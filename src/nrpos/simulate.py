@@ -658,9 +658,9 @@ class Simulator:
 
     def _run_multi_rtt(self, links, trp_clock, ue_clock, drop_idx):
         dl_toa, rsrp = self._dl_stage(links, trp_clock, ue_clock, drop_idx)
-        ranked = self._select_trps(rsrp)
+        ranked = [t for t in self._select_trps(rsrp) if dl_toa[t] is not None]
         ul_toa, _ = self._ul_stage(links, trp_clock, ue_clock, drop_idx, detect=ranked)
-        selected = [t for t in ranked if dl_toa[t] is not None and ul_toa[t] is not None]
+        selected = [t for t in ranked if ul_toa[t] is not None]
         if len(selected) < 3:
             raise SolverError("not enough usable round-trip pairs")
         cfg = self.config

@@ -1,6 +1,11 @@
 """Position estimation from quantized measurements: damped Gauss-Newton
 solvers for time-difference, round-trip-range, arrival-angle and
 departure-angle inputs, plus geometric dilution diagnostics.
+
+Angle solves start from the closed-form least-squares intersection of the
+bearing lines. Time-difference and range solves also start from the
+minima of a coarse objective scan, which picks between their mirror and
+branch solutions.
 """
 
 from __future__ import annotations
@@ -97,14 +102,6 @@ class _Problem:
     def jacobian(self, x):
         raise NotImplementedError
 
-    def objective_grid(self, pts: np.ndarray, z: float) -> np.ndarray:
-        """Sum of squared residuals at many xy points (coarse scan)."""
-        out = np.empty(len(pts))
-        for i, p in enumerate(pts):
-            r = self.residuals(np.array([p[0], p[1], z]))
-            out[i] = float(np.dot(r, r))
-        return out
-
 
 class _TdoaProblem(_Problem):
     def __init__(self, anchors, ref_anchor, measured_m, fix_height):
@@ -190,18 +187,6 @@ class _AngleProblem(_Problem):
             rows.append(j_zen)
         j = np.vstack(rows)
         return j if self.fix_height is None else j[:, :2]
-
-    def objective_grid(self, pts, z):
-        diff_x = pts[:, 0:1] - self.anchors[None, :, 0]
-        diff_y = pts[:, 1:2] - self.anchors[None, :, 1]
-        az = np.degrees(np.arctan2(diff_y, diff_x))
-        res = wrap_deg(az - self.az[None, :])
-        total = (res**2).sum(axis=1)
-        if self.zen is not None:
-            rho = np.hypot(diff_x, diff_y)
-            zen = np.degrees(np.arctan2(rho, z - self.anchors[None, :, 2]))
-            total = total + ((zen - self.zen[None, :]) ** 2).sum(axis=1)
-        return total
 
 
 def _gauss_newton(problem: _Problem, x0: np.ndarray, options: SolverOptions) -> PositionFix:
@@ -324,7 +309,12 @@ def _coarse_starts(problem: _Problem, options: SolverOptions,
 
 def _solve_multistart(problem: _Problem, x0, options: SolverOptions) -> PositionFix:
     """Damped Gauss-Newton from the caller's start and from the zoomed
-    minima of a coarse objective scan; the lowest-objective fix wins."""
+    minima of a coarse objective scan; the lowest-objective fix wins.
+
+    Time differences and ranges use this: their objectives have several
+    basins (the trilateration mirror, hyperbola branches), and the scan
+    finds the better-fitting one. Bearings start in closed form instead.
+    """
     best = _gauss_newton(problem, x0, options)
     for start in _coarse_starts(problem, options):
         if np.linalg.norm(start[:2] - best.position[:2]) <= max(options.tolerance_m, 1e-6):
@@ -335,12 +325,41 @@ def _solve_multistart(problem: _Problem, x0, options: SolverOptions) -> Position
     return best
 
 
+def _bearing_start(problem: _AngleProblem) -> np.ndarray:
+    """Least-squares intersection of the bearing lines (Stansfield, J. IEE
+    1947): each line gives sin(az) x - cos(az) y = sin(az) xi - cos(az) yi."""
+    s, c = np.sin(np.radians(problem.az)), np.cos(np.radians(problem.az))
+    rhs = s * problem.anchors[:, 0] - c * problem.anchors[:, 1]
+    xy, *_ = np.linalg.lstsq(np.column_stack([s, -c]), rhs, rcond=None)
+    return xy
+
+
+def _in_area(p, area) -> bool:
+    return area is None or (area[0] <= p[0] <= area[2] and area[1] <= p[1] <= area[3])
+
+
+def _solve_bearings(problem: _AngleProblem, x0, options: SolverOptions) -> PositionFix:
+    """Damped Gauss-Newton from the bearing-line intersection. When that
+    start is not finite or lies off the area, or its run does not converge
+    in the area, a second run starts from x0; the lower objective wins, a
+    tie going to the intersection."""
+    start = np.array(x0, dtype=float)
+    start[:2] = _bearing_start(problem)
+    best = _gauss_newton(problem, start, options) if np.all(np.isfinite(start)) else None
+    if best is None or not (_in_area(start, options.area) and best.converged
+                            and _in_area(best.position, options.area)):
+        alt = _gauss_newton(problem, x0, options)
+        if best is None or alt.objective < best.objective:
+            best = alt
+    return best
+
+
 def _solve_with_trim(build_problem, n_meas: int, x0, options: SolverOptions,
-                     min_needed: int, method: str) -> PositionFix:
+                     min_needed: int, method: str, solve=_solve_multistart) -> PositionFix:
     """Solve, then optionally drop gross-outlier measurements and re-solve."""
     active = list(range(n_meas))
     trimmed: list[int] = []
-    fix = _solve_multistart(build_problem(active), x0, options)
+    fix = solve(build_problem(active), x0, options)
     if options.nlos_rejection == "residual_trim":
         for _ in range(options.trim_rounds):
             if len(active) <= min_needed:
@@ -351,7 +370,7 @@ def _solve_with_trim(build_problem, n_meas: int, x0, options: SolverOptions,
             if med <= 0 or r[worst] <= options.trim_ratio * med:
                 break
             trimmed.append(active.pop(worst))
-            fix = _solve_multistart(build_problem(active), fix.position, options)
+            fix = solve(build_problem(active), fix.position, options)
     fix.method = method
     fix.used_indices = tuple(active)
     fix.trimmed_indices = tuple(trimmed)
@@ -452,7 +471,7 @@ def aoa_solve(anchors, angles, options: SolverOptions | None = None,
         return _AngleProblem(anchors[rows], az[list(active)], z, options.fix_height)
 
     return _solve_with_trim(build, len(az), x0, options,
-                            MIN_MEASUREMENTS["aoa"], "aoa")
+                            MIN_MEASUREMENTS["aoa"], "aoa", _solve_bearings)
 
 
 def beam_bearing(beams, top_n: int = 3) -> tuple[float, float, bool]:

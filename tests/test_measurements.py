@@ -122,6 +122,20 @@ class TestQuantizePower:
         r = quantize_power(-30.0)
         assert r.value_dbm == -31 and r.clamped
 
+    def test_matches_numpy_half_to_even(self):
+        def reference(p):
+            value = int(np.round(p))
+            return min(max(value, -156), -31), not -156 <= value <= -31
+
+        rng = np.random.default_rng(0)
+        values = [-44.5, -43.5, 0.5, -156.5, -155.5, -156.0, -31.5, -30.5, -31.0,
+                  *rng.uniform(-200.0, 0.0, 10_000)]
+        for p in values:
+            for x in (float(p), np.float64(p)):
+                r = quantize_power(x)
+                assert type(r.value_dbm) is int
+                assert (r.value_dbm, r.clamped) == reference(x)
+
 
 class TestAggregate:
     def test_single(self):

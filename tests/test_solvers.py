@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nrpos import solvers
 from nrpos.solvers import (
     PositionFix,
     SolverError,
@@ -269,6 +270,74 @@ class TestBeamBearing:
         anchors = np.array([[0, 0, 3], [100, 0, 3]], dtype=float)
         with pytest.raises(SolverError):
             aod_solve(anchors, {0: [(0.0, 95.0, -80.0)], 1: [(10.0, 95.0, -80.0)]}, OPT2D)
+
+
+def spy(monkeypatch, name):
+    """Count the calls to a solvers module function, calling through."""
+    calls = []
+    real = getattr(solvers, name)
+    monkeypatch.setattr(solvers, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+class TestBearingStart:
+    AREA = SolverOptions(fix_height=1.5, area=(-200.0, -200.0, 200.0, 200.0))
+
+    @pytest.mark.parametrize("ue", [(42.0, 27.0), (-150.0, 3.0)])
+    def test_exact_for_noiseless_bearings(self, ue):
+        # the second terminal lies west of every anchor: its bearings
+        # straddle +-180 degrees
+        anchors = np.array([[10, 15, 3], [110, 15, 3], [10, 35, 3], [110, -35, 3]],
+                           dtype=float)
+        ue = np.array([*ue, 1.5])
+        az = [a for _, a, _ in exact_angles(anchors, ue)]
+        if ue[0] < 0:
+            assert max(az) > 170.0 and min(az) < -170.0
+        problem = solvers._AngleProblem(anchors, az, None, 1.5)
+        assert np.allclose(solvers._bearing_start(problem), ue[:2], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("method", ["aoa", "aod"])
+    def test_one_run_and_no_scan_in_area(self, method, monkeypatch):
+        anchors = np.array([[0, 0, 3], [100, 0, 3], [50, 80, 3]], dtype=float)
+        ue = np.array([40.0, 30.0, 1.5])
+        runs, scans = spy(monkeypatch, "_gauss_newton"), spy(monkeypatch, "_coarse_starts")
+        if method == "aoa":
+            fix = aoa_solve(anchors, exact_angles(anchors, ue), self.AREA)
+        else:
+            fix = aod_solve(anchors, symmetric_beam_rsrp(anchors, ue), self.AREA)
+        assert len(runs) == 1 and scans == []
+        assert fix.converged
+        assert np.linalg.norm(fix.position[:2] - ue[:2]) < 1e-6
+
+    @pytest.mark.parametrize("flip,winner", [(1, "start"), (2, "x0")])
+    def test_start_off_area_also_runs_from_x0(self, flip, winner, monkeypatch):
+        # the bearing lines meet at (120, 40), off the area; one bearing
+        # points away from there (a back lobe), so the objective has
+        # several basins and the two runs end in different ones
+        anchors = np.array([[0, 0, 3], [100, 0, 3], [50, 80, 3]], dtype=float)
+        angles = exact_angles(anchors, np.array([120.0, 40.0, 1.5]))
+        angles[flip] = (flip, float(wrap_deg(angles[flip][1] + 180.0)), None)
+        options = SolverOptions(fix_height=1.5, area=(0.0, 0.0, 100.0, 100.0))
+        x0 = init_guess(anchors, fix_height=1.5)
+        runs = spy(monkeypatch, "_gauss_newton")
+        fix = aoa_solve(anchors, angles, options, x0=x0)
+
+        assert len(runs) == 2
+        assert np.allclose(runs[0][1][:2], [120.0, 40.0], atol=1e-9)
+        assert np.array_equal(runs[1][1], x0)
+        problem = runs[0][0]
+        fixes = {"start": solvers._gauss_newton(problem, runs[0][1], options),
+                 "x0": solvers._gauss_newton(problem, x0, options)}
+        assert fix.objective == min(f.objective for f in fixes.values())
+        assert np.array_equal(fix.position, fixes[winner].position)
+
+    def test_time_and_range_solves_still_scan(self, monkeypatch):
+        anchors = square_anchors()
+        ue = np.array([10.0, -20.0, 1.5])
+        scans = spy(monkeypatch, "_coarse_starts")
+        tdoa_solve(anchors, exact_rstd(anchors, 0, ue), OPT2D)
+        rtt_solve(anchors, exact_ranges(anchors, ue), OPT2D)
+        assert len(scans) == 2
 
 
 class TestGdop:
