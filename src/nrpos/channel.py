@@ -1,10 +1,10 @@
 """Per-link propagation: LOS state, log-distance path loss with shadow
-fading, a short exponential tap profile, and comb-aware accumulation of
-transmitted grids into one received grid.
+fading, a short exponential tap profile and the per-RE link budget, plus
+the thermal noise a receiver adds on each resource element (RE).
 
 Power bookkeeping: a TRP's configured power is the total per-symbol
 transmit power, split evenly over the occupied subcarriers of a symbol.
-Grid amplitudes are in sqrt(mW), so 10*log10(|cell|^2) is a dBm value.
+RE amplitudes are in sqrt(mW), so 10*log10(|value|^2) is a dBm value.
 
 The parameter defaults follow the usual urban-macro / urban-micro / indoor
 open-office curve shapes but are plain numbers here; this is explicitly a
@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerology import Numerology, ResourceGrid, GridError, SPEED_OF_LIGHT
+from .numerology import SPEED_OF_LIGHT
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,7 @@ def realize_budget_link(rng: np.random.Generator, params: ChannelParams, trp, ue
 
 
 def link_amplitude(link: LinkRealization, tx_power_dbm: float, n_occupied_per_symbol: int) -> float:
-    """Per-RE received amplitude in sqrt(mW) for unit grid cells."""
+    """Per-RE received amplitude in sqrt(mW) for unit-modulus reference values."""
     epre_dbm = (
         tx_power_dbm
         - 10.0 * math.log10(max(n_occupied_per_symbol, 1))
@@ -250,18 +250,6 @@ def link_amplitude(link: LinkRealization, tx_power_dbm: float, n_occupied_per_sy
         - link.shadow_db
     )
     return 10.0 ** (epre_dbm / 20.0)
-
-
-def frequency_response(link: LinkRealization, freqs_hz: np.ndarray,
-                       extra_delay_s: float = 0.0) -> np.ndarray:
-    """Channel response over the given subcarrier frequencies.
-
-    Applying taps in the frequency domain is exact for delays shorter than
-    the cyclic prefix, which holds for every scenario here.
-    """
-    delays = np.array([t[0] for t in link.taps]) + extra_delay_s
-    gains = np.array([t[1] for t in link.taps])
-    return (gains[None, :] * np.exp(-2j * np.pi * freqs_hz[:, None] * delays[None, :])).sum(axis=1)
 
 
 def noise_amplitude(noise: NoiseModel) -> float:
@@ -277,45 +265,3 @@ def draw_noise(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     shape (a, b) is not a stack of a draws of shape b.
     """
     return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * std
-
-
-def received_grid(tx_grids, noise: NoiseModel | None, numerology: Numerology,
-                  rng: np.random.Generator | None = None,
-                  noise_grid: np.ndarray | None = None,
-                  extra_delays_s=None) -> ResourceGrid:
-    """Sum link-filtered transmit grids and add thermal noise.
-
-    tx_grids is a list of (grid, LinkRealization, tx_power_dbm). Each
-    contribution is the grid scaled by its link budget and filtered by the
-    link frequency response; interference arises exactly where occupied
-    REs collide. A pre-drawn noise_grid keeps noise identical across runs
-    that differ only in which TRPs transmit.
-    """
-    if not tx_grids:
-        raise ValueError("need at least one transmit grid")
-    shape = tx_grids[0][0].cells.shape
-    for g, _, _ in tx_grids:
-        if g.cells.shape != shape:
-            raise GridError("transmit grids must share dimensions")
-    freqs = numerology.subcarrier_frequencies_hz(shape[0])
-    acc = np.zeros(shape, dtype=complex)
-    if extra_delays_s is None:
-        extra_delays_s = [0.0] * len(tx_grids)
-    for (grid, link, tx_power), extra in zip(tx_grids, extra_delays_s):
-        occupied = np.count_nonzero(grid.cells, axis=0)
-        n_occ = int(occupied.max())
-        if n_occ == 0:
-            continue
-        amp = link_amplitude(link, tx_power, n_occ)
-        h = frequency_response(link, freqs, extra_delay_s=extra)
-        acc += grid.cells * (amp * h)[:, None]
-    if noise_grid is not None:
-        acc += noise_grid
-    elif noise is not None:
-        if rng is None:
-            raise ValueError("rng required to draw noise")
-        acc += draw_noise(rng, shape, noise_amplitude(noise) / np.sqrt(2.0))
-    out = ResourceGrid(*shape)
-    out.cells[:] = acc
-    return out
-

@@ -64,12 +64,6 @@ class ExperimentResult:
     results_csv: str
     cdf_csv: str
 
-    @property
-    def errors(self) -> np.ndarray:
-        return np.array([
-            o.horizontal_error_m for o in self.outcomes if o.converged
-        ])
-
 
 def _fmt(x) -> str:
     if x is None:

@@ -1,18 +1,17 @@
-"""Standardized positioning measurements from received grids: first-path
-arrival times, time differences, Rx-Tx intervals, received powers and
-arrival angles, plus the integer reporting quantization applied to all
-timing and power values.
+"""Standardized positioning measurements: first-path detection on despread
+channel estimates, round-trip times and arrival angles, the integer
+reporting quantization of timing and power values, and the measurement
+records that carry them.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerology import Numerology, ResourceGrid, TC_SECONDS
+from .numerology import TC_SECONDS
 from .scenario import AntennaArray
 
 TIMING_RANGE_TC = 985024
@@ -20,10 +19,14 @@ POWER_RANGE_DBM = (-156, -31)
 K_RANGE = {"fr1": (2, 5), "fr2": (0, 5)}
 MAX_SAMPLES = 4
 
-# first-path picker defaults: earliest local peak within this many dB of
-# the strongest one and above the noise multiple
+# first-path picker: earliest local peak within this many dB of the
+# strongest one and above this multiple of the noise floor
 FIRST_PATH_REL_DB = 13.0
 NOISE_SIGMA_MULT = 6.0
+
+# delay-domain oversampling: the delay spectrum has this many bins per
+# sample of the next power-of-two FFT above the subcarrier count
+DELAY_PAD_FACTOR = 4
 
 
 class MeasurementFailed(RuntimeError):
@@ -47,10 +50,6 @@ class TimingReport:
             raise ValueError("timing value outside reporting range")
         if self.value_tc % (1 << self.k) != 0:
             raise ValueError("timing value not aligned to the 2^k step")
-
-    @property
-    def seconds(self) -> float:
-        return self.value_tc * TC_SECONDS
 
 
 @dataclass(frozen=True)
@@ -94,19 +93,6 @@ def aggregate_samples(samples) -> float:
     if not 1 <= len(samples) <= MAX_SAMPLES:
         raise ValueError(f"need 1..{MAX_SAMPLES} samples, got {len(samples)}")
     return float(np.mean(samples))
-
-
-def despread(rx_grid: ResourceGrid, reference) -> np.ndarray:
-    """Per-subcarrier channel estimate from the reference's REs.
-
-    `reference` is a list of (subcarrier indices, symbol, values). REs
-    sounded in several symbols are combined coherently (the channel is
-    static within a slot).
-    """
-    acc = np.zeros(rx_grid.subcarriers, dtype=complex)
-    for k_idx, sym, values in reference:
-        acc[k_idx] += rx_grid.cells[k_idx, sym] * np.conj(values)
-    return acc
 
 
 def _smooth5_at_least(n: int) -> int:
@@ -157,17 +143,11 @@ class DelayWindow:
         return np.abs(np.fft.ifft(spec, axis=-1)[..., :self.n_bins])
 
 
-def first_path_from_magnitude(
-    wmag: np.ndarray,
-    lo_bin: int,
-    bin_s: float,
-    first_path_rel_db: float = FIRST_PATH_REL_DB,
-    noise_sigma_mult: float = NOISE_SIGMA_MULT,
-) -> np.ndarray:
+def first_path_from_magnitude(wmag: np.ndarray, lo_bin: int, bin_s: float) -> np.ndarray:
     """Coarse first-path delay, seconds, of each row of window magnitudes.
 
     Row j holds the magnitudes of bins lo_bin.. of its delay profile. The
-    pick is the earliest interior local maximum within `first_path_rel_db`
+    pick is the earliest interior local maximum within FIRST_PATH_REL_DB
     of the row's peak and above the noise floor (the strongest bin if none
     qualifies), refined by a 3-point parabola. A row whose peak does not
     rise above the noise floor gives NaN.
@@ -175,8 +155,8 @@ def first_path_from_magnitude(
     peak_val = wmag.max(axis=1)
     # Rayleigh-magnitude noise floor from the window median; the signal
     # occupies a tiny fraction of the bins so the median is noise-dominated
-    noise_floor = noise_sigma_mult * (np.median(wmag, axis=1) / 0.8326)
-    threshold = np.maximum(peak_val * 10 ** (-first_path_rel_db / 20.0), noise_floor)
+    noise_floor = NOISE_SIGMA_MULT * (np.median(wmag, axis=1) / 0.8326)
+    threshold = np.maximum(peak_val * 10 ** (-FIRST_PATH_REL_DB / 20.0), noise_floor)
     failed = (peak_val < noise_floor) | (peak_val == 0.0)
 
     # interior local maxima at or above the threshold; column j is bin j+1
@@ -247,93 +227,36 @@ def _polish_peak(vecs: np.ndarray, scs_hz: float, tau0: np.ndarray, span: float)
     return out
 
 
-def first_paths(
-    stack: np.ndarray,
-    window: DelayWindow,
-    first_path_rel_db: float = FIRST_PATH_REL_DB,
-    noise_sigma_mult: float = NOISE_SIGMA_MULT,
-    polish: bool = True,
-) -> np.ndarray:
+def first_paths(stack: np.ndarray, window: DelayWindow) -> np.ndarray:
     """First-significant-path delay, seconds, of every row of a despread
-    (already tapered) stack; NaN where nothing rises above the noise floor."""
-    taus = first_path_from_magnitude(
-        window.magnitudes(stack), window.lo_bin, window.bin_s,
-        first_path_rel_db=first_path_rel_db, noise_sigma_mult=noise_sigma_mult,
-    )
+    (already tapered) stack; NaN where nothing rises above the noise floor.
+
+    Each row's coarse pick is refined by a short local maximization of its
+    continuous correlation (`_polish_peak`).
+    """
+    taus = first_path_from_magnitude(window.magnitudes(stack), window.lo_bin, window.bin_s)
     found = ~np.isnan(taus)
-    if polish and found.any():
+    if found.any():
         taus[found] = _polish_peak(stack[found], window.scs_hz, taus[found], span=window.bin_s)
     return taus
 
 
-def estimate_toa(
-    rx_grid: ResourceGrid,
-    reference,
-    numerology: Numerology,
-    search_window_s: tuple[float, float],
-    pad_factor: int = 8,
-    first_path_rel_db: float = FIRST_PATH_REL_DB,
-    noise_sigma_mult: float = NOISE_SIGMA_MULT,
-    polish: bool = True,
-    taper: bool = True,
-) -> float:
-    """First-significant-path delay of the reference signal, in seconds.
-
-    Matched filter in the frequency domain: despread the reference REs,
-    inverse-transform to the delay domain over the search window, pick the
-    earliest local peak within `first_path_rel_db` of the strongest one and
-    above the noise floor, then refine with a 3-point parabola (plus a
-    short local maximization of the continuous correlation when polish is
-    set).
-
-    The despread spectrum is tapered by default so that correlation
-    sidelobes (-13.3 dB untapered, right at the first-path cut) cannot be
-    mistaken for early paths; tapering a symmetric spectrum does not move
-    the peak of an isolated path.
-
-    Raises MeasurementFailed when nothing rises above the noise floor.
-    """
-    vec = despread(rx_grid, reference)
-    return estimate_toa_from_vector(
-        vec, numerology, search_window_s, pad_factor=pad_factor,
-        first_path_rel_db=first_path_rel_db, noise_sigma_mult=noise_sigma_mult,
-        polish=polish, taper=taper,
-    )
-
-
 def taper_vector(vec: np.ndarray) -> np.ndarray:
+    """Hamming taper of a despread spectrum, so that correlation sidelobes
+    (-13.3 dB untapered, right at the first-path cut) cannot be mistaken
+    for early paths; tapering a symmetric spectrum does not move the peak
+    of an isolated path."""
     n = len(vec)
     k = np.arange(n)
     return vec * (0.54 - 0.46 * np.cos(2 * np.pi * k / (n - 1)))
 
 
-def delay_spectrum_size(n_sc: int, pad_factor: int) -> int:
+def delay_spectrum_size(n_sc: int) -> int:
+    """Bins of the delay spectrum that detection reads from n_sc subcarriers."""
     m = 1
     while m < n_sc:
         m *= 2
-    return m * pad_factor
-
-
-def estimate_toa_from_vector(
-    vec: np.ndarray,
-    numerology: Numerology,
-    search_window_s: tuple[float, float],
-    pad_factor: int = 8,
-    first_path_rel_db: float = FIRST_PATH_REL_DB,
-    noise_sigma_mult: float = NOISE_SIGMA_MULT,
-    polish: bool = True,
-    taper: bool = True,
-) -> float:
-    """estimate_toa on an already-despread per-subcarrier vector."""
-    if taper:
-        vec = taper_vector(vec)
-    window = DelayWindow(len(vec), delay_spectrum_size(len(vec), pad_factor),
-                         numerology.scs_khz * 1e3, search_window_s)
-    tau = first_paths(vec[None, :], window, first_path_rel_db=first_path_rel_db,
-                      noise_sigma_mult=noise_sigma_mult, polish=polish)[0]
-    if np.isnan(tau):
-        raise MeasurementFailed("no peak above the noise floor")
-    return float(tau)
+    return m * DELAY_PAD_FACTOR
 
 
 def rstd(toa_target_s: float, toa_reference_s: float) -> float:
@@ -351,17 +274,6 @@ def rtt(ue_rxtx_s: float, gnb_rxtx_s: float) -> tuple[float, bool]:
     if total < 0:
         return 0.0, True
     return total, False
-
-
-def rsrp(rx_grid: ResourceGrid, reference) -> float:
-    """Mean per-RE received power over the reference REs, in dBm."""
-    total, count = 0.0, 0
-    for k_idx, sym, _values in reference:
-        total += float(np.sum(np.abs(rx_grid.cells[k_idx, sym]) ** 2))
-        count += len(k_idx)
-    if count == 0:
-        raise MeasurementFailed("empty RE set")
-    return 10.0 * math.log10(total / count)
 
 
 # --- angle of arrival -------------------------------------------------------
@@ -387,6 +299,12 @@ def steering_vector(array: AntennaArray, azimuth_deg, zenith_deg) -> np.ndarray:
     return sv[:, 0] if np.isscalar(azimuth_deg) and np.isscalar(zenith_deg) else sv
 
 
+# beamformer scan, degrees: every azimuth and the lower half-space zeniths
+# in BEAMFORMER_ZENITH_DEG, both in steps of BEAMFORMER_STEP_DEG
+BEAMFORMER_STEP_DEG = 1.0
+BEAMFORMER_ZENITH_DEG = (90.0, 150.0)
+
+
 class BeamformerGrid:
     """Precomputed steering grid for conventional beamforming on one array.
 
@@ -395,12 +313,11 @@ class BeamformerGrid:
     terminals live.
     """
 
-    def __init__(self, array: AntennaArray, az_step_deg: float = 1.0,
-                 zen_range_deg: tuple[float, float] = (90.0, 150.0),
-                 zen_step_deg: float = 1.0):
+    def __init__(self, array: AntennaArray):
         self.array = array
-        self.az_grid = np.arange(-180.0, 180.0, az_step_deg)
-        self.zen_grid = np.arange(zen_range_deg[0], zen_range_deg[1] + 1e-9, zen_step_deg)
+        self.az_grid = np.arange(-180.0, 180.0, BEAMFORMER_STEP_DEG)
+        self.zen_grid = np.arange(BEAMFORMER_ZENITH_DEG[0], BEAMFORMER_ZENITH_DEG[1] + 1e-9,
+                                  BEAMFORMER_STEP_DEG)
         azs, zens = np.meshgrid(self.az_grid, self.zen_grid, indexing="ij")
         self._steering = steering_vector(self.array, azs.ravel(), zens.ravel())
         self._shape = azs.shape

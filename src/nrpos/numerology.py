@@ -1,19 +1,14 @@
-"""NR time/frequency bookkeeping: subcarrier spacing, PRBs, the basic time
-unit, resource grids and OFDM (de)modulation.
+"""NR carrier numerology: subcarrier spacing, PRB width, the basic time
+unit and the FFT size that sets the receiver's sample rate.
 
-Conventions used throughout the package:
-
-* subcarrier k of a grid maps to FFT bin k (first subcarrier at DC), so a
-  waveform delay of d samples shows up as a per-subcarrier phase ramp
-  exp(-2j*pi*k*d/fft_size);
-* grids are normalized to unit average power per occupied resource element,
-  and the OFDM transforms are scaled so time-domain energy (cyclic prefix
-  excluded) equals grid energy.
+Subcarrier k sits at k times the subcarrier spacing (the first subcarrier
+at DC), so a delay of d samples is the per-subcarrier phase ramp
+exp(-2j*pi*k*d/fft_size).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,165 +19,37 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 _VALID_SCS_KHZ = (15, 30, 60, 120)
 
-# Normal-CP length for a 2048-point FFT, scaled to other FFT sizes. The
-# first symbol of a slot gets the same CP as the rest; slot-boundary
-# timing at the sub-microsecond level is irrelevant to ranging here.
-_CP_REF_SAMPLES = 144
-_CP_REF_FFT = 2048
-
-
-class GridError(ValueError):
-    """Resource-grid misuse: bad dimensions or out-of-range element access."""
-
 
 @dataclass(frozen=True)
 class Numerology:
-    """Carrier numerology: subcarrier spacing, grid width and FFT sizing."""
+    """Carrier numerology: subcarrier spacing and grid width."""
 
     scs_khz: int
     n_prb: int
-    symbols_per_slot: int = 14
-    fft_size: int = 0
-    cp_samples: int = field(default=-1)
 
     def __post_init__(self):
         if self.scs_khz not in _VALID_SCS_KHZ:
             raise ValueError(f"unsupported subcarrier spacing {self.scs_khz} kHz")
         if self.n_prb < 1:
             raise ValueError("n_prb must be >= 1")
-        if self.fft_size == 0:
-            # smallest power of two holding all subcarriers, at least 4096
-            # so the 272-PRB simulation grids fit (12*272 = 3264 <= 4096)
-            size = 4096
-            while size < 12 * self.n_prb:
-                size *= 2
-            object.__setattr__(self, "fft_size", size)
-        if self.fft_size & (self.fft_size - 1):
-            raise ValueError("fft_size must be a power of two")
-        if 12 * self.n_prb > self.fft_size:
-            raise ValueError("subcarriers exceed fft_size")
-        if self.cp_samples < 0:
-            object.__setattr__(
-                self, "cp_samples", self.fft_size * _CP_REF_SAMPLES // _CP_REF_FFT
-            )
 
     @property
     def n_subcarriers(self) -> int:
         return 12 * self.n_prb
 
     @property
+    def fft_size(self) -> int:
+        """Smallest power of two holding all subcarriers, at least 4096, so
+        the 272-PRB grids fit (12*272 = 3264 <= 4096)."""
+        size = 4096
+        while size < self.n_subcarriers:
+            size *= 2
+        return size
+
+    @property
     def sample_rate_hz(self) -> float:
         return self.fft_size * self.scs_khz * 1e3
 
-    @property
-    def slot_duration_s(self) -> float:
-        return 1e-3 / (self.scs_khz / 15)
-
-    @property
-    def slots_per_ms(self) -> int:
-        return self.scs_khz // 15
-
-    def subcarrier_frequencies_hz(self, n: int | None = None) -> np.ndarray:
-        """Baseband frequency of each subcarrier (bin-k convention)."""
-        if n is None:
-            n = self.n_subcarriers
-        return np.arange(n) * self.scs_khz * 1e3
-
-
-def bandwidth_hz(n_prb: int, scs_khz: int, validate_prs: bool = False) -> float:
-    """Occupied bandwidth of an n_prb-wide allocation.
-
-    With validate_prs=True the allocation is checked against the legal
-    positioning range: 24..276 PRBs in steps of 4.
-    """
-    if validate_prs:
-        if not (24 <= n_prb <= 276) or (n_prb - 24) % 4 != 0:
-            raise ValueError(
-                f"invalid PRS bandwidth {n_prb} PRB (need 24..276 in steps of 4)"
-            )
-    return n_prb * 12 * scs_khz * 1e3
-
-
-class ResourceGrid:
-    """Complex subcarriers-by-symbols grid. Dimensions are fixed at creation."""
-
-    def __init__(self, subcarriers: int, symbols: int):
-        if subcarriers < 1 or symbols < 1:
-            raise GridError("grid dimensions must be positive")
-        self._cells = np.zeros((subcarriers, symbols), dtype=complex)
-
-    @classmethod
-    def for_numerology(cls, numerology: Numerology, symbols: int | None = None):
-        return cls(numerology.n_subcarriers, symbols or numerology.symbols_per_slot)
-
-    @property
-    def subcarriers(self) -> int:
-        return self._cells.shape[0]
-
-    @property
-    def symbols(self) -> int:
-        return self._cells.shape[1]
-
-    @property
-    def cells(self) -> np.ndarray:
-        """Backing array; vectorized code may read/write in place."""
-        return self._cells
-
-    def _check(self, k: int, s: int):
-        if not (0 <= k < self.subcarriers and 0 <= s < self.symbols):
-            raise GridError(f"RE ({k},{s}) outside {self._cells.shape} grid")
-
-    def get_re(self, k: int, s: int) -> complex:
-        self._check(k, s)
-        return complex(self._cells[k, s])
-
-    def set_re(self, k: int, s: int, value: complex):
-        self._check(k, s)
-        self._cells[k, s] = value
-
-    def occupied_mask(self) -> np.ndarray:
-        return self._cells != 0
-
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self._cells) ** 2))
-
-    def copy(self) -> "ResourceGrid":
-        out = ResourceGrid(self.subcarriers, self.symbols)
-        out._cells[:] = self._cells
-        return out
-
-
-def ofdm_modulate(grid: ResourceGrid, numerology: Numerology) -> np.ndarray:
-    """Per-symbol IFFT with cyclic prefix.
-
-    Output length is symbols * (fft_size + cp_samples). Scaled by
-    sqrt(fft_size) so the CP-stripped waveform carries the grid energy.
-    """
-    if grid.subcarriers > numerology.fft_size:
-        raise GridError("grid wider than FFT")
-    n, cp = numerology.fft_size, numerology.cp_samples
-    spec = np.zeros((grid.symbols, n), dtype=complex)
-    spec[:, : grid.subcarriers] = grid.cells.T
-    sym = np.fft.ifft(spec, axis=1) * np.sqrt(n)
-    with_cp = np.concatenate([sym[:, n - cp :], sym], axis=1)
-    return with_cp.reshape(-1)
-
-
-def ofdm_demodulate(
-    waveform: np.ndarray, numerology: Numerology, subcarriers: int | None = None
-) -> ResourceGrid:
-    """Inverse of ofdm_modulate for integer-sample-aligned input."""
-    n, cp = numerology.fft_size, numerology.cp_samples
-    sym_len = n + cp
-    if len(waveform) % sym_len != 0:
-        raise GridError(
-            f"waveform length {len(waveform)} not a multiple of {sym_len}"
-        )
-    n_sym = len(waveform) // sym_len
-    if subcarriers is None:
-        subcarriers = numerology.n_subcarriers
-    samples = np.asarray(waveform).reshape(n_sym, sym_len)[:, cp:]
-    spec = np.fft.fft(samples, axis=1) / np.sqrt(n)
-    grid = ResourceGrid(subcarriers, n_sym)
-    grid.cells[:] = spec[:, :subcarriers].T
-    return grid
+    def subcarrier_frequencies_hz(self) -> np.ndarray:
+        """Baseband frequency of each subcarrier."""
+        return np.arange(self.n_subcarriers) * self.scs_khz * 1e3

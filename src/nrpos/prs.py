@@ -1,6 +1,7 @@
 """Downlink and uplink positioning signal configuration: one downlink
-positioning resource or uplink sounding resource each, their staggered
-comb patterns on the resource grid, and the reference values they carry.
+positioning resource or uplink sounding resource each, the (subcarrier,
+symbol) resource elements their staggered combs occupy, and the reference
+values they carry there.
 """
 
 from __future__ import annotations
@@ -9,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerology import ResourceGrid, GridError
 from .sequences import prs_symbol_sequence, zc_base_for_width
 
 # Per-symbol subcarrier offsets relative to the configured RE offset. Each
@@ -40,8 +40,6 @@ UL_COMB_STAGGER = {
 UL_VALID_SYMBOLS = (1, 2, 4, 8, 12)
 
 CYCLIC_SHIFT_MAX = 12
-
-CONFIG_FORMAT_VERSION = 1
 
 
 class ConfigError(ValueError):
@@ -105,26 +103,6 @@ class SrsPosResource:
         if not 0 <= self.cyclic_shift < CYCLIC_SHIFT_MAX:
             raise ConfigError(f"cyclic_shift must be in [0, {CYCLIC_SHIFT_MAX})")
 
-    def to_dict(self) -> dict:
-        return {
-            "version": CONFIG_FORMAT_VERSION,
-            "comb_size": self.comb_size,
-            "comb_offset": self.comb_offset,
-            "cyclic_shift": self.cyclic_shift,
-            "n_symbols": self.n_symbols,
-            "first_symbol": self.first_symbol,
-            "zc_root": self.zc_root,
-            "n_prb": self.n_prb,
-            "start_prb": self.start_prb,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SrsPosResource":
-        if doc.get("version") != CONFIG_FORMAT_VERSION:
-            raise ConfigError(f"unsupported config version {doc.get('version')!r}")
-        fields = {k: v for k, v in doc.items() if k != "version"}
-        return cls(**fields)
-
 
 def comb_pattern(comb_size: int, n_symbols: int, re_offset: int) -> list[int]:
     """Subcarrier residue (mod comb_size) occupied in each downlink symbol."""
@@ -185,25 +163,6 @@ def dl_prs_reference(resource: DlPrsResource, slot: int = 0) -> list[tuple[np.nd
     return out
 
 
-def map_dl_prs(grid: ResourceGrid, resource: DlPrsResource, slot: int = 0) -> ResourceGrid:
-    """Write the QPSK sequence of `resource` onto its comb of the grid.
-
-    Touching an RE the grid already occupies is a configuration error:
-    interference between co-channel signals is modeled at the receiver,
-    never inside one transmit grid.
-    """
-    top = 12 * (resource.start_prb + resource.n_prb)
-    if top > grid.subcarriers or resource.first_symbol + resource.n_symbols > grid.symbols:
-        raise GridError("resource does not fit the grid")
-    for k_idx, sym, seq in dl_prs_reference(resource, slot):
-        if np.any(grid.cells[k_idx, sym] != 0):
-            raise GridError(
-                f"resource {resource.resource_id} collides with occupied REs in symbol {sym}"
-            )
-        grid.cells[k_idx, sym] = seq
-    return grid
-
-
 def srs_symbol_values(resource: SrsPosResource, n_values: int) -> np.ndarray:
     """Base sequence of one sounding symbol with the cyclic-shift ramp.
 
@@ -222,16 +181,3 @@ def srs_reference(resource: SrsPosResource) -> list[tuple[np.ndarray, int, np.nd
         (k_idx, sym, srs_symbol_values(resource, len(k_idx)))
         for k_idx, sym in srs_re_indices(resource)
     ]
-
-
-def map_srs(grid: ResourceGrid, resource: SrsPosResource) -> ResourceGrid:
-    """Write the shifted sounding sequence onto the uplink comb."""
-    top = 12 * (resource.start_prb + resource.n_prb)
-    if top > grid.subcarriers or resource.first_symbol + resource.n_symbols > grid.symbols:
-        raise GridError("resource does not fit the grid")
-    for k_idx, sym, values in srs_reference(resource):
-        if np.any(grid.cells[k_idx, sym] != 0):
-            raise GridError(f"sounding resource collides with occupied REs in symbol {sym}")
-        grid.cells[k_idx, sym] = values
-    return grid
-

@@ -26,6 +26,8 @@ TRP_HEIGHTS = {"uma": (20.0, 50.0), "umi": (10.0, 10.0), "ioo": (3.0, 3.0)}
 
 SECTOR_AZIMUTHS_DEG = (0.0, 120.0, 240.0)
 
+HULL_EDGE_TOL = 1e-9
+
 
 class GeometryError(ValueError):
     pass
@@ -61,10 +63,6 @@ class Trp:
     array: AntennaArray = field(default_factory=AntennaArray)
     comb_offset: int = 0
 
-    @property
-    def xy(self) -> np.ndarray:
-        return np.asarray(self.position[:2])
-
 
 @dataclass(frozen=True)
 class Deployment:
@@ -80,50 +78,6 @@ class Deployment:
     def with_trps(self, trps) -> "Deployment":
         return Deployment(self.scenario, tuple(trps), self.area, self.isd, self.carrier_hz)
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "area": list(self.area),
-            "isd": self.isd,
-            "carrier_hz": self.carrier_hz,
-            "trps": [
-                {
-                    "trp_id": t.trp_id,
-                    "position": list(t.position),
-                    "sector_azimuth_deg": t.sector_azimuth_deg,
-                    "tx_power_dbm": t.tx_power_dbm,
-                    "array": {
-                        "rows": t.array.rows,
-                        "cols": t.array.cols,
-                        "spacing_wavelengths": t.array.spacing_wavelengths,
-                    },
-                    "comb_offset": t.comb_offset,
-                }
-                for t in self.trps
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Deployment":
-        trps = tuple(
-            Trp(
-                trp_id=td["trp_id"],
-                position=tuple(td["position"]),
-                sector_azimuth_deg=td.get("sector_azimuth_deg", 0.0),
-                tx_power_dbm=td.get("tx_power_dbm", 23.0),
-                array=AntennaArray(**td.get("array", {})),
-                comb_offset=td.get("comb_offset", 0),
-            )
-            for td in doc["trps"]
-        )
-        return cls(
-            scenario=doc["scenario"],
-            trps=trps,
-            area=tuple(doc["area"]),
-            isd=doc["isd"],
-            carrier_hz=doc["carrier_hz"],
-        )
-
 
 def hex_site_centers(isd: float) -> np.ndarray:
     """Center site plus the six first-ring neighbors at distance isd."""
@@ -136,12 +90,11 @@ def hex_site_centers(isd: float) -> np.ndarray:
 
 def hex_layout(
     isd: float,
-    sectors_per_site: int = 3,
     tx_power_dbm: float = 49.0,
     height_range: tuple[float, float] = (25.0, 25.0),
     seed: int = 0,
 ) -> list[Trp]:
-    """Seven-site hexagonal deployment with co-located sector TRPs.
+    """Seven-site hexagonal deployment with one co-located TRP per sector.
 
     Site heights are drawn uniformly from height_range, one draw per site
     shared by its sectors.
@@ -152,12 +105,12 @@ def hex_layout(
     trps = []
     for site_idx, (x, y) in enumerate(hex_site_centers(isd)):
         h = float(rng.uniform(*height_range)) if height_range[0] < height_range[1] else height_range[0]
-        for s in range(sectors_per_site):
+        for s, azimuth in enumerate(SECTOR_AZIMUTHS_DEG):
             trps.append(
                 Trp(
-                    trp_id=site_idx * sectors_per_site + s,
+                    trp_id=site_idx * len(SECTOR_AZIMUTHS_DEG) + s,
                     position=(float(x), float(y), h),
-                    sector_azimuth_deg=SECTOR_AZIMUTHS_DEG[s % 3],
+                    sector_azimuth_deg=azimuth,
                     tx_power_dbm=tx_power_dbm,
                 )
             )
@@ -182,7 +135,6 @@ def ioo_layout(tx_power_dbm: float = 23.0) -> list[Trp]:
 def build_deployment(
     scenario: str,
     seed: int = 0,
-    tx_power_dbm: float | None = None,
     carrier_hz: float | None = None,
     array: AntennaArray | None = None,
 ) -> Deployment:
@@ -191,7 +143,7 @@ def build_deployment(
     if scenario not in SCENARIO_DEFAULTS:
         raise GeometryError(f"unknown scenario {scenario!r}")
     defaults = SCENARIO_DEFAULTS[scenario]
-    power = defaults["tx_power_dbm"] if tx_power_dbm is None else tx_power_dbm
+    power = defaults["tx_power_dbm"]
     if scenario == "ioo":
         trps = ioo_layout(tx_power_dbm=power)
     else:
@@ -293,14 +245,15 @@ def convex_hull(points) -> np.ndarray:
     return hull
 
 
-def point_in_hull(p, hull: np.ndarray, tol: float = 1e-9) -> bool:
-    """True for interior and boundary points of a CCW hull polygon."""
+def point_in_hull(p, hull: np.ndarray) -> bool:
+    """True for interior and boundary points of a CCW hull polygon, up to
+    HULL_EDGE_TOL in the edge cross product."""
     p = np.asarray(p, dtype=float)[:2]
     n = len(hull)
     for i in range(n):
         a, b = hull[i], hull[(i + 1) % n]
         cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-        if cross < -tol:
+        if cross < -HULL_EDGE_TOL:
             return False
     return True
 

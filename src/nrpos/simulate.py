@@ -56,16 +56,17 @@ from .channel import (
 )
 from .config import ExperimentConfig
 from .measurements import (
-    MAX_SAMPLES,
     BeamformerGrid,
     DelayWindow,
     MeasurementFailed,
     MeasurementRecord,
+    aggregate_samples,
     delay_spectrum_size,
     estimate_aoa,
     first_paths,
     quantize_power,
     record_seconds,
+    rstd,
     rtt,
     steering_vector,
     taper_vector,
@@ -306,7 +307,7 @@ class Simulator:
             * self.freqs[None, :]
         )
         n_sc = self.numerology.n_subcarriers
-        self._delay_window = DelayWindow(n_sc, delay_spectrum_size(n_sc, 4), self.scs_hz,
+        self._delay_window = DelayWindow(n_sc, delay_spectrum_size(n_sc), self.scs_hz,
                                          self.search_window)
         self._taper = taper_vector(np.ones(n_sc))
 
@@ -440,7 +441,7 @@ class Simulator:
                 if tau is not None:
                     toas.setdefault(i, []).append(tau)
         toa_out = {
-            t.trp_id: (float(np.mean(toas[i][:MAX_SAMPLES])) if i in toas else None)
+            t.trp_id: aggregate_samples(toas[i]) if i in toas else None
             for i, t in enumerate(self.trps)
         }
         return toa_out, rsrp
@@ -630,7 +631,7 @@ class Simulator:
             if t == ref:
                 continue
             records.append(timing_record(
-                "RSTD", t, toa[t] - toa[ref], cfg.effective_timing_k, cfg.fr,
+                "RSTD", t, rstd(toa[t], toa[ref]), cfg.effective_timing_k, cfg.fr,
                 resource_id=t, extra={"ref_trp_id": ref}, quantize=cfg.quantize))
         fix = solve_records(records, self.anchors, "dl-tdoa", self.options)
         return records, fix

@@ -251,6 +251,8 @@ def _gauss_newton(problem: _Problem, x0: np.ndarray, options: SolverOptions) -> 
 
 _GRID_POINTS = 32
 _REGION_GROWTH = 1.5
+# well-separated scan minima zoomed into starts
+_SCAN_STARTS = 3
 
 
 def _scan_points(problem, lo, hi, z, n):
@@ -261,8 +263,7 @@ def _scan_points(problem, lo, hi, z, n):
     return pts, problem.objective_grid(pts, z)
 
 
-def _coarse_starts(problem: _Problem, options: SolverOptions,
-                   n_starts: int = 3) -> list[np.ndarray]:
+def _coarse_starts(problem: _Problem, options: SolverOptions) -> list[np.ndarray]:
     """Candidate starts from a coarse objective scan with local zoom.
 
     The scan covers options.area when given, otherwise the anchor bounding
@@ -292,7 +293,7 @@ def _coarse_starts(problem: _Problem, options: SolverOptions,
         p = pts[idx]
         if all(np.linalg.norm(p - s) > min_sep for s in seeds):
             seeds.append(p)
-        if len(seeds) == n_starts:
+        if len(seeds) == _SCAN_STARTS:
             break
 
     starts = []
@@ -474,17 +475,21 @@ def aoa_solve(anchors, angles, options: SolverOptions | None = None,
                             MIN_MEASUREMENTS["aoa"], "aoa", _solve_bearings)
 
 
-def beam_bearing(beams, top_n: int = 3) -> tuple[float, float, bool]:
+BEARING_TOP_BEAMS = 3
+
+
+def beam_bearing(beams) -> tuple[float, float, bool]:
     """Departure bearing from per-beam powers.
 
     beams is a list of (azimuth_deg, zenith_deg, rsrp_dbm). The bearing is
-    the power-weighted circular mean of the top-`top_n` beams. Returns
-    (azimuth, zenith, low_confidence); confidence drops when the top beams
-    are indistinguishable, which carries no direction information.
+    the power-weighted circular mean of the BEARING_TOP_BEAMS strongest
+    beams. Returns (azimuth, zenith, low_confidence); confidence drops when
+    the top beams are indistinguishable, which carries no direction
+    information.
     """
     if not beams:
         raise SolverError("no beams")
-    ordered = sorted(beams, key=lambda b: b[2], reverse=True)[:top_n]
+    ordered = sorted(beams, key=lambda b: b[2], reverse=True)[:BEARING_TOP_BEAMS]
     powers = np.array([10.0 ** (b[2] / 10.0) for b in ordered])
     az = np.deg2rad([b[0] for b in ordered])
     zen = np.array([b[1] for b in ordered])

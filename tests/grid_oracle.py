@@ -1,0 +1,159 @@
+"""Resource-grid reference path for the received-RE kernel
+(`simulate.receive_groups`) and the first-path detector.
+
+Each transmitter's positioning signal is mapped onto a full (subcarrier,
+symbol) grid, filtered by its link's frequency response and summed with
+the others and the noise on one received grid; a TRP's channel estimate,
+power and arrival time are then read back off its own REs. The kernel
+must reproduce what lands on those REs. OFDM modulation with a cyclic
+prefix is the time-domain reference for the delay model both paths use:
+a delay of d samples is the per-subcarrier phase ramp
+exp(-2j*pi*k*d/fft_size).
+
+Grids are complex ndarrays indexed [subcarrier, symbol].
+"""
+
+import math
+
+import numpy as np
+
+from nrpos.channel import link_amplitude
+from nrpos.measurements import (
+    DelayWindow,
+    MeasurementFailed,
+    delay_spectrum_size,
+    first_paths,
+    taper_vector,
+)
+from nrpos.prs import dl_prs_reference, srs_reference
+
+SYMBOLS_PER_SLOT = 14
+
+# Normal cyclic prefix: 144 samples of a 2048-point FFT, scaled to other
+# FFT sizes. The first symbol of a slot gets the same prefix as the rest.
+CP_REF_SAMPLES = 144
+CP_REF_FFT = 2048
+
+
+class GridError(ValueError):
+    """Resource-grid misuse: bad dimensions or colliding resources."""
+
+
+def slot_grid(numerology, symbols: int = SYMBOLS_PER_SLOT) -> np.ndarray:
+    """Empty grid over every subcarrier of the numerology."""
+    return np.zeros((numerology.n_subcarriers, symbols), dtype=complex)
+
+
+def _map(grid, resource, reference):
+    top = 12 * (resource.start_prb + resource.n_prb)
+    if top > grid.shape[0] or resource.first_symbol + resource.n_symbols > grid.shape[1]:
+        raise GridError("resource does not fit the grid")
+    for k_idx, sym, values in reference:
+        if np.any(grid[k_idx, sym] != 0):
+            raise GridError(f"resource collides with occupied REs in symbol {sym}")
+        grid[k_idx, sym] = values
+    return grid
+
+
+def map_dl_prs(grid: np.ndarray, resource, slot: int = 0) -> np.ndarray:
+    """Write a downlink resource's sequence onto its comb of the grid.
+
+    Touching an occupied RE is an error: co-channel signals interfere at
+    the receiver, never inside one transmit grid.
+    """
+    return _map(grid, resource, dl_prs_reference(resource, slot))
+
+
+def map_srs(grid: np.ndarray, resource) -> np.ndarray:
+    """Write a sounding resource's shifted sequence onto its comb."""
+    return _map(grid, resource, srs_reference(resource))
+
+
+def frequency_response(link, freqs_hz: np.ndarray) -> np.ndarray:
+    """Link response over the given subcarrier frequencies; exact for taps
+    within the cyclic prefix, which holds for every scenario."""
+    delays = np.array([t[0] for t in link.taps])
+    gains = np.array([t[1] for t in link.taps])
+    return (gains[None, :] * np.exp(-2j * np.pi * freqs_hz[:, None] * delays[None, :])).sum(axis=1)
+
+
+def received_grid(tx_grids, numerology, noise_grid=None) -> np.ndarray:
+    """Sum of the link-filtered transmit grids, plus noise_grid if given.
+
+    tx_grids is a list of (grid, LinkRealization, tx_power_dbm). Each
+    transmit power is split over the grid's most occupied symbol.
+    """
+    shape = tx_grids[0][0].shape
+    if any(grid.shape != shape for grid, _, _ in tx_grids):
+        raise GridError("transmit grids must share dimensions")
+    freqs = np.arange(shape[0]) * numerology.scs_khz * 1e3
+    acc = np.zeros(shape, dtype=complex)
+    for grid, link, tx_power in tx_grids:
+        amp = link_amplitude(link, tx_power, int(np.count_nonzero(grid, axis=0).max()))
+        acc += grid * (amp * frequency_response(link, freqs))[:, None]
+    if noise_grid is not None:
+        acc += noise_grid
+    return acc
+
+
+def despread(rx: np.ndarray, reference) -> np.ndarray:
+    """Per-subcarrier channel estimate from the reference's REs, which is a
+    list of (subcarrier indices, symbol, values); REs sounded in several
+    symbols add coherently."""
+    acc = np.zeros(rx.shape[0], dtype=complex)
+    for k_idx, sym, values in reference:
+        acc[k_idx] += rx[k_idx, sym] * np.conj(values)
+    return acc
+
+
+def rsrp(rx: np.ndarray, reference) -> float:
+    """Mean per-RE received power over the reference REs, in dBm."""
+    total, count = 0.0, 0
+    for k_idx, sym, _values in reference:
+        total += float(np.sum(np.abs(rx[k_idx, sym]) ** 2))
+        count += len(k_idx)
+    if count == 0:
+        raise MeasurementFailed("empty RE set")
+    return 10.0 * math.log10(total / count)
+
+
+def estimate_toa(rx: np.ndarray, reference, numerology, search_window_s) -> float:
+    """First-path delay, seconds, of the reference on the grid: tapered
+    despread estimate through `first_paths` on the delay window a
+    simulation builds. Raises MeasurementFailed when nothing rises above
+    the noise floor."""
+    vec = taper_vector(despread(rx, reference))
+    window = DelayWindow(len(vec), delay_spectrum_size(len(vec)), numerology.scs_khz * 1e3,
+                         search_window_s)
+    tau = first_paths(vec[None, :], window)[0]
+    if np.isnan(tau):
+        raise MeasurementFailed("no peak above the noise floor")
+    return float(tau)
+
+
+def cp_samples(numerology) -> int:
+    return numerology.fft_size * CP_REF_SAMPLES // CP_REF_FFT
+
+
+def ofdm_modulate(grid: np.ndarray, numerology) -> np.ndarray:
+    """Per-symbol IFFT with cyclic prefix, symbols * (fft_size + cp)
+    samples, scaled by sqrt(fft_size) so the prefix-stripped waveform
+    carries the grid energy."""
+    if grid.shape[0] > numerology.fft_size:
+        raise GridError("grid wider than FFT")
+    n, cp = numerology.fft_size, cp_samples(numerology)
+    spec = np.zeros((grid.shape[1], n), dtype=complex)
+    spec[:, :grid.shape[0]] = grid.T
+    sym = np.fft.ifft(spec, axis=1) * np.sqrt(n)
+    return np.concatenate([sym[:, n - cp:], sym], axis=1).reshape(-1)
+
+
+def ofdm_demodulate(waveform: np.ndarray, numerology, subcarriers=None) -> np.ndarray:
+    """Inverse of ofdm_modulate for integer-sample-aligned input."""
+    n, cp = numerology.fft_size, cp_samples(numerology)
+    if len(waveform) % (n + cp) != 0:
+        raise GridError(f"waveform length {len(waveform)} not a multiple of {n + cp}")
+    if subcarriers is None:
+        subcarriers = numerology.n_subcarriers
+    samples = np.asarray(waveform).reshape(-1, n + cp)[:, cp:]
+    return (np.fft.fft(samples, axis=1) / np.sqrt(n))[:, :subcarriers].T

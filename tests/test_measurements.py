@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from first_path_oracle import oracle_pick, oracle_polish
+from grid_oracle import despread, estimate_toa, rsrp, slot_grid
 from nrpos.channel import link_amplitude
 from nrpos.config import preset_config
 from nrpos.measurements import (
@@ -10,14 +11,11 @@ from nrpos.measurements import (
     MeasurementRecord,
     TimingReport,
     aggregate_samples,
-    despread,
     estimate_aoa,
-    estimate_toa,
     quantize_power,
     quantize_timing,
     read_records,
     record_seconds,
-    rsrp,
     rstd,
     rtt,
     steering_vector,
@@ -31,7 +29,7 @@ from nrpos.measurements import (
     first_paths,
     taper_vector,
 )
-from nrpos.numerology import SPEED_OF_LIGHT, TC_SECONDS, Numerology, ResourceGrid
+from nrpos.numerology import SPEED_OF_LIGHT, TC_SECONDS, Numerology
 from nrpos.prs import DlPrsResource, dl_prs_reference
 from nrpos.scenario import AntennaArray
 from nrpos.simulate import Simulator, despread_groups
@@ -46,16 +44,16 @@ WINDOW = (-2e-6, 10e-6)
 
 def delayed_grid(delay_s, snr_db=None, rng=None, amp=1.0):
     """Received grid carrying REF delayed by delay_s, optional per-RE noise."""
-    grid = ResourceGrid.for_numerology(NUM)
+    grid = slot_grid(NUM)
     freqs = NUM.subcarrier_frequencies_hz()
     for k_idx, sym, values in REF:
         ramp = np.exp(-2j * np.pi * freqs[k_idx] * delay_s)
-        grid.cells[k_idx, sym] = amp * values * ramp
+        grid[k_idx, sym] = amp * values * ramp
     if snr_db is not None:
         sigma = amp * 10 ** (-snr_db / 20.0)
-        noise = (rng.normal(size=grid.cells.shape)
-                 + 1j * rng.normal(size=grid.cells.shape)) * sigma / np.sqrt(2)
-        grid.cells[:] += noise
+        noise = (rng.normal(size=grid.shape)
+                 + 1j * rng.normal(size=grid.shape)) * sigma / np.sqrt(2)
+        grid[:] += noise
     return grid
 
 
@@ -66,13 +64,13 @@ class TestQuantizeTiming:
     def test_ten_ns_at_k2(self):
         report = quantize_timing(10e-9, 2)
         assert report.value_tc == 20
-        assert report.seconds == pytest.approx(10.17e-9, rel=1e-3)
+        assert report.value_tc * TC_SECONDS == pytest.approx(10.17e-9, rel=1e-3)
 
     def test_out_of_range_clamps(self):
         report = quantize_timing(600e-6, 2)
         assert report.value_tc == 985024
         assert report.clamped
-        assert report.seconds == pytest.approx(501e-6, rel=2e-3)
+        assert report.value_tc * TC_SECONDS == pytest.approx(501e-6, rel=2e-3)
         neg = quantize_timing(-600e-6, 2)
         assert neg.value_tc == -985024
 
@@ -90,7 +88,7 @@ class TestQuantizeTiming:
         bound = (1 << k) * TC_SECONDS / 2
         for t in rng.uniform(-400e-6, 400e-6, 200):
             report = quantize_timing(t, k, fr)
-            assert abs(report.seconds - t) <= bound * (1 + 1e-12)
+            assert abs(report.value_tc * TC_SECONDS - t) <= bound * (1 + 1e-12)
 
     def test_report_always_aligned_and_in_range(self):
         rng = np.random.default_rng(0)
@@ -152,6 +150,9 @@ class TestAggregate:
 
 
 class TestToa:
+    """Grid-path arrival times, detected on the delay window (padding
+    DELAY_PAD_FACTOR) that a simulation builds."""
+
     def test_zero_delay_no_noise(self):
         rx = delayed_grid(0.0)
         tau = estimate_toa(rx, REF, NUM, WINDOW)
@@ -189,21 +190,20 @@ class TestToa:
 
     def test_noise_only_fails(self):
         rng = np.random.default_rng(1)
-        grid = ResourceGrid.for_numerology(NUM)
-        grid.cells[:] = (rng.normal(size=grid.cells.shape)
-                         + 1j * rng.normal(size=grid.cells.shape))
+        grid = slot_grid(NUM)
+        grid[:] = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
         with pytest.raises(MeasurementFailed):
             estimate_toa(grid, REF, NUM, WINDOW)
 
     def test_earliest_path_beats_stronger_late_path(self):
         # two taps: weak early, strong late, clearly separated
-        grid = ResourceGrid.for_numerology(NUM)
+        grid = slot_grid(NUM)
         freqs = NUM.subcarrier_frequencies_hz()
         early, late = 10 * SAMPLE_S, 80 * SAMPLE_S
         for k_idx, sym, values in REF:
             h = (0.4 * np.exp(-2j * np.pi * freqs[k_idx] * early)
                  + 1.0 * np.exp(-2j * np.pi * freqs[k_idx] * late))
-            grid.cells[k_idx, sym] = values * h
+            grid[k_idx, sym] = values * h
         tau = estimate_toa(grid, REF, NUM, WINDOW)
         assert abs(tau - early) / SAMPLE_S < 0.5
 
@@ -212,7 +212,7 @@ def preset_window(preset):
     """The delay window a simulation of `preset` detects over."""
     sim = Simulator(preset_config(preset, n_drops=1))
     n_sc = sim.numerology.n_subcarriers
-    m = delay_spectrum_size(n_sc, 4)
+    m = delay_spectrum_size(n_sc)
     return DelayWindow(n_sc, m, sim.scs_hz, sim.search_window), m, sim.search_window
 
 
@@ -363,22 +363,22 @@ class TestDifferences:
 
 class TestRsrp:
     def test_flat_grid_power(self):
-        grid = ResourceGrid.for_numerology(NUM)
+        grid = slot_grid(NUM)
         amp_dbm = -80.0
         amp = 10 ** (amp_dbm / 20.0)
         for k_idx, sym, values in REF:
-            grid.cells[k_idx, sym] = amp * values
+            grid[k_idx, sym] = amp * values
         assert rsrp(grid, REF) == pytest.approx(amp_dbm, abs=0.01)
 
     def test_mean_invariant_to_re_count(self):
         half = REF[:6]
-        grid = ResourceGrid.for_numerology(NUM)
+        grid = slot_grid(NUM)
         for k_idx, sym, values in REF:
-            grid.cells[k_idx, sym] = 0.5 * values
+            grid[k_idx, sym] = 0.5 * values
         assert rsrp(grid, REF) == pytest.approx(rsrp(grid, half), abs=1e-9)
 
     def test_empty_set_rejected(self):
-        grid = ResourceGrid.for_numerology(NUM)
+        grid = slot_grid(NUM)
         with pytest.raises(MeasurementFailed):
             rsrp(grid, [])
 

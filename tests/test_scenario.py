@@ -105,10 +105,6 @@ class TestDeploymentDefaults:
         with pytest.raises(GeometryError):
             build_deployment("rural")
 
-    def test_serialization_round_trip(self):
-        d = assign_comb_offsets(build_deployment("ioo"), 12)
-        assert d.to_dict() == type(d).from_dict(d.to_dict()).to_dict()
-
 
 class TestDrops:
     def test_deterministic(self):

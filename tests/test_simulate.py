@@ -9,13 +9,13 @@ import json
 import numpy as np
 import pytest
 
+from grid_oracle import despread, map_dl_prs, received_grid, rsrp, slot_grid
 from nrpos import experiments
-from nrpos.channel import link_amplitude, received_grid
+from nrpos.channel import link_amplitude
 from nrpos.config import preset_config
 from nrpos.experiments import ResultSummary, run_experiment
-from nrpos.measurements import despread, read_records, rsrp, write_records
-from nrpos.numerology import ResourceGrid
-from nrpos.prs import dl_prs_reference, map_dl_prs
+from nrpos.measurements import read_records, write_records
+from nrpos.prs import dl_prs_reference
 from nrpos.simulate import (Simulator, despread_groups, power_dbm, receive_groups,
                             solve_records, sweep_powers)
 
@@ -64,10 +64,11 @@ def test_results_pinned(preset, overrides, digest):
 
 @pytest.mark.parametrize("interference", [True, False])
 def test_kernel_matches_grid_path(interference):
-    """The received-RE kernel against the grid path on the same link draws
-    and noise grid. With interference every TRP transmits onto one shared
-    grid, so the kernel's comb-offset groups must reproduce exactly what
-    lands on each TRP's REs; without it each TRP transmits alone."""
+    """The received-RE kernel against the grid path of `grid_oracle` on the
+    same link draws and noise grid. With interference every TRP transmits
+    onto one shared grid, so the kernel's comb-offset groups must
+    reproduce exactly what lands on each TRP's REs; without it each TRP
+    transmits alone."""
     sim = Simulator(preset_config("uma", n_prb=24, n_drops=1, interference=interference))
     cfg, num = sim.config, sim.numerology
     links = sim._links(0, sim.ues[0])
@@ -83,14 +84,14 @@ def test_kernel_matches_grid_path(interference):
                             sim.dl_noise)
 
     def tx_grid(t, link):
-        grid = ResourceGrid.for_numerology(num, symbols=cfg.dl_n_symbols)
+        grid = slot_grid(num, symbols=cfg.dl_n_symbols)
         return map_dl_prs(grid, sim.dl_resources[t.trp_id]), link, t.tx_power_dbm
 
     everyone = [tx_grid(t, l) for t, l in zip(sim.trps, links)]
-    shared = received_grid(everyone, None, num, noise_grid=noise_grid)
+    shared = received_grid(everyone, num, noise_grid=noise_grid)
     for i, t in enumerate(sim.trps):
         grid = shared if interference else \
-            received_grid([everyone[i]], None, num, noise_grid=noise_grid)
+            received_grid([everyone[i]], num, noise_grid=noise_grid)
         ref = dl_prs_reference(sim.dl_resources[t.trp_id])
         expected = despread(grid, ref)
         assert np.allclose(vecs[i], expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max())
