@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 # Basic NR time unit: 1 / (480 kHz * 4096) seconds (~0.50863 ns).
 TC_SECONDS = 1.0 / (480e3 * 4096)
 
@@ -49,7 +47,3 @@ class Numerology:
     @property
     def sample_rate_hz(self) -> float:
         return self.fft_size * self.scs_khz * 1e3
-
-    def subcarrier_frequencies_hz(self) -> np.ndarray:
-        """Baseband frequency of each subcarrier."""
-        return np.arange(self.n_subcarriers) * self.scs_khz * 1e3

@@ -28,6 +28,15 @@ downlink and uplink arrival stages sum their received REs in one kernel,
   the exception and detects every TRP, because its angle stage draws
   noise only for TRPs with an uplink arrival.
 
+The channel matrix holds every link's response on every subcarrier. Its
+taps sit at fixed one-sample offsets from the first arrival, so a link's
+response is the first arrival's phase ramp times a tap-weighted sum of
+ramps built once per run. Per drop no RE costs a complex exponential:
+`channel.phase_ramps` builds each ramp as an outer product of a 64-wide
+block and a block of every 64th subcarrier. Against a direct exponential
+the ramps differ in the last bits, so quantized reports are bit-stable
+under that blocking, and unquantized ones may differ in their last bits.
+
 The downlink beam sweep needs only each group's mean power per beam, so
 it never forms REs. `sweep_powers` draws every group's power on every
 beam from its comb offset's sufficient statistic: the triangular factor
@@ -52,6 +61,7 @@ from .channel import (
     draw_noise,
     link_amplitude,
     noise_amplitude,
+    phase_ramps,
     realize_budget_link,
 )
 from .config import ExperimentConfig
@@ -274,6 +284,10 @@ class Simulator:
                          for _, m in sorted(on_offset.items())]
         self._dl_groups = self._dl_sets if config.interference else \
             [ReGroup((i,), g.k, g.s) for g in self._dl_sets for i in g.members]
+        # each group's REs as flat indices into the (subcarrier, symbol) grid
+        self._dl_grid_shape = (self.numerology.n_subcarriers, config.dl_n_symbols)
+        self._dl_flat = [np.ravel_multi_index((g.k, g.s), self._dl_grid_shape)
+                         for g in self._dl_groups]
         self.dl_occupied_per_symbol = config.n_prb * 12 // config.dl_comb_size
 
         # uplink sounding signal (single terminal per drop)
@@ -291,22 +305,17 @@ class Simulator:
         self.dl_noise = None if config.ideal else NoiseModel(config.dl_noise_figure_db, self.scs_hz)
         self.ul_noise = None if config.ideal else NoiseModel(config.ul_noise_figure_db, self.scs_hz)
 
-        self.freqs = self.numerology.subcarrier_frequencies_hz()
         self.sample_period_s = 1.0 / self.numerology.sample_rate_hz
         diag = math.hypot(*self.deployment.area) + self.deployment.isd
         guard = 1e-6 + 6.0 * config.sync_sigma_ns * 1e-9
         self.search_window = (-guard, diag / SPEED_OF_LIGHT + guard)
 
-        # taps sit at fixed one-sample offsets from the first arrival, so the
-        # per-link response is one phase ramp times a tap-weighted sum of
-        # precomputed ramps
+        # taps sit at fixed one-sample offsets from the first arrival: their
+        # ramps are built once here (see `_channel_matrix`)
         n_taps = 1 if self.channel.ideal else self.channel.n_taps
-        self._tap_ramps = np.exp(
-            -2j * np.pi
-            * (np.arange(n_taps)[:, None] * self.sample_period_s)
-            * self.freqs[None, :]
-        )
         n_sc = self.numerology.n_subcarriers
+        self._tap_ramps = phase_ramps(np.arange(n_taps) * self.sample_period_s, n_sc,
+                                      self.scs_hz)
         self._delay_window = DelayWindow(n_sc, delay_spectrum_size(n_sc), self.scs_hz,
                                          self.search_window)
         self._taper = taper_vector(np.ones(n_sc))
@@ -367,13 +376,17 @@ class Simulator:
     def _channel_matrix(self, links, extra_s=None) -> np.ndarray:
         """Frequency response of every link over all subcarriers.
 
-        extra_s shifts each link by an additional delay (clock terms).
+        extra_s shifts each link by an additional delay (clock terms). The
+        first arrival's ramp comes from `phase_ramps`, blocked, so it can
+        differ from a direct exponential in the last bits: quantized
+        reports are bit-stable under that, unquantized ones may differ in
+        their last bits.
         """
         first = np.array([l.taps[0][0] for l in links])
         if extra_s is not None:
             first = first + extra_s
         gains = np.array([[t[1] for t in l.taps] for l in links])
-        ramp = np.exp(-2j * np.pi * first[:, None] * self.freqs[None, :])
+        ramp = phase_ramps(first, self.numerology.n_subcarriers, self.scs_hz)
         return ramp * (gains @ self._tap_ramps)
 
     def _batched_toa(self, vec_matrix: np.ndarray) -> list[float | None]:
@@ -394,9 +407,8 @@ class Simulator:
 
     def _dl_receive(self, rng, amps, h):
         """Downlink REs and RSRP of every group under one fresh noise grid."""
-        grid = self._noise(rng, (self.numerology.n_subcarriers, self.config.dl_n_symbols),
-                           self.dl_noise)
-        noise = [grid[g.k, g.s] for g in self._dl_groups]
+        grid = self._noise(rng, self._dl_grid_shape, self.dl_noise).ravel()
+        noise = [grid.take(idx) for idx in self._dl_flat]
         return receive_groups(self._dl_groups, noise, amps, h, self._dl_vals)
 
     def _sweep_factors(self, h) -> list[np.ndarray]:

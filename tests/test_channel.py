@@ -11,6 +11,7 @@ from nrpos.channel import (
     link_amplitude,
     los_probability,
     noise_amplitude,
+    phase_ramps,
     realize_budget_link,
     sector_gain_db,
 )
@@ -207,6 +208,37 @@ class TestReceivedGrid:
         draws = draw_noise(rng, (1000, 1000), noise_amplitude(noise) / np.sqrt(2.0))
         measured_dbm = 10 * np.log10(np.mean(np.abs(draws) ** 2))
         assert abs(measured_dbm - noise.thermal_dbm) < 0.1
+
+
+class TestPhaseRamps:
+    @pytest.mark.parametrize("n,scs_hz", [(3264, 30e3), (3264, 120e3), (288, 30e3),
+                                          (40, 30e3)])
+    def test_matches_direct_exponential(self, n, scs_hz):
+        # 288 and 40 are not multiples of the 64-subcarrier block, and 40
+        # is shorter than one block
+        delays = np.concatenate([np.linspace(0.0, 5e-6, 41),
+                                 np.random.default_rng(3).uniform(0.0, 5e-6, 20)])
+        k = np.arange(n)
+        direct = np.exp(-2j * np.pi * delays[:, None] * k * scs_hz)
+        ramps = phase_ramps(delays, n, scs_hz)
+        assert ramps.shape == (len(delays), n)
+        assert np.allclose(ramps, direct, rtol=0.0, atol=1e-10)
+
+
+class TestDrawNoise:
+    @pytest.mark.parametrize("std", [1.0, 0.37])
+    @pytest.mark.parametrize("shape", [(3264, 12), (3264,)])
+    def test_stream_contract(self, shape, std):
+        """One seed gives (normal(shape) + 1j*normal(shape)) * std bit for bit,
+        sign bits included: all real parts first, then all imaginary parts."""
+        out = draw_noise(np.random.default_rng(5), shape, std)
+        rng = np.random.default_rng(5)
+        first = rng.normal(size=shape)
+        expected = (first + 1j * rng.normal(size=shape)) * std
+        assert out.shape == expected.shape
+        assert np.array_equal(out.view(float).view(np.uint64),
+                              expected.view(float).view(np.uint64))
+        assert np.array_equal(out.real, first * std)
 
 
 def re_snr_db(pl_db, n_occupied_per_symbol=1):

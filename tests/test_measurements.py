@@ -35,6 +35,7 @@ from nrpos.scenario import AntennaArray
 from nrpos.simulate import Simulator, despread_groups
 
 NUM = Numerology(scs_khz=30, n_prb=24)
+FREQS = np.arange(NUM.n_subcarriers) * NUM.scs_khz * 1e3
 SAMPLE_S = 1.0 / NUM.sample_rate_hz
 RES = DlPrsResource(resource_id=0, seq_id=7, comb_size=12, re_offset=0,
                     n_symbols=12, n_prb=24)
@@ -45,9 +46,8 @@ WINDOW = (-2e-6, 10e-6)
 def delayed_grid(delay_s, snr_db=None, rng=None, amp=1.0):
     """Received grid carrying REF delayed by delay_s, optional per-RE noise."""
     grid = slot_grid(NUM)
-    freqs = NUM.subcarrier_frequencies_hz()
     for k_idx, sym, values in REF:
-        ramp = np.exp(-2j * np.pi * freqs[k_idx] * delay_s)
+        ramp = np.exp(-2j * np.pi * FREQS[k_idx] * delay_s)
         grid[k_idx, sym] = amp * values * ramp
     if snr_db is not None:
         sigma = amp * 10 ** (-snr_db / 20.0)
@@ -198,11 +198,10 @@ class TestToa:
     def test_earliest_path_beats_stronger_late_path(self):
         # two taps: weak early, strong late, clearly separated
         grid = slot_grid(NUM)
-        freqs = NUM.subcarrier_frequencies_hz()
         early, late = 10 * SAMPLE_S, 80 * SAMPLE_S
         for k_idx, sym, values in REF:
-            h = (0.4 * np.exp(-2j * np.pi * freqs[k_idx] * early)
-                 + 1.0 * np.exp(-2j * np.pi * freqs[k_idx] * late))
+            h = (0.4 * np.exp(-2j * np.pi * FREQS[k_idx] * early)
+                 + 1.0 * np.exp(-2j * np.pi * FREQS[k_idx] * late))
             grid[k_idx, sym] = values * h
         tau = estimate_toa(grid, REF, NUM, WINDOW)
         assert abs(tau - early) / SAMPLE_S < 0.5

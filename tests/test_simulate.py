@@ -1,15 +1,18 @@
-"""Top-level simulation path: pinned results, the received-RE kernel
-against the grid path, the beam sweep's power draw against the RE-level
+"""Top-level simulation path: pinned results, the channel matrix against
+the oracle's frequency response, the received-RE kernel against the grid
+path, the beam sweep's power draw against the RE-level
 draw, detection of the selected TRPs only, accuracy on an ideal channel,
 and the experiment artifacts."""
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from grid_oracle import despread, map_dl_prs, received_grid, rsrp, slot_grid
+from grid_oracle import (despread, frequency_response, map_dl_prs, received_grid, rsrp,
+                         slot_grid)
 from nrpos import experiments
 from nrpos.channel import link_amplitude
 from nrpos.config import preset_config
@@ -96,6 +99,26 @@ def test_kernel_matches_grid_path(interference):
         expected = despread(grid, ref)
         assert np.allclose(vecs[i], expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max())
         assert kernel_rsrp[i] == pytest.approx(rsrp(grid, ref), abs=1e-9)
+
+
+def test_channel_matrix_matches_oracle_response():
+    """The blocked-ramp channel matrix of a full 272-PRB UMa drop with clock
+    offsets against the oracle's direct per-tap sum, on the same links with
+    every tap moved by the downlink clock term."""
+    sim = Simulator(preset_config("uma", n_drops=1, sync_sigma_ns=5.0))
+    assert sim.numerology.n_subcarriers == 3264
+    links = sim._links(0, sim.ues[0])
+    trp_clock, ue_clock = sim._sync_offsets(0)
+    extra = ue_clock - trp_clock
+    assert np.all(extra != 0.0)
+    h = sim._channel_matrix(links, extra_s=extra)
+    freqs = np.arange(sim.numerology.n_subcarriers) * sim.scs_hz
+    expected = np.array([
+        frequency_response(replace(l, taps=tuple((d + e, g) for d, g in l.taps)), freqs)
+        for l, e in zip(links, extra)
+    ])
+    assert h.shape == expected.shape
+    assert np.allclose(h, expected, rtol=0.0, atol=1e-10 * np.abs(expected).max())
 
 
 @pytest.mark.parametrize("interference,scale", [(True, 1.0), (False, 0.02)])
