@@ -3,9 +3,10 @@ solvers for time-difference, round-trip-range, arrival-angle and
 departure-angle inputs, plus geometric dilution diagnostics.
 
 Angle solves start from the closed-form least-squares intersection of the
-bearing lines. Time-difference and range solves also start from the
-minima of a coarse objective scan, which picks between their mirror and
-branch solutions.
+bearing lines, and range solves from the linear least-squares solution of
+the squared-range equations; a coarse objective scan backs up a range
+start that fails. Time-difference solves always add the minima of that
+scan as starts, which picks between their hyperbola branches.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ class SolverOptions:
     # 2D solve with known terminal height by default; None solves full 3D
     fix_height: float | None = 1.5
     nlos_rejection: str = "off"  # or "residual_trim"
-    trim_rounds: int = 2
-    trim_ratio: float = 3.0
     area: tuple[float, float, float, float] | None = None  # x0, y0, x1, y1
 
     def __post_init__(self):
@@ -312,9 +311,10 @@ def _solve_multistart(problem: _Problem, x0, options: SolverOptions) -> Position
     """Damped Gauss-Newton from the caller's start and from the zoomed
     minima of a coarse objective scan; the lowest-objective fix wins.
 
-    Time differences and ranges use this: their objectives have several
-    basins (the trilateration mirror, hyperbola branches), and the scan
-    finds the better-fitting one. Bearings start in closed form instead.
+    Time differences always use this: their objective has several basins
+    (the hyperbola branches), and the scan finds the better-fitting one.
+    Ranges reach it only when their closed-form start fails; bearings start
+    in closed form alone.
     """
     best = _gauss_newton(problem, x0, options)
     for start in _coarse_starts(problem, options):
@@ -355,6 +355,43 @@ def _solve_bearings(problem: _AngleProblem, x0, options: SolverOptions) -> Posit
     return best
 
 
+def _range_start(problem: _RangeProblem) -> np.ndarray:
+    """Linear least squares on the squared-range equations. With known
+    height h each range gives [-2xi, -2yi, 1] . [x, y, x^2 + y^2] =
+    ri^2 - (h - zi)^2 - xi^2 - yi^2; in 3-D, [-2xi, -2yi, -2zi, 1] .
+    [x, y, z, |p|^2] = ri^2 - |ai|^2."""
+    a, h = problem.anchors, problem.fix_height
+    rhs = problem.measured**2 - (a * a).sum(axis=1)
+    if h is None:
+        cols = a
+    else:
+        cols = a[:, :2]
+        rhs += a[:, 2] ** 2 - (h - a[:, 2]) ** 2
+    sol, *_ = np.linalg.lstsq(np.column_stack([-2.0 * cols, np.ones(len(a))]), rhs,
+                              rcond=None)
+    return sol[:-1] if h is None else np.array([sol[0], sol[1], h])
+
+
+def _solve_ranges(problem: _RangeProblem, x0, options: SolverOptions) -> PositionFix:
+    """Damped Gauss-Newton from x0 and from the closed-form start; the lower
+    objective wins, a tie going to x0. The coarse scan runs instead when the
+    start is not finite or lies off the area, or neither run converges in
+    the area. The x0 run is needed: on noisy ranges the linear start can
+    lie in a higher-objective basin than the one x0 reaches."""
+    start = _range_start(problem)
+    if np.all(np.isfinite(start)) and _in_area(start, options.area):
+        runs = (_gauss_newton(problem, x0, options), _gauss_newton(problem, start, options))
+        if any(f.converged and _in_area(f.position, options.area) for f in runs):
+            return min(runs, key=lambda f: f.objective)
+    return _solve_multistart(problem, x0, options)
+
+
+# residual trim: at most this many rounds, each dropping the worst residual
+# when it exceeds this multiple of the median
+_TRIM_ROUNDS = 2
+_TRIM_RATIO = 3.0
+
+
 def _solve_with_trim(build_problem, n_meas: int, x0, options: SolverOptions,
                      min_needed: int, method: str, solve=_solve_multistart) -> PositionFix:
     """Solve, then optionally drop gross-outlier measurements and re-solve."""
@@ -362,13 +399,13 @@ def _solve_with_trim(build_problem, n_meas: int, x0, options: SolverOptions,
     trimmed: list[int] = []
     fix = solve(build_problem(active), x0, options)
     if options.nlos_rejection == "residual_trim":
-        for _ in range(options.trim_rounds):
+        for _ in range(_TRIM_ROUNDS):
             if len(active) <= min_needed:
                 break
             r = np.abs(build_problem(active).residuals(fix.position))
             med = float(np.median(r))
             worst = int(np.argmax(r))
-            if med <= 0 or r[worst] <= options.trim_ratio * med:
+            if med <= 0 or r[worst] <= _TRIM_RATIO * med:
                 break
             trimmed.append(active.pop(worst))
             fix = solve(build_problem(active), fix.position, options)
@@ -437,10 +474,11 @@ def rtt_solve(anchors, ranges_m, options: SolverOptions | None = None,
         rows = [idx[a] for a in active]
         return _RangeProblem(anchors[rows], meas[list(active)], options.fix_height)
 
-    # the coarse-scan restart inside the solve resolves the trilateration
-    # mirror ambiguity toward the better-fitting (in-area) solution
+    # the trilateration mirror ambiguity resolves toward the lower objective
+    # of the closed-form and x0 runs; a start off the area, or no converged
+    # in-area run, falls back to the coarse scan
     return _solve_with_trim(build, len(meas), x0, options,
-                            MIN_MEASUREMENTS["rtt"], "rtt")
+                            MIN_MEASUREMENTS["rtt"], "rtt", _solve_ranges)
 
 
 def aoa_solve(anchors, angles, options: SolverOptions | None = None,

@@ -331,13 +331,96 @@ class TestBearingStart:
         assert fix.objective == min(f.objective for f in fixes.values())
         assert np.array_equal(fix.position, fixes[winner].position)
 
-    def test_time_and_range_solves_still_scan(self, monkeypatch):
+    def test_tdoa_solves_still_scan(self, monkeypatch):
         anchors = square_anchors()
         ue = np.array([10.0, -20.0, 1.5])
         scans = spy(monkeypatch, "_coarse_starts")
         tdoa_solve(anchors, exact_rstd(anchors, 0, ue), OPT2D)
+        assert len(scans) == 1
+
+
+class TestRangeStart:
+    AREA = SolverOptions(fix_height=1.5, area=(-200.0, -200.0, 200.0, 200.0))
+
+    @pytest.mark.parametrize("fix_height", [1.5, None])
+    def test_exact_for_noiseless_ranges(self, fix_height):
+        anchors = np.array([[10, 15, 3], [110, 15, 25], [10, 95, 8], [110, -35, 40],
+                            [-60, 20, 12]], dtype=float)
+        ue = np.array([42.0, 27.0, 1.5])
+        d = np.linalg.norm(anchors - ue, axis=1)
+        start = solvers._range_start(solvers._RangeProblem(anchors, d, fix_height))
+        assert np.allclose(start, ue, rtol=0, atol=1e-9)
+
+    def test_coplanar_anchors_in_3d(self):
+        # one anchor height leaves the z column a multiple of the constant
+        # column; the minimum-norm start is finite but its height is
+        # arbitrary, and the fix is still the scan's
+        anchors = np.array([[0, 0, 10], [100, 0, 10], [100, 100, 10], [0, 100, 10],
+                            [50, -20, 10]], dtype=float)
+        ue = np.array([30.0, 40.0, 1.5])
+        rng = np.random.default_rng(0)
+        d = np.linalg.norm(anchors - ue, axis=1) + rng.normal(0, 3.0, len(anchors))
+        options = SolverOptions(fix_height=None, area=(-50.0, -50.0, 150.0, 150.0))
+        problem = solvers._RangeProblem(anchors, d, None)
+        assert np.all(np.isfinite(solvers._range_start(problem)))
+        x0 = init_guess(anchors, fix_height=None)
+        fix = rtt_solve(anchors, list(enumerate(d)), options)
+        scan = solvers._solve_multistart(problem, x0, options)
+        assert fix.converged
+        assert np.allclose(fix.position, scan.position, rtol=0, atol=1e-6)
+
+    def test_two_runs_and_no_scan_in_area(self, monkeypatch):
+        anchors = square_anchors()
+        ue = np.array([10.0, -20.0, 1.5])
+        x0 = init_guess(anchors, fix_height=1.5)
+        runs, scans = spy(monkeypatch, "_gauss_newton"), spy(monkeypatch, "_coarse_starts")
+        fix = rtt_solve(anchors, exact_ranges(anchors, ue), self.AREA, x0=x0)
+        assert len(runs) == 2 and scans == []
+        assert np.array_equal(runs[0][1], x0)
+        assert np.allclose(runs[1][1], ue, rtol=0, atol=1e-9)
+        assert fix.converged
+        assert np.linalg.norm(fix.position[:2] - ue[:2]) < 1e-9
+
+    def test_rtt_solve_does_not_scan(self, monkeypatch):
+        anchors = square_anchors()
+        ue = np.array([10.0, -20.0, 1.5])
+        scans = spy(monkeypatch, "_coarse_starts")
         rtt_solve(anchors, exact_ranges(anchors, ue), OPT2D)
-        assert len(scans) == 2
+        assert scans == []
+
+    def test_start_off_area_reaches_scan(self, monkeypatch):
+        # the terminal, and so the noiseless start, lies east of the area
+        anchors = np.array([[0, 0, 3], [100, 0, 3], [50, 80, 3]], dtype=float)
+        options = SolverOptions(fix_height=1.5, area=(0.0, 0.0, 100.0, 100.0))
+        ranges = exact_ranges(anchors, np.array([120.0, 40.0, 1.5]))
+        x0 = init_guess(anchors, fix_height=1.5)
+        runs, scans = spy(monkeypatch, "_gauss_newton"), spy(monkeypatch, "_coarse_starts")
+        fix = rtt_solve(anchors, ranges, options, x0=x0)
+        problem = runs[0][0]
+        assert np.allclose(solvers._range_start(problem)[:2], [120.0, 40.0], atol=1e-9)
+        assert len(scans) == 1
+        assert not any(np.allclose(a[1][:2], [120.0, 40.0]) for a in runs)
+        scan = solvers._solve_multistart(problem, x0, options)
+        assert np.array_equal(fix.position, scan.position)
+
+    def test_no_converged_run_reaches_scan(self, monkeypatch):
+        # one iteration cannot converge from either start on noisy ranges
+        rng = np.random.default_rng(6)
+        anchors = random_anchors(rng)
+        ue = np.array([20.0, -10.0, 1.5])
+        ranges = [(i, d + rng.normal(0, 2.0)) for i, d in exact_ranges(anchors, ue)]
+        options = SolverOptions(fix_height=1.5, max_iterations=1,
+                                area=(-200.0, -200.0, 200.0, 200.0))
+        x0 = init_guess(anchors, fix_height=1.5)
+        runs, scans = spy(monkeypatch, "_gauss_newton"), spy(monkeypatch, "_coarse_starts")
+        fix = rtt_solve(anchors, ranges, options, x0=x0)
+        problem = runs[0][0]
+        assert np.array_equal(runs[1][1], solvers._range_start(problem))
+        assert not any(solvers._gauss_newton(problem, a[1], options).converged
+                       for a in runs[:2])
+        assert len(scans) == 1
+        scan = solvers._solve_multistart(problem, x0, options)
+        assert np.array_equal(fix.position, scan.position)
 
 
 class TestGdop:
