@@ -81,7 +81,6 @@ class ExperimentConfig(BaseModel):
     array_cols: int = Field(4, ge=1)
     n_beams: int = Field(8, ge=1)
     beam_hpbw_deg: float = Field(25.0, gt=0)
-    fixed_snr_db: Optional[float] = None
 
     channel: ChannelOverrides = Field(default_factory=ChannelOverrides)
     solver: SolverConfig = Field(default_factory=SolverConfig)

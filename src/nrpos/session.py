@@ -1,15 +1,19 @@
 """Location-session procedure flows replayed as message-passing state
 machines: a location server drives round-trip-time and downlink
-time-difference sessions against simulated radio nodes over an in-memory
-transport, producing an auditable message trace.
+time-difference sessions against radio nodes over an in-memory transport,
+producing an auditable message trace.
 
 Message bodies are JSON-friendly dicts; the trace file is JSON lines with
 a stable field order (seq, kind, from, to, timestamp, payload), which is
 the contract for replay tooling.
 
-Each entry of a measurement report (`ue_rxtx`, `gnb_rxtx`, `rstd`) is the
-payload of one `MeasurementRecord`, so the live server and trace replay
-both solve with `simulate.solve_records`, the solver of batch runs.
+The nodes answer from a simulated drop's `MeasurementRecord`s: a `Ue`
+holds its own records, a `Gnb` holds each UE's records, and a TRP with no
+record is left out of the report. Each entry of a measurement report
+(`ue_rxtx`, `gnb_rxtx`, `rstd`, `prs_rsrp`) is the payload of one record,
+so the live server and trace replay both solve with
+`simulate.solve_records`, the solver of batch runs, and a session fix is
+the drop's fix.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurements import MeasurementRecord, timing_record
-from .numerology import SPEED_OF_LIGHT
+from .measurements import MeasurementRecord
 from .simulate import solve_records
 from .solvers import SolverError, SolverOptions
 
@@ -128,9 +131,9 @@ class Transport:
         heapq.heappush(self._queue, (self.now + self.latency_s, self._seq, "msg", msg))
         return msg
 
-    def schedule(self, delay_s: float, callback, tag: str = ""):
+    def schedule(self, delay_s: float, callback):
         self._seq += 1
-        heapq.heappush(self._queue, (self.now + delay_s, self._seq, "timer", (callback, tag)))
+        heapq.heappush(self._queue, (self.now + delay_s, self._seq, "timer", callback))
 
     def record_abort(self, ue_id: str, reason: str):
         self.trace.append({
@@ -147,8 +150,7 @@ class Transport:
             t, _seq, what, item = heapq.heappop(self._queue)
             self.now = t
             if what == "timer":
-                callback, _tag = item
-                callback()
+                item()
             else:
                 self._nodes[item.receiver].handle(item)
 
@@ -168,7 +170,6 @@ class Node:
             raise ProtocolError(f"{type(self).__name__} id must start with {self.role!r}")
         self.node_id = node_id
         self.transport: Transport | None = None
-        self.state = "idle"
 
     def send(self, kind, receiver, payload):
         self.transport.send(kind, self.node_id, receiver, payload)
@@ -177,42 +178,46 @@ class Node:
         raise NotImplementedError
 
 
+def _entries(records, kind: str, trp_ids) -> list[dict]:
+    """Report entries of the records of one kind on the given TRPs, in
+    record order: each record's payload, tagged with its TRP."""
+    wanted = set(trp_ids)
+    return [{"trp_id": r.trp_id, **r.payload} for r in records
+            if r.kind == kind and r.trp_id in wanted]
+
+
 class Ue(Node):
+    """A terminal that reports its own measurement records."""
+
     role = "ue"
 
-    def __init__(self, node_id: str, hook=None, responsive: bool = True):
+    def __init__(self, node_id: str, records=(), responsive: bool = True):
         super().__init__(node_id)
-        self.hook = hook
+        self.records = list(records)
         self.responsive = responsive
-        self.srs_config: dict | None = None
         self.assistance: dict | None = None
 
     def handle(self, msg: Message):
         if not self.responsive:
             return
         if msg.kind == "RrcSrsConfig":
-            self.srs_config = msg.payload
-            self.state = "srs_configured"
+            pass  # the sounding configuration is already in the records
         elif msg.kind == "LppProvideAssistanceData":
             self.assistance = msg.payload
-            self.state = "assisted"
         elif msg.kind == "LppRequestLocationInformation":
             method = msg.payload["method"]
             trp_ids = msg.payload["trp_ids"]
             if method == "multi-rtt":
-                values = [
-                    {"trp_id": t, **self.hook.ue_rxtx(self.node_id, t)}
-                    for t in trp_ids
-                ]
-                body = {"method": method, "ue_rxtx": values}
+                body = {"method": method,
+                        "ue_rxtx": _entries(self.records, "UE_RXTX", trp_ids)}
             elif method == "dl-tdoa":
-                ref = msg.payload["ref_trp_id"]
-                values = [
-                    {"trp_id": t, "ref_trp_id": ref,
-                     **self.hook.rstd(self.node_id, t, ref)}
-                    for t in trp_ids if t != ref
-                ]
-                body = {"method": method, "ref_trp_id": ref, "rstd": values}
+                # the reference is the TRP the time differences were taken
+                # against, and the received powers weight the solver start
+                rstd = _entries(self.records, "RSTD", trp_ids)
+                body = {"method": method,
+                        "ref_trp_id": rstd[0]["ref_trp_id"] if rstd else None,
+                        "rstd": rstd,
+                        "prs_rsrp": _entries(self.records, "PRS_RSRP", trp_ids)}
             else:
                 raise ProtocolError(f"unsupported method {method}")
             self.send("LppProvideLocationInformation", msg.sender, body)
@@ -221,12 +226,15 @@ class Ue(Node):
 
 
 class Gnb(Node):
+    """A radio node serving trp_ids; records maps each UE id to that UE's
+    records, of which it reports the gNB Rx-Tx ones on its TRPs."""
+
     role = "gnb"
 
-    def __init__(self, node_id: str, trp_ids, hook=None):
+    def __init__(self, node_id: str, trp_ids, records: dict[str, list] | None = None):
         super().__init__(node_id)
         self.trp_ids = list(trp_ids)
-        self.hook = hook
+        self.records = records or {}
 
     def handle(self, msg: Message):
         if msg.kind == "NrppaPositioningInformationRequest":
@@ -235,13 +243,9 @@ class Gnb(Node):
             self.send("RrcSrsConfig", ue_id, {"ue_id": ue_id, "srs": srs})
             self.send("NrppaPositioningInformationResponse", msg.sender,
                       {"ue_id": ue_id, "srs": srs, "trp_ids": self.trp_ids})
-            self.state = "configured"
         elif msg.kind == "NrppaMeasurementRequest":
             ue_id = msg.payload["ue_id"]
-            values = [
-                {"trp_id": t, **self.hook.gnb_rxtx(ue_id, t)}
-                for t in self.trp_ids
-            ]
+            values = _entries(self.records.get(ue_id, ()), "GNB_RXTX", self.trp_ids)
             self.send("NrppaMeasurementResponse", msg.sender,
                       {"ue_id": ue_id, "gnb_rxtx": values})
         else:
@@ -253,49 +257,16 @@ class SessionResult:
     ue_id: str
     status: str  # "fixed" or "aborted"
     fix: object | None = None
-    error_m: float | None = None
-
-
-class GeometricHook:
-    """Ideal measurement provider: values from geometry, then quantized.
-
-    Stands in for the full link simulation when exercising procedure flows.
-    """
-
-    def __init__(self, trp_positions: dict[int, np.ndarray], ue_positions: dict[str, np.ndarray],
-                 k: int = 2, fr: str = "fr1", quantize: bool = True):
-        self.trp_positions = {t: np.asarray(p, dtype=float) for t, p in trp_positions.items()}
-        self.ue_positions = {u: np.asarray(p, dtype=float) for u, p in ue_positions.items()}
-        self.k, self.fr, self.quantize = k, fr, quantize
-
-    def _distance(self, ue_id, trp_id) -> float:
-        return float(np.linalg.norm(self.ue_positions[ue_id] - self.trp_positions[trp_id]))
-
-    def _report(self, kind: str, trp_id, seconds: float) -> dict:
-        return timing_record(kind, trp_id, seconds, self.k, self.fr, resource_id=trp_id,
-                             quantize=self.quantize).payload
-
-    def ue_rxtx(self, ue_id, trp_id) -> dict:
-        return self._report("UE_RXTX", trp_id, self._distance(ue_id, trp_id) / SPEED_OF_LIGHT)
-
-    def gnb_rxtx(self, ue_id, trp_id) -> dict:
-        return self._report("GNB_RXTX", trp_id, self._distance(ue_id, trp_id) / SPEED_OF_LIGHT)
-
-    def rstd(self, ue_id, trp_id, ref_trp_id) -> dict:
-        dt = (self._distance(ue_id, trp_id) - self._distance(ue_id, ref_trp_id)) / SPEED_OF_LIGHT
-        return self._report("RSTD", trp_id, dt)
 
 
 class Lmf(Node):
     role = "lmf"
 
     def __init__(self, node_id: str, anchors: dict[int, np.ndarray],
-                 prs_tree: dict | None = None,
                  solver_options: SolverOptions | None = None,
                  timeout_s: float = DEFAULT_TIMEOUT_S):
         super().__init__(node_id)
         self.anchors = {t: np.asarray(p, dtype=float) for t, p in anchors.items()}
-        self.prs_tree = prs_tree or {}
         self.options = solver_options or SolverOptions()
         self.timeout_s = timeout_s
         self.sessions: dict[str, dict] = {}
@@ -316,20 +287,18 @@ class Lmf(Node):
         }
         for g in gnb_ids:
             self.send("NrppaPositioningInformationRequest", g, {"ue_id": ue_id})
-        self.transport.schedule(self.timeout_s, lambda: self._timeout(ue_id), tag=ue_id)
+        self.transport.schedule(self.timeout_s, lambda: self._timeout(ue_id))
 
-    def start_dl_tdoa(self, ue_id: str, trp_ids, ref_trp_id: int):
-        self.sessions[ue_id] = {
-            "method": "dl-tdoa",
-            "ref_trp_id": ref_trp_id,
-            "trp_ids": list(trp_ids),
-            "report": None,
-            "done": False,
-        }
-        self.send("LppProvideAssistanceData", ue_id, {"prs_tree": self.prs_tree})
+    def start_dl_tdoa(self, ue_id: str, trp_ids):
+        """The UE measures the given TRPs against a reference it picks."""
+        self.sessions[ue_id] = {"method": "dl-tdoa", "report": None, "done": False}
+        self.send("LppProvideAssistanceData", ue_id, self._assistance())
         self.send("LppRequestLocationInformation", ue_id,
-                  {"method": "dl-tdoa", "trp_ids": list(trp_ids), "ref_trp_id": ref_trp_id})
-        self.transport.schedule(self.timeout_s, lambda: self._timeout(ue_id), tag=ue_id)
+                  {"method": "dl-tdoa", "trp_ids": list(trp_ids)})
+        self.transport.schedule(self.timeout_s, lambda: self._timeout(ue_id))
+
+    def _assistance(self) -> dict:
+        return {"trp_ids": list(self.anchors)}
 
     def _timeout(self, ue_id: str):
         s = self.sessions.get(ue_id)
@@ -348,7 +317,7 @@ class Lmf(Node):
             s["trp_ids"].extend(msg.payload["trp_ids"])
             if not s["pending_info"]:
                 # all radio nodes configured: provide assistance, ask the UE
-                self.send("LppProvideAssistanceData", ue_id, {"prs_tree": self.prs_tree})
+                self.send("LppProvideAssistanceData", ue_id, self._assistance())
                 self.send("LppRequestLocationInformation", ue_id,
                           {"method": "multi-rtt", "trp_ids": s["trp_ids"]})
         elif msg.kind == "LppProvideLocationInformation":
@@ -376,7 +345,7 @@ class Lmf(Node):
         elif msg.kind == "LppRequestAssistanceData":
             if "ue_id" not in msg.payload:
                 raise ProtocolError("malformed assistance request")
-            self.send("LppProvideAssistanceData", msg.sender, {"prs_tree": self.prs_tree})
+            self.send("LppProvideAssistanceData", msg.sender, self._assistance())
         else:
             raise ProtocolError(f"LMF cannot handle {msg.kind}")
 
@@ -403,7 +372,7 @@ def _report_records(report: dict, gnb_rxtx) -> list[MeasurementRecord]:
     if report["method"] == "multi-rtt":
         parts = [("UE_RXTX", report["ue_rxtx"]), ("GNB_RXTX", gnb_rxtx)]
     else:
-        parts = [("RSTD", report["rstd"])]
+        parts = [("PRS_RSRP", report["prs_rsrp"]), ("RSTD", report["rstd"])]
     return [
         MeasurementRecord(kind=kind, trp_id=e["trp_id"], resource_id=e["trp_id"], payload=e)
         for kind, entries in parts
@@ -422,12 +391,14 @@ def run_multi_rtt(lmf: Lmf, gnbs, ues, transport: Transport):
     return dict(lmf.results), list(transport.trace)
 
 
-def run_dl_tdoa(lmf: Lmf, ues, transport: Transport, trp_ids, ref_trp_id):
+def run_dl_tdoa(lmf: Lmf, ues, transport: Transport, trp_ids):
+    """Drive one downlink time-difference session per UE over trp_ids;
+    returns (results, trace)."""
     for node in [lmf, *ues]:
         if node.transport is not transport:
             transport.register(node)
     for ue in ues:
-        lmf.start_dl_tdoa(ue.node_id, trp_ids, ref_trp_id)
+        lmf.start_dl_tdoa(ue.node_id, trp_ids)
     transport.run()
     return dict(lmf.results), list(transport.trace)
 

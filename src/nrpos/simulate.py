@@ -502,21 +502,16 @@ class Simulator:
         grid = self.beamformer()
         n_re = len(self._ul_vals)
         angles: dict[int, tuple[float, float] | None] = {}
-        for i, t in enumerate(self.trps):
-            link = links[i]
+        for link, t in zip(links, self.trps):
+            if ul_toa[t.trp_id] is None:
+                angles[t.trp_id] = None
+                continue
             sv = steering_vector(array, link.angles_deg[0], link.angles_deg[1])
-            if cfg.fixed_snr_db is not None:
-                signal = 1.0 + 0j
-                noise_var = 10 ** (-cfg.fixed_snr_db / 10.0)
-            else:
-                if ul_toa.get(t.trp_id) is None:
-                    angles[t.trp_id] = None
-                    continue
-                amp = link_amplitude(link, cfg.ue_tx_power_dbm, self.ul_occupied_per_symbol)
-                # matched-filter output: coherent sum across the sounded band
-                signal = amp * n_re
-                noise_var = 0.0 if self.ul_noise is None else \
-                    n_re * noise_amplitude(self.ul_noise) ** 2
+            amp = link_amplitude(link, cfg.ue_tx_power_dbm, self.ul_occupied_per_symbol)
+            # matched-filter output: coherent sum across the sounded band
+            signal = amp * n_re
+            noise_var = 0.0 if self.ul_noise is None else \
+                n_re * noise_amplitude(self.ul_noise) ** 2
             x = sv * signal
             if noise_var > 0:
                 x = x + draw_noise(rng, len(sv), math.sqrt(noise_var / 2.0))
@@ -687,16 +682,12 @@ class Simulator:
         return records, fix
 
     def _run_ul_aoa(self, links, trp_clock, ue_clock, drop_idx):
-        if self.config.fixed_snr_db is None:
-            # every TRP: the AoA stage draws noise only for TRPs with an
-            # uplink arrival, so detecting a subset would shift its stream
-            ul_toa, rsrp = self._ul_stage(links, trp_clock, ue_clock, drop_idx,
-                                          detect=list(self.anchors))
-        else:
-            ul_toa = {t.trp_id: 0.0 for t in self.trps}
-            rsrp = {t.trp_id: 0.0 for t in self.trps}
+        # every TRP: the AoA stage draws noise only for TRPs with an uplink
+        # arrival, so detecting a subset would shift its stream
+        ul_toa, rsrp = self._ul_stage(links, trp_clock, ue_clock, drop_idx,
+                                      detect=list(self.anchors))
         angles = self._aoa_stage(links, ul_toa, drop_idx)
-        selected = [t for t in self._select_trps(rsrp) if angles.get(t) is not None]
+        selected = [t for t in self._select_trps(rsrp) if angles[t] is not None]
         if len(selected) < 2:
             raise SolverError("not enough usable arrival angles")
         records = [

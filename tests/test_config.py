@@ -1,9 +1,12 @@
 """Experiment configuration documents: YAML round trip, presets and
-malformed input."""
+malformed input, and knobs that change a run's results."""
+
+from functools import lru_cache
 
 import pytest
 
 from nrpos.config import dump_config, load_config, preset_config
+from nrpos.experiments import run_experiment
 
 
 def test_dump_load_round_trip(tmp_path):
@@ -26,3 +29,47 @@ def test_non_mapping_document_rejected(tmp_path):
     path.write_text("- uma\n- dl-aod\n")
     with pytest.raises(ValueError, match="mapping"):
         load_config(path)
+
+
+def short_run_csv(preset: str, method: str, **overrides) -> str:
+    config = preset_config(preset, method=method, n_drops=4, n_prb=24, **overrides)
+    return run_experiment(config).results_csv
+
+
+@lru_cache(maxsize=None)
+def default_run_csv(preset: str, method: str) -> str:
+    return short_run_csv(preset, method)
+
+
+# Each knob on a run where it acts: UL-TDOA's sounding shape changes
+# nothing on the quantized IOO FR1 reports, min_trps=3 changes nothing at
+# 4 drops, and UMa DL-TDOA is interference-limited, so a noise figure of
+# 30 dB in place of 9 dB moves none of its 4 drops.
+KNOBS = [
+    ("uma", "dl-tdoa", "dl_comb_size", 6),
+    ("uma", "dl-aod", "dl_noise_figure_db", 15.0),
+    ("uma", "ul-tdoa", "ul_noise_figure_db", 12.0),
+    ("uma", "ul-tdoa", "ue_tx_power_dbm", 10.0),
+    ("ioo-fr1", "dl-tdoa", "quantize", False),
+    ("uma", "dl-tdoa", "solver", {"tolerance_m": 1.0}),
+    ("ioo-fr1", "ul-aoa", "array_rows", 2),
+    ("ioo-fr1", "ul-aoa", "array_cols", 8),
+    ("ioo-fr1", "dl-aod", "n_beams", 12),
+    ("ioo-fr1", "dl-aod", "beam_hpbw_deg", 40.0),
+    ("uma", "ul-tdoa", "ul_comb_size", 4),
+    ("uma", "ul-tdoa", "ul_n_symbols", 4),
+    ("uma", "dl-tdoa", "rsrp_window_db", 6.0),
+    ("uma", "dl-tdoa", "n_best_trps", 4),
+    ("uma", "dl-tdoa", "min_trps", 8),
+    ("ioo-fr1", "dl-tdoa", "channel", {"tap_decay_s": 100e-9}),
+    ("ioo-fr1", "dl-tdoa", "channel", {"los_k_db": 0.0}),
+    ("ioo-fr1", "dl-tdoa", "hull_split", True),
+]
+
+
+@pytest.mark.parametrize("preset,method,knob,value", KNOBS,
+                         ids=[f"{p}-{m}-{k}" + (f".{next(iter(v))}" if isinstance(v, dict)
+                                                 else f"={v}") for p, m, k, v in KNOBS])
+def test_knob_changes_results(preset, method, knob, value):
+    """A knob that changes nothing in a short run is dead or miswired."""
+    assert short_run_csv(preset, method, **{knob: value}) != default_run_csv(preset, method)

@@ -1,6 +1,7 @@
 """Every top-level def, class and method in src/nrpos is reachable from the
-package's entry points: code the simulation does not use is wired in or
-deleted, not kept in the package for tests alone.
+package's entry points, and every attribute a method stores on `self` is
+read somewhere in the package: code and state the simulation does not use
+are wired in or deleted, not kept in the package for tests alone.
 
 The walk goes by name over the AST from the roots below. A function or
 class is reached when a reached def names it, through its module's own
@@ -228,6 +229,26 @@ def package_roots() -> list[str]:
     return [*ROOTS, *session]
 
 
+def unread_attributes(package: Path) -> list[str]:
+    """Attributes that a method of the package stores on `self` and that no
+    code of the package reads, on any object. Each is named module.Class.attr
+    after the first class of its module that stores it, so a subclass's
+    stores count toward its base class's attribute."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    owner = {}  # (module, attribute) -> first class storing it
+    for mod, tree in trees.items():
+        for cls in (c for c in tree.body if isinstance(c, ast.ClassDef)):
+            for node in (n for method in cls.body if isinstance(method, ast.FunctionDef)
+                         for n in ast.walk(method)):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and getattr(node.value, "id", None) == "self"):
+                    owner.setdefault((mod, node.attr), cls.name)
+    return sorted(f"{mod}.{cls}.{attr}" for (mod, attr), cls in owner.items()
+                  if attr not in read)
+
+
 def test_every_def_is_reached():
     missing = unreached(PACKAGE, package_roots())
     assert not missing, "reached from no root; wire in or delete:\n" + "\n".join(missing)
@@ -263,3 +284,33 @@ def test_guard_sees_unreached_defs(tmp_path):
         "shapes.Base.to_dict", "shapes.Grid", "shapes.Grid.cells",
         "shapes.Square.unused", "shapes.dead",
     ]
+
+
+def test_every_stored_attribute_is_read():
+    unread = unread_attributes(PACKAGE)
+    assert not unread, "stored and never read; read or delete:\n" + "\n".join(unread)
+
+
+def test_guard_sees_unread_attributes(tmp_path):
+    (tmp_path / "box.py").write_text(
+        "class Box:\n"
+        "    def __init__(self, size):\n"
+        "        self.size = size\n"
+        "        self.label = ''\n"
+        "        self.note: str = ''\n"
+        "        self.count = 0\n"
+        "        self.hits = 0\n"
+        "    def grow(self, other):\n"
+        "        self.count += 1\n"
+        "        self.hits = self.hits + 1\n"
+        "        other.tag = self.size\n"
+        "class Crate(Box):\n"
+        "    def pack(self):\n"
+        "        self.note = 'full'\n"
+        "        self.lid = True\n"
+    )
+    (tmp_path / "use.py").write_text(
+        "def show(box):\n"
+        "    return box.label\n"
+    )
+    assert unread_attributes(tmp_path) == ["box.Box.count", "box.Box.note", "box.Crate.lid"]

@@ -1,13 +1,16 @@
+"""Location sessions against record-driven radio nodes: routing rules,
+message flows, aborts, trace replay, and session fixes against the batch
+fixes of the same simulated drops."""
+
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from nrpos.measurements import MeasurementRecord
-from nrpos.scenario import build_deployment
+from nrpos.config import preset_config
 from nrpos.session import (
     ABORT_KIND,
-    GeometricHook,
     Gnb,
     Lmf,
     Message,
@@ -21,35 +24,44 @@ from nrpos.session import (
     run_dl_tdoa,
     run_multi_rtt,
 )
-from nrpos.simulate import solve_records
-from nrpos.solvers import SolverOptions
-
-OPTIONS = SolverOptions(fix_height=1.5)
+from nrpos.simulate import Simulator, solve_records
 
 
-def make_world(n_gnbs=3, n_ues=1, responsive=None, quantize=True):
-    deployment = build_deployment("ioo")
-    # spread the picks over both anchor rows so geometry is non-degenerate
-    picks = [0, 7, 4, 9, 2, 11][:n_gnbs]
-    anchors = {
-        t.trp_id: np.asarray(t.position) for t in deployment.trps if t.trp_id in picks
-    }
-    rng = np.random.default_rng(0)
-    ue_positions = {
-        f"ue:{i}": np.array([rng.uniform(20, 100), rng.uniform(10, 40), 1.5])
-        for i in range(n_ues)
-    }
-    hook = GeometricHook(anchors, ue_positions, quantize=quantize)
+@lru_cache(maxsize=None)
+def ideal_drops(method: str, n_drops: int):
+    """An ideal-channel IOO FR1 simulator and its first n_drops outcomes."""
+    sim = Simulator(preset_config("ioo-fr1", method=method, ideal=True, n_drops=n_drops))
+    return sim, tuple(sim.run_drop(i) for i in range(n_drops))
+
+
+def strongest_trps(records) -> list[int]:
+    """TRPs in record order, which is the drop's selection order: strongest
+    received power first."""
+    return list(dict.fromkeys(r.trp_id for r in records))
+
+
+def make_world(method="multi-rtt", n_gnbs=3, n_ues=1, responsive=None, keep=None):
+    """Nodes for the first n_ues drops of an ideal run: UE i holds drop i's
+    records, and n_gnbs gNBs share the TRPs. With keep, each UE's records
+    are filtered to that drop's keep strongest TRPs. Returns (transport,
+    lmf, gnbs, ues, {ue_id: drop outcome})."""
+    sim, drops = ideal_drops(method, n_ues)
+    outcomes = {f"ue:{o.drop_idx}": o for o in drops}
+    records = {}
+    for uid, o in outcomes.items():
+        picked = strongest_trps(o.records)[:keep]
+        records[uid] = [r for r in o.records if r.trp_id in picked]
+    trp_ids = list(sim.anchors)
     transport = Transport()
-    lmf = Lmf("lmf:0", anchors, prs_tree={"version": 1, "layers": []},
-              solver_options=OPTIONS)
-    gnbs = [Gnb(f"gnb:{t}", trp_ids=[t], hook=hook) for t in anchors]
+    lmf = Lmf("lmf:0", sim.anchors, solver_options=sim.options)
+    gnbs = [Gnb(f"gnb:{g}", trp_ids=trp_ids[g::n_gnbs], records=records)
+            for g in range(n_gnbs)]
     ues = [
-        Ue(uid, hook=hook,
+        Ue(uid, records=recs,
            responsive=(responsive.get(uid, True) if responsive else True))
-        for uid in ue_positions
+        for uid, recs in records.items()
     ]
-    return transport, lmf, gnbs, ues, ue_positions
+    return transport, lmf, gnbs, ues, outcomes
 
 
 class TestRouting:
@@ -83,7 +95,7 @@ def assert_routing_invariant(trace):
 
 class TestMultiRtt:
     def test_expected_message_multiset(self):
-        transport, lmf, gnbs, ues, ue_pos = make_world(n_gnbs=3, n_ues=1)
+        transport, lmf, gnbs, ues, _ = make_world(n_gnbs=3, n_ues=1)
         results, trace = run_multi_rtt(lmf, gnbs, ues, transport)
         counts = Counter(entry["kind"] for entry in trace)
         assert counts["NrppaPositioningInformationRequest"] == 3
@@ -97,13 +109,13 @@ class TestMultiRtt:
         assert_routing_invariant(trace)
 
     def test_fix_accuracy(self):
-        transport, lmf, gnbs, ues, ue_pos = make_world(n_gnbs=4, n_ues=2)
+        transport, lmf, gnbs, ues, outcomes = make_world(n_gnbs=4, n_ues=2)
         results, _ = run_multi_rtt(lmf, gnbs, ues, transport)
-        for uid, truth in ue_pos.items():
+        for uid, drop in outcomes.items():
             fix = results[uid].fix
             assert results[uid].status == "fixed"
             # quantization-limited accuracy
-            assert np.linalg.norm(fix.position[:2] - truth[:2]) < 2.0
+            assert np.linalg.norm(fix.position[:2] - drop.truth[:2]) < 2.0
 
     def test_ue_report_precedes_gnb_report(self):
         transport, lmf, gnbs, ues, _ = make_world()
@@ -114,7 +126,7 @@ class TestMultiRtt:
         )
 
     def test_unresponsive_ue_aborts_without_affecting_others(self):
-        transport, lmf, gnbs, ues, ue_pos = make_world(
+        transport, lmf, gnbs, ues, _ = make_world(
             n_ues=2, responsive={"ue:0": False}
         )
         results, trace = run_multi_rtt(lmf, gnbs, ues, transport)
@@ -128,7 +140,7 @@ class TestMultiRtt:
         results, trace = run_multi_rtt(lmf, gnbs, ues, transport)
         path = tmp_path / "trace.jsonl"
         transport.dump_trace(path)
-        fixes = replay_solve(load_trace(path), lmf.anchors, OPTIONS)
+        fixes = replay_solve(load_trace(path), lmf.anchors, lmf.options)
         for uid, live in results.items():
             assert np.array_equal(fixes[uid].position, live.fix.position)
             assert fixes[uid].residual_rms == live.fix.residual_rms
@@ -146,89 +158,128 @@ class TestMultiRtt:
 
 class TestDlTdoa:
     def test_flow_and_fix(self):
-        transport, lmf, gnbs, ues, ue_pos = make_world(n_gnbs=5)
-        trp_ids = sorted(lmf.anchors)
-        results, trace = run_dl_tdoa(lmf, ues, transport, trp_ids, ref_trp_id=trp_ids[0])
+        transport, lmf, gnbs, ues, outcomes = make_world("dl-tdoa")
+        results, trace = run_dl_tdoa(lmf, ues, transport, list(lmf.anchors))
         counts = Counter(e["kind"] for e in trace)
         assert counts["LppProvideAssistanceData"] == 1
         assert counts["LppRequestLocationInformation"] == 1
         assert counts["LppProvideLocationInformation"] == 1
         assert_routing_invariant(trace)
-        uid, truth = next(iter(ue_pos.items()))
-        assert np.linalg.norm(results[uid].fix.position[:2] - truth[:2]) < 3.0
+        uid, drop = next(iter(outcomes.items()))
+        assert np.linalg.norm(results[uid].fix.position[:2] - drop.truth[:2]) < 3.0
 
     def test_rstd_reports_carry_resource_reference(self):
-        transport, lmf, gnbs, ues, _ = make_world(n_gnbs=4)
-        trp_ids = sorted(lmf.anchors)
-        _, trace = run_dl_tdoa(lmf, ues, transport, trp_ids, ref_trp_id=trp_ids[0])
+        # the reference is the one the UE's records name: its strongest TRP
+        transport, lmf, gnbs, ues, outcomes = make_world("dl-tdoa")
+        _, trace = run_dl_tdoa(lmf, ues, transport, list(lmf.anchors))
         report = next(e for e in trace if e["kind"] == "LppProvideLocationInformation")
-        for entry in report["payload"]["rstd"]:
-            assert entry["ref_trp_id"] == trp_ids[0]
-            assert entry["trp_id"] != trp_ids[0]
+        payload = report["payload"]
+        ref = strongest_trps(outcomes["ue:0"].records)[0]
+        assert payload["ref_trp_id"] == ref
+        assert payload["rstd"]
+        for entry in payload["rstd"]:
+            assert entry["ref_trp_id"] == ref
+            assert entry["trp_id"] != ref
+        assert [e["trp_id"] for e in payload["prs_rsrp"]] == \
+            strongest_trps(outcomes["ue:0"].records)
 
     def test_replay(self, tmp_path):
-        transport, lmf, gnbs, ues, _ = make_world(n_gnbs=5, n_ues=2)
-        trp_ids = sorted(lmf.anchors)
-        results, _ = run_dl_tdoa(lmf, ues, transport, trp_ids, ref_trp_id=trp_ids[0])
+        transport, lmf, gnbs, ues, _ = make_world("dl-tdoa", n_ues=2)
+        results, _ = run_dl_tdoa(lmf, ues, transport, list(lmf.anchors))
         path = tmp_path / "trace.jsonl"
         transport.dump_trace(path)
-        fixes = replay_solve(load_trace(path), lmf.anchors, OPTIONS)
+        fixes = replay_solve(load_trace(path), lmf.anchors, lmf.options)
         for uid, live in results.items():
             assert np.array_equal(fixes[uid].position, live.fix.position)
 
     def test_anchor_subset_solves_like_batch_records(self):
-        # over 4 of the 5 anchors the solve starts at the centroid of the
-        # anchors used, in the live session, in replay and in batch runs
-        transport, lmf, gnbs, ues, _ = make_world(n_gnbs=5, n_ues=2)
-        trp_ids = sorted(lmf.anchors)[:4]
-        results, trace = run_dl_tdoa(lmf, ues, transport, trp_ids, ref_trp_id=trp_ids[0])
-        fixes = replay_solve(trace, lmf.anchors, OPTIONS)
-        reports = {e["from"]: e["payload"] for e in trace
-                   if e["kind"] == "LppProvideLocationInformation"}
-        for uid, live in results.items():
-            records = [
-                MeasurementRecord(kind="RSTD", trp_id=e["trp_id"], resource_id=e["trp_id"],
-                                  payload=e)
-                for e in reports[uid]["rstd"]
-            ]
-            batch = solve_records(records, lmf.anchors, "dl-tdoa", OPTIONS)
-            assert np.array_equal(fixes[uid].position, live.fix.position)
-            assert np.array_equal(batch.position, live.fix.position)
-
+        # each UE holds the records of its 5 strongest TRPs and is asked for
+        # the 4 strongest: over those 4 of the 12 anchors the solve starts
+        # at their RSRP-weighted centroid, in the live session, in replay
+        # and from the drop's own records of those TRPs
+        transport, lmf, gnbs, ues, _ = make_world("dl-tdoa", n_ues=2, keep=5)
+        for node in [lmf, *ues]:
+            transport.register(node)
+        asked = {ue.node_id: strongest_trps(ue.records)[:4] for ue in ues}
+        for uid, trp_ids in asked.items():
+            lmf.start_dl_tdoa(uid, trp_ids)
+        transport.run()
+        fixes = replay_solve(transport.trace, lmf.anchors, lmf.options)
+        for ue in ues:
+            records = [r for r in ue.records if r.trp_id in asked[ue.node_id]]
+            assert {r.kind for r in records} == {"PRS_RSRP", "RSTD"}
+            batch = solve_records(records, lmf.anchors, "dl-tdoa", lmf.options)
+            live = lmf.results[ue.node_id].fix
+            assert np.array_equal(fixes[ue.node_id].position, live.position)
+            assert np.array_equal(batch.position, live.position)
 
     def test_unsolvable_report_aborts_the_session_only(self):
-        # three anchors give two time differences, too few to solve: each
+        # three TRPs give two time differences, too few to solve: each
         # UE's session aborts with the solver's reason and the run completes
-        transport, lmf, gnbs, ues, _ = make_world(n_gnbs=3, n_ues=2)
-        trp_ids = sorted(lmf.anchors)
-        results, trace = run_dl_tdoa(lmf, ues, transport, trp_ids, ref_trp_id=trp_ids[0])
+        transport, lmf, gnbs, ues, _ = make_world("dl-tdoa", n_ues=2, keep=3)
+        results, trace = run_dl_tdoa(lmf, ues, transport, list(lmf.anchors))
         assert {uid: r.status for uid, r in results.items()} == {
             "ue:0": "aborted", "ue:1": "aborted"}
         aborts = [e["payload"] for e in trace if e["kind"] == ABORT_KIND]
         assert [a["ue_id"] for a in aborts] == ["ue:0", "ue:1"]
         assert all("got 2" in a["reason"] for a in aborts)
-        assert replay_solve(trace, lmf.anchors, OPTIONS) == {}
+        assert replay_solve(trace, lmf.anchors, lmf.options) == {}
 
     def test_unsolvable_report_leaves_other_sessions_fixed(self):
-        transport, lmf, gnbs, ues, _ = make_world(n_gnbs=3, n_ues=2)
-        for node in [lmf, *gnbs, *ues]:
+        transport, lmf, gnbs, ues, _ = make_world(n_gnbs=3, n_ues=1)
+        *_, tdoa_ues, _ = make_world("dl-tdoa", n_ues=2, keep=3)
+        for node in [lmf, *gnbs, ues[0], tdoa_ues[1]]:
             transport.register(node)
-        trp_ids = sorted(lmf.anchors)
         lmf.start_multi_rtt("ue:0", [g.node_id for g in gnbs])
-        lmf.start_dl_tdoa("ue:1", trp_ids, trp_ids[0])
+        lmf.start_dl_tdoa("ue:1", list(lmf.anchors))
         transport.run()
         assert lmf.results["ue:0"].status == "fixed"
         assert lmf.results["ue:1"].status == "aborted"
-        fixes = replay_solve(transport.trace, lmf.anchors, OPTIONS)
+        fixes = replay_solve(transport.trace, lmf.anchors, lmf.options)
         assert list(fixes) == ["ue:0"]
         assert np.array_equal(fixes["ue:0"].position, lmf.results["ue:0"].fix.position)
+
+
+@pytest.mark.parametrize("preset,method", [("ioo-fr1", "multi-rtt"), ("uma", "dl-tdoa")])
+def test_sessions_reproduce_batch_fixes(preset, method, tmp_path):
+    """One session per drop, for drops 0-39 at master seed 1, with the
+    nodes holding each drop's records: every session fix is the drop's fix
+    bit for bit, a session aborts exactly when the drop's solve failed, and
+    replaying the written trace gives the same fixes. The UMa DL-TDOA
+    drops 3, 6, 13, 28 and 30 match only because the report carries the
+    PRS-RSRP entries that weight the solver start."""
+    n = 40
+    sim = Simulator(preset_config(preset, method=method, n_drops=n))
+    outcomes = {f"ue:{i}": sim.run_drop(i) for i in range(n)}
+    records = {uid: o.records for uid, o in outcomes.items()}
+    transport = Transport()
+    lmf = Lmf("lmf:0", sim.anchors, solver_options=sim.options)
+    ues = [Ue(uid, records=recs) for uid, recs in records.items()]
+    if method == "multi-rtt":
+        gnbs = [Gnb(f"gnb:{t}", trp_ids=[t], records=records) for t in sim.anchors]
+        results, _ = run_multi_rtt(lmf, gnbs, ues, transport)
+    else:
+        results, _ = run_dl_tdoa(lmf, ues, transport, list(sim.anchors))
+    path = tmp_path / "trace.jsonl"
+    transport.dump_trace(path)
+    fixes = replay_solve(load_trace(path), lmf.anchors, lmf.options)
+
+    failed = {uid for uid, o in outcomes.items() if o.failure is not None}
+    assert {uid for uid, r in results.items() if r.status == "aborted"} == failed
+    assert set(fixes) == set(outcomes) - failed
+    for uid, replayed in fixes.items():
+        batch, live = outcomes[uid].fix, results[uid].fix
+        for fix in (live, replayed):
+            assert np.array_equal(fix.position, batch.position)
+            assert fix.residual_rms == batch.residual_rms
+            assert fix.converged == batch.converged
 
 
 class TestAssistance:
     def test_on_demand_round_trip(self):
         transport, lmf, gnbs, ues, _ = make_world()
         payload = request_assistance_on_demand(ues[0], lmf, transport)
-        assert payload == {"prs_tree": lmf.prs_tree}
+        assert payload == {"trp_ids": list(lmf.anchors)}
 
     def test_two_ues_get_identical_payloads(self):
         transport, lmf, _, _, _ = make_world()
