@@ -117,6 +117,12 @@ class DelayWindow:
     drops out of the magnitude. Chirp phases are reduced exactly in
     integers, pi*((2*k*lo + k^2) mod 2m)/m, so they stay accurate at large
     k. Bins wrap modulo m, so a negative lo reaches the end of the spectrum.
+
+    A window owns its transform workspace, (rows, L) complex, and its
+    (rows, W) magnitude buffer for as long as it lives, and grows both when
+    a call brings more rows than they hold, so repeated calls ask the
+    operating system for no new pages. The magnitudes a call returns are a
+    view of that buffer: the next call overwrites them.
     """
 
     def __init__(self, n_sc: int, m: int, scs_hz: float,
@@ -135,12 +141,23 @@ class DelayWindow:
         kernel = np.zeros(self._fft_len, dtype=complex)
         kernel[n % self._fft_len] = np.exp(-1j * np.pi * ((n * n) % (2 * m)) / m) / m
         self._kernel_f = np.fft.fft(kernel)
+        self._work = np.empty((0, self._fft_len), dtype=complex)
+        self._mag = np.empty((0, self.n_bins))
 
     def magnitudes(self, stack: np.ndarray) -> np.ndarray:
-        """(rows, n_sc) vectors -> (rows, n_bins) window magnitudes."""
-        spec = np.fft.fft(stack * self._chirp, self._fft_len, axis=-1)
-        spec *= self._kernel_f
-        return np.abs(np.fft.ifft(spec, axis=-1)[..., :self.n_bins])
+        """(rows, n_sc) vectors -> (rows, n_bins) window magnitudes, valid
+        until the next call."""
+        rows, n_sc = stack.shape
+        if rows > len(self._work):
+            self._work = np.empty((rows, self._fft_len), dtype=complex)
+            self._mag = np.empty((rows, self.n_bins))
+        w = self._work[:rows]
+        np.multiply(stack, self._chirp, out=w[:, :n_sc])
+        w[:, n_sc:] = 0.0
+        np.fft.fft(w, axis=-1, out=w)
+        w *= self._kernel_f
+        np.fft.ifft(w, axis=-1, out=w)
+        return np.abs(w[:, :self.n_bins], out=self._mag[:rows])
 
 
 def first_path_from_magnitude(wmag: np.ndarray, lo_bin: int, bin_s: float) -> np.ndarray:

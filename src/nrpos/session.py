@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .measurements import MeasurementRecord
+from .prs import SrsPosResource
 from .simulate import solve_records
 from .solvers import SolverError, SolverOptions
 
@@ -227,19 +228,23 @@ class Ue(Node):
 
 class Gnb(Node):
     """A radio node serving trp_ids; records maps each UE id to that UE's
-    records, of which it reports the gNB Rx-Tx ones on its TRPs."""
+    records, of which it reports the gNB Rx-Tx ones on its TRPs. srs is
+    the sounding resource those records were measured on, which the node
+    configures the UE with and reports to the server."""
 
     role = "gnb"
 
-    def __init__(self, node_id: str, trp_ids, records: dict[str, list] | None = None):
+    def __init__(self, node_id: str, trp_ids, srs: SrsPosResource,
+                 records: dict[str, list] | None = None):
         super().__init__(node_id)
         self.trp_ids = list(trp_ids)
+        self.srs = srs
         self.records = records or {}
 
     def handle(self, msg: Message):
         if msg.kind == "NrppaPositioningInformationRequest":
             ue_id = msg.payload["ue_id"]
-            srs = {"comb_size": 2, "n_symbols": 2, "comb_offset": 0}
+            srs = asdict(self.srs)
             self.send("RrcSrsConfig", ue_id, {"ue_id": ue_id, "srs": srs})
             self.send("NrppaPositioningInformationResponse", msg.sender,
                       {"ue_id": ue_id, "srs": srs, "trp_ids": self.trp_ids})

@@ -37,6 +37,15 @@ block and a block of every 64th subcarrier. Against a direct exponential
 the ramps differ in the last bits, so quantized reports are bit-stable
 under that blocking, and unquantized ones may differ in their last bits.
 
+The large per-drop arrays live as long as the `Simulator`, so that a warm
+drop asks the operating system for no new pages: the (link, subcarrier)
+channel matrix is one buffer that `_channel_matrix` rewrites on every
+call, the uplink stage overwriting what the downlink stage used, and the
+detection workspace and magnitude buffer belong to the simulator's
+`DelayWindow`, whose returned magnitudes the next detection overwrites.
+`_batched_toa` tapers its despread stack in place; `despread_groups` makes
+that stack fresh on every call.
+
 The downlink beam sweep needs only each group's mean power per beam, so
 it never forms REs. `sweep_powers` draws every group's power on every
 beam from its comb offset's sufficient statistic: the triangular factor
@@ -316,6 +325,7 @@ class Simulator:
         n_sc = self.numerology.n_subcarriers
         self._tap_ramps = phase_ramps(np.arange(n_taps) * self.sample_period_s, n_sc,
                                       self.scs_hz)
+        self._h = np.empty((len(self.trps), n_sc), dtype=complex)
         self._delay_window = DelayWindow(n_sc, delay_spectrum_size(n_sc), self.scs_hz,
                                          self.search_window)
         self._taper = taper_vector(np.ones(n_sc))
@@ -374,7 +384,9 @@ class Simulator:
         return offsets, ue_offset
 
     def _channel_matrix(self, links, extra_s=None) -> np.ndarray:
-        """Frequency response of every link over all subcarriers.
+        """Frequency response of every link over all subcarriers, written
+        into the simulator's one (link, subcarrier) buffer: the next call
+        overwrites it.
 
         extra_s shifts each link by an additional delay (clock terms). The
         first arrival's ramp comes from `phase_ramps`, blocked, so it can
@@ -386,12 +398,15 @@ class Simulator:
         if extra_s is not None:
             first = first + extra_s
         gains = np.array([[t[1] for t in l.taps] for l in links])
-        ramp = phase_ramps(first, self.numerology.n_subcarriers, self.scs_hz)
-        return ramp * (gains @ self._tap_ramps)
+        h = np.matmul(gains, self._tap_ramps, out=self._h)
+        h *= phase_ramps(first, self.numerology.n_subcarriers, self.scs_hz)
+        return h
 
     def _batched_toa(self, vec_matrix: np.ndarray) -> list[float | None]:
-        """First-path delays for a stack of despread vectors (None = failed)."""
-        taus = first_paths(vec_matrix * self._taper, self._delay_window)
+        """First-path delays for a stack of despread vectors (None = failed).
+        The stack is tapered in place."""
+        vec_matrix *= self._taper
+        taus = first_paths(vec_matrix, self._delay_window)
         return [None if np.isnan(tau) else float(tau) for tau in taus]
 
     @staticmethod
@@ -578,22 +593,24 @@ class Simulator:
         links = self._links(drop_idx, ue)
         trp_clock, ue_clock = self._sync_offsets(drop_idx)
 
+        # records formed before a failed solve stay on the outcome
         records: list[MeasurementRecord] = []
         fix = None
         failure = None
         try:
             if cfg.method == "dl-tdoa":
-                records, fix = self._run_dl_tdoa(links, trp_clock, ue_clock, drop_idx)
+                records = self._dl_tdoa_records(links, trp_clock, ue_clock, drop_idx)
             elif cfg.method == "ul-tdoa":
-                records, fix = self._run_ul_tdoa(links, trp_clock, ue_clock, drop_idx)
+                records = self._ul_tdoa_records(links, trp_clock, ue_clock, drop_idx)
             elif cfg.method == "multi-rtt":
-                records, fix = self._run_multi_rtt(links, trp_clock, ue_clock, drop_idx)
+                records = self._multi_rtt_records(links, trp_clock, ue_clock, drop_idx)
             elif cfg.method == "ul-aoa":
-                records, fix = self._run_ul_aoa(links, trp_clock, ue_clock, drop_idx)
+                records = self._ul_aoa_records(links, trp_clock, ue_clock, drop_idx)
             elif cfg.method == "dl-aod":
-                records, fix = self._run_dl_aod(links, drop_idx)
+                records = self._dl_aod_records(links, drop_idx)
             else:
                 raise ValueError(f"unknown method {cfg.method}")
+            fix = solve_records(records, self.anchors, cfg.method, self.options)
         except SolverError as exc:
             failure = str(exc)
 
@@ -618,7 +635,7 @@ class Simulator:
         except SolverError:
             return math.inf
 
-    def _run_dl_tdoa(self, links, trp_clock, ue_clock, drop_idx):
+    def _dl_tdoa_records(self, links, trp_clock, ue_clock, drop_idx):
         toa, rsrp = self._dl_stage(links, trp_clock, ue_clock, drop_idx)
         selected = [t for t in self._select_trps(rsrp) if toa[t] is not None]
         records = [
@@ -640,10 +657,9 @@ class Simulator:
             records.append(timing_record(
                 "RSTD", t, rstd(toa[t], toa[ref]), cfg.effective_timing_k, cfg.fr,
                 resource_id=t, extra={"ref_trp_id": ref}, quantize=cfg.quantize))
-        fix = solve_records(records, self.anchors, "dl-tdoa", self.options)
-        return records, fix
+        return records
 
-    def _run_ul_tdoa(self, links, trp_clock, ue_clock, drop_idx):
+    def _ul_tdoa_records(self, links, trp_clock, ue_clock, drop_idx):
         toa, rsrp = self._ul_stage(links, trp_clock, ue_clock, drop_idx)
         selected = [t for t in self._select_trps(rsrp) if toa[t] is not None]
         if len(selected) < 4:
@@ -661,10 +677,9 @@ class Simulator:
         for t in selected:
             records.append(timing_record(
                 "UL_RTOA", t, toa[t], cfg.effective_timing_k, cfg.fr, quantize=cfg.quantize))
-        fix = solve_records(records, self.anchors, "ul-tdoa", self.options)
-        return records, fix
+        return records
 
-    def _run_multi_rtt(self, links, trp_clock, ue_clock, drop_idx):
+    def _multi_rtt_records(self, links, trp_clock, ue_clock, drop_idx):
         dl_toa, rsrp = self._dl_stage(links, trp_clock, ue_clock, drop_idx)
         ranked = [t for t in self._select_trps(rsrp) if dl_toa[t] is not None]
         ul_toa, _ = self._ul_stage(links, trp_clock, ue_clock, drop_idx, detect=ranked)
@@ -678,10 +693,9 @@ class Simulator:
                 "UE_RXTX", t, dl_toa[t], cfg.effective_timing_k, cfg.fr, quantize=cfg.quantize))
             records.append(timing_record(
                 "GNB_RXTX", t, ul_toa[t], cfg.effective_timing_k, cfg.fr, quantize=cfg.quantize))
-        fix = solve_records(records, self.anchors, "multi-rtt", self.options)
-        return records, fix
+        return records
 
-    def _run_ul_aoa(self, links, trp_clock, ue_clock, drop_idx):
+    def _ul_aoa_records(self, links, trp_clock, ue_clock, drop_idx):
         # every TRP: the AoA stage draws noise only for TRPs with an uplink
         # arrival, so detecting a subset would shift its stream
         ul_toa, rsrp = self._ul_stage(links, trp_clock, ue_clock, drop_idx,
@@ -697,10 +711,9 @@ class Simulator:
             )
             for t in selected
         ]
-        fix = solve_records(records, self.anchors, "ul-aoa", self.options)
-        return records, fix
+        return records
 
-    def _run_dl_aod(self, links, drop_idx):
+    def _dl_aod_records(self, links, drop_idx):
         reports = self._aod_stage(links, drop_idx)
         strongest = {t: max(r[2] for r in rep) for t, rep in reports.items()}
         selected = self._select_trps(strongest)
@@ -712,8 +725,7 @@ class Simulator:
                     payload={"value_dbm": rsrp_dbm, "beam_azimuth_deg": az,
                              "beam_zenith_deg": zen},
                 ))
-        fix = solve_records(records, self.anchors, "dl-aod", self.options)
-        return records, fix
+        return records
 
 
 def solve_records(records, anchors, method: str, options: SolverOptions):

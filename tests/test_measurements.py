@@ -284,6 +284,17 @@ class TestFirstPathKernel:
         want = np.abs(np.fft.ifft(x, m, axis=1))[:, bins]
         assert np.allclose(win.magnitudes(x), want, rtol=1e-9, atol=0)
 
+    def test_reused_workspace_matches_a_fresh_window(self, window):
+        """A call after a larger one reuses the workspace rows whose
+        transform tail the larger call filled: it must read them as zeros."""
+        win, m, search = window
+        rng = np.random.default_rng(4)
+        big, small = (rng.normal(size=(r, 3264)) + 1j * rng.normal(size=(r, 3264))
+                      for r in (5, 2))
+        win.magnitudes(big)
+        fresh = DelayWindow(3264, m, win.scs_hz, search).magnitudes(small)
+        assert np.array_equal(win.magnitudes(small), fresh)
+
     def test_pick_matches_per_row_picker_bit_for_bit(self, window):
         win, m, search = window
         mags = win.magnitudes(detection_stack(win))

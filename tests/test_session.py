@@ -3,6 +3,7 @@ message flows, aborts, trace replay, and session fixes against the batch
 fixes of the same simulated drops."""
 
 from collections import Counter
+from dataclasses import asdict
 from functools import lru_cache
 
 import numpy as np
@@ -54,7 +55,7 @@ def make_world(method="multi-rtt", n_gnbs=3, n_ues=1, responsive=None, keep=None
     trp_ids = list(sim.anchors)
     transport = Transport()
     lmf = Lmf("lmf:0", sim.anchors, solver_options=sim.options)
-    gnbs = [Gnb(f"gnb:{g}", trp_ids=trp_ids[g::n_gnbs], records=records)
+    gnbs = [Gnb(f"gnb:{g}", trp_ids=trp_ids[g::n_gnbs], srs=sim.srs, records=records)
             for g in range(n_gnbs)]
     ues = [
         Ue(uid, records=recs,
@@ -145,6 +146,26 @@ class TestMultiRtt:
             assert np.array_equal(fixes[uid].position, live.fix.position)
             assert fixes[uid].residual_rms == live.fix.residual_rms
 
+    def test_gnb_sends_the_sounding_resource_of_its_records(self):
+        """The SRS configuration a gNB gives the UE and the server is the
+        resource the drop's uplink was measured on."""
+        sim = Simulator(preset_config("ioo-fr1", method="multi-rtt", ideal=True, n_drops=1,
+                                      ul_comb_size=4, ul_n_symbols=4))
+        drop = sim.run_drop(0)
+        transport = Transport()
+        lmf = Lmf("lmf:0", sim.anchors, solver_options=sim.options)
+        gnbs = [Gnb("gnb:0", trp_ids=list(sim.anchors), srs=sim.srs,
+                    records={"ue:0": drop.records})]
+        results, trace = run_multi_rtt(lmf, gnbs, [Ue("ue:0", records=drop.records)],
+                                       transport)
+        sent = [e["payload"]["srs"] for e in trace
+                if e["kind"] in ("RrcSrsConfig", "NrppaPositioningInformationResponse")]
+        assert len(sent) == 2
+        for srs in sent:
+            assert srs == asdict(sim.srs)
+            assert (srs["comb_size"], srs["n_symbols"], srs["comb_offset"]) == (4, 4, 0)
+        assert np.array_equal(results["ue:0"].fix.position, drop.fix.position)
+
     def test_deterministic_trace_bytes(self, tmp_path):
         blobs = []
         for _ in range(2):
@@ -225,6 +246,23 @@ class TestDlTdoa:
         assert all("got 2" in a["reason"] for a in aborts)
         assert replay_solve(trace, lmf.anchors, lmf.options) == {}
 
+    def test_failed_drop_keeps_its_records(self):
+        """UMa DL-TDOA drop 18 at master seed 1 forms its records and then
+        fails to solve (collinear anchors). The outcome keeps the records,
+        so a session over them aborts with the solver's own reason rather
+        than for want of measurements."""
+        sim = Simulator(preset_config("uma", method="dl-tdoa", n_drops=19))
+        drop = sim.run_drop(18)
+        assert "collinear" in drop.failure
+        assert {r.kind for r in drop.records} == {"PRS_RSRP", "RSTD"}
+        transport = Transport()
+        lmf = Lmf("lmf:0", sim.anchors, solver_options=sim.options)
+        results, trace = run_dl_tdoa(lmf, [Ue("ue:18", records=drop.records)], transport,
+                                     list(sim.anchors))
+        assert results["ue:18"].status == "aborted"
+        aborts = [e["payload"]["reason"] for e in trace if e["kind"] == ABORT_KIND]
+        assert aborts == [drop.failure]
+
     def test_unsolvable_report_leaves_other_sessions_fixed(self):
         transport, lmf, gnbs, ues, _ = make_world(n_gnbs=3, n_ues=1)
         *_, tdoa_ues, _ = make_world("dl-tdoa", n_ues=2, keep=3)
@@ -256,7 +294,8 @@ def test_sessions_reproduce_batch_fixes(preset, method, tmp_path):
     lmf = Lmf("lmf:0", sim.anchors, solver_options=sim.options)
     ues = [Ue(uid, records=recs) for uid, recs in records.items()]
     if method == "multi-rtt":
-        gnbs = [Gnb(f"gnb:{t}", trp_ids=[t], records=records) for t in sim.anchors]
+        gnbs = [Gnb(f"gnb:{t}", trp_ids=[t], srs=sim.srs, records=records)
+                for t in sim.anchors]
         results, _ = run_multi_rtt(lmf, gnbs, ues, transport)
     else:
         results, _ = run_dl_tdoa(lmf, ues, transport, list(sim.anchors))

@@ -140,6 +140,25 @@ def test_channel_matrix_matches_oracle_response():
     assert np.allclose(h, expected, rtol=0.0, atol=1e-10 * np.abs(expected).max())
 
 
+@pytest.mark.parametrize("preset,method", [("uma", "dl-tdoa"), ("ioo-fr1", "multi-rtt")])
+def test_drop_does_not_see_earlier_drops(preset, method):
+    """Drop 7 after drops 0-6 on one simulator equals drop 7 on a fresh
+    one: the channel buffer, the detection workspace and the in-place taper
+    carry nothing from one drop, or one stage, to the next. Multi-RTT's
+    uplink stage rewrites the channel buffer its downlink stage used."""
+    config = preset_config(preset, method=method, n_drops=10)
+    sim = Simulator(config)
+    after = [sim.run_drop(d) for d in range(10)][7]
+    alone = Simulator(config).run_drop(7)
+    assert after.records and after.records == alone.records
+    assert (after.failure, after.gdop) == (alone.failure, alone.gdop)
+    if alone.fix is None:
+        assert after.fix is None
+    else:
+        assert np.array_equal(after.fix.position, alone.fix.position)
+        assert after.fix.residual_rms == alone.fix.residual_rms
+
+
 @pytest.mark.parametrize("interference,scale", [(True, 1.0), (False, 0.02)])
 def test_sweep_draw_matches_re_level_draw(interference, scale):
     """The beam sweep's draw from each RE set's factor R against RSRP taken
