@@ -10,10 +10,14 @@ from typing import Literal, Optional
 import yaml
 from pydantic import BaseModel, ConfigDict, Field, model_validator
 
+from .measurements import K_RANGE
+
 CONFIG_VERSION = 1
 
 # carrier frequency and subcarrier spacing per frequency range
 FR_DEFAULTS = {"fr1": (2e9, 30), "fr2": (28e9, 120)}
+
+METHODS = ("dl-tdoa", "ul-tdoa", "multi-rtt", "ul-aoa", "dl-aod")
 
 
 class ChannelOverrides(BaseModel):
@@ -47,7 +51,7 @@ class ExperimentConfig(BaseModel):
     version: int = CONFIG_VERSION
     scenario: Literal["uma", "umi", "ioo"] = "ioo"
     fr: Literal["fr1", "fr2"] = "fr1"
-    method: Literal["dl-tdoa", "ul-tdoa", "multi-rtt", "ul-aoa", "dl-aod"] = "dl-tdoa"
+    method: Literal[METHODS] = "dl-tdoa"
     n_drops: int = Field(100, ge=1)
     master_seed: int = 1
 
@@ -69,7 +73,7 @@ class ExperimentConfig(BaseModel):
     min_trps: int = Field(5, ge=3)
     n_samples: int = Field(1, ge=1, le=4)
     quantize: bool = True
-    timing_k: Optional[int] = None  # default: finest legal step per range
+    timing_k: Optional[int] = None  # default: finest legal step per range, K_RANGE[fr][0]
     sync_sigma_ns: float = Field(0.0, ge=0)
     ideal: bool = False
 
@@ -92,7 +96,7 @@ class ExperimentConfig(BaseModel):
         if (self.n_prb - 24) % 4 != 0:
             raise ValueError("n_prb must be 24..276 in steps of 4")
         if self.timing_k is not None:
-            lo, hi = (2, 5) if self.fr == "fr1" else (0, 5)
+            lo, hi = K_RANGE[self.fr]
             if not lo <= self.timing_k <= hi:
                 raise ValueError(f"timing_k {self.timing_k} illegal for {self.fr}")
         return self
@@ -109,7 +113,7 @@ class ExperimentConfig(BaseModel):
     def effective_timing_k(self) -> int:
         if self.timing_k is not None:
             return self.timing_k
-        return 2 if self.fr == "fr1" else 0
+        return K_RANGE[self.fr][0]
 
 
 PRESETS = {

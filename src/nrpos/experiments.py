@@ -8,10 +8,16 @@ results.csv  ue_id,true_x,true_y,true_z,est_x,est_y,est_z,
              horizontal_error_m,vertical_error_m,converged,in_hull,gdop
 cdf.csv      horizontal_error_m,probability   (both columns nondecreasing)
 summary.json config echo + percentiles + counts + runtime
+
+The accuracy matrix (`accuracy_matrix`, written as ACCURACY.json) runs every
+preset against every method and records, per cell, the converged count,
+the percentiles, the converged fixes outside the solver's area and the
+results.csv sha256.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import time
@@ -20,8 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import METHODS, PRESETS, ExperimentConfig, preset_config
 from .simulate import DropOutcome, Simulator
+from .solvers import in_area
 
 PERCENTILES = (50, 67, 90, 95)
 
@@ -63,6 +70,8 @@ class ExperimentResult:
     outcomes: list[DropOutcome]
     results_csv: str
     cdf_csv: str
+    # the solver's deployment area (x0, y0, x1, y1) the fixes should lie in
+    area: tuple[float, float, float, float]
 
 
 def _fmt(x) -> str:
@@ -131,6 +140,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
         outcomes=outcomes,
         results_csv=_results_csv(outcomes),
         cdf_csv=_cdf_csv(errors),
+        area=sim.options.area,
     )
     if out_dir is not None:
         write_artifacts(result, out_dir)
@@ -146,3 +156,30 @@ def write_artifacts(result: ExperimentResult, out_dir):
         json.dumps(result.summary.to_dict(), indent=2, sort_keys=False) + "\n"
     )
 
+
+MATRIX_DROPS = 200
+
+
+def matrix_cell(result: ExperimentResult) -> dict:
+    """One accuracy-matrix cell: what a run's fixes say about its accuracy."""
+    summary = result.summary
+    return {
+        "converged": summary.n_converged,
+        "percentiles": summary.to_dict()["percentiles"],
+        "outside_area": sum(1 for o in result.outcomes
+                            if o.converged and not in_area(o.fix.position, result.area)),
+        "results_sha256": hashlib.sha256(result.results_csv.encode()).hexdigest(),
+    }
+
+
+def accuracy_matrix(n_drops: int = MATRIX_DROPS) -> dict:
+    """Every preset against every method at n_drops drops, default seed."""
+    cells = {
+        preset: {
+            method: matrix_cell(run_experiment(preset_config(preset, method=method,
+                                                             n_drops=n_drops)))
+            for method in METHODS
+        }
+        for preset in PRESETS
+    }
+    return {"n_drops": n_drops, "cells": cells}

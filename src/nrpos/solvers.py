@@ -7,6 +7,11 @@ bearing lines, and range solves from the linear least-squares solution of
 the squared-range equations; a coarse objective scan backs up a range
 start that fails. Time-difference solves always add the minima of that
 scan as starts, which picks between their hyperbola branches.
+
+One Gauss-Newton iteration is a few numpy calls on the free coordinates,
+and its arithmetic is pinned: every operation and reduction is the one of
+the plain whole-array loop in `tests/gauss_newton_oracle.py`, and a test
+checks every field of the fixes of captured runs against it bit for bit.
 """
 
 from __future__ import annotations
@@ -81,14 +86,19 @@ def init_guess(anchors, rsrp_dbm=None, fix_height: float | None = None) -> np.nd
     return guess
 
 
-def _expand(x2, fix_height):
-    if fix_height is None:
-        return np.asarray(x2, dtype=float)
-    return np.array([x2[0], x2[1], fix_height])
+# degrees per radian, as np.degrees applies it
+_DEG = 180.0 / np.pi
 
 
 class _Problem:
-    """Residuals and Jacobians for one measurement geometry."""
+    """Residuals and Jacobians for one measurement geometry.
+
+    Each geometry's `_evaluate(x)` returns the residuals at a point x (three
+    coordinates) with the differences their Jacobian shares, and
+    `_fill_jacobian(shared, out)` writes the Jacobian's first len(out)
+    columns into the rows of out, so a Gauss-Newton iteration evaluates
+    once and fills once.
+    """
 
     def __init__(self, method, anchors, fix_height):
         self.method = method
@@ -96,10 +106,13 @@ class _Problem:
         self.fix_height = fix_height
 
     def residuals(self, x):
-        raise NotImplementedError
+        return self._evaluate(x)[0]
 
     def jacobian(self, x):
-        raise NotImplementedError
+        r, shared = self._evaluate(x)
+        j = np.empty((len(r), 3))
+        self._fill_jacobian(shared, j.T)
+        return j if self.fix_height is None else j[:, :2]
 
 
 class _TdoaProblem(_Problem):
@@ -108,18 +121,22 @@ class _TdoaProblem(_Problem):
         self.ref = np.asarray(ref_anchor, dtype=float)
         self.measured = np.asarray(measured_m, dtype=float)
 
-    def residuals(self, x):
-        d = np.linalg.norm(self.anchors - x, axis=1)
-        d_ref = np.linalg.norm(self.ref - x)
-        return (d - d_ref) - self.measured
-
-    def jacobian(self, x):
+    def _evaluate(self, x):
+        x = np.array(x, dtype=float)
         diff = x - self.anchors
-        d = np.linalg.norm(diff, axis=1, keepdims=True)
+        # np.linalg.norm's own arithmetic: add.reduce along an axis, and a
+        # dot product for one vector, which need not sum in the same order
+        d = np.sqrt(np.add.reduce(diff * diff, axis=1))
         diff_ref = x - self.ref
-        d_ref = np.linalg.norm(diff_ref)
-        rows = diff / d - diff_ref / d_ref
-        return rows if self.fix_height is None else rows[:, :2]
+        d_ref = math.sqrt(diff_ref.dot(diff_ref))
+        r = d - d_ref
+        r -= self.measured
+        return r, (diff, d, diff_ref, d_ref)
+
+    def _fill_jacobian(self, shared, out):
+        diff, d, diff_ref, d_ref = shared
+        k = len(out)
+        np.subtract(diff[:, :k] / d[:, None], diff_ref[:k] / d_ref, out=out.T)
 
     def objective_grid(self, pts, z):
         p3 = np.column_stack([pts, np.full(len(pts), z)])
@@ -134,14 +151,14 @@ class _RangeProblem(_Problem):
         super().__init__("rtt", anchors, fix_height)
         self.measured = np.asarray(ranges_m, dtype=float)
 
-    def residuals(self, x):
-        return np.linalg.norm(self.anchors - x, axis=1) - self.measured
+    def _evaluate(self, x):
+        diff = np.array(x, dtype=float) - self.anchors
+        d = np.sqrt(np.add.reduce(diff * diff, axis=1))
+        return d - self.measured, (diff, d)
 
-    def jacobian(self, x):
-        diff = x - self.anchors
-        d = np.linalg.norm(diff, axis=1, keepdims=True)
-        rows = diff / d
-        return rows if self.fix_height is None else rows[:, :2]
+    def _fill_jacobian(self, shared, out):
+        diff, d = shared
+        np.divide(diff[:, :len(out)], d[:, None], out=out.T)
 
     def objective_grid(self, pts, z):
         p3 = np.column_stack([pts, np.full(len(pts), z)])
@@ -157,83 +174,99 @@ class _AngleProblem(_Problem):
         super().__init__("aoa", anchors, fix_height)
         self.az = np.asarray(azimuth_deg, dtype=float)
         self.zen = None if zenith_deg is None else np.asarray(zenith_deg, dtype=float)
+        self._ax, self._ay, self._az = (c.copy() for c in self.anchors.T)
 
-    def residuals(self, x):
-        diff = x - self.anchors
-        az = np.degrees(np.arctan2(diff[:, 1], diff[:, 0]))
-        res = [wrap_deg(az - self.az)]
-        if self.zen is not None:
-            rho = np.linalg.norm(diff[:, :2], axis=1)
-            zen = np.degrees(np.arctan2(rho, diff[:, 2]))
-            res.append(zen - self.zen)
-        return np.concatenate(res)
-
-    def jacobian(self, x):
-        diff = x - self.anchors
-        rho2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
+    def _evaluate(self, x):
+        dx = x[0] - self._ax
+        dy = x[1] - self._ay
+        # wrap_deg(np.degrees(np.arctan2(dy, dx)) - az), one buffer throughout
+        r = np.arctan2(dy, dx)
+        np.degrees(r, out=r)
+        r -= self.az
+        r += 180.0
+        np.mod(r, 360.0, out=r)
+        r -= 180.0
+        r[r == -180.0] = 180.0
+        if self.zen is None:
+            return r, (dx, dy)
+        dz = x[2] - self._az
+        rho2 = dx * dx + dy * dy
         rho = np.sqrt(rho2)
-        deg = 180.0 / np.pi
-        j_az = np.zeros((len(self.anchors), 3))
-        j_az[:, 0] = -diff[:, 1] / rho2 * deg
-        j_az[:, 1] = diff[:, 0] / rho2 * deg
-        rows = [j_az]
+        zen = np.degrees(np.arctan2(rho, dz))
+        return np.concatenate((r, zen - self.zen)), (dx, dy, rho2, dz, rho)
+
+    def _fill_jacobian(self, shared, out):
+        # -dy / rho2 * deg is dy / rho2 * -deg to the bit: negation is exact
+        dx, dy = shared[:2]
+        n = len(dx)
+        rho2 = shared[2] if self.zen is not None else dx * dx + dy * dy
+        az_rows = out[:, :n]
+        np.divide(dy, rho2, out=az_rows[0])
+        az_rows[0] *= -_DEG
+        np.divide(dx, rho2, out=az_rows[1])
+        az_rows[1] *= _DEG
+        if len(out) == 3:
+            az_rows[2] = 0.0
         if self.zen is not None:
-            d2 = rho2 + diff[:, 2] ** 2
-            j_zen = np.zeros((len(self.anchors), 3))
-            j_zen[:, 0] = diff[:, 2] * diff[:, 0] / (d2 * rho) * deg
-            j_zen[:, 1] = diff[:, 2] * diff[:, 1] / (d2 * rho) * deg
-            j_zen[:, 2] = -rho / d2 * deg
-            rows.append(j_zen)
-        j = np.vstack(rows)
-        return j if self.fix_height is None else j[:, :2]
+            dz, rho = shared[3:]
+            d2 = rho2 + dz * dz
+            d2_rho = d2 * rho
+            np.multiply(dz * dx / d2_rho, _DEG, out=out[0, n:])
+            np.multiply(dz * dy / d2_rho, _DEG, out=out[1, n:])
+            if len(out) == 3:
+                np.multiply(-rho / d2, _DEG, out=out[2, n:])
 
 
 def _gauss_newton(problem: _Problem, x0: np.ndarray, options: SolverOptions) -> PositionFix:
     """Damped Gauss-Newton: halve the step while the residual RMS grows.
 
+    The loop runs on the free coordinates as Python floats, and the step
+    on them is the least-squares solution of the Jacobian's free columns.
     Residuals are evaluated once per point: the line search's residuals at
-    the accepted candidate drive the next step and the returned fix.
+    the accepted candidate, and the differences they share with the
+    Jacobian, drive the next step and the returned fix. Every operation and
+    reduction is the one of the plain whole-array loop in
+    `tests/gauss_newton_oracle.py`, which this one matches bit for bit.
     """
-    fix_h = options.fix_height
-    x = np.asarray(x0, dtype=float).copy()
-    if fix_h is not None:
-        x[2] = fix_h
-    var = x[:2].copy() if fix_h is not None else x.copy()
+    fixed = [] if options.fix_height is None else [float(options.fix_height)]
+    n_free = 3 - len(fixed)
+    var = np.asarray(x0, dtype=float).tolist()[:n_free]
 
     def evaluate(v):
-        r = problem.residuals(_expand(v, fix_h))
-        return float(np.sqrt(np.add.reduce(r * r) / len(r))), r
+        r, shared = problem._evaluate(v + fixed)
+        return math.sqrt(float(np.add.reduce(r * r)) / len(r)), r, shared
 
-    rms, r = evaluate(var)
+    rms, r, shared = evaluate(var)
     history = [rms]
     converged = False
     iterations = 0
+    jac_t = np.empty((n_free, len(r)))
     for iterations in range(1, options.max_iterations + 1):
-        j = problem.jacobian(_expand(var, fix_h))
+        problem._fill_jacobian(shared, jac_t)
         try:
-            step, *_ = np.linalg.lstsq(j, r, rcond=None)
+            step = np.linalg.lstsq(jac_t.T, r, rcond=None)[0]
         except np.linalg.LinAlgError:
             break
-        if not np.all(np.isfinite(step)):
+        s = step.tolist()
+        if not all(map(math.isfinite, s)):
             break
         scale = 1.0
-        accepted = None
         for _ in range(25):
-            cand = var - scale * step
-            cand_rms, cand_r = evaluate(cand)
+            cand = [vi - scale * si for vi, si in zip(var, s)]
+            cand_rms, cand_r, cand_shared = evaluate(cand)
             if cand_rms <= rms:
-                accepted = (cand, cand_rms, cand_r, scale)
                 break
             scale *= 0.5
-        if accepted is None:
+        else:
             break
-        var, rms, r, scale = accepted
+        var, rms, r, shared = cand, cand_rms, cand_r, cand_shared
         history.append(rms)
-        if float(np.linalg.norm(scale * step)) < options.tolerance_m:
+        taken = scale * step
+        if math.sqrt(taken.dot(taken)) < options.tolerance_m:
             converged = True
             break
 
-    xf = _expand(var, fix_h)
+    xf = np.array(var + fixed)
     j = problem.jacobian(xf)
     grad = 2.0 * j.T @ r / max(len(r), 1)
     return PositionFix(
@@ -335,7 +368,7 @@ def _bearing_start(problem: _AngleProblem) -> np.ndarray:
     return xy
 
 
-def _in_area(p, area) -> bool:
+def in_area(p, area) -> bool:
     return area is None or (area[0] <= p[0] <= area[2] and area[1] <= p[1] <= area[3])
 
 
@@ -347,8 +380,8 @@ def _solve_bearings(problem: _AngleProblem, x0, options: SolverOptions) -> Posit
     start = np.array(x0, dtype=float)
     start[:2] = _bearing_start(problem)
     best = _gauss_newton(problem, start, options) if np.all(np.isfinite(start)) else None
-    if best is None or not (_in_area(start, options.area) and best.converged
-                            and _in_area(best.position, options.area)):
+    if best is None or not (in_area(start, options.area) and best.converged
+                            and in_area(best.position, options.area)):
         alt = _gauss_newton(problem, x0, options)
         if best is None or alt.objective < best.objective:
             best = alt
@@ -379,9 +412,9 @@ def _solve_ranges(problem: _RangeProblem, x0, options: SolverOptions) -> Positio
     the area. The x0 run is needed: on noisy ranges the linear start can
     lie in a higher-objective basin than the one x0 reaches."""
     start = _range_start(problem)
-    if np.all(np.isfinite(start)) and _in_area(start, options.area):
+    if np.all(np.isfinite(start)) and in_area(start, options.area):
         runs = (_gauss_newton(problem, x0, options), _gauss_newton(problem, start, options))
-        if any(f.converged and _in_area(f.position, options.area) for f in runs):
+        if any(f.converged and in_area(f.position, options.area) for f in runs):
             return min(runs, key=lambda f: f.objective)
     return _solve_multistart(problem, x0, options)
 
@@ -587,8 +620,9 @@ def gdop(anchors, position, method: str, ref_index: int | None = None,
     elif method == "rtt":
         problem = _RangeProblem(anchors, np.zeros(len(anchors)), fix_height)
     elif method in ("aoa", "aod"):
-        problem = _AngleProblem(anchors, np.zeros(len(anchors)),
-                                np.zeros(len(anchors)), fix_height)
+        # a beam sweep at one zenith gives aod_solve azimuths only
+        zenith = np.zeros(len(anchors)) if method == "aoa" else None
+        problem = _AngleProblem(anchors, np.zeros(len(anchors)), zenith, fix_height)
     else:
         raise SolverError(f"unknown method {method!r}")
     j = problem.jacobian(position)

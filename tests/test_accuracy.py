@@ -1,0 +1,31 @@
+"""The committed accuracy matrix, ACCURACY.json (`python -m nrpos matrix .`):
+every (preset, method) cell is there with its schema, and one cheap cell
+re-runs to its committed figures, so the file cannot go stale unseen."""
+
+import json
+import re
+from pathlib import Path
+
+from nrpos.config import METHODS, PRESETS, preset_config
+from nrpos.experiments import MATRIX_DROPS, PERCENTILES, matrix_cell, run_experiment
+
+DOC = json.loads((Path(__file__).resolve().parent.parent / "ACCURACY.json").read_text())
+
+
+def test_every_cell_has_the_schema():
+    assert DOC["n_drops"] == MATRIX_DROPS
+    assert list(DOC["cells"]) == list(PRESETS)
+    for row in DOC["cells"].values():
+        assert list(row) == list(METHODS)
+        for cell in row.values():
+            assert set(cell) == {"converged", "percentiles", "outside_area", "results_sha256"}
+            assert 0 <= cell["outside_area"] <= cell["converged"] <= MATRIX_DROPS
+            values = [cell["percentiles"][str(p)] for p in PERCENTILES]
+            assert len(cell["percentiles"]) == len(PERCENTILES)
+            assert values == sorted(values) and values[0] >= 0.0
+            assert re.fullmatch("[0-9a-f]{64}", cell["results_sha256"])
+
+
+def test_cheap_cell_reruns_to_its_committed_figures():
+    result = run_experiment(preset_config("ioo-fr2", method="multi-rtt", n_drops=MATRIX_DROPS))
+    assert matrix_cell(result) == DOC["cells"]["ioo-fr2"]["multi-rtt"]

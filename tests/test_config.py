@@ -5,8 +5,11 @@ from functools import lru_cache
 
 import pytest
 
+from pydantic import ValidationError
+
 from nrpos.config import dump_config, load_config, preset_config
 from nrpos.experiments import run_experiment
+from nrpos.measurements import K_RANGE
 
 
 def test_dump_load_round_trip(tmp_path):
@@ -29,6 +32,17 @@ def test_non_mapping_document_rejected(tmp_path):
     path.write_text("- uma\n- dl-aod\n")
     with pytest.raises(ValueError, match="mapping"):
         load_config(path)
+
+
+def test_timing_k_follows_the_reporting_range():
+    """timing_k is checked against, and defaults to the finest step of,
+    the frequency range's reporting granularity in `measurements.K_RANGE`."""
+    with pytest.raises(ValidationError, match="timing_k 1 illegal for fr1"):
+        preset_config("ioo-fr1", timing_k=1)
+    assert preset_config("ioo-fr2", timing_k=1).effective_timing_k == 1
+    for name in ("ioo-fr1", "ioo-fr2"):
+        config = preset_config(name)
+        assert config.effective_timing_k == K_RANGE[config.fr][0]
 
 
 def short_run_csv(preset: str, method: str, **overrides) -> str:

@@ -33,9 +33,9 @@ PINNED = [
     # same fixes from the closed-form start, moved < 1e-4 m
     ("ioo-fr1", dict(method="multi-rtt"),
      "cf5890206b0f92e1ff1205bfee922e59bb73ad49f7c11e8374a191902cd182a5"),
-    # angle solves start from the bearing-line intersection, not the scan
+    # gdop column only: the DL-AoD GDOP has azimuth rows alone, as the solve
     ("uma", dict(method="dl-aod"),
-     "bd650908616ddc4f722a716d91ff3152f0ffbb39faa3f9c17106e00e13076ed3"),
+     "850c52fad34a97ddea5b300d02e58e486405857b23790971ffde5578111e019f"),
     ("uma", dict(method="dl-tdoa"),
      "12ba4e9ecfd664a50a33496ac76e8cac4d5e257b4ad9f55b6835ec3ffa9d3192"),
     ("ioo-fr1", dict(method="ul-tdoa"),

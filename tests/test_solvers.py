@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import gauss_newton_oracle as oracle
 from nrpos import solvers
+from nrpos.config import preset_config
+from nrpos.simulate import Simulator
 from nrpos.solvers import (
     PositionFix,
     SolverError,
@@ -423,6 +427,70 @@ class TestRangeStart:
         assert np.array_equal(fix.position, scan.position)
 
 
+def bits(value):
+    """A value with every float as its bytes, so == compares bit for bit."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (float, np.floating)):
+        return np.float64(value).tobytes()
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    return value
+
+
+# (preset, overrides, drops, covers): every Gauss-Newton run of the drops is
+# checked, and covers(runs) holds of the (problem, options, fix) runs made
+ORACLE_CASES = [
+    pytest.param("uma", dict(method="dl-aod"), (1, 9),
+                 lambda runs: any(f.iterations == o.max_iterations for _, o, f in runs),
+                 id="uma-dl-aod-cap"),
+    pytest.param("uma", dict(method="dl-tdoa"), (3,),
+                 lambda runs: len(runs) == 1 + solvers._SCAN_STARTS,
+                 id="uma-dl-tdoa-scan-starts"),
+    pytest.param("ioo-fr1", dict(method="multi-rtt"), (0,),
+                 lambda runs: len(runs) == 2, id="ioo-fr1-multi-rtt-x0-and-closed-form"),
+    pytest.param("ioo-fr1", dict(method="ul-aoa"), (0,),
+                 lambda runs: all(p.zen is not None for p, _, _ in runs),
+                 id="ioo-fr1-ul-aoa-zenith"),
+    pytest.param("ioo-fr1", dict(method="multi-rtt", solver={"fix_height": None}), (0,),
+                 lambda runs: all(o.fix_height is None for _, o, _ in runs),
+                 id="ioo-fr1-multi-rtt-3d"),
+    pytest.param("ioo-fr1", dict(method="ul-tdoa", solver={"nlos_rejection": "residual_trim"}),
+                 (0,), lambda runs: len({len(p.anchors) for p, _, _ in runs}) == 2,
+                 id="ioo-fr1-ul-tdoa-trim"),
+]
+
+
+class TestGaussNewtonOracle:
+    """`_gauss_newton`, `residuals` and `jacobian` against the plain
+    whole-array versions of `gauss_newton_oracle`, on every problem that
+    some drops at master seed 1 solve: every `PositionFix` field and every
+    residual and Jacobian entry, bit for bit."""
+
+    @pytest.mark.parametrize("preset,overrides,drops,covers", ORACLE_CASES)
+    def test_matches_oracle(self, preset, overrides, drops, covers, monkeypatch):
+        runs = []
+        real = solvers._gauss_newton
+
+        def checked(problem, x0, options):
+            fix = real(problem, x0, options)
+            want = oracle.gauss_newton(problem, x0, options)
+            for field in dataclasses.fields(PositionFix):
+                assert bits(getattr(fix, field.name)) == bits(getattr(want, field.name)), \
+                    field.name
+            # gdop and the residual trim evaluate at 3-vectors, off the fixed height too
+            for x in (np.asarray(x0, dtype=float), fix.position + [0.0, 0.0, 0.75]):
+                assert bits(problem.residuals(x)) == bits(oracle.residuals(problem, x))
+                assert bits(problem.jacobian(x)) == bits(oracle.jacobian(problem, x))
+            runs.append((problem, options, fix))
+            return fix
+
+        monkeypatch.setattr(solvers, "_gauss_newton", checked)
+        sim = Simulator(preset_config(preset, n_drops=max(drops) + 1, **overrides))
+        assert all(sim.run_drop(i).fix is not None for i in drops)
+        assert covers(runs)
+
+
 class TestGdop:
     def test_square_center_is_minimum(self):
         anchors = square_anchors(z=1.5)
@@ -442,6 +510,19 @@ class TestGdop:
         ])
         i, j = np.unravel_index(np.argmin(values), values.shape)
         assert abs(xs[j]) < 6 and abs(xs[i]) < 6
+
+    def test_aod_has_no_zenith_rows(self):
+        """A DL-AoD sweep at one zenith gives `aod_solve` azimuths only, so the
+        method's GDOP is that of the azimuth rows alone. Zenith rows add
+        information: the angle GDOP with them is lower."""
+        anchors = square_anchors(z=25.0)
+        p = np.array([10.0, 5.0, 1.5])
+        dx, dy = (p - anchors)[:, 0], (p - anchors)[:, 1]
+        rho2 = dx**2 + dy**2
+        j = np.degrees(np.column_stack([-dy / rho2, dx / rho2]))
+        want = math.sqrt(np.trace(np.linalg.inv(j.T @ j)))
+        assert gdop(anchors, p, "aod") == pytest.approx(want, rel=1e-12)
+        assert gdop(anchors, p, "aoa") < want
 
     def test_tdoa_and_angle_variants(self):
         anchors = square_anchors(z=1.5)
