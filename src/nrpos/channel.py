@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -170,12 +171,22 @@ def sector_gain_db(params: ChannelParams, delta_azimuth_deg: float) -> float:
     return params.sector_max_gain_db - atten
 
 
-def _angles_from_to(src: np.ndarray, dst: np.ndarray) -> tuple[float, float]:
-    v = np.asarray(dst, dtype=float) - np.asarray(src, dtype=float)
-    az = math.degrees(math.atan2(v[1], v[0]))
-    d3 = float(np.linalg.norm(v))
-    zen = math.degrees(math.acos(np.clip(v[2] / d3, -1.0, 1.0)))
-    return az, zen
+@lru_cache(maxsize=16)
+def _tap_tables(params: ChannelParams, sample_period_s: float):
+    """Tap delay offsets, LOS scatter scales, NLOS scales and the LOS
+    specular amplitude of the fading draw. They depend on nothing but the
+    key, so every link drawn under one (params, sample_period_s) shares one
+    read-only set."""
+    n_taps = 1 if params.ideal else params.n_taps
+    offsets = np.arange(n_taps) * sample_period_s
+    powers = np.exp(-np.arange(n_taps) * sample_period_s / params.tap_decay_s)
+    powers /= powers.sum()
+    k_lin = 10 ** (params.los_k_db / 10.0)
+    scatter = powers / (k_lin + 1.0)
+    tables = (offsets, np.sqrt(scatter / 2.0), np.sqrt(powers / 2.0))
+    for table in tables:
+        table.flags.writeable = False
+    return (*tables, np.sqrt(k_lin / (k_lin + 1.0)))
 
 
 def realize_budget_link(rng: np.random.Generator, params: ChannelParams, trp, ue_pos,
@@ -183,21 +194,25 @@ def realize_budget_link(rng: np.random.Generator, params: ChannelParams, trp, ue
     """Draw LOS state, taps and shadow for one TRP-UE link and fill in its
     budget: path loss at the carrier and the sector gain toward the UE.
 
-    `sample_period_s` sets the tap spacing (one receiver sample).
+    `sample_period_s` sets the tap spacing (one receiver sample). The tap
+    tables are built once per (params, sample_period_s) and cached; the
+    random draws and their order are those of an uncached draw.
     """
-    trp_pos = np.asarray(trp.position, dtype=float)
-    ue = np.asarray(ue_pos, dtype=float)
-    d3 = float(np.linalg.norm(ue - trp_pos))
+    v = np.asarray(ue_pos, dtype=float) - np.asarray(trp.position, dtype=float)
+    # np.linalg.norm's own arithmetic: the square root of the dot product
+    d3 = math.sqrt(v.dot(v))
     if d3 <= 0:
         raise ValueError("zero TRP-UE distance")
-    d2 = float(np.linalg.norm((ue - trp_pos)[:2]))
+    d2 = math.sqrt(v[:2].dot(v[:2]))
 
     los = bool(rng.uniform() < los_probability(params, d2))
 
     # angles at the TRP (arrival of uplink == departure of downlink here);
     # the sector gain sees the geometric azimuth, NLOS perturbs only the
     # angles a receiver measures
-    az, zen = _angles_from_to(trp_pos, ue)
+    x, y, z = v.tolist()
+    az = math.degrees(math.atan2(y, x))
+    zen = math.degrees(math.acos(max(-1.0, min(z / d3, 1.0))))
     gain = sector_gain_db(params, az - trp.sector_azimuth_deg)
     if not los and not params.ideal:
         az += float(rng.normal(0.0, 15.0))
@@ -207,20 +222,17 @@ def realize_budget_link(rng: np.random.Generator, params: ChannelParams, trp, ue
     if not los and not params.ideal:
         excess = float(rng.exponential(params.nlos_excess_mean_s))
 
-    n_taps = 1 if params.ideal else params.n_taps
-    powers = np.exp(-np.arange(n_taps) * sample_period_s / params.tap_decay_s)
-    powers /= powers.sum()
+    offsets, los_scale, nlos_scale, los_amp = _tap_tables(params, sample_period_s)
+    n_taps = len(offsets)
     if params.ideal:
         gains = np.array([1.0 + 0j])
     elif los:
-        k_lin = 10 ** (params.los_k_db / 10.0)
-        scatter = powers / (k_lin + 1.0)
-        gains = (rng.normal(size=n_taps) + 1j * rng.normal(size=n_taps)) * np.sqrt(scatter / 2.0)
-        gains[0] += np.sqrt(k_lin / (k_lin + 1.0)) * np.exp(2j * np.pi * rng.uniform())
+        gains = (rng.normal(size=n_taps) + 1j * rng.normal(size=n_taps)) * los_scale
+        gains[0] += los_amp * np.exp(2j * np.pi * rng.uniform())
     else:
-        gains = (rng.normal(size=n_taps) + 1j * rng.normal(size=n_taps)) * np.sqrt(powers / 2.0)
+        gains = (rng.normal(size=n_taps) + 1j * rng.normal(size=n_taps)) * nlos_scale
 
-    delays = tau0 + excess + np.arange(n_taps) * sample_period_s
+    delays = tau0 + excess + offsets
     shadow = 0.0
     law = params.los if los else params.nlos
     if not params.ideal:
@@ -232,7 +244,7 @@ def realize_budget_link(rng: np.random.Generator, params: ChannelParams, trp, ue
         los=los,
         path_loss_db=path_loss,
         shadow_db=shadow,
-        taps=tuple((float(d), complex(g)) for d, g in zip(delays, gains)),
+        taps=tuple(zip(delays.tolist(), gains.tolist())),
         first_path_excess_s=0.0 if los else excess,
         angles_deg=(az, zen),
         antenna_gain_db=gain,

@@ -78,14 +78,15 @@ def quantize_timing(t_seconds: float, k: int, fr: str = "fr1") -> TimingReport:
     return TimingReport(value_tc=value, k=k, fr=fr, clamped=clamped)
 
 
+def reported_power_dbm(p_dbm: float) -> int:
+    """The power reporting rule: the nearest whole dBm, half to even as
+    np.round, clamped to the reporting range."""
+    return min(max(round(p_dbm), POWER_RANGE_DBM[0]), POWER_RANGE_DBM[1])
+
+
 def quantize_power(p_dbm: float) -> PowerReport:
-    value = round(p_dbm)  # half to even, as np.round
-    clamped = False
-    if value < POWER_RANGE_DBM[0]:
-        value, clamped = POWER_RANGE_DBM[0], True
-    elif value > POWER_RANGE_DBM[1]:
-        value, clamped = POWER_RANGE_DBM[1], True
-    return PowerReport(value_dbm=value, clamped=clamped)
+    value = reported_power_dbm(p_dbm)
+    return PowerReport(value_dbm=value, clamped=value != round(p_dbm))
 
 
 def aggregate_samples(samples) -> float:

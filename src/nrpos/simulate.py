@@ -54,6 +54,16 @@ in that matrix's span and one chi-square for the rest. This is the exact
 joint distribution of the RE-level powers, including the shared noise of
 same-offset TRPs with interference off. Draws go beam by beam, offsets in
 increasing order, on the "rsrp" substream.
+
+The sweep's arithmetic is batched and its draws are not. The (TRP, beam)
+amplitudes are one array expression, with each power taken per element
+on Python floats, because numpy's array power differs from libm's pow in
+the last bit. The RE sets with one member count are gathered from the
+channel matrix's comb lines in one pass, and their powers are one pass.
+The draws stay a loop over (beam, set), in the order above, because each
+chi-square consumes a variable number of values from the stream:
+batching them would move every later draw. Reports are bit for bit
+those of the per-beam loops.
 """
 
 from __future__ import annotations
@@ -85,6 +95,7 @@ from .measurements import (
     first_paths,
     quantize_power,
     record_seconds,
+    reported_power_dbm,
     rstd,
     rtt,
     steering_vector,
@@ -189,28 +200,52 @@ def sweep_powers(sets, factors, amps, shared: bool, rng, std: float) -> np.ndarr
     |y|^2 = |z + R a|^2 + rest, where z = Q^H n holds r complex normals and
     rest, the noise energy outside span(Q), is std**2 times a chi-square
     with 2(N - r) degrees of freedom, independent of z. Per beam and per
-    set, in that order, z is drawn with `draw_noise`, then rest; std = 0
-    (a noiseless receiver) draws nothing.
+    set, in that order, z's r real then r imaginary parts are drawn as
+    2r standard normals, then rest: the stream of `draw_noise` and a
+    chi-square per (beam, set). std = 0 (a noiseless receiver) draws
+    nothing. Only the draws go set by set; the powers are one batched
+    pass over the sets of each member count.
     """
     n_beams = amps.shape[1]
-    z = [np.zeros((len(g.members), n_beams), dtype=complex) for g in sets]
-    rest = np.zeros((len(sets), n_beams))
+    # normals[b]: z's parts on beam b, set after set, r real then r imaginary
+    start = np.cumsum([0] + [2 * len(g.members) for g in sets]).tolist()
+    normals = np.zeros((n_beams, start[-1]))
+    rest = np.zeros((n_beams, len(sets)))
     if std > 0:
-        for b in range(n_beams):
-            for e, g in enumerate(sets):
-                r = len(g.members)
-                z[e][:, b] = draw_noise(rng, r, std)
-                rest[e, b] = std**2 * rng.chisquare(2 * (len(g.k) - r))
+        dof = [2 * (len(g.k) - len(g.members)) for g in sets]
+        for row, rest_b in zip(normals, rest):
+            for e, df in enumerate(dof):
+                rng.standard_normal(out=row[start[e]:start[e + 1]])
+                rest_b[e] = rng.chisquare(df)
+        rest *= std**2
     power = np.empty(amps.shape)
-    for g, fac, ze, rest_e in zip(sets, factors, z, rest):
-        members = list(g.members)
-        r = len(members)
+    for r, pos in _by_member_count([g.members for g in sets]).items():
+        members = np.array([sets[e].members for e in pos])
+        parts = normals[:, [start[e] + j for e in pos for j in range(2 * r)]]
+        parts = parts.reshape(n_beams, len(pos), 2, r).transpose(2, 1, 3, 0)
+        z = np.empty(members.shape + (n_beams,), dtype=complex)
+        z.real, z.imag = parts
+        z *= std
         together = np.ones((r, r)) if shared else np.eye(r)
-        # y[:, m, b]: span coordinates of member m's group on beam b
-        y = ze[:, None, :] + np.tensordot(fac, together[:, :, None] * amps[members][:, None, :],
-                                          axes=1)
-        power[members] = ((y.real**2 + y.imag**2).sum(axis=0) + rest_e) / len(g.k)
+        spread = (together[:, :, None] * amps[members][:, :, None, :]).astype(complex)
+        # y[s, :, m, b]: span coordinates of member m's group on beam b;
+        # matmul runs one BLAS zgemm per set, the product np.dot forms
+        y = z[:, :, None, :] + np.matmul(
+            np.stack([factors[e] for e in pos]), spread.reshape(len(pos), r, r * n_beams)
+        ).reshape(spread.shape)
+        n_re = np.array([len(sets[e].k) for e in pos])
+        power[members] = ((y.real**2 + y.imag**2).sum(axis=1) + rest[:, pos].T[:, None, :]) \
+            / n_re[:, None, None]
     return power
+
+
+def _by_member_count(members) -> dict[int, list[int]]:
+    """Positions of the sets with each member count, in set order, from
+    the sets' member tuples."""
+    blocks: dict[int, list[int]] = {}
+    for e, m in enumerate(members):
+        blocks.setdefault(len(m), []).append(e)
+    return blocks
 
 
 def despread_groups(groups, rx, refs, n_sc: int, rows) -> np.ndarray:
@@ -227,12 +262,13 @@ def despread_groups(groups, rx, refs, n_sc: int, rows) -> np.ndarray:
     return vecs
 
 
-def _flatten(triples):
-    """(subcarriers, symbols, values) of all REs of a reference."""
+def _flatten(triples, out=None):
+    """(subcarriers, symbols, values) of all REs of a reference; the values
+    are written into out when it is given."""
     return (
         np.concatenate([k for k, _, _ in triples]),
         np.concatenate([np.full(len(k), s) for k, s, _ in triples]),
-        np.concatenate([v for _, _, v in triples]),
+        np.concatenate([v for _, _, v in triples], out=out),
     )
 
 
@@ -281,23 +317,35 @@ class Simulator:
             )
             for t in self.trps
         }
-        dl_refs = [_flatten(dl_prs_reference(self.dl_resources[t.trp_id], slot=0))
-                   for t in self.trps]
-        self._dl_vals = [v for _, _, v in dl_refs]
         # same comb offset -> same REs; with interference the TRPs on one
         # offset also share one received signal
         on_offset: dict[int, list[int]] = {}
         for i, t in enumerate(self.trps):
             on_offset.setdefault(t.comb_offset, []).append(i)
-        self._dl_sets = [ReGroup(tuple(m), *dl_refs[m[0]][:2])
-                         for _, m in sorted(on_offset.items())]
+        sets = [tuple(m) for _, m in sorted(on_offset.items())]
+        # each TRP's reference values are a row of one array, stacked by
+        # member count, RE set and member: the beam sweep reads the rows of
+        # one count as a (set, member, RE) view
+        self.dl_occupied_per_symbol = config.n_prb * 12 // config.dl_comb_size
+        self._dl_stacked = np.empty((len(self.trps),
+                                     config.dl_n_symbols * self.dl_occupied_per_symbol),
+                                    dtype=complex)
+        self._dl_vals = [None] * len(self.trps)
+        self._dl_sets = [None] * len(sets)
+        rows = iter(self._dl_stacked)
+        for pos in _by_member_count(sets).values():
+            for e in pos:
+                for i in sets[e]:
+                    k, s, self._dl_vals[i] = _flatten(
+                        dl_prs_reference(self.dl_resources[self.trps[i].trp_id], slot=0),
+                        out=next(rows))
+                self._dl_sets[e] = ReGroup(sets[e], k, s)
         self._dl_groups = self._dl_sets if config.interference else \
             [ReGroup((i,), g.k, g.s) for g in self._dl_sets for i in g.members]
         # each group's REs as flat indices into the (subcarrier, symbol) grid
         self._dl_grid_shape = (self.numerology.n_subcarriers, config.dl_n_symbols)
         self._dl_flat = [np.ravel_multi_index((g.k, g.s), self._dl_grid_shape)
                          for g in self._dl_groups]
-        self.dl_occupied_per_symbol = config.n_prb * 12 // config.dl_comb_size
 
         # uplink sounding signal (single terminal per drop)
         self.srs = SrsPosResource(
@@ -341,6 +389,7 @@ class Simulator:
             area=area,
         )
         self._beamformer: BeamformerGrid | None = None
+        self._sweep_index: list | None = None
         self._beam_azimuths = self._make_beam_azimuths()
 
     # -- helpers ----------------------------------------------------------
@@ -349,16 +398,14 @@ class Simulator:
     def scs_hz(self) -> float:
         return self.config.scs_khz * 1e3
 
-    def _make_beam_azimuths(self) -> dict[int, np.ndarray]:
+    def _make_beam_azimuths(self) -> np.ndarray:
+        """(TRP, beam) azimuths of the downlink beam sweep, degrees."""
         n = self.config.n_beams
-        out = {}
-        for t in self.trps:
-            if self.channel.omni:
-                az = t.sector_azimuth_deg + np.arange(n) * (360.0 / n)
-            else:
-                az = t.sector_azimuth_deg + np.linspace(-52.5, 52.5, n)
-            out[t.trp_id] = az
-        return out
+        if self.channel.omni:
+            steps = np.arange(n) * (360.0 / n)
+        else:
+            steps = np.linspace(-52.5, 52.5, n)
+        return np.array([t.sector_azimuth_deg + steps for t in self.trps])
 
     def beamformer(self) -> BeamformerGrid:
         if self._beamformer is None:
@@ -426,14 +473,47 @@ class Simulator:
         noise = [grid.take(idx) for idx in self._dl_flat]
         return receive_groups(self._dl_groups, noise, amps, h, self._dl_vals)
 
+    def _sweep_tables(self) -> list[tuple[list[int], tuple, np.ndarray]]:
+        """Per member count: the positions of its RE sets, the (member,
+        comb residue) index of each (set, member, symbol) into the channel
+        matrix's comb lines, and the members' reference values as a (set,
+        member, RE) view. Each symbol of a comb resource occupies one full
+        comb line, h[:, residue::comb]. Built on first use, so runs without
+        a beam sweep hold none of it."""
+        if self._sweep_index is None:
+            comb = self.config.dl_comb_size
+            n_lines = self.numerology.n_subcarriers // comb
+            self._sweep_index = []
+            start = 0
+            for r, pos in _by_member_count([g.members for g in self._dl_sets]).items():
+                residues = np.array([self._dl_sets[e].k[::n_lines] % comb for e in pos])
+                for e, res in zip(pos, residues):
+                    if not np.array_equal(self._dl_sets[e].k,
+                                          (res[:, None] + comb * np.arange(n_lines)).ravel()):
+                        raise ValueError("a downlink symbol does not fill one comb line")
+                members = np.array([self._dl_sets[e].members for e in pos])
+                vals = self._dl_stacked[start:start + members.size].reshape(
+                    members.shape + (-1,))
+                self._sweep_index.append((pos, (members[:, :, None], residues[:, None, :]),
+                                          vals))
+                start += members.size
+        return self._sweep_index
+
     def _sweep_factors(self, h) -> list[np.ndarray]:
         """R of the reduced QR of each RE set's (RE, member) matrix of
-        h[i, k] * ref_i, for `sweep_powers`."""
-        return [
-            np.linalg.qr((h[np.ix_(g.members, g.k)]
-                          * np.array([self._dl_vals[i] for i in g.members])).T, mode="r")
-            for g in self._dl_sets
-        ]
+        h[i, k] * ref_i, for `sweep_powers`. The matrices of one member
+        count are gathered in one pass; each is factored on its own,
+        because `np.linalg.qr` copies its whole input, and a copy of every
+        set at once would raise the run's peak memory."""
+        # lines[i, c, j] = h[i, j * comb + c]
+        lines = h.reshape(len(h), -1, self.config.dl_comb_size).transpose(0, 2, 1)
+        factors = [None] * len(self._dl_sets)
+        for pos, index, vals in self._sweep_tables():
+            c = lines[index].reshape(vals.shape)
+            c *= vals
+            for e, matrix in zip(pos, c):
+                factors[e] = np.linalg.qr(matrix.T, mode="r")
+        return factors
 
     # -- downlink stage ----------------------------------------------------
 
@@ -538,9 +618,23 @@ class Simulator:
 
     # -- departure beams ---------------------------------------------------
 
-    def _beam_gain_db(self, beam_az: float, toward_az: float) -> float:
-        d = (toward_az - beam_az + 180.0) % 360.0 - 180.0
-        return -min(12.0 * (d / self.config.beam_hpbw_deg) ** 2, 30.0)
+    def _beam_amplitudes(self, links) -> np.ndarray:
+        """Per-RE amplitude of every (TRP, beam) of the downlink sweep: the
+        beam's parabolic gain toward the link's departure azimuth added to
+        the TRP's power, then `link_amplitude`'s budget. One array
+        expression in their order of operations, except that both powers
+        are taken per element on Python floats, as libm's pow and numpy's
+        array square and power differ in the last bit."""
+        toward = np.array([l.angles_deg[0] for l in links])
+        d = (toward[:, None] - self._beam_azimuths + 180.0) % 360.0 - 180.0
+        q = (d / self.config.beam_hpbw_deg).ravel().tolist()
+        atten = np.minimum(12.0 * np.array([x**2 for x in q]), 30.0).reshape(d.shape)
+        epre = (np.array([t.tx_power_dbm for t in self.trps])[:, None] - atten
+                - 10.0 * math.log10(max(self.dl_occupied_per_symbol, 1))
+                + np.array([[l.antenna_gain_db] for l in links])
+                - np.array([[l.path_loss_db] for l in links])
+                - np.array([[l.shadow_db] for l in links]))
+        return np.array([10.0 ** x for x in (epre / 20.0).ravel().tolist()]).reshape(d.shape)
 
     def _aod_stage(self, links, drop_idx):
         """Per-beam received powers at the terminal, beams time-multiplexed.
@@ -552,23 +646,14 @@ class Simulator:
         cfg = self.config
         rng = substream(cfg.master_seed, "rsrp", drop_idx)
         h = self._channel_matrix(links)
-        amps = np.array([
-            [link_amplitude(l, t.tx_power_dbm + self._beam_gain_db(az, l.angles_deg[0]),
-                            self.dl_occupied_per_symbol)
-             for az in self._beam_azimuths[t.trp_id]]
-            for l, t in zip(links, self.trps)
-        ])
-        power = sweep_powers(self._dl_sets, self._sweep_factors(h), amps, cfg.interference, rng,
-                             self._noise_std(self.dl_noise))
-        reports: dict[int, list[tuple[float, float, float]]] = {}
-        for t, beams in zip(self.trps, power):
-            rows = reports[t.trp_id] = []
-            for az, p in zip(self._beam_azimuths[t.trp_id], beams):
-                rsrp_dbm = power_dbm(float(p))
-                if cfg.quantize:
-                    rsrp_dbm = float(quantize_power(rsrp_dbm).value_dbm)
-                rows.append((az, 95.0, rsrp_dbm))
-        return reports
+        power = sweep_powers(self._dl_sets, self._sweep_factors(h), self._beam_amplitudes(links),
+                             cfg.interference, rng, self._noise_std(self.dl_noise))
+        dbm = [power_dbm(p) for p in power.ravel().tolist()]
+        if cfg.quantize:
+            dbm = [float(reported_power_dbm(p)) for p in dbm]
+        n = cfg.n_beams
+        return {t.trp_id: list(zip(az, [95.0] * n, dbm[i * n:(i + 1) * n]))
+                for i, (t, az) in enumerate(zip(self.trps, self._beam_azimuths))}
 
     # -- record assembly and solving ---------------------------------------
 

@@ -1,0 +1,165 @@
+"""The DL-AoD beam sweep and the link draw as they were before they became
+array passes: `realize_budget_link` rebuilding its tap tables and TRP-UE
+geometry for every link, one `link_amplitude` and beam-gain call per
+(TRP, beam), one `np.linalg.qr` per RE set, one `draw_noise` and
+chi-square per (beam, set) and one `quantize_power` per report. Used to
+pin `channel.realize_budget_link` and `Simulator._aod_stage` bit for bit.
+
+Only the simulator's configuration, TRPs, channel parameters, RE sets,
+references, beam azimuths and channel matrix are read.
+"""
+
+import math
+
+import numpy as np
+
+from nrpos.channel import (
+    LinkRealization,
+    draw_noise,
+    link_amplitude,
+    los_probability,
+    noise_amplitude,
+    sector_gain_db,
+)
+from nrpos.measurements import quantize_power
+from nrpos.numerology import SPEED_OF_LIGHT
+from nrpos.rng import substream
+from nrpos.simulate import power_dbm
+
+
+def _angles_from_to(src, dst):
+    v = np.asarray(dst, dtype=float) - np.asarray(src, dtype=float)
+    az = math.degrees(math.atan2(v[1], v[0]))
+    d3 = float(np.linalg.norm(v))
+    zen = math.degrees(math.acos(np.clip(v[2] / d3, -1.0, 1.0)))
+    return az, zen
+
+
+def realize_budget_link(rng, params, trp, ue_pos, carrier_hz, sample_period_s):
+    trp_pos = np.asarray(trp.position, dtype=float)
+    ue = np.asarray(ue_pos, dtype=float)
+    d3 = float(np.linalg.norm(ue - trp_pos))
+    if d3 <= 0:
+        raise ValueError("zero TRP-UE distance")
+    d2 = float(np.linalg.norm((ue - trp_pos)[:2]))
+
+    los = bool(rng.uniform() < los_probability(params, d2))
+
+    az, zen = _angles_from_to(trp_pos, ue)
+    gain = sector_gain_db(params, az - trp.sector_azimuth_deg)
+    if not los and not params.ideal:
+        az += float(rng.normal(0.0, 15.0))
+        zen += float(rng.normal(0.0, 3.0))
+    tau0 = d3 / SPEED_OF_LIGHT
+    excess = 0.0
+    if not los and not params.ideal:
+        excess = float(rng.exponential(params.nlos_excess_mean_s))
+
+    n_taps = 1 if params.ideal else params.n_taps
+    powers = np.exp(-np.arange(n_taps) * sample_period_s / params.tap_decay_s)
+    powers /= powers.sum()
+    if params.ideal:
+        gains = np.array([1.0 + 0j])
+    elif los:
+        k_lin = 10 ** (params.los_k_db / 10.0)
+        scatter = powers / (k_lin + 1.0)
+        gains = (rng.normal(size=n_taps) + 1j * rng.normal(size=n_taps)) * np.sqrt(scatter / 2.0)
+        gains[0] += np.sqrt(k_lin / (k_lin + 1.0)) * np.exp(2j * np.pi * rng.uniform())
+    else:
+        gains = (rng.normal(size=n_taps) + 1j * rng.normal(size=n_taps)) * np.sqrt(powers / 2.0)
+
+    delays = tau0 + excess + np.arange(n_taps) * sample_period_s
+    shadow = 0.0
+    law = params.los if los else params.nlos
+    if not params.ideal:
+        shadow = float(rng.normal(0.0, law.shadow_sigma_db))
+    path_loss = law.at(d3, carrier_hz)
+    if not los:
+        path_loss = max(path_loss, params.los.at(d3, carrier_hz))
+    return LinkRealization(
+        los=los,
+        path_loss_db=path_loss,
+        shadow_db=shadow,
+        taps=tuple((float(d), complex(g)) for d, g in zip(delays, gains)),
+        first_path_excess_s=0.0 if los else excess,
+        angles_deg=(az, zen),
+        antenna_gain_db=gain,
+        distance_m=d3,
+    )
+
+
+def links(sim, drop_idx):
+    rng = substream(sim.config.master_seed, "link", drop_idx)
+    return [realize_budget_link(rng, sim.channel, t, sim.ues[drop_idx],
+                                sim.deployment.carrier_hz, sim.sample_period_s)
+            for t in sim.trps]
+
+
+def beam_gain_db(sim, beam_az, toward_az):
+    d = (toward_az - beam_az + 180.0) % 360.0 - 180.0
+    return -min(12.0 * (d / sim.config.beam_hpbw_deg) ** 2, 30.0)
+
+
+def sweep_factors(sim, h):
+    return [
+        np.linalg.qr((h[np.ix_(g.members, g.k)]
+                      * np.array([sim._dl_vals[i] for i in g.members])).T, mode="r")
+        for g in sim._dl_sets
+    ]
+
+
+def sweep_powers(sets, factors, amps, shared, rng, std):
+    n_beams = amps.shape[1]
+    z = [np.zeros((len(g.members), n_beams), dtype=complex) for g in sets]
+    rest = np.zeros((len(sets), n_beams))
+    if std > 0:
+        for b in range(n_beams):
+            for e, g in enumerate(sets):
+                r = len(g.members)
+                z[e][:, b] = draw_noise(rng, r, std)
+                rest[e, b] = std**2 * rng.chisquare(2 * (len(g.k) - r))
+    power = np.empty(amps.shape)
+    for g, fac, ze, rest_e in zip(sets, factors, z, rest):
+        members = list(g.members)
+        r = len(members)
+        together = np.ones((r, r)) if shared else np.eye(r)
+        y = ze[:, None, :] + np.tensordot(fac, together[:, :, None] * amps[members][:, None, :],
+                                          axes=1)
+        power[members] = ((y.real**2 + y.imag**2).sum(axis=0) + rest_e) / len(g.k)
+    return power
+
+
+def beam_azimuths(sim):
+    n = sim.config.n_beams
+    return [t.sector_azimuth_deg + (np.arange(n) * (360.0 / n) if sim.channel.omni
+                                    else np.linspace(-52.5, 52.5, n))
+            for t in sim.trps]
+
+
+def beam_amplitudes(sim, links):
+    return np.array([
+        [link_amplitude(l, t.tx_power_dbm + beam_gain_db(sim, az, l.angles_deg[0]),
+                        sim.dl_occupied_per_symbol)
+         for az in beam_az]
+        for l, t, beam_az in zip(links, sim.trps, beam_azimuths(sim))
+    ])
+
+
+def aod_stage(sim, links, drop_idx):
+    """The per-(TRP, beam) reports `Simulator._aod_stage` gave, from the
+    simulator's own channel matrix and RE sets."""
+    cfg = sim.config
+    rng = substream(cfg.master_seed, "rsrp", drop_idx)
+    h = sim._channel_matrix(links)
+    amps = beam_amplitudes(sim, links)
+    std = 0.0 if sim.dl_noise is None else noise_amplitude(sim.dl_noise) / np.sqrt(2.0)
+    power = sweep_powers(sim._dl_sets, sweep_factors(sim, h), amps, cfg.interference, rng, std)
+    reports = {}
+    for t, beam_az, beams in zip(sim.trps, beam_azimuths(sim), power):
+        rows = reports[t.trp_id] = []
+        for az, p in zip(beam_az, beams):
+            rsrp_dbm = power_dbm(float(p))
+            if cfg.quantize:
+                rsrp_dbm = float(quantize_power(rsrp_dbm).value_dbm)
+            rows.append((az, 95.0, rsrp_dbm))
+    return reports

@@ -1,10 +1,12 @@
 """The committed accuracy matrix, ACCURACY.json (`python -m nrpos matrix .`):
-every (preset, method) cell is there with its schema, and one cheap cell
-re-runs to its committed figures, so the file cannot go stale unseen."""
+every (preset, method) cell is there with its schema, and two cheap cells
+re-run to their committed figures, so the file cannot go stale unseen."""
 
 import json
 import re
 from pathlib import Path
+
+import pytest
 
 from nrpos.config import METHODS, PRESETS, preset_config
 from nrpos.experiments import MATRIX_DROPS, PERCENTILES, matrix_cell, run_experiment
@@ -26,6 +28,8 @@ def test_every_cell_has_the_schema():
             assert re.fullmatch("[0-9a-f]{64}", cell["results_sha256"])
 
 
-def test_cheap_cell_reruns_to_its_committed_figures():
-    result = run_experiment(preset_config("ioo-fr2", method="multi-rtt", n_drops=MATRIX_DROPS))
-    assert matrix_cell(result) == DOC["cells"]["ioo-fr2"]["multi-rtt"]
+# uma dl-aod at MATRIX_DROPS drops is the drop benchmark's uma-dl-aod population
+@pytest.mark.parametrize("preset,method", [("ioo-fr2", "multi-rtt"), ("uma", "dl-aod")])
+def test_cheap_cell_reruns_to_its_committed_figures(preset, method):
+    result = run_experiment(preset_config(preset, method=method, n_drops=MATRIX_DROPS))
+    assert matrix_cell(result) == DOC["cells"][preset][method]

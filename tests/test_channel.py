@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import sweep_oracle
 from grid_oracle import GridError, received_grid, slot_grid
 from nrpos.channel import (
     CHANNEL_DEFAULTS,
@@ -96,6 +97,21 @@ class TestRealizeLink:
         for _ in range(50):
             l = realize_budget_link(rng, IOO, trp_at(), (20.0, 0.0, 1.5), 2e9, TS)
             assert l.path_loss_db >= IOO.los.at(l.distance_m, 2e9) - 1e-9
+
+    def test_cached_tap_tables_follow_their_key(self):
+        """Links drawn in turn under IOO and UMa parameters, a tap_decay_s
+        override and a halved sample period are those of the uncached
+        draw in `sweep_oracle`, bit for bit: the cached tap tables are
+        keyed by the channel parameters and the sample period."""
+        trp = trp_at(sector_azimuth_deg=30.0)
+        ues = [(x, y, 1.5) for x in (3.0, 40.0, 150.0, -300.0) for y in (-80.0, 25.0)]
+        keys = [(IOO, TS), (UMA, TS), (UMA.overridden(tap_decay_s=100e-9), TS), (IOO, TS / 2)]
+        for params, ts in keys + keys[::-1]:
+            cached, uncached = np.random.default_rng(7), np.random.default_rng(7)
+            links = [realize_budget_link(cached, params, trp, ue, 2e9, ts) for ue in ues]
+            assert links == [sweep_oracle.realize_budget_link(uncached, params, trp, ue, 2e9, ts)
+                             for ue in ues]
+            assert {l.los for l in links} == {True, False}
 
     def test_sector_gain_sees_geometric_azimuth(self):
         # NLOS perturbs the reported angles, not the antenna gain

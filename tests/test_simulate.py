@@ -1,8 +1,9 @@
 """Top-level simulation path: pinned results, the channel matrix against
 the oracle's frequency response, the received-RE kernel against the grid
-path, the beam sweep's power draw against the RE-level
-draw, detection of the selected TRPs only, accuracy on an ideal channel,
-the multi-RTT fixes of two pinned UMi drops, and the experiment artifacts."""
+path, the beam sweep's power draw against the RE-level draw and its
+batched pass against the per-beam loops, detection of the selected TRPs
+only, accuracy on an ideal channel, the multi-RTT fixes of two pinned UMi
+drops, and the experiment artifacts."""
 
 import hashlib
 import json
@@ -11,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sweep_oracle
 from grid_oracle import (despread, frequency_response, map_dl_prs, received_grid, rsrp,
                          slot_grid)
 from nrpos import experiments
@@ -195,6 +197,47 @@ def test_sweep_draw_matches_re_level_draw(interference, scale):
     _, expected = receive_groups(sim._dl_groups, noise, amps, h, sim._dl_vals)
     noiseless = sweep_powers(sim._dl_sets, factors, amps[:, None], interference, None, 0.0)
     assert [power_dbm(p) for p in noiseless[:, 0]] == pytest.approx(expected, abs=1e-9)
+
+
+SWEEP_CASES = [
+    (preset, overrides)
+    for preset in ("uma", "umi", "ioo-fr1")
+    for overrides in ({}, dict(quantize=False), dict(quantize=False, interference=False))
+] + [("uma", dict(quantize=False, dl_comb_size=2))]
+
+
+@pytest.mark.parametrize(
+    "preset,overrides", SWEEP_CASES,
+    ids=[f"{p}-{'-'.join(f'{k}={v}' for k, v in o.items())}" for p, o in SWEEP_CASES],
+)
+def test_aod_sweep_matches_the_per_beam_oracle(preset, overrides):
+    """The cached link draw and the batched beam sweep against the
+    per-link and per-(TRP, beam) loops of `sweep_oracle`, bit for bit:
+    every link and every beam report of the first drops. Unquantized
+    reports carry each power's last bit; comb 2 puts 10 and 11 TRPs on
+    one RE set."""
+    n = 6
+    sim = Simulator(preset_config(preset, method="dl-aod", n_drops=n, **overrides))
+    for d in range(n):
+        links = sim._links(d, sim.ues[d])
+        assert links == sweep_oracle.links(sim, d)
+        assert sim._aod_stage(links, d) == sweep_oracle.aod_stage(sim, links, d)
+
+
+def test_beam_amplitudes_match_the_per_beam_oracle():
+    """The (TRP, beam) amplitude array against one `link_amplitude` call
+    per beam, bit for bit, with the links turned to random departure
+    azimuths: glibc's pow(q, 2) differs from q * q in the last bit for
+    about 1 in 1,200 random q, and about a third of those differences
+    survive the budget's sums."""
+    sim = Simulator(preset_config("uma", method="dl-aod", n_drops=1))
+    links = sim._links(0, sim.ues[0])
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        turned = [replace(l, angles_deg=(az, l.angles_deg[1]))
+                  for l, az in zip(links, rng.uniform(-180.0, 180.0, len(links)))]
+        assert np.array_equal(sim._beam_amplitudes(turned),
+                              sweep_oracle.beam_amplitudes(sim, turned))
 
 
 @pytest.mark.parametrize("method", ["dl-tdoa", "multi-rtt", "ul-tdoa", "ul-aoa"])
