@@ -142,7 +142,6 @@ class LinkRealization:
     # arrival and the downlink departure angle alike
     angles_deg: tuple[float, float]
     antenna_gain_db: float  # sector gain toward the geometric UE direction
-    distance_m: float
 
 
 def los_probability(params: ChannelParams, d2d_m: float) -> float:
@@ -248,7 +247,6 @@ def realize_budget_link(rng: np.random.Generator, params: ChannelParams, trp, ue
         first_path_excess_s=0.0 if los else excess,
         angles_deg=(az, zen),
         antenna_gain_db=gain,
-        distance_m=d3,
     )
 
 

@@ -95,6 +95,8 @@ class ExperimentConfig(BaseModel):
             raise ValueError(f"unsupported config version {self.version}")
         if (self.n_prb - 24) % 4 != 0:
             raise ValueError("n_prb must be 24..276 in steps of 4")
+        if self.min_trps > self.n_best_trps:
+            raise ValueError(f"min_trps {self.min_trps} exceeds n_best_trps {self.n_best_trps}")
         if self.timing_k is not None:
             lo, hi = K_RANGE[self.fr]
             if not lo <= self.timing_k <= hi:

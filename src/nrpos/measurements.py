@@ -33,60 +33,20 @@ class MeasurementFailed(RuntimeError):
     """Raised when a measurement could not be formed (as opposed to being bad)."""
 
 
-@dataclass(frozen=True)
-class TimingReport:
-    """Quantized timing value: an integer number of basic time units."""
-
-    value_tc: int
-    k: int
-    fr: str = "fr1"
-    clamped: bool = False
-
-    def __post_init__(self):
-        lo, hi = K_RANGE[self.fr]
-        if not lo <= self.k <= hi:
-            raise ValueError(f"k={self.k} illegal for {self.fr} (range {lo}..{hi})")
-        if abs(self.value_tc) > TIMING_RANGE_TC:
-            raise ValueError("timing value outside reporting range")
-        if self.value_tc % (1 << self.k) != 0:
-            raise ValueError("timing value not aligned to the 2^k step")
-
-
-@dataclass(frozen=True)
-class PowerReport:
-    value_dbm: int
-    clamped: bool = False
-
-    def __post_init__(self):
-        if not POWER_RANGE_DBM[0] <= self.value_dbm <= POWER_RANGE_DBM[1]:
-            raise ValueError("power value outside reporting range")
-
-
-def quantize_timing(t_seconds: float, k: int, fr: str = "fr1") -> TimingReport:
-    """Round to the 2^k * Tc grid and clamp to the reporting range."""
+def quantize_timing(t_seconds: float, k: int, fr: str = "fr1") -> int:
+    """The timing reporting rule: the nearest multiple of 2^k basic time
+    units Tc, clamped to the reporting range; returns the value in Tc."""
     lo, hi = K_RANGE[fr]
     if not lo <= k <= hi:
         raise ValueError(f"k={k} illegal for {fr} (range {lo}..{hi})")
-    step = (1 << k) * TC_SECONDS
-    steps = int(round(t_seconds / step))
-    value = steps * (1 << k)
-    clamped = False
-    if value > TIMING_RANGE_TC:
-        value, clamped = TIMING_RANGE_TC, True
-    elif value < -TIMING_RANGE_TC:
-        value, clamped = -TIMING_RANGE_TC, True
-    return TimingReport(value_tc=value, k=k, fr=fr, clamped=clamped)
+    value = int(round(t_seconds / ((1 << k) * TC_SECONDS))) * (1 << k)
+    return min(max(value, -TIMING_RANGE_TC), TIMING_RANGE_TC)
 
 
 def reported_power_dbm(p_dbm: float) -> int:
     """The power reporting rule: the nearest whole dBm, half to even as
     np.round, clamped to the reporting range."""
     return min(max(round(p_dbm), POWER_RANGE_DBM[0]), POWER_RANGE_DBM[1])
-
-
-def quantize_power(p_dbm: float) -> PowerReport:
-    value = reported_power_dbm(p_dbm)
-    return PowerReport(value_dbm=value, clamped=value != round(p_dbm))
 
 
 def aggregate_samples(samples) -> float:
@@ -282,16 +242,13 @@ def rstd(toa_target_s: float, toa_reference_s: float) -> float:
     return toa_target_s - toa_reference_s
 
 
-def rtt(ue_rxtx_s: float, gnb_rxtx_s: float) -> tuple[float, bool]:
+def rtt(ue_rxtx_s: float, gnb_rxtx_s: float) -> float:
     """Round-trip time from the two one-sided intervals.
 
     Inter-node clock offsets cancel in the sum. Noise can push the sum
-    negative; it is clamped to zero with a flag.
+    negative; it is clamped to zero.
     """
-    total = ue_rxtx_s + gnb_rxtx_s
-    if total < 0:
-        return 0.0, True
-    return total, False
+    return max(ue_rxtx_s + gnb_rxtx_s, 0.0)
 
 
 # --- angle of arrival -------------------------------------------------------
@@ -445,12 +402,8 @@ def timing_record(kind: str, trp_id: int, t_seconds: float, k: int, fr: str,
                   quantize: bool = True) -> MeasurementRecord:
     """Timing report of `t_seconds`; unquantized, value_tc is the exact
     value in Tc units and k only labels the report."""
-    if quantize:
-        report = quantize_timing(t_seconds, k, fr)
-        payload = {"value_tc": report.value_tc, "k": report.k, "fr": report.fr,
-                   "clamped": report.clamped}
-    else:
-        payload = {"value_tc": t_seconds / TC_SECONDS, "k": k, "fr": fr, "clamped": False}
+    value_tc = quantize_timing(t_seconds, k, fr) if quantize else t_seconds / TC_SECONDS
+    payload = {"value_tc": value_tc, "k": k, "fr": fr}
     if extra:
         payload.update(extra)
     return MeasurementRecord(kind=kind, trp_id=trp_id, resource_id=resource_id,

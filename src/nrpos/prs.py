@@ -48,9 +48,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class DlPrsResource:
-    """One downlink positioning beam: sequence, comb placement, direction."""
+    """One downlink positioning resource: sequence and comb placement."""
 
-    resource_id: int
     seq_id: int
     comb_size: int
     re_offset: int
@@ -58,8 +57,6 @@ class DlPrsResource:
     n_symbols: int = 12
     start_prb: int = 0
     n_prb: int = 272
-    beam_azimuth_deg: float = 0.0
-    beam_zenith_deg: float = 90.0
 
     def __post_init__(self):
         if self.comb_size not in DL_COMB_STAGGER:
@@ -104,51 +101,25 @@ class SrsPosResource:
             raise ConfigError(f"cyclic_shift must be in [0, {CYCLIC_SHIFT_MAX})")
 
 
-def comb_pattern(comb_size: int, n_symbols: int, re_offset: int) -> list[int]:
-    """Subcarrier residue (mod comb_size) occupied in each downlink symbol."""
-    if comb_size not in DL_COMB_STAGGER:
-        raise ConfigError(f"comb size {comb_size} not in {{2,4,6,12}}")
-    if n_symbols not in DL_VALID_SYMBOLS[comb_size]:
-        raise ConfigError(f"{n_symbols} symbols invalid for comb-{comb_size}")
-    if not 0 <= re_offset < comb_size:
-        raise ConfigError("re_offset must be in [0, comb_size)")
-    stagger = DL_COMB_STAGGER[comb_size]
-    return [(re_offset + stagger[s % comb_size]) % comb_size for s in range(n_symbols)]
+def comb_pattern(resource: DlPrsResource | SrsPosResource) -> list[int]:
+    """Subcarrier residue (mod comb_size) occupied in each symbol of a
+    downlink or sounding resource: its offset plus its direction's stagger."""
+    if isinstance(resource, SrsPosResource):
+        offset, stagger = resource.comb_offset, UL_COMB_STAGGER[resource.comb_size]
+    else:
+        offset, stagger = resource.re_offset, DL_COMB_STAGGER[resource.comb_size]
+    n = resource.comb_size
+    return [(offset + stagger[s % n]) % n for s in range(resource.n_symbols)]
 
 
-def srs_comb_pattern(comb_size: int, n_symbols: int, comb_offset: int) -> list[int]:
-    """Per-symbol subcarrier residues for the uplink staggered comb."""
-    if comb_size not in UL_COMB_STAGGER:
-        raise ConfigError(f"uplink comb size {comb_size} not in {{2,4,8}}")
-    if n_symbols not in UL_VALID_SYMBOLS:
-        raise ConfigError(f"n_symbols must be one of {UL_VALID_SYMBOLS}")
-    if not 0 <= comb_offset < comb_size:
-        raise ConfigError("comb_offset must be in [0, comb_size)")
-    stagger = UL_COMB_STAGGER[comb_size]
-    return [(comb_offset + stagger[s % comb_size]) % comb_size for s in range(n_symbols)]
-
-
-def resource_re_indices(resource: DlPrsResource) -> list[tuple[np.ndarray, int]]:
-    """(subcarrier indices, symbol) pairs occupied by a downlink resource."""
-    residues = comb_pattern(resource.comb_size, resource.n_symbols, resource.re_offset)
+def resource_re_indices(resource: DlPrsResource | SrsPosResource
+                        ) -> list[tuple[np.ndarray, int]]:
+    """(subcarrier indices, symbol) pairs occupied by a downlink or
+    sounding resource."""
     lo = 12 * resource.start_prb
     hi = lo + 12 * resource.n_prb
-    out = []
-    for s, residue in enumerate(residues):
-        first = lo + residue
-        out.append((np.arange(first, hi, resource.comb_size), resource.first_symbol + s))
-    return out
-
-
-def srs_re_indices(resource: SrsPosResource) -> list[tuple[np.ndarray, int]]:
-    residues = srs_comb_pattern(resource.comb_size, resource.n_symbols, resource.comb_offset)
-    lo = 12 * resource.start_prb
-    hi = lo + 12 * resource.n_prb
-    out = []
-    for s, residue in enumerate(residues):
-        first = lo + residue
-        out.append((np.arange(first, hi, resource.comb_size), resource.first_symbol + s))
-    return out
+    return [(np.arange(lo + residue, hi, resource.comb_size), resource.first_symbol + s)
+            for s, residue in enumerate(comb_pattern(resource))]
 
 
 def dl_prs_reference(resource: DlPrsResource, slot: int = 0) -> list[tuple[np.ndarray, int, np.ndarray]]:
@@ -179,5 +150,5 @@ def srs_reference(resource: SrsPosResource) -> list[tuple[np.ndarray, int, np.nd
     """(subcarriers, symbol, values) triples carried by a sounding resource."""
     return [
         (k_idx, sym, srs_symbol_values(resource, len(k_idx)))
-        for k_idx, sym in srs_re_indices(resource)
+        for k_idx, sym in resource_re_indices(resource)
     ]

@@ -40,8 +40,6 @@ class AntennaArray:
     rows: int = 1
     cols: int = 1
     spacing_wavelengths: float = 0.5
-    boresight_azimuth_deg: float = 0.0
-    boresight_zenith_deg: float = 90.0
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:

@@ -93,7 +93,6 @@ from .measurements import (
     delay_spectrum_size,
     estimate_aoa,
     first_paths,
-    quantize_power,
     record_seconds,
     reported_power_dbm,
     rstd,
@@ -308,7 +307,6 @@ class Simulator:
         # downlink signal per TRP (one resource each, offset from the TRP)
         self.dl_resources = {
             t.trp_id: DlPrsResource(
-                resource_id=t.trp_id,
                 seq_id=t.trp_id,
                 comb_size=config.dl_comb_size,
                 re_offset=t.comb_offset,
@@ -720,20 +718,25 @@ class Simulator:
         except SolverError:
             return math.inf
 
-    def _dl_tdoa_records(self, links, trp_clock, ue_clock, drop_idx):
-        toa, rsrp = self._dl_stage(links, trp_clock, ue_clock, drop_idx)
-        selected = [t for t in self._select_trps(rsrp) if toa[t] is not None]
-        records = [
+    def _rsrp_records(self, kind, trp_ids, rsrp):
+        """Power reports of the given TRPs; a PRS report's resource is its
+        TRP's one resource."""
+        return [
             MeasurementRecord(
-                kind="PRS_RSRP", trp_id=t, resource_id=t,
-                payload={"value_dbm": quantize_power(rsrp[t]).value_dbm
+                kind=kind, trp_id=t, resource_id=t if kind == "PRS_RSRP" else None,
+                payload={"value_dbm": reported_power_dbm(rsrp[t])
                          if self.config.quantize else rsrp[t]},
                 raw={"dbm": rsrp[t]},
             )
-            for t in selected
+            for t in trp_ids
         ]
+
+    def _dl_tdoa_records(self, links, trp_clock, ue_clock, drop_idx):
+        toa, rsrp = self._dl_stage(links, trp_clock, ue_clock, drop_idx)
+        selected = [t for t in self._select_trps(rsrp) if toa[t] is not None]
         if len(selected) < 4:
             raise SolverError("not enough usable downlink arrivals")
+        records = self._rsrp_records("PRS_RSRP", selected, rsrp)
         cfg = self.config
         ref = selected[0]  # strongest received power
         for t in selected:
@@ -749,15 +752,7 @@ class Simulator:
         selected = [t for t in self._select_trps(rsrp) if toa[t] is not None]
         if len(selected) < 4:
             raise SolverError("not enough usable uplink arrivals")
-        records = [
-            MeasurementRecord(
-                kind="SRS_RSRP", trp_id=t,
-                payload={"value_dbm": quantize_power(rsrp[t]).value_dbm
-                         if self.config.quantize else rsrp[t]},
-                raw={"dbm": rsrp[t]},
-            )
-            for t in selected
-        ]
+        records = self._rsrp_records("SRS_RSRP", selected, rsrp)
         cfg = self.config
         for t in selected:
             records.append(timing_record(
@@ -859,8 +854,7 @@ def solve_records(records, anchors, method: str, options: SolverOptions):
         ranges = []
         for t in sorted(ue_rxtx):
             if t in gnb_rxtx:
-                total, _ = rtt(ue_rxtx[t], gnb_rxtx[t])
-                ranges.append((index[t], total * SPEED_OF_LIGHT / 2.0))
+                ranges.append((index[t], rtt(ue_rxtx[t], gnb_rxtx[t]) * SPEED_OF_LIGHT / 2.0))
         return rtt_solve(anchors, ranges, options)
 
     if method == "ul-aoa":

@@ -50,13 +50,8 @@ class PositionFix:
     residual_rms: float
     iterations: int
     converged: bool
-    method: str
     objective: float = 0.0
-    gradient_norm: float = 0.0
-    used_indices: tuple[int, ...] = ()
     trimmed_indices: tuple[int, ...] = ()
-    residual_history: tuple[float, ...] = ()
-    low_confidence: bool = False
 
 
 def wrap_deg(angle):
@@ -100,8 +95,7 @@ class _Problem:
     once and fills once.
     """
 
-    def __init__(self, method, anchors, fix_height):
-        self.method = method
+    def __init__(self, anchors, fix_height):
         self.anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
         self.fix_height = fix_height
 
@@ -117,7 +111,7 @@ class _Problem:
 
 class _TdoaProblem(_Problem):
     def __init__(self, anchors, ref_anchor, measured_m, fix_height):
-        super().__init__("tdoa", anchors, fix_height)
+        super().__init__(anchors, fix_height)
         self.ref = np.asarray(ref_anchor, dtype=float)
         self.measured = np.asarray(measured_m, dtype=float)
 
@@ -148,7 +142,7 @@ class _TdoaProblem(_Problem):
 
 class _RangeProblem(_Problem):
     def __init__(self, anchors, ranges_m, fix_height):
-        super().__init__("rtt", anchors, fix_height)
+        super().__init__(anchors, fix_height)
         self.measured = np.asarray(ranges_m, dtype=float)
 
     def _evaluate(self, x):
@@ -171,7 +165,7 @@ class _AngleProblem(_Problem):
     """Azimuth (and optional zenith) bearings, residuals in degrees."""
 
     def __init__(self, anchors, azimuth_deg, zenith_deg, fix_height):
-        super().__init__("aoa", anchors, fix_height)
+        super().__init__(anchors, fix_height)
         self.az = np.asarray(azimuth_deg, dtype=float)
         self.zen = None if zenith_deg is None else np.asarray(zenith_deg, dtype=float)
         self._ax, self._ay, self._az = (c.copy() for c in self.anchors.T)
@@ -237,7 +231,6 @@ def _gauss_newton(problem: _Problem, x0: np.ndarray, options: SolverOptions) -> 
         return math.sqrt(float(np.add.reduce(r * r)) / len(r)), r, shared
 
     rms, r, shared = evaluate(var)
-    history = [rms]
     converged = False
     iterations = 0
     jac_t = np.empty((n_free, len(r)))
@@ -260,24 +253,17 @@ def _gauss_newton(problem: _Problem, x0: np.ndarray, options: SolverOptions) -> 
         else:
             break
         var, rms, r, shared = cand, cand_rms, cand_r, cand_shared
-        history.append(rms)
         taken = scale * step
         if math.sqrt(taken.dot(taken)) < options.tolerance_m:
             converged = True
             break
 
-    xf = np.array(var + fixed)
-    j = problem.jacobian(xf)
-    grad = 2.0 * j.T @ r / max(len(r), 1)
     return PositionFix(
-        position=xf,
+        position=np.array(var + fixed),
         residual_rms=rms,
         iterations=iterations,
         converged=converged,
-        method=problem.method,
         objective=float(np.add.reduce(r * r)),
-        gradient_norm=float(np.linalg.norm(grad)),
-        residual_history=tuple(history),
     )
 
 
@@ -426,7 +412,7 @@ _TRIM_RATIO = 3.0
 
 
 def _solve_with_trim(build_problem, n_meas: int, x0, options: SolverOptions,
-                     min_needed: int, method: str, solve=_solve_multistart) -> PositionFix:
+                     min_needed: int, solve=_solve_multistart) -> PositionFix:
     """Solve, then optionally drop gross-outlier measurements and re-solve."""
     active = list(range(n_meas))
     trimmed: list[int] = []
@@ -442,8 +428,6 @@ def _solve_with_trim(build_problem, n_meas: int, x0, options: SolverOptions,
                 break
             trimmed.append(active.pop(worst))
             fix = solve(build_problem(active), fix.position, options)
-    fix.method = method
-    fix.used_indices = tuple(active)
     fix.trimmed_indices = tuple(trimmed)
     return fix
 
@@ -487,7 +471,7 @@ def tdoa_solve(anchors, rstd_m, options: SolverOptions | None = None,
                             options.fix_height)
 
     return _solve_with_trim(build, len(meas), x0, options,
-                            MIN_MEASUREMENTS["tdoa"], "tdoa")
+                            MIN_MEASUREMENTS["tdoa"])
 
 
 def rtt_solve(anchors, ranges_m, options: SolverOptions | None = None,
@@ -511,7 +495,7 @@ def rtt_solve(anchors, ranges_m, options: SolverOptions | None = None,
     # of the closed-form and x0 runs; a start off the area, or no converged
     # in-area run, falls back to the coarse scan
     return _solve_with_trim(build, len(meas), x0, options,
-                            MIN_MEASUREMENTS["rtt"], "rtt", _solve_ranges)
+                            MIN_MEASUREMENTS["rtt"], _solve_ranges)
 
 
 def aoa_solve(anchors, angles, options: SolverOptions | None = None,
@@ -543,7 +527,7 @@ def aoa_solve(anchors, angles, options: SolverOptions | None = None,
         return _AngleProblem(anchors[rows], az[list(active)], z, options.fix_height)
 
     return _solve_with_trim(build, len(az), x0, options,
-                            MIN_MEASUREMENTS["aoa"], "aoa", _solve_bearings)
+                            MIN_MEASUREMENTS["aoa"], _solve_bearings)
 
 
 BEARING_TOP_BEAMS = 3
@@ -579,28 +563,22 @@ def aod_solve(anchors, beam_rsrp, options: SolverOptions | None = None,
 
     beam_rsrp maps anchor_index -> list of (beam azimuth, beam zenith,
     rsrp_dbm). Single-beam or flat-response TRPs carry no usable bearing
-    and are dropped (reported via low_confidence when any were).
+    and are dropped.
     """
     options = options or SolverOptions()
     angles = []
-    dropped = False
     for anchor_idx, beams in beam_rsrp.items():
         if len(beams) < 2:
-            dropped = True
             continue
         az, zen, low_conf = beam_bearing(beams)
         if low_conf:
-            dropped = True
             continue
         # a sweep with one common zenith carries no elevation information
         zen_spread = max(b[1] for b in beams) - min(b[1] for b in beams)
         angles.append((anchor_idx, az, zen if zen_spread > 1e-6 else None))
     if len(angles) < MIN_MEASUREMENTS["aod"]:
         raise SolverError("not enough TRPs with usable beam reports")
-    fix = aoa_solve(anchors, angles, options, x0=x0)
-    fix.method = "aod"
-    fix.low_confidence = dropped
-    return fix
+    return aoa_solve(anchors, angles, options, x0=x0)
 
 
 def gdop(anchors, position, method: str, ref_index: int | None = None,

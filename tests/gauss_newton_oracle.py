@@ -2,10 +2,12 @@
 range and angle problems, kept as they were before one iteration shrank to
 a few numpy calls: whole-array expressions on the 3-vector point, a
 Jacobian rebuilt from scratch after every accepted step, `np.linalg.norm`
-for every norm. Used to pin `solvers._gauss_newton` bit for bit.
+for every norm. Used to pin `solvers._gauss_newton` bit for bit, and to
+expose the residual RMS after each accepted step, which the package does not
+keep.
 
-The problems are the package's own; only their `anchors`, `fix_height`,
-`method` and measurement attributes are read.
+The problems are the package's own; only their `anchors`, `fix_height` and
+measurement attributes are read.
 """
 
 import numpy as np
@@ -68,7 +70,8 @@ def jacobian(problem, x):
     return j if problem.fix_height is None else j[:, :2]
 
 
-def gauss_newton(problem, x0, options) -> PositionFix:
+def gauss_newton(problem, x0, options) -> tuple[PositionFix, tuple[float, ...]]:
+    """The fix, and the residual RMS at x0 and after every accepted step."""
     fix_h = options.fix_height
     x = np.asarray(x0, dtype=float).copy()
     if fix_h is not None:
@@ -108,16 +111,11 @@ def gauss_newton(problem, x0, options) -> PositionFix:
             converged = True
             break
 
-    xf = _expand(var, fix_h)
-    j = jacobian(problem, xf)
-    grad = 2.0 * j.T @ r / max(len(r), 1)
-    return PositionFix(
-        position=xf,
+    fix = PositionFix(
+        position=_expand(var, fix_h),
         residual_rms=rms,
         iterations=iterations,
         converged=converged,
-        method=problem.method,
         objective=float(np.add.reduce(r * r)),
-        gradient_norm=float(np.linalg.norm(grad)),
-        residual_history=tuple(history),
     )
+    return fix, tuple(history)

@@ -2,7 +2,7 @@
 array passes: `realize_budget_link` rebuilding its tap tables and TRP-UE
 geometry for every link, one `link_amplitude` and beam-gain call per
 (TRP, beam), one `np.linalg.qr` per RE set, one `draw_noise` and
-chi-square per (beam, set) and one `quantize_power` per report. Used to
+chi-square per (beam, set) and one `reported_power_dbm` per report. Used to
 pin `channel.realize_budget_link` and `Simulator._aod_stage` bit for bit.
 
 Only the simulator's configuration, TRPs, channel parameters, RE sets,
@@ -21,7 +21,7 @@ from nrpos.channel import (
     noise_amplitude,
     sector_gain_db,
 )
-from nrpos.measurements import quantize_power
+from nrpos.measurements import reported_power_dbm
 from nrpos.numerology import SPEED_OF_LIGHT
 from nrpos.rng import substream
 from nrpos.simulate import power_dbm
@@ -84,7 +84,6 @@ def realize_budget_link(rng, params, trp, ue_pos, carrier_hz, sample_period_s):
         first_path_excess_s=0.0 if los else excess,
         angles_deg=(az, zen),
         antenna_gain_db=gain,
-        distance_m=d3,
     )
 
 
@@ -160,6 +159,6 @@ def aod_stage(sim, links, drop_idx):
         for az, p in zip(beam_az, beams):
             rsrp_dbm = power_dbm(float(p))
             if cfg.quantize:
-                rsrp_dbm = float(quantize_power(rsrp_dbm).value_dbm)
+                rsrp_dbm = float(reported_power_dbm(rsrp_dbm))
             rows.append((az, 95.0, rsrp_dbm))
     return reports

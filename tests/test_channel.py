@@ -94,9 +94,10 @@ class TestRealizeLink:
         link = realize_budget_link(rng, IOO, trp_at(), (20.0, 0.0, 1.5), 2e9, TS)
         assert link.path_loss_db > 0
         # NLOS path loss never undercuts the LOS law
+        d3 = math.hypot(20.0, 1.5)
         for _ in range(50):
             l = realize_budget_link(rng, IOO, trp_at(), (20.0, 0.0, 1.5), 2e9, TS)
-            assert l.path_loss_db >= IOO.los.at(l.distance_m, 2e9) - 1e-9
+            assert l.path_loss_db >= IOO.los.at(d3, 2e9) - 1e-9
 
     def test_cached_tap_tables_follow_their_key(self):
         """Links drawn in turn under IOO and UMa parameters, a tap_decay_s
@@ -150,7 +151,6 @@ def single_tap_link(delay_s, gain=1.0 + 0j, pl_db=60.0):
         first_path_excess_s=0.0,
         angles_deg=(0.0, 90.0),
         antenna_gain_db=0.0,
-        distance_m=delay_s * SPEED_OF_LIGHT,
     )
 
 

@@ -45,20 +45,38 @@ def test_timing_k_follows_the_reporting_range():
         assert config.effective_timing_k == K_RANGE[config.fr][0]
 
 
+def test_min_trps_may_not_exceed_n_best_trps():
+    """Selection keeps at most n_best_trps, so a larger minimum would be
+    cut back without a word."""
+    with pytest.raises(ValidationError, match="min_trps 8 exceeds n_best_trps 4"):
+        preset_config("uma", min_trps=8, n_best_trps=4)
+    assert preset_config("uma", min_trps=4, n_best_trps=4).min_trps == 4
+
+
 def short_run_csv(preset: str, method: str, **overrides) -> str:
     config = preset_config(preset, method=method, n_drops=4, n_prb=24, **overrides)
     return run_experiment(config).results_csv
 
 
+# Overrides that both runs of a knob share, where the defaults cannot show
+# it: n_best_trps may not undercut min_trps, and comb 12 allows only 12
+# symbols.
+BASES = {
+    "n_best_trps": {"min_trps": 4},
+    "dl_n_symbols": {"dl_comb_size": 6},
+}
+
+
 @lru_cache(maxsize=None)
-def default_run_csv(preset: str, method: str) -> str:
-    return short_run_csv(preset, method)
+def base_run_csv(preset: str, method: str, knob: str) -> str:
+    return short_run_csv(preset, method, **BASES.get(knob, {}))
 
 
 # Each knob on a run where it acts: UL-TDOA's sounding shape changes
 # nothing on the quantized IOO FR1 reports, min_trps=3 changes nothing at
 # 4 drops, and UMa DL-TDOA is interference-limited, so a noise figure of
-# 30 dB in place of 9 dB moves none of its 4 drops.
+# 30 dB in place of 9 dB moves none of its 4 drops. The sector gain moves
+# no UMa DL-TDOA drop either, and 6 symbols in place of 12 move no UMa one.
 KNOBS = [
     ("uma", "dl-tdoa", "dl_comb_size", 6),
     ("uma", "dl-aod", "dl_noise_figure_db", 15.0),
@@ -78,6 +96,13 @@ KNOBS = [
     ("ioo-fr1", "dl-tdoa", "channel", {"tap_decay_s": 100e-9}),
     ("ioo-fr1", "dl-tdoa", "channel", {"los_k_db": 0.0}),
     ("ioo-fr1", "dl-tdoa", "hull_split", True),
+    ("uma", "dl-tdoa", "master_seed", 2),
+    ("uma", "dl-tdoa", "full_area", True),
+    ("uma", "dl-tdoa", "channel", {"force_los": True}),
+    ("ioo-fr1", "dl-tdoa", "channel", {"n_taps": 2}),
+    ("uma", "ul-tdoa", "channel", {"nlos_excess_mean_s": 300e-9}),
+    ("uma", "dl-aod", "channel", {"sector_max_gain_db": 0.0}),
+    ("ioo-fr1", "dl-tdoa", "dl_n_symbols", 6),
 ]
 
 
@@ -86,4 +111,6 @@ KNOBS = [
                                                  else f"={v}") for p, m, k, v in KNOBS])
 def test_knob_changes_results(preset, method, knob, value):
     """A knob that changes nothing in a short run is dead or miswired."""
-    assert short_run_csv(preset, method, **{knob: value}) != default_run_csv(preset, method)
+    base = BASES.get(knob, {})
+    assert short_run_csv(preset, method, **{**base, knob: value}) != \
+        base_run_csv(preset, method, knob)

@@ -9,13 +9,12 @@ from nrpos.measurements import (
     DelayWindow,
     MeasurementFailed,
     MeasurementRecord,
-    TimingReport,
     aggregate_samples,
     estimate_aoa,
-    quantize_power,
     quantize_timing,
     read_records,
     record_seconds,
+    reported_power_dbm,
     rstd,
     rtt,
     steering_vector,
@@ -37,7 +36,7 @@ from nrpos.simulate import Simulator, despread_groups
 NUM = Numerology(scs_khz=30, n_prb=24)
 FREQS = np.arange(NUM.n_subcarriers) * NUM.scs_khz * 1e3
 SAMPLE_S = 1.0 / NUM.sample_rate_hz
-RES = DlPrsResource(resource_id=0, seq_id=7, comb_size=12, re_offset=0,
+RES = DlPrsResource(seq_id=7, comb_size=12, re_offset=0,
                     n_symbols=12, n_prb=24)
 REF = dl_prs_reference(RES)
 WINDOW = (-2e-6, 10e-6)
@@ -59,20 +58,18 @@ def delayed_grid(delay_s, snr_db=None, rng=None, amp=1.0):
 
 class TestQuantizeTiming:
     def test_zero(self):
-        assert quantize_timing(0.0, 2).value_tc == 0
+        assert quantize_timing(0.0, 2) == 0
 
     def test_ten_ns_at_k2(self):
-        report = quantize_timing(10e-9, 2)
-        assert report.value_tc == 20
-        assert report.value_tc * TC_SECONDS == pytest.approx(10.17e-9, rel=1e-3)
+        value_tc = quantize_timing(10e-9, 2)
+        assert value_tc == 20
+        assert value_tc * TC_SECONDS == pytest.approx(10.17e-9, rel=1e-3)
 
     def test_out_of_range_clamps(self):
-        report = quantize_timing(600e-6, 2)
-        assert report.value_tc == 985024
-        assert report.clamped
-        assert report.value_tc * TC_SECONDS == pytest.approx(501e-6, rel=2e-3)
-        neg = quantize_timing(-600e-6, 2)
-        assert neg.value_tc == -985024
+        value_tc = quantize_timing(600e-6, 2)
+        assert value_tc == 985024
+        assert value_tc * TC_SECONDS == pytest.approx(501e-6, rel=2e-3)
+        assert quantize_timing(-600e-6, 2) == -985024
 
     def test_illegal_k(self):
         with pytest.raises(ValueError):
@@ -87,52 +84,41 @@ class TestQuantizeTiming:
         rng = np.random.default_rng(k + (0 if fr == "fr1" else 100))
         bound = (1 << k) * TC_SECONDS / 2
         for t in rng.uniform(-400e-6, 400e-6, 200):
-            report = quantize_timing(t, k, fr)
-            assert abs(report.value_tc * TC_SECONDS - t) <= bound * (1 + 1e-12)
+            assert abs(quantize_timing(t, k, fr) * TC_SECONDS - t) <= bound * (1 + 1e-12)
 
     def test_report_always_aligned_and_in_range(self):
         rng = np.random.default_rng(0)
         for _ in range(500):
             k = int(rng.integers(0, 6))
             t = float(rng.uniform(-700e-6, 700e-6))
-            r = quantize_timing(t, k, "fr2")
-            assert abs(r.value_tc) <= 985024
-            assert r.value_tc % (1 << k) == 0
-
-    def test_constructor_rejects_bad_reports(self):
-        with pytest.raises(ValueError):
-            TimingReport(value_tc=985028, k=2, fr="fr1")
-        with pytest.raises(ValueError):
-            TimingReport(value_tc=2, k=2, fr="fr1")  # not step aligned
-        with pytest.raises(ValueError):
-            TimingReport(value_tc=0, k=1, fr="fr1")
+            value_tc = quantize_timing(t, k, "fr2")
+            assert type(value_tc) is int
+            assert abs(value_tc) <= 985024
+            assert value_tc % (1 << k) == 0
 
 
 class TestQuantizePower:
     def test_rounding(self):
-        assert quantize_power(-100.4).value_dbm == -100
+        assert reported_power_dbm(-100.4) == -100
 
     def test_lower_clamp(self):
-        r = quantize_power(-200.0)
-        assert r.value_dbm == -156 and r.clamped
+        assert reported_power_dbm(-200.0) == -156
 
     def test_upper_clamp(self):
-        r = quantize_power(-30.0)
-        assert r.value_dbm == -31 and r.clamped
+        assert reported_power_dbm(-30.0) == -31
 
     def test_matches_numpy_half_to_even(self):
         def reference(p):
-            value = int(np.round(p))
-            return min(max(value, -156), -31), not -156 <= value <= -31
+            return min(max(int(np.round(p)), -156), -31)
 
         rng = np.random.default_rng(0)
         values = [-44.5, -43.5, 0.5, -156.5, -155.5, -156.0, -31.5, -30.5, -31.0,
                   *rng.uniform(-200.0, 0.0, 10_000)]
         for p in values:
             for x in (float(p), np.float64(p)):
-                r = quantize_power(x)
-                assert type(r.value_dbm) is int
-                assert (r.value_dbm, r.clamped) == reference(x)
+                value = reported_power_dbm(x)
+                assert type(value) is int
+                assert value == reference(x)
 
 
 class TestAggregate:
@@ -355,20 +341,16 @@ class TestDifferences:
     def test_rtt_arithmetic(self):
         d = 150.0
         one_way = d / SPEED_OF_LIGHT
-        total, clamped = rtt(one_way, one_way)
-        assert not clamped
-        assert total == pytest.approx(1.0007e-6, rel=1e-3)
+        assert rtt(one_way, one_way) == pytest.approx(1.0007e-6, rel=1e-3)
 
     def test_rtt_clock_offset_cancels(self):
         d = 150.0
         one_way = d / SPEED_OF_LIGHT
         offset = 1e-6
-        total, _ = rtt(one_way + offset, one_way - offset)
-        assert total == pytest.approx(2 * one_way, abs=1e-18)
+        assert rtt(one_way + offset, one_way - offset) == pytest.approx(2 * one_way, abs=1e-18)
 
     def test_negative_rtt_clamped(self):
-        total, clamped = rtt(-1e-9, 0.2e-9)
-        assert total == 0.0 and clamped
+        assert rtt(-1e-9, 0.2e-9) == 0.0
 
 
 class TestRsrp:
@@ -469,7 +451,7 @@ class TestRecords:
         rec = timing_record("UL_RTOA", trp_id=0, t_seconds=10e-9, k=2, fr="fr1",
                             quantize=False)
         assert record_seconds(rec) == pytest.approx(10e-9, rel=1e-12)
-        assert rec.payload["k"] == 2 and not rec.payload["clamped"]
+        assert rec.payload == {"value_tc": 10e-9 / TC_SECONDS, "k": 2, "fr": "fr1"}
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -12,28 +12,36 @@ from nrpos.prs import (
     SrsPosResource,
     comb_pattern,
     resource_re_indices,
-    srs_comb_pattern,
-    srs_re_indices,
 )
 
 
 def make_resource(**kwargs):
-    defaults = dict(resource_id=0, seq_id=1, comb_size=12, re_offset=0,
+    defaults = dict(seq_id=1, comb_size=12, re_offset=0,
                     first_symbol=0, n_symbols=12, n_prb=272)
     defaults.update(kwargs)
     return DlPrsResource(**defaults)
 
 
+def dl_pattern(comb_size, n_symbols, re_offset):
+    return comb_pattern(make_resource(comb_size=comb_size, n_symbols=n_symbols,
+                                      re_offset=re_offset))
+
+
+def srs_pattern(comb_size, n_symbols, comb_offset):
+    return comb_pattern(SrsPosResource(comb_size=comb_size, n_symbols=n_symbols,
+                                       comb_offset=comb_offset))
+
+
 class TestCombPattern:
     def test_comb6_staggering(self):
-        assert comb_pattern(6, 6, 0) == [0, 3, 1, 4, 2, 5]
+        assert dl_pattern(6, 6, 0) == [0, 3, 1, 4, 2, 5]
 
     def test_comb2_offset1(self):
-        assert comb_pattern(2, 2, 1) == [1, 0]
+        assert dl_pattern(2, 2, 1) == [1, 0]
 
     def test_comb12_is_permutation(self):
-        assert sorted(comb_pattern(12, 12, 0)) == list(range(12))
-        assert comb_pattern(12, 12, 0) == [0, 6, 3, 9, 1, 7, 4, 10, 2, 8, 5, 11]
+        assert sorted(dl_pattern(12, 12, 0)) == list(range(12))
+        assert dl_pattern(12, 12, 0) == [0, 6, 3, 9, 1, 7, 4, 10, 2, 8, 5, 11]
 
     @pytest.mark.parametrize("comb", [2, 4, 6, 12])
     def test_coverage_over_any_window(self, comb):
@@ -42,7 +50,7 @@ class TestCombPattern:
             if n_symbols < comb:
                 continue
             for offset in range(comb):
-                residues = comb_pattern(comb, n_symbols, offset)
+                residues = dl_pattern(comb, n_symbols, offset)
                 for start in range(n_symbols - comb + 1):
                     window = residues[start:start + comb]
                     assert sorted(window) == list(range(comb))
@@ -53,18 +61,18 @@ class TestCombPattern:
             if n_symbols < comb:
                 continue
             for offset in range(comb):
-                residues = srs_comb_pattern(comb, n_symbols, offset)
+                residues = srs_pattern(comb, n_symbols, offset)
                 assert sorted(residues[:comb]) == list(range(comb))
 
     def test_invalid_combinations_rejected(self):
         with pytest.raises(ConfigError):
-            comb_pattern(12, 6, 0)
+            dl_pattern(12, 6, 0)
         with pytest.raises(ConfigError):
-            comb_pattern(4, 6, 0)
+            dl_pattern(4, 6, 0)
         with pytest.raises(ConfigError):
-            comb_pattern(6, 6, 6)
+            dl_pattern(6, 6, 6)
         with pytest.raises(ConfigError):
-            srs_comb_pattern(8, 3, 0)
+            srs_pattern(8, 3, 0)
 
 
 class TestOrthogonality:
@@ -104,7 +112,7 @@ class TestMapping:
         # interleaved disjoint columns, as in the three-cell example
         grid = np.zeros((12 * 24, 14), dtype=complex)
         for offset in range(3):
-            res = make_resource(resource_id=offset, seq_id=offset, comb_size=6,
+            res = make_resource(seq_id=offset, comb_size=6,
                                 re_offset=offset, n_symbols=6, n_prb=24)
             map_dl_prs(grid, res)
         assert np.count_nonzero(grid) == 3 * 6 * (12 * 24 // 6)
@@ -131,7 +139,7 @@ class TestMapping:
 
 class TestSrs:
     def test_comb4_stagger_over_12_symbols(self):
-        residues = srs_comb_pattern(4, 12, 0)
+        residues = srs_pattern(4, 12, 0)
         assert residues == [0, 2, 1, 3] * 3
 
     def test_cyclic_shift_zero_is_base(self):
@@ -139,7 +147,7 @@ class TestSrs:
         res = SrsPosResource(comb_size=4, comb_offset=0, cyclic_shift=0,
                              n_symbols=4, n_prb=24)
         map_srs(grid, res)
-        k_idx, sym = srs_re_indices(res)[0]
+        k_idx, sym = resource_re_indices(res)[0]
         from nrpos.sequences import zc_base_for_width
         assert np.allclose(grid[k_idx, sym], zc_base_for_width(1, len(k_idx)))
 
@@ -150,7 +158,7 @@ class TestSrs:
             res = SrsPosResource(comb_size=4, comb_offset=0, cyclic_shift=cs,
                                  n_symbols=4, n_prb=24)
             map_srs(grid, res)
-            k_idx, sym = srs_re_indices(res)[0]
+            k_idx, sym = resource_re_indices(res)[0]
             values.append(grid[k_idx, sym])
         ratio = values[1] / values[0]
         k = np.arange(len(ratio))
@@ -160,7 +168,7 @@ class TestSrs:
         sets = []
         for offset in (0, 1):
             res = SrsPosResource(comb_size=2, comb_offset=offset, n_symbols=2, n_prb=24)
-            sets.append({(k, s) for k_idx, s in srs_re_indices(res) for k in k_idx})
+            sets.append({(k, s) for k_idx, s in resource_re_indices(res) for k in k_idx})
         assert not (sets[0] & sets[1])
 
     def test_validation(self):

@@ -1,7 +1,7 @@
 """Every top-level def, class and method in src/nrpos is reachable from the
-package's entry points, and every attribute a method stores on `self` is
-read somewhere in the package: code and state the simulation does not use
-are wired in or deleted, not kept in the package for tests alone.
+package's entry points, and every field of a class of the package is read
+by a reached def: code and state the simulation does not use are wired in
+or deleted, not kept in the package for tests alone.
 
 The walk goes by name over the AST from the roots below. A function or
 class is reached when a reached def names it, through its module's own
@@ -13,6 +13,14 @@ class reaches every method of that name. Dunder methods and framework
 hooks (methods with a decorator other than property, classmethod or
 staticmethod) come with their class. Names that module-level statements
 use are reached as well, since those statements run at import.
+
+A field is a name a class body annotates (a dataclass or pydantic field)
+or an attribute a method stores on `self`. It is read when a reached def
+or a module-level statement loads it as an attribute of a value of its
+class, or of a value of unknown class. A store is not a read, and neither
+is a load of `self`'s own field in the class's constructor. `asdict(x)`
+and `x.model_dump()` read every field of x's class and of the classes of
+its fields.
 """
 
 import ast
@@ -36,6 +44,25 @@ ROOTS = {
 # Every public name of this module is a root: the location-session API.
 SESSION_MODULE = "session"
 
+# Fields that only code outside the package reads, and that reader.
+OUTSIDE_READERS = {
+    "channel.LinkRealization.los": "the link's propagation truth, for drop diagnostics",
+    "channel.LinkRealization.first_path_excess_s":
+        "the link's propagation truth, for drop diagnostics",
+    "simulate.DropOutcome.failure": "why a drop has no fix, for callers of run_drop",
+    "simulate.DropOutcome.records": "a drop's reports, which sessions and re-solves replay",
+    "simulate.Simulator.srs": "the sounding resource a session's Gnb configures and reports",
+    "simulate.Simulator.dl_resources": "the resources the RE-grid oracle tests map",
+    "simulate.Simulator.search_window": "the detection window the first-path oracle tests use",
+    "session.SessionResult.ue_id": "a session's outcome, for callers of Lmf.results",
+    "session.SessionResult.status": "a session's outcome, for callers of Lmf.results",
+    "solvers.PositionFix.iterations": "perfbench's solve_records hook sums them",
+    "solvers.PositionFix.residual_rms": "the fit of a fix, compared bit for bit by replay tests",
+    "solvers.PositionFix.trimmed_indices": "the measurements the residual trim dropped",
+}
+
+_CONSTRUCTORS = {"__init__", "__post_init__"}
+
 _PLAIN_DECORATORS = {"property", "classmethod", "staticmethod"}
 
 
@@ -49,6 +76,7 @@ class Package:
         self.module_code = {}  # module -> top-level statements other than defs
         self.bases = {}  # class -> its first base class in the package, or None
         self.fields = {}  # class -> {attribute: class of its value}
+        self.declared = {}  # class -> names of its fields
         trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
         for mod, tree in trees.items():
             names = self.bindings[mod] = {}
@@ -78,17 +106,24 @@ class Package:
         self.bases[cls] = next((b for b in (self.resolve(mod, e) for e in node.bases)
                                 if b in self.bases), None)
         fields = self.fields[cls] = {}
+        declared = self.declared[cls] = set()
         for item in node.body:
             if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
                 fields[item.target.id] = self.annotation(mod, item.annotation)
+                declared.add(item.target.id)
             if not isinstance(item, ast.FunctionDef):
                 continue
             self.defs[f"{cls}.{item.name}"] = (mod, item, cls)
+            args = {a.arg: self.annotation(mod, a.annotation) for a in item.args.args
+                    if a.annotation is not None}
             for sub in ast.walk(item):
+                if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                        and getattr(sub.value, "id", "") == "self"):
+                    declared.add(sub.attr)
                 if isinstance(sub, ast.AnnAssign):
                     target, kind = sub.target, self.annotation(mod, sub.annotation)
                 elif isinstance(sub, ast.Assign) and len(sub.targets) == 1:
-                    target, kind = sub.targets[0], self.instance(mod, sub.value, {})
+                    target, kind = sub.targets[0], self.instance(mod, sub.value, args)
                 else:
                     continue
                 if (kind and isinstance(target, ast.Attribute)
@@ -139,11 +174,15 @@ class Package:
             cls = self.bases[cls]
         return out
 
-    def references(self, mod, nodes, env):
-        """(defs named, (class, attribute) pairs, attributes of values of
-        unknown class) in the given statements; env maps local names to
-        the class of their value and is extended from annotated arguments
-        and assignments."""
+    def related(self, a, b) -> bool:
+        """One class is the other or derives from it."""
+        return a in self.mro(b) or b in self.mro(a)
+
+    def attributes(self, mod, nodes, env):
+        """(node, `module.name` it names, class of its receiver) of every
+        attribute in the given statements, and the qualnames of the names;
+        env maps local names to the class of their value and is extended
+        from annotated arguments and assignments."""
         for sub in (s for node in nodes for s in ast.walk(node)):
             if isinstance(sub, ast.arg) and sub.annotation is not None:
                 name, kind = sub.arg, self.annotation(mod, sub.annotation)
@@ -154,32 +193,65 @@ class Package:
                 continue
             if kind:
                 env.setdefault(name, kind)
-        named, pairs, loose = set(), set(), set()
+        found, named = [], set()
         for sub in (s for node in nodes for s in ast.walk(node)):
             if isinstance(sub, ast.Name):
                 named.add(self.bindings[mod].get(sub.id))
             elif isinstance(sub, ast.Attribute):
-                in_module = self.resolve(mod, sub)
                 receiver = self.resolve(mod, sub.value)
                 if receiver not in self.bases:
                     receiver = self.instance(mod, sub.value, env)
-                if in_module:
-                    named.add(in_module)
-                elif receiver:
-                    pairs.add((receiver, sub.attr))
-                elif getattr(sub.value, "id", None) not in self.external[mod]:
-                    loose.add(sub.attr)
-        return named - {None}, pairs, loose
+                found.append((sub, self.resolve(mod, sub), receiver))
+        return found, named - {None}
 
-    def uses(self, qualname):
-        """references() of one def: a function's body, or a class's bases,
-        decorators and statements outside its methods."""
+    def references(self, mod, nodes, env):
+        """(defs named, (class, attribute) pairs, attributes of values of
+        unknown class) in the given statements."""
+        found, named = self.attributes(mod, nodes, env)
+        pairs, loose = set(), set()
+        for sub, in_module, receiver in found:
+            if in_module:
+                named.add(in_module)
+            elif receiver:
+                pairs.add((receiver, sub.attr))
+            elif getattr(sub.value, "id", None) not in self.external[mod]:
+                loose.add(sub.attr)
+        return named, pairs, loose
+
+    def reads(self, mod, nodes, env, constructs=None):
+        """((class, field) pairs, fields of values of unknown class, classes
+        read whole) that the given statements load. Loads of the fields of
+        `constructs`, the class whose constructor the statements are, are
+        left out."""
+        found, _ = self.attributes(mod, nodes, env)
+        pairs, loose, whole = set(), set(), set()
+        for sub, in_module, receiver in found:
+            if in_module or not isinstance(sub.ctx, ast.Load):
+                continue
+            if receiver:
+                if not self.related(receiver, constructs):
+                    pairs.add((receiver, sub.attr))
+            elif getattr(sub.value, "id", None) not in self.external[mod]:
+                loose.add(sub.attr)
+        for sub in (s for node in nodes for s in ast.walk(node)):
+            if not isinstance(sub, ast.Call):
+                continue
+            if getattr(sub.func, "id", None) == "asdict" and sub.args:
+                whole.add(self.instance(mod, sub.args[0], env))
+            elif getattr(sub.func, "attr", None) == "model_dump":
+                whole.add(self.instance(mod, sub.func.value, env))
+        return pairs, loose, whole - {None}
+
+    def uses(self, qualname, scan=None):
+        """scan (references() by default) of one def: a function's body, or
+        a class's bases, decorators and statements outside its methods."""
+        scan = scan or self.references
         mod, node, owner = self.defs[qualname]
         if isinstance(node, ast.FunctionDef):
             first = node.args.args[:1] if owner else []
-            return self.references(mod, [node], {a.arg: owner for a in first})
+            return scan(mod, [node], {a.arg: owner for a in first})
         body = [item for item in node.body if not isinstance(item, ast.FunctionDef)]
-        return self.references(mod, [*node.bases, *node.decorator_list, *body], {})
+        return scan(mod, [*node.bases, *node.decorator_list, *body], {})
 
     def implicit(self, node) -> bool:
         """A method that runs without being named: a dunder or a framework hook."""
@@ -188,11 +260,10 @@ class Package:
         return node.name.startswith("__") or bool(hooks)
 
 
-def unreached(package: Path, roots) -> list[str]:
+def reach(pkg: Package, roots) -> set[str]:
     """Qualnames (module.name, module.Class.method) of the package's defs
-    that no chain of names from `roots` reaches. A root class brings its
+    that a chain of names from `roots` reaches. A root class brings its
     public methods: it is an interface."""
-    pkg = Package(package)
     missing = [r for r in roots if r not in pkg.defs]
     if missing:
         raise KeyError(f"roots not defined in the package: {missing}")
@@ -214,11 +285,50 @@ def unreached(package: Path, roots) -> list[str]:
             else:
                 hit = owner in reached and (
                     node.name in loose or pkg.implicit(node)
-                    or any(attr == node.name and (owner in pkg.mro(cls) or cls in pkg.mro(owner))
+                    or any(attr == node.name and pkg.related(owner, cls)
                            for cls, attr in pairs))
             if hit:
                 reached.add(q)
-    return sorted(set(pkg.defs) - reached)
+    return reached
+
+
+def unreached(package: Path, roots) -> list[str]:
+    """Qualnames of the package's defs that no chain of names from `roots`
+    reaches."""
+    pkg = Package(package)
+    return sorted(set(pkg.defs) - reach(pkg, roots))
+
+
+def unread_fields(package: Path, roots) -> list[str]:
+    """Fields of the package's classes that no def reached from `roots`
+    reads, and no module-level statement. Each is named module.Class.field
+    after the first class of its bases that has it, so a subclass's stores
+    count toward its base class's field."""
+    pkg = Package(package)
+    pairs, loose, whole = set(), set(), set()
+    for mod, code in pkg.module_code.items():
+        p, lo, wh = pkg.reads(mod, code, {})
+        pairs, loose, whole = pairs | p, loose | lo, whole | wh
+    for q in reach(pkg, roots):
+        _, node, owner = pkg.defs[q]
+        constructs = owner if node.name in _CONSTRUCTORS else None
+        p, lo, wh = pkg.uses(q, lambda m, n, e: pkg.reads(m, n, e, constructs))
+        pairs, loose, whole = pairs | p, loose | lo, whole | wh
+    # asdict and model_dump recurse into fields that hold package classes
+    todo = list(whole)
+    while todo:
+        for base in pkg.mro(todo.pop()):
+            inner = set(pkg.fields[base].values()) - {None} - whole
+            whole |= inner
+            todo += inner
+    unread = set()
+    for cls, names in pkg.declared.items():
+        for name in names:
+            first = next(c for c in reversed(pkg.mro(cls)) if name in pkg.declared[c])
+            if not (name in loose or any(pkg.related(cls, c) for c in whole)
+                    or any(attr == name and pkg.related(cls, c) for c, attr in pairs)):
+                unread.add(f"{first}.{name}")
+    return sorted(unread)
 
 
 def package_roots() -> list[str]:
@@ -227,26 +337,6 @@ def package_roots() -> list[str]:
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and not node.name.startswith("_")]
     return [*ROOTS, *session]
-
-
-def unread_attributes(package: Path) -> list[str]:
-    """Attributes that a method of the package stores on `self` and that no
-    code of the package reads, on any object. Each is named module.Class.attr
-    after the first class of its module that stores it, so a subclass's
-    stores count toward its base class's attribute."""
-    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
-    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    owner = {}  # (module, attribute) -> first class storing it
-    for mod, tree in trees.items():
-        for cls in (c for c in tree.body if isinstance(c, ast.ClassDef)):
-            for node in (n for method in cls.body if isinstance(method, ast.FunctionDef)
-                         for n in ast.walk(method)):
-                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
-                        and getattr(node.value, "id", None) == "self"):
-                    owner.setdefault((mod, node.attr), cls.name)
-    return sorted(f"{mod}.{cls}.{attr}" for (mod, attr), cls in owner.items()
-                  if attr not in read)
 
 
 def test_every_def_is_reached():
@@ -287,8 +377,12 @@ def test_guard_sees_unreached_defs(tmp_path):
 
 
 def test_every_stored_attribute_is_read():
-    unread = unread_attributes(PACKAGE)
-    assert not unread, "stored and never read; read or delete:\n" + "\n".join(unread)
+    unread = unread_fields(PACKAGE, package_roots())
+    dead = sorted(set(unread) - set(OUTSIDE_READERS))
+    assert not dead, "stored and never read; read or delete:\n" + "\n".join(dead)
+    stale = sorted(set(OUTSIDE_READERS) - set(unread))
+    assert not stale, "read in the package or gone; drop from OUTSIDE_READERS:\n" + \
+        "\n".join(stale)
 
 
 def test_guard_sees_unread_attributes(tmp_path):
@@ -313,4 +407,48 @@ def test_guard_sees_unread_attributes(tmp_path):
         "def show(box):\n"
         "    return box.label\n"
     )
-    assert unread_attributes(tmp_path) == ["box.Box.count", "box.Box.note", "box.Crate.lid"]
+    assert unread_fields(tmp_path, ["use.show", "box.Box", "box.Crate"]) == [
+        "box.Box.count", "box.Box.note", "box.Crate.lid"]
+
+
+def test_guard_sees_unread_fields(tmp_path):
+    (tmp_path / "kinds.py").write_text(
+        "from dataclasses import dataclass\n"
+        "from pydantic import BaseModel\n"
+        "@dataclass\n"
+        "class Point:\n"
+        "    x: float\n"
+        "    y: float\n"
+        "@dataclass\n"
+        "class Label:\n"
+        "    x: float\n"
+        "    text: str\n"
+        "@dataclass\n"
+        "class Pin:\n"
+        "    x: float\n"
+        "class Limits(BaseModel):\n"
+        "    low: float\n"
+        "class Settings(BaseModel):\n"
+        "    limits: Limits\n"
+        "    name: str = ''\n"
+        "class Flags(BaseModel):\n"
+        "    verbose: bool = False\n"
+        "    debug: bool = False\n"
+        "class Meter:\n"
+        "    def __init__(self, scale):\n"
+        "        self.scale = scale\n"
+        "        self.offset = self.scale / 2\n"
+        "    def read(self, label: Label):\n"
+        "        label.text = 'set'\n"
+        "        return label.x + self.offset\n"
+    )
+    (tmp_path / "run.py").write_text(
+        "from dataclasses import asdict\n"
+        "from .kinds import Flags, Label, Meter, Pin, Point, Settings\n"
+        "def main(settings: Settings, flags: Flags, point: Point, label: Label):\n"
+        "    meter = Meter(2.0)\n"
+        "    return settings.model_dump(), asdict(point), flags.verbose, meter.read(label), Pin\n"
+    )
+    assert unreached(tmp_path, ["run.main"]) == []
+    assert unread_fields(tmp_path, ["run.main"]) == [
+        "kinds.Flags.debug", "kinds.Label.text", "kinds.Meter.scale", "kinds.Pin.x"]

@@ -161,14 +161,28 @@ class TestSolverContracts:
                         x0=np.array([500.0, 500.0, 1.5]))
         assert isinstance(fix, PositionFix)
 
-    def test_monotone_damping(self):
+    def test_monotone_damping(self, monkeypatch):
+        """No accepted step of any Gauss-Newton run raises the residual RMS,
+        read from the oracle's history of the same run."""
+        histories = []
+        real = solvers._gauss_newton
+
+        def traced(problem, x0, options):
+            fix = real(problem, x0, options)
+            want, history = oracle.gauss_newton(problem, x0, options)
+            assert history[-1] == fix.residual_rms == want.residual_rms
+            histories.append(history)
+            return fix
+
+        monkeypatch.setattr(solvers, "_gauss_newton", traced)
         rng = np.random.default_rng(9)
         for _ in range(50):
             anchors = random_anchors(rng)
             ue = np.array([rng.uniform(-50, 50), rng.uniform(-50, 50), 1.5])
             meas = [(i, d + rng.normal(0, 2.0)) for i, d in exact_ranges(anchors, ue)]
-            fix = rtt_solve(anchors, meas, OPT2D)
-            hist = fix.residual_history
+            rtt_solve(anchors, meas, OPT2D)
+        assert len(histories) >= 50 and any(len(h) > 2 for h in histories)
+        for hist in histories:
             assert all(a >= b - 1e-12 for a, b in zip(hist, hist[1:]))
 
     def test_translation_equivariance(self):
@@ -186,9 +200,12 @@ class TestSolverContracts:
         rng = np.random.default_rng(11)
         anchors = random_anchors(rng)
         ue = np.array([10.0, 5.0, 1.5])
-        fix = rtt_solve(anchors, exact_ranges(anchors, ue), OPT2D)
+        ranges = exact_ranges(anchors, ue)
+        fix = rtt_solve(anchors, ranges, OPT2D)
         assert fix.converged
-        assert fix.gradient_norm < 1e-6
+        problem = solvers._RangeProblem(anchors, [d for _, d in ranges], OPT2D.fix_height)
+        r, j = problem.residuals(fix.position), problem.jacobian(fix.position)
+        assert np.linalg.norm(2.0 * j.T @ r / len(r)) < 1e-6
 
     def test_wrap_deg(self):
         assert wrap_deg(190.0) == -170.0
@@ -267,7 +284,6 @@ class TestBeamBearing:
         reports = symmetric_beam_rsrp(anchors, ue)
         reports[2] = reports[2][:1]  # single beam: coarse info only
         fix = aod_solve(anchors, reports, OPT2D)
-        assert fix.low_confidence
         assert np.linalg.norm(fix.position[:2] - ue[:2]) < 1e-6
 
     def test_not_enough_usable_trps(self):
@@ -474,7 +490,7 @@ class TestGaussNewtonOracle:
 
         def checked(problem, x0, options):
             fix = real(problem, x0, options)
-            want = oracle.gauss_newton(problem, x0, options)
+            want, _ = oracle.gauss_newton(problem, x0, options)
             for field in dataclasses.fields(PositionFix):
                 assert bits(getattr(fix, field.name)) == bits(getattr(want, field.name)), \
                     field.name
