@@ -340,10 +340,8 @@ class Simulator:
                 self._dl_sets[e] = ReGroup(sets[e], k, s)
         self._dl_groups = self._dl_sets if config.interference else \
             [ReGroup((i,), g.k, g.s) for g in self._dl_sets for i in g.members]
-        # each group's REs as flat indices into the (subcarrier, symbol) grid
         self._dl_grid_shape = (self.numerology.n_subcarriers, config.dl_n_symbols)
-        self._dl_flat = [np.ravel_multi_index((g.k, g.s), self._dl_grid_shape)
-                         for g in self._dl_groups]
+        self._dl_flat: list[np.ndarray] | None = None
 
         # uplink sounding signal (single terminal per drop)
         self.srs = SrsPosResource(
@@ -372,9 +370,14 @@ class Simulator:
         self._tap_ramps = phase_ramps(np.arange(n_taps) * self.sample_period_s, n_sc,
                                       self.scs_hz)
         self._h = np.empty((len(self.trps), n_sc), dtype=complex)
-        self._delay_window = DelayWindow(n_sc, delay_spectrum_size(n_sc), self.scs_hz,
-                                         self.search_window)
-        self._taper = taper_vector(np.ones(n_sc))
+        # first-path detection: the delay window and the taper of a despread
+        # vector. DL-AoD detects no first path and holds neither. The others
+        # build them here: built at the first detection, the window's
+        # construction temporaries would sit on top of that drop's arrays
+        # and raise the run's peak memory.
+        self._detection = None if config.method == "dl-aod" else (
+            DelayWindow(n_sc, delay_spectrum_size(n_sc), self.scs_hz, self.search_window),
+            taper_vector(np.ones(n_sc)))
 
         w, hgt = self.deployment.area
         area = (0.0, 0.0, w, hgt) if config.scenario == "ioo" else \
@@ -450,8 +453,9 @@ class Simulator:
     def _batched_toa(self, vec_matrix: np.ndarray) -> list[float | None]:
         """First-path delays for a stack of despread vectors (None = failed).
         The stack is tapered in place."""
-        vec_matrix *= self._taper
-        taus = first_paths(vec_matrix, self._delay_window)
+        window, taper = self._detection
+        vec_matrix *= taper
+        taus = first_paths(vec_matrix, window)
         return [None if np.isnan(tau) else float(tau) for tau in taus]
 
     @staticmethod
@@ -466,7 +470,13 @@ class Simulator:
         return draw_noise(rng, shape, cls._noise_std(model))
 
     def _dl_receive(self, rng, amps, h):
-        """Downlink REs and RSRP of every group under one fresh noise grid."""
+        """Downlink REs and RSRP of every group under one fresh noise grid.
+        The groups' REs as flat indices into that grid are built on first
+        use, so runs without downlink REs (DL-AoD, the uplink methods) hold
+        none."""
+        if self._dl_flat is None:
+            self._dl_flat = [np.ravel_multi_index((g.k, g.s), self._dl_grid_shape)
+                             for g in self._dl_groups]
         grid = self._noise(rng, self._dl_grid_shape, self.dl_noise).ravel()
         noise = [grid.take(idx) for idx in self._dl_flat]
         return receive_groups(self._dl_groups, noise, amps, h, self._dl_vals)

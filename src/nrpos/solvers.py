@@ -8,6 +8,13 @@ the squared-range equations; a coarse objective scan backs up a range
 start that fails. Time-difference solves always add the minima of that
 scan as starts, which picks between their hyperbola branches.
 
+Gauss-Newton accepts a step only when it lowers the residual RMS
+strictly, halving it up to 25 times to find one; a run whose halvings
+all fail ends unconverged. On a flat RMS (a hyperbola asymptote, a
+bearing fan) equal-RMS steps would walk the point off to the iteration
+cap, so the only equal RMS accepted is at the minimum, where the full
+step is already shorter than the tolerance and the run converges.
+
 One Gauss-Newton iteration is a few numpy calls on the free coordinates,
 and its arithmetic is pinned: every operation and reduction is the one of
 the plain whole-array loop in `tests/gauss_newton_oracle.py`, and a test
@@ -212,7 +219,13 @@ class _AngleProblem(_Problem):
 
 
 def _gauss_newton(problem: _Problem, x0: np.ndarray, options: SolverOptions) -> PositionFix:
-    """Damped Gauss-Newton: halve the step while the residual RMS grows.
+    """Damped Gauss-Newton: halve the step until the residual RMS falls.
+
+    A candidate is accepted when its RMS is strictly lower than the
+    current one. When the full step is shorter than options.tolerance_m
+    the run is at its minimum, and a candidate whose RMS is not higher is
+    accepted too. A step taken shorter than the tolerance converges the
+    run; 25 halvings without an accepted candidate end it unconverged.
 
     The loop runs on the free coordinates as Python floats, and the step
     on them is the least-squares solution of the Jacobian's free columns.
@@ -243,18 +256,21 @@ def _gauss_newton(problem: _Problem, x0: np.ndarray, options: SolverOptions) -> 
         s = step.tolist()
         if not all(map(math.isfinite, s)):
             break
+        # np.linalg.norm(step); scale is a power of two, so scale * step_norm
+        # is the norm of the step taken, to the bit
+        step_norm = math.sqrt(step.dot(step))
+        at_minimum = step_norm < options.tolerance_m
         scale = 1.0
         for _ in range(25):
             cand = [vi - scale * si for vi, si in zip(var, s)]
             cand_rms, cand_r, cand_shared = evaluate(cand)
-            if cand_rms <= rms:
+            if cand_rms < rms or (at_minimum and cand_rms <= rms):
                 break
             scale *= 0.5
         else:
             break
         var, rms, r, shared = cand, cand_rms, cand_r, cand_shared
-        taken = scale * step
-        if math.sqrt(taken.dot(taken)) < options.tolerance_m:
+        if scale * step_norm < options.tolerance_m:
             converged = True
             break
 

@@ -70,8 +70,15 @@ def jacobian(problem, x):
     return j if problem.fix_height is None else j[:, :2]
 
 
-def gauss_newton(problem, x0, options) -> tuple[PositionFix, tuple[float, ...]]:
-    """The fix, and the residual RMS at x0 and after every accepted step."""
+def gauss_newton(problem, x0, options,
+                 accept_equal=False) -> tuple[PositionFix, tuple[float, ...]]:
+    """The fix, and the residual RMS at x0 and after every accepted step.
+
+    A line-search candidate is accepted when its RMS is strictly lower, or
+    not higher when the full step is under the tolerance. accept_equal
+    accepts an RMS that is not higher at every step, the rule that strict
+    decrease replaced: on a flat RMS it walks on to the iteration cap.
+    """
     fix_h = options.fix_height
     x = np.asarray(x0, dtype=float).copy()
     if fix_h is not None:
@@ -94,12 +101,14 @@ def gauss_newton(problem, x0, options) -> tuple[PositionFix, tuple[float, ...]]:
             break
         if not np.all(np.isfinite(step)):
             break
+        step_norm = float(np.linalg.norm(step))
+        equal_ok = accept_equal or step_norm < options.tolerance_m
         scale = 1.0
         accepted = None
         for _ in range(25):
             cand = var - scale * step
             cand_rms, cand_r = evaluate(cand)
-            if cand_rms <= rms:
+            if cand_rms < rms or (equal_ok and cand_rms <= rms):
                 accepted = (cand, cand_rms, cand_r, scale)
                 break
             scale *= 0.5
@@ -107,7 +116,7 @@ def gauss_newton(problem, x0, options) -> tuple[PositionFix, tuple[float, ...]]:
             break
         var, rms, r, scale = accepted
         history.append(rms)
-        if float(np.linalg.norm(scale * step)) < options.tolerance_m:
+        if scale * step_norm < options.tolerance_m:
             converged = True
             break
 

@@ -240,7 +240,8 @@ def despread_stack(preset):
     rx, _ = sim._dl_receive(np.random.default_rng(5), amps, sim._channel_matrix(links))
     vecs = despread_groups(sim._dl_groups, rx, sim._dl_vals, sim.numerology.n_subcarriers,
                            range(len(sim.trps)))
-    return vecs * sim._taper, sim._delay_window
+    window, taper = sim._detection
+    return vecs * taper, window
 
 
 class TestFirstPathKernel:

@@ -2,8 +2,10 @@
 the oracle's frequency response, the received-RE kernel against the grid
 path, the beam sweep's power draw against the RE-level draw and its
 batched pass against the per-beam loops, detection of the selected TRPs
-only, accuracy on an ideal channel, the multi-RTT fixes of two pinned UMi
-drops, and the experiment artifacts."""
+only and no detection state built for DL-AoD, accuracy on an ideal
+channel, the multi-RTT fixes of two pinned UMi drops, two pinned
+walk-offs that strict-decrease Gauss-Newton ends (UMa DL-AoD and
+DL-TDOA), and the experiment artifacts."""
 
 import hashlib
 import json
@@ -23,6 +25,7 @@ from nrpos.measurements import read_records, write_records
 from nrpos.prs import dl_prs_reference
 from nrpos.simulate import (Simulator, despread_groups, power_dbm, receive_groups,
                             solve_records, sweep_powers)
+from nrpos.solvers import in_area
 
 N_DROPS = 8
 
@@ -84,6 +87,33 @@ def test_umi_multi_rtt_keeps_the_lower_basin(drop, position, objective):
     assert fix.converged
     assert np.allclose(fix.position[:2], position, rtol=0, atol=1e-3)
     assert fix.objective == pytest.approx(objective, abs=0.01)
+
+
+def test_uma_dl_aod_walk_off_is_not_converged():
+    """UMa DL-AoD drop 8 at master seed 1: the bearing fit runs off to
+    (15576, 2406), 15 km outside the area, where the residual RMS is flat.
+    Accepting equal-RMS steps, the solver took one there under the
+    tolerance and reported the fix converged; under strict decrease its
+    halvings find no lower RMS and the run ends unconverged."""
+    sim = Simulator(preset_config("uma", method="dl-aod", n_drops=9))
+    fix = sim.run_drop(8).fix
+    assert not fix.converged and fix.iterations < sim.options.max_iterations
+    assert np.allclose(fix.position[:2], (15576.0143, 2406.1672), rtol=0, atol=1e-3)
+    assert not in_area(fix.position, sim.options.area)
+
+
+def test_uma_dl_tdoa_walk_off_start_loses():
+    """UMa DL-TDOA drop 5 at master seed 3: one of its four starts walks off
+    along a hyperbola asymptote. Accepting equal-RMS steps, it went on to
+    (-1.3e16, -8.9e16) with the lowest objective, and the drop's fix was
+    that unconverged point. Under strict decrease it stops near (-5e10,
+    -3e11) with a higher objective than the other starts, which converge
+    in the area."""
+    sim = Simulator(preset_config("uma", method="dl-tdoa", n_drops=6, master_seed=3))
+    outcome = sim.run_drop(5)
+    assert outcome.converged and in_area(outcome.fix.position, sim.options.area)
+    assert np.allclose(outcome.fix.position[:2], (-313.4226, -423.2649), rtol=0, atol=1e-3)
+    assert outcome.horizontal_error_m == pytest.approx(82.69, abs=0.01)
 
 
 @pytest.mark.parametrize("interference", [True, False])
@@ -264,6 +294,30 @@ def test_detection_runs_on_selected_trps_only(method, monkeypatch):
         arrived = sum(toa[t] is not None for t in ranked)
         assert rows == {"dl-tdoa": [n], "multi-rtt": [n, arrived], "ul-tdoa": [n],
                         "ul-aoa": [len(sim.trps)]}[method]
+
+
+def test_dl_aod_builds_no_detection_state():
+    """DL-AoD detects no first path and receives no downlink REs, so its
+    simulator holds no delay window or taper and its run builds no
+    downlink grid index; its results.csv is that of a simulator that has
+    all three. A DL-TDOA simulator has the window and taper from the start
+    and builds the index at its first drop."""
+    config = preset_config("uma", method="dl-aod", n_drops=N_DROPS)
+    lean = Simulator(config)
+    full = Simulator(config)
+    full._detection = Simulator(config.model_copy(update={"method": "dl-tdoa"}))._detection
+    full._dl_receive(np.random.default_rng(0), [0.0] * len(full.trps),
+                     full._channel_matrix(full._links(0, full.ues[0])))
+    assert full._detection is not None and full._dl_flat is not None
+    csv = [experiments._results_csv([sim.run_drop(i) for i in range(N_DROPS)])
+           for sim in (lean, full)]
+    assert lean._detection is None and lean._dl_flat is None
+    assert csv[0] == csv[1]
+
+    tdoa = Simulator(preset_config("uma", method="dl-tdoa", n_drops=1))
+    assert tdoa._detection is not None and tdoa._dl_flat is None
+    tdoa.run_drop(0)
+    assert tdoa._dl_flat is not None
 
 
 @pytest.mark.parametrize("method,bound_m", [

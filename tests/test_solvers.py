@@ -162,8 +162,10 @@ class TestSolverContracts:
         assert isinstance(fix, PositionFix)
 
     def test_monotone_damping(self, monkeypatch):
-        """No accepted step of any Gauss-Newton run raises the residual RMS,
-        read from the oracle's history of the same run."""
+        """Every accepted step of every Gauss-Newton run lowers the residual
+        RMS strictly, read from the oracle's history of the same run. Only
+        a final step below the tolerance, which converges the run, may keep
+        it equal."""
         histories = []
         real = solvers._gauss_newton
 
@@ -171,7 +173,7 @@ class TestSolverContracts:
             fix = real(problem, x0, options)
             want, history = oracle.gauss_newton(problem, x0, options)
             assert history[-1] == fix.residual_rms == want.residual_rms
-            histories.append(history)
+            histories.append((history, fix.converged))
             return fix
 
         monkeypatch.setattr(solvers, "_gauss_newton", traced)
@@ -181,9 +183,27 @@ class TestSolverContracts:
             ue = np.array([rng.uniform(-50, 50), rng.uniform(-50, 50), 1.5])
             meas = [(i, d + rng.normal(0, 2.0)) for i, d in exact_ranges(anchors, ue)]
             rtt_solve(anchors, meas, OPT2D)
-        assert len(histories) >= 50 and any(len(h) > 2 for h in histories)
-        for hist in histories:
-            assert all(a >= b - 1e-12 for a, b in zip(hist, hist[1:]))
+        assert len(histories) >= 50 and any(len(h) > 2 for h, _ in histories)
+        for hist, converged in histories:
+            steps = list(zip(hist, hist[1:]))
+            assert all(a > b for a, b in steps[:-1])
+            assert all(a > b or (a == b and converged) for a, b in steps[-1:])
+
+    def test_flat_rms_run_stops_early(self):
+        """A diverging bearing fan: bearings of 0, +1 and -1 degrees from
+        anchors on the y axis meet nowhere, so the fit runs off east, where
+        the RMS goes flat. Accepting equal RMS, the run takes 42 equal-RMS
+        steps up to the iteration cap; under strict decrease it ends, not
+        converged, when 25 halvings find no lower RMS."""
+        anchors = np.array([[0.0, 0.0, 25.0], [0.0, 100.0, 25.0], [0.0, -100.0, 25.0]])
+        problem = solvers._AngleProblem(anchors, np.array([0.0, 1.0, -1.0]), None, 1.5)
+        x0 = np.array([1000.0, 0.0, 1.5])
+        walk, history = oracle.gauss_newton(problem, x0, OPT2D, accept_equal=True)
+        assert walk.iterations == OPT2D.max_iterations and not walk.converged
+        assert sum(a == b for a, b in zip(history, history[1:])) >= 40
+        fix = solvers._gauss_newton(problem, x0, OPT2D)
+        assert not fix.converged and fix.iterations < 10
+        assert fix.residual_rms == walk.residual_rms
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(10)
@@ -457,9 +477,13 @@ def bits(value):
 # (preset, overrides, drops, covers): every Gauss-Newton run of the drops is
 # checked, and covers(runs) holds of the (problem, options, fix) runs made
 ORACLE_CASES = [
-    pytest.param("uma", dict(method="dl-aod"), (1, 9),
+    pytest.param("uma", dict(method="dl-aod"), (1, 17),
                  lambda runs: any(f.iterations == o.max_iterations for _, o, f in runs),
                  id="uma-dl-aod-cap"),
+    pytest.param("uma", dict(method="dl-aod"), (8,),
+                 lambda runs: any(not f.converged and f.iterations < o.max_iterations
+                                  for _, o, f in runs),
+                 id="uma-dl-aod-halvings-exhausted"),
     pytest.param("uma", dict(method="dl-tdoa"), (3,),
                  lambda runs: len(runs) == 1 + solvers._SCAN_STARTS,
                  id="uma-dl-tdoa-scan-starts"),
