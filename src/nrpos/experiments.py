@@ -7,7 +7,8 @@ Output schemas (stable):
 results.csv  ue_id,true_x,true_y,true_z,est_x,est_y,est_z,
              horizontal_error_m,vertical_error_m,converged,in_hull,gdop
 cdf.csv      horizontal_error_m,probability   (both columns nondecreasing)
-summary.json config echo + percentiles + counts + runtime
+summary.json config echo + percentiles + counts + runtime + seconds per
+             pipeline stage (`simulate.STAGES`)
 
 The accuracy matrix (`accuracy_matrix`, written as ACCURACY.json) runs every
 preset against every method and records, per cell, the converged count,
@@ -40,6 +41,7 @@ class ResultSummary:
     n_converged: int
     n_failed: int
     runtime_s: float
+    stage_s: dict[str, float]
     config: dict
 
     def to_dict(self) -> dict:
@@ -49,6 +51,7 @@ class ResultSummary:
             "n_converged": self.n_converged,
             "n_failed": self.n_failed,
             "runtime_s": self.runtime_s,
+            "stage_s": self.stage_s,
             "config": self.config,
         }
 
@@ -60,6 +63,7 @@ class ResultSummary:
             n_converged=doc["n_converged"],
             n_failed=doc["n_failed"],
             runtime_s=doc["runtime_s"],
+            stage_s=doc["stage_s"],
             config=doc["config"],
         )
 
@@ -133,6 +137,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
         n_converged=n_converged,
         n_failed=n_failed,
         runtime_s=time.monotonic() - started,
+        stage_s=dict(sim.stage_s),
         config=config.model_dump(),
     )
     result = ExperimentResult(

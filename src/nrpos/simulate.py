@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -281,11 +282,23 @@ def _channel_for(config: ExperimentConfig) -> ChannelParams:
     return params.overridden(**overrides)
 
 
+# pipeline stages timed by `Simulator.stage_s`
+STAGES = ("links", "dl", "ul", "aoa", "aod", "detection", "solve", "gdop")
+
+
 class Simulator:
-    """Everything reusable across the drops of one experiment run."""
+    """Everything reusable across the drops of one experiment run.
+
+    `stage_s` holds the wall time, by `perf_counter`, spent in each of
+    STAGES over the drops run so far: the link and clock draws, the
+    downlink, uplink, arrival-angle and departure-beam stages, first-path
+    detection (not counted in the downlink or uplink stage that runs it),
+    the solve and the GDOP.
+    """
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
+        self.stage_s = dict.fromkeys(STAGES, 0.0)
         self.numerology = Numerology(scs_khz=config.scs_khz, n_prb=config.n_prb)
         self.channel = _channel_for(config)
         array = AntennaArray(rows=config.array_rows, cols=config.array_cols)
@@ -370,6 +383,8 @@ class Simulator:
         self._tap_ramps = phase_ramps(np.arange(n_taps) * self.sample_period_s, n_sc,
                                       self.scs_hz)
         self._h = np.empty((len(self.trps), n_sc), dtype=complex)
+        # (links, first-arrival delays as bytes) the buffer holds the matrix of
+        self._h_built_for: tuple = (None, b"")
         # first-path detection: the delay window and the taper of a despread
         # vector. DL-AoD detects no first path and holds neither. The others
         # build them here: built at the first detection, the window's
@@ -413,6 +428,12 @@ class Simulator:
             self._beamformer = BeamformerGrid(self.trps[0].array)
         return self._beamformer
 
+    def _lap(self, stage: str, since: float) -> float:
+        """Add the time since `since` to the stage's total; return now."""
+        now = perf_counter()
+        self.stage_s[stage] += now - since
+        return now
+
     def _links(self, drop_idx: int, ue_pos):
         rng = substream(self.config.master_seed, "link", drop_idx)
         return [
@@ -441,13 +462,22 @@ class Simulator:
         differ from a direct exponential in the last bits: quantized
         reports are bit-stable under that, unquantized ones may differ in
         their last bits.
+
+        A call on the same links list with the same first-arrival delays,
+        to the bit, as the call that last wrote the buffer returns the
+        buffer as it stands: without clock offsets (sync_sigma_ns = 0)
+        multi-RTT's uplink stage reads the matrix its downlink stage built.
         """
         first = np.array([l.taps[0][0] for l in links])
         if extra_s is not None:
             first = first + extra_s
+        built_for = (links, first.tobytes())
+        if self._h_built_for[0] is links and self._h_built_for[1] == built_for[1]:
+            return self._h
         gains = np.array([[t[1] for t in l.taps] for l in links])
         h = np.matmul(gains, self._tap_ramps, out=self._h)
         h *= phase_ramps(first, self.numerology.n_subcarriers, self.scs_hz)
+        self._h_built_for = built_for
         return h
 
     def _batched_toa(self, vec_matrix: np.ndarray) -> list[float | None]:
@@ -536,6 +566,7 @@ class Simulator:
         are in the terminal clock: propagation + terminal offset -
         transmitter offset.
         """
+        mark = perf_counter()
         cfg = self.config
         amps = [
             link_amplitude(l, t.tx_power_dbm, self.dl_occupied_per_symbol)
@@ -552,13 +583,17 @@ class Simulator:
                 rows = [self._row[t] for t in self._select_trps(rsrp)]
             vecs = despread_groups(self._dl_groups, rx, self._dl_vals,
                                    self.numerology.n_subcarriers, rows)
-            for i, tau in zip(rows, self._batched_toa(vecs)):
+            mark = self._lap("dl", mark)
+            taus = self._batched_toa(vecs)
+            mark = self._lap("detection", mark)
+            for i, tau in zip(rows, taus):
                 if tau is not None:
                     toas.setdefault(i, []).append(tau)
         toa_out = {
             t.trp_id: aggregate_samples(toas[i]) if i in toas else None
             for i, t in enumerate(self.trps)
         }
+        self._lap("dl", mark)
         return toa_out, rsrp
 
     # -- uplink stage ------------------------------------------------------
@@ -573,6 +608,7 @@ class Simulator:
         Returns ({trp_id: toa_seconds_or_None}, {trp_id: rsrp_dbm} of the
         received TRPs); a TRP not detected reports None.
         """
+        mark = perf_counter()
         cfg = self.config
         amps = [
             link_amplitude(l, cfg.ue_tx_power_dbm, self.ul_occupied_per_symbol)
@@ -591,14 +627,19 @@ class Simulator:
             detect = self._select_trps(rsrp)
         rows = [self._row[t] for t in detect]
         vecs = despread_groups(groups, rx, refs, self.numerology.n_subcarriers, rows)
+        mark = self._lap("ul", mark)
+        taus = self._batched_toa(vecs)
+        mark = self._lap("detection", mark)
         toa = dict.fromkeys(self.anchors)
-        toa.update((self.trps[i].trp_id, tau) for i, tau in zip(rows, self._batched_toa(vecs)))
+        toa.update((self.trps[i].trp_id, tau) for i, tau in zip(rows, taus))
+        self._lap("ul", mark)
         return toa, rsrp
 
     # -- arrival angles ----------------------------------------------------
 
     def _aoa_stage(self, links, ul_toa, drop_idx):
         """Beamformed arrival angles at each TRP from the sounding signal."""
+        started = perf_counter()
         cfg = self.config
         rng = substream(cfg.master_seed, "aoa", drop_idx)
         array = self.trps[0].array
@@ -622,6 +663,7 @@ class Simulator:
                 angles[t.trp_id] = estimate_aoa(x, array, grid)
             except MeasurementFailed:
                 angles[t.trp_id] = None
+        self._lap("aoa", started)
         return angles
 
     # -- departure beams ---------------------------------------------------
@@ -651,6 +693,7 @@ class Simulator:
         in the same occasion, so same-offset TRPs interfere beam by beam.
         Powers are drawn by `sweep_powers` from each RE set's factor R.
         """
+        started = perf_counter()
         cfg = self.config
         rng = substream(cfg.master_seed, "rsrp", drop_idx)
         h = self._channel_matrix(links)
@@ -660,8 +703,10 @@ class Simulator:
         if cfg.quantize:
             dbm = [float(reported_power_dbm(p)) for p in dbm]
         n = cfg.n_beams
-        return {t.trp_id: list(zip(az, [95.0] * n, dbm[i * n:(i + 1) * n]))
-                for i, (t, az) in enumerate(zip(self.trps, self._beam_azimuths))}
+        reports = {t.trp_id: list(zip(az, [95.0] * n, dbm[i * n:(i + 1) * n]))
+                   for i, (t, az) in enumerate(zip(self.trps, self._beam_azimuths))}
+        self._lap("aod", started)
+        return reports
 
     # -- record assembly and solving ---------------------------------------
 
@@ -683,8 +728,10 @@ class Simulator:
     def run_drop(self, drop_idx: int) -> DropOutcome:
         cfg = self.config
         ue = self.ues[drop_idx]
+        started = perf_counter()
         links = self._links(drop_idx, ue)
         trp_clock, ue_clock = self._sync_offsets(drop_idx)
+        self._lap("links", started)
 
         # records formed before a failed solve stay on the outcome
         records: list[MeasurementRecord] = []
@@ -703,7 +750,11 @@ class Simulator:
                 records = self._dl_aod_records(links, drop_idx)
             else:
                 raise ValueError(f"unknown method {cfg.method}")
-            fix = solve_records(records, self.anchors, cfg.method, self.options)
+            started = perf_counter()
+            try:
+                fix = solve_records(records, self.anchors, cfg.method, self.options)
+            finally:
+                self._lap("solve", started)
         except SolverError as exc:
             failure = str(exc)
 
@@ -716,7 +767,9 @@ class Simulator:
         )
         if cfg.hull_split:
             outcome.in_hull = point_in_hull(ue, self.hull)
+        started = perf_counter()
         outcome.gdop = self._gdop_at(ue, cfg.method)
+        self._lap("gdop", started)
         return outcome
 
     def _gdop_at(self, position, method) -> float:

@@ -15,10 +15,13 @@ bearing fan) equal-RMS steps would walk the point off to the iteration
 cap, so the only equal RMS accepted is at the minimum, where the full
 step is already shorter than the tolerance and the run converges.
 
-One Gauss-Newton iteration is a few numpy calls on the free coordinates,
-and its arithmetic is pinned: every operation and reduction is the one of
-the plain whole-array loop in `tests/gauss_newton_oracle.py`, and a test
-checks every field of the fixes of captured runs against it bit for bit.
+Gauss-Newton runs on Python floats, each problem's residuals and
+Jacobian rows being per-row `math` arithmetic; numpy remains for the
+least-squares step and for the dot products that `np.linalg.norm` takes
+(see `_gauss_newton`). Its arithmetic is pinned: every operation and
+reduction is the one of the plain whole-array loop in
+`tests/gauss_newton_oracle.py`, and a test checks every field of the
+fixes of captured runs against it bit for bit.
 """
 
 from __future__ import annotations
@@ -92,52 +95,126 @@ def init_guess(anchors, rsrp_dbm=None, fix_height: float | None = None) -> np.nd
 _DEG = 180.0 / np.pi
 
 
+def _sum_squares(r) -> float:
+    """Sum of the squares of the floats r in np.add.reduce's order, to the
+    bit: in sequence below 8 values; from 8 to 128, eight running sums over
+    blocks of 8 combined pairwise, then the tail in sequence; above 128,
+    halves split at a multiple of 8."""
+    n = len(r)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum_squares(r[:half]) + _sum_squares(r[half:])
+    sq = [v * v for v in r]
+    tail = n - n % 8
+    total = 0.0
+    if tail:
+        acc = sq[:8]
+        for i in range(8, tail, 8):
+            acc = [a + v for a, v in zip(acc, sq[i:i + 8])]
+        a0, a1, a2, a3, a4, a5, a6, a7 = acc
+        total = ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))
+    for v in sq[tail:]:
+        total += v
+    return total
+
+
 class _Problem:
     """Residuals and Jacobians for one measurement geometry.
 
-    Each geometry's `_evaluate(x)` returns the residuals at a point x (three
-    coordinates) with the differences their Jacobian shares, and
-    `_fill_jacobian(shared, out)` writes the Jacobian's first len(out)
-    columns into the rows of out, so a Gauss-Newton iteration evaluates
-    once and fills once.
+    Each geometry's `_residuals(x)` takes a point as three Python floats
+    and returns its residuals as a list of floats, and `_jacobian(x, k)`
+    the Jacobian's first k columns as rows of floats. Both are per-row
+    `math` arithmetic, so a Gauss-Newton iteration makes no numpy call to
+    evaluate. A zero distance in the Jacobian raises ZeroDivisionError
+    where numpy gave a NaN row. `_rows` holds each measurement's anchor
+    coordinates and measured value as floats.
     """
 
-    def __init__(self, anchors, fix_height):
+    def __init__(self, anchors, measured, fix_height):
         self.anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
         self.fix_height = fix_height
+        self._rows = np.column_stack([self.anchors, measured]).tolist()
 
     def residuals(self, x):
-        return self._evaluate(x)[0]
+        return np.array(self._residuals(np.asarray(x, dtype=float).tolist()))
 
     def jacobian(self, x):
-        r, shared = self._evaluate(x)
-        j = np.empty((len(r), 3))
-        self._fill_jacobian(shared, j.T)
-        return j if self.fix_height is None else j[:, :2]
+        """The Jacobian's free columns at x; all NaN when a distance is zero."""
+        x = np.asarray(x, dtype=float).tolist()
+        k = 3 if self.fix_height is None else 2
+        try:
+            return np.array(self._jacobian(x, k))
+        except ZeroDivisionError:
+            return np.full((len(self._residuals(x)), k), np.nan)
 
 
-class _TdoaProblem(_Problem):
+class _RangeProblem(_Problem):
+    """Distances to the anchors. Each is (dx² + dy²) + dz², the order of
+    np.add.reduce over three values, so it is np.linalg.norm's to the bit."""
+
+    def __init__(self, anchors, ranges_m, fix_height):
+        super().__init__(anchors, ranges_m, fix_height)
+        self.measured = np.asarray(ranges_m, dtype=float)
+
+    def _residuals(self, x):
+        x0, x1, x2 = x
+        r = []
+        for a0, a1, a2, m in self._rows:
+            dx = x0 - a0
+            dy = x1 - a1
+            dz = x2 - a2
+            r.append(math.sqrt(dx * dx + dy * dy + dz * dz) - m)
+        return r
+
+    def _jacobian(self, x, k, ref=(0.0, 0.0, 0.0)):
+        """Unit vectors from the anchors to x, less ref (zero by default,
+        which subtracts exactly)."""
+        x0, x1, x2 = x
+        g0, g1, g2 = ref
+        rows = []
+        for a0, a1, a2, _ in self._rows:
+            dx = x0 - a0
+            dy = x1 - a1
+            dz = x2 - a2
+            d = math.sqrt(dx * dx + dy * dy + dz * dz)
+            rows.append((dx / d - g0, dy / d - g1) if k == 2 else
+                        (dx / d - g0, dy / d - g1, dz / d - g2))
+        return rows
+
+    def objective_grid(self, pts, z):
+        p3 = np.column_stack([pts, np.full(len(pts), z)])
+        d = np.linalg.norm(p3[:, None, :] - self.anchors[None, :, :], axis=2)
+        res = d - self.measured[None, :]
+        return (res**2).sum(axis=1)
+
+
+class _TdoaProblem(_RangeProblem):
+    """Distances to the anchors less the distance to the reference anchor.
+    np.linalg.norm takes that one as a dot product, which need not sum in a
+    sequential sum's order, so it stays one."""
+
     def __init__(self, anchors, ref_anchor, measured_m, fix_height):
-        super().__init__(anchors, fix_height)
+        super().__init__(anchors, measured_m, fix_height)
         self.ref = np.asarray(ref_anchor, dtype=float)
-        self.measured = np.asarray(measured_m, dtype=float)
 
-    def _evaluate(self, x):
-        x = np.array(x, dtype=float)
-        diff = x - self.anchors
-        # np.linalg.norm's own arithmetic: add.reduce along an axis, and a
-        # dot product for one vector, which need not sum in the same order
-        d = np.sqrt(np.add.reduce(diff * diff, axis=1))
-        diff_ref = x - self.ref
-        d_ref = math.sqrt(diff_ref.dot(diff_ref))
-        r = d - d_ref
-        r -= self.measured
-        return r, (diff, d, diff_ref, d_ref)
+    def _ref_distance(self, x):
+        diff_ref = np.subtract(x, self.ref)
+        return diff_ref, math.sqrt(diff_ref.dot(diff_ref))
 
-    def _fill_jacobian(self, shared, out):
-        diff, d, diff_ref, d_ref = shared
-        k = len(out)
-        np.subtract(diff[:, :k] / d[:, None], diff_ref[:k] / d_ref, out=out.T)
+    def _residuals(self, x):
+        d_ref = self._ref_distance(x)[1]
+        x0, x1, x2 = x
+        r = []
+        for a0, a1, a2, m in self._rows:
+            dx = x0 - a0
+            dy = x1 - a1
+            dz = x2 - a2
+            r.append(math.sqrt(dx * dx + dy * dy + dz * dz) - d_ref - m)
+        return r
+
+    def _jacobian(self, x, k):
+        diff_ref, d_ref = self._ref_distance(x)
+        return super()._jacobian(x, k, [c / d_ref for c in diff_ref.tolist()])
 
     def objective_grid(self, pts, z):
         p3 = np.column_stack([pts, np.full(len(pts), z)])
@@ -147,75 +224,52 @@ class _TdoaProblem(_Problem):
         return (res**2).sum(axis=1)
 
 
-class _RangeProblem(_Problem):
-    def __init__(self, anchors, ranges_m, fix_height):
-        super().__init__(anchors, fix_height)
-        self.measured = np.asarray(ranges_m, dtype=float)
-
-    def _evaluate(self, x):
-        diff = np.array(x, dtype=float) - self.anchors
-        d = np.sqrt(np.add.reduce(diff * diff, axis=1))
-        return d - self.measured, (diff, d)
-
-    def _fill_jacobian(self, shared, out):
-        diff, d = shared
-        np.divide(diff[:, :len(out)], d[:, None], out=out.T)
-
-    def objective_grid(self, pts, z):
-        p3 = np.column_stack([pts, np.full(len(pts), z)])
-        d = np.linalg.norm(p3[:, None, :] - self.anchors[None, :, :], axis=2)
-        res = d - self.measured[None, :]
-        return (res**2).sum(axis=1)
-
-
 class _AngleProblem(_Problem):
-    """Azimuth (and optional zenith) bearings, residuals in degrees."""
+    """Azimuth (and optional zenith) bearings, residuals in degrees: the
+    azimuth rows, then the zenith rows. The angles come from `math.atan2`,
+    which can differ from numpy's vectorised arctan2 in the last bit."""
 
     def __init__(self, anchors, azimuth_deg, zenith_deg, fix_height):
-        super().__init__(anchors, fix_height)
+        super().__init__(anchors, azimuth_deg, fix_height)
         self.az = np.asarray(azimuth_deg, dtype=float)
-        self.zen = None if zenith_deg is None else np.asarray(zenith_deg, dtype=float)
-        self._ax, self._ay, self._az = (c.copy() for c in self.anchors.T)
+        self.zen = None if zenith_deg is None else np.asarray(zenith_deg, dtype=float).tolist()
 
-    def _evaluate(self, x):
-        dx = x[0] - self._ax
-        dy = x[1] - self._ay
-        # wrap_deg(np.degrees(np.arctan2(dy, dx)) - az), one buffer throughout
-        r = np.arctan2(dy, dx)
-        np.degrees(r, out=r)
-        r -= self.az
-        r += 180.0
-        np.mod(r, 360.0, out=r)
-        r -= 180.0
-        r[r == -180.0] = 180.0
-        if self.zen is None:
-            return r, (dx, dy)
-        dz = x[2] - self._az
-        rho2 = dx * dx + dy * dy
-        rho = np.sqrt(rho2)
-        zen = np.degrees(np.arctan2(rho, dz))
-        return np.concatenate((r, zen - self.zen)), (dx, dy, rho2, dz, rho)
-
-    def _fill_jacobian(self, shared, out):
-        # -dy / rho2 * deg is dy / rho2 * -deg to the bit: negation is exact
-        dx, dy = shared[:2]
-        n = len(dx)
-        rho2 = shared[2] if self.zen is not None else dx * dx + dy * dy
-        az_rows = out[:, :n]
-        np.divide(dy, rho2, out=az_rows[0])
-        az_rows[0] *= -_DEG
-        np.divide(dx, rho2, out=az_rows[1])
-        az_rows[1] *= _DEG
-        if len(out) == 3:
-            az_rows[2] = 0.0
+    def _residuals(self, x):
+        x0, x1, x2 = x
+        r = []
+        for a0, a1, _, m in self._rows:
+            # wrap_deg(np.degrees(np.arctan2(dy, dx)) - az)
+            w = (math.atan2(x1 - a1, x0 - a0) * _DEG - m + 180.0) % 360.0 - 180.0
+            r.append(180.0 if w == -180.0 else w)
         if self.zen is not None:
-            dz, rho = shared[3:]
-            d2 = rho2 + dz * dz
-            d2_rho = d2 * rho
-            np.multiply(dz * dx / d2_rho, _DEG, out=out[0, n:])
-            np.multiply(dz * dy / d2_rho, _DEG, out=out[1, n:])
-            if len(out) == 3:
-                np.multiply(-rho / d2, _DEG, out=out[2, n:])
+            for (a0, a1, a2, _), m in zip(self._rows, self.zen):
+                dx = x0 - a0
+                dy = x1 - a1
+                r.append(math.atan2(math.sqrt(dx * dx + dy * dy), x2 - a2) * _DEG - m)
+        return r
+
+    def _jacobian(self, x, k):
+        # -dy / rho2 * deg is dy / rho2 * -deg to the bit: negation is exact
+        x0, x1, x2 = x
+        pad = () if k == 2 else (0.0,)
+        rows = []
+        for a0, a1, _, _ in self._rows:
+            dx = x0 - a0
+            dy = x1 - a1
+            rho2 = dx * dx + dy * dy
+            rows.append((dy / rho2 * -_DEG, dx / rho2 * _DEG) + pad)
+        if self.zen is not None:
+            for a0, a1, a2, _ in self._rows:
+                dx = x0 - a0
+                dy = x1 - a1
+                dz = x2 - a2
+                rho2 = dx * dx + dy * dy
+                rho = math.sqrt(rho2)
+                d2 = rho2 + dz * dz
+                d2_rho = d2 * rho
+                row = (dz * dx / d2_rho * _DEG, dz * dy / d2_rho * _DEG)
+                rows.append(row if k == 2 else row + (-rho / d2 * _DEG,))
+        return rows
 
 
 def _gauss_newton(problem: _Problem, x0: np.ndarray, options: SolverOptions) -> PositionFix:
@@ -227,31 +281,35 @@ def _gauss_newton(problem: _Problem, x0: np.ndarray, options: SolverOptions) -> 
     accepted too. A step taken shorter than the tolerance converges the
     run; 25 halvings without an accepted candidate end it unconverged.
 
-    The loop runs on the free coordinates as Python floats, and the step
-    on them is the least-squares solution of the Jacobian's free columns.
-    Residuals are evaluated once per point: the line search's residuals at
-    the accepted candidate, and the differences they share with the
-    Jacobian, drive the next step and the returned fix. Every operation and
-    reduction is the one of the plain whole-array loop in
-    `tests/gauss_newton_oracle.py`, which this one matches bit for bit.
+    The loop runs on the free coordinates as Python floats: residuals,
+    Jacobian rows, the RMS, the line search and the convergence test make
+    no numpy call. numpy remains in three places per iteration: the step
+    is `np.linalg.lstsq` of the Jacobian's free columns (LAPACK's dgelsd,
+    with its rank handling), the step's norm is its dot product, and a
+    time-difference evaluation takes its reference distance as a dot
+    product, as `np.linalg.norm` does. Residuals are evaluated once per
+    point: the line search's residuals at the accepted candidate drive the
+    next step and the returned fix. Every operation and reduction is the
+    one of the plain whole-array loop in `tests/gauss_newton_oracle.py`,
+    which this one matches bit for bit, angles from `math.atan2` included.
+    A zero distance in the Jacobian divides by zero and ends the run, where
+    the oracle's NaN row makes `lstsq` fail.
     """
     fixed = [] if options.fix_height is None else [float(options.fix_height)]
     n_free = 3 - len(fixed)
     var = np.asarray(x0, dtype=float).tolist()[:n_free]
 
     def evaluate(v):
-        r, shared = problem._evaluate(v + fixed)
-        return math.sqrt(float(np.add.reduce(r * r)) / len(r)), r, shared
+        r = problem._residuals(v + fixed)
+        return math.sqrt(_sum_squares(r) / len(r)), r
 
-    rms, r, shared = evaluate(var)
+    rms, r = evaluate(var)
     converged = False
     iterations = 0
-    jac_t = np.empty((n_free, len(r)))
     for iterations in range(1, options.max_iterations + 1):
-        problem._fill_jacobian(shared, jac_t)
         try:
-            step = np.linalg.lstsq(jac_t.T, r, rcond=None)[0]
-        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(problem._jacobian(var + fixed, n_free), r, rcond=None)[0]
+        except (ZeroDivisionError, np.linalg.LinAlgError):
             break
         s = step.tolist()
         if not all(map(math.isfinite, s)):
@@ -263,13 +321,13 @@ def _gauss_newton(problem: _Problem, x0: np.ndarray, options: SolverOptions) -> 
         scale = 1.0
         for _ in range(25):
             cand = [vi - scale * si for vi, si in zip(var, s)]
-            cand_rms, cand_r, cand_shared = evaluate(cand)
+            cand_rms, cand_r = evaluate(cand)
             if cand_rms < rms or (at_minimum and cand_rms <= rms):
                 break
             scale *= 0.5
         else:
             break
-        var, rms, r, shared = cand, cand_rms, cand_r, cand_shared
+        var, rms, r = cand, cand_rms, cand_r
         if scale * step_norm < options.tolerance_m:
             converged = True
             break
@@ -279,7 +337,7 @@ def _gauss_newton(problem: _Problem, x0: np.ndarray, options: SolverOptions) -> 
         residual_rms=rms,
         iterations=iterations,
         converged=converged,
-        objective=float(np.add.reduce(r * r)),
+        objective=_sum_squares(r),
     )
 
 

@@ -10,6 +10,8 @@ The problems are the package's own; only their `anchors`, `fix_height` and
 measurement attributes are read.
 """
 
+import math
+
 import numpy as np
 
 from nrpos.solvers import PositionFix, _RangeProblem, _TdoaProblem, wrap_deg
@@ -29,11 +31,11 @@ def residuals(problem, x):
     if isinstance(problem, _RangeProblem):
         return np.linalg.norm(problem.anchors - x, axis=1) - problem.measured
     diff = x - problem.anchors
-    az = np.degrees(np.arctan2(diff[:, 1], diff[:, 0]))
+    az = np.degrees([math.atan2(dy, dx) for dx, dy in diff[:, :2].tolist()])
     res = [wrap_deg(az - problem.az)]
     if problem.zen is not None:
         rho = np.linalg.norm(diff[:, :2], axis=1)
-        zen = np.degrees(np.arctan2(rho, diff[:, 2]))
+        zen = np.degrees([math.atan2(p, dz) for p, dz in zip(rho.tolist(), diff[:, 2].tolist())])
         res.append(zen - problem.zen)
     return np.concatenate(res)
 

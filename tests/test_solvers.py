@@ -531,6 +531,111 @@ class TestGaussNewtonOracle:
         assert covers(runs)
 
 
+def parent_rows(problem, x, k):
+    """Residuals and Jacobian columns as the whole-array numpy loop formed
+    them before it ran on floats; angles in numpy's arctan2."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(problem, solvers._AngleProblem):
+        diff = x - problem.anchors
+        r = wrap_deg(np.degrees(np.arctan2(diff[:, 1], diff[:, 0])) - problem.az)
+        if problem.zen is not None:
+            rho = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1])
+            r = np.concatenate((r, np.degrees(np.arctan2(rho, diff[:, 2])) - problem.zen))
+        return r, None
+    diff = x - problem.anchors
+    d = np.sqrt(np.add.reduce(diff * diff, axis=1))
+    jac = diff[:, :k] / d[:, None]
+    r = d - problem.measured
+    if isinstance(problem, solvers._TdoaProblem):
+        diff_ref = x - problem.ref
+        d_ref = math.sqrt(diff_ref.dot(diff_ref))
+        r = d - d_ref
+        r -= problem.measured
+        jac = jac - diff_ref[:k] / d_ref
+    return r, jac
+
+
+def random_problem(rng, kind, n, fix_height, anchor_z=None):
+    anchors = rng.uniform(-300.0, 300.0, (n, 3)) * [1.0, 1.0, 0.1]
+    if anchor_z is not None:
+        anchors[:, 2] = anchor_z
+    meas = rng.uniform(-200.0, 200.0, n)
+    if kind == "range":
+        return solvers._RangeProblem(anchors, np.abs(meas), fix_height)
+    if kind == "tdoa":
+        return solvers._TdoaProblem(anchors, rng.uniform(-300.0, 300.0, 3), meas, fix_height)
+    zen = rng.uniform(60.0, 120.0, n) if kind == "aoa-zenith" else None
+    return solvers._AngleProblem(anchors, rng.uniform(-180.0, 180.0, n), zen, fix_height)
+
+
+class TestFloatRows:
+    """Residuals, Jacobians and the RMS on Python floats against the numpy
+    expressions they replaced, on random anchors and points, up to 16 rows
+    so that np.add.reduce's pairwise order (from 8 values) is exercised."""
+
+    @pytest.mark.parametrize("kind", ["range", "tdoa", "aoa", "aoa-zenith"])
+    @pytest.mark.parametrize("fix_height", [1.5, None])
+    def test_rows_match_numpy(self, kind, fix_height):
+        rng = np.random.default_rng(7)
+        k = 2 if fix_height is not None else 3
+        for n in range(2, 17):
+            for _ in range(20):
+                problem = random_problem(rng, kind, n, fix_height)
+                x = rng.uniform(-400.0, 400.0, 3)
+                want_r, want_j = parent_rows(problem, x, k)
+                r = problem.residuals(x)
+                if want_j is None:
+                    assert np.all(np.abs(wrap_deg(r - want_r)) <= 1e-12)
+                    # no arctan2 in the Jacobian: the oracle's is numpy's
+                    assert bits(problem.jacobian(x)) == bits(oracle.jacobian(problem, x))
+                else:
+                    assert bits(r) == bits(want_r)
+                    assert bits(problem.jacobian(x)) == bits(want_j)
+                rms = math.sqrt(solvers._sum_squares(r.tolist()) / len(r))
+                assert bits(rms) == bits(math.sqrt(float(np.add.reduce(r * r)) / len(r)))
+
+    @pytest.mark.parametrize("n", [*range(1, 26), 127, 128, 129, 136, 200, 301])
+    def test_sum_squares_is_numpy_reduce(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            r = rng.normal(size=n) * 10.0 ** rng.integers(-4, 5, size=n)
+            assert bits(solvers._sum_squares(r.tolist())) == bits(float(np.add.reduce(r * r)))
+
+
+# (kind, fix_height, point): a Gauss-Newton start at a zero distance
+ZERO_DISTANCE_CASES = [
+    pytest.param("range", 1.5, lambda p: p.anchors[1], id="range-on-anchor"),
+    pytest.param("tdoa", 1.5, lambda p: p.anchors[2], id="tdoa-on-anchor"),
+    pytest.param("tdoa", None, lambda p: p.ref, id="tdoa-on-reference-3d"),
+    pytest.param("aoa", 1.5, lambda p: p.anchors[0], id="aoa-on-anchor"),
+    pytest.param("aoa-zenith", None, lambda p: p.anchors[3] + [0.0, 0.0, -20.0],
+                 id="aoa-zenith-below-anchor-3d"),
+]
+
+
+class TestZeroDistance:
+    """At a point on an anchor (in the plane, for bearings) the residuals
+    stay finite; the Jacobian divides by zero, where the whole-array loop
+    held a NaN row on which lstsq fails. Either way the run ends there,
+    with the same fix."""
+
+    @pytest.mark.parametrize("kind,fix_height,point", ZERO_DISTANCE_CASES)
+    def test_run_ends_as_the_nan_step_did(self, kind, fix_height, point):
+        # in the plane the anchors sit at the fixed height
+        problem = random_problem(np.random.default_rng(3), kind, 6, fix_height,
+                                 anchor_z=fix_height)
+        x0 = np.array(point(problem), dtype=float)
+        options = SolverOptions(fix_height=fix_height)
+        assert np.all(np.isfinite(problem.residuals(x0)))
+        assert np.all(np.isnan(problem.jacobian(x0)))
+        fix = solvers._gauss_newton(problem, x0, options)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want, _ = oracle.gauss_newton(problem, x0, options)
+        for field in dataclasses.fields(PositionFix):
+            assert bits(getattr(fix, field.name)) == bits(getattr(want, field.name)), field.name
+        assert fix.iterations == 1 and not fix.converged
+
+
 class TestGdop:
     def test_square_center_is_minimum(self):
         anchors = square_anchors(z=1.5)
