@@ -10,7 +10,7 @@ from typing import Literal, Optional
 import yaml
 from pydantic import BaseModel, ConfigDict, Field, model_validator
 
-from .measurements import K_RANGE
+from .measurements import K_RANGE, MAX_SAMPLES
 
 CONFIG_VERSION = 1
 
@@ -71,7 +71,7 @@ class ExperimentConfig(BaseModel):
     # measured (quality gating); at least min_trps strongest are kept
     rsrp_window_db: float = Field(18.0, gt=0)
     min_trps: int = Field(5, ge=3)
-    n_samples: int = Field(1, ge=1, le=4)
+    n_samples: int = Field(1, ge=1, le=MAX_SAMPLES)
     quantize: bool = True
     timing_k: Optional[int] = None  # default: finest legal step per range, K_RANGE[fr][0]
     sync_sigma_ns: float = Field(0.0, ge=0)

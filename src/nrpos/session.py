@@ -9,11 +9,12 @@ the contract for replay tooling.
 
 The nodes answer from a simulated drop's `MeasurementRecord`s: a `Ue`
 holds its own records, a `Gnb` holds each UE's records, and a TRP with no
-record is left out of the report. Each entry of a measurement report
-(`ue_rxtx`, `gnb_rxtx`, `rstd`, `prs_rsrp`) is the payload of one record,
-so the live server and trace replay both solve with
-`simulate.solve_records`, the solver of batch runs, and a session fix is
-the drop's fix.
+record is left out of the report. A UE or gNB report carries the record
+kinds the method's entry of `simulate.METHOD_TABLE` names for it, each
+kind's entries under its lower-case name (`ue_rxtx`, `rstd`, ...) and
+each entry the payload of one record, so the live server and trace replay
+both solve with `simulate.solve_records`, the solver of batch runs, and a
+session fix is the drop's fix.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .measurements import MeasurementRecord
 from .prs import SrsPosResource
-from .simulate import solve_records
+from .simulate import METHOD_TABLE, solve_records
 from .solvers import SolverError, SolverOptions
 
 LPP_KINDS = {
@@ -179,12 +180,14 @@ class Node:
         raise NotImplementedError
 
 
-def _entries(records, kind: str, trp_ids) -> list[dict]:
-    """Report entries of the records of one kind on the given TRPs, in
-    record order: each record's payload, tagged with its TRP."""
+def _report_entries(records, kinds, trp_ids) -> dict[str, list[dict]]:
+    """Report entries of the records of each kind on the given TRPs, under
+    the kind's lower-case name, in record order: each record's payload,
+    tagged with its TRP."""
     wanted = set(trp_ids)
-    return [{"trp_id": r.trp_id, **r.payload} for r in records
-            if r.kind == kind and r.trp_id in wanted]
+    return {kind.lower(): [{"trp_id": r.trp_id, **r.payload} for r in records
+                           if r.kind == kind and r.trp_id in wanted]
+            for kind in kinds}
 
 
 class Ue(Node):
@@ -207,20 +210,11 @@ class Ue(Node):
             self.assistance = msg.payload
         elif msg.kind == "LppRequestLocationInformation":
             method = msg.payload["method"]
-            trp_ids = msg.payload["trp_ids"]
-            if method == "multi-rtt":
-                body = {"method": method,
-                        "ue_rxtx": _entries(self.records, "UE_RXTX", trp_ids)}
-            elif method == "dl-tdoa":
-                # the reference is the TRP the time differences were taken
-                # against, and the received powers weight the solver start
-                rstd = _entries(self.records, "RSTD", trp_ids)
-                body = {"method": method,
-                        "ref_trp_id": rstd[0]["ref_trp_id"] if rstd else None,
-                        "rstd": rstd,
-                        "prs_rsrp": _entries(self.records, "PRS_RSRP", trp_ids)}
-            else:
+            spec = METHOD_TABLE.get(method)
+            if spec is None or not spec.ue_report:
                 raise ProtocolError(f"unsupported method {method}")
+            body = {"method": method,
+                    **_report_entries(self.records, spec.ue_report, msg.payload["trp_ids"])}
             self.send("LppProvideLocationInformation", msg.sender, body)
         else:
             raise ProtocolError(f"UE cannot handle {msg.kind}")
@@ -228,9 +222,9 @@ class Ue(Node):
 
 class Gnb(Node):
     """A radio node serving trp_ids; records maps each UE id to that UE's
-    records, of which it reports the gNB Rx-Tx ones on its TRPs. srs is
-    the sounding resource those records were measured on, which the node
-    configures the UE with and reports to the server."""
+    records, of which it reports the requested method's gNB report kinds
+    on its TRPs. srs is the sounding resource those records were measured
+    on, which the node configures the UE with and reports to the server."""
 
     role = "gnb"
 
@@ -250,9 +244,10 @@ class Gnb(Node):
                       {"ue_id": ue_id, "srs": srs, "trp_ids": self.trp_ids})
         elif msg.kind == "NrppaMeasurementRequest":
             ue_id = msg.payload["ue_id"]
-            values = _entries(self.records.get(ue_id, ()), "GNB_RXTX", self.trp_ids)
+            kinds = METHOD_TABLE[msg.payload["method"]].gnb_report
             self.send("NrppaMeasurementResponse", msg.sender,
-                      {"ue_id": ue_id, "gnb_rxtx": values})
+                      {"ue_id": ue_id,
+                       **_report_entries(self.records.get(ue_id, ()), kinds, self.trp_ids)})
         else:
             raise ProtocolError(f"gNB cannot handle {msg.kind}")
 
@@ -286,7 +281,7 @@ class Lmf(Node):
             "pending_info": set(gnb_ids),
             "pending_meas": set(gnb_ids),
             "report": None,
-            "gnb_rxtx": {},
+            "gnb_reports": [],
             "trp_ids": [],
             "done": False,
         }
@@ -324,17 +319,18 @@ class Lmf(Node):
                 # all radio nodes configured: provide assistance, ask the UE
                 self.send("LppProvideAssistanceData", ue_id, self._assistance())
                 self.send("LppRequestLocationInformation", ue_id,
-                          {"method": "multi-rtt", "trp_ids": s["trp_ids"]})
+                          {"method": s["method"], "trp_ids": s["trp_ids"]})
         elif msg.kind == "LppProvideLocationInformation":
             ue_id = msg.sender
             s = self.sessions[ue_id]
             if s["done"]:
                 return
             s["report"] = msg.payload
-            if s["method"] == "multi-rtt":
+            if METHOD_TABLE[s["method"]].gnb_report:
                 # UE report first, then collect the radio-node side
                 for g in s["gnbs"]:
-                    self.send("NrppaMeasurementRequest", g, {"ue_id": ue_id})
+                    self.send("NrppaMeasurementRequest", g,
+                              {"ue_id": ue_id, "method": s["method"]})
             else:
                 self._solve(ue_id)
         elif msg.kind == "NrppaMeasurementResponse":
@@ -343,8 +339,7 @@ class Lmf(Node):
             if s["done"]:
                 return
             s["pending_meas"].discard(msg.sender)
-            for entry in msg.payload["gnb_rxtx"]:
-                s["gnb_rxtx"][entry["trp_id"]] = entry
+            s["gnb_reports"].append(msg.payload)
             if not s["pending_meas"]:
                 self._solve(ue_id)
         elif msg.kind == "LppRequestAssistanceData":
@@ -359,7 +354,7 @@ class Lmf(Node):
     def _solve(self, ue_id: str):
         s = self.sessions[ue_id]
         s["done"] = True
-        records = _report_records(s["report"], s.get("gnb_rxtx", {}).values())
+        records = _report_records(s["report"], s.get("gnb_reports", ()))
         try:
             fix = solve_records(records, self.anchors, s["method"], self.options)
         except SolverError as exc:
@@ -370,14 +365,14 @@ class Lmf(Node):
         self.results[ue_id] = SessionResult(ue_id=ue_id, status="fixed", fix=fix)
 
 
-def _report_records(report: dict, gnb_rxtx) -> list[MeasurementRecord]:
-    """One UE's location report, plus the radio-node Rx-Tx entries of a
-    round-trip session, as measurement records whose payloads are the
-    report entries; each entry's TRP doubles as its resource id."""
-    if report["method"] == "multi-rtt":
-        parts = [("UE_RXTX", report["ue_rxtx"]), ("GNB_RXTX", gnb_rxtx)]
-    else:
-        parts = [("PRS_RSRP", report["prs_rsrp"]), ("RSTD", report["rstd"])]
+def _report_records(report: dict, gnb_reports) -> list[MeasurementRecord]:
+    """One UE's location report, plus the gNB reports of its session, as
+    measurement records whose payloads are the report entries, of the
+    kinds the method's table entry names; each entry's TRP doubles as its
+    resource id."""
+    spec = METHOD_TABLE[report["method"]]
+    parts = [(kind, report[kind.lower()]) for kind in spec.ue_report]
+    parts += [(kind, g[kind.lower()]) for g in gnb_reports for kind in spec.gnb_report]
     return [
         MeasurementRecord(kind=kind, trp_id=e["trp_id"], resource_id=e["trp_id"], payload=e)
         for kind, entries in parts
@@ -433,19 +428,16 @@ def replay_solve(trace: list[dict], anchors: dict[int, np.ndarray],
     """
     fixes: dict[str, object] = {}
     ue_reports: dict[str, dict] = {}
-    gnb_reports: dict[str, dict] = {}
+    gnb_reports: dict[str, list] = {}
     for entry in trace:
         if entry["kind"] == "LppProvideLocationInformation":
             ue_reports[entry["from"]] = entry["payload"]
         elif entry["kind"] == "NrppaMeasurementResponse":
-            ue_id = entry["payload"]["ue_id"]
-            store = gnb_reports.setdefault(ue_id, {})
-            for item in entry["payload"]["gnb_rxtx"]:
-                store[item["trp_id"]] = item
+            gnb_reports.setdefault(entry["payload"]["ue_id"], []).append(entry["payload"])
     for ue_id, payload in ue_reports.items():
-        if payload["method"] == "multi-rtt" and ue_id not in gnb_reports:
+        if METHOD_TABLE[payload["method"]].gnb_report and ue_id not in gnb_reports:
             continue
-        records = _report_records(payload, gnb_reports.get(ue_id, {}).values())
+        records = _report_records(payload, gnb_reports.get(ue_id, ()))
         try:
             fixes[ue_id] = solve_records(records, anchors, payload["method"], options)
         except SolverError:

@@ -3,6 +3,12 @@ signals for a deployment, push them through link realizations onto
 received resource elements (REs), form quantized measurement reports, and
 solve.
 
+`METHOD_TABLE` is the one place that knows the positioning methods; the
+drop pipeline, `solve_records` and the session layer read each method's
+entry. A DL-AoD report is a PRS-RSRP per beam, its resource; the beams'
+directions are the server's TRP data (`Simulator.beams`), which
+`solve_records` takes next to the anchors.
+
 Interference is comb-exact: transmitters sharing a comb offset occupy the
 same REs and superpose there; distinct offsets never interact. The
 downlink and uplink arrival stages sum their received REs in one kernel,
@@ -69,6 +75,7 @@ those of the per-beam loops.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -298,6 +305,7 @@ class Simulator:
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
+        self._method = METHOD_TABLE[config.method]
         self.stage_s = dict.fromkeys(STAGES, 0.0)
         self.numerology = Numerology(scs_khz=config.scs_khz, n_prb=config.n_prb)
         self.channel = _channel_for(config)
@@ -386,13 +394,13 @@ class Simulator:
         # (links, first-arrival delays as bytes) the buffer holds the matrix of
         self._h_built_for: tuple = (None, b"")
         # first-path detection: the delay window and the taper of a despread
-        # vector. DL-AoD detects no first path and holds neither. The others
-        # build them here: built at the first detection, the window's
-        # construction temporaries would sit on top of that drop's arrays
-        # and raise the run's peak memory.
-        self._detection = None if config.method == "dl-aod" else (
+        # vector. A method that detects no first path (DL-AoD) holds
+        # neither. The others build them here: built at the first
+        # detection, the window's construction temporaries would sit on top
+        # of that drop's arrays and raise the run's peak memory.
+        self._detection = (
             DelayWindow(n_sc, delay_spectrum_size(n_sc), self.scs_hz, self.search_window),
-            taper_vector(np.ones(n_sc)))
+            taper_vector(np.ones(n_sc))) if self._method.first_path else None
 
         w, hgt = self.deployment.area
         area = (0.0, 0.0, w, hgt) if config.scenario == "ioo" else \
@@ -406,22 +414,18 @@ class Simulator:
         )
         self._beamformer: BeamformerGrid | None = None
         self._sweep_index: list | None = None
-        self._beam_azimuths = self._make_beam_azimuths()
+        # (TRP, beam) azimuths of the downlink beam sweep, degrees, and the
+        # server's beam table {trp_id: its beams' azimuths} of the same rows
+        n = config.n_beams
+        steps = np.arange(n) * (360.0 / n) if self.channel.omni else np.linspace(-52.5, 52.5, n)
+        self._beam_azimuths = np.array([t.sector_azimuth_deg + steps for t in self.trps])
+        self.beams = dict(zip(self.anchors, self._beam_azimuths))
 
     # -- helpers ----------------------------------------------------------
 
     @property
     def scs_hz(self) -> float:
         return self.config.scs_khz * 1e3
-
-    def _make_beam_azimuths(self) -> np.ndarray:
-        """(TRP, beam) azimuths of the downlink beam sweep, degrees."""
-        n = self.config.n_beams
-        if self.channel.omni:
-            steps = np.arange(n) * (360.0 / n)
-        else:
-            steps = np.linspace(-52.5, 52.5, n)
-        return np.array([t.sector_azimuth_deg + steps for t in self.trps])
 
     def beamformer(self) -> BeamformerGrid:
         if self._beamformer is None:
@@ -687,7 +691,8 @@ class Simulator:
         return np.array([10.0 ** x for x in (epre / 20.0).ravel().tolist()]).reshape(d.shape)
 
     def _aod_stage(self, links, drop_idx):
-        """Per-beam received powers at the terminal, beams time-multiplexed.
+        """Received power of every TRP's beams at the terminal, dBm in beam
+        order, beams time-multiplexed.
 
         Sweeps are slot-aligned across TRPs: beam b of every TRP transmits
         in the same occasion, so same-offset TRPs interfere beam by beam.
@@ -703,8 +708,7 @@ class Simulator:
         if cfg.quantize:
             dbm = [float(reported_power_dbm(p)) for p in dbm]
         n = cfg.n_beams
-        reports = {t.trp_id: list(zip(az, [95.0] * n, dbm[i * n:(i + 1) * n]))
-                   for i, (t, az) in enumerate(zip(self.trps, self._beam_azimuths))}
+        reports = {t.trp_id: dbm[i * n:(i + 1) * n] for i, t in enumerate(self.trps)}
         self._lap("aod", started)
         return reports
 
@@ -733,26 +737,18 @@ class Simulator:
         trp_clock, ue_clock = self._sync_offsets(drop_idx)
         self._lap("links", started)
 
-        # records formed before a failed solve stay on the outcome
-        records: list[MeasurementRecord] = []
+        # records stay on the outcome when the drop fails
+        records = self._method.measure(self, links, trp_clock, ue_clock, drop_idx)
+        n_trps = len({r.trp_id for r in records})
         fix = None
         failure = None
         try:
-            if cfg.method == "dl-tdoa":
-                records = self._dl_tdoa_records(links, trp_clock, ue_clock, drop_idx)
-            elif cfg.method == "ul-tdoa":
-                records = self._ul_tdoa_records(links, trp_clock, ue_clock, drop_idx)
-            elif cfg.method == "multi-rtt":
-                records = self._multi_rtt_records(links, trp_clock, ue_clock, drop_idx)
-            elif cfg.method == "ul-aoa":
-                records = self._ul_aoa_records(links, trp_clock, ue_clock, drop_idx)
-            elif cfg.method == "dl-aod":
-                records = self._dl_aod_records(links, drop_idx)
-            else:
-                raise ValueError(f"unknown method {cfg.method}")
+            if n_trps < self._method.min_trps:
+                raise SolverError(f"only {n_trps} usable TRPs, need {self._method.min_trps}")
             started = perf_counter()
             try:
-                fix = solve_records(records, self.anchors, cfg.method, self.options)
+                fix = solve_records(records, self.anchors, cfg.method, self.options,
+                                    self.beams)
             finally:
                 self._lap("solve", started)
         except SolverError as exc:
@@ -768,18 +764,13 @@ class Simulator:
         if cfg.hull_split:
             outcome.in_hull = point_in_hull(ue, self.hull)
         started = perf_counter()
-        outcome.gdop = self._gdop_at(ue, cfg.method)
+        try:
+            outcome.gdop = gdop(self.anchor_xyz, ue, self._method.geometry,
+                                fix_height=self.options.fix_height)
+        except SolverError:
+            outcome.gdop = math.inf
         self._lap("gdop", started)
         return outcome
-
-    def _gdop_at(self, position, method) -> float:
-        kind = {"dl-tdoa": "tdoa", "ul-tdoa": "tdoa", "multi-rtt": "rtt",
-                "ul-aoa": "aoa", "dl-aod": "aod"}[method]
-        try:
-            return gdop(self.anchor_xyz, position, kind, ref_index=0,
-                        fix_height=self.options.fix_height)
-        except SolverError:
-            return math.inf
 
     def _rsrp_records(self, kind, trp_ids, rsrp):
         """Power reports of the given TRPs; a PRS report's resource is its
@@ -797,24 +788,17 @@ class Simulator:
     def _dl_tdoa_records(self, links, trp_clock, ue_clock, drop_idx):
         toa, rsrp = self._dl_stage(links, trp_clock, ue_clock, drop_idx)
         selected = [t for t in self._select_trps(rsrp) if toa[t] is not None]
-        if len(selected) < 4:
-            raise SolverError("not enough usable downlink arrivals")
         records = self._rsrp_records("PRS_RSRP", selected, rsrp)
         cfg = self.config
-        ref = selected[0]  # strongest received power
-        for t in selected:
-            if t == ref:
-                continue
+        for t in selected[1:]:  # against the strongest received power
             records.append(timing_record(
-                "RSTD", t, rstd(toa[t], toa[ref]), cfg.effective_timing_k, cfg.fr,
-                resource_id=t, extra={"ref_trp_id": ref}, quantize=cfg.quantize))
+                "RSTD", t, rstd(toa[t], toa[selected[0]]), cfg.effective_timing_k, cfg.fr,
+                resource_id=t, extra={"ref_trp_id": selected[0]}, quantize=cfg.quantize))
         return records
 
     def _ul_tdoa_records(self, links, trp_clock, ue_clock, drop_idx):
         toa, rsrp = self._ul_stage(links, trp_clock, ue_clock, drop_idx)
         selected = [t for t in self._select_trps(rsrp) if toa[t] is not None]
-        if len(selected) < 4:
-            raise SolverError("not enough usable uplink arrivals")
         records = self._rsrp_records("SRS_RSRP", selected, rsrp)
         cfg = self.config
         for t in selected:
@@ -827,8 +811,6 @@ class Simulator:
         ranked = [t for t in self._select_trps(rsrp) if dl_toa[t] is not None]
         ul_toa, _ = self._ul_stage(links, trp_clock, ue_clock, drop_idx, detect=ranked)
         selected = [t for t in ranked if ul_toa[t] is not None]
-        if len(selected) < 3:
-            raise SolverError("not enough usable round-trip pairs")
         cfg = self.config
         records = []
         for t in selected:
@@ -845,96 +827,131 @@ class Simulator:
                                       detect=list(self.anchors))
         angles = self._aoa_stage(links, ul_toa, drop_idx)
         selected = [t for t in self._select_trps(rsrp) if angles[t] is not None]
-        if len(selected) < 2:
-            raise SolverError("not enough usable arrival angles")
-        records = [
+        return [
             MeasurementRecord(
                 kind="AOA", trp_id=t,
                 payload={"azimuth_deg": angles[t][0], "zenith_deg": angles[t][1]},
             )
             for t in selected
         ]
-        return records
 
-    def _dl_aod_records(self, links, drop_idx):
+    def _dl_aod_records(self, links, trp_clock, ue_clock, drop_idx):
+        """A PRS-RSRP report per beam of each selected TRP; the report's
+        resource is the beam's index in `beams`."""
         reports = self._aod_stage(links, drop_idx)
-        strongest = {t: max(r[2] for r in rep) for t, rep in reports.items()}
-        selected = self._select_trps(strongest)
-        records = []
-        for t in selected:
-            for b, (az, zen, rsrp_dbm) in enumerate(reports[t]):
-                records.append(MeasurementRecord(
-                    kind="PRS_RSRP", trp_id=t, resource_id=b,
-                    payload={"value_dbm": rsrp_dbm, "beam_azimuth_deg": az,
-                             "beam_zenith_deg": zen},
-                ))
-        return records
+        selected = self._select_trps({t: max(dbm) for t, dbm in reports.items()})
+        return [
+            MeasurementRecord(kind="PRS_RSRP", trp_id=t, resource_id=b,
+                              payload={"value_dbm": rsrp_dbm})
+            for t in selected
+            for b, rsrp_dbm in enumerate(reports[t])
+        ]
 
 
-def solve_records(records, anchors, method: str, options: SolverOptions):
-    """Position solve from measurement records.
+def _tdoa_fix(rows, records, index, anchors, options):
+    """Time-difference solve of rows (anchor row, reference row, metres),
+    started at the power-weighted centroid of the anchors the rows use when
+    the records hold a power report of each of them."""
+    if not rows:
+        raise SolverError("no time-difference measurements")
+    trp_ids = list(index)
+    rsrp = {r.trp_id: r.payload["value_dbm"] for r in records
+            if r.kind in ("PRS_RSRP", "SRS_RSRP")}
+    used = sorted({i for i, _, _ in rows} | {rows[0][1]})
+    weights = [rsrp[trp_ids[i]] for i in used] \
+        if all(trp_ids[i] in rsrp for i in used) else None
+    x0 = init_guess(anchors[used], rsrp_dbm=weights, fix_height=options.fix_height)
+    return tdoa_solve(anchors, rows, options, x0=x0)
+
+
+def _solve_dl_tdoa(records, index, anchors, options, beams):
+    rows = [
+        (index[r.trp_id], index[r.payload["ref_trp_id"]], record_seconds(r) * SPEED_OF_LIGHT)
+        for r in records if r.kind == "RSTD"
+    ]
+    return _tdoa_fix(rows, records, index, anchors, options)
+
+
+def _solve_ul_tdoa(records, index, anchors, options, beams):
+    """Arrival-time differences against the earliest uplink arrival."""
+    rtoa = {r.trp_id: record_seconds(r) for r in records if r.kind == "UL_RTOA"}
+    if len(rtoa) < 2:
+        raise SolverError("need at least two uplink arrivals")
+    ref = min(rtoa, key=lambda t: rtoa[t])
+    rows = [(index[t], index[ref], (v - rtoa[ref]) * SPEED_OF_LIGHT)
+            for t, v in rtoa.items() if t != ref]
+    return _tdoa_fix(rows, records, index, anchors, options)
+
+
+def _solve_multi_rtt(records, index, anchors, options, beams):
+    ue_rxtx = {r.trp_id: record_seconds(r) for r in records if r.kind == "UE_RXTX"}
+    gnb_rxtx = {r.trp_id: record_seconds(r) for r in records if r.kind == "GNB_RXTX"}
+    ranges = [(index[t], rtt(ue_rxtx[t], gnb_rxtx[t]) * SPEED_OF_LIGHT / 2.0)
+              for t in sorted(ue_rxtx) if t in gnb_rxtx]
+    return rtt_solve(anchors, ranges, options)
+
+
+def _solve_ul_aoa(records, index, anchors, options, beams):
+    angles = [(index[r.trp_id], r.payload["azimuth_deg"], r.payload["zenith_deg"])
+              for r in records if r.kind == "AOA"]
+    return aoa_solve(anchors, angles, options)
+
+
+def _solve_dl_aod(records, index, anchors, options, beams):
+    """Each PRS-RSRP report's resource is a beam of its TRP, whose azimuth
+    the beam table holds."""
+    if beams is None:
+        raise SolverError("a DL-AoD solve needs the TRPs' beam table")
+    sweeps: dict[int, list] = {}
+    for r in records:
+        if r.kind == "PRS_RSRP":
+            if r.resource_id not in range(len(beams.get(r.trp_id, ()))):
+                raise SolverError(f"TRP {r.trp_id} has no beam {r.resource_id}")
+            sweeps.setdefault(index[r.trp_id], []).append(
+                (beams[r.trp_id][r.resource_id], r.payload["value_dbm"]))
+    return aod_solve(anchors, sweeps, options)
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """One positioning method: `measure(sim, links, trp_clock, ue_clock,
+    drop_idx)` forms a drop's records, of which fewer than `min_trps` TRPs
+    fail the drop unsolved; `solve(records, index, anchors, options, beams)`
+    solves them; `geometry` is the kind `solvers.gdop` takes; and a
+    session's UE and gNB reports carry the kinds `ue_report`, `gnb_report`."""
+
+    measure: Callable
+    solve: Callable
+    geometry: str
+    min_trps: int
+    first_path: bool
+    ue_report: tuple[str, ...] = ()
+    gnb_report: tuple[str, ...] = ()
+
+
+METHOD_TABLE = {
+    "dl-tdoa": MethodSpec(Simulator._dl_tdoa_records, _solve_dl_tdoa, "tdoa", 4, True,
+                          ("RSTD", "PRS_RSRP")),
+    "ul-tdoa": MethodSpec(Simulator._ul_tdoa_records, _solve_ul_tdoa, "tdoa", 4, True),
+    "multi-rtt": MethodSpec(Simulator._multi_rtt_records, _solve_multi_rtt, "rtt", 3, True,
+                            ("UE_RXTX",), ("GNB_RXTX",)),
+    "ul-aoa": MethodSpec(Simulator._ul_aoa_records, _solve_ul_aoa, "aoa", 2, True),
+    "dl-aod": MethodSpec(Simulator._dl_aod_records, _solve_dl_aod, "aod", 2, False),
+}
+
+
+def solve_records(records, anchors, method: str, options: SolverOptions, beams=None):
+    """Position solve from measurement records, by the method's entry of
+    `METHOD_TABLE`.
 
     anchors maps each trp_id to its position; the solver's anchor rows
-    follow the mapping's order. The batch pipeline, the location-session
-    server and offline re-solves of written records all solve here.
+    follow the mapping's order. beams is the TRPs' beam table
+    (`Simulator.beams`), which a DL-AoD solve needs. The batch pipeline,
+    the location-session server and offline re-solves of written records
+    all solve here.
     """
-    trp_ids = list(anchors)
-    index = {t: i for i, t in enumerate(trp_ids)}
-    anchors = np.array([anchors[t] for t in trp_ids], dtype=float)
-    rsrp_by_trp = {
-        r.trp_id: r.payload["value_dbm"] for r in records
-        if r.kind in ("PRS_RSRP", "SRS_RSRP") and "beam_azimuth_deg" not in r.payload
-    }
-
-    if method == "dl-tdoa" or method == "ul-tdoa":
-        if method == "dl-tdoa":
-            rows = [
-                (index[r.trp_id], index[r.payload["ref_trp_id"]],
-                 record_seconds(r) * SPEED_OF_LIGHT)
-                for r in records if r.kind == "RSTD"
-            ]
-        else:
-            rtoa = {r.trp_id: record_seconds(r) for r in records if r.kind == "UL_RTOA"}
-            if len(rtoa) < 2:
-                raise SolverError("need at least two uplink arrivals")
-            ref = min(rtoa, key=lambda t: rtoa[t])
-            rows = [
-                (index[t], index[ref], (v - rtoa[ref]) * SPEED_OF_LIGHT)
-                for t, v in rtoa.items() if t != ref
-            ]
-        if not rows:
-            raise SolverError("no time-difference measurements")
-        used = sorted({i for i, _, _ in rows} | {rows[0][1]})
-        weights = [rsrp_by_trp[trp_ids[i]] for i in used] \
-            if all(trp_ids[i] in rsrp_by_trp for i in used) else None
-        x0 = init_guess(anchors[used], rsrp_dbm=weights,
-                        fix_height=options.fix_height)
-        return tdoa_solve(anchors, rows, options, x0=x0)
-
-    if method == "multi-rtt":
-        ue_rxtx = {r.trp_id: record_seconds(r) for r in records if r.kind == "UE_RXTX"}
-        gnb_rxtx = {r.trp_id: record_seconds(r) for r in records if r.kind == "GNB_RXTX"}
-        ranges = []
-        for t in sorted(ue_rxtx):
-            if t in gnb_rxtx:
-                ranges.append((index[t], rtt(ue_rxtx[t], gnb_rxtx[t]) * SPEED_OF_LIGHT / 2.0))
-        return rtt_solve(anchors, ranges, options)
-
-    if method == "ul-aoa":
-        angles = [
-            (index[r.trp_id], r.payload["azimuth_deg"], r.payload["zenith_deg"])
-            for r in records if r.kind == "AOA"
-        ]
-        return aoa_solve(anchors, angles, options)
-
-    if method == "dl-aod":
-        beams: dict[int, list] = {}
-        for r in records:
-            if r.kind == "PRS_RSRP" and "beam_azimuth_deg" in r.payload:
-                beams.setdefault(index[r.trp_id], []).append(
-                    (r.payload["beam_azimuth_deg"], r.payload["beam_zenith_deg"],
-                     r.payload["value_dbm"])
-                )
-        return aod_solve(anchors, beams, options)
-
-    raise SolverError(f"unknown method {method!r}")
+    if method not in METHOD_TABLE:
+        raise SolverError(f"unknown method {method!r}")
+    index = {t: i for i, t in enumerate(anchors)}
+    xyz = np.array([anchors[t] for t in index], dtype=float)
+    return METHOD_TABLE[method].solve(records, index, xyz, options, beams)

@@ -31,8 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MIN_MEASUREMENTS = {"tdoa": 3, "rtt": 3, "aoa": 2, "aod": 2}
-
 
 class SolverError(ValueError):
     pass
@@ -506,16 +504,17 @@ def _solve_with_trim(build_problem, n_meas: int, x0, options: SolverOptions,
     return fix
 
 
-def _check_geometry(anchors, n_meas, method, options, check_collinear=True):
+def _check_geometry(anchors, n_meas, kind, least, options, check_collinear=True):
+    """Raise unless a 2-D fix has `least` measurements (3-D one more) and,
+    with check_collinear, anchors that span the plane."""
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    need = MIN_MEASUREMENTS[method] + (1 if options.fix_height is None else 0)
+    need = least + (1 if options.fix_height is None else 0)
     if n_meas < need:
-        raise SolverError(f"{method} needs >= {need} measurements, got {n_meas}")
+        raise SolverError(f"{kind} needs >= {need} measurements, got {n_meas}")
     if check_collinear:
         spread = anchors[:, :2] - anchors[:, :2].mean(axis=0)
         if np.linalg.matrix_rank(spread, tol=1e-9) < 2:
             raise SolverError("anchors are collinear (degenerate geometry)")
-    return anchors
 
 
 def tdoa_solve(anchors, rstd_m, options: SolverOptions | None = None,
@@ -535,7 +534,8 @@ def tdoa_solve(anchors, rstd_m, options: SolverOptions | None = None,
     ref_idx = refs.pop()
     idx = [i for i, _, _ in rstd_m]
     meas = np.array([m for _, _, m in rstd_m], dtype=float)
-    _check_geometry(anchors[idx + [ref_idx]], len(meas), "tdoa", options)
+    least = 3
+    _check_geometry(anchors[idx + [ref_idx]], len(meas), "tdoa", least, options)
     if x0 is None:
         x0 = init_guess(anchors, fix_height=options.fix_height)
 
@@ -544,8 +544,7 @@ def tdoa_solve(anchors, rstd_m, options: SolverOptions | None = None,
         return _TdoaProblem(anchors[rows], anchors[ref_idx], meas[list(active)],
                             options.fix_height)
 
-    return _solve_with_trim(build, len(meas), x0, options,
-                            MIN_MEASUREMENTS["tdoa"])
+    return _solve_with_trim(build, len(meas), x0, options, least)
 
 
 def rtt_solve(anchors, ranges_m, options: SolverOptions | None = None,
@@ -557,7 +556,8 @@ def rtt_solve(anchors, ranges_m, options: SolverOptions | None = None,
         raise SolverError("no measurements")
     idx = [i for i, _ in ranges_m]
     meas = np.array([m for _, m in ranges_m], dtype=float)
-    _check_geometry(anchors[idx], len(meas), "rtt", options)
+    least = 3
+    _check_geometry(anchors[idx], len(meas), "rtt", least, options)
     if x0 is None:
         x0 = init_guess(anchors[idx], fix_height=options.fix_height)
 
@@ -568,8 +568,7 @@ def rtt_solve(anchors, ranges_m, options: SolverOptions | None = None,
     # the trilateration mirror ambiguity resolves toward the lower objective
     # of the closed-form and x0 runs; a start off the area, or no converged
     # in-area run, falls back to the coarse scan
-    return _solve_with_trim(build, len(meas), x0, options,
-                            MIN_MEASUREMENTS["rtt"], _solve_ranges)
+    return _solve_with_trim(build, len(meas), x0, options, least, _solve_ranges)
 
 
 def aoa_solve(anchors, angles, options: SolverOptions | None = None,
@@ -589,7 +588,8 @@ def aoa_solve(anchors, angles, options: SolverOptions | None = None,
     use_zen = all(z is not None for z in zen_vals)
     zen = np.array(zen_vals, dtype=float) if use_zen else None
     # collinear anchors are fine for bearings; parallel bearings are not
-    _check_geometry(anchors[idx], len(az), "aoa", options, check_collinear=False)
+    least = 2
+    _check_geometry(anchors[idx], len(az), "aoa", least, options, check_collinear=False)
     if np.all(np.abs(wrap_deg((az - az[0]) * 2.0)) < 1e-9):
         raise SolverError("parallel bearings have no unique intersection")
     if x0 is None:
@@ -600,62 +600,54 @@ def aoa_solve(anchors, angles, options: SolverOptions | None = None,
         z = zen[list(active)] if use_zen else None
         return _AngleProblem(anchors[rows], az[list(active)], z, options.fix_height)
 
-    return _solve_with_trim(build, len(az), x0, options,
-                            MIN_MEASUREMENTS["aoa"], _solve_bearings)
+    return _solve_with_trim(build, len(az), x0, options, least, _solve_bearings)
 
 
 BEARING_TOP_BEAMS = 3
 
 
-def beam_bearing(beams) -> tuple[float, float, bool]:
+def beam_bearing(beams) -> tuple[float, bool]:
     """Departure bearing from per-beam powers.
 
-    beams is a list of (azimuth_deg, zenith_deg, rsrp_dbm). The bearing is
-    the power-weighted circular mean of the BEARING_TOP_BEAMS strongest
-    beams. Returns (azimuth, zenith, low_confidence); confidence drops when
-    the top beams are indistinguishable, which carries no direction
-    information.
+    beams is a list of (azimuth_deg, rsrp_dbm). The bearing is the
+    power-weighted circular mean of the BEARING_TOP_BEAMS strongest beams.
+    Returns (azimuth, low_confidence); confidence drops when the top beams
+    are indistinguishable, which carries no direction information.
     """
     if not beams:
         raise SolverError("no beams")
-    ordered = sorted(beams, key=lambda b: b[2], reverse=True)[:BEARING_TOP_BEAMS]
-    powers = np.array([10.0 ** (b[2] / 10.0) for b in ordered])
+    ordered = sorted(beams, key=lambda b: b[1], reverse=True)[:BEARING_TOP_BEAMS]
+    powers = np.array([10.0 ** (b[1] / 10.0) for b in ordered])
     az = np.deg2rad([b[0] for b in ordered])
-    zen = np.array([b[1] for b in ordered])
     w = powers / powers.sum()
     vec = np.array([np.sum(w * np.cos(az)), np.sum(w * np.sin(az))])
     az_mean = math.degrees(math.atan2(vec[1], vec[0]))
-    zen_mean = float(np.sum(w * zen))
     spread = (powers.max() - powers.min()) / powers.max() if len(powers) > 1 else 1.0
     low_confidence = len(beams) < 2 or spread < 1e-3
-    return az_mean, zen_mean, low_confidence
+    return az_mean, low_confidence
 
 
 def aod_solve(anchors, beam_rsrp, options: SolverOptions | None = None,
               x0=None) -> PositionFix:
     """Departure-angle solve from per-TRP beam power reports.
 
-    beam_rsrp maps anchor_index -> list of (beam azimuth, beam zenith,
-    rsrp_dbm). Single-beam or flat-response TRPs carry no usable bearing
-    and are dropped.
+    beam_rsrp maps anchor_index -> list of (beam azimuth, rsrp_dbm).
+    Single-beam or flat-response TRPs carry no usable bearing and are
+    dropped. The reports carry no zenith, so the bearings are azimuths
+    alone.
     """
     options = options or SolverOptions()
     angles = []
     for anchor_idx, beams in beam_rsrp.items():
-        if len(beams) < 2:
-            continue
-        az, zen, low_conf = beam_bearing(beams)
-        if low_conf:
-            continue
-        # a sweep with one common zenith carries no elevation information
-        zen_spread = max(b[1] for b in beams) - min(b[1] for b in beams)
-        angles.append((anchor_idx, az, zen if zen_spread > 1e-6 else None))
-    if len(angles) < MIN_MEASUREMENTS["aod"]:
+        az, low_conf = beam_bearing(beams)
+        if not low_conf:
+            angles.append((anchor_idx, az, None))
+    if len(angles) < 2:
         raise SolverError("not enough TRPs with usable beam reports")
     return aoa_solve(anchors, angles, options, x0=x0)
 
 
-def gdop(anchors, position, method: str, ref_index: int | None = None,
+def gdop(anchors, position, method: str, ref_index: int = 0,
          fix_height: float | None = 1.5) -> float:
     """sqrt(trace((J^T J)^-1)) of the method's measurement Jacobian.
 
@@ -664,15 +656,13 @@ def gdop(anchors, position, method: str, ref_index: int | None = None,
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     position = np.asarray(position, dtype=float)
     if method == "tdoa":
-        if ref_index is None:
-            ref_index = 0
         rows = [i for i in range(len(anchors)) if i != ref_index]
         problem = _TdoaProblem(anchors[rows], anchors[ref_index],
                                np.zeros(len(rows)), fix_height)
     elif method == "rtt":
         problem = _RangeProblem(anchors, np.zeros(len(anchors)), fix_height)
     elif method in ("aoa", "aod"):
-        # a beam sweep at one zenith gives aod_solve azimuths only
+        # DL-AoD reports carry no zenith: aod_solve has azimuths only
         zenith = np.zeros(len(anchors)) if method == "aoa" else None
         problem = _AngleProblem(anchors, np.zeros(len(anchors)), zenith, fix_height)
     else:

@@ -146,7 +146,8 @@ def beam_amplitudes(sim, links):
 
 def aod_stage(sim, links, drop_idx):
     """The per-(TRP, beam) reports `Simulator._aod_stage` gave, from the
-    simulator's own channel matrix and RE sets."""
+    simulator's own channel matrix and RE sets: each TRP's reported powers
+    in dBm, in beam order."""
     cfg = sim.config
     rng = substream(cfg.master_seed, "rsrp", drop_idx)
     h = sim._channel_matrix(links)
@@ -154,11 +155,11 @@ def aod_stage(sim, links, drop_idx):
     std = 0.0 if sim.dl_noise is None else noise_amplitude(sim.dl_noise) / np.sqrt(2.0)
     power = sweep_powers(sim._dl_sets, sweep_factors(sim, h), amps, cfg.interference, rng, std)
     reports = {}
-    for t, beam_az, beams in zip(sim.trps, beam_azimuths(sim), power):
+    for t, beams in zip(sim.trps, power):
         rows = reports[t.trp_id] = []
-        for az, p in zip(beam_az, beams):
+        for p in beams:
             rsrp_dbm = power_dbm(float(p))
             if cfg.quantize:
                 rsrp_dbm = float(reported_power_dbm(rsrp_dbm))
-            rows.append((az, 95.0, rsrp_dbm))
+            rows.append(rsrp_dbm)
     return reports

@@ -9,7 +9,7 @@ from pydantic import ValidationError
 
 from nrpos.config import dump_config, load_config, preset_config
 from nrpos.experiments import run_experiment
-from nrpos.measurements import K_RANGE
+from nrpos.measurements import K_RANGE, MAX_SAMPLES
 
 
 def test_dump_load_round_trip(tmp_path):
@@ -43,6 +43,14 @@ def test_timing_k_follows_the_reporting_range():
     for name in ("ioo-fr1", "ioo-fr2"):
         config = preset_config(name)
         assert config.effective_timing_k == K_RANGE[config.fr][0]
+
+
+def test_n_samples_follows_the_sample_limit():
+    """n_samples is bounded by the samples `measurements.aggregate_samples`
+    averages, `measurements.MAX_SAMPLES`."""
+    assert preset_config("ioo-fr1", n_samples=MAX_SAMPLES).n_samples == MAX_SAMPLES
+    with pytest.raises(ValidationError, match="less than or equal to"):
+        preset_config("ioo-fr1", n_samples=MAX_SAMPLES + 1)
 
 
 def test_min_trps_may_not_exceed_n_best_trps():

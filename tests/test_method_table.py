@@ -1,0 +1,102 @@
+"""The method table is the one place that knows the positioning methods:
+it covers `config.METHODS`, `solve_records` fails on what it cannot
+solve with a `SolverError`, and no other module of src/nrpos dispatches
+on a method name."""
+
+import ast
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from nrpos.config import METHODS, preset_config
+from nrpos.simulate import METHOD_TABLE, Simulator, solve_records
+from nrpos.solvers import SolverError
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nrpos"
+# the module that defines the names, and the table that maps them
+ALLOWED_MODULES = {"config.py"}
+TABLE = "METHOD_TABLE"
+
+
+def test_table_covers_the_methods_in_order():
+    assert tuple(METHOD_TABLE) == METHODS
+
+
+def test_unknown_method_is_a_solver_error():
+    sim = Simulator(preset_config("ioo-fr1", n_prb=24, n_drops=1))
+    records = sim.run_drop(0).records
+    with pytest.raises(SolverError, match="unknown method"):
+        solve_records(records, sim.anchors, "fingerprint", sim.options)
+
+
+def test_dl_aod_solve_needs_the_beam_table():
+    sim = Simulator(preset_config("ioo-fr1", method="dl-aod", n_prb=24, n_drops=1))
+    records = sim.run_drop(0).records
+    assert records
+    with pytest.raises(SolverError, match="beam table"):
+        solve_records(records, sim.anchors, "dl-aod", sim.options)
+    # a report naming a beam the table does not hold, as a record file may
+    for beam in (-1, sim.config.n_beams):
+        stray = replace(records[0], resource_id=beam)
+        with pytest.raises(SolverError, match=f"has no beam {beam}"):
+            solve_records([stray, *records], sim.anchors, "dl-aod", sim.options, sim.beams)
+
+
+def method_dispatch(source: str) -> list[str]:
+    """Places that compare a value against a method-name literal, match
+    one, or key a dict display or a lookup by one, outside the assignment
+    of TABLE."""
+    tree = ast.parse(source)
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and any(
+                isinstance(t, ast.Name) and t.id == TABLE
+                for t in (node.targets if isinstance(node, ast.Assign) else [node.target])):
+            exempt.update(id(n) for n in ast.walk(node))
+
+    def names(*nodes):
+        return [n.value for root in nodes if root is not None for n in ast.walk(root)
+                if isinstance(n, ast.Constant) and n.value in METHODS]
+
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Compare):
+            hits = names(node.left, *node.comparators)
+        elif isinstance(node, ast.Dict):
+            hits = names(*node.keys)
+        elif isinstance(node, ast.Subscript):
+            hits = names(node.slice)
+        elif isinstance(node, ast.MatchValue):
+            hits = names(node.value)
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in hits]
+    return found
+
+
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name not in ALLOWED_MODULES)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_method_dispatch_outside_the_table(path):
+    assert method_dispatch(path.read_text()) == []
+
+
+def test_guard_sees_method_dispatch():
+    source = (
+        "METHOD_TABLE = {'dl-tdoa': 1, 'ul-aoa': 2}\n"
+        "KINDS = {'ul-tdoa': 'tdoa'}\n"
+        "def f(method, spec):\n"
+        "    if method == 'multi-rtt' or method in ('dl-aod', 'x'):\n"
+        "        return {'method': 'dl-tdoa'}\n"
+        "    match method:\n"
+        "        case 'ul-aoa':\n"
+        "            return spec == METHOD_TABLE[method]\n"
+        "    return METHOD_TABLE['dl-aod'].solve\n"
+    )
+    assert sorted(method_dispatch(source)) == [
+        "dl-aod (line 4)", "dl-aod (line 9)", "multi-rtt (line 4)", "ul-aoa (line 7)",
+        "ul-tdoa (line 2)"]

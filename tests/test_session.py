@@ -190,13 +190,14 @@ class TestDlTdoa:
         assert np.linalg.norm(results[uid].fix.position[:2] - drop.truth[:2]) < 3.0
 
     def test_rstd_reports_carry_resource_reference(self):
-        # the reference is the one the UE's records name: its strongest TRP
+        # the reference is the one the UE's records name: its strongest TRP.
+        # The report is the record kinds' entries alone.
         transport, lmf, gnbs, ues, outcomes = make_world("dl-tdoa")
         _, trace = run_dl_tdoa(lmf, ues, transport, list(lmf.anchors))
         report = next(e for e in trace if e["kind"] == "LppProvideLocationInformation")
         payload = report["payload"]
         ref = strongest_trps(outcomes["ue:0"].records)[0]
-        assert payload["ref_trp_id"] == ref
+        assert set(payload) == {"method", "rstd", "prs_rsrp"}
         assert payload["rstd"]
         for entry in payload["rstd"]:
             assert entry["ref_trp_id"] == ref

@@ -274,9 +274,12 @@ def test_aod_sweep_matches_the_per_beam_oracle(preset, overrides):
     per-link and per-(TRP, beam) loops of `sweep_oracle`, bit for bit:
     every link and every beam report of the first drops. Unquantized
     reports carry each power's last bit; comb 2 puts 10 and 11 TRPs on
-    one RE set."""
+    one RE set. The beam table holds the oracle's beam azimuths."""
     n = 6
     sim = Simulator(preset_config(preset, method="dl-aod", n_drops=n, **overrides))
+    assert list(sim.beams) == list(sim.anchors)
+    for beams, az in zip(sim.beams.values(), sweep_oracle.beam_azimuths(sim)):
+        assert np.array_equal(beams, az)
     for d in range(n):
         links = sim._links(d, sim.ues[d])
         assert links == sweep_oracle.links(sim, d)
@@ -395,9 +398,22 @@ def test_written_records_resolve_to_the_drop_fix(method, tmp_path):
     outcome = next(o for o in map(sim.run_drop, range(4)) if o.converged)
     path = tmp_path / "records.jsonl"
     write_records(outcome.records, path)
-    fix = solve_records(read_records(path), sim.anchors, method, sim.options)
+    fix = solve_records(read_records(path), sim.anchors, method, sim.options, sim.beams)
     assert np.array_equal(fix.position, outcome.fix.position)
     assert fix.residual_rms == outcome.fix.residual_rms
+
+
+def test_dl_aod_reports_name_a_beam_and_carry_its_power_alone():
+    """A DL-AoD report is a PRS-RSRP whose resource is a beam of its TRP;
+    the beam's direction is in the simulator's beam table, not the
+    report."""
+    sim = Simulator(preset_config("ioo-fr1", method="dl-aod", n_prb=24, n_drops=4))
+    records = [r for d in range(4) for r in sim.run_drop(d).records]
+    assert records and {r.kind for r in records} == {"PRS_RSRP"}
+    for r in records:
+        assert set(r.payload) == {"value_dbm"}
+        assert r.resource_id in range(sim.config.n_beams)
+        assert len(sim.beams[r.trp_id]) == sim.config.n_beams
 
 
 def test_cdf_cells_are_plain_numbers(tmp_path):

@@ -70,12 +70,7 @@ def symmetric_beam_rsrp(anchors, ue, spacing_deg=10.0):
     for i, a in enumerate(anchors):
         v = ue - a
         az = math.degrees(math.atan2(v[1], v[0]))
-        zen = math.degrees(math.acos(v[2] / np.linalg.norm(v)))
-        reports[i] = [
-            (az - spacing_deg, zen, -90.0),
-            (az, zen, -80.0),
-            (az + spacing_deg, zen, -90.0),
-        ]
+        reports[i] = [(az - spacing_deg, -90.0), (az, -80.0), (az + spacing_deg, -90.0)]
     return reports
 
 
@@ -285,17 +280,16 @@ class TestAngleNoisePropagation:
 
 class TestBeamBearing:
     def test_boresight_symmetry(self):
-        az, zen, low = beam_bearing([(-10, 95, -90.0), (0, 95, -80.0), (10, 95, -90.0)])
+        az, low = beam_bearing([(-10, -90.0), (0, -80.0), (10, -90.0)])
         assert az == pytest.approx(0.0, abs=1e-9)
-        assert zen == pytest.approx(95.0)
         assert not low
 
     def test_flat_rsrp_flagged(self):
-        _, _, low = beam_bearing([(-10, 95, -80.0), (0, 95, -80.0), (10, 95, -80.0)])
+        _, low = beam_bearing([(-10, -80.0), (0, -80.0), (10, -80.0)])
         assert low
 
     def test_wraparound(self):
-        az, _, _ = beam_bearing([(170, 95, -90.0), (180, 95, -80.0), (-170, 95, -90.0)])
+        az, _ = beam_bearing([(170, -90.0), (180, -80.0), (-170, -90.0)])
         assert wrap_deg(az - 180.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_single_beam_trp_dropped(self):
@@ -309,7 +303,7 @@ class TestBeamBearing:
     def test_not_enough_usable_trps(self):
         anchors = np.array([[0, 0, 3], [100, 0, 3]], dtype=float)
         with pytest.raises(SolverError):
-            aod_solve(anchors, {0: [(0.0, 95.0, -80.0)], 1: [(10.0, 95.0, -80.0)]}, OPT2D)
+            aod_solve(anchors, {0: [(0.0, -80.0)], 1: [(10.0, -80.0)]}, OPT2D)
 
 
 def spy(monkeypatch, name):
@@ -657,8 +651,8 @@ class TestGdop:
         assert abs(xs[j]) < 6 and abs(xs[i]) < 6
 
     def test_aod_has_no_zenith_rows(self):
-        """A DL-AoD sweep at one zenith gives `aod_solve` azimuths only, so the
-        method's GDOP is that of the azimuth rows alone. Zenith rows add
+        """DL-AoD reports carry no zenith, so `aod_solve` has azimuths only
+        and the method's GDOP is that of the azimuth rows alone. Zenith rows add
         information: the angle GDOP with them is lower."""
         anchors = square_anchors(z=25.0)
         p = np.array([10.0, 5.0, 1.5])
