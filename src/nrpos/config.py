@@ -26,7 +26,6 @@ class ChannelOverrides(BaseModel):
     model_config = ConfigDict(extra="forbid")
 
     force_los: Optional[bool] = None
-    ideal: Optional[bool] = None
     n_taps: Optional[int] = Field(None, ge=1, le=32)
     tap_decay_s: Optional[float] = Field(None, gt=0)
     los_k_db: Optional[float] = None

@@ -7,7 +7,7 @@ records that carry them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -350,13 +350,13 @@ _BEAM_KINDS = ("RSTD", "PRS_RSRP")
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """One reported measurement with its quantized and raw payloads."""
+    """One reported measurement: its kind, the TRP and resource it was
+    measured on, and its reported (quantized) values."""
 
     kind: str
     trp_id: int
     payload: dict
     resource_id: int | None = None
-    raw: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in RECORD_KINDS:
@@ -364,37 +364,29 @@ class MeasurementRecord:
         if self.kind in _BEAM_KINDS and self.resource_id is None:
             raise ValueError(f"{self.kind} reports need a resource (beam) id")
 
-    def to_json(self) -> str:
-        doc = {
-            "kind": self.kind,
-            "trp_id": self.trp_id,
-            "resource_id": self.resource_id,
-            "payload": self.payload,
-            "raw": self.raw,
-        }
-        return json.dumps(doc, sort_keys=False)
+    def to_dict(self) -> dict:
+        """The record as a record file's line and a session report's entry
+        carry it."""
+        return {"kind": self.kind, "trp_id": self.trp_id,
+                "resource_id": self.resource_id, "payload": self.payload}
 
     @classmethod
-    def from_json(cls, line: str) -> "MeasurementRecord":
-        doc = json.loads(line)
-        return cls(
-            kind=doc["kind"],
-            trp_id=doc["trp_id"],
-            payload=doc["payload"],
-            resource_id=doc.get("resource_id"),
-            raw=doc.get("raw", {}),
-        )
+    def from_dict(cls, doc: dict) -> "MeasurementRecord":
+        """Reads the four keys `to_dict` writes and ignores any other, such
+        as the `raw` key of older record files."""
+        return cls(kind=doc["kind"], trp_id=doc["trp_id"], payload=doc["payload"],
+                   resource_id=doc.get("resource_id"))
 
 
 def write_records(records, path):
     with open(path, "w") as fh:
         for rec in records:
-            fh.write(rec.to_json() + "\n")
+            fh.write(json.dumps(rec.to_dict()) + "\n")
 
 
 def read_records(path) -> list[MeasurementRecord]:
     with open(path) as fh:
-        return [MeasurementRecord.from_json(line) for line in fh if line.strip()]
+        return [MeasurementRecord.from_dict(json.loads(line)) for line in fh if line.strip()]
 
 
 def timing_record(kind: str, trp_id: int, t_seconds: float, k: int, fr: str,
@@ -406,8 +398,7 @@ def timing_record(kind: str, trp_id: int, t_seconds: float, k: int, fr: str,
     payload = {"value_tc": value_tc, "k": k, "fr": fr}
     if extra:
         payload.update(extra)
-    return MeasurementRecord(kind=kind, trp_id=trp_id, resource_id=resource_id,
-                             payload=payload, raw={"seconds": t_seconds})
+    return MeasurementRecord(kind=kind, trp_id=trp_id, resource_id=resource_id, payload=payload)
 
 
 def record_seconds(record: MeasurementRecord) -> float:

@@ -1,20 +1,24 @@
 """Location-session procedure flows replayed as message-passing state
-machines: a location server drives round-trip-time and downlink
-time-difference sessions against radio nodes over an in-memory transport,
-producing an auditable message trace.
+machines: a location server (`Lmf`) drives one session per terminal
+against radio nodes over an in-memory transport, producing an auditable
+message trace.
 
 Message bodies are JSON-friendly dicts; the trace file is JSON lines with
 a stable field order (seq, kind, from, to, timestamp, payload), which is
 the contract for replay tooling.
 
-The nodes answer from a simulated drop's `MeasurementRecord`s: a `Ue`
-holds its own records, a `Gnb` holds each UE's records, and a TRP with no
-record is left out of the report. A UE or gNB report carries the record
-kinds the method's entry of `simulate.METHOD_TABLE` names for it, each
-kind's entries under its lower-case name (`ue_rxtx`, `rstd`, ...) and
-each entry the payload of one record, so the live server and trace replay
-both solve with `simulate.solve_records`, the solver of batch runs, and a
-session fix is the drop's fix.
+There is one session flow, and the method's entry of
+`simulate.METHOD_TABLE` decides its legs. A method with gNB report kinds
+first asks the radio nodes for their TRPs and sounding configuration;
+then the UE reports its kinds; and the radio nodes report theirs last. A
+method whose entry names no UE report kinds has no session. The nodes
+answer from a simulated drop's `MeasurementRecord`s: a `Ue` holds its own
+records, a `Gnb` holds each UE's records, and a TRP with no record is
+left out of the report. Every report carries `{"records": [...]}`, each
+entry a record as `MeasurementRecord.to_dict` writes it to a record file,
+so the live server and trace replay read the same records back and solve
+them with `simulate.solve_records`, the solver of batch runs: a session
+fix is the drop's fix.
 """
 
 from __future__ import annotations
@@ -180,14 +184,16 @@ class Node:
         raise NotImplementedError
 
 
-def _report_entries(records, kinds, trp_ids) -> dict[str, list[dict]]:
-    """Report entries of the records of each kind on the given TRPs, under
-    the kind's lower-case name, in record order: each record's payload,
-    tagged with its TRP."""
+def _report(records, kinds, trp_ids) -> list[dict]:
+    """The records of the given kinds on the given TRPs, in record order,
+    as a report carries them."""
     wanted = set(trp_ids)
-    return {kind.lower(): [{"trp_id": r.trp_id, **r.payload} for r in records
-                           if r.kind == kind and r.trp_id in wanted]
-            for kind in kinds}
+    return [r.to_dict() for r in records if r.kind in kinds and r.trp_id in wanted]
+
+
+def _records(reports) -> list[MeasurementRecord]:
+    """The records that reports carry, in report order."""
+    return [MeasurementRecord.from_dict(doc) for report in reports for doc in report["records"]]
 
 
 class Ue(Node):
@@ -210,12 +216,10 @@ class Ue(Node):
             self.assistance = msg.payload
         elif msg.kind == "LppRequestLocationInformation":
             method = msg.payload["method"]
-            spec = METHOD_TABLE.get(method)
-            if spec is None or not spec.ue_report:
-                raise ProtocolError(f"unsupported method {method}")
-            body = {"method": method,
-                    **_report_entries(self.records, spec.ue_report, msg.payload["trp_ids"])}
-            self.send("LppProvideLocationInformation", msg.sender, body)
+            kinds = METHOD_TABLE[method].ue_report
+            self.send("LppProvideLocationInformation", msg.sender,
+                      {"method": method,
+                       "records": _report(self.records, kinds, msg.payload["trp_ids"])})
         else:
             raise ProtocolError(f"UE cannot handle {msg.kind}")
 
@@ -247,7 +251,7 @@ class Gnb(Node):
             kinds = METHOD_TABLE[msg.payload["method"]].gnb_report
             self.send("NrppaMeasurementResponse", msg.sender,
                       {"ue_id": ue_id,
-                       **_report_entries(self.records.get(ue_id, ()), kinds, self.trp_ids)})
+                       "records": _report(self.records.get(ue_id, ()), kinds, self.trp_ids)})
         else:
             raise ProtocolError(f"gNB cannot handle {msg.kind}")
 
@@ -260,42 +264,52 @@ class SessionResult:
 
 
 class Lmf(Node):
+    """The location server: holds the TRPs' anchors and, for DL-AoD, their
+    beam table (`Simulator.beams`), and solves each session's reports."""
+
     role = "lmf"
 
     def __init__(self, node_id: str, anchors: dict[int, np.ndarray],
                  solver_options: SolverOptions | None = None,
-                 timeout_s: float = DEFAULT_TIMEOUT_S):
+                 timeout_s: float = DEFAULT_TIMEOUT_S, beams=None):
         super().__init__(node_id)
         self.anchors = {t: np.asarray(p, dtype=float) for t, p in anchors.items()}
         self.options = solver_options or SolverOptions()
         self.timeout_s = timeout_s
+        self.beams = beams
         self.sessions: dict[str, dict] = {}
         self.results: dict[str, SessionResult] = {}
 
-    # -- session drivers
-
-    def start_multi_rtt(self, ue_id: str, gnb_ids):
+    def start(self, ue_id: str, method: str, gnb_ids=(), trp_ids=()):
+        """Open a session of method for the UE. With the method's gNB
+        report kinds, the radio nodes gnb_ids first give their TRPs, then
+        the UE reports and those nodes report last; without, the UE's
+        report ends the session. The UE is asked for trp_ids and the radio
+        nodes' TRPs, or for every anchor when that list is empty. A method
+        with no UE report kinds has no session."""
+        spec = METHOD_TABLE.get(method)
+        if spec is None or not spec.ue_report:
+            raise ProtocolError(f"unsupported method {method}")
+        gnb_ids = list(gnb_ids) if spec.gnb_report else []
         self.sessions[ue_id] = {
-            "method": "multi-rtt",
-            "gnbs": list(gnb_ids),
-            "pending_info": set(gnb_ids),
-            "pending_meas": set(gnb_ids),
-            "report": None,
-            "gnb_reports": [],
-            "trp_ids": [],
+            "method": method,
+            "gnbs": gnb_ids,
+            "pending": set(gnb_ids),
+            "trp_ids": list(trp_ids),
+            "reports": [],
             "done": False,
         }
         for g in gnb_ids:
             self.send("NrppaPositioningInformationRequest", g, {"ue_id": ue_id})
+        if not gnb_ids:
+            self._request_location(ue_id)
         self.transport.schedule(self.timeout_s, lambda: self._timeout(ue_id))
 
-    def start_dl_tdoa(self, ue_id: str, trp_ids):
-        """The UE measures the given TRPs against a reference it picks."""
-        self.sessions[ue_id] = {"method": "dl-tdoa", "report": None, "done": False}
+    def _request_location(self, ue_id: str):
+        s = self.sessions[ue_id]
         self.send("LppProvideAssistanceData", ue_id, self._assistance())
         self.send("LppRequestLocationInformation", ue_id,
-                  {"method": "dl-tdoa", "trp_ids": list(trp_ids)})
-        self.transport.schedule(self.timeout_s, lambda: self._timeout(ue_id))
+                  {"method": s["method"], "trp_ids": s["trp_ids"] or list(self.anchors)})
 
     def _assistance(self) -> dict:
         return {"trp_ids": list(self.anchors)}
@@ -313,34 +327,23 @@ class Lmf(Node):
         if msg.kind == "NrppaPositioningInformationResponse":
             ue_id = msg.payload["ue_id"]
             s = self.sessions[ue_id]
-            s["pending_info"].discard(msg.sender)
+            s["pending"].discard(msg.sender)
             s["trp_ids"].extend(msg.payload["trp_ids"])
-            if not s["pending_info"]:
-                # all radio nodes configured: provide assistance, ask the UE
-                self.send("LppProvideAssistanceData", ue_id, self._assistance())
-                self.send("LppRequestLocationInformation", ue_id,
-                          {"method": s["method"], "trp_ids": s["trp_ids"]})
-        elif msg.kind == "LppProvideLocationInformation":
-            ue_id = msg.sender
+            if not s["pending"]:
+                self._request_location(ue_id)
+        elif msg.kind in ("LppProvideLocationInformation", "NrppaMeasurementResponse"):
+            ue_id = msg.payload.get("ue_id", msg.sender)  # a UE's report is its own
             s = self.sessions[ue_id]
             if s["done"]:
                 return
-            s["report"] = msg.payload
-            if METHOD_TABLE[s["method"]].gnb_report:
-                # UE report first, then collect the radio-node side
+            s["reports"].append(msg.payload)
+            if msg.kind == "LppProvideLocationInformation":
+                # the UE reports first, then the radio nodes
+                s["pending"] = set(s["gnbs"])
                 for g in s["gnbs"]:
-                    self.send("NrppaMeasurementRequest", g,
-                              {"ue_id": ue_id, "method": s["method"]})
-            else:
-                self._solve(ue_id)
-        elif msg.kind == "NrppaMeasurementResponse":
-            ue_id = msg.payload["ue_id"]
-            s = self.sessions[ue_id]
-            if s["done"]:
-                return
-            s["pending_meas"].discard(msg.sender)
-            s["gnb_reports"].append(msg.payload)
-            if not s["pending_meas"]:
+                    self.send("NrppaMeasurementRequest", g, {"ue_id": ue_id, "method": s["method"]})
+            s["pending"].discard(msg.sender)
+            if not s["pending"]:
                 self._solve(ue_id)
         elif msg.kind == "LppRequestAssistanceData":
             if "ue_id" not in msg.payload:
@@ -349,14 +352,12 @@ class Lmf(Node):
         else:
             raise ProtocolError(f"LMF cannot handle {msg.kind}")
 
-    # -- solving
-
     def _solve(self, ue_id: str):
         s = self.sessions[ue_id]
         s["done"] = True
-        records = _report_records(s["report"], s.get("gnb_reports", ()))
         try:
-            fix = solve_records(records, self.anchors, s["method"], self.options)
+            fix = solve_records(_records(s["reports"]), self.anchors, s["method"],
+                                self.options, self.beams)
         except SolverError as exc:
             # one UE's unsolvable report must not end the other sessions
             self.transport.record_abort(ue_id, str(exc))
@@ -365,40 +366,14 @@ class Lmf(Node):
         self.results[ue_id] = SessionResult(ue_id=ue_id, status="fixed", fix=fix)
 
 
-def _report_records(report: dict, gnb_reports) -> list[MeasurementRecord]:
-    """One UE's location report, plus the gNB reports of its session, as
-    measurement records whose payloads are the report entries, of the
-    kinds the method's table entry names; each entry's TRP doubles as its
-    resource id."""
-    spec = METHOD_TABLE[report["method"]]
-    parts = [(kind, report[kind.lower()]) for kind in spec.ue_report]
-    parts += [(kind, g[kind.lower()]) for g in gnb_reports for kind in spec.gnb_report]
-    return [
-        MeasurementRecord(kind=kind, trp_id=e["trp_id"], resource_id=e["trp_id"], payload=e)
-        for kind, entries in parts
-        for e in entries
-    ]
-
-
-def run_multi_rtt(lmf: Lmf, gnbs, ues, transport: Transport):
-    """Drive one round-trip-time session per UE; returns (results, trace)."""
+def run_sessions(lmf: Lmf, method: str, ues, transport: Transport, gnbs=(), trp_ids=()):
+    """Drive one session of method per UE, as `Lmf.start` opens it;
+    returns (results, trace)."""
     for node in [lmf, *gnbs, *ues]:
         if node.transport is not transport:
             transport.register(node)
     for ue in ues:
-        lmf.start_multi_rtt(ue.node_id, [g.node_id for g in gnbs])
-    transport.run()
-    return dict(lmf.results), list(transport.trace)
-
-
-def run_dl_tdoa(lmf: Lmf, ues, transport: Transport, trp_ids):
-    """Drive one downlink time-difference session per UE over trp_ids;
-    returns (results, trace)."""
-    for node in [lmf, *ues]:
-        if node.transport is not transport:
-            transport.register(node)
-    for ue in ues:
-        lmf.start_dl_tdoa(ue.node_id, trp_ids)
+        lmf.start(ue.node_id, method, [g.node_id for g in gnbs], trp_ids)
     transport.run()
     return dict(lmf.results), list(transport.trace)
 
@@ -420,26 +395,22 @@ def load_trace(path) -> list[dict]:
 
 
 def replay_solve(trace: list[dict], anchors: dict[int, np.ndarray],
-                 options: SolverOptions) -> dict[str, object]:
-    """Re-run the solver on measurement reports extracted from a trace.
+                 options: SolverOptions, beams=None) -> dict[str, object]:
+    """Re-run the solver on the measurement reports of a trace.
 
-    Produces exactly the live fixes: the same records feed the same solver,
-    and a UE whose solve fails, aborted live, gets no fix.
+    Produces exactly the live fixes: each UE's reports arrive in trace
+    order and give the same records to the same solver, and a session the
+    trace shows aborted, for a timeout or a failed solve, gets no fix.
     """
-    fixes: dict[str, object] = {}
-    ue_reports: dict[str, dict] = {}
-    gnb_reports: dict[str, list] = {}
+    sessions: dict[str, tuple[str, list]] = {}
+    aborted = set()
     for entry in trace:
-        if entry["kind"] == "LppProvideLocationInformation":
-            ue_reports[entry["from"]] = entry["payload"]
-        elif entry["kind"] == "NrppaMeasurementResponse":
-            gnb_reports.setdefault(entry["payload"]["ue_id"], []).append(entry["payload"])
-    for ue_id, payload in ue_reports.items():
-        if METHOD_TABLE[payload["method"]].gnb_report and ue_id not in gnb_reports:
-            continue
-        records = _report_records(payload, gnb_reports.get(ue_id, ()))
-        try:
-            fixes[ue_id] = solve_records(records, anchors, payload["method"], options)
-        except SolverError:
-            continue
-    return fixes
+        kind, payload = entry["kind"], entry["payload"]
+        if kind == "LppProvideLocationInformation":
+            sessions[entry["from"]] = (payload["method"], [payload])
+        elif kind == "NrppaMeasurementResponse":
+            sessions[payload["ue_id"]][1].append(payload)
+        elif kind == ABORT_KIND:
+            aborted.add(payload["ue_id"])
+    return {ue_id: solve_records(_records(reports), anchors, method, options, beams)
+            for ue_id, (method, reports) in sessions.items() if ue_id not in aborted}

@@ -780,7 +780,6 @@ class Simulator:
                 kind=kind, trp_id=t, resource_id=t if kind == "PRS_RSRP" else None,
                 payload={"value_dbm": reported_power_dbm(rsrp[t])
                          if self.config.quantize else rsrp[t]},
-                raw={"dbm": rsrp[t]},
             )
             for t in trp_ids
         ]
@@ -936,8 +935,17 @@ METHOD_TABLE = {
     "multi-rtt": MethodSpec(Simulator._multi_rtt_records, _solve_multi_rtt, "rtt", 3, True,
                             ("UE_RXTX",), ("GNB_RXTX",)),
     "ul-aoa": MethodSpec(Simulator._ul_aoa_records, _solve_ul_aoa, "aoa", 2, True),
-    "dl-aod": MethodSpec(Simulator._dl_aod_records, _solve_dl_aod, "aod", 2, False),
+    "dl-aod": MethodSpec(Simulator._dl_aod_records, _solve_dl_aod, "aod", 2, False,
+                         ("PRS_RSRP",)),
 }
+
+
+class _AnchorIndex(dict):
+    """Anchor row of each trp_id; a record naming a TRP with no anchor
+    fails the solve."""
+
+    def __missing__(self, trp_id):
+        raise SolverError(f"no anchor for TRP {trp_id}")
 
 
 def solve_records(records, anchors, method: str, options: SolverOptions, beams=None):
@@ -952,6 +960,6 @@ def solve_records(records, anchors, method: str, options: SolverOptions, beams=N
     """
     if method not in METHOD_TABLE:
         raise SolverError(f"unknown method {method!r}")
-    index = {t: i for i, t in enumerate(anchors)}
+    index = _AnchorIndex((t, i) for i, t in enumerate(anchors))
     xyz = np.array([anchors[t] for t in index], dtype=float)
     return METHOD_TABLE[method].solve(records, index, xyz, options, beams)

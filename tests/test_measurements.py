@@ -440,6 +440,20 @@ class TestRecords:
         assert back == records
         assert back[0].payload["ref_trp_id"] == 1
 
+    def test_reads_record_files_with_raw_values(self, tmp_path):
+        """Older record files also carry each record's unquantized value
+        under `raw`; a record reads only its four keys."""
+        path = tmp_path / "records.jsonl"
+        path.write_text(
+            '{"kind": "UL_RTOA", "trp_id": 2, "resource_id": null, '
+            '"payload": {"value_tc": 65, "k": 2, "fr": "fr1"}, "raw": {"seconds": 1e-8}}\n'
+            '{"kind": "AOA", "trp_id": 4, "payload": {"azimuth_deg": 12.5}}\n')
+        assert read_records(path) == [
+            MeasurementRecord(kind="UL_RTOA", trp_id=2,
+                              payload={"value_tc": 65, "k": 2, "fr": "fr1"}),
+            MeasurementRecord(kind="AOA", trp_id=4, payload={"azimuth_deg": 12.5}),
+        ]
+
     def test_beam_reports_need_resource(self):
         with pytest.raises(ValueError):
             MeasurementRecord(kind="RSTD", trp_id=0, payload={})

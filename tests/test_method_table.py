@@ -30,6 +30,17 @@ def test_unknown_method_is_a_solver_error():
         solve_records(records, sim.anchors, "fingerprint", sim.options)
 
 
+def test_record_without_anchor_is_a_solver_error():
+    """IOO FR1 DL-TDOA drop 0 against anchors that lack its strongest TRP,
+    which its time differences are measured against."""
+    sim = Simulator(preset_config("ioo-fr1", method="dl-tdoa", n_drops=1))
+    records = sim.run_drop(0).records
+    ref = records[0].trp_id
+    anchors = {t: p for t, p in sim.anchors.items() if t != ref}
+    with pytest.raises(SolverError, match=f"no anchor for TRP {ref}"):
+        solve_records(records, anchors, "dl-tdoa", sim.options)
+
+
 def test_dl_aod_solve_needs_the_beam_table():
     sim = Simulator(preset_config("ioo-fr1", method="dl-aod", n_prb=24, n_drops=1))
     records = sim.run_drop(0).records
@@ -44,9 +55,9 @@ def test_dl_aod_solve_needs_the_beam_table():
 
 
 def method_dispatch(source: str) -> list[str]:
-    """Places that compare a value against a method-name literal, match
-    one, or key a dict display or a lookup by one, outside the assignment
-    of TABLE."""
+    """Method-name literals outside the assignment of TABLE: wherever a
+    module names a method, in a test, a key, a value or an argument, it
+    dispatches on it."""
     tree = ast.parse(source)
     exempt = set()
     for node in ast.walk(tree):
@@ -54,27 +65,9 @@ def method_dispatch(source: str) -> list[str]:
                 isinstance(t, ast.Name) and t.id == TABLE
                 for t in (node.targets if isinstance(node, ast.Assign) else [node.target])):
             exempt.update(id(n) for n in ast.walk(node))
-
-    def names(*nodes):
-        return [n.value for root in nodes if root is not None for n in ast.walk(root)
-                if isinstance(n, ast.Constant) and n.value in METHODS]
-
-    found = []
-    for node in ast.walk(tree):
-        if id(node) in exempt:
-            continue
-        if isinstance(node, ast.Compare):
-            hits = names(node.left, *node.comparators)
-        elif isinstance(node, ast.Dict):
-            hits = names(*node.keys)
-        elif isinstance(node, ast.Subscript):
-            hits = names(node.slice)
-        elif isinstance(node, ast.MatchValue):
-            hits = names(node.value)
-        else:
-            continue
-        found += [f"{name} (line {node.lineno})" for name in hits]
-    return found
+    return [f"{node.value} (line {node.lineno})" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in METHODS
+            and id(node) not in exempt]
 
 
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name not in ALLOWED_MODULES)
@@ -95,8 +88,9 @@ def test_guard_sees_method_dispatch():
         "    match method:\n"
         "        case 'ul-aoa':\n"
         "            return spec == METHOD_TABLE[method]\n"
+        "    start('ul-tdoa', kind='aod')\n"
         "    return METHOD_TABLE['dl-aod'].solve\n"
     )
     assert sorted(method_dispatch(source)) == [
-        "dl-aod (line 4)", "dl-aod (line 9)", "multi-rtt (line 4)", "ul-aoa (line 7)",
-        "ul-tdoa (line 2)"]
+        "dl-aod (line 10)", "dl-aod (line 4)", "dl-tdoa (line 5)", "multi-rtt (line 4)",
+        "ul-aoa (line 7)", "ul-tdoa (line 2)", "ul-tdoa (line 9)"]

@@ -22,8 +22,7 @@ from nrpos.session import (
     load_trace,
     replay_solve,
     request_assistance_on_demand,
-    run_dl_tdoa,
-    run_multi_rtt,
+    run_sessions,
 )
 from nrpos.simulate import Simulator, solve_records
 
@@ -97,7 +96,7 @@ def assert_routing_invariant(trace):
 class TestMultiRtt:
     def test_expected_message_multiset(self):
         transport, lmf, gnbs, ues, _ = make_world(n_gnbs=3, n_ues=1)
-        results, trace = run_multi_rtt(lmf, gnbs, ues, transport)
+        results, trace = run_sessions(lmf, "multi-rtt", ues, transport, gnbs)
         counts = Counter(entry["kind"] for entry in trace)
         assert counts["NrppaPositioningInformationRequest"] == 3
         assert counts["NrppaPositioningInformationResponse"] == 3
@@ -111,7 +110,7 @@ class TestMultiRtt:
 
     def test_fix_accuracy(self):
         transport, lmf, gnbs, ues, outcomes = make_world(n_gnbs=4, n_ues=2)
-        results, _ = run_multi_rtt(lmf, gnbs, ues, transport)
+        results, _ = run_sessions(lmf, "multi-rtt", ues, transport, gnbs)
         for uid, drop in outcomes.items():
             fix = results[uid].fix
             assert results[uid].status == "fixed"
@@ -120,7 +119,7 @@ class TestMultiRtt:
 
     def test_ue_report_precedes_gnb_report(self):
         transport, lmf, gnbs, ues, _ = make_world()
-        _, trace = run_multi_rtt(lmf, gnbs, ues, transport)
+        _, trace = run_sessions(lmf, "multi-rtt", ues, transport, gnbs)
         order = [e["kind"] for e in trace]
         assert order.index("LppProvideLocationInformation") < order.index(
             "NrppaMeasurementRequest"
@@ -130,7 +129,7 @@ class TestMultiRtt:
         transport, lmf, gnbs, ues, _ = make_world(
             n_ues=2, responsive={"ue:0": False}
         )
-        results, trace = run_multi_rtt(lmf, gnbs, ues, transport)
+        results, trace = run_sessions(lmf, "multi-rtt", ues, transport, gnbs)
         assert results["ue:0"].status == "aborted"
         assert results["ue:1"].status == "fixed"
         aborts = [e for e in trace if e["kind"] == ABORT_KIND]
@@ -138,7 +137,7 @@ class TestMultiRtt:
 
     def test_trace_replay_matches_live(self, tmp_path):
         transport, lmf, gnbs, ues, _ = make_world(n_gnbs=4, n_ues=2)
-        results, trace = run_multi_rtt(lmf, gnbs, ues, transport)
+        results, trace = run_sessions(lmf, "multi-rtt", ues, transport, gnbs)
         path = tmp_path / "trace.jsonl"
         transport.dump_trace(path)
         fixes = replay_solve(load_trace(path), lmf.anchors, lmf.options)
@@ -156,8 +155,8 @@ class TestMultiRtt:
         lmf = Lmf("lmf:0", sim.anchors, solver_options=sim.options)
         gnbs = [Gnb("gnb:0", trp_ids=list(sim.anchors), srs=sim.srs,
                     records={"ue:0": drop.records})]
-        results, trace = run_multi_rtt(lmf, gnbs, [Ue("ue:0", records=drop.records)],
-                                       transport)
+        results, trace = run_sessions(lmf, "multi-rtt", [Ue("ue:0", records=drop.records)],
+                                      transport, gnbs)
         sent = [e["payload"]["srs"] for e in trace
                 if e["kind"] in ("RrcSrsConfig", "NrppaPositioningInformationResponse")]
         assert len(sent) == 2
@@ -170,7 +169,7 @@ class TestMultiRtt:
         blobs = []
         for _ in range(2):
             transport, lmf, gnbs, ues, _ = make_world(n_gnbs=3, n_ues=2)
-            run_multi_rtt(lmf, gnbs, ues, transport)
+            run_sessions(lmf, "multi-rtt", ues, transport, gnbs)
             path = tmp_path / "t.jsonl"
             transport.dump_trace(path)
             blobs.append(path.read_bytes())
@@ -180,7 +179,7 @@ class TestMultiRtt:
 class TestDlTdoa:
     def test_flow_and_fix(self):
         transport, lmf, gnbs, ues, outcomes = make_world("dl-tdoa")
-        results, trace = run_dl_tdoa(lmf, ues, transport, list(lmf.anchors))
+        results, trace = run_sessions(lmf, "dl-tdoa", ues, transport, trp_ids=list(lmf.anchors))
         counts = Counter(e["kind"] for e in trace)
         assert counts["LppProvideAssistanceData"] == 1
         assert counts["LppRequestLocationInformation"] == 1
@@ -193,21 +192,24 @@ class TestDlTdoa:
         # the reference is the one the UE's records name: its strongest TRP.
         # The report is the record kinds' entries alone.
         transport, lmf, gnbs, ues, outcomes = make_world("dl-tdoa")
-        _, trace = run_dl_tdoa(lmf, ues, transport, list(lmf.anchors))
+        _, trace = run_sessions(lmf, "dl-tdoa", ues, transport, trp_ids=list(lmf.anchors))
         report = next(e for e in trace if e["kind"] == "LppProvideLocationInformation")
         payload = report["payload"]
-        ref = strongest_trps(outcomes["ue:0"].records)[0]
-        assert set(payload) == {"method", "rstd", "prs_rsrp"}
-        assert payload["rstd"]
-        for entry in payload["rstd"]:
-            assert entry["ref_trp_id"] == ref
+        records = outcomes["ue:0"].records
+        ref = strongest_trps(records)[0]
+        assert set(payload) == {"method", "records"}
+        assert payload["records"] == [r.to_dict() for r in records]
+        rstd = [e for e in payload["records"] if e["kind"] == "RSTD"]
+        assert rstd
+        for entry in rstd:
+            assert entry["payload"]["ref_trp_id"] == ref
             assert entry["trp_id"] != ref
-        assert [e["trp_id"] for e in payload["prs_rsrp"]] == \
-            strongest_trps(outcomes["ue:0"].records)
+        assert [e["trp_id"] for e in payload["records"] if e["kind"] == "PRS_RSRP"] == \
+            strongest_trps(records)
 
     def test_replay(self, tmp_path):
         transport, lmf, gnbs, ues, _ = make_world("dl-tdoa", n_ues=2)
-        results, _ = run_dl_tdoa(lmf, ues, transport, list(lmf.anchors))
+        results, _ = run_sessions(lmf, "dl-tdoa", ues, transport, trp_ids=list(lmf.anchors))
         path = tmp_path / "trace.jsonl"
         transport.dump_trace(path)
         fixes = replay_solve(load_trace(path), lmf.anchors, lmf.options)
@@ -224,7 +226,7 @@ class TestDlTdoa:
             transport.register(node)
         asked = {ue.node_id: strongest_trps(ue.records)[:4] for ue in ues}
         for uid, trp_ids in asked.items():
-            lmf.start_dl_tdoa(uid, trp_ids)
+            lmf.start(uid, "dl-tdoa", trp_ids=trp_ids)
         transport.run()
         fixes = replay_solve(transport.trace, lmf.anchors, lmf.options)
         for ue in ues:
@@ -239,7 +241,7 @@ class TestDlTdoa:
         # three TRPs give two time differences, too few to solve: each
         # UE's session aborts with the solver's reason and the run completes
         transport, lmf, gnbs, ues, _ = make_world("dl-tdoa", n_ues=2, keep=3)
-        results, trace = run_dl_tdoa(lmf, ues, transport, list(lmf.anchors))
+        results, trace = run_sessions(lmf, "dl-tdoa", ues, transport, trp_ids=list(lmf.anchors))
         assert {uid: r.status for uid, r in results.items()} == {
             "ue:0": "aborted", "ue:1": "aborted"}
         aborts = [e["payload"] for e in trace if e["kind"] == ABORT_KIND]
@@ -258,19 +260,35 @@ class TestDlTdoa:
         assert {r.kind for r in drop.records} == {"PRS_RSRP", "RSTD"}
         transport = Transport()
         lmf = Lmf("lmf:0", sim.anchors, solver_options=sim.options)
-        results, trace = run_dl_tdoa(lmf, [Ue("ue:18", records=drop.records)], transport,
-                                     list(sim.anchors))
+        results, trace = run_sessions(lmf, "dl-tdoa", [Ue("ue:18", records=drop.records)],
+                                      transport, trp_ids=list(sim.anchors))
         assert results["ue:18"].status == "aborted"
         aborts = [e["payload"]["reason"] for e in trace if e["kind"] == ABORT_KIND]
         assert aborts == [drop.failure]
+
+    def test_trp_without_anchor_aborts_the_session_only(self):
+        """A server whose anchors lack drop 0's strongest TRP (7), the
+        reference of its time differences: that session aborts with the
+        solver's reason, and drop 2's, which never heard TRP 7, fixes."""
+        transport, lmf, gnbs, ues, outcomes = make_world("dl-tdoa", n_ues=3)
+        missing = strongest_trps(outcomes["ue:0"].records)[0]
+        assert missing not in strongest_trps(outcomes["ue:2"].records)
+        anchors = {t: p for t, p in lmf.anchors.items() if t != missing}
+        lmf = Lmf("lmf:0", anchors, solver_options=lmf.options)
+        results, trace = run_sessions(lmf, "dl-tdoa", [ues[0], ues[2]], transport)
+        assert {uid: r.status for uid, r in results.items()} == {
+            "ue:0": "aborted", "ue:2": "fixed"}
+        aborts = [e["payload"] for e in trace if e["kind"] == ABORT_KIND]
+        assert aborts == [{"ue_id": "ue:0", "reason": f"no anchor for TRP {missing}"}]
+        assert list(replay_solve(trace, anchors, lmf.options)) == ["ue:2"]
 
     def test_unsolvable_report_leaves_other_sessions_fixed(self):
         transport, lmf, gnbs, ues, _ = make_world(n_gnbs=3, n_ues=1)
         *_, tdoa_ues, _ = make_world("dl-tdoa", n_ues=2, keep=3)
         for node in [lmf, *gnbs, ues[0], tdoa_ues[1]]:
             transport.register(node)
-        lmf.start_multi_rtt("ue:0", [g.node_id for g in gnbs])
-        lmf.start_dl_tdoa("ue:1", list(lmf.anchors))
+        lmf.start("ue:0", "multi-rtt", gnb_ids=[g.node_id for g in gnbs])
+        lmf.start("ue:1", "dl-tdoa", trp_ids=list(lmf.anchors))
         transport.run()
         assert lmf.results["ue:0"].status == "fixed"
         assert lmf.results["ue:1"].status == "aborted"
@@ -279,30 +297,41 @@ class TestDlTdoa:
         assert np.array_equal(fixes["ue:0"].position, lmf.results["ue:0"].fix.position)
 
 
-@pytest.mark.parametrize("preset,method", [("ioo-fr1", "multi-rtt"), ("uma", "dl-tdoa")])
+@pytest.mark.parametrize("method", ["ul-tdoa", "ul-aoa", "fingerprint"])
+def test_method_without_ue_report_has_no_session(method):
+    """A method whose table entry names no UE report kinds, or no entry,
+    is refused before any message is sent."""
+    transport, lmf, gnbs, ues, _ = make_world()
+    for node in [lmf, *gnbs, *ues]:
+        transport.register(node)
+    with pytest.raises(ProtocolError, match="unsupported method"):
+        lmf.start("ue:0", method, gnb_ids=[g.node_id for g in gnbs])
+    assert transport.trace == [] and lmf.sessions == {}
+
+
+@pytest.mark.parametrize("preset,method", [("ioo-fr1", "multi-rtt"), ("uma", "dl-tdoa"),
+                                           ("uma", "dl-aod")])
 def test_sessions_reproduce_batch_fixes(preset, method, tmp_path):
     """One session per drop, for drops 0-39 at master seed 1, with the
     nodes holding each drop's records: every session fix is the drop's fix
     bit for bit, a session aborts exactly when the drop's solve failed, and
-    replaying the written trace gives the same fixes. The UMa DL-TDOA
-    drops 3, 6, 13, 28 and 30 match only because the report carries the
-    PRS-RSRP entries that weight the solver start."""
+    replaying the written trace gives the same fixes. Every method gets
+    the same per-TRP gNBs, and its table entry decides whether they report.
+    The UMa DL-TDOA drops 3, 6, 13, 28 and 30 match only because the
+    report carries the PRS-RSRP records that weight the solver start; the
+    DL-AoD server and replay solve with the simulator's beam table."""
     n = 40
     sim = Simulator(preset_config(preset, method=method, n_drops=n))
     outcomes = {f"ue:{i}": sim.run_drop(i) for i in range(n)}
     records = {uid: o.records for uid, o in outcomes.items()}
     transport = Transport()
-    lmf = Lmf("lmf:0", sim.anchors, solver_options=sim.options)
+    lmf = Lmf("lmf:0", sim.anchors, solver_options=sim.options, beams=sim.beams)
     ues = [Ue(uid, records=recs) for uid, recs in records.items()]
-    if method == "multi-rtt":
-        gnbs = [Gnb(f"gnb:{t}", trp_ids=[t], srs=sim.srs, records=records)
-                for t in sim.anchors]
-        results, _ = run_multi_rtt(lmf, gnbs, ues, transport)
-    else:
-        results, _ = run_dl_tdoa(lmf, ues, transport, list(sim.anchors))
+    gnbs = [Gnb(f"gnb:{t}", trp_ids=[t], srs=sim.srs, records=records) for t in sim.anchors]
+    results, _ = run_sessions(lmf, method, ues, transport, gnbs)
     path = tmp_path / "trace.jsonl"
     transport.dump_trace(path)
-    fixes = replay_solve(load_trace(path), lmf.anchors, lmf.options)
+    fixes = replay_solve(load_trace(path), lmf.anchors, lmf.options, sim.beams)
 
     failed = {uid for uid, o in outcomes.items() if o.failure is not None}
     assert {uid for uid, r in results.items() if r.status == "aborted"} == failed
