@@ -6,7 +6,7 @@ convex hull.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -136,7 +136,12 @@ def build_deployment(
     carrier_hz: float | None = None,
     array: AntennaArray | None = None,
 ) -> Deployment:
-    """Deployment with the agreed per-scenario constants."""
+    """Deployment with the agreed per-scenario constants.
+
+    TRPs are numbered 0..n-1 in row order: a TRP's id is its row in
+    `Deployment.trps`, which the simulator relies on to index its per-TRP
+    lists by id.
+    """
     scenario = scenario.lower()
     if scenario not in SCENARIO_DEFAULTS:
         raise GeometryError(f"unknown scenario {scenario!r}")
@@ -152,10 +157,7 @@ def build_deployment(
             seed=seed,
         )
     if array is not None:
-        trps = [
-            Trp(t.trp_id, t.position, t.sector_azimuth_deg, t.tx_power_dbm, array, t.comb_offset)
-            for t in trps
-        ]
+        trps = [replace(t, array=array) for t in trps]
     return Deployment(
         scenario=scenario,
         trps=tuple(trps),
@@ -265,15 +267,5 @@ def assign_comb_offsets(deployment: Deployment, comb_size: int) -> Deployment:
     """
     if comb_size not in (2, 4, 6, 12):
         raise GeometryError(f"comb size {comb_size} not in {{2,4,6,12}}")
-    trps = [
-        Trp(
-            t.trp_id,
-            t.position,
-            t.sector_azimuth_deg,
-            t.tx_power_dbm,
-            t.array,
-            t.trp_id % comb_size,
-        )
-        for t in deployment.trps
-    ]
-    return deployment.with_trps(trps)
+    return deployment.with_trps(
+        replace(t, comb_offset=t.trp_id % comb_size) for t in deployment.trps)

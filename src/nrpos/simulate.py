@@ -85,6 +85,7 @@ from .channel import (
     CHANNEL_DEFAULTS,
     ChannelParams,
     NoiseModel,
+    _tap_tables,
     draw_noise,
     link_amplitude,
     noise_amplitude,
@@ -176,9 +177,9 @@ def receive_groups(groups, noise, amps, h, refs):
     member order. h is the (source, subcarrier) channel matrix and refs[i]
     source i's reference values on its group's REs. Returns the received
     REs per group and, per source, the mean power on its group's REs in
-    dBm.
+    dBm; a source in no group reads -300 dBm, no power at all.
     """
-    rsrp = [0.0] * len(refs)
+    rsrp = [power_dbm(0.0)] * len(refs)
     for g, rx in zip(groups, noise):
         for i in g.members:
             rx += amps[i] * h[i, g.k] * refs[i]
@@ -318,8 +319,9 @@ class Simulator:
         )
         self.deployment: Deployment = assign_comb_offsets(deployment, config.dl_comb_size)
         self.trps = self.deployment.trps
+        # a TRP's id is its row (`build_deployment`): stages and builders
+        # index per-TRP lists by trp_id
         self.anchors = {t.trp_id: t.position for t in self.trps}
-        self._row = {t.trp_id: i for i, t in enumerate(self.trps)}
         self.anchor_xyz = self.deployment.trp_positions()
         self.hull = convex_hull(self.anchor_xyz)
         self.ues = drop_ues(config.n_drops, self.deployment, config.master_seed,
@@ -356,7 +358,7 @@ class Simulator:
             for e in pos:
                 for i in sets[e]:
                     k, s, self._dl_vals[i] = _flatten(
-                        dl_prs_reference(self.dl_resources[self.trps[i].trp_id], slot=0),
+                        dl_prs_reference(self.dl_resources[i], slot=0),
                         out=next(rows))
                 self._dl_sets[e] = ReGroup(sets[e], k, s)
         self._dl_groups = self._dl_sets if config.interference else \
@@ -386,9 +388,8 @@ class Simulator:
 
         # taps sit at fixed one-sample offsets from the first arrival: their
         # ramps are built once here (see `_channel_matrix`)
-        n_taps = 1 if self.channel.ideal else self.channel.n_taps
         n_sc = self.numerology.n_subcarriers
-        self._tap_ramps = phase_ramps(np.arange(n_taps) * self.sample_period_s, n_sc,
+        self._tap_ramps = phase_ramps(_tap_tables(self.channel, self.sample_period_s)[0], n_sc,
                                       self.scs_hz)
         self._h = np.empty((len(self.trps), n_sc), dtype=complex)
         # (links, first-arrival delays as bytes) the buffer holds the matrix of
@@ -405,13 +406,7 @@ class Simulator:
         w, hgt = self.deployment.area
         area = (0.0, 0.0, w, hgt) if config.scenario == "ioo" else \
             (-w / 2, -hgt / 2, w / 2, hgt / 2)
-        self.options = SolverOptions(
-            max_iterations=config.solver.max_iterations,
-            tolerance_m=config.solver.tolerance_m,
-            fix_height=config.solver.fix_height,
-            nlos_rejection=config.solver.nlos_rejection,
-            area=area,
-        )
+        self.options = SolverOptions(**config.solver.model_dump(), area=area)
         self._beamformer: BeamformerGrid | None = None
         self._sweep_index: list | None = None
         # (TRP, beam) azimuths of the downlink beam sweep, degrees, and the
@@ -560,15 +555,15 @@ class Simulator:
     # -- downlink stage ----------------------------------------------------
 
     def _dl_stage(self, links, trp_clock_s, ue_clock_s, drop_idx):
-        """First-path arrivals of the selected TRPs and received power of
-        every TRP's signal.
+        """Received power of every TRP's signal and first-path arrivals of
+        the TRPs cell selection keeps.
 
         Sample 0's RSRP ranks the TRPs, and only `_select_trps(rsrp)` are
         despread and detected, in every sample; every sample still draws
-        its full noise grid. Returns ({trp_id: toa_seconds_or_None},
-        {trp_id: rsrp_dbm}); an unselected TRP reports None. Arrival times
-        are in the terminal clock: propagation + terminal offset -
-        transmitter offset.
+        its full noise grid. Returns (rsrp, toa): rsrp holds sample 0's
+        dBm per TRP row, and toa {trp_id: seconds} the selected TRPs with
+        an arrival in any sample, in rank order. Arrival times are in the
+        terminal clock: propagation + terminal offset - transmitter offset.
         """
         mark = perf_counter()
         cfg = self.config
@@ -583,34 +578,33 @@ class Simulator:
             rng = substream(cfg.master_seed, "noise", drop_idx, 0, sample)
             rx, power = self._dl_receive(rng, amps, h)
             if sample == 0:
-                rsrp = {t.trp_id: p for t, p in zip(self.trps, power)}
-                rows = [self._row[t] for t in self._select_trps(rsrp)]
+                rsrp = power
+                selected = self._select_trps(rsrp)
             vecs = despread_groups(self._dl_groups, rx, self._dl_vals,
-                                   self.numerology.n_subcarriers, rows)
+                                   self.numerology.n_subcarriers, selected)
             mark = self._lap("dl", mark)
             taus = self._batched_toa(vecs)
             mark = self._lap("detection", mark)
-            for i, tau in zip(rows, taus):
+            for t, tau in zip(selected, taus):
                 if tau is not None:
-                    toas.setdefault(i, []).append(tau)
-        toa_out = {
-            t.trp_id: aggregate_samples(toas[i]) if i in toas else None
-            for i, t in enumerate(self.trps)
-        }
+                    toas.setdefault(t, []).append(tau)
+        toa = {t: aggregate_samples(toas[t]) for t in selected if t in toas}
         self._lap("dl", mark)
-        return toa_out, rsrp
+        return rsrp, toa
 
     # -- uplink stage ------------------------------------------------------
 
     def _ul_stage(self, links, trp_clock_s, ue_clock_s, drop_idx, detect=None):
-        """Sounding-signal arrival times and received powers at the TRPs.
+        """Received sounding power at the TRPs and arrival times at those
+        detected.
 
-        Every TRP's noise vector is drawn, in TRP order. With detect (a
-        list of trp_ids) only those TRPs sum their REs, get a power and
-        are despread and detected. Without it every TRP is received and
-        `_select_trps` of the sounding RSRP picks the ones to detect.
-        Returns ({trp_id: toa_seconds_or_None}, {trp_id: rsrp_dbm} of the
-        received TRPs); a TRP not detected reports None.
+        Every TRP's noise vector is drawn, in TRP order. With detect (an
+        iterable of trp_ids) only those TRPs sum their REs, get a power and
+        are despread and detected, in that order. Without it every TRP is
+        received and `_select_trps` of the sounding RSRP picks the ones to
+        detect, in rank order. Returns (rsrp, toa): rsrp holds dBm per TRP
+        row, -300 for a TRP not received, and toa {trp_id: seconds} the
+        detected TRPs with an arrival, in detection order.
         """
         mark = perf_counter()
         cfg = self.config
@@ -622,38 +616,34 @@ class Simulator:
 
         rng = substream(cfg.master_seed, "noise", drop_idx, 1)
         noise = [self._noise(rng, len(g.k), self.ul_noise) for g in self._ul_groups]
-        received = range(len(self.trps)) if detect is None else [self._row[t] for t in detect]
-        groups = [self._ul_groups[i] for i in received]
+        received = range(len(self.trps)) if detect is None else list(detect)
+        groups = [self._ul_groups[t] for t in received]
         refs = [self._ul_vals] * len(self.trps)
-        rx, power = receive_groups(groups, [noise[i] for i in received], amps, h, refs)
-        rsrp = {self.trps[i].trp_id: power[i] for i in received}
-        if detect is None:
-            detect = self._select_trps(rsrp)
-        rows = [self._row[t] for t in detect]
-        vecs = despread_groups(groups, rx, refs, self.numerology.n_subcarriers, rows)
+        rx, rsrp = receive_groups(groups, [noise[t] for t in received], amps, h, refs)
+        detected = self._select_trps(rsrp) if detect is None else received
+        vecs = despread_groups(groups, rx, refs, self.numerology.n_subcarriers, detected)
         mark = self._lap("ul", mark)
         taus = self._batched_toa(vecs)
         mark = self._lap("detection", mark)
-        toa = dict.fromkeys(self.anchors)
-        toa.update((self.trps[i].trp_id, tau) for i, tau in zip(rows, taus))
+        toa = {t: tau for t, tau in zip(detected, taus) if tau is not None}
         self._lap("ul", mark)
-        return toa, rsrp
+        return rsrp, toa
 
     # -- arrival angles ----------------------------------------------------
 
     def _aoa_stage(self, links, ul_toa, drop_idx):
-        """Beamformed arrival angles at each TRP from the sounding signal."""
+        """Beamformed arrival angles from the sounding signal at the TRPs
+        of ul_toa, noise drawn in its order. Returns {trp_id: (azimuth,
+        zenith) degrees} of the TRPs whose estimate succeeded."""
         started = perf_counter()
         cfg = self.config
         rng = substream(cfg.master_seed, "aoa", drop_idx)
         array = self.trps[0].array
         grid = self.beamformer()
         n_re = len(self._ul_vals)
-        angles: dict[int, tuple[float, float] | None] = {}
-        for link, t in zip(links, self.trps):
-            if ul_toa[t.trp_id] is None:
-                angles[t.trp_id] = None
-                continue
+        angles: dict[int, tuple[float, float]] = {}
+        for t in ul_toa:
+            link = links[t]
             sv = steering_vector(array, link.angles_deg[0], link.angles_deg[1])
             amp = link_amplitude(link, cfg.ue_tx_power_dbm, self.ul_occupied_per_symbol)
             # matched-filter output: coherent sum across the sounded band
@@ -664,9 +654,9 @@ class Simulator:
             if noise_var > 0:
                 x = x + draw_noise(rng, len(sv), math.sqrt(noise_var / 2.0))
             try:
-                angles[t.trp_id] = estimate_aoa(x, array, grid)
+                angles[t] = estimate_aoa(x, array, grid)
             except MeasurementFailed:
-                angles[t.trp_id] = None
+                pass
         self._lap("aoa", started)
         return angles
 
@@ -691,8 +681,8 @@ class Simulator:
         return np.array([10.0 ** x for x in (epre / 20.0).ravel().tolist()]).reshape(d.shape)
 
     def _aod_stage(self, links, drop_idx):
-        """Received power of every TRP's beams at the terminal, dBm in beam
-        order, beams time-multiplexed.
+        """Received power of every TRP's beams at the terminal: one list
+        per TRP row, dBm in beam order, beams time-multiplexed.
 
         Sweeps are slot-aligned across TRPs: beam b of every TRP transmits
         in the same occasion, so same-offset TRPs interfere beam by beam.
@@ -708,21 +698,22 @@ class Simulator:
         if cfg.quantize:
             dbm = [float(reported_power_dbm(p)) for p in dbm]
         n = cfg.n_beams
-        reports = {t.trp_id: dbm[i * n:(i + 1) * n] for i, t in enumerate(self.trps)}
+        reports = [dbm[i * n:(i + 1) * n] for i in range(len(self.trps))]
         self._lap("aod", started)
         return reports
 
     # -- record assembly and solving ---------------------------------------
 
-    def _select_trps(self, rsrp: dict[int, float]) -> list[int]:
-        """Strongest cells first, gated by the relative-power window.
+    def _select_trps(self, rsrp: list[float]) -> list[int]:
+        """trp_ids of the strongest cells first, by rsrp per TRP row, gated
+        by the relative-power window; equal powers keep row order.
 
         Weak cells are rarely worth measuring (and are disproportionately
         obstructed ones), but at least min_trps strongest are always kept
         so the solve stays determined.
         """
         cfg = self.config
-        ranked = sorted(rsrp, key=lambda t: rsrp[t], reverse=True)
+        ranked = sorted(range(len(rsrp)), key=rsrp.__getitem__, reverse=True)
         best = rsrp[ranked[0]]
         kept = [t for t in ranked if best - rsrp[t] <= cfg.rsrp_window_db]
         if len(kept) < cfg.min_trps:
@@ -743,8 +734,8 @@ class Simulator:
         fix = None
         failure = None
         try:
-            if n_trps < self._method.min_trps:
-                raise SolverError(f"only {n_trps} usable TRPs, need {self._method.min_trps}")
+            if n_trps < self._method.fewest_trps:
+                raise SolverError(f"only {n_trps} usable TRPs, need {self._method.fewest_trps}")
             started = perf_counter()
             try:
                 fix = solve_records(records, self.anchors, cfg.method, self.options,
@@ -785,8 +776,8 @@ class Simulator:
         ]
 
     def _dl_tdoa_records(self, links, trp_clock, ue_clock, drop_idx):
-        toa, rsrp = self._dl_stage(links, trp_clock, ue_clock, drop_idx)
-        selected = [t for t in self._select_trps(rsrp) if toa[t] is not None]
+        rsrp, toa = self._dl_stage(links, trp_clock, ue_clock, drop_idx)
+        selected = list(toa)
         records = self._rsrp_records("PRS_RSRP", selected, rsrp)
         cfg = self.config
         for t in selected[1:]:  # against the strongest received power
@@ -796,23 +787,20 @@ class Simulator:
         return records
 
     def _ul_tdoa_records(self, links, trp_clock, ue_clock, drop_idx):
-        toa, rsrp = self._ul_stage(links, trp_clock, ue_clock, drop_idx)
-        selected = [t for t in self._select_trps(rsrp) if toa[t] is not None]
-        records = self._rsrp_records("SRS_RSRP", selected, rsrp)
+        rsrp, toa = self._ul_stage(links, trp_clock, ue_clock, drop_idx)
+        records = self._rsrp_records("SRS_RSRP", toa, rsrp)
         cfg = self.config
-        for t in selected:
+        for t in toa:
             records.append(timing_record(
                 "UL_RTOA", t, toa[t], cfg.effective_timing_k, cfg.fr, quantize=cfg.quantize))
         return records
 
     def _multi_rtt_records(self, links, trp_clock, ue_clock, drop_idx):
-        dl_toa, rsrp = self._dl_stage(links, trp_clock, ue_clock, drop_idx)
-        ranked = [t for t in self._select_trps(rsrp) if dl_toa[t] is not None]
-        ul_toa, _ = self._ul_stage(links, trp_clock, ue_clock, drop_idx, detect=ranked)
-        selected = [t for t in ranked if ul_toa[t] is not None]
+        _, dl_toa = self._dl_stage(links, trp_clock, ue_clock, drop_idx)
+        _, ul_toa = self._ul_stage(links, trp_clock, ue_clock, drop_idx, detect=dl_toa)
         cfg = self.config
         records = []
-        for t in selected:
+        for t in ul_toa:
             records.append(timing_record(
                 "UE_RXTX", t, dl_toa[t], cfg.effective_timing_k, cfg.fr, quantize=cfg.quantize))
             records.append(timing_record(
@@ -822,10 +810,10 @@ class Simulator:
     def _ul_aoa_records(self, links, trp_clock, ue_clock, drop_idx):
         # every TRP: the AoA stage draws noise only for TRPs with an uplink
         # arrival, so detecting a subset would shift its stream
-        ul_toa, rsrp = self._ul_stage(links, trp_clock, ue_clock, drop_idx,
-                                      detect=list(self.anchors))
+        rsrp, ul_toa = self._ul_stage(links, trp_clock, ue_clock, drop_idx,
+                                      detect=range(len(self.trps)))
         angles = self._aoa_stage(links, ul_toa, drop_idx)
-        selected = [t for t in self._select_trps(rsrp) if angles[t] is not None]
+        selected = [t for t in self._select_trps(rsrp) if t in angles]
         return [
             MeasurementRecord(
                 kind="AOA", trp_id=t,
@@ -838,7 +826,7 @@ class Simulator:
         """A PRS-RSRP report per beam of each selected TRP; the report's
         resource is the beam's index in `beams`."""
         reports = self._aod_stage(links, drop_idx)
-        selected = self._select_trps({t: max(dbm) for t, dbm in reports.items()})
+        selected = self._select_trps([max(dbm) for dbm in reports])
         return [
             MeasurementRecord(kind="PRS_RSRP", trp_id=t, resource_id=b,
                               payload={"value_dbm": rsrp_dbm})
@@ -914,7 +902,7 @@ def _solve_dl_aod(records, index, anchors, options, beams):
 @dataclass(frozen=True)
 class MethodSpec:
     """One positioning method: `measure(sim, links, trp_clock, ue_clock,
-    drop_idx)` forms a drop's records, of which fewer than `min_trps` TRPs
+    drop_idx)` forms a drop's records, of which fewer than `fewest_trps` TRPs
     fail the drop unsolved; `solve(records, index, anchors, options, beams)`
     solves them; `geometry` is the kind `solvers.gdop` takes; and a
     session's UE and gNB reports carry the kinds `ue_report`, `gnb_report`."""
@@ -922,7 +910,7 @@ class MethodSpec:
     measure: Callable
     solve: Callable
     geometry: str
-    min_trps: int
+    fewest_trps: int
     first_path: bool
     ue_report: tuple[str, ...] = ()
     gnb_report: tuple[str, ...] = ()

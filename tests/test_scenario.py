@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nrpos.scenario import (
+    AntennaArray,
     GeometryError,
     assign_comb_offsets,
     build_deployment,
@@ -104,6 +105,14 @@ class TestDeploymentDefaults:
     def test_unknown_scenario(self):
         with pytest.raises(GeometryError):
             build_deployment("rural")
+
+    @pytest.mark.parametrize("name", ["uma", "umi", "ioo"])
+    def test_trp_id_is_its_row(self, name):
+        """The simulator indexes its per-TRP lists by trp_id; the array and
+        comb offsets are set without renumbering."""
+        d = assign_comb_offsets(build_deployment(name, array=AntennaArray(4, 4)), 12)
+        assert [t.trp_id for t in d.trps] == list(range(len(d.trps)))
+        assert all(t.array == AntennaArray(4, 4) for t in d.trps)
 
 
 class TestDrops:

@@ -283,7 +283,7 @@ def test_aod_sweep_matches_the_per_beam_oracle(preset, overrides):
     for d in range(n):
         links = sim._links(d, sim.ues[d])
         assert links == sweep_oracle.links(sim, d)
-        assert sim._aod_stage(links, d) == sweep_oracle.aod_stage(sim, links, d)
+        assert sim._aod_stage(links, d) == list(sweep_oracle.aod_stage(sim, links, d).values())
 
 
 def test_beam_amplitudes_match_the_per_beam_oracle():
@@ -317,15 +317,28 @@ def test_detection_runs_on_selected_trps_only(method, monkeypatch):
     for d in range(3):
         links = sim._links(d, sim.ues[d])
         stage = sim._ul_stage if method == "ul-tdoa" else sim._dl_stage
-        toa, rsrp = stage(links, *sim._sync_offsets(d), d)
-        ranked = sim._select_trps(rsrp)
-        n = len(ranked)
+        rsrp, toa = stage(links, *sim._sync_offsets(d), d)
+        n = len(sim._select_trps(rsrp))
         assert n < len(sim.trps)
         rows.clear()
         sim.run_drop(d)
-        arrived = sum(toa[t] is not None for t in ranked)
-        assert rows == {"dl-tdoa": [n], "multi-rtt": [n, arrived], "ul-tdoa": [n],
+        assert rows == {"dl-tdoa": [n], "multi-rtt": [n, len(toa)], "ul-tdoa": [n],
                         "ul-aoa": [len(sim.trps)]}[method]
+
+
+@pytest.mark.parametrize("method", simulate.METHOD_TABLE)
+def test_cell_selection_runs_once_per_drop(method, monkeypatch):
+    """Each method ranks its TRPs once per drop: the stage that selects
+    returns only the TRPs it measured, and the record builder reads its
+    selection from them."""
+    sim = Simulator(preset_config("uma", method=method, n_prb=24, n_drops=3))
+    calls = []
+    select = Simulator._select_trps
+    monkeypatch.setattr(Simulator, "_select_trps",
+                        lambda self, rsrp: calls.append(len(rsrp)) or select(self, rsrp))
+    for d in range(3):
+        sim.run_drop(d)
+    assert calls == [len(sim.trps)] * 3
 
 
 def test_dl_aod_builds_no_detection_state():
