@@ -860,13 +860,14 @@ def _solve_dl_tdoa(records, index, anchors, options, beams):
 
 
 def _solve_ul_tdoa(records, index, anchors, options, beams):
-    """Arrival-time differences against the earliest uplink arrival."""
-    rtoa = {r.trp_id: record_seconds(r) for r in records if r.kind == "UL_RTOA"}
+    """Arrival-time differences against the earliest uplink arrival, in
+    anchor-row order, so that the records' order does not move the fix."""
+    rtoa = dict(sorted((index[r.trp_id], record_seconds(r))
+                       for r in records if r.kind == "UL_RTOA"))
     if len(rtoa) < 2:
         raise SolverError("need at least two uplink arrivals")
-    ref = min(rtoa, key=lambda t: rtoa[t])
-    rows = [(index[t], index[ref], (v - rtoa[ref]) * SPEED_OF_LIGHT)
-            for t, v in rtoa.items() if t != ref]
+    ref = min(rtoa, key=rtoa.get)
+    rows = [(i, ref, (v - rtoa[ref]) * SPEED_OF_LIGHT) for i, v in rtoa.items() if i != ref]
     return _tdoa_fix(rows, records, index, anchors, options)
 
 
@@ -879,8 +880,10 @@ def _solve_multi_rtt(records, index, anchors, options, beams):
 
 
 def _solve_ul_aoa(records, index, anchors, options, beams):
-    angles = [(index[r.trp_id], r.payload["azimuth_deg"], r.payload["zenith_deg"])
-              for r in records if r.kind == "AOA"]
+    """Bearings in anchor-row order, so that the records' order does not
+    move the fix."""
+    angles = sorted((index[r.trp_id], r.payload["azimuth_deg"], r.payload["zenith_deg"])
+                    for r in records if r.kind == "AOA")
     return aoa_solve(anchors, angles, options)
 
 
