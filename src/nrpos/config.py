@@ -39,7 +39,6 @@ class SolverConfig(BaseModel):
     max_iterations: int = Field(50, ge=1)
     tolerance_m: float = Field(1e-4, gt=0)
     fix_height: Optional[float] = 1.5
-    nlos_rejection: Literal["off", "residual_trim"] = "off"
 
 
 class ExperimentConfig(BaseModel):

@@ -42,14 +42,11 @@ class SolverOptions:
     tolerance_m: float = 1e-4
     # 2D solve with known terminal height by default; None solves full 3D
     fix_height: float | None = 1.5
-    nlos_rejection: str = "off"  # or "residual_trim"
     area: tuple[float, float, float, float] | None = None  # x0, y0, x1, y1
 
     def __post_init__(self):
         if self.tolerance_m <= 0:
             raise SolverError("tolerance must be positive")
-        if self.nlos_rejection not in ("off", "residual_trim"):
-            raise SolverError(f"unknown rejection mode {self.nlos_rejection!r}")
 
 
 @dataclass
@@ -59,7 +56,6 @@ class PositionFix:
     iterations: int
     converged: bool
     objective: float = 0.0
-    trimmed_indices: tuple[int, ...] = ()
 
 
 def wrap_deg(angle):
@@ -132,9 +128,6 @@ class _Problem:
         self.anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
         self.fix_height = fix_height
         self._rows = np.column_stack([self.anchors, measured]).tolist()
-
-    def residuals(self, x):
-        return np.array(self._residuals(np.asarray(x, dtype=float).tolist()))
 
     def jacobian(self, x):
         """The Jacobian's free columns at x; all NaN when a distance is zero."""
@@ -477,33 +470,6 @@ def _solve_ranges(problem: _RangeProblem, x0, options: SolverOptions) -> Positio
     return _solve_multistart(problem, x0, options)
 
 
-# residual trim: at most this many rounds, each dropping the worst residual
-# when it exceeds this multiple of the median
-_TRIM_ROUNDS = 2
-_TRIM_RATIO = 3.0
-
-
-def _solve_with_trim(build_problem, n_meas: int, x0, options: SolverOptions,
-                     min_needed: int, solve=_solve_multistart) -> PositionFix:
-    """Solve, then optionally drop gross-outlier measurements and re-solve."""
-    active = list(range(n_meas))
-    trimmed: list[int] = []
-    fix = solve(build_problem(active), x0, options)
-    if options.nlos_rejection == "residual_trim":
-        for _ in range(_TRIM_ROUNDS):
-            if len(active) <= min_needed:
-                break
-            r = np.abs(build_problem(active).residuals(fix.position))
-            med = float(np.median(r))
-            worst = int(np.argmax(r))
-            if med <= 0 or r[worst] <= _TRIM_RATIO * med:
-                break
-            trimmed.append(active.pop(worst))
-            fix = solve(build_problem(active), fix.position, options)
-    fix.trimmed_indices = tuple(trimmed)
-    return fix
-
-
 def _check_geometry(anchors, n_meas, kind, least, options, check_collinear=True):
     """Raise unless a 2-D fix has `least` measurements (3-D one more) and,
     with check_collinear, anchors that span the plane."""
@@ -538,13 +504,8 @@ def tdoa_solve(anchors, rstd_m, options: SolverOptions | None = None,
     _check_geometry(anchors[idx + [ref_idx]], len(meas), "tdoa", least, options)
     if x0 is None:
         x0 = init_guess(anchors, fix_height=options.fix_height)
-
-    def build(active):
-        rows = [idx[a] for a in active]
-        return _TdoaProblem(anchors[rows], anchors[ref_idx], meas[list(active)],
-                            options.fix_height)
-
-    return _solve_with_trim(build, len(meas), x0, options, least)
+    problem = _TdoaProblem(anchors[idx], anchors[ref_idx], meas, options.fix_height)
+    return _solve_multistart(problem, x0, options)
 
 
 def rtt_solve(anchors, ranges_m, options: SolverOptions | None = None,
@@ -560,15 +521,10 @@ def rtt_solve(anchors, ranges_m, options: SolverOptions | None = None,
     _check_geometry(anchors[idx], len(meas), "rtt", least, options)
     if x0 is None:
         x0 = init_guess(anchors[idx], fix_height=options.fix_height)
-
-    def build(active):
-        rows = [idx[a] for a in active]
-        return _RangeProblem(anchors[rows], meas[list(active)], options.fix_height)
-
     # the trilateration mirror ambiguity resolves toward the lower objective
     # of the closed-form and x0 runs; a start off the area, or no converged
     # in-area run, falls back to the coarse scan
-    return _solve_with_trim(build, len(meas), x0, options, least, _solve_ranges)
+    return _solve_ranges(_RangeProblem(anchors[idx], meas, options.fix_height), x0, options)
 
 
 def aoa_solve(anchors, angles, options: SolverOptions | None = None,
@@ -594,13 +550,7 @@ def aoa_solve(anchors, angles, options: SolverOptions | None = None,
         raise SolverError("parallel bearings have no unique intersection")
     if x0 is None:
         x0 = init_guess(anchors[idx], fix_height=options.fix_height)
-
-    def build(active):
-        rows = [idx[a] for a in active]
-        z = zen[list(active)] if use_zen else None
-        return _AngleProblem(anchors[rows], az[list(active)], z, options.fix_height)
-
-    return _solve_with_trim(build, len(az), x0, options, least, _solve_bearings)
+    return _solve_bearings(_AngleProblem(anchors[idx], az, zen, options.fix_height), x0, options)
 
 
 BEARING_TOP_BEAMS = 3

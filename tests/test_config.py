@@ -15,10 +15,18 @@ from nrpos.measurements import K_RANGE, MAX_SAMPLES
 def test_dump_load_round_trip(tmp_path):
     config = preset_config("ioo-fr2", method="multi-rtt", n_drops=7, timing_k=1,
                            channel={"n_taps": 3, "force_los": True},
-                           solver={"fix_height": None, "nlos_rejection": "residual_trim"})
+                           solver={"fix_height": None})
     path = tmp_path / "config.yaml"
     dump_config(config, path)
     assert load_config(path) == config
+
+
+def test_deleted_residual_trim_knob_rejected(tmp_path):
+    """solver.nlos_rejection is gone; a document still naming it fails."""
+    path = tmp_path / "config.yaml"
+    path.write_text("preset: ioo-fr1\nsolver:\n  nlos_rejection: \"off\"\n")
+    with pytest.raises(ValidationError, match="nlos_rejection"):
+        load_config(path)
 
 
 def test_preset_with_override(tmp_path):

@@ -58,7 +58,6 @@ OUTSIDE_READERS = {
     "session.SessionResult.status": "a session's outcome, for callers of Lmf.results",
     "solvers.PositionFix.iterations": "perfbench's solve_records hook sums them",
     "solvers.PositionFix.residual_rms": "the fit of a fix, compared bit for bit by replay tests",
-    "solvers.PositionFix.trimmed_indices": "the measurements the residual trim dropped",
 }
 
 _CONSTRUCTORS = {"__init__", "__post_init__"}
