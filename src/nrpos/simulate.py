@@ -123,14 +123,17 @@ from .scenario import (
     point_in_hull,
 )
 from .solvers import (
+    AZIMUTH,
+    RANGE,
+    RANGE_DIFFERENCE,
+    ZENITH,
+    Row,
     SolverError,
     SolverOptions,
-    aod_solve,
-    aoa_solve,
+    beam_bearing,
     gdop,
     init_guess,
-    rtt_solve,
-    tdoa_solve,
+    solve_rows,
 )
 
 @dataclass
@@ -835,31 +838,31 @@ class Simulator:
         ]
 
 
-def _tdoa_fix(rows, records, index, anchors, options):
-    """Time-difference solve of rows (anchor row, reference row, metres),
-    started at the power-weighted centroid of the anchors the rows use when
-    the records hold a power report of each of them."""
+def _rsrp_start(rows, records, index, anchors, options):
+    """Start of a range-difference solve: the power-weighted centroid of the
+    anchors the rows use, reference included, in anchor-row order, when the
+    records hold a power report of each of them; else their plain centroid."""
     if not rows:
         raise SolverError("no time-difference measurements")
     trp_ids = list(index)
     rsrp = {r.trp_id: r.payload["value_dbm"] for r in records
             if r.kind in ("PRS_RSRP", "SRS_RSRP")}
-    used = sorted({i for i, _, _ in rows} | {rows[0][1]})
+    used = sorted({r.anchor for r in rows} | {rows[0].ref})
     weights = [rsrp[trp_ids[i]] for i in used] \
         if all(trp_ids[i] in rsrp for i in used) else None
-    x0 = init_guess(anchors[used], rsrp_dbm=weights, fix_height=options.fix_height)
-    return tdoa_solve(anchors, rows, options, x0=x0)
+    return init_guess(anchors[used], rsrp_dbm=weights, fix_height=options.fix_height)
 
 
-def _solve_dl_tdoa(records, index, anchors, options, beams):
+def _dl_tdoa_rows(records, index, anchors, options, beams):
     rows = [
-        (index[r.trp_id], index[r.payload["ref_trp_id"]], record_seconds(r) * SPEED_OF_LIGHT)
+        Row(RANGE_DIFFERENCE, index[r.trp_id], record_seconds(r) * SPEED_OF_LIGHT,
+            index[r.payload["ref_trp_id"]])
         for r in records if r.kind == "RSTD"
     ]
-    return _tdoa_fix(rows, records, index, anchors, options)
+    return rows, _rsrp_start(rows, records, index, anchors, options)
 
 
-def _solve_ul_tdoa(records, index, anchors, options, beams):
+def _ul_tdoa_rows(records, index, anchors, options, beams):
     """Arrival-time differences against the earliest uplink arrival, in
     anchor-row order, so that the records' order does not move the fix."""
     rtoa = dict(sorted((index[r.trp_id], record_seconds(r))
@@ -867,29 +870,35 @@ def _solve_ul_tdoa(records, index, anchors, options, beams):
     if len(rtoa) < 2:
         raise SolverError("need at least two uplink arrivals")
     ref = min(rtoa, key=rtoa.get)
-    rows = [(i, ref, (v - rtoa[ref]) * SPEED_OF_LIGHT) for i, v in rtoa.items() if i != ref]
-    return _tdoa_fix(rows, records, index, anchors, options)
+    rows = [Row(RANGE_DIFFERENCE, i, (v - rtoa[ref]) * SPEED_OF_LIGHT, ref)
+            for i, v in rtoa.items() if i != ref]
+    return rows, _rsrp_start(rows, records, index, anchors, options)
 
 
-def _solve_multi_rtt(records, index, anchors, options, beams):
+def _multi_rtt_rows(records, index, anchors, options, beams):
+    """Ranges in trp_id order."""
     ue_rxtx = {r.trp_id: record_seconds(r) for r in records if r.kind == "UE_RXTX"}
     gnb_rxtx = {r.trp_id: record_seconds(r) for r in records if r.kind == "GNB_RXTX"}
-    ranges = [(index[t], rtt(ue_rxtx[t], gnb_rxtx[t]) * SPEED_OF_LIGHT / 2.0)
-              for t in sorted(ue_rxtx) if t in gnb_rxtx]
-    return rtt_solve(anchors, ranges, options)
+    return [Row(RANGE, index[t], rtt(ue_rxtx[t], gnb_rxtx[t]) * SPEED_OF_LIGHT / 2.0)
+            for t in sorted(ue_rxtx) if t in gnb_rxtx], None
 
 
-def _solve_ul_aoa(records, index, anchors, options, beams):
+def _ul_aoa_rows(records, index, anchors, options, beams):
     """Bearings in anchor-row order, so that the records' order does not
-    move the fix."""
+    move the fix; their zenith rows follow when every record has one."""
     angles = sorted((index[r.trp_id], r.payload["azimuth_deg"], r.payload["zenith_deg"])
                     for r in records if r.kind == "AOA")
-    return aoa_solve(anchors, angles, options)
+    rows = [Row(AZIMUTH, i, az) for i, az, _ in angles]
+    if all(zen is not None for _, _, zen in angles):
+        rows += [Row(ZENITH, i, zen) for i, _, zen in angles]
+    return rows, None
 
 
-def _solve_dl_aod(records, index, anchors, options, beams):
+def _dl_aod_rows(records, index, anchors, options, beams):
     """Each PRS-RSRP report's resource is a beam of its TRP, whose azimuth
-    the beam table holds."""
+    the beam table holds. A TRP's row is the `beam_bearing` of its beams,
+    in the order of its first report; a TRP whose bearing has low
+    confidence (one beam, or a flat response) has none."""
     if beams is None:
         raise SolverError("a DL-AoD solve needs the TRPs' beam table")
     sweeps: dict[int, list] = {}
@@ -899,20 +908,34 @@ def _solve_dl_aod(records, index, anchors, options, beams):
                 raise SolverError(f"TRP {r.trp_id} has no beam {r.resource_id}")
             sweeps.setdefault(index[r.trp_id], []).append(
                 (beams[r.trp_id][r.resource_id], r.payload["value_dbm"]))
-    return aod_solve(anchors, sweeps, options)
+    rows = []
+    for i, sweep in sweeps.items():
+        az, low_confidence = beam_bearing(sweep)
+        if not low_confidence:
+            rows.append(Row(AZIMUTH, i, az))
+    if len(rows) < 2:
+        raise SolverError("not enough TRPs with usable beam reports")
+    return rows, None
 
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One positioning method: `measure(sim, links, trp_clock, ue_clock,
-    drop_idx)` forms a drop's records, of which fewer than `fewest_trps` TRPs
-    fail the drop unsolved; `solve(records, index, anchors, options, beams)`
-    solves them; `geometry` is the kind `solvers.gdop` takes; and a
-    session's UE and gNB reports carry the kinds `ue_report`, `gnb_report`."""
+    """One positioning method.
+
+    - `measure(sim, links, trp_clock, ue_clock, drop_idx)` forms a drop's
+      records; fewer than `fewest_trps` TRPs among them fail the drop
+      unsolved.
+    - `rows(records, index, anchors, options, beams)` turns records into
+      `solvers.Row`s on the anchor rows that index gives, and a start for
+      `solvers.solve_rows`: None for its default.
+    - `geometry` holds the row kinds of the drop's GDOP (`solvers.gdop`).
+    - A session's UE and gNB reports carry the kinds `ue_report` and
+      `gnb_report`.
+    """
 
     measure: Callable
-    solve: Callable
-    geometry: str
+    rows: Callable
+    geometry: tuple[str, ...]
     fewest_trps: int
     first_path: bool
     ue_report: tuple[str, ...] = ()
@@ -920,13 +943,14 @@ class MethodSpec:
 
 
 METHOD_TABLE = {
-    "dl-tdoa": MethodSpec(Simulator._dl_tdoa_records, _solve_dl_tdoa, "tdoa", 4, True,
-                          ("RSTD", "PRS_RSRP")),
-    "ul-tdoa": MethodSpec(Simulator._ul_tdoa_records, _solve_ul_tdoa, "tdoa", 4, True),
-    "multi-rtt": MethodSpec(Simulator._multi_rtt_records, _solve_multi_rtt, "rtt", 3, True,
+    "dl-tdoa": MethodSpec(Simulator._dl_tdoa_records, _dl_tdoa_rows, (RANGE_DIFFERENCE,), 4,
+                          True, ("RSTD", "PRS_RSRP")),
+    "ul-tdoa": MethodSpec(Simulator._ul_tdoa_records, _ul_tdoa_rows, (RANGE_DIFFERENCE,), 4,
+                          True),
+    "multi-rtt": MethodSpec(Simulator._multi_rtt_records, _multi_rtt_rows, (RANGE,), 3, True,
                             ("UE_RXTX",), ("GNB_RXTX",)),
-    "ul-aoa": MethodSpec(Simulator._ul_aoa_records, _solve_ul_aoa, "aoa", 2, True),
-    "dl-aod": MethodSpec(Simulator._dl_aod_records, _solve_dl_aod, "aod", 2, False,
+    "ul-aoa": MethodSpec(Simulator._ul_aoa_records, _ul_aoa_rows, (AZIMUTH, ZENITH), 2, True),
+    "dl-aod": MethodSpec(Simulator._dl_aod_records, _dl_aod_rows, (AZIMUTH,), 2, False,
                          ("PRS_RSRP",)),
 }
 
@@ -940,8 +964,8 @@ class _AnchorIndex(dict):
 
 
 def solve_records(records, anchors, method: str, options: SolverOptions, beams=None):
-    """Position solve from measurement records, by the method's entry of
-    `METHOD_TABLE`.
+    """Position solve from measurement records: the rows and start of the
+    method's entry of `METHOD_TABLE`, through `solvers.solve_rows`.
 
     anchors maps each trp_id to its position; the solver's anchor rows
     follow the mapping's order. beams is the TRPs' beam table
@@ -953,4 +977,5 @@ def solve_records(records, anchors, method: str, options: SolverOptions, beams=N
         raise SolverError(f"unknown method {method!r}")
     index = _AnchorIndex((t, i) for i, t in enumerate(anchors))
     xyz = np.array([anchors[t] for t in index], dtype=float)
-    return METHOD_TABLE[method].solve(records, index, xyz, options, beams)
+    rows, x0 = METHOD_TABLE[method].rows(records, index, xyz, options, beams)
+    return solve_rows(rows, xyz, options, x0)

@@ -1,12 +1,24 @@
-"""Position estimation from quantized measurements: damped Gauss-Newton
-solvers for time-difference, round-trip-range, arrival-angle and
-departure-angle inputs, plus geometric dilution diagnostics.
+"""Position estimation from quantized measurements: one damped
+Gauss-Newton solve from measurement rows, plus geometric dilution
+diagnostics.
 
-Angle solves start from the closed-form least-squares intersection of the
-bearing lines, and range solves from the linear least-squares solution of
-the squared-range equations; a coarse objective scan backs up a range
-start that fails. Time-difference solves always add the minima of that
-scan as starts, which picks between their hyperbola branches.
+A row is one measurement (`Row`): a residual kind, the anchor row it is
+taken from, its measured value and, for a range difference, the anchor
+row it is taken against. The kinds are range and range difference in
+metres, azimuth and zenith in degrees. Every positioning method's reports
+become rows (`simulate.METHOD_TABLE`), and `solve_rows` solves them: the
+rows become one residual problem (`_problem`), the fix is checked to be
+determined, and the kinds present pick the start.
+
+- Range differences always add the minima of a coarse objective scan as
+  starts, which picks between their hyperbola branches.
+- Ranges start from the linear least-squares solution of the
+  squared-range equations; the scan backs up a start that fails.
+- Azimuths, with or without zeniths, start from the closed-form
+  least-squares intersection of the bearing lines.
+
+`gdop` builds its problem from rows too: one zero-valued row per anchor
+and kind.
 
 Gauss-Newton accepts a step only when it lowers the residual RMS
 strictly, halving it up to 25 times to find one; a run whose halvings
@@ -28,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +69,25 @@ class PositionFix:
     iterations: int
     converged: bool
     objective: float = 0.0
+
+
+# residual kinds: metres to an anchor, metres to an anchor less metres to
+# the reference anchor, and degrees of the bearing from an anchor
+RANGE = "range"
+RANGE_DIFFERENCE = "range difference"
+AZIMUTH = "azimuth"
+ZENITH = "zenith"
+
+
+class Row(NamedTuple):
+    """One measurement: its residual kind, the anchor row it is taken from,
+    the measured value (metres or degrees) and, for a range difference,
+    the anchor row it is taken against."""
+
+    kind: str
+    anchor: int
+    value: float
+    ref: int | None = None
 
 
 def wrap_deg(angle):
@@ -470,87 +502,77 @@ def _solve_ranges(problem: _RangeProblem, x0, options: SolverOptions) -> Positio
     return _solve_multistart(problem, x0, options)
 
 
-def _check_geometry(anchors, n_meas, kind, least, options, check_collinear=True):
-    """Raise unless a 2-D fix has `least` measurements (3-D one more) and,
-    with check_collinear, anchors that span the plane."""
+def _problem(rows, anchors, fix_height) -> _Problem:
+    """The one `_Problem` of rows on the (anchor, xyz) array: range
+    differences, all against one reference; ranges; or azimuths, with no
+    zenith rows or one per azimuth row at the same anchor, in the same
+    order. The problem keeps the rows' order."""
+    if not rows:
+        raise SolverError("no measurements")
+    by_kind: dict[str, list[Row]] = {}
+    for r in rows:
+        by_kind.setdefault(r.kind, []).append(r)
+    kinds = by_kind.keys()
+    if kinds == {RANGE_DIFFERENCE}:
+        refs = {r.ref for r in rows}
+        if len(refs) != 1:
+            raise SolverError("all range differences must share one reference anchor")
+        return _TdoaProblem(anchors[[r.anchor for r in rows]], anchors[refs.pop()],
+                            [r.value for r in rows], fix_height)
+    if kinds == {RANGE}:
+        return _RangeProblem(anchors[[r.anchor for r in rows]], [r.value for r in rows],
+                             fix_height)
+    az, zen = by_kind.get(AZIMUTH), by_kind.get(ZENITH)
+    if az and kinds <= {AZIMUTH, ZENITH}:
+        if zen and [r.anchor for r in zen] != [r.anchor for r in az]:
+            raise SolverError("zenith rows must pair with the azimuth rows, anchor by anchor")
+        return _AngleProblem(anchors[[r.anchor for r in az]], [r.value for r in az],
+                             zen and [r.value for r in zen], fix_height)
+    raise SolverError(f"no solve from rows of kinds {sorted(kinds)}")
+
+
+# per problem: its name in messages, the fewest rows (azimuth rows, for
+# bearings) of a fix at a known height, one more when the height is free,
+# and its solve from a start
+_SOLVES = {
+    _TdoaProblem: ("tdoa", 3, _solve_multistart),
+    _RangeProblem: ("rtt", 3, _solve_ranges),
+    _AngleProblem: ("aoa", 2, _solve_bearings),
+}
+
+
+def solve_rows(rows, anchors, options: SolverOptions, x0=None) -> PositionFix:
+    """Position fix from rows on anchors, an (anchor row, xyz) array.
+
+    The rows become one `_Problem` (see `_problem` for the row sets it
+    takes), which picks the start: the coarse scan for range differences
+    (`_solve_multistart`), the linear range start for ranges
+    (`_solve_ranges`), the bearing intersection for azimuths
+    (`_solve_bearings`). Before it runs, the fix must be determined: enough
+    rows, anchors that span the plane for ranges and range differences
+    (reference included), and bearings that are not all parallel. x0 defaults
+    to the plain centroid of the rows' anchors in row order (an azimuth
+    row's, for bearings; not the reference's, for range differences).
+    """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    problem = _problem(rows, anchors, options.fix_height)
+    name, least, solve = _SOLVES[type(problem)]
     need = least + (1 if options.fix_height is None else 0)
-    if n_meas < need:
-        raise SolverError(f"{kind} needs >= {need} measurements, got {n_meas}")
-    if check_collinear:
-        spread = anchors[:, :2] - anchors[:, :2].mean(axis=0)
-        if np.linalg.matrix_rank(spread, tol=1e-9) < 2:
+    if len(problem.anchors) < need:
+        raise SolverError(f"{name} needs >= {need} measurements, got {len(problem.anchors)}")
+    if isinstance(problem, _AngleProblem):
+        # collinear anchors are fine for bearings; parallel bearings are not
+        if np.all(np.abs(wrap_deg((problem.az - problem.az[0]) * 2.0)) < 1e-9):
+            raise SolverError("parallel bearings have no unique intersection")
+    else:
+        used = problem.anchors[:, :2]
+        if isinstance(problem, _TdoaProblem):
+            used = np.vstack([used, problem.ref[:2]])
+        if np.linalg.matrix_rank(used - used.mean(axis=0), tol=1e-9) < 2:
             raise SolverError("anchors are collinear (degenerate geometry)")
-
-
-def tdoa_solve(anchors, rstd_m, options: SolverOptions | None = None,
-               x0=None) -> PositionFix:
-    """Hyperbolic solve from range differences.
-
-    rstd_m is a list of (anchor_index, ref_anchor_index, meters); all rows
-    must share one reference.
-    """
-    options = options or SolverOptions()
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    if not rstd_m:
-        raise SolverError("no measurements")
-    refs = {ref for _, ref, _ in rstd_m}
-    if len(refs) != 1:
-        raise SolverError("all range differences must share one reference anchor")
-    ref_idx = refs.pop()
-    idx = [i for i, _, _ in rstd_m]
-    meas = np.array([m for _, _, m in rstd_m], dtype=float)
-    least = 3
-    _check_geometry(anchors[idx + [ref_idx]], len(meas), "tdoa", least, options)
     if x0 is None:
-        x0 = init_guess(anchors, fix_height=options.fix_height)
-    problem = _TdoaProblem(anchors[idx], anchors[ref_idx], meas, options.fix_height)
-    return _solve_multistart(problem, x0, options)
-
-
-def rtt_solve(anchors, ranges_m, options: SolverOptions | None = None,
-              x0=None) -> PositionFix:
-    """Multilateration from round-trip ranges: (anchor_index, meters) pairs."""
-    options = options or SolverOptions()
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    if not ranges_m:
-        raise SolverError("no measurements")
-    idx = [i for i, _ in ranges_m]
-    meas = np.array([m for _, m in ranges_m], dtype=float)
-    least = 3
-    _check_geometry(anchors[idx], len(meas), "rtt", least, options)
-    if x0 is None:
-        x0 = init_guess(anchors[idx], fix_height=options.fix_height)
-    # the trilateration mirror ambiguity resolves toward the lower objective
-    # of the closed-form and x0 runs; a start off the area, or no converged
-    # in-area run, falls back to the coarse scan
-    return _solve_ranges(_RangeProblem(anchors[idx], meas, options.fix_height), x0, options)
-
-
-def aoa_solve(anchors, angles, options: SolverOptions | None = None,
-              x0=None) -> PositionFix:
-    """Bearing-intersection solve.
-
-    angles is a list of (anchor_index, azimuth_deg, zenith_deg_or_None);
-    residuals are wrapped angle differences in degrees.
-    """
-    options = options or SolverOptions()
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    if not angles:
-        raise SolverError("no measurements")
-    idx = [i for i, _, _ in angles]
-    az = np.array([a for _, a, _ in angles], dtype=float)
-    zen_vals = [z for _, _, z in angles]
-    use_zen = all(z is not None for z in zen_vals)
-    zen = np.array(zen_vals, dtype=float) if use_zen else None
-    # collinear anchors are fine for bearings; parallel bearings are not
-    least = 2
-    _check_geometry(anchors[idx], len(az), "aoa", least, options, check_collinear=False)
-    if np.all(np.abs(wrap_deg((az - az[0]) * 2.0)) < 1e-9):
-        raise SolverError("parallel bearings have no unique intersection")
-    if x0 is None:
-        x0 = init_guess(anchors[idx], fix_height=options.fix_height)
-    return _solve_bearings(_AngleProblem(anchors[idx], az, zen, options.fix_height), x0, options)
+        x0 = init_guess(problem.anchors, fix_height=options.fix_height)
+    return solve(problem, x0, options)
 
 
 BEARING_TOP_BEAMS = 3
@@ -577,47 +599,17 @@ def beam_bearing(beams) -> tuple[float, bool]:
     return az_mean, low_confidence
 
 
-def aod_solve(anchors, beam_rsrp, options: SolverOptions | None = None,
-              x0=None) -> PositionFix:
-    """Departure-angle solve from per-TRP beam power reports.
-
-    beam_rsrp maps anchor_index -> list of (beam azimuth, rsrp_dbm).
-    Single-beam or flat-response TRPs carry no usable bearing and are
-    dropped. The reports carry no zenith, so the bearings are azimuths
-    alone.
-    """
-    options = options or SolverOptions()
-    angles = []
-    for anchor_idx, beams in beam_rsrp.items():
-        az, low_conf = beam_bearing(beams)
-        if not low_conf:
-            angles.append((anchor_idx, az, None))
-    if len(angles) < 2:
-        raise SolverError("not enough TRPs with usable beam reports")
-    return aoa_solve(anchors, angles, options, x0=x0)
-
-
-def gdop(anchors, position, method: str, ref_index: int = 0,
-         fix_height: float | None = 1.5) -> float:
-    """sqrt(trace((J^T J)^-1)) of the method's measurement Jacobian.
+def gdop(anchors, position, kinds, fix_height: float | None = 1.5) -> float:
+    """sqrt(trace((J^T J)^-1)) at position of rows of the given kinds, one
+    zero-valued row per anchor and kind; range differences are taken
+    against anchor row 0, which has none of its own.
 
     Returns +inf for singular geometry.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    position = np.asarray(position, dtype=float)
-    if method == "tdoa":
-        rows = [i for i in range(len(anchors)) if i != ref_index]
-        problem = _TdoaProblem(anchors[rows], anchors[ref_index],
-                               np.zeros(len(rows)), fix_height)
-    elif method == "rtt":
-        problem = _RangeProblem(anchors, np.zeros(len(anchors)), fix_height)
-    elif method in ("aoa", "aod"):
-        # DL-AoD reports carry no zenith: aod_solve has azimuths only
-        zenith = np.zeros(len(anchors)) if method == "aoa" else None
-        problem = _AngleProblem(anchors, np.zeros(len(anchors)), zenith, fix_height)
-    else:
-        raise SolverError(f"unknown method {method!r}")
-    j = problem.jacobian(position)
+    rows = [Row(kind, i, 0.0, 0) for kind in kinds for i in range(len(anchors))
+            if i > 0 or kind != RANGE_DIFFERENCE]
+    j = _problem(rows, anchors, fix_height).jacobian(position)
     jtj = j.T @ j
     try:
         inv = np.linalg.inv(jtj)

@@ -418,13 +418,17 @@ def test_written_records_resolve_to_the_drop_fix(method, tmp_path):
     assert fix.residual_rms == outcome.fix.residual_rms
 
 
-@pytest.mark.parametrize("method", ["ul-tdoa", "ul-aoa"])
-def test_uplink_fix_does_not_depend_on_record_order(method):
+@pytest.mark.parametrize("method", ["ul-tdoa", "multi-rtt", "ul-aoa"])
+def test_fix_does_not_depend_on_record_order(method):
     """UMa drops 0-11 at master seed 1, each drop's records re-solved in
     three shuffled orders, as per-TRP gNBs might report them. While the
     uplink solves built their rows in record order, 28 of these 36 UL-TDOA
     re-solves moved, by up to 2.9e-6 m, and 29 of 36 UL-AoA re-solves, by
-    up to 2.3e-13 m; over drops 0-39 one UL-AoA fix moved by 8e18 m."""
+    up to 2.3e-13 m; over drops 0-39 one UL-AoA fix moved by 8e18 m.
+    Multi-RTT's ranges have always been in trp_id order; the test guards
+    its rows builder. DL-TDOA and DL-AoD still build their rows in record
+    order; they join this test when rows are sorted canonically (ROADMAP
+    item 16, step 3)."""
     n = 12
     sim = Simulator(preset_config("uma", method=method, n_drops=n))
     rng = np.random.default_rng(0)

@@ -7,22 +7,27 @@ import pytest
 import gauss_newton_oracle as oracle
 from nrpos import solvers
 from nrpos.config import preset_config
-from nrpos.simulate import Simulator
+from nrpos.measurements import MeasurementRecord
+from nrpos.simulate import Simulator, solve_records
 from nrpos.solvers import (
+    AZIMUTH,
+    RANGE,
+    RANGE_DIFFERENCE,
+    ZENITH,
     PositionFix,
+    Row,
     SolverError,
     SolverOptions,
-    aoa_solve,
-    aod_solve,
     beam_bearing,
     gdop,
     init_guess,
-    rtt_solve,
-    tdoa_solve,
+    solve_rows,
     wrap_deg,
 )
 
 OPT2D = SolverOptions(fix_height=1.5)
+# DL-AoD beam reports, which become azimuth rows through `beam_bearing`
+BEAMS = "beams"
 
 
 def square_anchors(side=100.0, z=10.0):
@@ -43,117 +48,153 @@ def random_anchors(rng, n=6, z=3.0):
             return pts
 
 
-def exact_rstd(anchors, ref, ue):
-    d = np.linalg.norm(anchors - ue, axis=1)
-    d_ref = np.linalg.norm(anchors[ref] - ue)
-    return [(i, ref, d[i] - d_ref) for i in range(len(anchors)) if i != ref]
+def exact_rows(kinds, anchors, ue, ref=0):
+    """Noiseless rows of the given kinds from every anchor; range
+    differences against anchor row ref, which has none of its own."""
+    v = ue - anchors
+    d = np.linalg.norm(v, axis=1)
+    value = {
+        RANGE_DIFFERENCE: lambda i: d[i] - d[ref],
+        RANGE: lambda i: d[i],
+        AZIMUTH: lambda i: math.degrees(math.atan2(v[i, 1], v[i, 0])),
+        ZENITH: lambda i: math.degrees(math.acos(v[i, 2] / d[i])),
+    }
+    return [Row(kind, i, value[kind](i), ref) for kind in kinds for i in range(len(anchors))
+            if i != ref or kind != RANGE_DIFFERENCE]
 
 
-def exact_ranges(anchors, ue):
-    d = np.linalg.norm(anchors - ue, axis=1)
-    return [(i, d[i]) for i in range(len(anchors))]
+def beam_reports(anchors, ue, spacing_deg=10.0):
+    """DL-AoD reports and the beam table they name: three beams per TRP,
+    the middle one toward the terminal and 10 dB stronger than its
+    neighbours, so that the weighted bearing is exactly the departure."""
+    records, beams = [], {}
+    for i, az in enumerate(r.value for r in exact_rows((AZIMUTH,), anchors, ue)):
+        beams[i] = [az - spacing_deg, az, az + spacing_deg]
+        records += [MeasurementRecord(kind="PRS_RSRP", trp_id=i, resource_id=b,
+                                      payload={"value_dbm": p})
+                    for b, p in enumerate((-90.0, -80.0, -90.0))]
+    return records, beams
 
 
-def exact_angles(anchors, ue):
-    out = []
-    for i, a in enumerate(anchors):
-        v = ue - a
-        az = math.degrees(math.atan2(v[1], v[0]))
-        zen = math.degrees(math.acos(v[2] / np.linalg.norm(v)))
-        out.append((i, az, zen))
-    return out
+def aod_fix(anchors, records, beams, options):
+    return solve_records(records, dict(enumerate(anchors)), "dl-aod", options, beams)
 
 
-def symmetric_beam_rsrp(anchors, ue, spacing_deg=10.0):
-    """Beam reports whose weighted bearing is exactly the true departure."""
-    reports = {}
-    for i, a in enumerate(anchors):
-        v = ue - a
-        az = math.degrees(math.atan2(v[1], v[0]))
-        reports[i] = [(az - spacing_deg, -90.0), (az, -80.0), (az + spacing_deg, -90.0)]
-    return reports
+def noiseless_fix(family, anchors, ue, options=OPT2D):
+    if family == BEAMS:
+        return aod_fix(anchors, *beam_reports(anchors, ue), options)
+    return solve_rows(exact_rows(family, anchors, ue), anchors, options)
 
 
 class TestNoiselessRecovery:
     def test_square_center_symmetry(self):
-        anchors = square_anchors()
         ue = np.array([0.0, 0.0, 1.5])
-        fix = tdoa_solve(anchors, exact_rstd(anchors, 0, ue), OPT2D)
+        fix = noiseless_fix((RANGE_DIFFERENCE,), square_anchors(), ue)
         assert fix.converged
         assert np.linalg.norm(fix.position[:2] - ue[:2]) < 1e-6
 
     def test_three_anchor_trilateration(self):
         anchors = np.array([[0, 0, 3], [100, 0, 3], [0, 100, 3]], dtype=float)
         ue = np.array([30.0, 40.0, 1.5])
-        fix = rtt_solve(anchors, exact_ranges(anchors, ue), OPT2D)
+        fix = noiseless_fix((RANGE,), anchors, ue)
         assert fix.converged
         assert np.linalg.norm(fix.position[:2] - ue[:2]) < 1e-9
 
     def test_two_bearing_intersection(self):
         anchors = np.array([[0, 0, 1.5], [100, 0, 1.5]], dtype=float)
         ue = np.array([50.0, 50.0, 1.5])  # bearings 45 and 135 degrees
-        angles = [(0, 45.0, None), (1, 135.0, None)]
-        fix = aoa_solve(anchors, angles, OPT2D)
+        rows = [Row(AZIMUTH, 0, 45.0), Row(AZIMUTH, 1, 135.0)]
+        fix = solve_rows(rows, anchors, OPT2D)
         assert np.linalg.norm(fix.position[:2] - ue[:2]) < 1e-6
 
     def test_aoa_four_anchors(self):
         anchors = np.array([[10, 15, 3], [110, 15, 3], [10, 35, 3], [110, 35, 3]],
                            dtype=float)
         ue = np.array([42.0, 27.0, 1.5])
-        fix = aoa_solve(anchors, exact_angles(anchors, ue), OPT2D)
+        fix = noiseless_fix((AZIMUTH, ZENITH), anchors, ue)
         assert np.linalg.norm(fix.position[:2] - ue[:2]) < 1e-6
 
     def test_aod_symmetric_beams(self):
         anchors = np.array([[0, 0, 3], [100, 0, 3], [50, 80, 3]], dtype=float)
         ue = np.array([40.0, 30.0, 1.5])
-        fix = aod_solve(anchors, symmetric_beam_rsrp(anchors, ue), OPT2D)
+        fix = noiseless_fix(BEAMS, anchors, ue)
         assert np.linalg.norm(fix.position[:2] - ue[:2]) < 1e-6
 
-    @pytest.mark.parametrize("method", ["tdoa", "rtt", "aoa", "aod"])
-    def test_random_instances(self, method):
+    @pytest.mark.parametrize("method,family", [
+        pytest.param("tdoa", (RANGE_DIFFERENCE,), id="tdoa"),
+        pytest.param("rtt", (RANGE,), id="rtt"),
+        pytest.param("aoa", (AZIMUTH, ZENITH), id="aoa"),
+        pytest.param("aod", BEAMS, id="aod"),
+    ])
+    def test_random_instances(self, method, family):
         rng = np.random.default_rng(sum(map(ord, method)))
         for _ in range(60):
             anchors = random_anchors(rng)
             ue = np.array([rng.uniform(-60, 60), rng.uniform(-60, 60), 1.5])
-            if method == "tdoa":
-                fix = tdoa_solve(anchors, exact_rstd(anchors, 0, ue), OPT2D)
-            elif method == "rtt":
-                fix = rtt_solve(anchors, exact_ranges(anchors, ue), OPT2D)
-            elif method == "aoa":
-                fix = aoa_solve(anchors, exact_angles(anchors, ue), OPT2D)
-            else:
-                fix = aod_solve(anchors, symmetric_beam_rsrp(anchors, ue), OPT2D)
+            fix = noiseless_fix(family, anchors, ue)
             assert np.linalg.norm(fix.position[:2] - ue[:2]) < 1e-6
             assert fix.converged
 
 
+SQUARE = square_anchors()
+
+
 class TestSolverContracts:
     def test_insufficient_measurements(self):
-        anchors = square_anchors()
-        with pytest.raises(SolverError):
-            tdoa_solve(anchors, exact_rstd(anchors, 0, np.array([0, 0, 1.5]))[:2], OPT2D)
-        with pytest.raises(SolverError):
-            rtt_solve(anchors[:2], [(0, 10.0), (1, 20.0)], OPT2D)
-        with pytest.raises(SolverError):
-            aoa_solve(anchors, [(0, 10.0, None)], OPT2D)
+        rows = exact_rows((RANGE_DIFFERENCE,), SQUARE, np.array([0, 0, 1.5]))[:2]
+        with pytest.raises(SolverError, match="tdoa needs >= 3 measurements, got 2"):
+            solve_rows(rows, SQUARE, OPT2D)
+        with pytest.raises(SolverError, match="rtt needs >= 3 measurements, got 2"):
+            solve_rows([Row(RANGE, 0, 10.0), Row(RANGE, 1, 20.0)], SQUARE, OPT2D)
+        with pytest.raises(SolverError, match="aoa needs >= 2 measurements, got 1"):
+            solve_rows([Row(AZIMUTH, 0, 10.0)], SQUARE, OPT2D)
+        # a free height takes one more
+        with pytest.raises(SolverError, match="rtt needs >= 4 measurements, got 3"):
+            solve_rows(exact_rows((RANGE,), SQUARE[:3], np.zeros(3)), SQUARE,
+                       SolverOptions(fix_height=None))
+        with pytest.raises(SolverError, match="no measurements"):
+            solve_rows([], SQUARE, OPT2D)
 
     def test_collinear_anchors_rejected(self):
-        anchors = np.array([[0, 0, 3], [50, 0, 3], [100, 0, 3], [150, 0, 3]],
+        """Ranges and range differences need anchors that span the plane;
+        a range difference's reference is one of them."""
+        anchors = np.array([[0, 0, 3], [50, 0, 3], [100, 0, 3], [150, 0, 3], [0, 80, 3]],
                            dtype=float)
         ue = np.array([50.0, 40.0, 1.5])
-        with pytest.raises(SolverError):
-            rtt_solve(anchors, exact_ranges(anchors, ue), OPT2D)
+        with pytest.raises(SolverError, match="anchors are collinear"):
+            solve_rows(exact_rows((RANGE,), anchors[:4], ue), anchors, OPT2D)
+        with pytest.raises(SolverError, match="anchors are collinear"):
+            solve_rows(exact_rows((RANGE_DIFFERENCE,), anchors[:4], ue), anchors, OPT2D)
+        off_line = [Row(RANGE_DIFFERENCE, i, 1.0, 4) for i in range(4)]
+        assert isinstance(solve_rows(off_line, anchors, OPT2D), PositionFix)
 
     def test_mixed_references_rejected(self):
-        anchors = square_anchors()
-        with pytest.raises(SolverError):
-            tdoa_solve(anchors, [(1, 0, 5.0), (2, 0, 3.0), (3, 1, 1.0)], OPT2D)
+        rows = [Row(RANGE_DIFFERENCE, 1, 5.0, 0), Row(RANGE_DIFFERENCE, 2, 3.0, 0),
+                Row(RANGE_DIFFERENCE, 3, 1.0, 1)]
+        with pytest.raises(SolverError,
+                           match="all range differences must share one reference anchor"):
+            solve_rows(rows, SQUARE, OPT2D)
+
+    @pytest.mark.parametrize("rows,options,message", [
+        pytest.param([Row(AZIMUTH, 0, 30.0), Row(AZIMUTH, 1, -150.0), Row(AZIMUTH, 2, 30.0)],
+                     OPT2D, "parallel bearings have no unique intersection",
+                     id="parallel-bearings"),
+        pytest.param(exact_rows((RANGE, AZIMUTH), SQUARE, np.zeros(3)), OPT2D,
+                     r"no solve from rows of kinds \['azimuth', 'range'\]", id="mixed-kinds"),
+        pytest.param(exact_rows((ZENITH,), SQUARE, np.zeros(3)), OPT2D,
+                     r"no solve from rows of kinds \['zenith'\]", id="zeniths-alone"),
+        pytest.param(exact_rows((AZIMUTH, ZENITH), SQUARE, np.zeros(3))[:-1], OPT2D,
+                     "zenith rows must pair with the azimuth rows", id="unpaired-zenith"),
+    ])
+    def test_undetermined_rows_rejected(self, rows, options, message):
+        with pytest.raises(SolverError, match=message):
+            solve_rows(rows, SQUARE, options)
 
     def test_divergence_returns_unconverged(self):
         anchors = np.array([[0, 0, 3], [100, 0, 3], [0, 100, 3]], dtype=float)
         options = SolverOptions(fix_height=1.5, max_iterations=1)
-        fix = rtt_solve(anchors, [(0, 80.0), (1, 90.0), (2, 95.0)], options,
-                        x0=np.array([500.0, 500.0, 1.5]))
+        rows = [Row(RANGE, 0, 80.0), Row(RANGE, 1, 90.0), Row(RANGE, 2, 95.0)]
+        fix = solve_rows(rows, anchors, options, x0=np.array([500.0, 500.0, 1.5]))
         assert isinstance(fix, PositionFix)
 
     def test_monotone_damping(self, monkeypatch):
@@ -176,8 +217,9 @@ class TestSolverContracts:
         for _ in range(50):
             anchors = random_anchors(rng)
             ue = np.array([rng.uniform(-50, 50), rng.uniform(-50, 50), 1.5])
-            meas = [(i, d + rng.normal(0, 2.0)) for i, d in exact_ranges(anchors, ue)]
-            rtt_solve(anchors, meas, OPT2D)
+            rows = [r._replace(value=r.value + rng.normal(0, 2.0))
+                    for r in exact_rows((RANGE,), anchors, ue)]
+            solve_rows(rows, anchors, OPT2D)
         assert len(histories) >= 50 and any(len(h) > 2 for h, _ in histories)
         for hist, converged in histories:
             steps = list(zip(hist, hist[1:]))
@@ -204,21 +246,22 @@ class TestSolverContracts:
         rng = np.random.default_rng(10)
         anchors = random_anchors(rng)
         ue = np.array([20.0, -10.0, 1.5])
-        noisy = [(i, d + 0.5 * np.sin(i)) for i, d in exact_ranges(anchors, ue)]
-        fix_a = rtt_solve(anchors, noisy, OPT2D)
+        noisy = [r._replace(value=r.value + 0.5 * np.sin(r.anchor))
+                 for r in exact_rows((RANGE,), anchors, ue)]
+        fix_a = solve_rows(noisy, anchors, OPT2D)
         shift = np.array([1000.0, -500.0, 0.0])
-        fix_b = rtt_solve(anchors + shift, noisy, OPT2D,
-                          x0=init_guess(anchors + shift, fix_height=1.5))
+        fix_b = solve_rows(noisy, anchors + shift, OPT2D,
+                           x0=init_guess(anchors + shift, fix_height=1.5))
         assert np.allclose(fix_a.position + shift, fix_b.position, atol=1e-6)
 
     def test_converged_gradient_small(self):
         rng = np.random.default_rng(11)
         anchors = random_anchors(rng)
         ue = np.array([10.0, 5.0, 1.5])
-        ranges = exact_ranges(anchors, ue)
-        fix = rtt_solve(anchors, ranges, OPT2D)
+        rows = exact_rows((RANGE,), anchors, ue)
+        fix = solve_rows(rows, anchors, OPT2D)
         assert fix.converged
-        problem = solvers._RangeProblem(anchors, [d for _, d in ranges], OPT2D.fix_height)
+        problem = solvers._RangeProblem(anchors, [r.value for r in rows], OPT2D.fix_height)
         r, j = residuals(problem, fix.position), problem.jacobian(fix.position)
         assert np.linalg.norm(2.0 * j.T @ r / len(r)) < 1e-6
 
@@ -238,11 +281,9 @@ class TestAngleNoisePropagation:
         errs = []
         for _ in range(300):
             ue = np.array([rng.uniform(-20, 20), rng.uniform(-20, 20), 1.5])
-            angles = [
-                (i, az + rng.normal(0, 1.0), None)
-                for i, az, _ in exact_angles(anchors, ue)
-            ]
-            fix = aoa_solve(anchors, angles, OPT2D)
+            rows = [r._replace(value=r.value + rng.normal(0, 1.0))
+                    for r in exact_rows((AZIMUTH,), anchors, ue)]
+            fix = solve_rows(rows, anchors, OPT2D)
             errs.append(np.linalg.norm(fix.position[:2] - ue[:2]))
         rms = float(np.sqrt(np.mean(np.square(errs))))
         scale = math.radians(1.0) * 100.0  # ~1.75 m
@@ -266,15 +307,18 @@ class TestBeamBearing:
     def test_single_beam_trp_dropped(self):
         anchors = np.array([[0, 0, 3], [100, 0, 3], [50, 80, 3]], dtype=float)
         ue = np.array([40.0, 30.0, 1.5])
-        reports = symmetric_beam_rsrp(anchors, ue)
-        reports[2] = reports[2][:1]  # single beam: coarse info only
-        fix = aod_solve(anchors, reports, OPT2D)
+        records, beams = beam_reports(anchors, ue)
+        # TRP 2 reports one beam: coarse information only
+        records = [r for r in records if r.trp_id != 2 or r.resource_id == 0]
+        fix = aod_fix(anchors, records, beams, OPT2D)
         assert np.linalg.norm(fix.position[:2] - ue[:2]) < 1e-6
 
     def test_not_enough_usable_trps(self):
         anchors = np.array([[0, 0, 3], [100, 0, 3]], dtype=float)
-        with pytest.raises(SolverError):
-            aod_solve(anchors, {0: [(0.0, -80.0)], 1: [(10.0, -80.0)]}, OPT2D)
+        records = [MeasurementRecord(kind="PRS_RSRP", trp_id=i, resource_id=0,
+                                     payload={"value_dbm": -80.0}) for i in range(2)]
+        with pytest.raises(SolverError, match="not enough TRPs with usable beam reports"):
+            aod_fix(anchors, records, {0: [0.0], 1: [10.0]}, OPT2D)
 
 
 def residuals(problem, x):
@@ -300,21 +344,18 @@ class TestBearingStart:
         anchors = np.array([[10, 15, 3], [110, 15, 3], [10, 35, 3], [110, -35, 3]],
                            dtype=float)
         ue = np.array([*ue, 1.5])
-        az = [a for _, a, _ in exact_angles(anchors, ue)]
+        az = [r.value for r in exact_rows((AZIMUTH,), anchors, ue)]
         if ue[0] < 0:
             assert max(az) > 170.0 and min(az) < -170.0
         problem = solvers._AngleProblem(anchors, az, None, 1.5)
         assert np.allclose(solvers._bearing_start(problem), ue[:2], rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("method", ["aoa", "aod"])
-    def test_one_run_and_no_scan_in_area(self, method, monkeypatch):
+    @pytest.mark.parametrize("family", [(AZIMUTH, ZENITH), BEAMS], ids=["aoa", "aod"])
+    def test_one_run_and_no_scan_in_area(self, family, monkeypatch):
         anchors = np.array([[0, 0, 3], [100, 0, 3], [50, 80, 3]], dtype=float)
         ue = np.array([40.0, 30.0, 1.5])
         runs, scans = spy(monkeypatch, "_gauss_newton"), spy(monkeypatch, "_coarse_starts")
-        if method == "aoa":
-            fix = aoa_solve(anchors, exact_angles(anchors, ue), self.AREA)
-        else:
-            fix = aod_solve(anchors, symmetric_beam_rsrp(anchors, ue), self.AREA)
+        fix = noiseless_fix(family, anchors, ue, self.AREA)
         assert len(runs) == 1 and scans == []
         assert fix.converged
         assert np.linalg.norm(fix.position[:2] - ue[:2]) < 1e-6
@@ -325,12 +366,12 @@ class TestBearingStart:
         # points away from there (a back lobe), so the objective has
         # several basins and the two runs end in different ones
         anchors = np.array([[0, 0, 3], [100, 0, 3], [50, 80, 3]], dtype=float)
-        angles = exact_angles(anchors, np.array([120.0, 40.0, 1.5]))
-        angles[flip] = (flip, float(wrap_deg(angles[flip][1] + 180.0)), None)
+        rows = exact_rows((AZIMUTH,), anchors, np.array([120.0, 40.0, 1.5]))
+        rows[flip] = rows[flip]._replace(value=float(wrap_deg(rows[flip].value + 180.0)))
         options = SolverOptions(fix_height=1.5, area=(0.0, 0.0, 100.0, 100.0))
         x0 = init_guess(anchors, fix_height=1.5)
         runs = spy(monkeypatch, "_gauss_newton")
-        fix = aoa_solve(anchors, angles, options, x0=x0)
+        fix = solve_rows(rows, anchors, options, x0=x0)
 
         assert len(runs) == 2
         assert np.allclose(runs[0][1][:2], [120.0, 40.0], atol=1e-9)
@@ -345,7 +386,7 @@ class TestBearingStart:
         anchors = square_anchors()
         ue = np.array([10.0, -20.0, 1.5])
         scans = spy(monkeypatch, "_coarse_starts")
-        tdoa_solve(anchors, exact_rstd(anchors, 0, ue), OPT2D)
+        solve_rows(exact_rows((RANGE_DIFFERENCE,), anchors, ue), anchors, OPT2D)
         assert len(scans) == 1
 
 
@@ -374,7 +415,7 @@ class TestRangeStart:
         problem = solvers._RangeProblem(anchors, d, None)
         assert np.all(np.isfinite(solvers._range_start(problem)))
         x0 = init_guess(anchors, fix_height=None)
-        fix = rtt_solve(anchors, list(enumerate(d)), options)
+        fix = solve_rows([Row(RANGE, i, v) for i, v in enumerate(d)], anchors, options)
         scan = solvers._solve_multistart(problem, x0, options)
         assert fix.converged
         assert np.allclose(fix.position, scan.position, rtol=0, atol=1e-6)
@@ -384,7 +425,7 @@ class TestRangeStart:
         ue = np.array([10.0, -20.0, 1.5])
         x0 = init_guess(anchors, fix_height=1.5)
         runs, scans = spy(monkeypatch, "_gauss_newton"), spy(monkeypatch, "_coarse_starts")
-        fix = rtt_solve(anchors, exact_ranges(anchors, ue), self.AREA, x0=x0)
+        fix = solve_rows(exact_rows((RANGE,), anchors, ue), anchors, self.AREA, x0=x0)
         assert len(runs) == 2 and scans == []
         assert np.array_equal(runs[0][1], x0)
         assert np.allclose(runs[1][1], ue, rtol=0, atol=1e-9)
@@ -395,17 +436,17 @@ class TestRangeStart:
         anchors = square_anchors()
         ue = np.array([10.0, -20.0, 1.5])
         scans = spy(monkeypatch, "_coarse_starts")
-        rtt_solve(anchors, exact_ranges(anchors, ue), OPT2D)
+        solve_rows(exact_rows((RANGE,), anchors, ue), anchors, OPT2D)
         assert scans == []
 
     def test_start_off_area_reaches_scan(self, monkeypatch):
         # the terminal, and so the noiseless start, lies east of the area
         anchors = np.array([[0, 0, 3], [100, 0, 3], [50, 80, 3]], dtype=float)
         options = SolverOptions(fix_height=1.5, area=(0.0, 0.0, 100.0, 100.0))
-        ranges = exact_ranges(anchors, np.array([120.0, 40.0, 1.5]))
+        rows = exact_rows((RANGE,), anchors, np.array([120.0, 40.0, 1.5]))
         x0 = init_guess(anchors, fix_height=1.5)
         runs, scans = spy(monkeypatch, "_gauss_newton"), spy(monkeypatch, "_coarse_starts")
-        fix = rtt_solve(anchors, ranges, options, x0=x0)
+        fix = solve_rows(rows, anchors, options, x0=x0)
         problem = runs[0][0]
         assert np.allclose(solvers._range_start(problem)[:2], [120.0, 40.0], atol=1e-9)
         assert len(scans) == 1
@@ -418,12 +459,13 @@ class TestRangeStart:
         rng = np.random.default_rng(6)
         anchors = random_anchors(rng)
         ue = np.array([20.0, -10.0, 1.5])
-        ranges = [(i, d + rng.normal(0, 2.0)) for i, d in exact_ranges(anchors, ue)]
+        rows = [r._replace(value=r.value + rng.normal(0, 2.0))
+                for r in exact_rows((RANGE,), anchors, ue)]
         options = SolverOptions(fix_height=1.5, max_iterations=1,
                                 area=(-200.0, -200.0, 200.0, 200.0))
         x0 = init_guess(anchors, fix_height=1.5)
         runs, scans = spy(monkeypatch, "_gauss_newton"), spy(monkeypatch, "_coarse_starts")
-        fix = rtt_solve(anchors, ranges, options, x0=x0)
+        fix = solve_rows(rows, anchors, options, x0=x0)
         problem = runs[0][0]
         assert np.array_equal(runs[1][1], solvers._range_start(problem))
         assert not any(solvers._gauss_newton(problem, a[1], options).converged
@@ -606,42 +648,42 @@ class TestZeroDistance:
 class TestGdop:
     def test_square_center_is_minimum(self):
         anchors = square_anchors(z=1.5)
-        center = gdop(anchors, [0.0, 0.0, 1.5], "rtt")
+        center = gdop(anchors, [0.0, 0.0, 1.5], (RANGE,))
         for p in [[30, 0], [0, 30], [40, 40], [-45, 10]]:
-            assert center <= gdop(anchors, [p[0], p[1], 1.5], "rtt")
+            assert center <= gdop(anchors, [p[0], p[1], 1.5], (RANGE,))
 
     def test_collinear_is_infinite(self):
         anchors = np.array([[0, 0, 3], [50, 0, 3], [100, 0, 3]], dtype=float)
-        assert gdop(anchors, [50.0, 0.0, 1.5], "rtt") == math.inf
+        assert gdop(anchors, [50.0, 0.0, 1.5], (RANGE,)) == math.inf
 
     def test_grid_oracle_confirms_center_minimum(self):
         anchors = square_anchors(z=1.5)
         xs = np.linspace(-40, 40, 17)
         values = np.array([
-            [gdop(anchors, [x, y, 1.5], "rtt") for x in xs] for y in xs
+            [gdop(anchors, [x, y, 1.5], (RANGE,)) for x in xs] for y in xs
         ])
         i, j = np.unravel_index(np.argmin(values), values.shape)
         assert abs(xs[j]) < 6 and abs(xs[i]) < 6
 
     def test_aod_has_no_zenith_rows(self):
-        """DL-AoD reports carry no zenith, so `aod_solve` has azimuths only
-        and the method's GDOP is that of the azimuth rows alone. Zenith rows add
-        information: the angle GDOP with them is lower."""
+        """DL-AoD reports carry no zenith, so a DL-AoD solve has azimuth rows
+        only, and its GDOP is that of the azimuth rows alone. Zenith rows
+        add information: the angle GDOP with them is lower."""
         anchors = square_anchors(z=25.0)
         p = np.array([10.0, 5.0, 1.5])
         dx, dy = (p - anchors)[:, 0], (p - anchors)[:, 1]
         rho2 = dx**2 + dy**2
         j = np.degrees(np.column_stack([-dy / rho2, dx / rho2]))
         want = math.sqrt(np.trace(np.linalg.inv(j.T @ j)))
-        assert gdop(anchors, p, "aod") == pytest.approx(want, rel=1e-12)
-        assert gdop(anchors, p, "aoa") < want
+        assert gdop(anchors, p, (AZIMUTH,)) == pytest.approx(want, rel=1e-12)
+        assert gdop(anchors, p, (AZIMUTH, ZENITH)) < want
 
     def test_tdoa_and_angle_variants(self):
         anchors = square_anchors(z=1.5)
-        assert gdop(anchors, [10.0, 5.0, 1.5], "tdoa", ref_index=0) > 0
-        assert gdop(anchors, [10.0, 5.0, 1.5], "aoa") > 0
-        with pytest.raises(SolverError):
-            gdop(anchors, [0, 0, 1.5], "fingerprint")
+        assert gdop(anchors, [10.0, 5.0, 1.5], (RANGE_DIFFERENCE,)) > 0
+        assert gdop(anchors, [10.0, 5.0, 1.5], (AZIMUTH, ZENITH)) > 0
+        with pytest.raises(SolverError, match="no solve from rows"):
+            gdop(anchors, [0, 0, 1.5], ("fingerprint",))
 
 
 class TestInitGuess:
@@ -670,7 +712,7 @@ class TestGridOracle:
     """Solver residual never exceeds the best exhaustive grid point."""
 
     @staticmethod
-    def objective_tdoa(anchors, _ref, meas, pts, ref_anchor):
+    def objective_tdoa(anchors, meas, pts, ref_anchor):
         d = np.linalg.norm(pts[:, None, :] - anchors[None, :, :2], axis=2)
         d_ref = np.linalg.norm(pts - ref_anchor[:2], axis=1)
         res = (d - d_ref[:, None]) - meas[None, :]
@@ -680,14 +722,12 @@ class TestGridOracle:
         rng = np.random.default_rng(12)
         anchors = random_anchors(rng, n=5, z=1.5)
         ue = np.array([5.0, -8.0, 1.5])
-        meas = exact_rstd(anchors, 0, ue)
-        noisy = [(i, r, m + rng.normal(0, 1.0)) for i, r, m in meas]
-        fix = tdoa_solve(anchors, noisy, OPT2D)
+        noisy = [r._replace(value=r.value + rng.normal(0, 1.0))
+                 for r in exact_rows((RANGE_DIFFERENCE,), anchors, ue)]
+        fix = solve_rows(noisy, anchors, OPT2D)
         xs = np.arange(-30, 30.01, 0.1)
         gx, gy = np.meshgrid(xs, xs, indexing="ij")
         pts = np.column_stack([gx.ravel(), gy.ravel()])
-        used = anchors[[i for i, _, _ in noisy]]
-        vals = self.objective_tdoa(
-            used, slice(None), np.array([m for _, _, m in noisy]), pts, anchors[0]
-        )
+        used = anchors[[r.anchor for r in noisy]]
+        vals = self.objective_tdoa(used, np.array([r.value for r in noisy]), pts, anchors[0])
         assert fix.objective <= vals.min() + 1e-9
