@@ -550,7 +550,8 @@ def solve_rows(rows, anchors, options: SolverOptions, x0=None) -> PositionFix:
     (`_solve_ranges`), the bearing intersection for azimuths
     (`_solve_bearings`). Before it runs, the fix must be determined: enough
     rows, anchors that span the plane for ranges and range differences
-    (reference included), and bearings that are not all parallel. x0 defaults
+    (reference included), bearings that are not all parallel, and a height
+    that some row constrains when options.fix_height is None. x0 defaults
     to the plain centroid of the rows' anchors in row order (an azimuth
     row's, for bearings; not the reference's, for range differences).
     """
@@ -564,6 +565,8 @@ def solve_rows(rows, anchors, options: SolverOptions, x0=None) -> PositionFix:
         # collinear anchors are fine for bearings; parallel bearings are not
         if np.all(np.abs(wrap_deg((problem.az - problem.az[0]) * 2.0)) < 1e-9):
             raise SolverError("parallel bearings have no unique intersection")
+        if options.fix_height is None and problem.zen is None:
+            raise SolverError("azimuths alone do not measure the height; fix it or add zeniths")
     else:
         used = problem.anchors[:, :2]
         if isinstance(problem, _TdoaProblem):

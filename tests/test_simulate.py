@@ -120,6 +120,20 @@ def test_uma_dl_tdoa_walk_off_start_loses():
     assert outcome.horizontal_error_m == pytest.approx(82.69, abs=0.01)
 
 
+def test_uma_dl_aod_free_height_fails_the_solve():
+    """UMa DL-AoD drop 0 at master seed 1 with solver.fix_height None.
+    DL-AoD rows are azimuths, which carry no height: the Jacobian's z column
+    is zero, and the fit kept its start's height, the anchors' mean less
+    1.5 m. It reported a converged fix at z = 37.38 m, 35.9 m above the
+    terminal, with an infinite GDOP. A height that no row constrains now
+    fails the solve; at the default fixed height the drop solves."""
+    outcome = Simulator(preset_config("uma", method="dl-aod", n_drops=1,
+                                      solver={"fix_height": None})).run_drop(0)
+    assert outcome.fix is None and outcome.truth[2] == 1.5
+    assert outcome.failure == "azimuths alone do not measure the height; fix it or add zeniths"
+    assert Simulator(preset_config("uma", method="dl-aod", n_drops=1)).run_drop(0).converged
+
+
 @pytest.mark.parametrize("interference", [True, False])
 def test_kernel_matches_grid_path(interference):
     """The received-RE kernel against the grid path of `grid_oracle` on the

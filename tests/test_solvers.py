@@ -179,6 +179,9 @@ class TestSolverContracts:
         pytest.param([Row(AZIMUTH, 0, 30.0), Row(AZIMUTH, 1, -150.0), Row(AZIMUTH, 2, 30.0)],
                      OPT2D, "parallel bearings have no unique intersection",
                      id="parallel-bearings"),
+        pytest.param(exact_rows((AZIMUTH,), SQUARE, np.array([10.0, 5.0, 1.5])),
+                     SolverOptions(fix_height=None), "azimuths alone do not measure the height",
+                     id="azimuths-and-free-height"),
         pytest.param(exact_rows((RANGE, AZIMUTH), SQUARE, np.zeros(3)), OPT2D,
                      r"no solve from rows of kinds \['azimuth', 'range'\]", id="mixed-kinds"),
         pytest.param(exact_rows((ZENITH,), SQUARE, np.zeros(3)), OPT2D,
