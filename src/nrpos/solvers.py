@@ -527,7 +527,7 @@ def _problem(rows, anchors, fix_height) -> _Problem:
         if zen and [r.anchor for r in zen] != [r.anchor for r in az]:
             raise SolverError("zenith rows must pair with the azimuth rows, anchor by anchor")
         return _AngleProblem(anchors[[r.anchor for r in az]], [r.value for r in az],
-                             zen and [r.value for r in zen], fix_height)
+                             None if zen is None else [r.value for r in zen], fix_height)
     raise SolverError(f"no solve from rows of kinds {sorted(kinds)}")
 
 
@@ -552,8 +552,8 @@ def solve_rows(rows, anchors, options: SolverOptions, x0=None) -> PositionFix:
     rows, anchors that span the plane for ranges and range differences
     (reference included), bearings that are not all parallel, and a height
     that some row constrains when options.fix_height is None. x0 defaults
-    to the plain centroid of the rows' anchors in row order (an azimuth
-    row's, for bearings; not the reference's, for range differences).
+    to the plain centroid of the rows' anchors in row order: the azimuth
+    rows' for bearings, without the reference for range differences.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     problem = _problem(rows, anchors, options.fix_height)
