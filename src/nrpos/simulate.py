@@ -863,31 +863,29 @@ def _dl_tdoa_rows(records, index, anchors, options, beams):
 
 
 def _ul_tdoa_rows(records, index, anchors, options, beams):
-    """Arrival-time differences against the earliest uplink arrival, in
-    anchor-row order, so that the records' order does not move the fix."""
-    rtoa = dict(sorted((index[r.trp_id], record_seconds(r))
-                       for r in records if r.kind == "UL_RTOA"))
+    """Arrival-time differences against the earliest uplink arrival; among
+    equal arrivals (co-sited sectors can quantize to one RTOA) the lowest
+    anchor row, so that the records' order does not pick the reference."""
+    rtoa = {index[r.trp_id]: record_seconds(r) for r in records if r.kind == "UL_RTOA"}
     if len(rtoa) < 2:
         raise SolverError("need at least two uplink arrivals")
-    ref = min(rtoa, key=rtoa.get)
+    ref = min(rtoa, key=lambda i: (rtoa[i], i))
     rows = [Row(RANGE_DIFFERENCE, i, (v - rtoa[ref]) * SPEED_OF_LIGHT, ref)
             for i, v in rtoa.items() if i != ref]
     return rows, _rsrp_start(rows, records, index, anchors, options)
 
 
 def _multi_rtt_rows(records, index, anchors, options, beams):
-    """Ranges in trp_id order."""
     ue_rxtx = {r.trp_id: record_seconds(r) for r in records if r.kind == "UE_RXTX"}
     gnb_rxtx = {r.trp_id: record_seconds(r) for r in records if r.kind == "GNB_RXTX"}
     return [Row(RANGE, index[t], rtt(ue_rxtx[t], gnb_rxtx[t]) * SPEED_OF_LIGHT / 2.0)
-            for t in sorted(ue_rxtx) if t in gnb_rxtx], None
+            for t in ue_rxtx if t in gnb_rxtx], None
 
 
 def _ul_aoa_rows(records, index, anchors, options, beams):
-    """Bearings in anchor-row order, so that the records' order does not
-    move the fix; their zenith rows follow when every record has one."""
-    angles = sorted((index[r.trp_id], r.payload["azimuth_deg"], r.payload["zenith_deg"])
-                    for r in records if r.kind == "AOA")
+    """Bearings, and their zenith rows when every record has one."""
+    angles = [(index[r.trp_id], r.payload["azimuth_deg"], r.payload["zenith_deg"])
+              for r in records if r.kind == "AOA"]
     rows = [Row(AZIMUTH, i, az) for i, az, _ in angles]
     if all(zen is not None for _, _, zen in angles):
         rows += [Row(ZENITH, i, zen) for i, _, zen in angles]
@@ -896,9 +894,10 @@ def _ul_aoa_rows(records, index, anchors, options, beams):
 
 def _dl_aod_rows(records, index, anchors, options, beams):
     """Each PRS-RSRP report's resource is a beam of its TRP, whose azimuth
-    the beam table holds. A TRP's row is the `beam_bearing` of its beams,
-    in the order of its first report; a TRP whose bearing has low
-    confidence (one beam, or a flat response) has none."""
+    the beam table holds. A TRP's row is the `beam_bearing` of its beams in
+    beam order, as its top-beam sort keeps report order among equal
+    powers; a TRP whose bearing has low confidence (one beam, or a flat
+    response) has none."""
     if beams is None:
         raise SolverError("a DL-AoD solve needs the TRPs' beam table")
     sweeps: dict[int, list] = {}
@@ -907,10 +906,10 @@ def _dl_aod_rows(records, index, anchors, options, beams):
             if r.resource_id not in range(len(beams.get(r.trp_id, ()))):
                 raise SolverError(f"TRP {r.trp_id} has no beam {r.resource_id}")
             sweeps.setdefault(index[r.trp_id], []).append(
-                (beams[r.trp_id][r.resource_id], r.payload["value_dbm"]))
+                (r.resource_id, beams[r.trp_id][r.resource_id], r.payload["value_dbm"]))
     rows = []
     for i, sweep in sweeps.items():
-        az, low_confidence = beam_bearing(sweep)
+        az, low_confidence = beam_bearing([(az, dbm) for _, az, dbm in sorted(sweep)])
         if not low_confidence:
             rows.append(Row(AZIMUTH, i, az))
     if len(rows) < 2:

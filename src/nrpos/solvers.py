@@ -7,8 +7,9 @@ taken from, its measured value and, for a range difference, the anchor
 row it is taken against. The kinds are range and range difference in
 metres, azimuth and zenith in degrees. Every positioning method's reports
 become rows (`simulate.METHOD_TABLE`), and `solve_rows` solves them: the
-rows become one residual problem (`_problem`), the fix is checked to be
-determined, and the kinds present pick the start.
+rows become one residual problem (`_problem`) in canonical order, by
+anchor row, so that the order of the reports does not move the fix; the
+fix is checked to be determined, and the kinds present pick the start.
 
 - Range differences always add the minima of a coarse objective scan as
   starts, which picks between their hyperbola branches.
@@ -505,10 +506,12 @@ def _solve_ranges(problem: _RangeProblem, x0, options: SolverOptions) -> Positio
 def _problem(rows, anchors, fix_height) -> _Problem:
     """The one `_Problem` of rows on the (anchor, xyz) array: range
     differences, all against one reference; ranges; or azimuths, with no
-    zenith rows or one per azimuth row at the same anchor, in the same
-    order. The problem keeps the rows' order."""
+    zenith rows or one per azimuth row at the same anchor. The problem
+    takes the rows in canonical order, by anchor row and then kind, so
+    the order they come in does not move a fix."""
     if not rows:
         raise SolverError("no measurements")
+    rows = sorted(rows, key=lambda r: (r.anchor, r.kind))
     by_kind: dict[str, list[Row]] = {}
     for r in rows:
         by_kind.setdefault(r.kind, []).append(r)
@@ -552,8 +555,9 @@ def solve_rows(rows, anchors, options: SolverOptions, x0=None) -> PositionFix:
     rows, anchors that span the plane for ranges and range differences
     (reference included), bearings that are not all parallel, and a height
     that some row constrains when options.fix_height is None. x0 defaults
-    to the plain centroid of the rows' anchors in row order: the azimuth
-    rows' for bearings, without the reference for range differences.
+    to the plain centroid of the rows' anchors in canonical order: the
+    azimuth rows' for bearings, without the reference for range
+    differences.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     problem = _problem(rows, anchors, options.fix_height)

@@ -17,7 +17,7 @@ import pytest
 import sweep_oracle
 from grid_oracle import (despread, frequency_response, map_dl_prs, received_grid, rsrp,
                          slot_grid)
-from nrpos import experiments, simulate
+from nrpos import experiments, simulate, solvers
 from nrpos.channel import link_amplitude
 from nrpos.config import preset_config
 from nrpos.experiments import ResultSummary, run_experiment
@@ -25,7 +25,7 @@ from nrpos.measurements import read_records, write_records
 from nrpos.prs import dl_prs_reference
 from nrpos.simulate import (Simulator, despread_groups, power_dbm, receive_groups,
                             solve_records, sweep_powers)
-from nrpos.solvers import in_area
+from nrpos.solvers import in_area, init_guess
 
 N_DROPS = 8
 
@@ -38,23 +38,29 @@ PINNED = [
     # same fixes from the closed-form start, moved < 1e-4 m
     ("ioo-fr1", dict(method="multi-rtt"),
      "cf5890206b0f92e1ff1205bfee922e59bb73ad49f7c11e8374a191902cd182a5"),
-    # angles from math.atan2: 4 of 8 fixes moved, by at most 1.7e-12 m
+    # bearing rows in anchor-row order: 7 of 8 fixes moved, by at most 2.8e-12 m
     ("uma", dict(method="dl-aod"),
-     "1340df5758ed9ff8ba04557d18d5aadb2cde19f337c178a13d1d369e3eab0043"),
+     "dbe29b78a2aa21cb20eb9589751ac5c0bab3524c591f379b74045a38fc210b16"),
+    # time-difference rows in anchor-row order: 3 of 3 fixes moved, by at most 1.2e-7 m
     ("uma", dict(method="dl-tdoa"),
-     "12ba4e9ecfd664a50a33496ac76e8cac4d5e257b4ad9f55b6835ec3ffa9d3192"),
+     "df69f0dbd85624b60987e4faf5a2e1550d0f3b6f5234b642cd2706ea5a09f0e3"),
     # rows in anchor-row order: 5 of 8 fixes moved, by at most 2.5e-8 m
     ("ioo-fr1", dict(method="ul-tdoa"),
      "26f66cf642ae066c866aa9731ef826a86d4fa3d553bb9708bbdcf93d850b2637"),
     # rows in anchor-row order: 5 of 8 fixes moved, by at most 7.1e-15 m
     ("ioo-fr1", dict(method="ul-aoa"),
      "cd754403c6a08fa57f42296c26707567c6057d96f3f87f721f12f8477fc1c13c"),
+    # rows in anchor-row order: 3 of 8 fixes moved by at most 1.2e-7 m;
+    # drop 4's two basins tie in objective to the last bits, and the
+    # out-of-area one, 765 m off the terminal, now wins (ROADMAP item 2)
     ("uma", dict(method="dl-tdoa", interference=False),
-     "440265e7629bdb399efd97ea36188a84c11b2f7f81fb2fe0cdf24715d4542e33"),
+     "521f61df73c726357bf5fc350bb425f6c897bc3cef76c429ff2c343a4a95232e"),
+    # rows in anchor-row order: 5 of 8 fixes moved, by at most 5.4e-14 m
     ("ioo-fr1", dict(method="dl-tdoa", n_samples=3, sync_sigma_ns=5.0),
-     "2f6da768caefbec01d0fd94f84c019b017d143fd67e32746e8399f5ccfe22b4c"),
+     "4e3b00932cac2c6b1e1b3af61c27a28943b75bdcbcc34b8afea9245ae83e45fb"),
+    # rows in anchor-row order: 3 of 8 fixes moved, by at most 1.9e-8 m
     ("ioo-fr1", dict(method="dl-tdoa", ideal=True),
-     "7befd00f88cbb749e06952d35cb26851f5b80d587be4636e14c4ccebb6ca5449"),
+     "d09c6c4aa21163948cc226be105bd2198005d00d727465303494d1949639873a"),
     # uplink selection on 21 TRPs, where detection skips the most rows;
     # rows in anchor-row order: 6 of 8 fixes moved, by at most 4.2e-9 m
     ("uma", dict(method="ul-tdoa"),
@@ -92,15 +98,25 @@ def test_umi_multi_rtt_keeps_the_lower_basin(drop, position, objective):
 
 
 def test_uma_dl_aod_walk_off_is_not_converged():
-    """UMa DL-AoD drop 8 at master seed 1: the bearing fit runs off to
-    (15576, 2406), 15 km outside the area, where the residual RMS is flat.
-    Accepting equal-RMS steps, the solver took one there under the
-    tolerance and reported the fix converged; under strict decrease its
-    halvings find no lower RMS and the run ends unconverged. On the flat
-    RMS the point where the halvings give out moves with the last bits of
-    the residuals: with angles from math.atan2 it moved about 1 cm."""
+    """UMa DL-AoD drop 8 at master seed 1, its bearing rows in record order
+    (rank order), the solve's row order before rows were sorted by anchor:
+    the bearing fit runs off to (15576, 2406), 15 km outside the area,
+    where the residual RMS is flat. Accepting equal-RMS steps, the solver
+    took one there under the tolerance and reported the fix converged;
+    under strict decrease its halvings find no lower RMS and the run ends
+    unconverged. On the flat RMS the point where the halvings give out
+    moves with the last bits of the residuals: with angles from math.atan2
+    it moved about 1 cm. In the canonical row order the drop's run ends
+    converged there by a strictly lower RMS, an out-of-area fix (ROADMAP
+    item 2), so the test runs the walk-off's own problem."""
     sim = Simulator(preset_config("uma", method="dl-aod", n_drops=9))
-    fix = sim.run_drop(8).fix
+    records = sim.run_drop(8).records
+    index = {t: i for i, t in enumerate(sim.anchors)}
+    rows, _ = simulate._dl_aod_rows(records, index, sim.anchor_xyz, sim.options, sim.beams)
+    problem = solvers._AngleProblem(sim.anchor_xyz[[r.anchor for r in rows]],
+                                    [r.value for r in rows], None, sim.options.fix_height)
+    x0 = init_guess(problem.anchors, fix_height=sim.options.fix_height)
+    fix = solvers._solve_bearings(problem, x0, sim.options)
     assert not fix.converged and fix.iterations < sim.options.max_iterations
     assert np.allclose(fix.position[:2], (15576.0246, 2406.1689), rtol=0, atol=1e-3)
     assert not in_area(fix.position, sim.options.area)
@@ -432,18 +448,20 @@ def test_written_records_resolve_to_the_drop_fix(method, tmp_path):
     assert fix.residual_rms == outcome.fix.residual_rms
 
 
-@pytest.mark.parametrize("method", ["ul-tdoa", "multi-rtt", "ul-aoa"])
+@pytest.mark.parametrize("method", ["dl-tdoa", "ul-tdoa", "multi-rtt", "ul-aoa", "dl-aod"])
 def test_fix_does_not_depend_on_record_order(method):
-    """UMa drops 0-11 at master seed 1, each drop's records re-solved in
-    three shuffled orders, as per-TRP gNBs might report them. While the
-    uplink solves built their rows in record order, 28 of these 36 UL-TDOA
-    re-solves moved, by up to 2.9e-6 m, and 29 of 36 UL-AoA re-solves, by
-    up to 2.3e-13 m; over drops 0-39 one UL-AoA fix moved by 8e18 m.
-    Multi-RTT's ranges have always been in trp_id order; the test guards
-    its rows builder. DL-TDOA and DL-AoD still build their rows in record
-    order; they join this test when rows are sorted canonically (ROADMAP
-    item 16, step 3)."""
-    n = 12
+    """UMa drops 0-15 at master seed 1, each drop's records re-solved in
+    three shuffled orders, as per-TRP gNBs might report them or a record
+    file might list them. Every solve takes its rows in anchor-row order
+    (`solvers._problem`), and DL-AoD takes each TRP's beams in beam order.
+    While the solves built their rows in record order, re-solves moved for
+    every method but multi-RTT, whose ranges were in trp_id order: over
+    UMa drops 0-39, one DL-TDOA fix by 1.1e17 m, one DL-AoD fix by
+    2.3e30 m and one UL-AoA fix by 8e18 m. DL-AoD's shuffles also reorder
+    a TRP's beams, which moved a fix whose top beams tie in whole-dBm
+    power. Every method solves more than 6 of the drops; UMa DL-TDOA
+    solves 6 of drops 0-11 and 7 of drops 0-15, hence 16 drops."""
+    n = 16
     sim = Simulator(preset_config("uma", method=method, n_drops=n))
     rng = np.random.default_rng(0)
     solved = 0
@@ -453,10 +471,10 @@ def test_fix_does_not_depend_on_record_order(method):
         solved += 1
         for _ in range(3):
             shuffled = [outcome.records[i] for i in rng.permutation(len(outcome.records))]
-            fix = solve_records(shuffled, sim.anchors, method, sim.options)
+            fix = solve_records(shuffled, sim.anchors, method, sim.options, sim.beams)
             assert np.array_equal(fix.position, outcome.fix.position)
             assert fix.residual_rms == outcome.fix.residual_rms
-    assert solved > n // 2
+    assert solved > 6
 
 
 def test_dl_aod_reports_name_a_beam_and_carry_its_power_alone():
