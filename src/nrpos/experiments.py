@@ -10,6 +10,9 @@ cdf.csv      horizontal_error_m,probability   (both columns nondecreasing)
 summary.json config echo + percentiles + counts + runtime + seconds per
              pipeline stage (`simulate.STAGES`)
 
+A drop's gdop is that of the rows its fix was solved from, at the truth;
+the cell is empty without a fix.
+
 The accuracy matrix (`accuracy_matrix`, written as ACCURACY.json) runs every
 preset against every method and records, per cell, the converged count,
 the percentiles, the converged fixes outside the solver's area and the

@@ -733,20 +733,14 @@ class Simulator:
 
         # records stay on the outcome when the drop fails
         records = self._method.measure(self, links, trp_clock, ue_clock, drop_idx)
-        n_trps = len({r.trp_id for r in records})
         fix = None
         failure = None
+        started = perf_counter()
         try:
-            if n_trps < self._method.fewest_trps:
-                raise SolverError(f"only {n_trps} usable TRPs, need {self._method.fewest_trps}")
-            started = perf_counter()
-            try:
-                fix = solve_records(records, self.anchors, cfg.method, self.options,
-                                    self.beams)
-            finally:
-                self._lap("solve", started)
+            fix = solve_records(records, self.anchors, cfg.method, self.options, self.beams)
         except SolverError as exc:
             failure = str(exc)
+        self._lap("solve", started)
 
         outcome = DropOutcome(
             drop_idx=drop_idx,
@@ -757,13 +751,10 @@ class Simulator:
         )
         if cfg.hull_split:
             outcome.in_hull = point_in_hull(ue, self.hull)
-        started = perf_counter()
-        try:
-            outcome.gdop = gdop(self.anchor_xyz, ue, self._method.geometry,
-                                fix_height=self.options.fix_height)
-        except SolverError:
-            outcome.gdop = math.inf
-        self._lap("gdop", started)
+        if fix is not None:
+            started = perf_counter()
+            outcome.gdop = gdop(fix.rows, self.anchor_xyz, ue, self.options.fix_height)
+            self._lap("gdop", started)
         return outcome
 
     def _rsrp_records(self, kind, trp_ids, rsrp):
@@ -922,35 +913,31 @@ class MethodSpec:
     """One positioning method.
 
     - `measure(sim, links, trp_clock, ue_clock, drop_idx)` forms a drop's
-      records; fewer than `fewest_trps` TRPs among them fail the drop
-      unsolved.
+      records.
     - `rows(records, index, anchors, options, beams)` turns records into
-      `solvers.Row`s on the anchor rows that index gives, and a start for
-      `solvers.solve_rows`: None for its default.
-    - `geometry` holds the row kinds of the drop's GDOP (`solvers.gdop`).
+      `solvers.Row`s on the anchor rows that index gives, in any order, and
+      a start for `solvers.solve_rows`: None for its default. The solve
+      decides the rows' order, whether they determine a fix, and the
+      drop's GDOP.
+    - `first_path` says whether the method detects first paths.
     - A session's UE and gNB reports carry the kinds `ue_report` and
       `gnb_report`.
     """
 
     measure: Callable
     rows: Callable
-    geometry: tuple[str, ...]
-    fewest_trps: int
     first_path: bool
     ue_report: tuple[str, ...] = ()
     gnb_report: tuple[str, ...] = ()
 
 
 METHOD_TABLE = {
-    "dl-tdoa": MethodSpec(Simulator._dl_tdoa_records, _dl_tdoa_rows, (RANGE_DIFFERENCE,), 4,
-                          True, ("RSTD", "PRS_RSRP")),
-    "ul-tdoa": MethodSpec(Simulator._ul_tdoa_records, _ul_tdoa_rows, (RANGE_DIFFERENCE,), 4,
-                          True),
-    "multi-rtt": MethodSpec(Simulator._multi_rtt_records, _multi_rtt_rows, (RANGE,), 3, True,
-                            ("UE_RXTX",), ("GNB_RXTX",)),
-    "ul-aoa": MethodSpec(Simulator._ul_aoa_records, _ul_aoa_rows, (AZIMUTH, ZENITH), 2, True),
-    "dl-aod": MethodSpec(Simulator._dl_aod_records, _dl_aod_rows, (AZIMUTH,), 2, False,
-                         ("PRS_RSRP",)),
+    "dl-tdoa": MethodSpec(Simulator._dl_tdoa_records, _dl_tdoa_rows, True, ("RSTD", "PRS_RSRP")),
+    "ul-tdoa": MethodSpec(Simulator._ul_tdoa_records, _ul_tdoa_rows, True),
+    "multi-rtt": MethodSpec(Simulator._multi_rtt_records, _multi_rtt_rows, True, ("UE_RXTX",),
+                            ("GNB_RXTX",)),
+    "ul-aoa": MethodSpec(Simulator._ul_aoa_records, _ul_aoa_rows, True),
+    "dl-aod": MethodSpec(Simulator._dl_aod_records, _dl_aod_rows, False, ("PRS_RSRP",)),
 }
 
 

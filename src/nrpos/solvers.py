@@ -18,8 +18,9 @@ fix is checked to be determined, and the kinds present pick the start.
 - Azimuths, with or without zeniths, start from the closed-form
   least-squares intersection of the bearing lines.
 
-`gdop` builds its problem from rows too: one zero-valued row per anchor
-and kind.
+`gdop` builds its problem from rows too: a fix keeps the canonical rows
+it was solved from (`PositionFix.rows`), and a drop's GDOP is theirs at
+the truth.
 
 Gauss-Newton accepts a step only when it lowers the residual RMS
 strictly, halving it up to 25 times to find one; a run whose halvings
@@ -70,6 +71,8 @@ class PositionFix:
     iterations: int
     converged: bool
     objective: float = 0.0
+    # the canonical rows `solve_rows` solved; empty on a bare Gauss-Newton run
+    rows: tuple[Row, ...] = ()
 
 
 # residual kinds: metres to an anchor, metres to an anchor less metres to
@@ -503,15 +506,16 @@ def _solve_ranges(problem: _RangeProblem, x0, options: SolverOptions) -> Positio
     return _solve_multistart(problem, x0, options)
 
 
-def _problem(rows, anchors, fix_height) -> _Problem:
+def _problem(rows, anchors, fix_height) -> tuple[_Problem, tuple[Row, ...]]:
     """The one `_Problem` of rows on the (anchor, xyz) array: range
     differences, all against one reference; ranges; or azimuths, with no
     zenith rows or one per azimuth row at the same anchor. The problem
     takes the rows in canonical order, by anchor row and then kind, so
-    the order they come in does not move a fix."""
+    the order they come in does not move a fix. Returns the problem and
+    the rows in that order."""
     if not rows:
         raise SolverError("no measurements")
-    rows = sorted(rows, key=lambda r: (r.anchor, r.kind))
+    rows = tuple(sorted(rows, key=lambda r: (r.anchor, r.kind)))
     by_kind: dict[str, list[Row]] = {}
     for r in rows:
         by_kind.setdefault(r.kind, []).append(r)
@@ -521,16 +525,16 @@ def _problem(rows, anchors, fix_height) -> _Problem:
         if len(refs) != 1:
             raise SolverError("all range differences must share one reference anchor")
         return _TdoaProblem(anchors[[r.anchor for r in rows]], anchors[refs.pop()],
-                            [r.value for r in rows], fix_height)
+                            [r.value for r in rows], fix_height), rows
     if kinds == {RANGE}:
         return _RangeProblem(anchors[[r.anchor for r in rows]], [r.value for r in rows],
-                             fix_height)
+                             fix_height), rows
     az, zen = by_kind.get(AZIMUTH), by_kind.get(ZENITH)
     if az and kinds <= {AZIMUTH, ZENITH}:
         if zen and [r.anchor for r in zen] != [r.anchor for r in az]:
             raise SolverError("zenith rows must pair with the azimuth rows, anchor by anchor")
         return _AngleProblem(anchors[[r.anchor for r in az]], [r.value for r in az],
-                             None if zen is None else [r.value for r in zen], fix_height)
+                             None if zen is None else [r.value for r in zen], fix_height), rows
     raise SolverError(f"no solve from rows of kinds {sorted(kinds)}")
 
 
@@ -557,10 +561,10 @@ def solve_rows(rows, anchors, options: SolverOptions, x0=None) -> PositionFix:
     that some row constrains when options.fix_height is None. x0 defaults
     to the plain centroid of the rows' anchors in canonical order: the
     azimuth rows' for bearings, without the reference for range
-    differences.
+    differences. The fix keeps the rows in canonical order as `rows`.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    problem = _problem(rows, anchors, options.fix_height)
+    problem, rows = _problem(rows, anchors, options.fix_height)
     name, least, solve = _SOLVES[type(problem)]
     need = least + (1 if options.fix_height is None else 0)
     if len(problem.anchors) < need:
@@ -579,7 +583,9 @@ def solve_rows(rows, anchors, options: SolverOptions, x0=None) -> PositionFix:
             raise SolverError("anchors are collinear (degenerate geometry)")
     if x0 is None:
         x0 = init_guess(problem.anchors, fix_height=options.fix_height)
-    return solve(problem, x0, options)
+    fix = solve(problem, x0, options)
+    fix.rows = rows
+    return fix
 
 
 BEARING_TOP_BEAMS = 3
@@ -606,17 +612,14 @@ def beam_bearing(beams) -> tuple[float, bool]:
     return az_mean, low_confidence
 
 
-def gdop(anchors, position, kinds, fix_height: float | None = 1.5) -> float:
-    """sqrt(trace((J^T J)^-1)) at position of rows of the given kinds, one
-    zero-valued row per anchor and kind; range differences are taken
-    against anchor row 0, which has none of its own.
+def gdop(rows, anchors, position, fix_height: float | None) -> float:
+    """sqrt(trace((J^T J)^-1)) at position of the rows' problem on anchors,
+    an (anchor row, xyz) array; the rows' values do not enter.
 
     Returns +inf for singular geometry.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    rows = [Row(kind, i, 0.0, 0) for kind in kinds for i in range(len(anchors))
-            if i > 0 or kind != RANGE_DIFFERENCE]
-    j = _problem(rows, anchors, fix_height).jacobian(position)
+    j = _problem(rows, anchors, fix_height)[0].jacobian(position)
     jtj = j.T @ j
     try:
         inv = np.linalg.inv(jtj)

@@ -5,7 +5,8 @@ batched pass against the per-beam loops, detection of the selected TRPs
 only and no detection state built for DL-AoD, accuracy on an ideal
 channel, the multi-RTT fixes of two pinned UMi drops, two pinned
 walk-offs that strict-decrease Gauss-Newton ends (UMa DL-AoD and
-DL-TDOA), and the experiment artifacts."""
+DL-TDOA), fixes that do not depend on the records' order, the drop's
+GDOP and the experiment artifacts."""
 
 import hashlib
 import json
@@ -25,49 +26,48 @@ from nrpos.measurements import read_records, write_records
 from nrpos.prs import dl_prs_reference
 from nrpos.simulate import (Simulator, despread_groups, power_dbm, receive_groups,
                             solve_records, sweep_powers)
-from nrpos.solvers import in_area, init_guess
+from nrpos.solvers import RANGE_DIFFERENCE, gdop, in_area, init_guess
 
 N_DROPS = 8
 
 # sha256 of results.csv for N_DROPS drops at the default master seed.
 # Any change to the signal path that is meant to be a pure refactor keeps
 # these; a change that alters results must say why and update them.
-# dl-aod: the beam sweep draws each RE set's sufficient statistic in place
-# of a noise grid per beam, so its random draws differ.
+# "gdop column": every digest moved when a drop's GDOP became that of the
+# rows its fix was solved from, at the truth, and empty without a fix.
 PINNED = [
-    # same fixes from the closed-form start, moved < 1e-4 m
+    # gdop column; no fix moved
     ("ioo-fr1", dict(method="multi-rtt"),
-     "cf5890206b0f92e1ff1205bfee922e59bb73ad49f7c11e8374a191902cd182a5"),
-    # bearing rows in anchor-row order: 7 of 8 fixes moved, by at most 2.8e-12 m
+     "8182227a0e67f98083856e7ddb6d9b169308f6255d19146c31c00ba26ff4711f"),
+    # gdop column; anchor-row order moved 7 of 8 fixes by at most 2.8e-12 m
     ("uma", dict(method="dl-aod"),
-     "dbe29b78a2aa21cb20eb9589751ac5c0bab3524c591f379b74045a38fc210b16"),
-    # time-difference rows in anchor-row order: 3 of 3 fixes moved, by at most 1.2e-7 m
+     "a92ec268efdf051d5ae01cc06683f989745bfaafd878797e44b49723eb77c263"),
+    # gdop column, 5 of 8 empty; anchor-row order moved 3 of 3 fixes by at most 1.2e-7 m
     ("uma", dict(method="dl-tdoa"),
-     "df69f0dbd85624b60987e4faf5a2e1550d0f3b6f5234b642cd2706ea5a09f0e3"),
-    # rows in anchor-row order: 5 of 8 fixes moved, by at most 2.5e-8 m
+     "c6a60f53cf67cbf804742cbd01024471e6b6968dc725bd6eff9c995a9417b945"),
+    # gdop column; no fix moved
     ("ioo-fr1", dict(method="ul-tdoa"),
-     "26f66cf642ae066c866aa9731ef826a86d4fa3d553bb9708bbdcf93d850b2637"),
-    # rows in anchor-row order: 5 of 8 fixes moved, by at most 7.1e-15 m
+     "f27ee4964663076905487eee84a4c3bc51a71b2186eed05d7a9779acb698710b"),
+    # gdop column; no fix moved
     ("ioo-fr1", dict(method="ul-aoa"),
-     "cd754403c6a08fa57f42296c26707567c6057d96f3f87f721f12f8477fc1c13c"),
-    # rows in anchor-row order: 3 of 8 fixes moved by at most 1.2e-7 m;
-    # drop 4's two basins tie in objective to the last bits, and the
-    # out-of-area one, 765 m off the terminal, now wins (ROADMAP item 2)
+     "9b04f4259d513662b5536b2ed6fe09ddecd103f08f03c6608d4c64572e8558e4"),
+    # gdop column; anchor-row order moved 3 fixes by at most 1.2e-7 m and drop 4, whose two
+    # basins tie in objective to the last bits, to the one off the area (ROADMAP item 2)
     ("uma", dict(method="dl-tdoa", interference=False),
-     "521f61df73c726357bf5fc350bb425f6c897bc3cef76c429ff2c343a4a95232e"),
-    # rows in anchor-row order: 5 of 8 fixes moved, by at most 5.4e-14 m
+     "b6b01fb6d0e618e1b262586d40acdd42aed56a549efc822baa436dbadbc4e8e3"),
+    # gdop column; anchor-row order moved 5 of 8 fixes by at most 5.4e-14 m
     ("ioo-fr1", dict(method="dl-tdoa", n_samples=3, sync_sigma_ns=5.0),
-     "4e3b00932cac2c6b1e1b3af61c27a28943b75bdcbcc34b8afea9245ae83e45fb"),
-    # rows in anchor-row order: 3 of 8 fixes moved, by at most 1.9e-8 m
+     "88be67c667423a117f55c3d2284a6e9b360f9a16dec1b71c6ae299235694c214"),
+    # gdop column; anchor-row order moved 3 of 8 fixes by at most 1.9e-8 m
     ("ioo-fr1", dict(method="dl-tdoa", ideal=True),
-     "d09c6c4aa21163948cc226be105bd2198005d00d727465303494d1949639873a"),
+     "3dce8eb12726e5002ab390f82c6ea8acc74cb6d1163df826cb3a6951a97d0c2c"),
     # uplink selection on 21 TRPs, where detection skips the most rows;
-    # rows in anchor-row order: 6 of 8 fixes moved, by at most 4.2e-9 m
+    # gdop column; no fix moved
     ("uma", dict(method="ul-tdoa"),
-     "97298c979342d0a371e36096bad138b4bb1c56727f59da14a116e093c9e8ec5c"),
-    # same fixes from the closed-form start, moved < 1e-4 m
+     "7354218896cdc0f14e4e5423210e63fd4ac0d6f7d35b252b8daea85acbd9c05e"),
+    # gdop column, 4 of 8 empty; no fix moved
     ("uma", dict(method="multi-rtt"),
-     "6e41ea5e37e7d0f17a0bcd5736aa93953f40acc23655bf0a793f373bc3cb1bbf"),
+     "05c5b01450dc7233f4576d171645ccc90ab366966bc3e08965a1623b62f42396"),
 ]
 
 
@@ -475,6 +475,30 @@ def test_fix_does_not_depend_on_record_order(method):
             assert np.array_equal(fix.position, outcome.fix.position)
             assert fix.residual_rms == outcome.fix.residual_rms
     assert solved > 6
+
+
+def test_drop_gdop_is_the_geometry_of_its_fix_rows(tmp_path):
+    """UMa DL-TDOA drops 0-7 at master seed 1. A drop's GDOP is that of the
+    rows its fix was solved from, at the truth: one range-difference row
+    per RSTD report, in anchor-row order, each against the RSTD reference
+    TRP, which has no row of its own. A drop without a fix has no GDOP,
+    and its results.csv cell is empty, as in_hull's is."""
+    config = preset_config("uma", method="dl-tdoa", n_drops=8)
+    sim = Simulator(config)
+    result = run_experiment(config, out_dir=tmp_path)
+    cells = [line.split(",")[-1]
+             for line in (tmp_path / "results.csv").read_text().splitlines()[1:]]
+    assert {o.fix is None for o in result.outcomes} == {True, False}
+    for outcome, cell in zip(result.outcomes, cells):
+        if outcome.fix is None:
+            assert outcome.gdop is None and cell == ""
+            continue
+        rstd = [r for r in outcome.records if r.kind == "RSTD"]
+        assert [(r.kind, r.anchor, r.ref) for r in outcome.fix.rows] == sorted(
+            (RANGE_DIFFERENCE, r.trp_id, r.payload["ref_trp_id"]) for r in rstd)
+        assert outcome.gdop == gdop(outcome.fix.rows, sim.anchor_xyz, outcome.truth,
+                                    sim.options.fix_height)
+        assert cell == repr(outcome.gdop)
 
 
 def test_dl_aod_reports_name_a_beam_and_carry_its_power_alone():

@@ -648,22 +648,31 @@ class TestZeroDistance:
         assert fix.iterations == 1 and not fix.converged
 
 
+def geometry_rows(kinds, n):
+    """One zero-valued row per anchor row of n and kind; range differences
+    against anchor row 0, which has none of its own."""
+    return [Row(kind, i, 0.0, 0) for kind in kinds for i in range(n)
+            if i > 0 or kind != RANGE_DIFFERENCE]
+
+
 class TestGdop:
     def test_square_center_is_minimum(self):
         anchors = square_anchors(z=1.5)
-        center = gdop(anchors, [0.0, 0.0, 1.5], (RANGE,))
+        rows = geometry_rows((RANGE,), 4)
+        center = gdop(rows, anchors, [0.0, 0.0, 1.5], 1.5)
         for p in [[30, 0], [0, 30], [40, 40], [-45, 10]]:
-            assert center <= gdop(anchors, [p[0], p[1], 1.5], (RANGE,))
+            assert center <= gdop(rows, anchors, [p[0], p[1], 1.5], 1.5)
 
     def test_collinear_is_infinite(self):
         anchors = np.array([[0, 0, 3], [50, 0, 3], [100, 0, 3]], dtype=float)
-        assert gdop(anchors, [50.0, 0.0, 1.5], (RANGE,)) == math.inf
+        assert gdop(geometry_rows((RANGE,), 3), anchors, [50.0, 0.0, 1.5], 1.5) == math.inf
 
     def test_grid_oracle_confirms_center_minimum(self):
         anchors = square_anchors(z=1.5)
+        rows = geometry_rows((RANGE,), 4)
         xs = np.linspace(-40, 40, 17)
         values = np.array([
-            [gdop(anchors, [x, y, 1.5], (RANGE,)) for x in xs] for y in xs
+            [gdop(rows, anchors, [x, y, 1.5], 1.5) for x in xs] for y in xs
         ])
         i, j = np.unravel_index(np.argmin(values), values.shape)
         assert abs(xs[j]) < 6 and abs(xs[i]) < 6
@@ -678,15 +687,17 @@ class TestGdop:
         rho2 = dx**2 + dy**2
         j = np.degrees(np.column_stack([-dy / rho2, dx / rho2]))
         want = math.sqrt(np.trace(np.linalg.inv(j.T @ j)))
-        assert gdop(anchors, p, (AZIMUTH,)) == pytest.approx(want, rel=1e-12)
-        assert gdop(anchors, p, (AZIMUTH, ZENITH)) < want
+        assert gdop(geometry_rows((AZIMUTH,), 4), anchors, p, 1.5) == \
+            pytest.approx(want, rel=1e-12)
+        assert gdop(geometry_rows((AZIMUTH, ZENITH), 4), anchors, p, 1.5) < want
 
     def test_tdoa_and_angle_variants(self):
         anchors = square_anchors(z=1.5)
-        assert gdop(anchors, [10.0, 5.0, 1.5], (RANGE_DIFFERENCE,)) > 0
-        assert gdop(anchors, [10.0, 5.0, 1.5], (AZIMUTH, ZENITH)) > 0
+        p = [10.0, 5.0, 1.5]
+        assert gdop(geometry_rows((RANGE_DIFFERENCE,), 4), anchors, p, 1.5) > 0
+        assert gdop(geometry_rows((AZIMUTH, ZENITH), 4), anchors, p, 1.5) > 0
         with pytest.raises(SolverError, match="no solve from rows"):
-            gdop(anchors, [0, 0, 1.5], ("fingerprint",))
+            gdop(geometry_rows(("fingerprint",), 4), anchors, [0, 0, 1.5], 1.5)
 
 
 class TestInitGuess:
