@@ -8,8 +8,9 @@ row it is taken against. The kinds are range and range difference in
 metres, azimuth and zenith in degrees. Every positioning method's reports
 become rows (`simulate.METHOD_TABLE`), and `solve_rows` solves them: the
 rows become one residual problem (`_problem`) in canonical order, by
-anchor row, so that the order of the reports does not move the fix; the
-fix is checked to be determined, and the kinds present pick the start.
+anchor row and then kind, so that the order of the reports does not move
+the fix; the fix is checked to be determined, and the kinds present pick
+the start.
 
 - Range differences always add the minima of a coarse objective scan as
   starts, which picks between their hyperbola branches.
