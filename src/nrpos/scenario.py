@@ -14,12 +14,12 @@ from .rng import substream
 
 UE_HEIGHT_M = 1.5
 
-# Per-scenario defaults: (isd_m, n_trps, tx_power_dbm, trp_height_m,
-# area side(s) m, carrier_hz).
+# Per-scenario defaults: isd_m, tx_power_dbm, area side(s) m, carrier_hz.
+# The layout functions fix the TRP count and TRP_HEIGHTS the TRP heights.
 SCENARIO_DEFAULTS = {
-    "uma": dict(isd=500.0, n_trps=21, tx_power_dbm=49.0, area=(1600.0, 1600.0), carrier_hz=2e9),
-    "umi": dict(isd=200.0, n_trps=21, tx_power_dbm=42.0, area=(500.0, 500.0), carrier_hz=2e9),
-    "ioo": dict(isd=20.0, n_trps=12, tx_power_dbm=23.0, area=(120.0, 50.0), carrier_hz=2e9),
+    "uma": dict(isd=500.0, tx_power_dbm=49.0, area=(1600.0, 1600.0), carrier_hz=2e9),
+    "umi": dict(isd=200.0, tx_power_dbm=42.0, area=(500.0, 500.0), carrier_hz=2e9),
+    "ioo": dict(isd=20.0, tx_power_dbm=23.0, area=(120.0, 50.0), carrier_hz=2e9),
 }
 
 TRP_HEIGHTS = {"uma": (20.0, 50.0), "umi": (10.0, 10.0), "ioo": (3.0, 3.0)}
@@ -167,22 +167,19 @@ def build_deployment(
     )
 
 
-def _in_hexagon(p: np.ndarray, center: np.ndarray, circumradius: float) -> bool:
-    # pointy-top regular hexagon membership
-    q = np.abs(p - center) / circumradius
-    return q[1] <= math.sqrt(3) / 2 and q[1] <= math.sqrt(3) * (1 - q[0])
-
-
-def in_coverage(p, deployment: Deployment) -> bool:
-    """True if p lies in the hexagonal coverage of a 7-site layout (or the
-    full rectangle for the indoor hall)."""
-    p = np.asarray(p, dtype=float)[:2]
+def in_coverage(points, deployment: Deployment) -> np.ndarray:
+    """One bool per row of points, an (n, >=2) array: True where the row's
+    (x, y) lies in the hexagonal coverage of a 7-site layout (or the full
+    rectangle for the indoor hall)."""
+    p = np.asarray(points, dtype=float)[:, :2]
     if deployment.scenario == "ioo":
         w, h = deployment.area
-        return 0 <= p[0] <= w and 0 <= p[1] <= h
-    r = deployment.isd / math.sqrt(3)
+        return (0 <= p[:, 0]) & (p[:, 0] <= w) & (0 <= p[:, 1]) & (p[:, 1] <= h)
     sites = np.unique(np.round(deployment.trp_positions()[:, :2], 6), axis=0)
-    return any(_in_hexagon(p, c, r) for c in sites)
+    # pointy-top regular hexagons of circumradius isd / sqrt(3) about the sites
+    q = np.abs(p[:, None, :] - sites[None, :, :]) / (deployment.isd / math.sqrt(3))
+    inside = (q[..., 1] <= math.sqrt(3) / 2) & (q[..., 1] <= math.sqrt(3) * (1 - q[..., 0]))
+    return inside.any(axis=1)
 
 
 def drop_ues(
@@ -206,15 +203,11 @@ def drop_ues(
         if full_area:
             xy = rng.uniform(lo, hi, size=(n, 2))
         else:
-            pts = []
-            while len(pts) < n:
-                cand = rng.uniform(lo, hi, size=(4 * (n - len(pts)), 2))
-                for p in cand:
-                    if in_coverage(p, deployment):
-                        pts.append(p)
-                        if len(pts) == n:
-                            break
-            xy = np.array(pts)
+            # each batch's covered candidates, in draw order, until n
+            xy = np.empty((0, 2))
+            while len(xy) < n:
+                cand = rng.uniform(lo, hi, size=(4 * (n - len(xy)), 2))
+                xy = np.concatenate([xy, cand[in_coverage(cand, deployment)]])[:n]
     return np.column_stack([xy, np.full(n, UE_HEIGHT_M)])
 
 

@@ -35,8 +35,6 @@ from .simulate import METHOD_TABLE, solve_records
 from .solvers import SolverError, SolverOptions
 
 LPP_KINDS = {
-    "LppRequestCapabilities",
-    "LppProvideCapabilities",
     "LppRequestAssistanceData",
     "LppProvideAssistanceData",
     "LppRequestLocationInformation",

@@ -30,9 +30,7 @@ downlink and uplink arrival stages sum their received REs in one kernel,
   cell selection keeps are despread and detected: selection ranks by
   RSRP, known before detection, and afterwards only drops sources without
   an arrival, and `first_paths` treats every row on its own, so the kept
-  arrivals are those a detection of every source would give. UL-AoA is
-  the exception and detects every TRP, because its angle stage draws
-  noise only for TRPs with an uplink arrival.
+  arrivals are those a detection of every source would give.
 
 The channel matrix holds every link's response on every subcarrier. Its
 taps sit at fixed one-sample offsets from the first arrival, so a link's
@@ -132,7 +130,6 @@ from .solvers import (
     SolverOptions,
     beam_bearing,
     gdop,
-    init_guess,
     solve_rows,
 )
 
@@ -636,11 +633,12 @@ class Simulator:
 
     def _aoa_stage(self, links, ul_toa, drop_idx):
         """Beamformed arrival angles from the sounding signal at the TRPs
-        of ul_toa, noise drawn in its order. Returns {trp_id: (azimuth,
-        zenith) degrees} of the TRPs whose estimate succeeded."""
+        of ul_toa, each TRP's noise drawn on its own substream, so a TRP's
+        angle does not depend on which other TRPs are asked. Returns
+        {trp_id: (azimuth, zenith) degrees} of the TRPs whose estimate
+        succeeded, in ul_toa's order."""
         started = perf_counter()
         cfg = self.config
-        rng = substream(cfg.master_seed, "aoa", drop_idx)
         array = self.trps[0].array
         grid = self.beamformer()
         n_re = len(self._ul_vals)
@@ -655,7 +653,8 @@ class Simulator:
                 n_re * noise_amplitude(self.ul_noise) ** 2
             x = sv * signal
             if noise_var > 0:
-                x = x + draw_noise(rng, len(sv), math.sqrt(noise_var / 2.0))
+                x = x + draw_noise(substream(cfg.master_seed, "aoa", drop_idx, t), len(sv),
+                                   math.sqrt(noise_var / 2.0))
             try:
                 angles[t] = estimate_aoa(x, array, grid)
             except MeasurementFailed:
@@ -802,18 +801,10 @@ class Simulator:
         return records
 
     def _ul_aoa_records(self, links, trp_clock, ue_clock, drop_idx):
-        # every TRP: the AoA stage draws noise only for TRPs with an uplink
-        # arrival, so detecting a subset would shift its stream
-        rsrp, ul_toa = self._ul_stage(links, trp_clock, ue_clock, drop_idx,
-                                      detect=range(len(self.trps)))
-        angles = self._aoa_stage(links, ul_toa, drop_idx)
-        selected = [t for t in self._select_trps(rsrp) if t in angles]
+        _, ul_toa = self._ul_stage(links, trp_clock, ue_clock, drop_idx)
         return [
-            MeasurementRecord(
-                kind="AOA", trp_id=t,
-                payload={"azimuth_deg": angles[t][0], "zenith_deg": angles[t][1]},
-            )
-            for t in selected
+            MeasurementRecord(kind="AOA", trp_id=t, payload={"azimuth_deg": az, "zenith_deg": zen})
+            for t, (az, zen) in self._aoa_stage(links, ul_toa, drop_idx).items()
         ]
 
     def _dl_aod_records(self, links, trp_clock, ue_clock, drop_idx):
@@ -829,61 +820,45 @@ class Simulator:
         ]
 
 
-def _rsrp_start(rows, records, index, anchors, options):
-    """Start of a range-difference solve: the power-weighted centroid of the
-    anchors the rows use, reference included, in anchor-row order, when the
-    records hold a power report of each of them; else their plain centroid."""
-    if not rows:
-        raise SolverError("no time-difference measurements")
-    trp_ids = list(index)
-    rsrp = {r.trp_id: r.payload["value_dbm"] for r in records
-            if r.kind in ("PRS_RSRP", "SRS_RSRP")}
-    used = sorted({r.anchor for r in rows} | {rows[0].ref})
-    weights = [rsrp[trp_ids[i]] for i in used] \
-        if all(trp_ids[i] in rsrp for i in used) else None
-    return init_guess(anchors[used], rsrp_dbm=weights, fix_height=options.fix_height)
-
-
-def _dl_tdoa_rows(records, index, anchors, options, beams):
-    rows = [
+def _dl_tdoa_rows(records, index, beams):
+    return [
         Row(RANGE_DIFFERENCE, index[r.trp_id], record_seconds(r) * SPEED_OF_LIGHT,
             index[r.payload["ref_trp_id"]])
         for r in records if r.kind == "RSTD"
     ]
-    return rows, _rsrp_start(rows, records, index, anchors, options)
 
 
-def _ul_tdoa_rows(records, index, anchors, options, beams):
+def _ul_tdoa_rows(records, index, beams):
     """Arrival-time differences against the earliest uplink arrival; among
     equal arrivals (co-sited sectors can quantize to one RTOA) the lowest
-    anchor row, so that the records' order does not pick the reference."""
+    anchor row, so that the records' order does not pick the reference.
+    No arrival gives no rows."""
     rtoa = {index[r.trp_id]: record_seconds(r) for r in records if r.kind == "UL_RTOA"}
-    if len(rtoa) < 2:
-        raise SolverError("need at least two uplink arrivals")
+    if not rtoa:
+        return []
     ref = min(rtoa, key=lambda i: (rtoa[i], i))
-    rows = [Row(RANGE_DIFFERENCE, i, (v - rtoa[ref]) * SPEED_OF_LIGHT, ref)
+    return [Row(RANGE_DIFFERENCE, i, (v - rtoa[ref]) * SPEED_OF_LIGHT, ref)
             for i, v in rtoa.items() if i != ref]
-    return rows, _rsrp_start(rows, records, index, anchors, options)
 
 
-def _multi_rtt_rows(records, index, anchors, options, beams):
+def _multi_rtt_rows(records, index, beams):
     ue_rxtx = {r.trp_id: record_seconds(r) for r in records if r.kind == "UE_RXTX"}
     gnb_rxtx = {r.trp_id: record_seconds(r) for r in records if r.kind == "GNB_RXTX"}
     return [Row(RANGE, index[t], rtt(ue_rxtx[t], gnb_rxtx[t]) * SPEED_OF_LIGHT / 2.0)
-            for t in ue_rxtx if t in gnb_rxtx], None
+            for t in ue_rxtx if t in gnb_rxtx]
 
 
-def _ul_aoa_rows(records, index, anchors, options, beams):
+def _ul_aoa_rows(records, index, beams):
     """Bearings, and their zenith rows when every record has one."""
     angles = [(index[r.trp_id], r.payload["azimuth_deg"], r.payload["zenith_deg"])
               for r in records if r.kind == "AOA"]
     rows = [Row(AZIMUTH, i, az) for i, az, _ in angles]
     if all(zen is not None for _, _, zen in angles):
         rows += [Row(ZENITH, i, zen) for i, _, zen in angles]
-    return rows, None
+    return rows
 
 
-def _dl_aod_rows(records, index, anchors, options, beams):
+def _dl_aod_rows(records, index, beams):
     """Each PRS-RSRP report's resource is a beam of its TRP, whose azimuth
     the beam table holds. A TRP's row is the `beam_bearing` of its beams in
     beam order, as its top-beam sort keeps report order among equal
@@ -903,9 +878,7 @@ def _dl_aod_rows(records, index, anchors, options, beams):
         az, low_confidence = beam_bearing([(az, dbm) for _, az, dbm in sorted(sweep)])
         if not low_confidence:
             rows.append(Row(AZIMUTH, i, az))
-    if len(rows) < 2:
-        raise SolverError("not enough TRPs with usable beam reports")
-    return rows, None
+    return rows
 
 
 @dataclass(frozen=True)
@@ -914,11 +887,10 @@ class MethodSpec:
 
     - `measure(sim, links, trp_clock, ue_clock, drop_idx)` forms a drop's
       records.
-    - `rows(records, index, anchors, options, beams)` turns records into
-      `solvers.Row`s on the anchor rows that index gives, in any order, and
-      a start for `solvers.solve_rows`: None for its default. The solve
-      decides the rows' order, whether they determine a fix, and the
-      drop's GDOP.
+    - `rows(records, index, beams)` turns records into `solvers.Row`s on
+      the anchor rows that index gives, in any order, and does no more:
+      `solvers.solve_rows` decides the rows' order, whether they determine
+      a fix, the starts and, through the fix's rows, the drop's GDOP.
     - `first_path` says whether the method detects first paths.
     - A session's UE and gNB reports carry the kinds `ue_report` and
       `gnb_report`.
@@ -950,8 +922,8 @@ class _AnchorIndex(dict):
 
 
 def solve_records(records, anchors, method: str, options: SolverOptions, beams=None):
-    """Position solve from measurement records: the rows and start of the
-    method's entry of `METHOD_TABLE`, through `solvers.solve_rows`.
+    """Position solve from measurement records: the rows of the method's
+    entry of `METHOD_TABLE`, through `solvers.solve_rows`.
 
     anchors maps each trp_id to its position; the solver's anchor rows
     follow the mapping's order. beams is the TRPs' beam table
@@ -963,5 +935,4 @@ def solve_records(records, anchors, method: str, options: SolverOptions, beams=N
         raise SolverError(f"unknown method {method!r}")
     index = _AnchorIndex((t, i) for i, t in enumerate(anchors))
     xyz = np.array([anchors[t] for t in index], dtype=float)
-    rows, x0 = METHOD_TABLE[method].rows(records, index, xyz, options, beams)
-    return solve_rows(rows, xyz, options, x0)
+    return solve_rows(METHOD_TABLE[method].rows(records, index, beams), xyz, options)

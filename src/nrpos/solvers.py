@@ -9,8 +9,11 @@ metres, azimuth and zenith in degrees. Every positioning method's reports
 become rows (`simulate.METHOD_TABLE`), and `solve_rows` solves them: the
 rows become one residual problem (`_problem`) in canonical order, by
 anchor row and then kind, so that the order of the reports does not move
-the fix; the fix is checked to be determined, and the kinds present pick
-the start.
+the fix. The fix is checked to be determined, and `solve_rows` alone
+picks its starts, from the rows: every solve starts from the plain
+centroid of the distinct anchor rows its rows use, a range difference's
+reference included, in anchor-row order, and the kinds present add their
+own.
 
 - Range differences always add the minima of a coarse objective scan as
   starts, which picks between their hyperbola branches.
@@ -101,19 +104,13 @@ def wrap_deg(angle):
     return np.where(wrapped == -180.0, 180.0, wrapped)
 
 
-def init_guess(anchors, rsrp_dbm=None, fix_height: float | None = None) -> np.ndarray:
-    """Power-weighted anchor centroid (plain centroid without powers)."""
+def init_guess(anchors, fix_height: float | None = None) -> np.ndarray:
+    """Plain centroid of the anchors, at fix_height, or 1.5 m below the
+    anchors' mean height when the height is free."""
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     if len(anchors) == 0:
         raise SolverError("need at least one anchor")
-    if rsrp_dbm is not None and len(rsrp_dbm) == len(anchors):
-        w = 10.0 ** (np.asarray(rsrp_dbm, dtype=float) / 10.0)
-        if w.sum() > 0:
-            w = w / w.sum()
-        else:
-            w = np.full(len(anchors), 1.0 / len(anchors))
-    else:
-        w = np.full(len(anchors), 1.0 / len(anchors))
+    w = np.full(len(anchors), 1.0 / len(anchors))
     guess = (anchors * w[:, None]).sum(axis=0)
     if fix_height is not None:
         guess[2] = fix_height
@@ -560,9 +557,10 @@ def solve_rows(rows, anchors, options: SolverOptions, x0=None) -> PositionFix:
     rows, anchors that span the plane for ranges and range differences
     (reference included), bearings that are not all parallel, and a height
     that some row constrains when options.fix_height is None. x0 defaults
-    to the plain centroid of the rows' anchors in canonical order: the
-    azimuth rows' for bearings, without the reference for range
-    differences. The fix keeps the rows in canonical order as `rows`.
+    to the plain centroid (`init_guess`) of the distinct anchor rows the
+    rows use, a range difference's reference included, in anchor-row
+    order; a caller passes x0 only to force a start. The fix keeps the
+    rows in canonical order as `rows`.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     problem, rows = _problem(rows, anchors, options.fix_height)
@@ -583,7 +581,8 @@ def solve_rows(rows, anchors, options: SolverOptions, x0=None) -> PositionFix:
         if np.linalg.matrix_rank(used - used.mean(axis=0), tol=1e-9) < 2:
             raise SolverError("anchors are collinear (degenerate geometry)")
     if x0 is None:
-        x0 = init_guess(problem.anchors, fix_height=options.fix_height)
+        rows_used = sorted({r.anchor for r in rows} | {r.ref for r in rows if r.ref is not None})
+        x0 = init_guess(anchors[rows_used], fix_height=options.fix_height)
     fix = solve(problem, x0, options)
     fix.rows = rows
     return fix

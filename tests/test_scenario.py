@@ -139,13 +139,13 @@ class TestDrops:
     def test_hex_drops_in_coverage(self):
         d = build_deployment("umi")
         drops = drop_ues(200, d, rng_seed=3)
-        assert all(in_coverage(p, d) for p in drops)
+        assert in_coverage(drops, d).all()
 
     def test_full_area_flag(self):
         d = build_deployment("umi")
         drops = drop_ues(2000, d, rng_seed=3, full_area=True)
         # corners of the square stay outside hex coverage
-        assert not all(in_coverage(p, d) for p in drops)
+        assert not in_coverage(drops, d).all()
         assert np.all(np.abs(drops[:, 0]) <= 250.0)
 
     def test_rejects_zero(self):

@@ -218,9 +218,9 @@ class TestDlTdoa:
 
     def test_anchor_subset_solves_like_batch_records(self):
         # each UE holds the records of its 5 strongest TRPs and is asked for
-        # the 4 strongest: over those 4 of the 12 anchors the solve starts
-        # at their RSRP-weighted centroid, in the live session, in replay
-        # and from the drop's own records of those TRPs
+        # the 4 strongest: the solve over those 4 of the 12 anchors is the
+        # same in the live session, in replay and from the drop's own
+        # records of those TRPs
         transport, lmf, gnbs, ues, _ = make_world("dl-tdoa", n_ues=2, keep=5)
         for node in [lmf, *ues]:
             transport.register(node)
@@ -317,9 +317,7 @@ def test_sessions_reproduce_batch_fixes(preset, method, tmp_path):
     bit for bit, a session aborts exactly when the drop's solve failed, and
     replaying the written trace gives the same fixes. Every method gets
     the same per-TRP gNBs, and its table entry decides whether they report.
-    The UMa DL-TDOA drops 3, 6, 13, 28 and 30 match only because the
-    report carries the PRS-RSRP records that weight the solver start; the
-    DL-AoD server and replay solve with the simulator's beam table."""
+    The DL-AoD server and replay solve with the simulator's beam table."""
     n = 40
     sim = Simulator(preset_config(preset, method=method, n_drops=n))
     outcomes = {f"ue:{i}": sim.run_drop(i) for i in range(n)}

@@ -5,8 +5,9 @@ batched pass against the per-beam loops, detection of the selected TRPs
 only and no detection state built for DL-AoD, accuracy on an ideal
 channel, the multi-RTT fixes of two pinned UMi drops, two pinned
 walk-offs that strict-decrease Gauss-Newton ends (UMa DL-AoD and
-DL-TDOA), fixes that do not depend on the records' order, the drop's
-GDOP and the experiment artifacts."""
+DL-TDOA), fixes that do not depend on the records' order or read the
+power reports, arrival angles that do not depend on the other TRPs, the
+drop's GDOP and the experiment artifacts."""
 
 import hashlib
 import json
@@ -35,6 +36,9 @@ N_DROPS = 8
 # these; a change that alters results must say why and update them.
 # "gdop column": every digest moved when a drop's GDOP became that of the
 # rows its fix was solved from, at the truth, and empty without a fix.
+# "plain start": the TDOA solves start from the plain centroid of their
+# anchors, reference included, not the RSRP-weighted one; no drop changed
+# status.
 PINNED = [
     # gdop column; no fix moved
     ("ioo-fr1", dict(method="multi-rtt"),
@@ -42,29 +46,29 @@ PINNED = [
     # gdop column; anchor-row order moved 7 of 8 fixes by at most 2.8e-12 m
     ("uma", dict(method="dl-aod"),
      "a92ec268efdf051d5ae01cc06683f989745bfaafd878797e44b49723eb77c263"),
-    # gdop column, 5 of 8 empty; anchor-row order moved 3 of 3 fixes by at most 1.2e-7 m
+    # gdop column, 5 of 8 empty; plain start moved 2 of 3 fixes by at most 4.6e-5 m
     ("uma", dict(method="dl-tdoa"),
-     "c6a60f53cf67cbf804742cbd01024471e6b6968dc725bd6eff9c995a9417b945"),
-    # gdop column; no fix moved
+     "8e47c7775beb2457b0f14d84a18694040b1061580d182c7dcd60fbafe8aed6e2"),
+    # plain start moved 2 of 8 fixes by at most 3.3e-6 m
     ("ioo-fr1", dict(method="ul-tdoa"),
-     "f27ee4964663076905487eee84a4c3bc51a71b2186eed05d7a9779acb698710b"),
-    # gdop column; no fix moved
+     "98c4e9d124d8c43090c312156e6788577f2f14ad4c6614963fce57efde054502"),
+    # each TRP's angle noise on its own substream moved all 8 fixes by at most 4.0e-4 m
     ("ioo-fr1", dict(method="ul-aoa"),
-     "9b04f4259d513662b5536b2ed6fe09ddecd103f08f03c6608d4c64572e8558e4"),
-    # gdop column; anchor-row order moved 3 fixes by at most 1.2e-7 m and drop 4, whose two
-    # basins tie in objective to the last bits, to the one off the area (ROADMAP item 2)
+     "69a1cc84420cd8def16f991e4ffbf5857db293efd928274217ee300789ac99ff"),
+    # plain start moved 2 fixes by at most 2.5e-5 m and unconverged drop 5 by 3.9 m;
+    # drop 4's two basins tie in objective to the last bits (ROADMAP item 2)
     ("uma", dict(method="dl-tdoa", interference=False),
-     "b6b01fb6d0e618e1b262586d40acdd42aed56a549efc822baa436dbadbc4e8e3"),
-    # gdop column; anchor-row order moved 5 of 8 fixes by at most 5.4e-14 m
+     "228d4e02e3b8d97e4522fbf06574f03e927447ecb0fa0c2fb35d2afab090bfb9"),
+    # plain start moved 3 of 8 fixes by at most 2.5e-7 m
     ("ioo-fr1", dict(method="dl-tdoa", n_samples=3, sync_sigma_ns=5.0),
-     "88be67c667423a117f55c3d2284a6e9b360f9a16dec1b71c6ae299235694c214"),
-    # gdop column; anchor-row order moved 3 of 8 fixes by at most 1.9e-8 m
+     "c56b8a8e52be3af8fa4e4d73d937e0d3eba13c443f80960b47b68897bae29783"),
+    # plain start moved 2 of 8 fixes by at most 1.9e-8 m
     ("ioo-fr1", dict(method="dl-tdoa", ideal=True),
-     "3dce8eb12726e5002ab390f82c6ea8acc74cb6d1163df826cb3a6951a97d0c2c"),
+     "224d9f02ffa7e43bc480c5f153fdc95708e1456540f8f2c5fcb3356ebe22d573"),
     # uplink selection on 21 TRPs, where detection skips the most rows;
-    # gdop column; no fix moved
+    # plain start moved drop 1 by 4.0e-9 m and unconverged drop 5 by 4.0 m
     ("uma", dict(method="ul-tdoa"),
-     "7354218896cdc0f14e4e5423210e63fd4ac0d6f7d35b252b8daea85acbd9c05e"),
+     "3215fe55f1ff25893292e03975adb1b6b50b81fb4e1805acf7226003440ecaf2"),
     # gdop column, 4 of 8 empty; no fix moved
     ("uma", dict(method="multi-rtt"),
      "05c5b01450dc7233f4576d171645ccc90ab366966bc3e08965a1623b62f42396"),
@@ -112,7 +116,7 @@ def test_uma_dl_aod_walk_off_is_not_converged():
     sim = Simulator(preset_config("uma", method="dl-aod", n_drops=9))
     records = sim.run_drop(8).records
     index = {t: i for i, t in enumerate(sim.anchors)}
-    rows, _ = simulate._dl_aod_rows(records, index, sim.anchor_xyz, sim.options, sim.beams)
+    rows = simulate._dl_aod_rows(records, index, sim.beams)
     problem = solvers._AngleProblem(sim.anchor_xyz[[r.anchor for r in rows]],
                                     [r.value for r in rows], None, sim.options.fix_height)
     x0 = init_guess(problem.anchors, fix_height=sim.options.fix_height)
@@ -339,8 +343,7 @@ def test_detection_runs_on_selected_trps_only(method, monkeypatch):
     """First-path detection sees only the TRPs cell selection keeps: the
     selection by downlink RSRP for DL-TDOA and multi-RTT, whose uplink
     then detects only the selected TRPs with a downlink arrival; the
-    selection by sounding RSRP for UL-TDOA. UL-AoA detects every TRP,
-    since its angle noise follows the uplink arrivals."""
+    selection by sounding RSRP for UL-TDOA and UL-AoA."""
     sim = Simulator(preset_config("uma", method=method, n_prb=24, n_drops=3))
     rows = []
     batched_toa = Simulator._batched_toa
@@ -348,14 +351,14 @@ def test_detection_runs_on_selected_trps_only(method, monkeypatch):
                         lambda self, vecs: rows.append(len(vecs)) or batched_toa(self, vecs))
     for d in range(3):
         links = sim._links(d, sim.ues[d])
-        stage = sim._ul_stage if method == "ul-tdoa" else sim._dl_stage
+        stage = sim._ul_stage if method in ("ul-tdoa", "ul-aoa") else sim._dl_stage
         rsrp, toa = stage(links, *sim._sync_offsets(d), d)
         n = len(sim._select_trps(rsrp))
         assert n < len(sim.trps)
         rows.clear()
         sim.run_drop(d)
         assert rows == {"dl-tdoa": [n], "multi-rtt": [n, len(toa)], "ul-tdoa": [n],
-                        "ul-aoa": [len(sim.trps)]}[method]
+                        "ul-aoa": [n]}[method]
 
 
 @pytest.mark.parametrize("method", simulate.METHOD_TABLE)
@@ -475,6 +478,45 @@ def test_fix_does_not_depend_on_record_order(method):
             assert np.array_equal(fix.position, outcome.fix.position)
             assert fix.residual_rms == outcome.fix.residual_rms
     assert solved > 6
+
+
+@pytest.mark.parametrize("method", ["dl-tdoa", "ul-tdoa"])
+def test_tdoa_fix_does_not_read_power_reports(method):
+    """UMa drops 0-15 at master seed 1: each solved drop's records,
+    re-solved without their PRS-RSRP and SRS-RSRP reports, give the drop's
+    fix bit for bit. A solve's start comes from its rows alone. While the
+    TDOA solves started from the RSRP-weighted centroid of their anchors,
+    the power reports moved the start and, with it, some fixes."""
+    n = 16
+    sim = Simulator(preset_config("uma", method=method, n_drops=n))
+    solved = 0
+    for outcome in map(sim.run_drop, range(n)):
+        if outcome.fix is None:
+            continue
+        solved += 1
+        timing = [r for r in outcome.records if r.kind not in ("PRS_RSRP", "SRS_RSRP")]
+        assert len(timing) < len(outcome.records)
+        fix = solve_records(timing, sim.anchors, method, sim.options)
+        assert np.array_equal(fix.position, outcome.fix.position)
+        assert fix.residual_rms == outcome.fix.residual_rms
+    assert solved > 6
+
+
+def test_aoa_angle_does_not_depend_on_the_other_trps():
+    """UMa UL-AoA drops 0-3 at master seed 1: each TRP's arrival angle is
+    the same whether `_aoa_stage` is asked for that TRP alone or with every
+    TRP that has an uplink arrival. Each TRP draws its angle noise on its
+    own substream; while the TRPs shared one stream in arrival order, a
+    TRP's noise depended on the TRPs asked before it."""
+    sim = Simulator(preset_config("uma", method="ul-aoa", n_prb=24, n_drops=4))
+    for d in range(4):
+        links = sim._links(d, sim.ues[d])
+        _, toa = sim._ul_stage(links, *sim._sync_offsets(d), d, detect=range(len(sim.trps)))
+        together = sim._aoa_stage(links, toa, d)
+        assert len(together) > 1
+        for t in toa:
+            alone = sim._aoa_stage(links, {t: toa[t]}, d)
+            assert alone == ({t: together[t]} if t in together else {})
 
 
 def test_drop_gdop_is_the_geometry_of_its_fix_rows(tmp_path):
