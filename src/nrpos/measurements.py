@@ -121,6 +121,13 @@ class DelayWindow:
         return np.abs(w[:, :self.n_bins], out=self._mag[:rows])
 
 
+def _row_median(values: np.ndarray) -> np.ndarray:
+    """np.median along axis 1 of finite values, from one partition."""
+    mid = values.shape[1] // 2
+    kth = [mid] if values.shape[1] % 2 else [mid - 1, mid]
+    return np.partition(values, kth, axis=1)[:, kth].mean(axis=1)
+
+
 def first_path_from_magnitude(wmag: np.ndarray, lo_bin: int, bin_s: float) -> np.ndarray:
     """Coarse first-path delay, seconds, of each row of window magnitudes.
 
@@ -133,7 +140,7 @@ def first_path_from_magnitude(wmag: np.ndarray, lo_bin: int, bin_s: float) -> np
     peak_val = wmag.max(axis=1)
     # Rayleigh-magnitude noise floor from the window median; the signal
     # occupies a tiny fraction of the bins so the median is noise-dominated
-    noise_floor = NOISE_SIGMA_MULT * (np.median(wmag, axis=1) / 0.8326)
+    noise_floor = NOISE_SIGMA_MULT * (_row_median(wmag) / 0.8326)
     threshold = np.maximum(peak_val * 10 ** (-FIRST_PATH_REL_DB / 20.0), noise_floor)
     failed = (peak_val < noise_floor) | (peak_val == 0.0)
 
@@ -294,12 +301,12 @@ class BeamformerGrid:
         self.zen_grid = np.arange(BEAMFORMER_ZENITH_DEG[0], BEAMFORMER_ZENITH_DEG[1] + 1e-9,
                                   BEAMFORMER_STEP_DEG)
         azs, zens = np.meshgrid(self.az_grid, self.zen_grid, indexing="ij")
-        self._steering = steering_vector(self.array, azs.ravel(), zens.ravel())
+        self._steering_h = steering_vector(self.array, azs.ravel(), zens.ravel()).conj().T
         self._shape = azs.shape
 
     def spectrum(self, snapshots: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(snapshots.T).T  # (elements, snapshots)
-        proj = self._steering.conj().T @ x
+        proj = self._steering_h @ x
         return (np.abs(proj) ** 2).sum(axis=1).reshape(self._shape)
 
 

@@ -6,11 +6,11 @@ values they carry there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sequences import prs_symbol_sequence, zc_base_for_width
+from .sequences import gold_sequence, prs_c_init, qpsk_map, zc_base_for_width
 
 # Per-symbol subcarrier offsets relative to the configured RE offset. Each
 # table is a permutation of 0..N-1, so N consecutive symbols sound every
@@ -122,33 +122,38 @@ def resource_re_indices(resource: DlPrsResource | SrsPosResource
             for s, residue in enumerate(comb_pattern(resource))]
 
 
-def dl_prs_reference(resource: DlPrsResource, slot: int = 0) -> list[tuple[np.ndarray, int, np.ndarray]]:
-    """(subcarriers, symbol, values) triples carried by a downlink resource.
-
-    Each symbol carries a fresh scrambling sequence.
-    """
-    out = []
-    for k_idx, sym in resource_re_indices(resource):
-        seq = prs_symbol_sequence(resource.seq_id, slot, sym, len(k_idx))
-        out.append((k_idx, sym, seq))
-    return out
+def _flat_re_indices(resource) -> tuple[np.ndarray, np.ndarray]:
+    """Subcarrier and symbol of every RE of a resource, symbol after symbol."""
+    placed = resource_re_indices(resource)
+    return (np.concatenate([k_idx for k_idx, _ in placed]),
+            np.repeat([sym for _, sym in placed], [len(k_idx) for k_idx, _ in placed]))
 
 
-def srs_symbol_values(resource: SrsPosResource, n_values: int) -> np.ndarray:
-    """Base sequence of one sounding symbol with the cyclic-shift ramp.
+def dl_prs_reference(resources, slot: int = 0, out: np.ndarray | None = None
+                     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(subcarriers, symbols, values) of every RE of each downlink resource,
+    flat and symbol after symbol. Each symbol carries a fresh scrambling
+    sequence, from one Gold call and one QPSK mapping for every (resource,
+    symbol). The resources occupy equally many symbols and REs, and their
+    values are the rows of one (resource, RE) array: out, when it is given.
+    Resources that differ only in seq_id share their RE index arrays."""
+    keys = [replace(r, seq_id=0) for r in resources]
+    shared = {key: _flat_re_indices(key) for key in set(keys)}
+    if len({(len(k), r.n_symbols) for r, (k, _) in shared.items()}) > 1:
+        raise ConfigError("resources of one reference pass must have equal shapes")
+    c_init = [prs_c_init(r.seq_id, slot, r.first_symbol + j)
+              for r in resources for j in range(r.n_symbols)]
+    bits = gold_sequence(np.array(c_init), 2 * len(shared[keys[0]][0]) // keys[0].n_symbols)
+    values = qpsk_map(bits.reshape(len(keys), -1), out=out)
+    return [(*shared[key], v) for key, v in zip(keys, values)]
 
-    The shift is a per-subcarrier linear phase ramp
-    exp(2j*pi*cs*k/CYCLIC_SHIFT_MAX), separable at the correlator.
-    """
-    base = zc_base_for_width(resource.zc_root, n_values)
-    k = np.arange(n_values)
-    ramp = np.exp(2j * np.pi * resource.cyclic_shift * k / CYCLIC_SHIFT_MAX)
-    return base * ramp
 
-
-def srs_reference(resource: SrsPosResource) -> list[tuple[np.ndarray, int, np.ndarray]]:
-    """(subcarriers, symbol, values) triples carried by a sounding resource."""
-    return [
-        (k_idx, sym, srs_symbol_values(resource, len(k_idx)))
-        for k_idx, sym in resource_re_indices(resource)
-    ]
+def srs_reference(resource: SrsPosResource) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(subcarriers, symbols, values) of every RE of a sounding resource,
+    flat and symbol after symbol. Every symbol carries the base sequence
+    times the cyclic-shift ramp exp(2j*pi*cs*k/CYCLIC_SHIFT_MAX), a
+    per-subcarrier linear phase that the correlator separates."""
+    k, s = _flat_re_indices(resource)
+    n_values = len(k) // resource.n_symbols
+    ramp = np.exp(2j * np.pi * resource.cyclic_shift * np.arange(n_values) / CYCLIC_SHIFT_MAX)
+    return k, s, np.tile(zc_base_for_width(resource.zc_root, n_values) * ramp, resource.n_symbols)

@@ -42,30 +42,34 @@ def _gold_tables(length: int) -> tuple[np.ndarray, np.ndarray]:
     global _x1_bits, _x2_basis
     if _x1_bits.size < length:
         total = _GOLD_WARMUP + length
-        first = np.zeros((1, 31), dtype=np.uint8)
-        first[0, 0] = 1
-        _x1_bits = _lfsr_outputs(first, (0, 3), total)[0, _GOLD_WARMUP:]
-        _x2_basis = _lfsr_outputs(np.eye(31, dtype=np.uint8), (0, 1, 2, 3),
-                                  total)[:, _GOLD_WARMUP:]
+        units = np.eye(31, dtype=np.uint8)
+        _x1_bits = _lfsr_outputs(units[:1], (0, 3), total)[0, _GOLD_WARMUP:]
+        _x2_basis = _lfsr_outputs(units, (0, 1, 2, 3), total)[:, _GOLD_WARMUP:]
     return _x1_bits[:length], _x2_basis[:, :length]
 
 
-def gold_sequence(c_init: int, length: int) -> np.ndarray:
-    """Length-31 Gold code as a 0/1 int array.
+def gold_sequence(c_init: int | np.ndarray, length: int) -> np.ndarray:
+    """Length-31 Gold codes of one c_init or an integer array of them, as
+    0/1 uint8 bits of shape c_init.shape + (length,).
 
     Two 31-bit LFSRs with feedback x^31 + x^3 + 1 and
     x^31 + x^3 + x^2 + x + 1; the first register starts from 1, the second
     from the binary expansion of c_init, and the output is their XOR after
     1600 warm-up steps. The second register is linear in its initial state,
     so its output is the XOR of the cached unit-state outputs selected by
-    c_init's 31 bits.
+    c_init's 31 bits: one masked XOR per bit over the whole batch.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
     x1, basis = _gold_tables(length)
-    bits = np.array([(int(c_init) >> i) & 1 for i in range(31)], dtype=np.uint8)
-    x2 = (bits @ basis) & 1
-    return (x1 ^ x2).astype(np.int64)
+    c_init = np.asarray(c_init, dtype=np.int64)
+    # selects[i, j]: bit i of the j-th seed
+    selects = ((c_init.reshape(-1) >> np.arange(31)[:, None]) & 1).astype(bool)
+    bits = np.zeros((c_init.size, length), dtype=np.uint8)
+    for row, sel in zip(basis, selects):
+        bits[sel] ^= row
+    bits ^= x1
+    return bits.reshape(c_init.shape + (length,))
 
 
 def prs_c_init(seq_id: int, slot: int, symbol: int) -> int:
@@ -90,19 +94,18 @@ def prs_c_init(seq_id: int, slot: int, symbol: int) -> int:
     return mixed % (2**31)
 
 
-def qpsk_map(bits: np.ndarray) -> np.ndarray:
-    """Map bit pairs (b0, b1) to ((1-2*b0) + 1j*(1-2*b1)) / sqrt(2)."""
+# QPSK symbol of the bit pair (b0, b1) at index 2*b0 + b1
+_QPSK = ((1 - 2 * np.array([0, 0, 1, 1])) + 1j * (1 - 2 * np.array([0, 1, 0, 1]))) / np.sqrt(2)
+
+
+def qpsk_map(bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Map bit pairs (b0, b1) along the last axis, keeping the leading axes,
+    to ((1-2*b0) + 1j*(1-2*b1)) / sqrt(2), written into out if given."""
     bits = np.asarray(bits)
-    if bits.size % 2 != 0:
+    if bits.shape[-1] % 2 != 0:
         raise ValueError("qpsk_map needs an even number of bits")
-    b = bits.reshape(-1, 2)
-    return ((1 - 2 * b[:, 0]) + 1j * (1 - 2 * b[:, 1])) / np.sqrt(2)
-
-
-def prs_symbol_sequence(seq_id: int, slot: int, symbol: int, n_values: int) -> np.ndarray:
-    """QPSK sequence carried by one downlink positioning symbol."""
-    bits = gold_sequence(prs_c_init(seq_id, slot, symbol), 2 * n_values)
-    return qpsk_map(bits)
+    # 0/1 bits never clip; unlike "raise", "clip" writes into out unbuffered
+    return np.take(_QPSK, 2 * bits[..., 0::2] + bits[..., 1::2], out=out, mode="clip")
 
 
 def zc_sequence(root: int, length: int) -> np.ndarray:

@@ -270,16 +270,6 @@ def despread_groups(groups, rx, refs, n_sc: int, rows) -> np.ndarray:
     return vecs
 
 
-def _flatten(triples, out=None):
-    """(subcarriers, symbols, values) of all REs of a reference; the values
-    are written into out when it is given."""
-    return (
-        np.concatenate([k for k, _, _ in triples]),
-        np.concatenate([np.full(len(k), s) for k, s, _ in triples]),
-        np.concatenate([v for _, _, v in triples], out=out),
-    )
-
-
 def _channel_for(config: ExperimentConfig) -> ChannelParams:
     params = CHANNEL_DEFAULTS[config.scenario]
     overrides = {
@@ -344,23 +334,18 @@ class Simulator:
         for i, t in enumerate(self.trps):
             on_offset.setdefault(t.comb_offset, []).append(i)
         sets = [tuple(m) for _, m in sorted(on_offset.items())]
-        # each TRP's reference values are a row of one array, stacked by
-        # member count, RE set and member: the beam sweep reads the rows of
-        # one count as a (set, member, RE) view
+        # one dl_prs_reference pass writes each TRP's reference values into a
+        # row of one array, stacked by member count, RE set and member: the
+        # beam sweep reads the rows of one count as a (set, member, RE) view
         self.dl_occupied_per_symbol = config.n_prb * 12 // config.dl_comb_size
         self._dl_stacked = np.empty((len(self.trps),
                                      config.dl_n_symbols * self.dl_occupied_per_symbol),
                                     dtype=complex)
-        self._dl_vals = [None] * len(self.trps)
-        self._dl_sets = [None] * len(sets)
-        rows = iter(self._dl_stacked)
-        for pos in _by_member_count(sets).values():
-            for e in pos:
-                for i in sets[e]:
-                    k, s, self._dl_vals[i] = _flatten(
-                        dl_prs_reference(self.dl_resources[i], slot=0),
-                        out=next(rows))
-                self._dl_sets[e] = ReGroup(sets[e], k, s)
+        order = [i for pos in _by_member_count(sets).values() for e in pos for i in sets[e]]
+        refs = dict(zip(order, dl_prs_reference([self.dl_resources[i] for i in order], slot=0,
+                                                out=self._dl_stacked)))
+        self._dl_vals = [refs[i][2] for i in range(len(self.trps))]
+        self._dl_sets = [ReGroup(m, *refs[m[0]][:2]) for m in sets]
         self._dl_groups = self._dl_sets if config.interference else \
             [ReGroup((i,), g.k, g.s) for g in self._dl_sets for i in g.members]
         self._dl_grid_shape = (self.numerology.n_subcarriers, config.dl_n_symbols)
@@ -373,7 +358,7 @@ class Simulator:
             n_symbols=config.ul_n_symbols,
             n_prb=config.n_prb,
         )
-        ul_k, ul_s, self._ul_vals = _flatten(srs_reference(self.srs))
+        ul_k, ul_s, self._ul_vals = srs_reference(self.srs)
         self._ul_groups = [ReGroup((i,), ul_k, ul_s) for i in range(len(self.trps))]
         self.ul_occupied_per_symbol = config.n_prb * 12 // config.ul_comb_size
 

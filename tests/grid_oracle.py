@@ -48,10 +48,11 @@ def _map(grid, resource, reference):
     top = 12 * (resource.start_prb + resource.n_prb)
     if top > grid.shape[0] or resource.first_symbol + resource.n_symbols > grid.shape[1]:
         raise GridError("resource does not fit the grid")
-    for k_idx, sym, values in reference:
-        if np.any(grid[k_idx, sym] != 0):
-            raise GridError(f"resource collides with occupied REs in symbol {sym}")
-        grid[k_idx, sym] = values
+    k_idx, sym, values = reference
+    taken = grid[k_idx, sym] != 0
+    if np.any(taken):
+        raise GridError(f"resource collides with occupied REs in symbol {sym[taken][0]}")
+    grid[k_idx, sym] = values
     return grid
 
 
@@ -61,7 +62,7 @@ def map_dl_prs(grid: np.ndarray, resource, slot: int = 0) -> np.ndarray:
     Touching an occupied RE is an error: co-channel signals interfere at
     the receiver, never inside one transmit grid.
     """
-    return _map(grid, resource, dl_prs_reference(resource, slot))
+    return _map(grid, resource, dl_prs_reference([resource], slot)[0])
 
 
 def map_srs(grid: np.ndarray, resource) -> np.ndarray:
@@ -97,24 +98,21 @@ def received_grid(tx_grids, numerology, noise_grid=None) -> np.ndarray:
 
 
 def despread(rx: np.ndarray, reference) -> np.ndarray:
-    """Per-subcarrier channel estimate from the reference's REs, which is a
-    list of (subcarrier indices, symbol, values); REs sounded in several
-    symbols add coherently."""
+    """Per-subcarrier channel estimate from the reference's REs, which are
+    flat (subcarriers, symbols, values); REs sounded in several symbols
+    add coherently."""
+    k_idx, sym, values = reference
     acc = np.zeros(rx.shape[0], dtype=complex)
-    for k_idx, sym, values in reference:
-        acc[k_idx] += rx[k_idx, sym] * np.conj(values)
+    np.add.at(acc, k_idx, rx[k_idx, sym] * np.conj(values))
     return acc
 
 
 def rsrp(rx: np.ndarray, reference) -> float:
     """Mean per-RE received power over the reference REs, in dBm."""
-    total, count = 0.0, 0
-    for k_idx, sym, _values in reference:
-        total += float(np.sum(np.abs(rx[k_idx, sym]) ** 2))
-        count += len(k_idx)
-    if count == 0:
+    k_idx, sym, _values = reference
+    if len(k_idx) == 0:
         raise MeasurementFailed("empty RE set")
-    return 10.0 * math.log10(total / count)
+    return 10.0 * math.log10(float(np.sum(np.abs(rx[k_idx, sym]) ** 2)) / len(k_idx))
 
 
 def estimate_toa(rx: np.ndarray, reference, numerology, search_window_s) -> float:

@@ -22,6 +22,7 @@ from nrpos.measurements import (
     write_records,
     BeamformerGrid,
     _polish_peak,
+    _row_median,
     _smooth5_at_least,
     delay_spectrum_size,
     first_path_from_magnitude,
@@ -38,16 +39,16 @@ FREQS = np.arange(NUM.n_subcarriers) * NUM.scs_khz * 1e3
 SAMPLE_S = 1.0 / NUM.sample_rate_hz
 RES = DlPrsResource(seq_id=7, comb_size=12, re_offset=0,
                     n_symbols=12, n_prb=24)
-REF = dl_prs_reference(RES)
+REF = dl_prs_reference([RES])[0]
 WINDOW = (-2e-6, 10e-6)
 
 
 def delayed_grid(delay_s, snr_db=None, rng=None, amp=1.0):
     """Received grid carrying REF delayed by delay_s, optional per-RE noise."""
     grid = slot_grid(NUM)
-    for k_idx, sym, values in REF:
-        ramp = np.exp(-2j * np.pi * FREQS[k_idx] * delay_s)
-        grid[k_idx, sym] = amp * values * ramp
+    k_idx, sym, values = REF
+    ramp = np.exp(-2j * np.pi * FREQS[k_idx] * delay_s)
+    grid[k_idx, sym] = amp * values * ramp
     if snr_db is not None:
         sigma = amp * 10 ** (-snr_db / 20.0)
         noise = (rng.normal(size=grid.shape)
@@ -185,10 +186,10 @@ class TestToa:
         # two taps: weak early, strong late, clearly separated
         grid = slot_grid(NUM)
         early, late = 10 * SAMPLE_S, 80 * SAMPLE_S
-        for k_idx, sym, values in REF:
-            h = (0.4 * np.exp(-2j * np.pi * FREQS[k_idx] * early)
-                 + 1.0 * np.exp(-2j * np.pi * FREQS[k_idx] * late))
-            grid[k_idx, sym] = values * h
+        k_idx, sym, values = REF
+        h = (0.4 * np.exp(-2j * np.pi * FREQS[k_idx] * early)
+             + 1.0 * np.exp(-2j * np.pi * FREQS[k_idx] * late))
+        grid[k_idx, sym] = values * h
         tau = estimate_toa(grid, REF, NUM, WINDOW)
         assert abs(tau - early) / SAMPLE_S < 0.5
 
@@ -300,6 +301,19 @@ class TestFirstPathKernel:
         assert abs(want[5] - 0.2e-6) < win.bin_s  # weak early path is picked
         assert np.array_equal(taus, np.array(want), equal_nan=True)
 
+    @pytest.mark.parametrize("width", [1, 2, 7, 8, 1230, 1231, 5515])
+    def test_noise_floor_median_is_np_median(self, width):
+        """The floor's median from one partition equals np.median's bit for
+        bit, on odd and even widths, tied values and an all-zero row."""
+        rng = np.random.default_rng(width)
+        rows = np.stack([
+            np.abs(rng.normal(size=width) + 1j * rng.normal(size=width)),
+            rng.integers(0, 3, width).astype(float),  # ties
+            np.zeros(width),
+            np.full(width, 0.25),
+        ])
+        assert _row_median(rows).tobytes() == np.median(rows, axis=1).tobytes()
+
     def test_polish_matches_direct_newton(self, window):
         win, _, _ = window
         stack = detection_stack(win)[:-2]
@@ -359,21 +373,21 @@ class TestRsrp:
         grid = slot_grid(NUM)
         amp_dbm = -80.0
         amp = 10 ** (amp_dbm / 20.0)
-        for k_idx, sym, values in REF:
-            grid[k_idx, sym] = amp * values
+        k_idx, sym, values = REF
+        grid[k_idx, sym] = amp * values
         assert rsrp(grid, REF) == pytest.approx(amp_dbm, abs=0.01)
 
     def test_mean_invariant_to_re_count(self):
-        half = REF[:6]
+        half = tuple(a[:len(a) // 2] for a in REF)  # the first 6 of 12 symbols
         grid = slot_grid(NUM)
-        for k_idx, sym, values in REF:
-            grid[k_idx, sym] = 0.5 * values
+        k_idx, sym, values = REF
+        grid[k_idx, sym] = 0.5 * values
         assert rsrp(grid, REF) == pytest.approx(rsrp(grid, half), abs=1e-9)
 
     def test_empty_set_rejected(self):
         grid = slot_grid(NUM)
         with pytest.raises(MeasurementFailed):
-            rsrp(grid, [])
+            rsrp(grid, (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)))
 
 
 class TestAoa:
@@ -391,6 +405,20 @@ class TestAoa:
         az, zen = estimate_aoa(x, array)
         assert abs(az - 30.0) < 0.5
         assert abs(zen - 105.0) < 0.5
+
+    def test_spectrum_matches_the_per_call_conjugate(self):
+        """The conjugate steering view built once gives the spectrum of the
+        conjugate formed on every call, bit for bit."""
+        array = AntennaArray(rows=4, cols=4)
+        grid = BeamformerGrid(array)
+        azs, zens = np.meshgrid(grid.az_grid, grid.zen_grid, indexing="ij")
+        steering = steering_vector(array, azs.ravel(), zens.ravel())
+        rng = np.random.default_rng(6)
+        for n in (1, 2, 5):
+            for _ in range(10):
+                x = rng.normal(size=(16, n)) + 1j * rng.normal(size=(16, n))
+                old = (np.abs(steering.conj().T @ x) ** 2).sum(axis=1).reshape(azs.shape)
+                assert grid.spectrum(x).tobytes() == old.tobytes()
 
     def test_boresight(self):
         array = AntennaArray(rows=4, cols=4)

@@ -11,6 +11,7 @@ from nrpos.prs import (
     DlPrsResource,
     SrsPosResource,
     comb_pattern,
+    dl_prs_reference,
     resource_re_indices,
 )
 
@@ -135,6 +136,28 @@ class TestMapping:
         map_dl_prs(grid, res)
         (k0, s0), (k1, s1) = resource_re_indices(res)
         assert not np.allclose(grid[k0, s0], grid[k1, s1])
+
+
+
+class TestReferencePass:
+    def test_pass_equals_single_resource_passes(self):
+        resources = [make_resource(seq_id=s, comb_size=6, re_offset=o, n_symbols=6, n_prb=24)
+                     for s, o in ((3, 0), (4, 1), (5, 0))]
+        out = np.empty((3, 6 * 12 * 24 // 6), dtype=complex)
+        for refs in (dl_prs_reference(resources), dl_prs_reference(resources, out=out)):
+            for res, (k, s, values) in zip(resources, refs):
+                k1, s1, values1 = dl_prs_reference([res])[0]
+                assert np.array_equal(k, k1) and np.array_equal(s, s1)
+                assert values.tobytes() == values1.tobytes()
+            # one RE placement, one pair of index arrays
+            assert refs[0][0] is refs[2][0] and refs[0][1] is refs[2][1]
+        assert all(np.shares_memory(v, row) for (_, _, v), row in zip(refs, out))
+
+    def test_unequal_shapes_rejected(self):
+        # equally many REs in all, spread over different symbol counts
+        with pytest.raises(ConfigError):
+            dl_prs_reference([make_resource(comb_size=6, n_symbols=6),
+                              make_resource(comb_size=12, n_symbols=12)])
 
 
 class TestSrs:

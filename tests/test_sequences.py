@@ -9,7 +9,6 @@ from nrpos.sequences import (
     gold_sequence,
     largest_coprime_root,
     prs_c_init,
-    prs_symbol_sequence,
     qpsk_map,
     zc_base_for_width,
     zc_sequence,
@@ -73,6 +72,32 @@ class TestGold:
         assert sequences._x2_basis.shape == (31, 2000)
 
 
+    @pytest.mark.parametrize("length", [1, 256, 4000])
+    def test_batch_matches_scalar_calls_and_oracle(self, length):
+        seeds = [0, 1, 4095, 123456, 2**31 - 1]
+        batch = gold_sequence(np.array(seeds), length)
+        assert batch.shape == (len(seeds), length)
+        for c_init, row in zip(seeds, batch):
+            assert np.array_equal(row, gold_sequence(c_init, length))
+            assert list(row) == oracle_gold(c_init, length)
+
+    def test_batch_keeps_the_seed_shape(self):
+        seeds = np.array([[0, 1, 2], [4095, 123456, 2**31 - 1]])
+        batch = gold_sequence(seeds, 64)
+        assert batch.shape == (2, 3, 64)
+        for idx in np.ndindex(seeds.shape):
+            assert list(batch[idx]) == oracle_gold(int(seeds[idx]), 64)
+
+    def test_tables_grow_for_a_batched_call(self, monkeypatch):
+        monkeypatch.setattr(sequences, "_x1_bits", np.zeros(0, dtype=np.uint8))
+        monkeypatch.setattr(sequences, "_x2_basis", np.zeros((31, 0), dtype=np.uint8))
+        seeds = [5, 123456, 2**31 - 1]
+        assert [list(r) for r in gold_sequence(np.array(seeds), 40)] == \
+            [oracle_gold(c, 40) for c in seeds]
+        batch = gold_sequence(np.array(seeds), 2000)
+        assert [list(r) for r in batch] == [oracle_gold(c, 2000) for c in seeds]
+        assert sequences._x2_basis.shape == (31, 2000)
+
 class TestCInit:
     def test_deterministic(self):
         assert prs_c_init(17, 3, 5) == prs_c_init(17, 3, 5)
@@ -112,6 +137,21 @@ class TestQpsk:
         out = qpsk_map(rng.integers(0, 2, 512))
         assert np.allclose(np.abs(out), 1.0)
 
+    def test_maps_pairs_along_the_last_axis(self):
+        bits = np.random.default_rng(2).integers(0, 2, (2, 3, 16))
+        out = qpsk_map(bits)
+        assert out.shape == (2, 3, 8)
+        for idx in np.ndindex(2, 3):
+            b = bits[idx].reshape(-1, 2)
+            expected = ((1 - 2 * b[:, 0]) + 1j * (1 - 2 * b[:, 1])) / np.sqrt(2)
+            assert out[idx].tobytes() == expected.tobytes()
+
+    def test_writes_into_out(self):
+        bits = np.random.default_rng(3).integers(0, 2, (4, 10)).astype(np.uint8)
+        out = np.empty((4, 5), dtype=complex)
+        assert qpsk_map(bits, out=out) is out
+        assert out.tobytes() == qpsk_map(bits).tobytes()
+
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
             qpsk_map([0, 1, 0])
@@ -121,8 +161,8 @@ class TestQpsk:
         assert abs(np.mean(syms)) < 0.1
 
     def test_symbol_sequences_differ_across_symbols(self):
-        a = prs_symbol_sequence(7, 0, 0, 100)
-        b = prs_symbol_sequence(7, 0, 1, 100)
+        a = qpsk_map(gold_sequence(prs_c_init(7, 0, 0), 200))
+        b = qpsk_map(gold_sequence(prs_c_init(7, 0, 1), 200))
         assert not np.allclose(a, b)
 
 

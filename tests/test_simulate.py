@@ -1,7 +1,8 @@
 """Top-level simulation path: pinned results, the channel matrix against
 the oracle's frequency response, the received-RE kernel against the grid
 path, the beam sweep's power draw against the RE-level draw and its
-batched pass against the per-beam loops, detection of the selected TRPs
+batched pass against the per-beam loops, the downlink reference values
+against a per-symbol build, detection of the selected TRPs
 only and no detection state built for DL-AoD, accuracy on an ideal
 channel, the multi-RTT fixes of two pinned UMi drops, two pinned
 walk-offs that strict-decrease Gauss-Newton ends (UMa DL-AoD and
@@ -19,14 +20,15 @@ import pytest
 import sweep_oracle
 from grid_oracle import (despread, frequency_response, map_dl_prs, received_grid, rsrp,
                          slot_grid)
-from nrpos import experiments, simulate, solvers
+from nrpos import experiments, prs, simulate, solvers
 from nrpos.channel import link_amplitude
 from nrpos.config import preset_config
 from nrpos.experiments import ResultSummary, run_experiment
 from nrpos.measurements import read_records, write_records
-from nrpos.prs import dl_prs_reference
+from nrpos.prs import dl_prs_reference, resource_re_indices
 from nrpos.simulate import (Simulator, despread_groups, power_dbm, receive_groups,
                             solve_records, sweep_powers)
+from nrpos.sequences import gold_sequence, prs_c_init, qpsk_map
 from nrpos.solvers import RANGE_DIFFERENCE, gdop, in_area, init_guess
 
 N_DROPS = 8
@@ -184,10 +186,69 @@ def test_kernel_matches_grid_path(interference):
     for i, t in enumerate(sim.trps):
         grid = shared if interference else \
             received_grid([everyone[i]], num, noise_grid=noise_grid)
-        ref = dl_prs_reference(sim.dl_resources[t.trp_id])
+        ref = dl_prs_reference([sim.dl_resources[t.trp_id]])[0]
         expected = despread(grid, ref)
         assert np.allclose(vecs[i], expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max())
         assert kernel_rsrp[i] == pytest.approx(rsrp(grid, ref), abs=1e-9)
+
+
+@pytest.mark.parametrize("comb,n_symbols", [(2, 2), (4, 4), (6, 6), (12, 12)])
+@pytest.mark.parametrize("interference", [True, False])
+@pytest.mark.parametrize("preset", ["uma", "umi", "ioo-fr1"])
+def test_dl_reference_matches_per_symbol_build(preset, interference, comb, n_symbols):
+    """The stacked downlink reference values and every group's REs equal a
+    build symbol by symbol, from one scalar Gold call per symbol."""
+    sim = Simulator(preset_config(preset, n_drops=1, interference=interference,
+                                  dl_comb_size=comb, dl_n_symbols=n_symbols))
+    expected = {}
+    for t in sim.trps:
+        res = sim.dl_resources[t.trp_id]
+        placed = resource_re_indices(res)
+        expected[t.trp_id] = (
+            np.concatenate([k for k, _ in placed]),
+            np.concatenate([np.full(len(k), sym) for k, sym in placed]),
+            np.concatenate([qpsk_map(gold_sequence(prs_c_init(res.seq_id, 0, sym), 2 * len(k)))
+                            for k, sym in placed]))
+    # each TRP's values are one row of the stacked array, and every row is a TRP's
+    assert sorted(row.tobytes() for row in sim._dl_stacked) == \
+        sorted(v.tobytes() for _, _, v in expected.values())
+    members = []
+    for g in sim._dl_groups:
+        assert interference or len(g.members) == 1
+        for i in g.members:
+            k, s, values = expected[i]
+            assert sim._dl_vals[i].tobytes() == values.tobytes()
+            assert np.shares_memory(sim._dl_vals[i], sim._dl_stacked)
+            assert g.k.dtype == k.dtype and np.array_equal(g.k, k)
+            assert g.s.dtype == s.dtype and np.array_equal(g.s, s)
+            members.append(i)
+    assert sorted(members) == [t.trp_id for t in sim.trps]
+
+
+# sha256 of the default configuration's `_dl_stacked` bytes, from the
+# per-symbol build that the batched Gold pass replaced
+DL_STACKED_SHA256 = {
+    "uma": "6681b901741951c8b4881eb854f29e095131ad96d0a7dd367c9db1a5d65303a5",
+    "ioo-fr1": "c41a59ea6d8e24fe9d1115fb9c7b63bd861469a3155b7e7d3f45ae4efa442467",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(DL_STACKED_SHA256))
+def test_dl_stacked_pinned(preset):
+    sim = Simulator(preset_config(preset, n_drops=1))
+    assert hashlib.sha256(sim._dl_stacked.tobytes()).hexdigest() == DL_STACKED_SHA256[preset]
+
+
+def test_construction_makes_one_gold_call(monkeypatch):
+    calls = []
+
+    def spy(c_init, length):
+        calls.append(np.shape(c_init))
+        return gold_sequence(c_init, length)
+
+    monkeypatch.setattr(prs, "gold_sequence", spy)
+    sim = Simulator(preset_config("uma", n_drops=1))
+    assert calls == [(len(sim.trps) * sim.config.dl_n_symbols,)]
 
 
 def test_channel_matrix_matches_oracle_response():
