@@ -1,12 +1,12 @@
 """Downlink and uplink positioning signal configuration: one downlink
-positioning resource or uplink sounding resource each, the (subcarrier,
-symbol) resource elements their staggered combs occupy, and the reference
-values they carry there.
+positioning resource or uplink sounding resource each, the comb line each
+of its symbols occupies (symbol s on subcarriers r, r + comb, ... for its
+residue r from `comb_pattern`), and the reference values it carries there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class DlPrsResource:
     re_offset: int
     first_symbol: int = 0
     n_symbols: int = 12
-    start_prb: int = 0
     n_prb: int = 272
 
     def __post_init__(self):
@@ -86,7 +85,6 @@ class SrsPosResource:
     first_symbol: int = 0
     zc_root: int = 1
     n_prb: int = 272
-    start_prb: int = 0
 
     def __post_init__(self):
         if self.comb_size not in UL_COMB_STAGGER:
@@ -112,48 +110,28 @@ def comb_pattern(resource: DlPrsResource | SrsPosResource) -> list[int]:
     return [(offset + stagger[s % n]) % n for s in range(resource.n_symbols)]
 
 
-def resource_re_indices(resource: DlPrsResource | SrsPosResource
-                        ) -> list[tuple[np.ndarray, int]]:
-    """(subcarrier indices, symbol) pairs occupied by a downlink or
-    sounding resource."""
-    lo = 12 * resource.start_prb
-    hi = lo + 12 * resource.n_prb
-    return [(np.arange(lo + residue, hi, resource.comb_size), resource.first_symbol + s)
-            for s, residue in enumerate(comb_pattern(resource))]
-
-
-def _flat_re_indices(resource) -> tuple[np.ndarray, np.ndarray]:
-    """Subcarrier and symbol of every RE of a resource, symbol after symbol."""
-    placed = resource_re_indices(resource)
-    return (np.concatenate([k_idx for k_idx, _ in placed]),
-            np.repeat([sym for _, sym in placed], [len(k_idx) for k_idx, _ in placed]))
-
-
-def dl_prs_reference(resources, slot: int = 0, out: np.ndarray | None = None
-                     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(subcarriers, symbols, values) of every RE of each downlink resource,
-    flat and symbol after symbol. Each symbol carries a fresh scrambling
-    sequence, from one Gold call and one QPSK mapping for every (resource,
-    symbol). The resources occupy equally many symbols and REs, and their
-    values are the rows of one (resource, RE) array: out, when it is given.
-    Resources that differ only in seq_id share their RE index arrays."""
-    keys = [replace(r, seq_id=0) for r in resources]
-    shared = {key: _flat_re_indices(key) for key in set(keys)}
-    if len({(len(k), r.n_symbols) for r, (k, _) in shared.items()}) > 1:
+def dl_prs_reference(resources, slot: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+    """Reference values of each downlink resource as one (resource, RE) row,
+    written into out when given; REs run symbol by symbol, along the comb
+    line within a symbol. Each symbol carries a fresh scrambling sequence,
+    from one seed, one Gold and one QPSK call for every (resource, symbol)
+    of the resources, which must have equal shapes."""
+    shapes = {(r.n_symbols, 12 * r.n_prb // r.comb_size) for r in resources}
+    if len(shapes) > 1:
         raise ConfigError("resources of one reference pass must have equal shapes")
-    c_init = [prs_c_init(r.seq_id, slot, r.first_symbol + j)
-              for r in resources for j in range(r.n_symbols)]
-    bits = gold_sequence(np.array(c_init), 2 * len(shared[keys[0]][0]) // keys[0].n_symbols)
-    values = qpsk_map(bits.reshape(len(keys), -1), out=out)
-    return [(*shared[key], v) for key, v in zip(keys, values)]
+    (n_symbols, n_values), = shapes
+    c_init = prs_c_init(np.array([r.seq_id for r in resources])[:, None], slot,
+                        np.array([r.first_symbol for r in resources])[:, None]
+                        + np.arange(n_symbols))
+    bits = gold_sequence(c_init, 2 * n_values)
+    return qpsk_map(bits.reshape(len(resources), -1), out=out)
 
 
-def srs_reference(resource: SrsPosResource) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(subcarriers, symbols, values) of every RE of a sounding resource,
-    flat and symbol after symbol. Every symbol carries the base sequence
+def srs_reference(resource: SrsPosResource) -> np.ndarray:
+    """Reference values of a sounding resource, symbol by symbol and along
+    the comb line within a symbol. Every symbol carries the base sequence
     times the cyclic-shift ramp exp(2j*pi*cs*k/CYCLIC_SHIFT_MAX), a
     per-subcarrier linear phase that the correlator separates."""
-    k, s = _flat_re_indices(resource)
-    n_values = len(k) // resource.n_symbols
+    n_values = 12 * resource.n_prb // resource.comb_size
     ramp = np.exp(2j * np.pi * resource.cyclic_shift * np.arange(n_values) / CYCLIC_SHIFT_MAX)
-    return k, s, np.tile(zc_base_for_width(resource.zc_root, n_values) * ramp, resource.n_symbols)
+    return np.tile(zc_base_for_width(resource.zc_root, n_values) * ramp, resource.n_symbols)

@@ -72,8 +72,10 @@ def gold_sequence(c_init: int | np.ndarray, length: int) -> np.ndarray:
     return bits.reshape(c_init.shape + (length,))
 
 
-def prs_c_init(seq_id: int, slot: int, symbol: int) -> int:
-    """Scrambling seed for one downlink positioning symbol.
+def prs_c_init(seq_id, slot, symbol):
+    """Scrambling seed for downlink positioning symbols: of one (seq_id,
+    slot, symbol) or, elementwise, of integer arrays of them, which
+    broadcast.
 
     Mixes the 12-bit sequence ID with the slot/symbol position so each
     symbol of each signal gets a distinct Gold code:
@@ -85,9 +87,10 @@ def prs_c_init(seq_id: int, slot: int, symbol: int) -> int:
     Injective in seq_id for a fixed (slot, symbol); pinned by golden
     vectors in the test suite.
     """
-    if not 0 <= seq_id <= _SEQ_ID_MAX:
+    seq_id, slot, symbol = (np.asarray(v, dtype=np.int64) for v in (seq_id, slot, symbol))
+    if np.any((seq_id < 0) | (seq_id > _SEQ_ID_MAX)):
         raise ValueError(f"seq_id {seq_id} outside 0..{_SEQ_ID_MAX}")
-    if slot < 0 or symbol < 0:
+    if np.any(slot < 0) or np.any(symbol < 0):
         raise ValueError("slot and symbol must be non-negative")
     hi, lo = seq_id >> 10, seq_id & 1023
     mixed = (2**22) * hi + (2**10) * (14 * slot + symbol + 1) * (2 * lo + 1) + lo

@@ -325,6 +325,8 @@ class Lmf(Node):
         if msg.kind == "NrppaPositioningInformationResponse":
             ue_id = msg.payload["ue_id"]
             s = self.sessions[ue_id]
+            if s["done"]:
+                return
             s["pending"].discard(msg.sender)
             s["trp_ids"].extend(msg.payload["trp_ids"])
             if not s["pending"]:

@@ -21,13 +21,16 @@ downlink and uplink arrival stages sum their received REs in one kernel,
   alone, under its own noise.
 - Noise order. Receiver noise comes only from `channel.draw_noise`, on
   substreams keyed by (master_seed, drop), so runs that differ only in
-  which transmitters are summed see identical noise. The downlink stage
-  draws one full (subcarrier, symbol) grid per sample, real parts first,
-  and gathers it onto each group's REs; the uplink draws one RE vector per
-  TRP, in TRP order. A group's REs are its noise plus each member's
-  (amp*H)*ref, added in TRP order. Results are pinned to this order bit
-  for bit. Noise is drawn for every source, but only the sources that
-  cell selection keeps are despread and detected: selection ranks by
+  which transmitters are summed see identical noise. A group's REs are a
+  (symbol, line) array: row s holds comb line residue[s] of symbol s,
+  residue from `prs.comb_pattern`. The downlink stage draws one full
+  (subcarrier, symbol) grid per sample, real parts first, and gathers
+  each group's lines from it viewed as (line, residue, symbol); the
+  uplink draws one (symbol, line) array per TRP, in TRP order. A group's
+  REs are its noise plus each member's (amp*H)*ref, H read as the comb
+  lines h[i, r::comb], added in TRP order. Results are pinned to this
+  order bit for bit. Noise is drawn for every source, but only the
+  sources that cell selection keeps are despread and detected: selection ranks by
   RSRP, known before detection, and afterwards only drops sources without
   an arrival, and `first_paths` treats every row on its own, so the kept
   arrivals are those a detection of every source would give.
@@ -109,7 +112,7 @@ from .measurements import (
     timing_record,
 )
 from .numerology import SPEED_OF_LIGHT, Numerology
-from .prs import DlPrsResource, SrsPosResource, dl_prs_reference, srs_reference
+from .prs import DlPrsResource, SrsPosResource, comb_pattern, dl_prs_reference, srs_reference
 from .rng import substream
 from .scenario import (
     AntennaArray,
@@ -165,24 +168,29 @@ class ReGroup:
     """Sources whose signals land on the same resource elements."""
 
     members: tuple[int, ...]  # source indices, in summation order
-    k: np.ndarray  # subcarrier of each RE
-    s: np.ndarray  # symbol of each RE
+    residues: np.ndarray  # comb line of each symbol, `prs.comb_pattern`
 
 
-def receive_groups(groups, noise, amps, h, refs):
+def comb_lines(h: np.ndarray, comb: int) -> np.ndarray:
+    """The (row, subcarrier) matrix h as (row, residue, line): a view with
+    lines[i, r] = h[i, r::comb]."""
+    return h.reshape(len(h), -1, comb).transpose(0, 2, 1)
+
+
+def receive_groups(groups, noise, amps, lines, refs):
     """Received REs of each group, and the RSRP each source's group sees.
 
-    noise[g] is the receiver noise already gathered onto group g's REs;
-    each member's amps[i] * h[i, k] * refs[i] is added to it in place, in
-    member order. h is the (source, subcarrier) channel matrix and refs[i]
-    source i's reference values on its group's REs. Returns the received
-    REs per group and, per source, the mean power on its group's REs in
-    dBm; a source in no group reads -300 dBm, no power at all.
+    noise[g] is the receiver noise already gathered onto group g's
+    (symbol, line) REs; each member's amps[i] * lines[i, residues] *
+    refs[i] is added to it in place, in member order, from the channel
+    matrix's `comb_lines` and source i's (symbol, line) reference values.
+    Returns the received REs per group and, per source, the mean power on
+    its group's REs in dBm; a source in no group reads -300 dBm.
     """
     rsrp = [power_dbm(0.0)] * len(refs)
     for g, rx in zip(groups, noise):
         for i in g.members:
-            rx += amps[i] * h[i, g.k] * refs[i]
+            rx += amps[i] * lines[i, g.residues] * refs[i]
         dbm = power_dbm(float(np.mean(np.abs(rx) ** 2)))
         for i in g.members:
             rsrp[i] = dbm
@@ -194,14 +202,14 @@ def power_dbm(power: float) -> float:
     return 10.0 * math.log10(power) if power > 0 else -300.0
 
 
-def sweep_powers(sets, factors, amps, shared: bool, rng, std: float) -> np.ndarray:
+def sweep_powers(sets, factors, amps, shared: bool, rng, std: float, n_re: int) -> np.ndarray:
     """Mean RE power of every source's group on every beam, drawn from each
     RE set's sufficient statistic instead of its received REs.
 
     sets are the RE sets (all sources on one comb offset), in draw order,
-    and factors[e] is R of the reduced QR C = QR of set e's (RE, member)
-    matrix of h[i, k] * refs[i]. amps is (source, beam). With shared, a
-    set's members form one group and see one power; otherwise each member
+    each of n_re REs, and factors[e] is R of the reduced QR C = QR of set
+    e's (RE, member) matrix of h[i, k] * refs[i]. amps is (source, beam).
+    With shared, a set's members form one group and see one power; otherwise each member
     is alone on the set's REs but sees the same noise as the others.
 
     Given C, the received REs y = n + C a of a group with amplitudes a have
@@ -220,7 +228,7 @@ def sweep_powers(sets, factors, amps, shared: bool, rng, std: float) -> np.ndarr
     normals = np.zeros((n_beams, start[-1]))
     rest = np.zeros((n_beams, len(sets)))
     if std > 0:
-        dof = [2 * (len(g.k) - len(g.members)) for g in sets]
+        dof = [2 * (n_re - len(g.members)) for g in sets]
         for row, rest_b in zip(normals, rest):
             for e, df in enumerate(dof):
                 rng.standard_normal(out=row[start[e]:start[e + 1]])
@@ -241,9 +249,8 @@ def sweep_powers(sets, factors, amps, shared: bool, rng, std: float) -> np.ndarr
         y = z[:, :, None, :] + np.matmul(
             np.stack([factors[e] for e in pos]), spread.reshape(len(pos), r, r * n_beams)
         ).reshape(spread.shape)
-        n_re = np.array([len(sets[e].k) for e in pos])
         power[members] = ((y.real**2 + y.imag**2).sum(axis=1) + rest[:, pos].T[:, None, :]) \
-            / n_re[:, None, None]
+            / n_re
     return power
 
 
@@ -256,17 +263,20 @@ def _by_member_count(members) -> dict[int, list[int]]:
     return blocks
 
 
-def despread_groups(groups, rx, refs, n_sc: int, rows) -> np.ndarray:
-    """Channel estimates over all subcarriers of the sources in rows, in
-    that order: each one's reference matched against its group's received
-    REs. Members of the groups that rows does not name are skipped. Every
-    subcarrier is sounded at least once over the comb sweep."""
+def despread_groups(groups, rx, refs, n_sc: int, comb: int, rows) -> np.ndarray:
+    """Channel estimates over all n_sc subcarriers of the sources in rows,
+    in that order: each symbol's received REs times its conjugate
+    reference, added into its comb line in symbol order. Members that rows
+    does not name are skipped. A line no symbol occupies stays zero, as in
+    an uplink comb with fewer symbols than its size."""
     slot = {i: j for j, i in enumerate(rows)}
     vecs = np.zeros((len(slot), n_sc), dtype=complex)
+    lines = comb_lines(vecs, comb)
     for g, r in zip(groups, rx):
         for i in g.members:
             if i in slot:
-                np.add.at(vecs[slot[i]], g.k, r * np.conj(refs[i]))
+                for residue, products in zip(g.residues, r * np.conj(refs[i])):
+                    lines[slot[i], residue] += products
     return vecs
 
 
@@ -342,14 +352,13 @@ class Simulator:
                                      config.dl_n_symbols * self.dl_occupied_per_symbol),
                                     dtype=complex)
         order = [i for pos in _by_member_count(sets).values() for e in pos for i in sets[e]]
-        refs = dict(zip(order, dl_prs_reference([self.dl_resources[i] for i in order], slot=0,
-                                                out=self._dl_stacked)))
-        self._dl_vals = [refs[i][2] for i in range(len(self.trps))]
-        self._dl_sets = [ReGroup(m, *refs[m[0]][:2]) for m in sets]
+        dl_prs_reference([self.dl_resources[i] for i in order], slot=0, out=self._dl_stacked)
+        rows = dict(zip(order, self._dl_stacked.reshape(len(order), config.dl_n_symbols, -1)))
+        self._dl_vals = [rows[i] for i in range(len(self.trps))]
+        self._dl_sets = [ReGroup(m, np.array(comb_pattern(self.dl_resources[m[0]]))) for m in sets]
         self._dl_groups = self._dl_sets if config.interference else \
-            [ReGroup((i,), g.k, g.s) for g in self._dl_sets for i in g.members]
+            [ReGroup((i,), g.residues) for g in self._dl_sets for i in g.members]
         self._dl_grid_shape = (self.numerology.n_subcarriers, config.dl_n_symbols)
-        self._dl_flat: list[np.ndarray] | None = None
 
         # uplink sounding signal (single terminal per drop)
         self.srs = SrsPosResource(
@@ -358,8 +367,9 @@ class Simulator:
             n_symbols=config.ul_n_symbols,
             n_prb=config.n_prb,
         )
-        ul_k, ul_s, self._ul_vals = srs_reference(self.srs)
-        self._ul_groups = [ReGroup((i,), ul_k, ul_s) for i in range(len(self.trps))]
+        self._ul_vals = srs_reference(self.srs).reshape(config.ul_n_symbols, -1)
+        residues = np.array(comb_pattern(self.srs))
+        self._ul_groups = [ReGroup((i,), residues) for i in range(len(self.trps))]
         self.ul_occupied_per_symbol = config.n_prb * 12 // config.ul_comb_size
 
         # an ideal run has noiseless receivers
@@ -484,35 +494,29 @@ class Simulator:
         return draw_noise(rng, shape, cls._noise_std(model))
 
     def _dl_receive(self, rng, amps, h):
-        """Downlink REs and RSRP of every group under one fresh noise grid.
-        The groups' REs as flat indices into that grid are built on first
-        use, so runs without downlink REs (DL-AoD, the uplink methods) hold
-        none."""
-        if self._dl_flat is None:
-            self._dl_flat = [np.ravel_multi_index((g.k, g.s), self._dl_grid_shape)
-                             for g in self._dl_groups]
-        grid = self._noise(rng, self._dl_grid_shape, self.dl_noise).ravel()
-        noise = [grid.take(idx) for idx in self._dl_flat]
-        return receive_groups(self._dl_groups, noise, amps, h, self._dl_vals)
+        """Downlink REs and RSRP of every group under one fresh noise grid,
+        each group's (symbol, line) noise gathered from the grid's comb
+        lines."""
+        n_sc, n_sym = self._dl_grid_shape
+        comb = self.config.dl_comb_size
+        # grid[r, s, j]: the noise on subcarrier j * comb + r of symbol s
+        grid = self._noise(rng, self._dl_grid_shape, self.dl_noise).reshape(
+            n_sc // comb, comb, n_sym).transpose(1, 2, 0)
+        symbols = np.arange(n_sym)
+        noise = [grid[g.residues, symbols] for g in self._dl_groups]
+        return receive_groups(self._dl_groups, noise, amps, comb_lines(h, comb), self._dl_vals)
 
     def _sweep_tables(self) -> list[tuple[list[int], tuple, np.ndarray]]:
         """Per member count: the positions of its RE sets, the (member,
         comb residue) index of each (set, member, symbol) into the channel
         matrix's comb lines, and the members' reference values as a (set,
-        member, RE) view. Each symbol of a comb resource occupies one full
-        comb line, h[:, residue::comb]. Built on first use, so runs without
-        a beam sweep hold none of it."""
+        member, RE) view. Built on first use, so runs without a beam sweep
+        hold none of it."""
         if self._sweep_index is None:
-            comb = self.config.dl_comb_size
-            n_lines = self.numerology.n_subcarriers // comb
             self._sweep_index = []
             start = 0
             for r, pos in _by_member_count([g.members for g in self._dl_sets]).items():
-                residues = np.array([self._dl_sets[e].k[::n_lines] % comb for e in pos])
-                for e, res in zip(pos, residues):
-                    if not np.array_equal(self._dl_sets[e].k,
-                                          (res[:, None] + comb * np.arange(n_lines)).ravel()):
-                        raise ValueError("a downlink symbol does not fill one comb line")
+                residues = np.array([self._dl_sets[e].residues for e in pos])
                 members = np.array([self._dl_sets[e].members for e in pos])
                 vals = self._dl_stacked[start:start + members.size].reshape(
                     members.shape + (-1,))
@@ -527,8 +531,7 @@ class Simulator:
         count are gathered in one pass; each is factored on its own,
         because `np.linalg.qr` copies its whole input, and a copy of every
         set at once would raise the run's peak memory."""
-        # lines[i, c, j] = h[i, j * comb + c]
-        lines = h.reshape(len(h), -1, self.config.dl_comb_size).transpose(0, 2, 1)
+        lines = comb_lines(h, self.config.dl_comb_size)
         factors = [None] * len(self._dl_sets)
         for pos, index, vals in self._sweep_tables():
             c = lines[index].reshape(vals.shape)
@@ -566,7 +569,7 @@ class Simulator:
                 rsrp = power
                 selected = self._select_trps(rsrp)
             vecs = despread_groups(self._dl_groups, rx, self._dl_vals,
-                                   self.numerology.n_subcarriers, selected)
+                                   self.numerology.n_subcarriers, cfg.dl_comb_size, selected)
             mark = self._lap("dl", mark)
             taus = self._batched_toa(vecs)
             mark = self._lap("detection", mark)
@@ -600,13 +603,15 @@ class Simulator:
         h = self._channel_matrix(links, extra_s=trp_clock_s - ue_clock_s)
 
         rng = substream(cfg.master_seed, "noise", drop_idx, 1)
-        noise = [self._noise(rng, len(g.k), self.ul_noise) for g in self._ul_groups]
+        noise = [self._noise(rng, self._ul_vals.shape, self.ul_noise) for _ in self._ul_groups]
         received = range(len(self.trps)) if detect is None else list(detect)
         groups = [self._ul_groups[t] for t in received]
         refs = [self._ul_vals] * len(self.trps)
-        rx, rsrp = receive_groups(groups, [noise[t] for t in received], amps, h, refs)
+        rx, rsrp = receive_groups(groups, [noise[t] for t in received], amps,
+                                  comb_lines(h, cfg.ul_comb_size), refs)
         detected = self._select_trps(rsrp) if detect is None else received
-        vecs = despread_groups(groups, rx, refs, self.numerology.n_subcarriers, detected)
+        vecs = despread_groups(groups, rx, refs, self.numerology.n_subcarriers,
+                               cfg.ul_comb_size, detected)
         mark = self._lap("ul", mark)
         taus = self._batched_toa(vecs)
         mark = self._lap("detection", mark)
@@ -626,7 +631,7 @@ class Simulator:
         cfg = self.config
         array = self.trps[0].array
         grid = self.beamformer()
-        n_re = len(self._ul_vals)
+        n_re = self._ul_vals.size
         angles: dict[int, tuple[float, float]] = {}
         for t in ul_toa:
             link = links[t]
@@ -680,7 +685,8 @@ class Simulator:
         rng = substream(cfg.master_seed, "rsrp", drop_idx)
         h = self._channel_matrix(links)
         power = sweep_powers(self._dl_sets, self._sweep_factors(h), self._beam_amplitudes(links),
-                             cfg.interference, rng, self._noise_std(self.dl_noise))
+                             cfg.interference, rng, self._noise_std(self.dl_noise),
+                             self._dl_stacked.shape[1])
         dbm = [power_dbm(p) for p in power.ravel().tolist()]
         if cfg.quantize:
             dbm = [float(reported_power_dbm(p)) for p in dbm]
@@ -912,12 +918,16 @@ def solve_records(records, anchors, method: str, options: SolverOptions, beams=N
 
     anchors maps each trp_id to its position; the solver's anchor rows
     follow the mapping's order. beams is the TRPs' beam table
-    (`Simulator.beams`), which a DL-AoD solve needs. The batch pipeline,
-    the location-session server and offline re-solves of written records
-    all solve here.
+    (`Simulator.beams`), which a DL-AoD solve needs; a record lacking a
+    payload value fails the solve. The batch pipeline, the location-session
+    server and offline re-solves of written records all solve here.
     """
     if method not in METHOD_TABLE:
         raise SolverError(f"unknown method {method!r}")
     index = _AnchorIndex((t, i) for i, t in enumerate(anchors))
     xyz = np.array([anchors[t] for t in index], dtype=float)
-    return solve_rows(METHOD_TABLE[method].rows(records, index, beams), xyz, options)
+    try:
+        rows = METHOD_TABLE[method].rows(records, index, beams)
+    except KeyError as exc:
+        raise SolverError(f"a record's payload lacks {exc}") from exc
+    return solve_rows(rows, xyz, options)

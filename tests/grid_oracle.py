@@ -10,7 +10,10 @@ prefix is the time-domain reference for the delay model both paths use:
 a delay of d samples is the per-subcarrier phase ramp
 exp(-2j*pi*k*d/fft_size).
 
-Grids are complex ndarrays indexed [subcarrier, symbol].
+Grids are complex ndarrays indexed [subcarrier, symbol]. The oracle
+places a resource's REs itself, as flat (subcarrier, symbol) index arrays
+expanded from its comb residues, so it shares no RE addressing with the
+simulation's comb-line kernels.
 """
 
 import math
@@ -25,7 +28,7 @@ from nrpos.measurements import (
     first_paths,
     taper_vector,
 )
-from nrpos.prs import dl_prs_reference, srs_reference
+from nrpos.prs import comb_pattern, dl_prs_reference, srs_reference
 
 SYMBOLS_PER_SLOT = 14
 
@@ -44,8 +47,28 @@ def slot_grid(numerology, symbols: int = SYMBOLS_PER_SLOT) -> np.ndarray:
     return np.zeros((numerology.n_subcarriers, symbols), dtype=complex)
 
 
+def re_indices(resource) -> tuple[np.ndarray, np.ndarray]:
+    """Subcarrier and symbol of every RE of a downlink or sounding
+    resource, symbol after symbol and in increasing subcarrier within a
+    symbol: symbol s occupies every comb-th subcarrier from its residue."""
+    k = [np.arange(residue, 12 * resource.n_prb, resource.comb_size)
+         for residue in comb_pattern(resource)]
+    return (np.concatenate(k),
+            np.repeat(resource.first_symbol + np.arange(len(k)), [len(k_s) for k_s in k]))
+
+
+def flat_dl_reference(resource, slot: int = 0):
+    """Flat (subcarriers, symbols, values) of a downlink resource."""
+    return (*re_indices(resource), dl_prs_reference([resource], slot)[0])
+
+
+def flat_srs_reference(resource):
+    """Flat (subcarriers, symbols, values) of a sounding resource."""
+    return (*re_indices(resource), srs_reference(resource))
+
+
 def _map(grid, resource, reference):
-    top = 12 * (resource.start_prb + resource.n_prb)
+    top = 12 * resource.n_prb
     if top > grid.shape[0] or resource.first_symbol + resource.n_symbols > grid.shape[1]:
         raise GridError("resource does not fit the grid")
     k_idx, sym, values = reference
@@ -62,12 +85,12 @@ def map_dl_prs(grid: np.ndarray, resource, slot: int = 0) -> np.ndarray:
     Touching an occupied RE is an error: co-channel signals interfere at
     the receiver, never inside one transmit grid.
     """
-    return _map(grid, resource, dl_prs_reference([resource], slot)[0])
+    return _map(grid, resource, flat_dl_reference(resource, slot))
 
 
 def map_srs(grid: np.ndarray, resource) -> np.ndarray:
     """Write a sounding resource's shifted sequence onto its comb."""
-    return _map(grid, resource, srs_reference(resource))
+    return _map(grid, resource, flat_srs_reference(resource))
 
 
 def frequency_response(link, freqs_hz: np.ndarray) -> np.ndarray:

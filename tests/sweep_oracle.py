@@ -5,14 +5,17 @@ geometry for every link, one `link_amplitude` and beam-gain call per
 chi-square per (beam, set) and one `reported_power_dbm` per report. Used to
 pin `channel.realize_budget_link` and `Simulator._aod_stage` bit for bit.
 
-Only the simulator's configuration, TRPs, channel parameters, RE sets,
-references, beam azimuths and channel matrix are read.
+Only the simulator's configuration, TRPs, channel parameters, downlink
+resources, RE sets, references, beam azimuths and channel matrix are read.
+An RE set's REs are placed as flat subcarrier indices by
+`grid_oracle.re_indices`.
 """
 
 import math
 
 import numpy as np
 
+from grid_oracle import re_indices
 from nrpos.channel import (
     LinkRealization,
     draw_noise,
@@ -101,13 +104,13 @@ def beam_gain_db(sim, beam_az, toward_az):
 
 def sweep_factors(sim, h):
     return [
-        np.linalg.qr((h[np.ix_(g.members, g.k)]
-                      * np.array([sim._dl_vals[i] for i in g.members])).T, mode="r")
+        np.linalg.qr((h[np.ix_(g.members, re_indices(sim.dl_resources[g.members[0]])[0])]
+                      * np.array([sim._dl_vals[i].ravel() for i in g.members])).T, mode="r")
         for g in sim._dl_sets
     ]
 
 
-def sweep_powers(sets, factors, amps, shared, rng, std):
+def sweep_powers(sets, factors, amps, shared, rng, std, n_re):
     n_beams = amps.shape[1]
     z = [np.zeros((len(g.members), n_beams), dtype=complex) for g in sets]
     rest = np.zeros((len(sets), n_beams))
@@ -116,7 +119,7 @@ def sweep_powers(sets, factors, amps, shared, rng, std):
             for e, g in enumerate(sets):
                 r = len(g.members)
                 z[e][:, b] = draw_noise(rng, r, std)
-                rest[e, b] = std**2 * rng.chisquare(2 * (len(g.k) - r))
+                rest[e, b] = std**2 * rng.chisquare(2 * (n_re - r))
     power = np.empty(amps.shape)
     for g, fac, ze, rest_e in zip(sets, factors, z, rest):
         members = list(g.members)
@@ -124,7 +127,7 @@ def sweep_powers(sets, factors, amps, shared, rng, std):
         together = np.ones((r, r)) if shared else np.eye(r)
         y = ze[:, None, :] + np.tensordot(fac, together[:, :, None] * amps[members][:, None, :],
                                           axes=1)
-        power[members] = ((y.real**2 + y.imag**2).sum(axis=0) + rest_e) / len(g.k)
+        power[members] = ((y.real**2 + y.imag**2).sum(axis=0) + rest_e) / n_re
     return power
 
 
@@ -153,7 +156,9 @@ def aod_stage(sim, links, drop_idx):
     h = sim._channel_matrix(links)
     amps = beam_amplitudes(sim, links)
     std = 0.0 if sim.dl_noise is None else noise_amplitude(sim.dl_noise) / np.sqrt(2.0)
-    power = sweep_powers(sim._dl_sets, sweep_factors(sim, h), amps, cfg.interference, rng, std)
+    n_re = len(re_indices(sim.dl_resources[sim.trps[0].trp_id])[0])
+    power = sweep_powers(sim._dl_sets, sweep_factors(sim, h), amps, cfg.interference, rng, std,
+                         n_re)
     reports = {}
     for t, beams in zip(sim.trps, power):
         rows = reports[t.trp_id] = []

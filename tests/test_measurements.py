@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from first_path_oracle import oracle_pick, oracle_polish
-from grid_oracle import despread, estimate_toa, rsrp, slot_grid
+from grid_oracle import despread, estimate_toa, flat_dl_reference, rsrp, slot_grid
 from nrpos.channel import link_amplitude
 from nrpos.config import preset_config
 from nrpos.measurements import (
@@ -30,7 +30,7 @@ from nrpos.measurements import (
     taper_vector,
 )
 from nrpos.numerology import SPEED_OF_LIGHT, TC_SECONDS, Numerology
-from nrpos.prs import DlPrsResource, dl_prs_reference
+from nrpos.prs import DlPrsResource
 from nrpos.scenario import AntennaArray
 from nrpos.simulate import Simulator, despread_groups
 
@@ -39,7 +39,7 @@ FREQS = np.arange(NUM.n_subcarriers) * NUM.scs_khz * 1e3
 SAMPLE_S = 1.0 / NUM.sample_rate_hz
 RES = DlPrsResource(seq_id=7, comb_size=12, re_offset=0,
                     n_symbols=12, n_prb=24)
-REF = dl_prs_reference([RES])[0]
+REF = flat_dl_reference(RES)
 WINDOW = (-2e-6, 10e-6)
 
 
@@ -240,7 +240,7 @@ def despread_stack(preset):
     amps[-1] = 0.0
     rx, _ = sim._dl_receive(np.random.default_rng(5), amps, sim._channel_matrix(links))
     vecs = despread_groups(sim._dl_groups, rx, sim._dl_vals, sim.numerology.n_subcarriers,
-                           range(len(sim.trps)))
+                           sim.config.dl_comb_size, range(len(sim.trps)))
     window, taper = sim._detection
     return vecs * taper, window
 

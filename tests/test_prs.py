@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from grid_oracle import GridError, map_dl_prs, map_srs
+from grid_oracle import GridError, map_dl_prs, map_srs, re_indices
 from nrpos.prs import (
     DL_VALID_SYMBOLS,
     UL_VALID_SYMBOLS,
@@ -12,7 +12,6 @@ from nrpos.prs import (
     SrsPosResource,
     comb_pattern,
     dl_prs_reference,
-    resource_re_indices,
 )
 
 
@@ -31,6 +30,11 @@ def dl_pattern(comb_size, n_symbols, re_offset):
 def srs_pattern(comb_size, n_symbols, comb_offset):
     return comb_pattern(SrsPosResource(comb_size=comb_size, n_symbols=n_symbols,
                                        comb_offset=comb_offset))
+
+
+def occupied(resource) -> set[tuple[int, int]]:
+    """(subcarrier, symbol) of every RE of a resource."""
+    return set(zip(*(a.tolist() for a in re_indices(resource))))
 
 
 class TestCombPattern:
@@ -84,10 +88,7 @@ class TestOrthogonality:
         for offset in range(comb):
             res = make_resource(comb_size=comb, re_offset=offset,
                                 n_symbols=n_symbols, n_prb=24)
-            occupied = {
-                (k, s) for k_idx, s in resource_re_indices(res) for k in k_idx
-            }
-            re_sets.append(occupied)
+            re_sets.append(occupied(res))
         for a, b in itertools.combinations(re_sets, 2):
             assert not (a & b)
 
@@ -97,7 +98,7 @@ class TestOrthogonality:
         for offset in range(comb):
             res = make_resource(comb_size=comb, re_offset=offset,
                                 n_symbols=n_symbols, n_prb=24)
-            union |= {(k, s) for k_idx, s in resource_re_indices(res) for k in k_idx}
+            union |= occupied(res)
         assert len(union) == 24 * 12 * n_symbols
 
 
@@ -134,8 +135,8 @@ class TestMapping:
         grid = np.zeros((12 * 24, 14), dtype=complex)
         res = make_resource(comb_size=2, n_symbols=2, n_prb=24)
         map_dl_prs(grid, res)
-        (k0, s0), (k1, s1) = resource_re_indices(res)
-        assert not np.allclose(grid[k0, s0], grid[k1, s1])
+        k, sym = re_indices(res)
+        assert not np.allclose(grid[k[sym == 0], 0], grid[k[sym == 1], 1])
 
 
 
@@ -145,13 +146,10 @@ class TestReferencePass:
                      for s, o in ((3, 0), (4, 1), (5, 0))]
         out = np.empty((3, 6 * 12 * 24 // 6), dtype=complex)
         for refs in (dl_prs_reference(resources), dl_prs_reference(resources, out=out)):
-            for res, (k, s, values) in zip(resources, refs):
-                k1, s1, values1 = dl_prs_reference([res])[0]
-                assert np.array_equal(k, k1) and np.array_equal(s, s1)
-                assert values.tobytes() == values1.tobytes()
-            # one RE placement, one pair of index arrays
-            assert refs[0][0] is refs[2][0] and refs[0][1] is refs[2][1]
-        assert all(np.shares_memory(v, row) for (_, _, v), row in zip(refs, out))
+            assert refs.shape == out.shape
+            for res, values in zip(resources, refs):
+                assert values.tobytes() == dl_prs_reference([res])[0].tobytes()
+        assert refs is out
 
     def test_unequal_shapes_rejected(self):
         # equally many REs in all, spread over different symbol counts
@@ -170,9 +168,10 @@ class TestSrs:
         res = SrsPosResource(comb_size=4, comb_offset=0, cyclic_shift=0,
                              n_symbols=4, n_prb=24)
         map_srs(grid, res)
-        k_idx, sym = resource_re_indices(res)[0]
+        k, sym = re_indices(res)
+        k_idx = k[sym == 0]
         from nrpos.sequences import zc_base_for_width
-        assert np.allclose(grid[k_idx, sym], zc_base_for_width(1, len(k_idx)))
+        assert np.allclose(grid[k_idx, 0], zc_base_for_width(1, len(k_idx)))
 
     def test_cyclic_shift_is_phase_ramp(self):
         values = []
@@ -181,8 +180,8 @@ class TestSrs:
             res = SrsPosResource(comb_size=4, comb_offset=0, cyclic_shift=cs,
                                  n_symbols=4, n_prb=24)
             map_srs(grid, res)
-            k_idx, sym = resource_re_indices(res)[0]
-            values.append(grid[k_idx, sym])
+            k, sym = re_indices(res)
+            values.append(grid[k[sym == 0], 0])
         ratio = values[1] / values[0]
         k = np.arange(len(ratio))
         assert np.allclose(ratio, np.exp(2j * np.pi * 3 * k / 12))
@@ -191,7 +190,7 @@ class TestSrs:
         sets = []
         for offset in (0, 1):
             res = SrsPosResource(comb_size=2, comb_offset=offset, n_symbols=2, n_prb=24)
-            sets.append({(k, s) for k_idx, s in resource_re_indices(res) for k in k_idx})
+            sets.append(occupied(res))
         assert not (sets[0] & sets[1])
 
     def test_validation(self):

@@ -125,6 +125,28 @@ class TestCInit:
         with pytest.raises(ValueError):
             prs_c_init(-1, 0, 0)
 
+    def test_arrays_broadcast_to_the_formula(self):
+        seq_id = np.array([0, 1, 1023, 1024, 2047, 4095])[:, None, None]
+        slot = np.array([0, 5, 319])[:, None]
+        symbol = np.arange(14)
+        got = prs_c_init(seq_id, slot, symbol)
+        assert got.shape == (6, 3, 14)
+        for (i, j, k), value in np.ndenumerate(got):
+            n, sl, sym = int(seq_id[i, 0, 0]), int(slot[j, 0]), int(symbol[k])
+            want = (2**22 * (n >> 10) + 2**10 * (14 * sl + sym + 1) * (2 * (n & 1023) + 1)
+                    + (n & 1023)) % 2**31
+            assert value == want == prs_c_init(n, sl, sym)
+
+    def test_arrays_range_checked(self):
+        with pytest.raises(ValueError):
+            prs_c_init(np.array([0, 4096]), 0, 0)
+        with pytest.raises(ValueError):
+            prs_c_init(np.array([[3], [-1]]), 0, np.arange(3))
+        with pytest.raises(ValueError):
+            prs_c_init(7, np.array([0, -1]), 0)
+        with pytest.raises(ValueError):
+            prs_c_init(7, 0, np.array([0, -2]))
+
 
 class TestQpsk:
     def test_mapping_definition(self):

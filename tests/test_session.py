@@ -24,7 +24,9 @@ from nrpos.session import (
     request_assistance_on_demand,
     run_sessions,
 )
+from nrpos.measurements import MeasurementRecord
 from nrpos.simulate import Simulator, solve_records
+from nrpos.solvers import SolverError
 
 
 @lru_cache(maxsize=None)
@@ -295,6 +297,50 @@ class TestDlTdoa:
         fixes = replay_solve(transport.trace, lmf.anchors, lmf.options)
         assert list(fixes) == ["ue:0"]
         assert np.array_equal(fixes["ue:0"].position, lmf.results["ue:0"].fix.position)
+
+
+def test_timed_out_session_sends_nothing_more():
+    """With 0.6 s per hop and a 1.0 s timeout, a multi-RTT session aborts
+    at 1.0 s, before its radio nodes' TRPs reach the server at 1.2 s. The
+    server then asks the UE for nothing, so the abort is the trace's last
+    entry and no location message is sent."""
+    _, lmf, gnbs, ues, _ = make_world(n_gnbs=3, n_ues=1)
+    lmf = Lmf("lmf:0", lmf.anchors, solver_options=lmf.options, timeout_s=1.0)
+    results, trace = run_sessions(lmf, "multi-rtt", ues, Transport(latency_s=0.6), gnbs)
+    assert results["ue:0"].status == "aborted"
+    assert trace[-1]["kind"] == ABORT_KIND and trace[-1]["timestamp"] == 1.0
+    assert [e for e in trace if e["timestamp"] > 1.0] == []
+    assert not any(e["kind"].startswith("Lpp") for e in trace)
+
+
+@pytest.mark.parametrize("method,kind,key", [
+    ("dl-tdoa", "RSTD", "ref_trp_id"),
+    ("dl-tdoa", "RSTD", "value_tc"),
+    ("multi-rtt", "UE_RXTX", "value_tc"),
+])
+def test_malformed_report_aborts_its_own_session_only(method, kind, key):
+    """A UE whose reports lack a payload key the solve needs aborts with
+    that reason; the other UE's session still fixes."""
+    transport, lmf, gnbs, ues, _ = make_world(method, n_gnbs=3, n_ues=2)
+    ues[0].records = [
+        MeasurementRecord(r.kind, r.trp_id, {k: v for k, v in r.payload.items() if k != key},
+                          r.resource_id) if r.kind == kind else r
+        for r in ues[0].records]
+    results, trace = run_sessions(lmf, method, ues, transport, gnbs)
+    assert {uid: r.status for uid, r in results.items()} == {"ue:0": "aborted", "ue:1": "fixed"}
+    aborts = [e["payload"] for e in trace if e["kind"] == ABORT_KIND]
+    assert aborts == [{"ue_id": "ue:0", "reason": f"a record's payload lacks {key!r}"}]
+
+
+@pytest.mark.parametrize("method,record", [
+    ("ul-aoa", MeasurementRecord("AOA", 0, {"azimuth_deg": 10.0})),
+    ("dl-aod", MeasurementRecord("PRS_RSRP", 0, {}, resource_id=0)),
+    ("ul-tdoa", MeasurementRecord("UL_RTOA", 0, {})),
+])
+def test_malformed_record_fails_the_solve(method, record):
+    sim, _ = ideal_drops("multi-rtt", 1)
+    with pytest.raises(SolverError, match="payload lacks"):
+        solve_records([record], sim.anchors, method, sim.options, sim.beams)
 
 
 @pytest.mark.parametrize("method", ["ul-tdoa", "ul-aoa", "fingerprint"])

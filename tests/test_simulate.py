@@ -1,6 +1,7 @@
 """Top-level simulation path: pinned results, the channel matrix against
 the oracle's frequency response, the received-RE kernel against the grid
-path, the beam sweep's power draw against the RE-level draw and its
+path, the comb-line receive, despread and sweep against flat RE indices
+for every comb shape, the beam sweep's power draw against the RE-level draw and its
 batched pass against the per-beam loops, the downlink reference values
 against a per-symbol build, detection of the selected TRPs
 only and no detection state built for DL-AoD, accuracy on an ideal
@@ -18,16 +19,17 @@ import numpy as np
 import pytest
 
 import sweep_oracle
-from grid_oracle import (despread, frequency_response, map_dl_prs, received_grid, rsrp,
-                         slot_grid)
+from grid_oracle import (despread, flat_dl_reference, flat_srs_reference, frequency_response,
+                         map_dl_prs, re_indices, received_grid, rsrp, slot_grid)
 from nrpos import experiments, prs, simulate, solvers
 from nrpos.channel import link_amplitude
 from nrpos.config import preset_config
 from nrpos.experiments import ResultSummary, run_experiment
 from nrpos.measurements import read_records, write_records
-from nrpos.prs import dl_prs_reference, resource_re_indices
-from nrpos.simulate import (Simulator, despread_groups, power_dbm, receive_groups,
-                            solve_records, sweep_powers)
+from nrpos.prs import DL_VALID_SYMBOLS, UL_VALID_SYMBOLS, comb_pattern
+from nrpos.rng import substream
+from nrpos.simulate import (Simulator, comb_lines, despread_groups, power_dbm,
+                            receive_groups, solve_records, sweep_powers)
 from nrpos.sequences import gold_sequence, prs_c_init, qpsk_map
 from nrpos.solvers import RANGE_DIFFERENCE, gdop, in_area, init_guess
 
@@ -173,7 +175,7 @@ def test_kernel_matches_grid_path(interference):
 
     rx, kernel_rsrp = sim._dl_receive(np.random.default_rng(7), amps, h)
     vecs = despread_groups(sim._dl_groups, rx, sim._dl_vals, num.n_subcarriers,
-                           range(len(sim.trps)))
+                           cfg.dl_comb_size, range(len(sim.trps)))
     noise_grid = sim._noise(np.random.default_rng(7), (num.n_subcarriers, cfg.dl_n_symbols),
                             sim.dl_noise)
 
@@ -186,10 +188,109 @@ def test_kernel_matches_grid_path(interference):
     for i, t in enumerate(sim.trps):
         grid = shared if interference else \
             received_grid([everyone[i]], num, noise_grid=noise_grid)
-        ref = dl_prs_reference([sim.dl_resources[t.trp_id]])[0]
+        ref = flat_dl_reference(sim.dl_resources[t.trp_id])
         expected = despread(grid, ref)
         assert np.allclose(vecs[i], expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max())
         assert kernel_rsrp[i] == pytest.approx(rsrp(grid, ref), abs=1e-9)
+
+
+def flat_receive(noise, amps, h, k, refs, members):
+    """Received REs of one group on flat subcarrier indices k: its noise
+    plus each member's (amp * H) * ref, in member order."""
+    rx = noise.copy()
+    for i in members:
+        rx += amps[i] * h[i, k] * refs[i]
+    return rx
+
+
+def flat_despread(rx, k, ref, n_sc):
+    """One source's channel estimate: products added at their subcarriers
+    in RE order."""
+    vec = np.zeros(n_sc, dtype=complex)
+    np.add.at(vec, k, rx * np.conj(ref))
+    return vec
+
+
+DL_SHAPES = [(comb, n) for comb, counts in DL_VALID_SYMBOLS.items() for n in counts]
+
+
+@pytest.mark.parametrize("interference", [True, False])
+@pytest.mark.parametrize("comb,n_symbols", DL_SHAPES)
+def test_dl_comb_lines_match_flat_indices(comb, n_symbols, interference):
+    """The downlink stage's comb-line receive, despread and beam sweep
+    against the same arithmetic on the flat (subcarrier, symbol) indices
+    that `grid_oracle.re_indices` expands from the comb residues, bit for
+    bit, for every valid (comb, symbols) pair: repeated symbols re-sound
+    subcarriers, whose products add in symbol order."""
+    sim = Simulator(preset_config("uma", method="dl-aod", n_prb=24, n_drops=1, quantize=False,
+                                  interference=interference, dl_comb_size=comb,
+                                  dl_n_symbols=n_symbols))
+    n_sc = sim.numerology.n_subcarriers
+    links = sim._links(0, sim.ues[0])
+    amps = [link_amplitude(l, t.tx_power_dbm, sim.dl_occupied_per_symbol)
+            for l, t in zip(links, sim.trps)]
+    h = sim._channel_matrix(links)
+    rx, power = sim._dl_receive(np.random.default_rng(3), amps, h)
+    vecs = despread_groups(sim._dl_groups, rx, sim._dl_vals, n_sc, comb, range(len(sim.trps)))
+
+    grid = sim._noise(np.random.default_rng(3), (n_sc, n_symbols), sim.dl_noise)
+    refs = [flat_dl_reference(sim.dl_resources[t.trp_id])[2] for t in sim.trps]
+    for g, got in zip(sim._dl_groups, rx):
+        k, sym = re_indices(sim.dl_resources[g.members[0]])
+        for i in g.members:
+            assert all(np.array_equal(a, b) for a, b in zip(re_indices(sim.dl_resources[i]),
+                                                            (k, sym)))
+        want = flat_receive(grid[k, sym], amps, h, k, refs, g.members)
+        assert got.tobytes() == want.tobytes()
+        for i in g.members:
+            assert power[i] == power_dbm(float(np.mean(np.abs(want) ** 2)))
+            assert vecs[i].tobytes() == flat_despread(want, k, refs[i], n_sc).tobytes()
+    assert np.count_nonzero(vecs, axis=1).tolist() == [n_sc] * len(sim.trps)
+
+    for got, want in zip(sim._sweep_factors(h), sweep_oracle.sweep_factors(sim, h)):
+        assert got.tobytes() == want.tobytes()
+    assert sim._aod_stage(links, 0) == list(sweep_oracle.aod_stage(sim, links, 0).values())
+
+
+@pytest.mark.parametrize("n_symbols", UL_VALID_SYMBOLS)
+@pytest.mark.parametrize("comb", [2, 4, 8])
+def test_ul_comb_lines_match_flat_indices(comb, n_symbols):
+    """The uplink stage's comb-line receive and despread against the same
+    arithmetic on the flat indices `grid_oracle.re_indices` expands, bit
+    for bit: each TRP's noise is one flat draw in RE order, and its powers
+    and arrivals are those of the flat path. A comb with fewer symbols than
+    its size leaves comb lines unsounded, whose estimates stay zero."""
+    sim = Simulator(preset_config("ioo-fr1", method="ul-tdoa", n_prb=24, n_drops=1,
+                                  ul_comb_size=comb, ul_n_symbols=n_symbols))
+    n_sc, n_trps = sim.numerology.n_subcarriers, len(sim.trps)
+    links = sim._links(0, sim.ues[0])
+    rsrp, toa = sim._ul_stage(links, np.zeros(n_trps), 0.0, 0)
+
+    amps = [link_amplitude(l, sim.config.ue_tx_power_dbm, sim.ul_occupied_per_symbol)
+            for l in links]
+    h = sim._channel_matrix(links, extra_s=np.zeros(n_trps))
+    k, sym = re_indices(sim.srs)
+    ref = flat_srs_reference(sim.srs)[2]
+    rng = substream(sim.config.master_seed, "noise", 0, 1)
+    want = [flat_receive(sim._noise(rng, len(k), sim.ul_noise), amps, h, k, [ref] * n_trps, (i,))
+            for i in range(n_trps)]
+    assert rsrp == [power_dbm(float(np.mean(np.abs(w) ** 2))) for w in want]
+    detected = sim._select_trps(rsrp)
+    flat_vecs = np.array([flat_despread(want[i], k, ref, n_sc) for i in detected])
+
+    rng = substream(sim.config.master_seed, "noise", 0, 1)
+    noise = [sim._noise(rng, sim._ul_vals.shape, sim.ul_noise) for _ in range(n_trps)]
+    rx, power = receive_groups(sim._ul_groups, noise, amps, comb_lines(h, comb),
+                               [sim._ul_vals] * n_trps)
+    assert power == rsrp and [r.tobytes() for r in rx] == [w.tobytes() for w in want]
+    vecs = despread_groups(sim._ul_groups, rx, [sim._ul_vals] * n_trps, n_sc, comb, detected)
+    assert vecs.tobytes() == flat_vecs.tobytes()
+    sounded = np.zeros(n_sc, dtype=bool)
+    sounded[k] = True
+    assert sounded.all() == (n_symbols >= comb)
+    assert not vecs[:, ~sounded].any() and np.all(vecs[:, sounded] != 0)
+    taus = sim._batched_toa(flat_vecs)
+    assert toa == {t: tau for t, tau in zip(detected, taus) if tau is not None}
 
 
 @pytest.mark.parametrize("comb,n_symbols", [(2, 2), (4, 4), (6, 6), (12, 12)])
@@ -197,30 +298,33 @@ def test_kernel_matches_grid_path(interference):
 @pytest.mark.parametrize("preset", ["uma", "umi", "ioo-fr1"])
 def test_dl_reference_matches_per_symbol_build(preset, interference, comb, n_symbols):
     """The stacked downlink reference values and every group's REs equal a
-    build symbol by symbol, from one scalar Gold call per symbol."""
+    build symbol by symbol, from one scalar Gold call per symbol, on the
+    REs that `grid_oracle.re_indices` places: a group's residues are each
+    member's comb pattern, and its (symbol, line) values are the member's
+    flat values symbol after symbol."""
     sim = Simulator(preset_config(preset, n_drops=1, interference=interference,
                                   dl_comb_size=comb, dl_n_symbols=n_symbols))
     expected = {}
     for t in sim.trps:
         res = sim.dl_resources[t.trp_id]
-        placed = resource_re_indices(res)
-        expected[t.trp_id] = (
-            np.concatenate([k for k, _ in placed]),
-            np.concatenate([np.full(len(k), sym) for k, sym in placed]),
-            np.concatenate([qpsk_map(gold_sequence(prs_c_init(res.seq_id, 0, sym), 2 * len(k)))
-                            for k, sym in placed]))
+        k, sym = re_indices(res)
+        per_symbol = [k[sym == s] for s in range(res.n_symbols)]
+        assert [list(k_s % comb) for k_s in per_symbol] == \
+            [[r] * len(k_s) for r, k_s in zip(comb_pattern(res), per_symbol)]
+        expected[t.trp_id] = np.concatenate(
+            [qpsk_map(gold_sequence(prs_c_init(res.seq_id, 0, s), 2 * len(k_s)))
+             for s, k_s in enumerate(per_symbol)])
     # each TRP's values are one row of the stacked array, and every row is a TRP's
     assert sorted(row.tobytes() for row in sim._dl_stacked) == \
-        sorted(v.tobytes() for _, _, v in expected.values())
+        sorted(v.tobytes() for v in expected.values())
     members = []
     for g in sim._dl_groups:
         assert interference or len(g.members) == 1
         for i in g.members:
-            k, s, values = expected[i]
-            assert sim._dl_vals[i].tobytes() == values.tobytes()
+            assert sim._dl_vals[i].shape == (n_symbols, sim.dl_occupied_per_symbol)
+            assert sim._dl_vals[i].tobytes() == expected[i].tobytes()
             assert np.shares_memory(sim._dl_vals[i], sim._dl_stacked)
-            assert g.k.dtype == k.dtype and np.array_equal(g.k, k)
-            assert g.s.dtype == s.dtype and np.array_equal(g.s, s)
+            assert list(g.residues) == comb_pattern(sim.dl_resources[i])
             members.append(i)
     assert sorted(members) == [t.trp_id for t in sim.trps]
 
@@ -248,7 +352,21 @@ def test_construction_makes_one_gold_call(monkeypatch):
 
     monkeypatch.setattr(prs, "gold_sequence", spy)
     sim = Simulator(preset_config("uma", n_drops=1))
-    assert calls == [(len(sim.trps) * sim.config.dl_n_symbols,)]
+    assert calls == [(len(sim.trps), sim.config.dl_n_symbols)]
+
+
+def test_construction_makes_one_seed_call(monkeypatch):
+    """Every (TRP, symbol) scrambling seed of a construction comes from one
+    `prs_c_init` call on arrays."""
+    calls = []
+
+    def spy(seq_id, slot, symbol):
+        calls.append(np.broadcast_shapes(np.shape(seq_id), np.shape(slot), np.shape(symbol)))
+        return prs_c_init(seq_id, slot, symbol)
+
+    monkeypatch.setattr(prs, "prs_c_init", spy)
+    sim = Simulator(preset_config("uma", n_drops=1))
+    assert calls == [(len(sim.trps), sim.config.dl_n_symbols)]
 
 
 def test_channel_matrix_matches_oracle_response():
@@ -335,9 +453,10 @@ def test_sweep_draw_matches_re_level_draw(interference, scale):
 
     rng = np.random.default_rng(11)
     grid_draws = 10.0 ** (np.array([sim._dl_receive(rng, amps, h)[1] for _ in range(n)]).T / 10.0)
+    n_re = sim._dl_vals[0].size
     sweep_draws = sweep_powers(sim._dl_sets, factors, np.repeat(amps[:, None], n, axis=1),
                                interference, np.random.default_rng(12),
-                               sim._noise_std(sim.dl_noise))
+                               sim._noise_std(sim.dl_noise), n_re)
     m1, m2 = grid_draws.mean(axis=1), sweep_draws.mean(axis=1)
     v1, v2 = grid_draws.var(axis=1), sweep_draws.var(axis=1)
     assert np.all(np.abs(m1 - m2) < 4.0 * np.sqrt((v1 + v2) / n))
@@ -349,9 +468,10 @@ def test_sweep_draw_matches_re_level_draw(interference, scale):
     if not interference:
         assert corr[1] > 0.5
 
-    noise = [np.zeros(len(g.k), dtype=complex) for g in sim._dl_groups]
-    _, expected = receive_groups(sim._dl_groups, noise, amps, h, sim._dl_vals)
-    noiseless = sweep_powers(sim._dl_sets, factors, amps[:, None], interference, None, 0.0)
+    noise = [np.zeros(sim._dl_vals[0].shape, dtype=complex) for g in sim._dl_groups]
+    _, expected = receive_groups(sim._dl_groups, noise, amps,
+                                 comb_lines(h, sim.config.dl_comb_size), sim._dl_vals)
+    noiseless = sweep_powers(sim._dl_sets, factors, amps[:, None], interference, None, 0.0, n_re)
     assert [power_dbm(p) for p in noiseless[:, 0]] == pytest.approx(expected, abs=1e-9)
 
 
@@ -439,26 +559,30 @@ def test_cell_selection_runs_once_per_drop(method, monkeypatch):
 
 def test_dl_aod_builds_no_detection_state():
     """DL-AoD detects no first path and receives no downlink REs, so its
-    simulator holds no delay window or taper and its run builds no
-    downlink grid index; its results.csv is that of a simulator that has
-    all three. A DL-TDOA simulator has the window and taper from the start
-    and builds the index at its first drop."""
+    simulator holds no delay window or taper; its results.csv is that of a
+    simulator that has both and has received downlink REs. Receiving them
+    builds no state: every attribute is the same object before and after.
+    A DL-TDOA simulator has the window and taper from the start and never
+    builds the beam sweep's tables, which DL-AoD builds at its first drop."""
     config = preset_config("uma", method="dl-aod", n_drops=N_DROPS)
     lean = Simulator(config)
     full = Simulator(config)
     full._detection = Simulator(config.model_copy(update={"method": "dl-tdoa"}))._detection
-    full._dl_receive(np.random.default_rng(0), [0.0] * len(full.trps),
-                     full._channel_matrix(full._links(0, full.ues[0])))
-    assert full._detection is not None and full._dl_flat is not None
+    h = full._channel_matrix(full._links(0, full.ues[0]))
+    before = dict(vars(full))
+    full._dl_receive(np.random.default_rng(0), [0.0] * len(full.trps), h)
+    assert vars(full).keys() == before.keys()
+    assert all(getattr(full, name) is value for name, value in before.items())
+    assert full._detection is not None
     csv = [experiments._results_csv([sim.run_drop(i) for i in range(N_DROPS)])
            for sim in (lean, full)]
-    assert lean._detection is None and lean._dl_flat is None
+    assert lean._detection is None and lean._sweep_index is not None
     assert csv[0] == csv[1]
 
     tdoa = Simulator(preset_config("uma", method="dl-tdoa", n_drops=1))
-    assert tdoa._detection is not None and tdoa._dl_flat is None
+    assert tdoa._detection is not None
     tdoa.run_drop(0)
-    assert tdoa._dl_flat is not None
+    assert tdoa._sweep_index is None
 
 
 @pytest.mark.parametrize("method,bound_m", [
