@@ -7,9 +7,10 @@ taken from, its measured value and, for a range difference, the anchor
 row it is taken against. The kinds are range and range difference in
 metres, azimuth and zenith in degrees. Every positioning method's reports
 become rows (`simulate.METHOD_TABLE`), and `solve_rows` solves them: the
-rows become one residual problem (`_problem`) in canonical order, by
-anchor row and then kind, so that the order of the reports does not move
-the fix. The fix is checked to be determined, and `solve_rows` alone
+rows become one residual problem (`_Problem`), with one residual per row
+chosen by its kind, and `_problem` puts them in canonical order, by kind
+and then anchor row, so that the order of the reports does not move the
+fix. The fix is checked to be determined, and `solve_rows` alone
 picks its starts, from the rows: every solve starts from the plain
 centroid of the distinct anchor rows its rows use, a range difference's
 reference included, in anchor-row order, and the kinds present add their
@@ -23,8 +24,8 @@ own.
   least-squares intersection of the bearing lines.
 
 `gdop` builds its problem from rows too: a fix keeps the canonical rows
-it was solved from (`PositionFix.rows`), and a drop's GDOP is theirs at
-the truth.
+it was solved from (`PositionFix.rows`), in residual order, and a drop's
+GDOP is theirs at the truth.
 
 Gauss-Newton accepts a step only when it lowers the residual RMS
 strictly, halving it up to 25 times to find one; a run whose halvings
@@ -33,7 +34,7 @@ bearing fan) equal-RMS steps would walk the point off to the iteration
 cap, so the only equal RMS accepted is at the minimum, where the full
 step is already shorter than the tolerance and the run converges.
 
-Gauss-Newton runs on Python floats, each problem's residuals and
+Gauss-Newton runs on Python floats, the problem's residuals and
 Jacobian rows being per-row `math` arithmetic; numpy remains for the
 least-squares step and for the dot products that `np.linalg.norm` takes
 (see `_gauss_newton`). Its arithmetic is pinned: every operation and
@@ -75,7 +76,8 @@ class PositionFix:
     iterations: int
     converged: bool
     objective: float = 0.0
-    # the canonical rows `solve_rows` solved; empty on a bare Gauss-Newton run
+    # the canonical rows `solve_rows` solved, in residual order; empty on a
+    # bare Gauss-Newton run
     rows: tuple[Row, ...] = ()
 
 
@@ -147,21 +149,97 @@ def _sum_squares(r) -> float:
 
 
 class _Problem:
-    """Residuals and Jacobians for one measurement geometry.
+    """Residuals and Jacobians of measurement rows: one residual and one
+    Jacobian row per row, in the order of `rows`, each chosen by its kind.
 
-    Each geometry's `_residuals(x)` takes a point as three Python floats
-    and returns its residuals as a list of floats, and `_jacobian(x, k)`
-    the Jacobian's first k columns as rows of floats. Both are per-row
-    `math` arithmetic, so a Gauss-Newton iteration makes no numpy call to
-    evaluate. A zero distance in the Jacobian raises ZeroDivisionError
-    where numpy gave a NaN row. `_rows` holds each measurement's anchor
-    coordinates and measured value as floats.
+    `rows` index `anchors`, the (anchor row, xyz) array; the problem keeps
+    `kinds`, the anchor coordinates of each row (`anchors`) and its value
+    (`measured`) as arrays, and `ref`, the range differences' one reference
+    anchor (None without range differences). `_residuals(x)` takes a point
+    as three Python floats and returns the residuals as a list of floats,
+    and `_jacobian(x, k)` the Jacobian's first k columns as rows of floats.
+    Both are per-row `math` arithmetic, so a Gauss-Newton iteration makes
+    no numpy call to evaluate. A zero distance in the Jacobian raises
+    ZeroDivisionError where numpy gave a NaN row.
+
+    - A range is a range difference against a reference at distance 0.0,
+      which subtracts exactly: both are the distance to the anchor, (dx² +
+      dy²) + dz², the order of np.add.reduce over three values and so
+      np.linalg.norm's to the bit, less the reference distance. That one
+      np.linalg.norm takes as a dot product, which need not sum in a
+      sequential sum's order, so it stays one.
+    - Azimuths and zeniths are in degrees, from `math.atan2`, which can
+      differ from numpy's vectorised arctan2 in the last bit.
     """
 
-    def __init__(self, anchors, measured, fix_height):
-        self.anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    def __init__(self, rows, anchors, fix_height):
+        self.rows = tuple(rows)
         self.fix_height = fix_height
-        self._rows = np.column_stack([self.anchors, measured]).tolist()
+        self.kinds = np.array([r.kind for r in self.rows])
+        self.anchors = anchors[[r.anchor for r in self.rows]]
+        self.measured = np.array([r.value for r in self.rows], dtype=float)
+        refs = {r.ref for r in self.rows if r.kind == RANGE_DIFFERENCE}
+        if len(refs) > 1 or None in refs:
+            raise SolverError("all range differences must share one reference anchor")
+        self.ref = anchors[refs.pop()] if refs else None
+        self._rows = [(r.kind, *xyzm) for r, xyzm in
+                      zip(self.rows, np.column_stack([self.anchors, self.measured]).tolist())]
+
+    def _ref_distance(self, x):
+        """x less the reference anchor, and its norm; 0.0 without one."""
+        if self.ref is None:
+            return None, 0.0
+        diff_ref = np.subtract(x, self.ref)
+        return diff_ref, math.sqrt(diff_ref.dot(diff_ref))
+
+    def _residuals(self, x):
+        x0, x1, x2 = x
+        d_ref = self._ref_distance(x)[1]
+        r = []
+        for kind, a0, a1, a2, m in self._rows:
+            dx = x0 - a0
+            dy = x1 - a1
+            if kind == AZIMUTH:
+                # wrap_deg(np.degrees(np.arctan2(dy, dx)) - az)
+                w = (math.atan2(dy, dx) * _DEG - m + 180.0) % 360.0 - 180.0
+                r.append(180.0 if w == -180.0 else w)
+            elif kind == ZENITH:
+                r.append(math.atan2(math.sqrt(dx * dx + dy * dy), x2 - a2) * _DEG - m)
+            else:
+                dz = x2 - a2
+                to_ref = d_ref if kind == RANGE_DIFFERENCE else 0.0
+                r.append(math.sqrt(dx * dx + dy * dy + dz * dz) - to_ref - m)
+        return r
+
+    def _jacobian(self, x, k):
+        # -dy / rho2 * deg is dy / rho2 * -deg to the bit: negation is exact
+        x0, x1, x2 = x
+        diff_ref, d_ref = self._ref_distance(x)
+        g = (0.0, 0.0, 0.0) if diff_ref is None else [c / d_ref for c in diff_ref.tolist()]
+        rows = []
+        for kind, a0, a1, a2, _ in self._rows:
+            dx = x0 - a0
+            dy = x1 - a1
+            if kind == AZIMUTH:
+                rho2 = dx * dx + dy * dy
+                row = (dy / rho2 * -_DEG, dx / rho2 * _DEG)
+                rows.append(row if k == 2 else row + (0.0,))
+            elif kind == ZENITH:
+                dz = x2 - a2
+                rho2 = dx * dx + dy * dy
+                rho = math.sqrt(rho2)
+                d2 = rho2 + dz * dz
+                d2_rho = d2 * rho
+                row = (dz * dx / d2_rho * _DEG, dz * dy / d2_rho * _DEG)
+                rows.append(row if k == 2 else row + (-rho / d2 * _DEG,))
+            else:
+                # unit vector from the anchor to x, less the reference's
+                g0, g1, g2 = g if kind == RANGE_DIFFERENCE else (0.0, 0.0, 0.0)
+                dz = x2 - a2
+                d = math.sqrt(dx * dx + dy * dy + dz * dz)
+                rows.append((dx / d - g0, dy / d - g1) if k == 2 else
+                            (dx / d - g0, dy / d - g1, dz / d - g2))
+        return rows
 
     def jacobian(self, x):
         """The Jacobian's free columns at x; all NaN when a distance is zero."""
@@ -170,131 +248,18 @@ class _Problem:
         try:
             return np.array(self._jacobian(x, k))
         except ZeroDivisionError:
-            return np.full((len(self._residuals(x)), k), np.nan)
-
-
-class _RangeProblem(_Problem):
-    """Distances to the anchors. Each is (dx² + dy²) + dz², the order of
-    np.add.reduce over three values, so it is np.linalg.norm's to the bit."""
-
-    def __init__(self, anchors, ranges_m, fix_height):
-        super().__init__(anchors, ranges_m, fix_height)
-        self.measured = np.asarray(ranges_m, dtype=float)
-
-    def _residuals(self, x):
-        x0, x1, x2 = x
-        r = []
-        for a0, a1, a2, m in self._rows:
-            dx = x0 - a0
-            dy = x1 - a1
-            dz = x2 - a2
-            r.append(math.sqrt(dx * dx + dy * dy + dz * dz) - m)
-        return r
-
-    def _jacobian(self, x, k, ref=(0.0, 0.0, 0.0)):
-        """Unit vectors from the anchors to x, less ref (zero by default,
-        which subtracts exactly)."""
-        x0, x1, x2 = x
-        g0, g1, g2 = ref
-        rows = []
-        for a0, a1, a2, _ in self._rows:
-            dx = x0 - a0
-            dy = x1 - a1
-            dz = x2 - a2
-            d = math.sqrt(dx * dx + dy * dy + dz * dz)
-            rows.append((dx / d - g0, dy / d - g1) if k == 2 else
-                        (dx / d - g0, dy / d - g1, dz / d - g2))
-        return rows
+            return np.full((len(self.rows), k), np.nan)
 
     def objective_grid(self, pts, z):
+        """The sum of squared residuals at each (x, y) of pts at height z, for
+        range and range-difference rows."""
         p3 = np.column_stack([pts, np.full(len(pts), z)])
         d = np.linalg.norm(p3[:, None, :] - self.anchors[None, :, :], axis=2)
+        if self.ref is not None:
+            d_ref = np.linalg.norm(p3 - self.ref[None, :], axis=1)
+            d = d - np.where(self.kinds == RANGE_DIFFERENCE, d_ref[:, None], 0.0)
         res = d - self.measured[None, :]
         return (res**2).sum(axis=1)
-
-
-class _TdoaProblem(_RangeProblem):
-    """Distances to the anchors less the distance to the reference anchor.
-    np.linalg.norm takes that one as a dot product, which need not sum in a
-    sequential sum's order, so it stays one."""
-
-    def __init__(self, anchors, ref_anchor, measured_m, fix_height):
-        super().__init__(anchors, measured_m, fix_height)
-        self.ref = np.asarray(ref_anchor, dtype=float)
-
-    def _ref_distance(self, x):
-        diff_ref = np.subtract(x, self.ref)
-        return diff_ref, math.sqrt(diff_ref.dot(diff_ref))
-
-    def _residuals(self, x):
-        d_ref = self._ref_distance(x)[1]
-        x0, x1, x2 = x
-        r = []
-        for a0, a1, a2, m in self._rows:
-            dx = x0 - a0
-            dy = x1 - a1
-            dz = x2 - a2
-            r.append(math.sqrt(dx * dx + dy * dy + dz * dz) - d_ref - m)
-        return r
-
-    def _jacobian(self, x, k):
-        diff_ref, d_ref = self._ref_distance(x)
-        return super()._jacobian(x, k, [c / d_ref for c in diff_ref.tolist()])
-
-    def objective_grid(self, pts, z):
-        p3 = np.column_stack([pts, np.full(len(pts), z)])
-        d = np.linalg.norm(p3[:, None, :] - self.anchors[None, :, :], axis=2)
-        d_ref = np.linalg.norm(p3 - self.ref[None, :], axis=1)
-        res = (d - d_ref[:, None]) - self.measured[None, :]
-        return (res**2).sum(axis=1)
-
-
-class _AngleProblem(_Problem):
-    """Azimuth (and optional zenith) bearings, residuals in degrees: the
-    azimuth rows, then the zenith rows. The angles come from `math.atan2`,
-    which can differ from numpy's vectorised arctan2 in the last bit."""
-
-    def __init__(self, anchors, azimuth_deg, zenith_deg, fix_height):
-        super().__init__(anchors, azimuth_deg, fix_height)
-        self.az = np.asarray(azimuth_deg, dtype=float)
-        self.zen = None if zenith_deg is None else np.asarray(zenith_deg, dtype=float).tolist()
-
-    def _residuals(self, x):
-        x0, x1, x2 = x
-        r = []
-        for a0, a1, _, m in self._rows:
-            # wrap_deg(np.degrees(np.arctan2(dy, dx)) - az)
-            w = (math.atan2(x1 - a1, x0 - a0) * _DEG - m + 180.0) % 360.0 - 180.0
-            r.append(180.0 if w == -180.0 else w)
-        if self.zen is not None:
-            for (a0, a1, a2, _), m in zip(self._rows, self.zen):
-                dx = x0 - a0
-                dy = x1 - a1
-                r.append(math.atan2(math.sqrt(dx * dx + dy * dy), x2 - a2) * _DEG - m)
-        return r
-
-    def _jacobian(self, x, k):
-        # -dy / rho2 * deg is dy / rho2 * -deg to the bit: negation is exact
-        x0, x1, x2 = x
-        pad = () if k == 2 else (0.0,)
-        rows = []
-        for a0, a1, _, _ in self._rows:
-            dx = x0 - a0
-            dy = x1 - a1
-            rho2 = dx * dx + dy * dy
-            rows.append((dy / rho2 * -_DEG, dx / rho2 * _DEG) + pad)
-        if self.zen is not None:
-            for a0, a1, a2, _ in self._rows:
-                dx = x0 - a0
-                dy = x1 - a1
-                dz = x2 - a2
-                rho2 = dx * dx + dy * dy
-                rho = math.sqrt(rho2)
-                d2 = rho2 + dz * dz
-                d2_rho = d2 * rho
-                row = (dz * dx / d2_rho * _DEG, dz * dy / d2_rho * _DEG)
-                rows.append(row if k == 2 else row + (-rho / d2 * _DEG,))
-        return rows
 
 
 def _gauss_newton(problem: _Problem, x0: np.ndarray, options: SolverOptions) -> PositionFix:
@@ -415,11 +380,10 @@ def _coarse_starts(problem: _Problem, options: SolverOptions) -> list[np.ndarray
 
     starts = []
     for seed in seeds:
-        best, best_val, c = seed, math.inf, cell
+        best, c = seed, cell
         for _ in range(2):
             zpts, zvals = _scan_points(problem, best - 1.5 * c, best + 1.5 * c, z, 9)
-            k = int(np.argmin(zvals))
-            best, best_val = zpts[k], float(zvals[k])
+            best = zpts[int(np.argmin(zvals))]
             c = c / 2.5
         starts.append(np.array([best[0], best[1], z]))
     return starts
@@ -444,11 +408,14 @@ def _solve_multistart(problem: _Problem, x0, options: SolverOptions) -> Position
     return best
 
 
-def _bearing_start(problem: _AngleProblem) -> np.ndarray:
-    """Least-squares intersection of the bearing lines (Stansfield, J. IEE
-    1947): each line gives sin(az) x - cos(az) y = sin(az) xi - cos(az) yi."""
-    s, c = np.sin(np.radians(problem.az)), np.cos(np.radians(problem.az))
-    rhs = s * problem.anchors[:, 0] - c * problem.anchors[:, 1]
+def _bearing_start(problem: _Problem) -> np.ndarray:
+    """Least-squares intersection of the bearing lines of the azimuth rows
+    (Stansfield, J. IEE 1947): each line gives sin(az) x - cos(az) y =
+    sin(az) xi - cos(az) yi."""
+    rows = problem.kinds == AZIMUTH
+    az = np.radians(problem.measured[rows])
+    s, c = np.sin(az), np.cos(az)
+    rhs = s * problem.anchors[rows, 0] - c * problem.anchors[rows, 1]
     xy, *_ = np.linalg.lstsq(np.column_stack([s, -c]), rhs, rcond=None)
     return xy
 
@@ -457,7 +424,7 @@ def in_area(p, area) -> bool:
     return area is None or (area[0] <= p[0] <= area[2] and area[1] <= p[1] <= area[3])
 
 
-def _solve_bearings(problem: _AngleProblem, x0, options: SolverOptions) -> PositionFix:
+def _solve_bearings(problem: _Problem, x0, options: SolverOptions) -> PositionFix:
     """Damped Gauss-Newton from the bearing-line intersection. When that
     start is not finite or lies off the area, or its run does not converge
     in the area, a second run starts from x0; the lower objective wins, a
@@ -473,7 +440,7 @@ def _solve_bearings(problem: _AngleProblem, x0, options: SolverOptions) -> Posit
     return best
 
 
-def _range_start(problem: _RangeProblem) -> np.ndarray:
+def _range_start(problem: _Problem) -> np.ndarray:
     """Linear least squares on the squared-range equations. With known
     height h each range gives [-2xi, -2yi, 1] . [x, y, x^2 + y^2] =
     ri^2 - (h - zi)^2 - xi^2 - yi^2; in 3-D, [-2xi, -2yi, -2zi, 1] .
@@ -490,7 +457,7 @@ def _range_start(problem: _RangeProblem) -> np.ndarray:
     return sol[:-1] if h is None else np.array([sol[0], sol[1], h])
 
 
-def _solve_ranges(problem: _RangeProblem, x0, options: SolverOptions) -> PositionFix:
+def _solve_ranges(problem: _Problem, x0, options: SolverOptions) -> PositionFix:
     """Damped Gauss-Newton from x0 and from the closed-form start; the lower
     objective wins, a tie going to x0. The coarse scan runs instead when the
     start is not finite or lies off the area, or neither run converges in
@@ -504,45 +471,34 @@ def _solve_ranges(problem: _RangeProblem, x0, options: SolverOptions) -> Positio
     return _solve_multistart(problem, x0, options)
 
 
-def _problem(rows, anchors, fix_height) -> tuple[_Problem, tuple[Row, ...]]:
-    """The one `_Problem` of rows on the (anchor, xyz) array: range
+def _problem(rows, anchors, fix_height) -> _Problem:
+    """The `_Problem` of rows on the (anchor row, xyz) array: range
     differences, all against one reference; ranges; or azimuths, with no
-    zenith rows or one per azimuth row at the same anchor. The problem
-    takes the rows in canonical order, by anchor row and then kind, so
-    the order they come in does not move a fix. Returns the problem and
-    the rows in that order."""
+    zenith rows or one per azimuth row at the same anchor. Only a range
+    difference names a reference anchor. The problem takes the rows in
+    canonical order, by kind and then anchor row, which is its residual
+    order, so the order they come in does not move a fix."""
     if not rows:
         raise SolverError("no measurements")
-    rows = tuple(sorted(rows, key=lambda r: (r.anchor, r.kind)))
-    by_kind: dict[str, list[Row]] = {}
-    for r in rows:
-        by_kind.setdefault(r.kind, []).append(r)
-    kinds = by_kind.keys()
-    if kinds == {RANGE_DIFFERENCE}:
-        refs = {r.ref for r in rows}
-        if len(refs) != 1:
-            raise SolverError("all range differences must share one reference anchor")
-        return _TdoaProblem(anchors[[r.anchor for r in rows]], anchors[refs.pop()],
-                            [r.value for r in rows], fix_height), rows
-    if kinds == {RANGE}:
-        return _RangeProblem(anchors[[r.anchor for r in rows]], [r.value for r in rows],
-                             fix_height), rows
-    az, zen = by_kind.get(AZIMUTH), by_kind.get(ZENITH)
-    if az and kinds <= {AZIMUTH, ZENITH}:
-        if zen and [r.anchor for r in zen] != [r.anchor for r in az]:
-            raise SolverError("zenith rows must pair with the azimuth rows, anchor by anchor")
-        return _AngleProblem(anchors[[r.anchor for r in az]], [r.value for r in az],
-                             None if zen is None else [r.value for r in zen], fix_height), rows
-    raise SolverError(f"no solve from rows of kinds {sorted(kinds)}")
+    rows = sorted(rows, key=lambda r: (r.kind, r.anchor))
+    kinds = {r.kind for r in rows}
+    if kinds not in ({RANGE_DIFFERENCE}, {RANGE}, {AZIMUTH}, {AZIMUTH, ZENITH}):
+        raise SolverError(f"no solve from rows of kinds {sorted(kinds)}")
+    if any(r.ref is not None for r in rows if r.kind != RANGE_DIFFERENCE):
+        raise SolverError("only a range difference is taken against a reference anchor")
+    zen = [r.anchor for r in rows if r.kind == ZENITH]
+    if zen and zen != [r.anchor for r in rows if r.kind == AZIMUTH]:
+        raise SolverError("zenith rows must pair with the azimuth rows, anchor by anchor")
+    return _Problem(rows, anchors, fix_height)
 
 
-# per problem: its name in messages, the fewest rows (azimuth rows, for
-# bearings) of a fix at a known height, one more when the height is free,
-# and its solve from a start
+# per first kind of a problem's rows: its name in messages, the fewest rows
+# of that kind for a fix at a known height, one more when the height is
+# free, and its solve from a start
 _SOLVES = {
-    _TdoaProblem: ("tdoa", 3, _solve_multistart),
-    _RangeProblem: ("rtt", 3, _solve_ranges),
-    _AngleProblem: ("aoa", 2, _solve_bearings),
+    RANGE_DIFFERENCE: ("tdoa", 3, _solve_multistart),
+    RANGE: ("rtt", 3, _solve_ranges),
+    AZIMUTH: ("aoa", 2, _solve_bearings),
 }
 
 
@@ -550,8 +506,8 @@ def solve_rows(rows, anchors, options: SolverOptions, x0=None) -> PositionFix:
     """Position fix from rows on anchors, an (anchor row, xyz) array.
 
     The rows become one `_Problem` (see `_problem` for the row sets it
-    takes), which picks the start: the coarse scan for range differences
-    (`_solve_multistart`), the linear range start for ranges
+    takes), whose first kind picks the start: the coarse scan for range
+    differences (`_solve_multistart`), the linear range start for ranges
     (`_solve_ranges`), the bearing intersection for azimuths
     (`_solve_bearings`). Before it runs, the fix must be determined: enough
     rows, anchors that span the plane for ranges and range differences
@@ -560,31 +516,34 @@ def solve_rows(rows, anchors, options: SolverOptions, x0=None) -> PositionFix:
     to the plain centroid (`init_guess`) of the distinct anchor rows the
     rows use, a range difference's reference included, in anchor-row
     order; a caller passes x0 only to force a start. The fix keeps the
-    rows in canonical order as `rows`.
+    problem's rows, in canonical order, as `rows`: row i gave residual i.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    problem, rows = _problem(rows, anchors, options.fix_height)
-    name, least, solve = _SOLVES[type(problem)]
+    problem = _problem(rows, anchors, options.fix_height)
+    first = problem.kinds == problem.kinds[0]
+    name, least, solve = _SOLVES[problem.kinds[0]]
     need = least + (1 if options.fix_height is None else 0)
-    if len(problem.anchors) < need:
-        raise SolverError(f"{name} needs >= {need} measurements, got {len(problem.anchors)}")
-    if isinstance(problem, _AngleProblem):
+    if (n := np.count_nonzero(first)) < need:
+        raise SolverError(f"{name} needs >= {need} measurements, got {n}")
+    if problem.kinds[0] == AZIMUTH:
         # collinear anchors are fine for bearings; parallel bearings are not
-        if np.all(np.abs(wrap_deg((problem.az - problem.az[0]) * 2.0)) < 1e-9):
+        az = problem.measured[first]
+        if np.all(np.abs(wrap_deg((az - az[0]) * 2.0)) < 1e-9):
             raise SolverError("parallel bearings have no unique intersection")
-        if options.fix_height is None and problem.zen is None:
+        if options.fix_height is None and ZENITH not in problem.kinds:
             raise SolverError("azimuths alone do not measure the height; fix it or add zeniths")
     else:
         used = problem.anchors[:, :2]
-        if isinstance(problem, _TdoaProblem):
+        if problem.ref is not None:
             used = np.vstack([used, problem.ref[:2]])
         if np.linalg.matrix_rank(used - used.mean(axis=0), tol=1e-9) < 2:
             raise SolverError("anchors are collinear (degenerate geometry)")
     if x0 is None:
-        rows_used = sorted({r.anchor for r in rows} | {r.ref for r in rows if r.ref is not None})
+        rows_used = sorted({r.anchor for r in problem.rows}
+                           | {r.ref for r in problem.rows if r.ref is not None})
         x0 = init_guess(anchors[rows_used], fix_height=options.fix_height)
     fix = solve(problem, x0, options)
-    fix.rows = rows
+    fix.rows = problem.rows
     return fix
 
 
@@ -619,7 +578,7 @@ def gdop(rows, anchors, position, fix_height: float | None) -> float:
     Returns +inf for singular geometry.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    j = _problem(rows, anchors, fix_height)[0].jacobian(position)
+    j = _problem(rows, anchors, fix_height).jacobian(position)
     jtj = j.T @ j
     try:
         inv = np.linalg.inv(jtj)

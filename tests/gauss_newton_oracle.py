@@ -1,20 +1,22 @@
-"""Damped Gauss-Newton and the residuals and Jacobians of the time-difference,
-range and angle problems, kept as they were before one iteration shrank to
-a few numpy calls: whole-array expressions on the 3-vector point, a
+"""Damped Gauss-Newton and the residuals and Jacobians of measurement rows,
+kept as they were before one iteration shrank to a few numpy calls:
+whole-array expressions on the 3-vector point, one per row kind, a
 Jacobian rebuilt from scratch after every accepted step, `np.linalg.norm`
 for every norm. Used to pin `solvers._gauss_newton` bit for bit, and to
 expose the residual RMS after each accepted step, which the package does not
 keep.
 
-The problems are the package's own; only their `anchors`, `fix_height` and
-measurement attributes are read.
+The problems are the package's own `_Problem`s; only their `kinds`,
+`anchors`, `measured`, `ref` and `fix_height` are read. Each kind's rows
+are computed together, as one array over the rows of that kind, and land
+in the problem's row order.
 """
 
 import math
 
 import numpy as np
 
-from nrpos.solvers import PositionFix, _RangeProblem, _TdoaProblem, wrap_deg
+from nrpos.solvers import AZIMUTH, RANGE, RANGE_DIFFERENCE, ZENITH, PositionFix, wrap_deg
 
 
 def _expand(x2, fix_height):
@@ -24,51 +26,44 @@ def _expand(x2, fix_height):
 
 
 def residuals(problem, x):
-    if isinstance(problem, _TdoaProblem):
-        d = np.linalg.norm(problem.anchors - x, axis=1)
-        d_ref = np.linalg.norm(problem.ref - x)
-        return (d - d_ref) - problem.measured
-    if isinstance(problem, _RangeProblem):
-        return np.linalg.norm(problem.anchors - x, axis=1) - problem.measured
+    kinds, r = problem.kinds, np.empty(len(problem.kinds))
+    for kind in (RANGE, RANGE_DIFFERENCE):
+        rows = kinds == kind
+        d = np.linalg.norm(problem.anchors[rows] - x, axis=1)
+        if kind == RANGE_DIFFERENCE and rows.any():
+            d = d - np.linalg.norm(problem.ref - x)
+        r[rows] = d - problem.measured[rows]
+    az, zen = kinds == AZIMUTH, kinds == ZENITH
     diff = x - problem.anchors
-    az = np.degrees([math.atan2(dy, dx) for dx, dy in diff[:, :2].tolist()])
-    res = [wrap_deg(az - problem.az)]
-    if problem.zen is not None:
-        rho = np.linalg.norm(diff[:, :2], axis=1)
-        zen = np.degrees([math.atan2(p, dz) for p, dz in zip(rho.tolist(), diff[:, 2].tolist())])
-        res.append(zen - problem.zen)
-    return np.concatenate(res)
+    angles = np.degrees([math.atan2(dy, dx) for dx, dy in diff[az, :2].tolist()])
+    r[az] = wrap_deg(angles - problem.measured[az])
+    rho = np.linalg.norm(diff[zen, :2], axis=1)
+    angles = np.degrees([math.atan2(p, dz) for p, dz in zip(rho.tolist(), diff[zen, 2].tolist())])
+    r[zen] = angles - problem.measured[zen]
+    return r
 
 
 def jacobian(problem, x):
-    if isinstance(problem, _TdoaProblem):
-        diff = x - problem.anchors
-        d = np.linalg.norm(diff, axis=1, keepdims=True)
-        diff_ref = x - problem.ref
-        d_ref = np.linalg.norm(diff_ref)
-        rows = diff / d - diff_ref / d_ref
-        return rows if problem.fix_height is None else rows[:, :2]
-    if isinstance(problem, _RangeProblem):
-        diff = x - problem.anchors
-        d = np.linalg.norm(diff, axis=1, keepdims=True)
-        rows = diff / d
-        return rows if problem.fix_height is None else rows[:, :2]
+    kinds, j = problem.kinds, np.zeros((len(problem.kinds), 3))
     diff = x - problem.anchors
-    rho2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
-    rho = np.sqrt(rho2)
+    for kind in (RANGE, RANGE_DIFFERENCE):
+        rows = kinds == kind
+        j[rows] = diff[rows] / np.linalg.norm(diff[rows], axis=1, keepdims=True)
+        if kind == RANGE_DIFFERENCE and rows.any():
+            diff_ref = x - problem.ref
+            j[rows] -= diff_ref / np.linalg.norm(diff_ref)
     deg = 180.0 / np.pi
-    j_az = np.zeros((len(problem.anchors), 3))
-    j_az[:, 0] = -diff[:, 1] / rho2 * deg
-    j_az[:, 1] = diff[:, 0] / rho2 * deg
-    rows = [j_az]
-    if problem.zen is not None:
-        d2 = rho2 + diff[:, 2] ** 2
-        j_zen = np.zeros((len(problem.anchors), 3))
-        j_zen[:, 0] = diff[:, 2] * diff[:, 0] / (d2 * rho) * deg
-        j_zen[:, 1] = diff[:, 2] * diff[:, 1] / (d2 * rho) * deg
-        j_zen[:, 2] = -rho / d2 * deg
-        rows.append(j_zen)
-    j = np.vstack(rows)
+    az, zen = kinds == AZIMUTH, kinds == ZENITH
+    rho2 = diff[az, 0] ** 2 + diff[az, 1] ** 2
+    j[az, 0] = -diff[az, 1] / rho2 * deg
+    j[az, 1] = diff[az, 0] / rho2 * deg
+    dzen = diff[zen]
+    rho2 = dzen[:, 0] ** 2 + dzen[:, 1] ** 2
+    rho = np.sqrt(rho2)
+    d2 = rho2 + dzen[:, 2] ** 2
+    j[zen, 0] = dzen[:, 2] * dzen[:, 0] / (d2 * rho) * deg
+    j[zen, 1] = dzen[:, 2] * dzen[:, 1] / (d2 * rho) * deg
+    j[zen, 2] = -rho / d2 * deg
     return j if problem.fix_height is None else j[:, :2]
 
 

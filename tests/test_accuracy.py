@@ -1,5 +1,5 @@
 """The committed accuracy matrix, ACCURACY.json (`python -m nrpos matrix .`):
-every (preset, method) cell is there with its schema, and three cheap cells
+every (preset, method) cell is there with its schema, and four cheap cells
 re-run to their committed figures, so the file cannot go stale unseen."""
 
 import json
@@ -29,9 +29,11 @@ def test_every_cell_has_the_schema():
 
 
 # uma dl-aod at MATRIX_DROPS drops is the drop benchmark's uma-dl-aod population;
-# ioo-fr2 ul-tdoa keeps the uplink cells from going stale
+# ioo-fr2 ul-tdoa keeps the uplink cells from going stale; ioo-fr1 ul-aoa
+# solves azimuth and zenith rows, the one kind set whose residual order is
+# not anchor-row order
 @pytest.mark.parametrize("preset,method", [("ioo-fr2", "multi-rtt"), ("uma", "dl-aod"),
-                                           ("ioo-fr2", "ul-tdoa")])
+                                           ("ioo-fr2", "ul-tdoa"), ("ioo-fr1", "ul-aoa")])
 def test_cheap_cell_reruns_to_its_committed_figures(preset, method):
     result = run_experiment(preset_config(preset, method=method, n_drops=MATRIX_DROPS))
     assert matrix_cell(result) == DOC["cells"][preset][method]

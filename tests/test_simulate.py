@@ -116,13 +116,13 @@ def test_uma_dl_aod_walk_off_is_not_converged():
     moves with the last bits of the residuals: with angles from math.atan2
     it moved about 1 cm. In the canonical row order the drop's run ends
     converged there by a strictly lower RMS, an out-of-area fix (ROADMAP
-    item 2), so the test runs the walk-off's own problem."""
+    item 2), so the test runs the walk-off's own problem: `_Problem` keeps
+    its rows in the order it is given them."""
     sim = Simulator(preset_config("uma", method="dl-aod", n_drops=9))
     records = sim.run_drop(8).records
     index = {t: i for i, t in enumerate(sim.anchors)}
     rows = simulate._dl_aod_rows(records, index, sim.beams)
-    problem = solvers._AngleProblem(sim.anchor_xyz[[r.anchor for r in rows]],
-                                    [r.value for r in rows], None, sim.options.fix_height)
+    problem = solvers._Problem(rows, sim.anchor_xyz, sim.options.fix_height)
     x0 = init_guess(problem.anchors, fix_height=sim.options.fix_height)
     fix = solvers._solve_bearings(problem, x0, sim.options)
     assert not fix.converged and fix.iterations < sim.options.max_iterations
@@ -640,8 +640,9 @@ def test_written_records_resolve_to_the_drop_fix(method, tmp_path):
 def test_fix_does_not_depend_on_record_order(method):
     """UMa drops 0-15 at master seed 1, each drop's records re-solved in
     three shuffled orders, as per-TRP gNBs might report them or a record
-    file might list them. Every solve takes its rows in anchor-row order
-    (`solvers._problem`), and DL-AoD takes each TRP's beams in beam order.
+    file might list them. Every solve takes its rows in canonical order,
+    by kind and then anchor row (`solvers._problem`), and DL-AoD takes each
+    TRP's beams in beam order.
     While the solves built their rows in record order, re-solves moved for
     every method but multi-RTT, whose ranges were in trp_id order: over
     UMa drops 0-39, one DL-TDOA fix by 1.1e17 m, one DL-AoD fix by

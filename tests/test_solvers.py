@@ -59,8 +59,17 @@ def exact_rows(kinds, anchors, ue, ref=0):
         AZIMUTH: lambda i: math.degrees(math.atan2(v[i, 1], v[i, 0])),
         ZENITH: lambda i: math.degrees(math.acos(v[i, 2] / d[i])),
     }
-    return [Row(kind, i, value[kind](i), ref) for kind in kinds for i in range(len(anchors))
+    return [Row(kind, i, value[kind](i), ref if kind == RANGE_DIFFERENCE else None)
+            for kind in kinds for i in range(len(anchors))
             if i != ref or kind != RANGE_DIFFERENCE]
+
+
+def problem_of(anchors, values, fix_height, ref=None):
+    """`_problem` of one row per kind in values and anchor row i, valued
+    values[kind][i]; range differences against anchor row ref."""
+    rows = [Row(kind, i, float(v), ref if kind == RANGE_DIFFERENCE else None)
+            for kind, column in values.items() for i, v in enumerate(column)]
+    return solvers._problem(rows, anchors, fix_height)
 
 
 def beam_reports(anchors, ue, spacing_deg=10.0):
@@ -168,6 +177,22 @@ class TestSolverContracts:
         off_line = [Row(RANGE_DIFFERENCE, i, 1.0, 4) for i in range(4)]
         assert isinstance(solve_rows(off_line, anchors, OPT2D), PositionFix)
 
+    def test_reference_on_a_range_rejected(self):
+        """Only a range difference is taken against a reference anchor. Three
+        ranges on anchors 0-2 that named anchor 3, at (5000, 5000), as their
+        reference moved the default start from (33.3, 33.3) to (1275, 1275),
+        though no residual read anchor 3."""
+        anchors = np.array([[0, 0, 3], [100, 0, 3], [0, 100, 3], [5000, 5000, 3]],
+                           dtype=float)
+        rows = [r._replace(ref=3)
+                for r in exact_rows((RANGE,), anchors[:3], np.array([30.0, 40.0, 1.5]))]
+        message = "only a range difference is taken against a reference anchor"
+        with pytest.raises(SolverError, match=message):
+            solve_rows(rows, anchors, OPT2D)
+        with pytest.raises(SolverError, match=message):
+            gdop(rows, anchors, [30.0, 40.0, 1.5], 1.5)
+        assert solve_rows([r._replace(ref=None) for r in rows], anchors, OPT2D).converged
+
     def test_mixed_references_rejected(self):
         rows = [Row(RANGE_DIFFERENCE, 1, 5.0, 0), Row(RANGE_DIFFERENCE, 2, 3.0, 0),
                 Row(RANGE_DIFFERENCE, 3, 1.0, 1)]
@@ -236,7 +261,7 @@ class TestSolverContracts:
         steps up to the iteration cap; under strict decrease it ends, not
         converged, when 25 halvings find no lower RMS."""
         anchors = np.array([[0.0, 0.0, 25.0], [0.0, 100.0, 25.0], [0.0, -100.0, 25.0]])
-        problem = solvers._AngleProblem(anchors, np.array([0.0, 1.0, -1.0]), None, 1.5)
+        problem = problem_of(anchors, {AZIMUTH: [0.0, 1.0, -1.0]}, 1.5)
         x0 = np.array([1000.0, 0.0, 1.5])
         walk, history = oracle.gauss_newton(problem, x0, OPT2D, accept_equal=True)
         assert walk.iterations == OPT2D.max_iterations and not walk.converged
@@ -264,7 +289,7 @@ class TestSolverContracts:
         rows = exact_rows((RANGE,), anchors, ue)
         fix = solve_rows(rows, anchors, OPT2D)
         assert fix.converged
-        problem = solvers._RangeProblem(anchors, [r.value for r in rows], OPT2D.fix_height)
+        problem = solvers._problem(rows, anchors, OPT2D.fix_height)
         r, j = residuals(problem, fix.position), problem.jacobian(fix.position)
         assert np.linalg.norm(2.0 * j.T @ r / len(r)) < 1e-6
 
@@ -351,7 +376,7 @@ class TestBearingStart:
         az = [r.value for r in exact_rows((AZIMUTH,), anchors, ue)]
         if ue[0] < 0:
             assert max(az) > 170.0 and min(az) < -170.0
-        problem = solvers._AngleProblem(anchors, az, None, 1.5)
+        problem = problem_of(anchors, {AZIMUTH: az}, 1.5)
         assert np.allclose(solvers._bearing_start(problem), ue[:2], rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("family", [(AZIMUTH, ZENITH), BEAMS], ids=["aoa", "aod"])
@@ -416,7 +441,7 @@ class TestRangeStart:
                             [-60, 20, 12]], dtype=float)
         ue = np.array([42.0, 27.0, 1.5])
         d = np.linalg.norm(anchors - ue, axis=1)
-        start = solvers._range_start(solvers._RangeProblem(anchors, d, fix_height))
+        start = solvers._range_start(problem_of(anchors, {RANGE: d}, fix_height))
         assert np.allclose(start, ue, rtol=0, atol=1e-9)
 
     def test_coplanar_anchors_in_3d(self):
@@ -429,7 +454,7 @@ class TestRangeStart:
         rng = np.random.default_rng(0)
         d = np.linalg.norm(anchors - ue, axis=1) + rng.normal(0, 3.0, len(anchors))
         options = SolverOptions(fix_height=None, area=(-50.0, -50.0, 150.0, 150.0))
-        problem = solvers._RangeProblem(anchors, d, None)
+        problem = problem_of(anchors, {RANGE: d}, None)
         assert np.all(np.isfinite(solvers._range_start(problem)))
         x0 = init_guess(anchors, fix_height=None)
         fix = solve_rows([Row(RANGE, i, v) for i, v in enumerate(d)], anchors, options)
@@ -519,8 +544,12 @@ ORACLE_CASES = [
     pytest.param("ioo-fr1", dict(method="multi-rtt"), (0,),
                  lambda runs: len(runs) == 2, id="ioo-fr1-multi-rtt-x0-and-closed-form"),
     pytest.param("ioo-fr1", dict(method="ul-aoa"), (0,),
-                 lambda runs: all(p.zen is not None for p, _, _ in runs),
+                 lambda runs: all(ZENITH in p.kinds for p, _, _ in runs),
                  id="ioo-fr1-ul-aoa-zenith"),
+    pytest.param("ioo-fr1", dict(method="ul-aoa", solver={"fix_height": None}), (0,),
+                 lambda runs: all(ZENITH in p.kinds and o.fix_height is None
+                                  for p, o, _ in runs) and runs[-1][2].converged,
+                 id="ioo-fr1-ul-aoa-3d"),
     pytest.param("ioo-fr1", dict(method="multi-rtt", solver={"fix_height": None}), (0,),
                  lambda runs: all(o.fix_height is None for _, o, _ in runs),
                  id="ioo-fr1-multi-rtt-3d"),
@@ -561,18 +590,21 @@ def parent_rows(problem, x, k):
     """Residuals and Jacobian columns as the whole-array numpy loop formed
     them before it ran on floats; angles in numpy's arctan2."""
     x = np.asarray(x, dtype=float)
-    if isinstance(problem, solvers._AngleProblem):
-        diff = x - problem.anchors
-        r = wrap_deg(np.degrees(np.arctan2(diff[:, 1], diff[:, 0])) - problem.az)
-        if problem.zen is not None:
-            rho = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1])
-            r = np.concatenate((r, np.degrees(np.arctan2(rho, diff[:, 2])) - problem.zen))
-        return r, None
     diff = x - problem.anchors
+    if problem.kinds[0] == AZIMUTH:
+        # canonical order: the azimuth rows, then the zenith rows
+        az, zen = diff[problem.kinds == AZIMUTH], diff[problem.kinds == ZENITH]
+        r = wrap_deg(np.degrees(np.arctan2(az[:, 1], az[:, 0]))
+                     - problem.measured[problem.kinds == AZIMUTH])
+        if len(zen):
+            rho = np.sqrt(zen[:, 0] * zen[:, 0] + zen[:, 1] * zen[:, 1])
+            r = np.concatenate((r, np.degrees(np.arctan2(rho, zen[:, 2]))
+                                - problem.measured[problem.kinds == ZENITH]))
+        return r, None
     d = np.sqrt(np.add.reduce(diff * diff, axis=1))
     jac = diff[:, :k] / d[:, None]
     r = d - problem.measured
-    if isinstance(problem, solvers._TdoaProblem):
+    if problem.kinds[0] == RANGE_DIFFERENCE:
         diff_ref = x - problem.ref
         d_ref = math.sqrt(diff_ref.dot(diff_ref))
         r = d - d_ref
@@ -587,11 +619,13 @@ def random_problem(rng, kind, n, fix_height, anchor_z=None):
         anchors[:, 2] = anchor_z
     meas = rng.uniform(-200.0, 200.0, n)
     if kind == "range":
-        return solvers._RangeProblem(anchors, np.abs(meas), fix_height)
+        return problem_of(anchors, {RANGE: np.abs(meas)}, fix_height)
     if kind == "tdoa":
-        return solvers._TdoaProblem(anchors, rng.uniform(-300.0, 300.0, 3), meas, fix_height)
-    zen = rng.uniform(60.0, 120.0, n) if kind == "aoa-zenith" else None
-    return solvers._AngleProblem(anchors, rng.uniform(-180.0, 180.0, n), zen, fix_height)
+        # against anchor row n, which has no row of its own
+        anchors = np.vstack([anchors, rng.uniform(-300.0, 300.0, 3)])
+        return problem_of(anchors, {RANGE_DIFFERENCE: meas}, fix_height, ref=n)
+    zen = {ZENITH: rng.uniform(60.0, 120.0, n)} if kind == "aoa-zenith" else {}
+    return problem_of(anchors, {AZIMUTH: rng.uniform(-180.0, 180.0, n), **zen}, fix_height)
 
 
 class TestFloatRows:
@@ -626,6 +660,49 @@ class TestFloatRows:
         for _ in range(50):
             r = rng.normal(size=n) * 10.0 ** rng.integers(-4, 5, size=n)
             assert bits(solvers._sum_squares(r.tolist())) == bits(float(np.add.reduce(r * r)))
+
+
+class TestRowOrder:
+    """`_problem` takes rows in canonical order, by kind and then anchor
+    row, whatever order they come in, and that is the residual order:
+    residual i and Jacobian row i are those of the one-row problem of
+    `problem.rows[i]`, bit for bit."""
+
+    @pytest.mark.parametrize("kinds", [(AZIMUTH, ZENITH), (RANGE,), (RANGE_DIFFERENCE,)],
+                             ids=["aoa", "rtt", "tdoa"])
+    @pytest.mark.parametrize("fix_height", [1.5, None])
+    def test_residual_i_is_row_i(self, kinds, fix_height):
+        rng = np.random.default_rng(13)
+        anchors = random_anchors(rng, n=8, z=25.0)
+        ue = np.array([rng.uniform(-50, 50), rng.uniform(-50, 50), 1.5])
+        rows = [r._replace(value=r.value + rng.normal(0, 1.0))
+                for r in exact_rows(kinds, anchors, ue)]
+        shuffled = [rows[i] for i in rng.permutation(len(rows))]
+        problem = solvers._problem(shuffled, anchors, fix_height)
+        assert list(problem.rows) == sorted(rows, key=lambda r: (r.kind, r.anchor))
+        assert list(problem.rows) != shuffled
+        k = 2 if fix_height is not None else 3
+        x = (ue + rng.normal(0, 5.0, 3)).tolist()
+        r, j = problem._residuals(x), problem._jacobian(x, k)
+        for i, row in enumerate(problem.rows):
+            one = solvers._Problem((row,), anchors, fix_height)
+            assert bits(r[i]) == bits(one._residuals(x)[0])
+            assert bits(j[i]) == bits(one._jacobian(x, k)[0])
+
+    @pytest.mark.parametrize("fix_height", [1.5, None])
+    def test_mixed_rows_match_the_oracle(self, fix_height):
+        """`_problem` refuses mixed kinds, but `_Problem` takes them row by
+        row: a range, a range difference and a bearing per anchor, in
+        shuffled order, match the oracle's per-kind arrays bit for bit."""
+        rng = np.random.default_rng(14)
+        anchors = random_anchors(rng, n=7, z=25.0)
+        ue = np.array([10.0, -20.0, 1.5])
+        rows = exact_rows((RANGE, RANGE_DIFFERENCE, AZIMUTH, ZENITH), anchors, ue)
+        problem = solvers._Problem([rows[i] for i in rng.permutation(len(rows))], anchors,
+                                   fix_height)
+        x = ue + rng.normal(0, 5.0, 3)
+        assert bits(residuals(problem, x)) == bits(oracle.residuals(problem, x))
+        assert bits(problem.jacobian(x)) == bits(oracle.jacobian(problem, x))
 
 
 # (kind, fix_height, point): a Gauss-Newton start at a zero distance
@@ -665,8 +742,8 @@ class TestZeroDistance:
 def geometry_rows(kinds, n):
     """One zero-valued row per anchor row of n and kind; range differences
     against anchor row 0, which has none of its own."""
-    return [Row(kind, i, 0.0, 0) for kind in kinds for i in range(n)
-            if i > 0 or kind != RANGE_DIFFERENCE]
+    return [Row(kind, i, 0.0, 0 if kind == RANGE_DIFFERENCE else None)
+            for kind in kinds for i in range(n) if i > 0 or kind != RANGE_DIFFERENCE]
 
 
 class TestGdop:
