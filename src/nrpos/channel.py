@@ -15,7 +15,7 @@ reimplementation of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -72,9 +72,6 @@ class ChannelParams:
     # overrides used by controlled experiments
     force_los: bool = False
     ideal: bool = False  # LOS, single tap, no shadow fading
-
-    def overridden(self, **kwargs) -> "ChannelParams":
-        return replace(self, **kwargs)
 
 
 CHANNEL_DEFAULTS = {

@@ -296,12 +296,11 @@ class BeamformerGrid:
     """
 
     def __init__(self, array: AntennaArray):
-        self.array = array
         self.az_grid = np.arange(-180.0, 180.0, BEAMFORMER_STEP_DEG)
         self.zen_grid = np.arange(BEAMFORMER_ZENITH_DEG[0], BEAMFORMER_ZENITH_DEG[1] + 1e-9,
                                   BEAMFORMER_STEP_DEG)
         azs, zens = np.meshgrid(self.az_grid, self.zen_grid, indexing="ij")
-        self._steering_h = steering_vector(self.array, azs.ravel(), zens.ravel()).conj().T
+        self._steering_h = steering_vector(array, azs.ravel(), zens.ravel()).conj().T
         self._shape = azs.shape
 
     def spectrum(self, snapshots: np.ndarray) -> np.ndarray:

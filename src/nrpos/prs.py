@@ -110,10 +110,10 @@ def comb_pattern(resource: DlPrsResource | SrsPosResource) -> list[int]:
     return [(offset + stagger[s % n]) % n for s in range(resource.n_symbols)]
 
 
-def dl_prs_reference(resources, slot: int = 0, out: np.ndarray | None = None) -> np.ndarray:
-    """Reference values of each downlink resource as one (resource, RE) row,
-    written into out when given; REs run symbol by symbol, along the comb
-    line within a symbol. Each symbol carries a fresh scrambling sequence,
+def dl_prs_reference(resources, slot: int = 0) -> np.ndarray:
+    """Reference values of each downlink resource as one (resource, RE) row
+    of a new array; REs run symbol by symbol, along the comb line within a
+    symbol. Each symbol carries a fresh scrambling sequence,
     from one seed, one Gold and one QPSK call for every (resource, symbol)
     of the resources, which must have equal shapes."""
     shapes = {(r.n_symbols, 12 * r.n_prb // r.comb_size) for r in resources}
@@ -124,7 +124,7 @@ def dl_prs_reference(resources, slot: int = 0, out: np.ndarray | None = None) ->
                         np.array([r.first_symbol for r in resources])[:, None]
                         + np.arange(n_symbols))
     bits = gold_sequence(c_init, 2 * n_values)
-    return qpsk_map(bits.reshape(len(resources), -1), out=out)
+    return qpsk_map(bits.reshape(len(resources), -1))
 
 
 def srs_reference(resource: SrsPosResource) -> np.ndarray:

@@ -1,12 +1,16 @@
 """Evaluation deployments: urban macro / urban micro hexagonal grids and the
-indoor open-office hall, UE drops, comb-offset assignment and the anchor
-convex hull.
+indoor open-office hall, UE drops and the anchor convex hull.
+
+A deployment is geometry only: its TRPs' places, sectors and powers, and
+its area rectangle (x0, y0, x1, y1), which the drops, the hall's coverage
+and the solver's area all read. The signal each TRP sends, its antenna
+array and the carrier belong to the simulation run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,12 +18,14 @@ from .rng import substream
 
 UE_HEIGHT_M = 1.5
 
-# Per-scenario defaults: isd_m, tx_power_dbm, area side(s) m, carrier_hz.
-# The layout functions fix the TRP count and TRP_HEIGHTS the TRP heights.
+# Per-scenario defaults: isd_m, tx_power_dbm and the area rectangle
+# (x0, y0, x1, y1) in m: 1600 m and 500 m squares centred on the hex
+# layouts' origin, and the 120 m x 50 m hall from its corner. The layout
+# functions fix the TRP count and TRP_HEIGHTS the TRP heights.
 SCENARIO_DEFAULTS = {
-    "uma": dict(isd=500.0, tx_power_dbm=49.0, area=(1600.0, 1600.0), carrier_hz=2e9),
-    "umi": dict(isd=200.0, tx_power_dbm=42.0, area=(500.0, 500.0), carrier_hz=2e9),
-    "ioo": dict(isd=20.0, tx_power_dbm=23.0, area=(120.0, 50.0), carrier_hz=2e9),
+    "uma": dict(isd=500.0, tx_power_dbm=49.0, area=(-800.0, -800.0, 800.0, 800.0)),
+    "umi": dict(isd=200.0, tx_power_dbm=42.0, area=(-250.0, -250.0, 250.0, 250.0)),
+    "ioo": dict(isd=20.0, tx_power_dbm=23.0, area=(0.0, 0.0, 120.0, 50.0)),
 }
 
 TRP_HEIGHTS = {"uma": (20.0, 50.0), "umi": (10.0, 10.0), "ioo": (3.0, 3.0)}
@@ -58,23 +64,17 @@ class Trp:
     position: tuple[float, float, float]
     sector_azimuth_deg: float = 0.0
     tx_power_dbm: float = 23.0
-    array: AntennaArray = field(default_factory=AntennaArray)
-    comb_offset: int = 0
 
 
 @dataclass(frozen=True)
 class Deployment:
     scenario: str
     trps: tuple[Trp, ...]
-    area: tuple[float, float]
+    area: tuple[float, float, float, float]  # (x0, y0, x1, y1), m
     isd: float
-    carrier_hz: float
 
     def trp_positions(self) -> np.ndarray:
         return np.array([t.position for t in self.trps])
-
-    def with_trps(self, trps) -> "Deployment":
-        return Deployment(self.scenario, tuple(trps), self.area, self.isd, self.carrier_hz)
 
 
 def hex_site_centers(isd: float) -> np.ndarray:
@@ -130,12 +130,7 @@ def ioo_layout(tx_power_dbm: float = 23.0) -> list[Trp]:
     return trps
 
 
-def build_deployment(
-    scenario: str,
-    seed: int = 0,
-    carrier_hz: float | None = None,
-    array: AntennaArray | None = None,
-) -> Deployment:
+def build_deployment(scenario: str, seed: int = 0) -> Deployment:
     """Deployment with the agreed per-scenario constants.
 
     TRPs are numbered 0..n-1 in row order: a TRP's id is its row in
@@ -156,15 +151,8 @@ def build_deployment(
             height_range=TRP_HEIGHTS[scenario],
             seed=seed,
         )
-    if array is not None:
-        trps = [replace(t, array=array) for t in trps]
-    return Deployment(
-        scenario=scenario,
-        trps=tuple(trps),
-        area=defaults["area"],
-        isd=defaults["isd"],
-        carrier_hz=defaults["carrier_hz"] if carrier_hz is None else carrier_hz,
-    )
+    return Deployment(scenario=scenario, trps=tuple(trps), area=defaults["area"],
+                      isd=defaults["isd"])
 
 
 def in_coverage(points, deployment: Deployment) -> np.ndarray:
@@ -173,10 +161,13 @@ def in_coverage(points, deployment: Deployment) -> np.ndarray:
     rectangle for the indoor hall)."""
     p = np.asarray(points, dtype=float)[:, :2]
     if deployment.scenario == "ioo":
-        w, h = deployment.area
-        return (0 <= p[:, 0]) & (p[:, 0] <= w) & (0 <= p[:, 1]) & (p[:, 1] <= h)
+        x0, y0, x1, y1 = deployment.area
+        return (x0 <= p[:, 0]) & (p[:, 0] <= x1) & (y0 <= p[:, 1]) & (p[:, 1] <= y1)
     sites = np.unique(np.round(deployment.trp_positions()[:, :2], 6), axis=0)
-    # pointy-top regular hexagons of circumradius isd / sqrt(3) about the sites
+    # flat-top regular hexagons of circumradius isd / sqrt(3) about the sites,
+    # vertices at (+-isd / sqrt(3), 0). The sites' own cells are pointy-top
+    # (neighbours at 0, 60, ... degrees), so the two disagree: the three-cell
+    # junction (isd / 2, isd / (2 sqrt(3))) lies in no hexagon here.
     q = np.abs(p[:, None, :] - sites[None, :, :]) / (deployment.isd / math.sqrt(3))
     inside = (q[..., 1] <= math.sqrt(3) / 2) & (q[..., 1] <= math.sqrt(3) * (1 - q[..., 0]))
     return inside.any(axis=1)
@@ -194,20 +185,15 @@ def drop_ues(
     if n < 1:
         raise GeometryError("need n >= 1")
     rng = substream(rng_seed, "drop")
-    w, h = deployment.area
-    if deployment.scenario == "ioo":
-        xy = rng.uniform([0.0, 0.0], [w, h], size=(n, 2))
+    lo, hi = np.reshape(deployment.area, (2, 2))
+    if full_area or deployment.scenario == "ioo":
+        xy = rng.uniform(lo, hi, size=(n, 2))
     else:
-        # area rectangle centered on the layout origin
-        lo, hi = np.array([-w / 2, -h / 2]), np.array([w / 2, h / 2])
-        if full_area:
-            xy = rng.uniform(lo, hi, size=(n, 2))
-        else:
-            # each batch's covered candidates, in draw order, until n
-            xy = np.empty((0, 2))
-            while len(xy) < n:
-                cand = rng.uniform(lo, hi, size=(4 * (n - len(xy)), 2))
-                xy = np.concatenate([xy, cand[in_coverage(cand, deployment)]])[:n]
+        # each batch's covered candidates, in draw order, until n
+        xy = np.empty((0, 2))
+        while len(xy) < n:
+            cand = rng.uniform(lo, hi, size=(4 * (n - len(xy)), 2))
+            xy = np.concatenate([xy, cand[in_coverage(cand, deployment)]])[:n]
     return np.column_stack([xy, np.full(n, UE_HEIGHT_M)])
 
 
@@ -250,15 +236,3 @@ def point_in_hull(p, hull: np.ndarray) -> bool:
             return False
     return True
 
-
-def assign_comb_offsets(deployment: Deployment, comb_size: int) -> Deployment:
-    """Give TRP i comb offset i mod comb_size.
-
-    With 12 anchors and comb-12 every offset is distinct; with 21 TRPs nine
-    offsets end up shared by two TRPs, which is where downlink interference
-    comes from.
-    """
-    if comb_size not in (2, 4, 6, 12):
-        raise GeometryError(f"comb size {comb_size} not in {{2,4,6,12}}")
-    return deployment.with_trps(
-        replace(t, comb_offset=t.trp_id % comb_size) for t in deployment.trps)

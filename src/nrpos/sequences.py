@@ -101,14 +101,14 @@ def prs_c_init(seq_id, slot, symbol):
 _QPSK = ((1 - 2 * np.array([0, 0, 1, 1])) + 1j * (1 - 2 * np.array([0, 1, 0, 1]))) / np.sqrt(2)
 
 
-def qpsk_map(bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def qpsk_map(bits: np.ndarray) -> np.ndarray:
     """Map bit pairs (b0, b1) along the last axis, keeping the leading axes,
-    to ((1-2*b0) + 1j*(1-2*b1)) / sqrt(2), written into out if given."""
+    to ((1-2*b0) + 1j*(1-2*b1)) / sqrt(2)."""
     bits = np.asarray(bits)
     if bits.shape[-1] % 2 != 0:
         raise ValueError("qpsk_map needs an even number of bits")
-    # 0/1 bits never clip; unlike "raise", "clip" writes into out unbuffered
-    return np.take(_QPSK, 2 * bits[..., 0::2] + bits[..., 1::2], out=out, mode="clip")
+    # 0/1 bits never clip
+    return np.take(_QPSK, 2 * bits[..., 0::2] + bits[..., 1::2], mode="clip")
 
 
 def zc_sequence(root: int, length: int) -> np.ndarray:

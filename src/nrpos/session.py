@@ -262,17 +262,19 @@ class SessionResult:
 
 
 class Lmf(Node):
-    """The location server: holds the TRPs' anchors and, for DL-AoD, their
-    beam table (`Simulator.beams`), and solves each session's reports."""
+    """The location server: holds the TRPs' anchors, the solver options of
+    the run it serves (`Simulator.options`, area included) and, for DL-AoD,
+    their beam table (`Simulator.beams`), and solves each session's
+    reports as the batch run solves the same records."""
 
     role = "lmf"
 
     def __init__(self, node_id: str, anchors: dict[int, np.ndarray],
-                 solver_options: SolverOptions | None = None,
+                 solver_options: SolverOptions,
                  timeout_s: float = DEFAULT_TIMEOUT_S, beams=None):
         super().__init__(node_id)
         self.anchors = {t: np.asarray(p, dtype=float) for t, p in anchors.items()}
-        self.options = solver_options or SolverOptions()
+        self.options = solver_options
         self.timeout_s = timeout_s
         self.beams = beams
         self.sessions: dict[str, dict] = {}

@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 
 import numpy as np
@@ -114,15 +114,7 @@ from .measurements import (
 from .numerology import SPEED_OF_LIGHT, Numerology
 from .prs import DlPrsResource, SrsPosResource, comb_pattern, dl_prs_reference, srs_reference
 from .rng import substream
-from .scenario import (
-    AntennaArray,
-    Deployment,
-    assign_comb_offsets,
-    build_deployment,
-    convex_hull,
-    drop_ues,
-    point_in_hull,
-)
+from .scenario import AntennaArray, build_deployment, convex_hull, drop_ues, point_in_hull
 from .solvers import (
     AZIMUTH,
     RANGE,
@@ -287,7 +279,7 @@ def _channel_for(config: ExperimentConfig) -> ChannelParams:
     }
     if config.ideal:
         overrides["ideal"] = True
-    return params.overridden(**overrides)
+    return replace(params, **overrides)
 
 
 # pipeline stages timed by `Simulator.stage_s`
@@ -310,29 +302,25 @@ class Simulator:
         self.stage_s = dict.fromkeys(STAGES, 0.0)
         self.numerology = Numerology(scs_khz=config.scs_khz, n_prb=config.n_prb)
         self.channel = _channel_for(config)
-        array = AntennaArray(rows=config.array_rows, cols=config.array_cols)
-        deployment = build_deployment(
-            config.scenario,
-            seed=config.master_seed,
-            carrier_hz=config.carrier_hz,
-            array=array,
-        )
-        self.deployment: Deployment = assign_comb_offsets(deployment, config.dl_comb_size)
-        self.trps = self.deployment.trps
+        # every TRP's array: the arrival-angle stage beamforms on it
+        self.array = AntennaArray(rows=config.array_rows, cols=config.array_cols)
+        deployment = build_deployment(config.scenario, seed=config.master_seed)
+        self.trps = deployment.trps
         # a TRP's id is its row (`build_deployment`): stages and builders
         # index per-TRP lists by trp_id
         self.anchors = {t.trp_id: t.position for t in self.trps}
-        self.anchor_xyz = self.deployment.trp_positions()
-        self.hull = convex_hull(self.anchor_xyz)
-        self.ues = drop_ues(config.n_drops, self.deployment, config.master_seed,
+        self.anchor_xyz = deployment.trp_positions()
+        self.hull = convex_hull(self.anchor_xyz) if config.hull_split else None
+        self.ues = drop_ues(config.n_drops, deployment, config.master_seed,
                             full_area=config.full_area)
 
-        # downlink signal per TRP (one resource each, offset from the TRP)
+        # downlink signal per TRP: one resource each, TRP i on comb offset
+        # i mod comb size (with 21 TRPs on comb-12, nine offsets carry two)
         self.dl_resources = {
             t.trp_id: DlPrsResource(
                 seq_id=t.trp_id,
                 comb_size=config.dl_comb_size,
-                re_offset=t.comb_offset,
+                re_offset=t.trp_id % config.dl_comb_size,
                 n_symbols=config.dl_n_symbols,
                 n_prb=config.n_prb,
             )
@@ -341,20 +329,17 @@ class Simulator:
         # same comb offset -> same REs; with interference the TRPs on one
         # offset also share one received signal
         on_offset: dict[int, list[int]] = {}
-        for i, t in enumerate(self.trps):
-            on_offset.setdefault(t.comb_offset, []).append(i)
+        for i, res in self.dl_resources.items():
+            on_offset.setdefault(res.re_offset, []).append(i)
         sets = [tuple(m) for _, m in sorted(on_offset.items())]
-        # one dl_prs_reference pass writes each TRP's reference values into a
+        # one dl_prs_reference pass gives each TRP's reference values as a
         # row of one array, stacked by member count, RE set and member: the
         # beam sweep reads the rows of one count as a (set, member, RE) view
-        self.dl_occupied_per_symbol = config.n_prb * 12 // config.dl_comb_size
-        self._dl_stacked = np.empty((len(self.trps),
-                                     config.dl_n_symbols * self.dl_occupied_per_symbol),
-                                    dtype=complex)
         order = [i for pos in _by_member_count(sets).values() for e in pos for i in sets[e]]
-        dl_prs_reference([self.dl_resources[i] for i in order], slot=0, out=self._dl_stacked)
+        self._dl_stacked = dl_prs_reference([self.dl_resources[i] for i in order], slot=0)
         rows = dict(zip(order, self._dl_stacked.reshape(len(order), config.dl_n_symbols, -1)))
         self._dl_vals = [rows[i] for i in range(len(self.trps))]
+        self.dl_occupied_per_symbol = self._dl_vals[0].shape[1]
         self._dl_sets = [ReGroup(m, np.array(comb_pattern(self.dl_resources[m[0]]))) for m in sets]
         self._dl_groups = self._dl_sets if config.interference else \
             [ReGroup((i,), g.residues) for g in self._dl_sets for i in g.members]
@@ -370,14 +355,15 @@ class Simulator:
         self._ul_vals = srs_reference(self.srs).reshape(config.ul_n_symbols, -1)
         residues = np.array(comb_pattern(self.srs))
         self._ul_groups = [ReGroup((i,), residues) for i in range(len(self.trps))]
-        self.ul_occupied_per_symbol = config.n_prb * 12 // config.ul_comb_size
+        self.ul_occupied_per_symbol = self._ul_vals.shape[1]
 
         # an ideal run has noiseless receivers
         self.dl_noise = None if config.ideal else NoiseModel(config.dl_noise_figure_db, self.scs_hz)
         self.ul_noise = None if config.ideal else NoiseModel(config.ul_noise_figure_db, self.scs_hz)
 
         self.sample_period_s = 1.0 / self.numerology.sample_rate_hz
-        diag = math.hypot(*self.deployment.area) + self.deployment.isd
+        x0, y0, x1, y1 = deployment.area
+        diag = math.hypot(x1 - x0, y1 - y0) + deployment.isd
         guard = 1e-6 + 6.0 * config.sync_sigma_ns * 1e-9
         self.search_window = (-guard, diag / SPEED_OF_LIGHT + guard)
 
@@ -398,10 +384,7 @@ class Simulator:
             DelayWindow(n_sc, delay_spectrum_size(n_sc), self.scs_hz, self.search_window),
             taper_vector(np.ones(n_sc))) if self._method.first_path else None
 
-        w, hgt = self.deployment.area
-        area = (0.0, 0.0, w, hgt) if config.scenario == "ioo" else \
-            (-w / 2, -hgt / 2, w / 2, hgt / 2)
-        self.options = SolverOptions(**config.solver.model_dump(), area=area)
+        self.options = SolverOptions(**config.solver.model_dump(), area=deployment.area)
         self._beamformer: BeamformerGrid | None = None
         self._sweep_index: list | None = None
         # (TRP, beam) azimuths of the downlink beam sweep, degrees, and the
@@ -419,7 +402,7 @@ class Simulator:
 
     def beamformer(self) -> BeamformerGrid:
         if self._beamformer is None:
-            self._beamformer = BeamformerGrid(self.trps[0].array)
+            self._beamformer = BeamformerGrid(self.array)
         return self._beamformer
 
     def _lap(self, stage: str, since: float) -> float:
@@ -432,7 +415,7 @@ class Simulator:
         rng = substream(self.config.master_seed, "link", drop_idx)
         return [
             realize_budget_link(rng, self.channel, t, ue_pos,
-                                self.deployment.carrier_hz, self.sample_period_s)
+                                self.config.carrier_hz, self.sample_period_s)
             for t in self.trps
         ]
 
@@ -629,13 +612,12 @@ class Simulator:
         succeeded, in ul_toa's order."""
         started = perf_counter()
         cfg = self.config
-        array = self.trps[0].array
         grid = self.beamformer()
         n_re = self._ul_vals.size
         angles: dict[int, tuple[float, float]] = {}
         for t in ul_toa:
             link = links[t]
-            sv = steering_vector(array, link.angles_deg[0], link.angles_deg[1])
+            sv = steering_vector(self.array, link.angles_deg[0], link.angles_deg[1])
             amp = link_amplitude(link, cfg.ue_tx_power_dbm, self.ul_occupied_per_symbol)
             # matched-filter output: coherent sum across the sounded band
             signal = amp * n_re
@@ -646,7 +628,7 @@ class Simulator:
                 x = x + draw_noise(substream(cfg.master_seed, "aoa", drop_idx, t), len(sv),
                                    math.sqrt(noise_var / 2.0))
             try:
-                angles[t] = estimate_aoa(x, array, grid)
+                angles[t] = estimate_aoa(x, self.array, grid)
             except MeasurementFailed:
                 pass
         self._lap("aoa", started)

@@ -93,7 +93,7 @@ def realize_budget_link(rng, params, trp, ue_pos, carrier_hz, sample_period_s):
 def links(sim, drop_idx):
     rng = substream(sim.config.master_seed, "link", drop_idx)
     return [realize_budget_link(rng, sim.channel, t, sim.ues[drop_idx],
-                                sim.deployment.carrier_hz, sim.sample_period_s)
+                                sim.config.carrier_hz, sim.sample_period_s)
             for t in sim.trps]
 
 

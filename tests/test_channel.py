@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ class TestLosProbability:
 class TestRealizeLink:
     def test_los_first_tap_is_geometric_delay(self):
         rng = np.random.default_rng(1)
-        params = IOO.overridden(force_los=True)
+        params = replace(IOO, force_los=True)
         trp = trp_at()
         ue = (40.0, 0.0, 1.5)
         link = realize_budget_link(rng, params, trp, ue, 2e9, TS)
@@ -106,7 +107,7 @@ class TestRealizeLink:
         keyed by the channel parameters and the sample period."""
         trp = trp_at(sector_azimuth_deg=30.0)
         ues = [(x, y, 1.5) for x in (3.0, 40.0, 150.0, -300.0) for y in (-80.0, 25.0)]
-        keys = [(IOO, TS), (UMA, TS), (UMA.overridden(tap_decay_s=100e-9), TS), (IOO, TS / 2)]
+        keys = [(IOO, TS), (UMA, TS), (replace(UMA, tap_decay_s=100e-9), TS), (IOO, TS / 2)]
         for params, ts in keys + keys[::-1]:
             cached, uncached = np.random.default_rng(7), np.random.default_rng(7)
             links = [realize_budget_link(cached, params, trp, ue, 2e9, ts) for ue in ues]

@@ -1,12 +1,19 @@
-"""Every name a module in src/ or tests/ imports is used in that module."""
+"""Every name a module in src/ or tests/ imports is used in that module, and
+the third-party modules src/ imports are the dependencies pyproject.toml
+declares."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
+MODULES = SOURCES + sorted((ROOT / "tests").rglob("*.py"))
+# distributions whose import name is not their own name
+IMPORT_NAMES = {"PyYAML": "yaml"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -66,3 +73,34 @@ def test_guard_sees_unused_names():
         "    return numpy.linalg.norm(x) + pi + sys.maxsize, 'os-two_pi'\n"
     )
     assert unused_imports(source) == ["dumps (line 6)", "os (line 2)", "two_pi (line 4)"]
+
+
+def third_party_imports(source: str) -> set[str]:
+    """Top-level names of the absolute imports of a module that are not in
+    the standard library."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"__future__"}
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group() for d in project["dependencies"]}
+    imported = set().union(*(third_party_imports(p.read_text()) for p in SOURCES))
+    assert {IMPORT_NAMES.get(d, d) for d in declared} == imported
+
+
+def test_dependency_guard_sees_third_party_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, numpy.linalg as la\n"
+        "from scipy import optimize\n"
+        "from . import rng\n"
+        "from .solvers import Row\n"
+    )
+    assert third_party_imports(source) == {"numpy", "scipy"}

@@ -78,6 +78,8 @@ class TestCombPattern:
             dl_pattern(6, 6, 6)
         with pytest.raises(ConfigError):
             srs_pattern(8, 3, 0)
+        with pytest.raises(ConfigError):
+            DlPrsResource(seq_id=0, comb_size=5, re_offset=0)
 
 
 class TestOrthogonality:
@@ -144,12 +146,10 @@ class TestReferencePass:
     def test_pass_equals_single_resource_passes(self):
         resources = [make_resource(seq_id=s, comb_size=6, re_offset=o, n_symbols=6, n_prb=24)
                      for s, o in ((3, 0), (4, 1), (5, 0))]
-        out = np.empty((3, 6 * 12 * 24 // 6), dtype=complex)
-        for refs in (dl_prs_reference(resources), dl_prs_reference(resources, out=out)):
-            assert refs.shape == out.shape
-            for res, values in zip(resources, refs):
-                assert values.tobytes() == dl_prs_reference([res])[0].tobytes()
-        assert refs is out
+        refs = dl_prs_reference(resources)
+        assert refs.shape == (3, 6 * 12 * 24 // 6)
+        for res, values in zip(resources, refs):
+            assert values.tobytes() == dl_prs_reference([res])[0].tobytes()
 
     def test_unequal_shapes_rejected(self):
         # equally many REs in all, spread over different symbol counts

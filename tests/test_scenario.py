@@ -1,12 +1,12 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
+from nrpos.config import preset_config
 from nrpos.scenario import (
-    AntennaArray,
     GeometryError,
-    assign_comb_offsets,
     build_deployment,
     convex_hull,
     drop_ues,
@@ -15,6 +15,7 @@ from nrpos.scenario import (
     ioo_layout,
     point_in_hull,
 )
+from nrpos.simulate import Simulator
 
 
 class TestHexLayout:
@@ -75,9 +76,9 @@ class TestDeploymentDefaults:
     @pytest.mark.parametrize(
         "name,isd,n,power,area",
         [
-            ("uma", 500.0, 21, 49.0, (1600.0, 1600.0)),
-            ("umi", 200.0, 21, 42.0, (500.0, 500.0)),
-            ("ioo", 20.0, 12, 23.0, (120.0, 50.0)),
+            ("uma", 500.0, 21, 49.0, (-800.0, -800.0, 800.0, 800.0)),
+            ("umi", 200.0, 21, 42.0, (-250.0, -250.0, 250.0, 250.0)),
+            ("ioo", 20.0, 12, 23.0, (0.0, 0.0, 120.0, 50.0)),
         ],
     )
     def test_paper_constants(self, name, isd, n, power, area):
@@ -108,14 +109,43 @@ class TestDeploymentDefaults:
 
     @pytest.mark.parametrize("name", ["uma", "umi", "ioo"])
     def test_trp_id_is_its_row(self, name):
-        """The simulator indexes its per-TRP lists by trp_id; the array and
-        comb offsets are set without renumbering."""
-        d = assign_comb_offsets(build_deployment(name, array=AntennaArray(4, 4)), 12)
+        """The simulator indexes its per-TRP lists by trp_id, and its
+        anchors keep the deployment's rows."""
+        d = build_deployment(name, seed=1)
         assert [t.trp_id for t in d.trps] == list(range(len(d.trps)))
-        assert all(t.array == AntennaArray(4, 4) for t in d.trps)
+        sim = Simulator(preset_config("ioo-fr1" if name == "ioo" else name, n_drops=1))
+        assert list(sim.anchors) == [t.trp_id for t in d.trps]
+        assert sim.anchor_xyz.tobytes() == d.trp_positions().tobytes()
+
+    @pytest.mark.parametrize("preset,area", [
+        ("uma", (-800.0, -800.0, 800.0, 800.0)),
+        ("umi", (-250.0, -250.0, 250.0, 250.0)),
+        ("ioo-fr1", (0.0, 0.0, 120.0, 50.0)),
+    ])
+    def test_solver_area_is_the_deployment_area(self, preset, area):
+        """Pinned before the rectangle had one owner: the solver's area is
+        the deployment's, the same floats."""
+        sim = Simulator(preset_config(preset, n_drops=1))
+        assert sim.options.area == area
+        assert sim.options.area == build_deployment(preset[:3]).area
+
+
+# sha256 of drop_ues(200, build_deployment(scenario, seed=1), 1) bytes,
+# pinned before the area rectangle had one owner: every draw keeps its bits
+DROPS_SHA256 = {
+    ("uma", False): "0fefc892bc6fc031842cba506ded7a426b189b2819122d6c8ab4f88c71b84b46",
+    ("umi", False): "0f7f3f6c2d160ad2acae2a9a264edb641ae16a5e83f3a53e3f93957f37897faf",
+    ("ioo", False): "502fe43344195b112521f9f0511f56d47387152b28c19d5629c79a65c9414d56",
+    ("uma", True): "382affa6dacfd3dd4fb1539b2a0128a65e9e4339758891a60ad0b952061892e4",
+}
 
 
 class TestDrops:
+    @pytest.mark.parametrize("scenario,full_area", sorted(DROPS_SHA256))
+    def test_drops_pinned(self, scenario, full_area):
+        drops = drop_ues(200, build_deployment(scenario, seed=1), 1, full_area=full_area)
+        assert hashlib.sha256(drops.tobytes()).hexdigest() == DROPS_SHA256[scenario, full_area]
+
     def test_deterministic(self):
         d = build_deployment("ioo")
         a = drop_ues(50, d, rng_seed=7)
@@ -180,26 +210,36 @@ class TestConvexHull:
         with pytest.raises(GeometryError):
             convex_hull([(0, 0), (1, 1)])
 
+    def test_simulator_builds_the_hull_only_for_the_split(self):
+        assert Simulator(preset_config("ioo-fr1", n_drops=1)).hull is None
+        hull = Simulator(preset_config("ioo-fr1", n_drops=1, hull_split=True)).hull
+        assert hull.tobytes() == convex_hull(build_deployment("ioo").trp_positions()).tobytes()
+
 
 class TestCombAssignment:
+    """Each TRP's downlink comb offset, as `Simulator.dl_resources` sets it
+    on comb-12."""
+
+    @staticmethod
+    def offsets(preset):
+        sim = Simulator(preset_config(preset, n_drops=1, dl_comb_size=12))
+        return sim, [sim.dl_resources[t.trp_id].re_offset for t in sim.trps]
+
     def test_ioo_all_distinct(self):
-        d = assign_comb_offsets(build_deployment("ioo"), 12)
-        offs = [t.comb_offset for t in d.trps]
+        _, offs = self.offsets("ioo-fr1")
         assert sorted(offs) == list(range(12))
 
     def test_uma_shares_offsets(self):
-        d = assign_comb_offsets(build_deployment("uma"), 12)
-        offs = [t.comb_offset for t in d.trps]
+        sim, offs = self.offsets("uma")
         shared = [o for o in set(offs) if offs.count(o) == 2]
         assert len(shared) == 9
+        # the RE sets are the TRPs of one offset
+        assert sorted(g.members for g in sim._dl_sets) == \
+            sorted(tuple(t for t, o in enumerate(offs) if o == off) for off in set(offs))
 
     def test_mod_arithmetic(self):
-        d = assign_comb_offsets(build_deployment("uma"), 12)
-        assert d.trps[13].comb_offset == 1
-
-    def test_bad_comb_size(self):
-        with pytest.raises(GeometryError):
-            assign_comb_offsets(build_deployment("ioo"), 5)
+        _, offs = self.offsets("uma")
+        assert offs[13] == 1
 
 
 class TestTranslationInvariance:

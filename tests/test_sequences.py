@@ -168,12 +168,6 @@ class TestQpsk:
             expected = ((1 - 2 * b[:, 0]) + 1j * (1 - 2 * b[:, 1])) / np.sqrt(2)
             assert out[idx].tobytes() == expected.tobytes()
 
-    def test_writes_into_out(self):
-        bits = np.random.default_rng(3).integers(0, 2, (4, 10)).astype(np.uint8)
-        out = np.empty((4, 5), dtype=complex)
-        assert qpsk_map(bits, out=out) is out
-        assert out.tobytes() == qpsk_map(bits).tobytes()
-
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
             qpsk_map([0, 1, 0])

@@ -26,7 +26,7 @@ from nrpos.session import (
 )
 from nrpos.measurements import MeasurementRecord
 from nrpos.simulate import Simulator, solve_records
-from nrpos.solvers import SolverError
+from nrpos.solvers import SolverError, SolverOptions
 
 
 @lru_cache(maxsize=None)
@@ -267,6 +267,23 @@ class TestDlTdoa:
         assert results["ue:18"].status == "aborted"
         aborts = [e["payload"]["reason"] for e in trace if e["kind"] == ABORT_KIND]
         assert aborts == [drop.failure]
+
+    def test_lmf_takes_the_runs_solver_options(self):
+        """A session fix is the drop's fix only under the run's solver
+        options: solved without the run's area, UMa DL-TDOA drop 11 at
+        master seed 1 converges 232 m from its batch fix. So the server
+        has no default options, and with the run's it fixes the drop where
+        the batch run did."""
+        sim = Simulator(preset_config("uma", method="dl-tdoa", n_drops=12))
+        with pytest.raises(TypeError):
+            Lmf("lmf:0", sim.anchors)
+        drop = sim.run_drop(11)
+        bare = solve_records(drop.records, sim.anchors, "dl-tdoa", SolverOptions())
+        assert np.linalg.norm(bare.position[:2] - drop.fix.position[:2]) > 200.0
+        lmf = Lmf("lmf:0", sim.anchors, solver_options=sim.options)
+        results, _ = run_sessions(lmf, "dl-tdoa", [Ue("ue:11", records=drop.records)],
+                                  Transport(), trp_ids=list(sim.anchors))
+        assert np.array_equal(results["ue:11"].fix.position, drop.fix.position)
 
     def test_trp_without_anchor_aborts_the_session_only(self):
         """A server whose anchors lack drop 0's strongest TRP (7), the
