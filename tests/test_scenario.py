@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from pydantic import ValidationError
 
 from nrpos.config import preset_config
 from nrpos.scenario import (
@@ -240,6 +241,11 @@ class TestCombAssignment:
     def test_mod_arithmetic(self):
         _, offs = self.offsets("uma")
         assert offs[13] == 1
+
+    def test_bad_comb_size(self):
+        # comb 5 never reaches the offset assignment: the config refuses it
+        with pytest.raises(ValidationError, match="dl_comb_size"):
+            preset_config("ioo-fr1", n_drops=1, dl_comb_size=5)
 
 
 class TestTranslationInvariance:
