@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -163,6 +164,22 @@ def first_path_from_magnitude(wmag: np.ndarray, lo_bin: int, bin_s: float) -> np
 _POLISH_BLOCK = 64
 
 
+@lru_cache(maxsize=8)
+def _polish_tables(n: int, scs_hz: float):
+    """The polish's constant tables for n subcarriers at scs_hz: the
+    moment weights (w_k, w_k^2), w_k = 2j pi k scs_hz, over the n
+    subcarriers padded to whole blocks, and the inner (a) and outer (64b)
+    block angles of its exponentials. They depend on nothing but the key,
+    so every call shares one read-only set."""
+    k = np.arange(-(-n // _POLISH_BLOCK) * _POLISH_BLOCK)
+    omega = 2j * np.pi * k * scs_hz
+    tables = (np.stack([omega, omega**2]), 2 * np.pi * scs_hz * k[:_POLISH_BLOCK],
+              2 * np.pi * scs_hz * k[::_POLISH_BLOCK])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _polish_peak(vecs: np.ndarray, scs_hz: float, tau0: np.ndarray, span: float) -> np.ndarray:
     """Newton maximization of |sum_k D_k e^{2j pi k f tau}|^2 near tau0, per row.
 
@@ -172,16 +189,14 @@ def _polish_peak(vecs: np.ndarray, scs_hz: float, tau0: np.ndarray, span: float)
     instead of n.
     """
     rows, n = vecs.shape
-    n_blocks = -(-n // _POLISH_BLOCK)
-    k = np.arange(n_blocks * _POLISH_BLOCK)
-    omega = 2j * np.pi * k * scs_hz
-    if n < len(k):
-        vecs = np.pad(vecs, ((0, 0), (0, len(k) - n)))
-    # D_k, D_k w_k and D_k w_k^2 in blocks of 64 subcarriers
-    moments = (vecs[:, None, :] * np.stack([np.ones(len(k)), omega, omega**2])
-               ).reshape(rows, 3 * n_blocks, _POLISH_BLOCK)
-    inner = 2 * np.pi * scs_hz * k[:_POLISH_BLOCK]
-    outer = 2 * np.pi * scs_hz * k[::_POLISH_BLOCK]
+    weights, inner, outer = _polish_tables(n, scs_hz)
+    n_blocks = len(outer)
+    # D_k, D_k w_k and D_k w_k^2 in blocks of 64 subcarriers, D_k zero past n
+    moments = np.empty((rows, 3, weights.shape[1]), dtype=complex)
+    moments[:, :, n:] = 0.0
+    moments[:, 0, :n] = vecs
+    np.multiply(vecs[:, None, :], weights[:, :n], out=moments[:, 1:, :n])
+    moments = moments.reshape(rows, 3 * n_blocks, _POLISH_BLOCK)
 
     tau0 = np.asarray(tau0, dtype=float)
     tau = tau0.copy()
@@ -221,6 +236,8 @@ def first_paths(stack: np.ndarray, window: DelayWindow) -> np.ndarray:
     """
     taus = first_path_from_magnitude(window.magnitudes(stack), window.lo_bin, window.bin_s)
     found = ~np.isnan(taus)
+    if found.all():
+        return _polish_peak(stack, window.scs_hz, taus, span=window.bin_s)
     if found.any():
         taus[found] = _polish_peak(stack[found], window.scs_hz, taus[found], span=window.bin_s)
     return taus

@@ -25,14 +25,21 @@ downlink and uplink arrival stages sum their received REs in one kernel,
   (symbol, line) array: row s holds comb line residue[s] of symbol s,
   residue from `prs.comb_pattern`. The downlink stage draws one full
   (subcarrier, symbol) grid per sample, real parts first, and gathers
-  each group's lines from it viewed as (line, residue, symbol); the
-  uplink draws one (symbol, line) array per TRP, in TRP order. A group's
-  REs are its noise plus each member's (amp*H)*ref, H read as the comb
-  lines h[i, r::comb], added in TRP order. Results are pinned to this
-  order bit for bit. Noise is drawn for every source, but only the
-  sources that cell selection keeps are despread and detected: selection ranks by
-  RSRP, known before detection, and afterwards only drops sources without
-  an arrival, and `first_paths` treats every row on its own, so the kept
+  every group's lines from it, viewed as (line, residue, symbol), in one
+  indexing op. The uplink makes one stacked `draw_noise` call: a
+  (symbol, line) block per TRP, in TRP order, each block's real parts
+  before its imaginary parts, the stream of one call per TRP. It stops
+  after the last TRP it receives: every TRP when it ranks them itself,
+  the highest of `detect` otherwise. Multi-RTT receives only the TRPs
+  with a downlink arrival, and a drop with none draws no uplink noise.
+  Nothing else draws from that substream, so the blocks it does draw are
+  those of a draw for every TRP. A group's REs are its noise plus each
+  member's (amp*H)*ref, H read as the comb lines h[i, r::comb], added in
+  TRP order. Results are pinned to this order bit for bit. Every source
+  received gets noise and a power, but only the sources that cell
+  selection keeps are despread and detected: selection ranks by RSRP,
+  known before detection, and afterwards only drops sources without an
+  arrival, and `first_paths` treats every row on its own, so the kept
   arrivals are those a detection of every source would give.
 
 The channel matrix holds every link's response on every subcarrier. Its
@@ -165,8 +172,8 @@ class ReGroup:
 
 def comb_lines(h: np.ndarray, comb: int) -> np.ndarray:
     """The (row, subcarrier) matrix h as (row, residue, line): a view with
-    lines[i, r] = h[i, r::comb]."""
-    return h.reshape(len(h), -1, comb).transpose(0, 2, 1)
+    lines[i, r] = h[i, r::comb], also of a matrix with no rows."""
+    return h.reshape(len(h), h.shape[1] // comb, comb).transpose(0, 2, 1)
 
 
 def receive_groups(groups, noise, amps, lines, refs):
@@ -471,10 +478,11 @@ class Simulator:
         return 0.0 if model is None else noise_amplitude(model) / np.sqrt(2.0)
 
     @classmethod
-    def _noise(cls, rng, shape, model: NoiseModel | None) -> np.ndarray:
+    def _noise(cls, rng, shape, model: NoiseModel | None, stacked: bool = False) -> np.ndarray:
+        """`draw_noise` under the receiver's model; zeros for a noiseless one."""
         if model is None:
             return np.zeros(shape, dtype=complex)
-        return draw_noise(rng, shape, cls._noise_std(model))
+        return draw_noise(rng, shape, cls._noise_std(model), stacked)
 
     def _dl_receive(self, rng, amps, h):
         """Downlink REs and RSRP of every group under one fresh noise grid,
@@ -485,8 +493,7 @@ class Simulator:
         # grid[r, s, j]: the noise on subcarrier j * comb + r of symbol s
         grid = self._noise(rng, self._dl_grid_shape, self.dl_noise).reshape(
             n_sc // comb, comb, n_sym).transpose(1, 2, 0)
-        symbols = np.arange(n_sym)
-        noise = [grid[g.residues, symbols] for g in self._dl_groups]
+        noise = grid[np.array([g.residues for g in self._dl_groups]), np.arange(n_sym)]
         return receive_groups(self._dl_groups, noise, amps, comb_lines(h, comb), self._dl_vals)
 
     def _sweep_tables(self) -> list[tuple[list[int], tuple, np.ndarray]]:
@@ -569,11 +576,12 @@ class Simulator:
         """Received sounding power at the TRPs and arrival times at those
         detected.
 
-        Every TRP's noise vector is drawn, in TRP order. With detect (an
-        iterable of trp_ids) only those TRPs sum their REs, get a power and
-        are despread and detected, in that order. Without it every TRP is
-        received and `_select_trps` of the sounding RSRP picks the ones to
-        detect, in rank order. Returns (rsrp, toa): rsrp holds dBm per TRP
+        Each TRP's noise is drawn in TRP order, up to the last TRP
+        received. With detect (an iterable of trp_ids, possibly empty)
+        only those TRPs sum their REs, get a power and are despread and
+        detected, in that order. Without it every TRP is received and
+        `_select_trps` of the sounding RSRP picks the ones to detect, in
+        rank order. Returns (rsrp, toa): rsrp holds dBm per TRP
         row, -300 for a TRP not received, and toa {trp_id: seconds} the
         detected TRPs with an arrival, in detection order.
         """
@@ -585,9 +593,10 @@ class Simulator:
         ]
         h = self._channel_matrix(links, extra_s=trp_clock_s - ue_clock_s)
 
-        rng = substream(cfg.master_seed, "noise", drop_idx, 1)
-        noise = [self._noise(rng, self._ul_vals.shape, self.ul_noise) for _ in self._ul_groups]
         received = range(len(self.trps)) if detect is None else list(detect)
+        rng = substream(cfg.master_seed, "noise", drop_idx, 1)
+        noise = self._noise(rng, (max(received, default=-1) + 1, *self._ul_vals.shape),
+                            self.ul_noise, stacked=True)
         groups = [self._ul_groups[t] for t in received]
         refs = [self._ul_vals] * len(self.trps)
         rx, rsrp = receive_groups(groups, [noise[t] for t in received], amps,

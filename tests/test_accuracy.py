@@ -1,5 +1,5 @@
 """The committed accuracy matrix, ACCURACY.json (`python -m nrpos matrix .`):
-every (preset, method) cell is there with its schema, and four cheap cells
+every (preset, method) cell is there with its schema, and five cheap cells
 re-run to their committed figures, so the file cannot go stale unseen."""
 
 import json
@@ -28,12 +28,14 @@ def test_every_cell_has_the_schema():
             assert re.fullmatch("[0-9a-f]{64}", cell["results_sha256"])
 
 
-# uma dl-aod at MATRIX_DROPS drops is the drop benchmark's uma-dl-aod population;
+# uma dl-aod and ioo-fr1 multi-rtt at MATRIX_DROPS drops are the drop
+# benchmark's uma-dl-aod and ioo-multi-rtt populations;
 # ioo-fr2 ul-tdoa keeps the uplink cells from going stale; ioo-fr1 ul-aoa
 # solves azimuth and zenith rows, the one kind set whose residual order is
 # not anchor-row order
 @pytest.mark.parametrize("preset,method", [("ioo-fr2", "multi-rtt"), ("uma", "dl-aod"),
-                                           ("ioo-fr2", "ul-tdoa"), ("ioo-fr1", "ul-aoa")])
+                                           ("ioo-fr1", "multi-rtt"), ("ioo-fr2", "ul-tdoa"),
+                                           ("ioo-fr1", "ul-aoa")])
 def test_cheap_cell_reruns_to_its_committed_figures(preset, method):
     result = run_experiment(preset_config(preset, method=method, n_drops=MATRIX_DROPS))
     assert matrix_cell(result) == DOC["cells"][preset][method]

@@ -5,7 +5,8 @@ for every comb shape, the beam sweep's power draw against the RE-level draw and 
 batched pass against the per-beam loops, the downlink reference values
 against a per-symbol build, detection of the selected TRPs
 only and no detection state built for DL-AoD, accuracy on an ideal
-channel, the multi-RTT fixes of two pinned UMi drops, two pinned
+channel, the multi-RTT fixes of two pinned UMi drops and a pinned
+multi-RTT drop without a downlink arrival, two pinned
 walk-offs that strict-decrease Gauss-Newton ends (UMa DL-AoD and
 DL-TDOA), fixes that do not depend on the records' order or read the
 power reports, arrival angles that do not depend on the other TRPs, the
@@ -22,7 +23,7 @@ import sweep_oracle
 from grid_oracle import (despread, flat_dl_reference, flat_srs_reference, frequency_response,
                          map_dl_prs, re_indices, received_grid, rsrp, slot_grid)
 from nrpos import experiments, prs, simulate, solvers
-from nrpos.channel import link_amplitude
+from nrpos.channel import draw_noise, link_amplitude
 from nrpos.config import preset_config
 from nrpos.experiments import ResultSummary, run_experiment
 from nrpos.measurements import read_records, write_records
@@ -158,6 +159,25 @@ def test_uma_dl_aod_free_height_fails_the_solve():
     assert Simulator(preset_config("uma", method="dl-aod", n_drops=1)).run_drop(0).converged
 
 
+def test_multi_rtt_drop_without_downlink_arrival_fails_alone():
+    """A multi-RTT drop whose downlink detects no arrival asks the uplink
+    for no TRP. Its uplink despread raised `ValueError: cannot reshape
+    array of size 0` in `comb_lines` and aborted the whole run; UMa at a
+    70 dB downlink noise figure, master seed 1, drop 3 was the first of 70
+    such drops in 200. The drop now fails on its own, with no
+    measurements, and the uplink draws no noise for it."""
+    sim = Simulator(preset_config("uma", method="multi-rtt", dl_noise_figure_db=70.0,
+                                  n_drops=200))
+    links = sim._links(3, sim.ues[3])
+    trp_clock, ue_clock = sim._sync_offsets(3)
+    assert sim._dl_stage(links, trp_clock, ue_clock, 3)[1] == {}
+    rsrp, toa = sim._ul_stage(links, trp_clock, ue_clock, 3, detect={})
+    assert rsrp == [-300.0] * len(sim.trps) and toa == {}
+    outcome = sim.run_drop(3)
+    assert outcome.fix is None and outcome.records == []
+    assert outcome.failure == "no measurements"
+
+
 @pytest.mark.parametrize("interference", [True, False])
 def test_kernel_matches_grid_path(interference):
     """The received-RE kernel against the grid path of `grid_oracle` on the
@@ -254,43 +274,65 @@ def test_dl_comb_lines_match_flat_indices(comb, n_symbols, interference):
 
 @pytest.mark.parametrize("n_symbols", UL_VALID_SYMBOLS)
 @pytest.mark.parametrize("comb", [2, 4, 8])
-def test_ul_comb_lines_match_flat_indices(comb, n_symbols):
+def test_ul_comb_lines_match_flat_indices(comb, n_symbols, monkeypatch):
     """The uplink stage's comb-line receive and despread against the same
     arithmetic on the flat indices `grid_oracle.re_indices` expands, bit
     for bit: each TRP's noise is one flat draw in RE order, and its powers
-    and arrivals are those of the flat path. A comb with fewer symbols than
-    its size leaves comb lines unsounded, whose estimates stay zero."""
+    and arrivals are those of the flat path. The stage's one noise draw
+    equals one `draw_noise` call per TRP on the drop's uplink substream,
+    in TRP order, and the stream stops after the last TRP received: all
+    12 without detect, TRP 7 with detect (5, 2, 7). A comb with fewer
+    symbols than its size leaves comb lines unsounded, whose estimates
+    stay zero."""
     sim = Simulator(preset_config("ioo-fr1", method="ul-tdoa", n_prb=24, n_drops=1,
                                   ul_comb_size=comb, ul_n_symbols=n_symbols))
     n_sc, n_trps = sim.numerology.n_subcarriers, len(sim.trps)
     links = sim._links(0, sim.ues[0])
-    rsrp, toa = sim._ul_stage(links, np.zeros(n_trps), 0.0, 0)
-
     amps = [link_amplitude(l, sim.config.ue_tx_power_dbm, sim.ul_occupied_per_symbol)
             for l in links]
-    h = sim._channel_matrix(links, extra_s=np.zeros(n_trps))
     k, sym = re_indices(sim.srs)
     ref = flat_srs_reference(sim.srs)[2]
-    rng = substream(sim.config.master_seed, "noise", 0, 1)
-    want = [flat_receive(sim._noise(rng, len(k), sim.ul_noise), amps, h, k, [ref] * n_trps, (i,))
-            for i in range(n_trps)]
-    assert rsrp == [power_dbm(float(np.mean(np.abs(w) ** 2))) for w in want]
-    detected = sim._select_trps(rsrp)
-    flat_vecs = np.array([flat_despread(want[i], k, ref, n_sc) for i in detected])
-
-    rng = substream(sim.config.master_seed, "noise", 0, 1)
-    noise = [sim._noise(rng, sim._ul_vals.shape, sim.ul_noise) for _ in range(n_trps)]
-    rx, power = receive_groups(sim._ul_groups, noise, amps, comb_lines(h, comb),
-                               [sim._ul_vals] * n_trps)
-    assert power == rsrp and [r.tobytes() for r in rx] == [w.tobytes() for w in want]
-    vecs = despread_groups(sim._ul_groups, rx, [sim._ul_vals] * n_trps, n_sc, comb, detected)
-    assert vecs.tobytes() == flat_vecs.tobytes()
     sounded = np.zeros(n_sc, dtype=bool)
     sounded[k] = True
     assert sounded.all() == (n_symbols >= comb)
-    assert not vecs[:, ~sounded].any() and np.all(vecs[:, sounded] != 0)
-    taus = sim._batched_toa(flat_vecs)
-    assert toa == {t: tau for t, tau in zip(detected, taus) if tau is not None}
+
+    def spy(rng, shape, std, stacked=False):
+        noise = draw_noise(rng, shape, std, stacked)
+        draws.append((rng, noise.copy()))  # the stage adds its REs in place
+        return noise
+
+    for detect in (None, (5, 2, 7)):
+        draws = []
+        monkeypatch.setattr(simulate, "draw_noise", spy)
+        rsrp, toa = sim._ul_stage(links, np.zeros(n_trps), 0.0, 0, detect=detect)
+        monkeypatch.undo()
+
+        received = range(n_trps) if detect is None else detect
+        h = sim._channel_matrix(links, extra_s=np.zeros(n_trps))
+        rng = substream(sim.config.master_seed, "noise", 0, 1)
+        flat_noise = [draw_noise(rng, len(k), sim._noise_std(sim.ul_noise))
+                      for _ in range(max(received) + 1)]
+        [(stage_rng, stage_noise)] = draws
+        assert stage_noise.tobytes() == np.array(flat_noise).tobytes()
+        assert stage_rng.standard_normal() == rng.standard_normal()
+        want = {i: flat_receive(flat_noise[i], amps, h, k, [ref] * n_trps, (i,))
+                for i in received}
+        assert rsrp == [power_dbm(float(np.mean(np.abs(want[i]) ** 2))) if i in want
+                        else -300.0 for i in range(n_trps)]
+        detected = sim._select_trps(rsrp) if detect is None else list(detect)
+        flat_vecs = np.array([flat_despread(want[i], k, ref, n_sc) for i in detected])
+
+        groups = [sim._ul_groups[i] for i in received]
+        noise = [flat_noise[i].reshape(sim._ul_vals.shape) for i in received]
+        rx, power = receive_groups(groups, noise, amps, comb_lines(h, comb),
+                                   [sim._ul_vals] * n_trps)
+        assert power == rsrp
+        assert [r.tobytes() for r in rx] == [want[i].tobytes() for i in received]
+        vecs = despread_groups(groups, rx, [sim._ul_vals] * n_trps, n_sc, comb, detected)
+        assert vecs.tobytes() == flat_vecs.tobytes()
+        assert not vecs[:, ~sounded].any() and np.all(vecs[:, sounded] != 0)
+        taus = sim._batched_toa(flat_vecs)
+        assert toa == {t: tau for t, tau in zip(detected, taus) if tau is not None}
 
 
 @pytest.mark.parametrize("comb,n_symbols", [(2, 2), (4, 4), (6, 6), (12, 12)])
