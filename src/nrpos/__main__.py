@@ -23,6 +23,11 @@ from .config import load_config
 from .experiments import accuracy_matrix, run_experiment
 
 
+def _metres(percentile) -> str:
+    """A matrix cell's percentile, null where no drop converged."""
+    return "none" if percentile is None else f"{percentile:.3g} m"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python -m nrpos",
                                      description="NR positioning link-level simulator")
@@ -42,8 +47,8 @@ def main(argv=None) -> int:
         for preset, row in doc["cells"].items():
             for method, cell in row.items():
                 print(f"{preset} {method}: {cell['converged']}/{doc['n_drops']} converged, "
-                      f"p50 {cell['percentiles']['50']:.3g} m, "
-                      f"p90 {cell['percentiles']['90']:.3g} m, "
+                      f"p50 {_metres(cell['percentiles']['50'])}, "
+                      f"p90 {_metres(cell['percentiles']['90'])}, "
                       f"{cell['outside_area']} outside the area")
         return 0
 

@@ -2,6 +2,10 @@
 fading, a short exponential tap profile and the per-RE link budget, plus
 the thermal noise a receiver adds on each resource element (RE).
 
+A drop's links are one `Links` record of arrays, a row per TRP, stacked
+by `draw_links`; one antenna pattern, `pattern_loss_db`, serves sectors
+and beams alike.
+
 Power bookkeeping: a TRP's configured power is the total per-symbol
 transmit power, split evenly over the occupied subcarriers of a symbol.
 RE amplitudes are in sqrt(mW), so 10*log10(|value|^2) is a dBm value.
@@ -127,18 +131,20 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class LinkRealization:
-    """One TRP-UE propagation draw with its link budget."""
+class Links:
+    """One drop's TRP-UE links, one row per TRP, with their link budgets."""
 
-    los: bool
-    path_loss_db: float  # at the carrier; NLOS never undercuts the LOS law
-    shadow_db: float
-    taps: tuple[tuple[float, complex], ...]  # (delay_s, gain), sorted
-    first_path_excess_s: float
-    # azimuth, zenith of the first path at the TRP, degrees: the uplink
-    # arrival and the downlink departure angle alike
-    angles_deg: tuple[float, float]
-    antenna_gain_db: float  # sector gain toward the geometric UE direction
+    los: np.ndarray  # bool
+    path_loss_db: np.ndarray  # at the carrier; NLOS never undercuts the LOS law
+    shadow_db: np.ndarray
+    antenna_gain_db: np.ndarray  # sector gain toward the geometric UE direction
+    first_arrival_s: np.ndarray  # propagation plus NLOS excess
+    gains: np.ndarray  # (link, tap), taps one sample apart from the first arrival
+    first_path_excess_s: np.ndarray
+    # (link, 2): azimuth, zenith of the first path at the TRP, degrees: the
+    # uplink arrival and the downlink departure angle alike
+    angles_deg: np.ndarray
+    clock_offset_s: np.ndarray  # the terminal's clock less the TRP's
 
 
 def los_probability(params: ChannelParams, d2d_m: float) -> float:
@@ -158,13 +164,13 @@ def los_probability(params: ChannelParams, d2d_m: float) -> float:
     raise ValueError(f"unknown LOS model {params.los_model!r}")
 
 
-def sector_gain_db(params: ChannelParams, delta_azimuth_deg: float) -> float:
-    """Parabolic azimuth pattern with a front-to-back floor."""
-    if params.omni:
-        return 0.0
-    d = (delta_azimuth_deg + 180.0) % 360.0 - 180.0
-    atten = min(12.0 * (d / params.sector_hpbw_deg) ** 2, params.sector_front_back_db)
-    return params.sector_max_gain_db - atten
+def pattern_loss_db(delta_deg, hpbw_deg: float, floor_db: float) -> np.ndarray:
+    """Parabolic azimuth pattern loss, dB, at each azimuth offset from
+    boresight, capped at floor_db. Each square is taken on Python floats,
+    as libm's pow and numpy's array square differ in the last bit."""
+    d = (np.asarray(delta_deg, dtype=float) + 180.0) % 360.0 - 180.0
+    q = (d / hpbw_deg).ravel().tolist()
+    return np.minimum(12.0 * np.array([x**2 for x in q]), floor_db).reshape(d.shape)
 
 
 @lru_cache(maxsize=16)
@@ -186,9 +192,10 @@ def _tap_tables(params: ChannelParams, sample_period_s: float):
 
 
 def realize_budget_link(rng: np.random.Generator, params: ChannelParams, trp, ue_pos,
-                        carrier_hz: float, sample_period_s: float) -> LinkRealization:
-    """Draw LOS state, taps and shadow for one TRP-UE link and fill in its
-    budget: path loss at the carrier and the sector gain toward the UE.
+                        carrier_hz: float, sample_period_s: float) -> tuple:
+    """Draw LOS state, taps and shadow for one TRP-UE link: one row of
+    `draw_links`, the `Links` fields up to the clock offset, with the UE's
+    geometric azimuth off the sector boresight in place of the antenna gain.
 
     `sample_period_s` sets the tap spacing (one receiver sample). The tap
     tables are built once per (params, sample_period_s) and cached; the
@@ -209,7 +216,7 @@ def realize_budget_link(rng: np.random.Generator, params: ChannelParams, trp, ue
     x, y, z = v.tolist()
     az = math.degrees(math.atan2(y, x))
     zen = math.degrees(math.acos(max(-1.0, min(z / d3, 1.0))))
-    gain = sector_gain_db(params, az - trp.sector_azimuth_deg)
+    off_boresight = az - trp.sector_azimuth_deg
     if not los and not params.ideal:
         az += float(rng.normal(0.0, 15.0))
         zen += float(rng.normal(0.0, 3.0))
@@ -218,8 +225,8 @@ def realize_budget_link(rng: np.random.Generator, params: ChannelParams, trp, ue
     if not los and not params.ideal:
         excess = float(rng.exponential(params.nlos_excess_mean_s))
 
-    offsets, los_scale, nlos_scale, los_amp = _tap_tables(params, sample_period_s)
-    n_taps = len(offsets)
+    _, los_scale, nlos_scale, los_amp = _tap_tables(params, sample_period_s)
+    n_taps = len(los_scale)
     if params.ideal:
         gains = np.array([1.0 + 0j])
     elif los:
@@ -228,7 +235,6 @@ def realize_budget_link(rng: np.random.Generator, params: ChannelParams, trp, ue
     else:
         gains = (rng.normal(size=n_taps) + 1j * rng.normal(size=n_taps)) * nlos_scale
 
-    delays = tau0 + excess + offsets
     shadow = 0.0
     law = params.los if los else params.nlos
     if not params.ideal:
@@ -236,27 +242,41 @@ def realize_budget_link(rng: np.random.Generator, params: ChannelParams, trp, ue
     path_loss = law.at(d3, carrier_hz)
     if not los:
         path_loss = max(path_loss, params.los.at(d3, carrier_hz))
-    return LinkRealization(
-        los=los,
-        path_loss_db=path_loss,
-        shadow_db=shadow,
-        taps=tuple(zip(delays.tolist(), gains.tolist())),
-        first_path_excess_s=0.0 if los else excess,
-        angles_deg=(az, zen),
-        antenna_gain_db=gain,
-    )
+    return (los, path_loss, shadow, off_boresight, tau0 + excess, gains,
+            0.0 if los else excess, (az, zen))
 
 
-def link_amplitude(link: LinkRealization, tx_power_dbm: float, n_occupied_per_symbol: int) -> float:
-    """Per-RE received amplitude in sqrt(mW) for unit-modulus reference values."""
+def draw_links(rng: np.random.Generator, params: ChannelParams, trps, ue_pos,
+               carrier_hz: float, sample_period_s: float, clock_offset_s) -> Links:
+    """One `realize_budget_link` row per TRP, drawn in TRP order from rng,
+    stacked into the drop's `Links`; every sector gain comes from one
+    `pattern_loss_db` pass. clock_offset_s is each link's terminal clock
+    less its TRP clock."""
+    rows = [realize_budget_link(rng, params, t, ue_pos, carrier_hz, sample_period_s)
+            for t in trps]
+    los, path_loss, shadow, off_boresight, *propagation = map(np.array, zip(*rows))
+    gain = np.zeros(len(trps)) if params.omni else params.sector_max_gain_db - pattern_loss_db(
+        off_boresight, params.sector_hpbw_deg, params.sector_front_back_db)
+    return Links(los, path_loss, shadow, gain, *propagation, clock_offset_s)
+
+
+def link_amplitude(links: Links, tx_power_dbm, n_occupied_per_symbol: int) -> np.ndarray:
+    """Per-RE received amplitude in sqrt(mW) for unit-modulus reference
+    values: of every link under one transmit power or a power per link,
+    or of every (link, beam) under a (link, beam) array of powers. Each
+    power of ten is taken on Python floats, as libm's pow and numpy's
+    array power differ in the last bit."""
+    tx = np.asarray(tx_power_dbm, dtype=float)
+    column = links.path_loss_db.shape + (1,) * max(tx.ndim - 1, 0)
     epre_dbm = (
-        tx_power_dbm
+        tx
         - 10.0 * math.log10(max(n_occupied_per_symbol, 1))
-        + link.antenna_gain_db
-        - link.path_loss_db
-        - link.shadow_db
+        + links.antenna_gain_db.reshape(column)
+        - links.path_loss_db.reshape(column)
+        - links.shadow_db.reshape(column)
     )
-    return 10.0 ** (epre_dbm / 20.0)
+    return np.array([10.0 ** x for x in (epre_dbm / 20.0).ravel().tolist()]).reshape(
+        epre_dbm.shape)
 
 
 def noise_amplitude(noise: NoiseModel) -> float:

@@ -8,7 +8,8 @@ results.csv  ue_id,true_x,true_y,true_z,est_x,est_y,est_z,
              horizontal_error_m,vertical_error_m,converged,in_hull,gdop
 cdf.csv      horizontal_error_m,probability   (both columns nondecreasing)
 summary.json config echo + percentiles + counts + runtime + seconds per
-             pipeline stage (`simulate.STAGES`)
+             pipeline stage (`simulate.STAGES`); a percentile of a run
+             with no converged drop is null
 
 A drop's gdop is that of the rows its fix was solved from, at the truth;
 the cell is empty without a fix.
@@ -49,7 +50,8 @@ class ResultSummary:
 
     def to_dict(self) -> dict:
         return {
-            "percentiles": {str(p): v for p, v in self.percentiles.items()},
+            "percentiles": {str(p): None if math.isnan(v) else v
+                            for p, v in self.percentiles.items()},
             "n_drops": self.n_drops,
             "n_converged": self.n_converged,
             "n_failed": self.n_failed,
@@ -61,7 +63,8 @@ class ResultSummary:
     @classmethod
     def from_dict(cls, doc: dict) -> "ResultSummary":
         return cls(
-            percentiles={int(p): v for p, v in doc["percentiles"].items()},
+            percentiles={int(p): math.nan if v is None else v
+                         for p, v in doc["percentiles"].items()},
             n_drops=doc["n_drops"],
             n_converged=doc["n_converged"],
             n_failed=doc["n_failed"],

@@ -1,7 +1,11 @@
 """Per-drop simulation pipeline: generate the configured downlink/uplink
-signals for a deployment, push them through link realizations onto
+signals for a deployment, push them through the drop's links onto
 received resource elements (REs), form quantized measurement reports, and
 solve.
+
+Every stage takes the drop's `channel.Links`, which carry the clock
+offsets: the downlink adds a link's `clock_offset_s` to its first arrival,
+the uplink subtracts it, and the beam sweep leaves the arrival alone.
 
 `METHOD_TABLE` is the one place that knows the positioning methods; the
 drop pipeline, `solve_records` and the session layer read each method's
@@ -21,9 +25,10 @@ downlink and uplink arrival stages sum their received REs in one kernel,
   alone, under its own noise.
 - Noise order. Receiver noise comes only from `channel.draw_noise`, on
   substreams keyed by (master_seed, drop), so runs that differ only in
-  which transmitters are summed see identical noise. A group's REs are a
-  (symbol, line) array: row s holds comb line residue[s] of symbol s,
-  residue from `prs.comb_pattern`. The downlink stage draws one full
+  which transmitters are summed see identical noise; a noiseless (ideal)
+  receiver draws it at zero std. A group's REs are a (symbol, line)
+  array: row s holds comb line residue[s] of symbol s, residue from
+  `prs.comb_pattern`. The downlink stage draws one full
   (subcarrier, symbol) grid per sample, real parts first, and gathers
   every group's lines from it, viewed as (line, residue, symbol), in one
   indexing op. The uplink makes one stacked `draw_noise` call: a
@@ -92,13 +97,15 @@ import numpy as np
 from .channel import (
     CHANNEL_DEFAULTS,
     ChannelParams,
+    Links,
     NoiseModel,
     _tap_tables,
+    draw_links,
     draw_noise,
     link_amplitude,
     noise_amplitude,
+    pattern_loss_db,
     phase_ramps,
-    realize_budget_link,
 )
 from .config import ExperimentConfig
 from .measurements import (
@@ -217,22 +224,21 @@ def sweep_powers(sets, factors, amps, shared: bool, rng, std: float, n_re: int) 
     with 2(N - r) degrees of freedom, independent of z. Per beam and per
     set, in that order, z's r real then r imaginary parts are drawn as
     2r standard normals, then rest: the stream of `draw_noise` and a
-    chi-square per (beam, set). std = 0 (a noiseless receiver) draws
-    nothing. Only the draws go set by set; the powers are one batched
-    pass over the sets of each member count.
+    chi-square per (beam, set). A noiseless receiver's std = 0 scales its
+    draws to zeros. Only the draws go set by set; the powers are one
+    batched pass over the sets of each member count.
     """
     n_beams = amps.shape[1]
     # normals[b]: z's parts on beam b, set after set, r real then r imaginary
     start = np.cumsum([0] + [2 * len(g.members) for g in sets]).tolist()
-    normals = np.zeros((n_beams, start[-1]))
-    rest = np.zeros((n_beams, len(sets)))
-    if std > 0:
-        dof = [2 * (n_re - len(g.members)) for g in sets]
-        for row, rest_b in zip(normals, rest):
-            for e, df in enumerate(dof):
-                rng.standard_normal(out=row[start[e]:start[e + 1]])
-                rest_b[e] = rng.chisquare(df)
-        rest *= std**2
+    normals = np.empty((n_beams, start[-1]))
+    rest = np.empty((n_beams, len(sets)))
+    dof = [2 * (n_re - len(g.members)) for g in sets]
+    for row, rest_b in zip(normals, rest):
+        for e, df in enumerate(dof):
+            rng.standard_normal(out=row[start[e]:start[e + 1]])
+            rest_b[e] = rng.chisquare(df)
+    rest *= std**2
     power = np.empty(amps.shape)
     for r, pos in _by_member_count([g.members for g in sets]).items():
         members = np.array([sets[e].members for e in pos])
@@ -364,9 +370,11 @@ class Simulator:
         self._ul_groups = [ReGroup((i,), residues) for i in range(len(self.trps))]
         self.ul_occupied_per_symbol = self._ul_vals.shape[1]
 
-        # an ideal run has noiseless receivers
-        self.dl_noise = None if config.ideal else NoiseModel(config.dl_noise_figure_db, self.scs_hz)
-        self.ul_noise = None if config.ideal else NoiseModel(config.ul_noise_figure_db, self.scs_hz)
+        # each receiver's complex noise RMS per RE; an ideal run's receivers
+        # are noiseless, and their zero-std draws add nothing
+        self.dl_noise_rms, self.ul_noise_rms = (
+            0.0 if config.ideal else noise_amplitude(NoiseModel(figure_db, self.scs_hz))
+            for figure_db in (config.dl_noise_figure_db, config.ul_noise_figure_db))
 
         self.sample_period_s = 1.0 / self.numerology.sample_rate_hz
         x0, y0, x1, y1 = deployment.area
@@ -400,6 +408,7 @@ class Simulator:
         steps = np.arange(n) * (360.0 / n) if self.channel.omni else np.linspace(-52.5, 52.5, n)
         self._beam_azimuths = np.array([t.sector_azimuth_deg + steps for t in self.trps])
         self.beams = dict(zip(self.anchors, self._beam_azimuths))
+        self._tx_power_dbm = np.array([t.tx_power_dbm for t in self.trps])
 
     # -- helpers ----------------------------------------------------------
 
@@ -418,49 +427,41 @@ class Simulator:
         self.stage_s[stage] += now - since
         return now
 
-    def _links(self, drop_idx: int, ue_pos):
-        rng = substream(self.config.master_seed, "link", drop_idx)
-        return [
-            realize_budget_link(rng, self.channel, t, ue_pos,
-                                self.config.carrier_hz, self.sample_period_s)
-            for t in self.trps
-        ]
+    def _links(self, drop_idx: int) -> Links:
+        """The drop's links, drawn on its "link" substream, with the clock
+        offsets of its "sync" substream: each TRP's clock and then the
+        terminal's, none without a sync error."""
+        cfg = self.config
+        clock_offset = np.zeros(len(self.trps))
+        if cfg.sync_sigma_ns != 0.0:
+            sigma = cfg.sync_sigma_ns * 1e-9
+            rng = substream(cfg.master_seed, "sync", drop_idx)
+            trp_clock = rng.normal(0.0, sigma, size=len(self.trps))
+            clock_offset = float(rng.normal(0.0, sigma)) - trp_clock
+        return draw_links(substream(cfg.master_seed, "link", drop_idx), self.channel, self.trps,
+                          self.ues[drop_idx], cfg.carrier_hz, self.sample_period_s, clock_offset)
 
-    def _sync_offsets(self, drop_idx: int) -> tuple[np.ndarray, float]:
-        """Per-TRP clock offsets plus the terminal clock offset, seconds."""
-        sigma = self.config.sync_sigma_ns * 1e-9
-        if sigma == 0.0:
-            return np.zeros(len(self.trps)), 0.0
-        rng = substream(self.config.master_seed, "sync", drop_idx)
-        offsets = rng.normal(0.0, sigma, size=len(self.trps))
-        ue_offset = float(rng.normal(0.0, sigma))
-        return offsets, ue_offset
-
-    def _channel_matrix(self, links, extra_s=None) -> np.ndarray:
-        """Frequency response of every link over all subcarriers, written
-        into the simulator's one (link, subcarrier) buffer: the next call
+    def _channel_matrix(self, links: Links, first_s) -> np.ndarray:
+        """Frequency response of every link over all subcarriers, its first
+        arrivals at first_s in the receiver's clock, written into the
+        simulator's one (link, subcarrier) buffer: the next call
         overwrites it.
 
-        extra_s shifts each link by an additional delay (clock terms). The
-        first arrival's ramp comes from `phase_ramps`, blocked, so it can
-        differ from a direct exponential in the last bits: quantized
+        The first arrival's ramp comes from `phase_ramps`, blocked, so it
+        can differ from a direct exponential in the last bits: quantized
         reports are bit-stable under that, unquantized ones may differ in
         their last bits.
 
-        A call on the same links list with the same first-arrival delays,
-        to the bit, as the call that last wrote the buffer returns the
-        buffer as it stands: without clock offsets (sync_sigma_ns = 0)
-        multi-RTT's uplink stage reads the matrix its downlink stage built.
+        A call on the same links with the same first arrivals, to the bit,
+        as the call that last wrote the buffer returns the buffer as it
+        stands: without clock offsets (sync_sigma_ns = 0) multi-RTT's
+        uplink stage reads the matrix its downlink stage built.
         """
-        first = np.array([l.taps[0][0] for l in links])
-        if extra_s is not None:
-            first = first + extra_s
-        built_for = (links, first.tobytes())
+        built_for = (links, first_s.tobytes())
         if self._h_built_for[0] is links and self._h_built_for[1] == built_for[1]:
             return self._h
-        gains = np.array([[t[1] for t in l.taps] for l in links])
-        h = np.matmul(gains, self._tap_ramps, out=self._h)
-        h *= phase_ramps(first, self.numerology.n_subcarriers, self.scs_hz)
+        h = np.matmul(links.gains, self._tap_ramps, out=self._h)
+        h *= phase_ramps(first_s, self.numerology.n_subcarriers, self.scs_hz)
         self._h_built_for = built_for
         return h
 
@@ -472,18 +473,6 @@ class Simulator:
         taus = first_paths(vec_matrix, window)
         return [None if np.isnan(tau) else float(tau) for tau in taus]
 
-    @staticmethod
-    def _noise_std(model: NoiseModel | None) -> float:
-        """Receiver noise std per real component; 0 for a noiseless one."""
-        return 0.0 if model is None else noise_amplitude(model) / np.sqrt(2.0)
-
-    @classmethod
-    def _noise(cls, rng, shape, model: NoiseModel | None, stacked: bool = False) -> np.ndarray:
-        """`draw_noise` under the receiver's model; zeros for a noiseless one."""
-        if model is None:
-            return np.zeros(shape, dtype=complex)
-        return draw_noise(rng, shape, cls._noise_std(model), stacked)
-
     def _dl_receive(self, rng, amps, h):
         """Downlink REs and RSRP of every group under one fresh noise grid,
         each group's (symbol, line) noise gathered from the grid's comb
@@ -491,7 +480,7 @@ class Simulator:
         n_sc, n_sym = self._dl_grid_shape
         comb = self.config.dl_comb_size
         # grid[r, s, j]: the noise on subcarrier j * comb + r of symbol s
-        grid = self._noise(rng, self._dl_grid_shape, self.dl_noise).reshape(
+        grid = draw_noise(rng, self._dl_grid_shape, self.dl_noise_rms / math.sqrt(2.0)).reshape(
             n_sc // comb, comb, n_sym).transpose(1, 2, 0)
         noise = grid[np.array([g.residues for g in self._dl_groups]), np.arange(n_sym)]
         return receive_groups(self._dl_groups, noise, amps, comb_lines(h, comb), self._dl_vals)
@@ -532,7 +521,7 @@ class Simulator:
 
     # -- downlink stage ----------------------------------------------------
 
-    def _dl_stage(self, links, trp_clock_s, ue_clock_s, drop_idx):
+    def _dl_stage(self, links: Links, drop_idx):
         """Received power of every TRP's signal and first-path arrivals of
         the TRPs cell selection keeps.
 
@@ -545,11 +534,8 @@ class Simulator:
         """
         mark = perf_counter()
         cfg = self.config
-        amps = [
-            link_amplitude(l, t.tx_power_dbm, self.dl_occupied_per_symbol)
-            for l, t in zip(links, self.trps)
-        ]
-        h = self._channel_matrix(links, extra_s=ue_clock_s - trp_clock_s)
+        amps = link_amplitude(links, self._tx_power_dbm, self.dl_occupied_per_symbol)
+        h = self._channel_matrix(links, links.first_arrival_s + links.clock_offset_s)
 
         toas: dict[int, list[float]] = {}
         for sample in range(cfg.n_samples):
@@ -572,7 +558,7 @@ class Simulator:
 
     # -- uplink stage ------------------------------------------------------
 
-    def _ul_stage(self, links, trp_clock_s, ue_clock_s, drop_idx, detect=None):
+    def _ul_stage(self, links: Links, drop_idx, detect=None):
         """Received sounding power at the TRPs and arrival times at those
         detected.
 
@@ -587,16 +573,13 @@ class Simulator:
         """
         mark = perf_counter()
         cfg = self.config
-        amps = [
-            link_amplitude(l, cfg.ue_tx_power_dbm, self.ul_occupied_per_symbol)
-            for l in links
-        ]
-        h = self._channel_matrix(links, extra_s=trp_clock_s - ue_clock_s)
+        amps = link_amplitude(links, cfg.ue_tx_power_dbm, self.ul_occupied_per_symbol)
+        h = self._channel_matrix(links, links.first_arrival_s - links.clock_offset_s)
 
         received = range(len(self.trps)) if detect is None else list(detect)
         rng = substream(cfg.master_seed, "noise", drop_idx, 1)
-        noise = self._noise(rng, (max(received, default=-1) + 1, *self._ul_vals.shape),
-                            self.ul_noise, stacked=True)
+        noise = draw_noise(rng, (max(received, default=-1) + 1, *self._ul_vals.shape),
+                           self.ul_noise_rms / math.sqrt(2.0), stacked=True)
         groups = [self._ul_groups[t] for t in received]
         refs = [self._ul_vals] * len(self.trps)
         rx, rsrp = receive_groups(groups, [noise[t] for t in received], amps,
@@ -613,7 +596,7 @@ class Simulator:
 
     # -- arrival angles ----------------------------------------------------
 
-    def _aoa_stage(self, links, ul_toa, drop_idx):
+    def _aoa_stage(self, links: Links, ul_toa, drop_idx):
         """Beamformed arrival angles from the sounding signal at the TRPs
         of ul_toa, each TRP's noise drawn on its own substream, so a TRP's
         angle does not depend on which other TRPs are asked. Returns
@@ -623,19 +606,14 @@ class Simulator:
         cfg = self.config
         grid = self.beamformer()
         n_re = self._ul_vals.size
+        amps = link_amplitude(links, cfg.ue_tx_power_dbm, self.ul_occupied_per_symbol)
+        noise_std = math.sqrt(n_re * self.ul_noise_rms ** 2 / 2.0)
         angles: dict[int, tuple[float, float]] = {}
         for t in ul_toa:
-            link = links[t]
-            sv = steering_vector(self.array, link.angles_deg[0], link.angles_deg[1])
-            amp = link_amplitude(link, cfg.ue_tx_power_dbm, self.ul_occupied_per_symbol)
+            az, zen = links.angles_deg[t].tolist()
             # matched-filter output: coherent sum across the sounded band
-            signal = amp * n_re
-            noise_var = 0.0 if self.ul_noise is None else \
-                n_re * noise_amplitude(self.ul_noise) ** 2
-            x = sv * signal
-            if noise_var > 0:
-                x = x + draw_noise(substream(cfg.master_seed, "aoa", drop_idx, t), len(sv),
-                                   math.sqrt(noise_var / 2.0))
+            x = steering_vector(self.array, az, zen) * (amps[t] * n_re)
+            x = x + draw_noise(substream(cfg.master_seed, "aoa", drop_idx, t), len(x), noise_std)
             try:
                 angles[t] = estimate_aoa(x, self.array, grid)
             except MeasurementFailed:
@@ -645,25 +623,16 @@ class Simulator:
 
     # -- departure beams ---------------------------------------------------
 
-    def _beam_amplitudes(self, links) -> np.ndarray:
+    def _beam_amplitudes(self, links: Links) -> np.ndarray:
         """Per-RE amplitude of every (TRP, beam) of the downlink sweep: the
-        beam's parabolic gain toward the link's departure azimuth added to
-        the TRP's power, then `link_amplitude`'s budget. One array
-        expression in their order of operations, except that both powers
-        are taken per element on Python floats, as libm's pow and numpy's
-        array square and power differ in the last bit."""
-        toward = np.array([l.angles_deg[0] for l in links])
-        d = (toward[:, None] - self._beam_azimuths + 180.0) % 360.0 - 180.0
-        q = (d / self.config.beam_hpbw_deg).ravel().tolist()
-        atten = np.minimum(12.0 * np.array([x**2 for x in q]), 30.0).reshape(d.shape)
-        epre = (np.array([t.tx_power_dbm for t in self.trps])[:, None] - atten
-                - 10.0 * math.log10(max(self.dl_occupied_per_symbol, 1))
-                + np.array([[l.antenna_gain_db] for l in links])
-                - np.array([[l.path_loss_db] for l in links])
-                - np.array([[l.shadow_db] for l in links]))
-        return np.array([10.0 ** x for x in (epre / 20.0).ravel().tolist()]).reshape(d.shape)
+        TRP's power less the beam's parabolic pattern toward the link's
+        departure azimuth, through `link_amplitude`."""
+        loss = pattern_loss_db(links.angles_deg[:, :1] - self._beam_azimuths,
+                               self.config.beam_hpbw_deg, 30.0)
+        return link_amplitude(links, self._tx_power_dbm[:, None] - loss,
+                              self.dl_occupied_per_symbol)
 
-    def _aod_stage(self, links, drop_idx):
+    def _aod_stage(self, links: Links, drop_idx):
         """Received power of every TRP's beams at the terminal: one list
         per TRP row, dBm in beam order, beams time-multiplexed.
 
@@ -674,9 +643,9 @@ class Simulator:
         started = perf_counter()
         cfg = self.config
         rng = substream(cfg.master_seed, "rsrp", drop_idx)
-        h = self._channel_matrix(links)
+        h = self._channel_matrix(links, links.first_arrival_s)
         power = sweep_powers(self._dl_sets, self._sweep_factors(h), self._beam_amplitudes(links),
-                             cfg.interference, rng, self._noise_std(self.dl_noise),
+                             cfg.interference, rng, self.dl_noise_rms / math.sqrt(2.0),
                              self._dl_stacked.shape[1])
         dbm = [power_dbm(p) for p in power.ravel().tolist()]
         if cfg.quantize:
@@ -708,12 +677,11 @@ class Simulator:
         cfg = self.config
         ue = self.ues[drop_idx]
         started = perf_counter()
-        links = self._links(drop_idx, ue)
-        trp_clock, ue_clock = self._sync_offsets(drop_idx)
+        links = self._links(drop_idx)
         self._lap("links", started)
 
         # records stay on the outcome when the drop fails
-        records = self._method.measure(self, links, trp_clock, ue_clock, drop_idx)
+        records = self._method.measure(self, links, drop_idx)
         fix = None
         failure = None
         started = perf_counter()
@@ -750,8 +718,8 @@ class Simulator:
             for t in trp_ids
         ]
 
-    def _dl_tdoa_records(self, links, trp_clock, ue_clock, drop_idx):
-        rsrp, toa = self._dl_stage(links, trp_clock, ue_clock, drop_idx)
+    def _dl_tdoa_records(self, links, drop_idx):
+        rsrp, toa = self._dl_stage(links, drop_idx)
         selected = list(toa)
         records = self._rsrp_records("PRS_RSRP", selected, rsrp)
         cfg = self.config
@@ -761,8 +729,8 @@ class Simulator:
                 resource_id=t, extra={"ref_trp_id": selected[0]}, quantize=cfg.quantize))
         return records
 
-    def _ul_tdoa_records(self, links, trp_clock, ue_clock, drop_idx):
-        rsrp, toa = self._ul_stage(links, trp_clock, ue_clock, drop_idx)
+    def _ul_tdoa_records(self, links, drop_idx):
+        rsrp, toa = self._ul_stage(links, drop_idx)
         records = self._rsrp_records("SRS_RSRP", toa, rsrp)
         cfg = self.config
         for t in toa:
@@ -770,9 +738,9 @@ class Simulator:
                 "UL_RTOA", t, toa[t], cfg.effective_timing_k, cfg.fr, quantize=cfg.quantize))
         return records
 
-    def _multi_rtt_records(self, links, trp_clock, ue_clock, drop_idx):
-        _, dl_toa = self._dl_stage(links, trp_clock, ue_clock, drop_idx)
-        _, ul_toa = self._ul_stage(links, trp_clock, ue_clock, drop_idx, detect=dl_toa)
+    def _multi_rtt_records(self, links, drop_idx):
+        _, dl_toa = self._dl_stage(links, drop_idx)
+        _, ul_toa = self._ul_stage(links, drop_idx, detect=dl_toa)
         cfg = self.config
         records = []
         for t in ul_toa:
@@ -782,14 +750,14 @@ class Simulator:
                 "GNB_RXTX", t, ul_toa[t], cfg.effective_timing_k, cfg.fr, quantize=cfg.quantize))
         return records
 
-    def _ul_aoa_records(self, links, trp_clock, ue_clock, drop_idx):
-        _, ul_toa = self._ul_stage(links, trp_clock, ue_clock, drop_idx)
+    def _ul_aoa_records(self, links, drop_idx):
+        _, ul_toa = self._ul_stage(links, drop_idx)
         return [
             MeasurementRecord(kind="AOA", trp_id=t, payload={"azimuth_deg": az, "zenith_deg": zen})
             for t, (az, zen) in self._aoa_stage(links, ul_toa, drop_idx).items()
         ]
 
-    def _dl_aod_records(self, links, trp_clock, ue_clock, drop_idx):
+    def _dl_aod_records(self, links, drop_idx):
         """A PRS-RSRP report per beam of each selected TRP; the report's
         resource is the beam's index in `beams`."""
         reports = self._aod_stage(links, drop_idx)
@@ -867,8 +835,8 @@ def _dl_aod_rows(records, index, beams):
 class MethodSpec:
     """One positioning method.
 
-    - `measure(sim, links, trp_clock, ue_clock, drop_idx)` forms a drop's
-      records.
+    - `measure(sim, links, drop_idx)` forms a drop's records from its
+      `channel.Links`.
     - `rows(records, index, beams)` turns records into `solvers.Row`s on
       the anchor rows that index gives, in any order, and does no more:
       `solvers.solve_rows` decides the rows' order, whether they determine

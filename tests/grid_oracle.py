@@ -17,10 +17,11 @@ simulation's comb-line kernels.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
-from nrpos.channel import link_amplitude
+from nrpos.channel import Links, link_amplitude
 from nrpos.measurements import (
     DelayWindow,
     MeasurementFailed,
@@ -93,18 +94,26 @@ def map_srs(grid: np.ndarray, resource) -> np.ndarray:
     return _map(grid, resource, flat_srs_reference(resource))
 
 
-def frequency_response(link, freqs_hz: np.ndarray) -> np.ndarray:
-    """Link response over the given subcarrier frequencies; exact for taps
-    within the cyclic prefix, which holds for every scenario."""
-    delays = np.array([t[0] for t in link.taps])
-    gains = np.array([t[1] for t in link.taps])
+def link_row(links: Links, i: int) -> Links:
+    """Row i of a drop's links as a `Links` of one row."""
+    return Links(**{f.name: getattr(links, f.name)[i:i + 1] for f in fields(Links)})
+
+
+def frequency_response(first_s: float, gains: np.ndarray, tap_spacing_s: float,
+                       freqs_hz: np.ndarray) -> np.ndarray:
+    """Response over the given subcarrier frequencies of a link whose taps
+    have the given gains, tap_spacing_s apart from the first arrival at
+    first_s; exact for taps within the cyclic prefix, which holds for
+    every scenario."""
+    delays = first_s + np.arange(len(gains)) * tap_spacing_s
     return (gains[None, :] * np.exp(-2j * np.pi * freqs_hz[:, None] * delays[None, :])).sum(axis=1)
 
 
 def received_grid(tx_grids, numerology, noise_grid=None) -> np.ndarray:
     """Sum of the link-filtered transmit grids, plus noise_grid if given.
 
-    tx_grids is a list of (grid, LinkRealization, tx_power_dbm). Each
+    tx_grids is a list of (grid, link, tx_power_dbm), link a `Links` of
+    one row whose taps are one sample of the numerology apart. Each
     transmit power is split over the grid's most occupied symbol.
     """
     shape = tx_grids[0][0].shape
@@ -113,8 +122,10 @@ def received_grid(tx_grids, numerology, noise_grid=None) -> np.ndarray:
     freqs = np.arange(shape[0]) * numerology.scs_khz * 1e3
     acc = np.zeros(shape, dtype=complex)
     for grid, link, tx_power in tx_grids:
-        amp = link_amplitude(link, tx_power, int(np.count_nonzero(grid, axis=0).max()))
-        acc += grid * (amp * frequency_response(link, freqs))[:, None]
+        [amp] = link_amplitude(link, tx_power, int(np.count_nonzero(grid, axis=0).max()))
+        response = frequency_response(link.first_arrival_s[0], link.gains[0],
+                                      1.0 / numerology.sample_rate_hz, freqs)
+        acc += grid * (amp * response)[:, None]
     if noise_grid is not None:
         acc += noise_grid
     return acc

@@ -1,14 +1,16 @@
 """The DL-AoD beam sweep and the link draw as they were before they became
-array passes: `realize_budget_link` rebuilding its tap tables and TRP-UE
-geometry for every link, one `link_amplitude` and beam-gain call per
-(TRP, beam), one `np.linalg.qr` per RE set, one `draw_noise` and
-chi-square per (beam, set) and one `reported_power_dbm` per report. Used to
-pin `channel.realize_budget_link` and `Simulator._aod_stage` bit for bit.
+array passes: `realize_budget_link` rebuilding its tap tables, TRP-UE
+geometry and sector gain for every link, the clock offsets drawn on their
+own, one scalar link budget and beam gain per (TRP, beam), one
+`np.linalg.qr` per RE set, one `draw_noise` and chi-square per (beam,
+set) and one `reported_power_dbm` per report. Used to pin
+`channel.draw_links`, `Simulator._links` and `Simulator._aod_stage` bit
+for bit.
 
-Only the simulator's configuration, TRPs, channel parameters, downlink
-resources, RE sets, references, beam azimuths and channel matrix are read.
-An RE set's REs are placed as flat subcarrier indices by
-`grid_oracle.re_indices`.
+Only the simulator's configuration, TRPs, UEs, channel parameters,
+downlink resources, RE sets, references, beam azimuths, noise RMS and
+channel matrix are read. An RE set's REs are placed as flat subcarrier
+indices by `grid_oracle.re_indices`.
 """
 
 import math
@@ -16,14 +18,7 @@ import math
 import numpy as np
 
 from grid_oracle import re_indices
-from nrpos.channel import (
-    LinkRealization,
-    draw_noise,
-    link_amplitude,
-    los_probability,
-    noise_amplitude,
-    sector_gain_db,
-)
+from nrpos.channel import Links, draw_noise, los_probability
 from nrpos.measurements import reported_power_dbm
 from nrpos.numerology import SPEED_OF_LIGHT
 from nrpos.rng import substream
@@ -38,7 +33,17 @@ def _angles_from_to(src, dst):
     return az, zen
 
 
+def sector_gain_db(params, delta_azimuth_deg):
+    """Parabolic azimuth pattern with a front-to-back floor."""
+    if params.omni:
+        return 0.0
+    d = (delta_azimuth_deg + 180.0) % 360.0 - 180.0
+    atten = min(12.0 * (d / params.sector_hpbw_deg) ** 2, params.sector_front_back_db)
+    return params.sector_max_gain_db - atten
+
+
 def realize_budget_link(rng, params, trp, ue_pos, carrier_hz, sample_period_s):
+    """One link's fields, by `Links` field name, but the clock offset."""
     trp_pos = np.asarray(trp.position, dtype=float)
     ue = np.asarray(ue_pos, dtype=float)
     d3 = float(np.linalg.norm(ue - trp_pos))
@@ -79,22 +84,38 @@ def realize_budget_link(rng, params, trp, ue_pos, carrier_hz, sample_period_s):
     path_loss = law.at(d3, carrier_hz)
     if not los:
         path_loss = max(path_loss, params.los.at(d3, carrier_hz))
-    return LinkRealization(
+    return dict(
         los=los,
         path_loss_db=path_loss,
         shadow_db=shadow,
-        taps=tuple((float(d), complex(g)) for d, g in zip(delays, gains)),
+        antenna_gain_db=gain,
+        first_arrival_s=float(delays[0]),
+        gains=gains,
         first_path_excess_s=0.0 if los else excess,
         angles_deg=(az, zen),
-        antenna_gain_db=gain,
     )
 
 
+def clock_offsets(sim, drop_idx):
+    """Each TRP's clock offset, then the terminal's, from the drop's "sync"
+    substream; zeros without a sync error."""
+    sigma = sim.config.sync_sigma_ns * 1e-9
+    if sigma == 0.0:
+        return np.zeros(len(sim.trps)), 0.0
+    rng = substream(sim.config.master_seed, "sync", drop_idx)
+    trp_clock = rng.normal(0.0, sigma, size=len(sim.trps))
+    return trp_clock, float(rng.normal(0.0, sigma))
+
+
 def links(sim, drop_idx):
+    """The drop's links, a row per TRP, from one draw per link."""
     rng = substream(sim.config.master_seed, "link", drop_idx)
-    return [realize_budget_link(rng, sim.channel, t, sim.ues[drop_idx],
+    rows = [realize_budget_link(rng, sim.channel, t, sim.ues[drop_idx],
                                 sim.config.carrier_hz, sim.sample_period_s)
             for t in sim.trps]
+    trp_clock, ue_clock = clock_offsets(sim, drop_idx)
+    return Links(**{name: np.array([row[name] for row in rows]) for name in rows[0]},
+                 clock_offset_s=ue_clock - trp_clock)
 
 
 def beam_gain_db(sim, beam_az, toward_az):
@@ -138,12 +159,28 @@ def beam_azimuths(sim):
             for t in sim.trps]
 
 
+def link_amplitude(tx_power_dbm, n_occupied_per_symbol, antenna_gain_db, path_loss_db,
+                   shadow_db):
+    """Per-RE received amplitude in sqrt(mW) of one link."""
+    epre_dbm = (
+        tx_power_dbm
+        - 10.0 * math.log10(max(n_occupied_per_symbol, 1))
+        + antenna_gain_db
+        - path_loss_db
+        - shadow_db
+    )
+    return 10.0 ** (epre_dbm / 20.0)
+
+
 def beam_amplitudes(sim, links):
+    budgets = zip(links.antenna_gain_db.tolist(), links.path_loss_db.tolist(),
+                  links.shadow_db.tolist())
     return np.array([
-        [link_amplitude(l, t.tx_power_dbm + beam_gain_db(sim, az, l.angles_deg[0]),
-                        sim.dl_occupied_per_symbol)
+        [link_amplitude(t.tx_power_dbm + beam_gain_db(sim, az, toward),
+                        sim.dl_occupied_per_symbol, *budget)
          for az in beam_az]
-        for l, t, beam_az in zip(links, sim.trps, beam_azimuths(sim))
+        for t, beam_az, toward, budget in zip(sim.trps, beam_azimuths(sim),
+                                              links.angles_deg[:, 0].tolist(), budgets)
     ])
 
 
@@ -153,9 +190,9 @@ def aod_stage(sim, links, drop_idx):
     in dBm, in beam order."""
     cfg = sim.config
     rng = substream(cfg.master_seed, "rsrp", drop_idx)
-    h = sim._channel_matrix(links)
+    h = sim._channel_matrix(links, links.first_arrival_s)
     amps = beam_amplitudes(sim, links)
-    std = 0.0 if sim.dl_noise is None else noise_amplitude(sim.dl_noise) / np.sqrt(2.0)
+    std = sim.dl_noise_rms / np.sqrt(2.0)
     n_re = len(re_indices(sim.dl_resources[sim.trps[0].trp_id])[0])
     power = sweep_powers(sim._dl_sets, sweep_factors(sim, h), amps, cfg.interference, rng, std,
                          n_re)

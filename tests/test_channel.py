@@ -8,14 +8,17 @@ import sweep_oracle
 from grid_oracle import GridError, received_grid, slot_grid
 from nrpos.channel import (
     CHANNEL_DEFAULTS,
+    Links,
     NoiseModel,
+    _tap_tables,
+    draw_links,
     draw_noise,
     link_amplitude,
     los_probability,
     noise_amplitude,
+    pattern_loss_db,
     phase_ramps,
     realize_budget_link,
-    sector_gain_db,
 )
 from nrpos.numerology import SPEED_OF_LIGHT, Numerology
 from nrpos.scenario import Trp
@@ -28,6 +31,12 @@ UMA = CHANNEL_DEFAULTS["uma"]
 
 def trp_at(x=0.0, y=0.0, z=3.0, **kw):
     return Trp(trp_id=0, position=(x, y, z), **kw)
+
+
+def draws(rng, params, trp, ue, n=1):
+    """n links from trp to ue drawn one after the other, as the rows of one
+    `Links`."""
+    return draw_links(rng, params, [trp] * n, ue, 2e9, TS, np.zeros(n))
 
 
 class TestLosProbability:
@@ -46,9 +55,7 @@ class TestLosProbability:
         trp = trp_at()
         ue = (30.0, 0.0, 1.5)
         n = 100_000
-        hits = sum(
-            realize_budget_link(rng, IOO, trp, ue, 2e9, TS).los for _ in range(n)
-        )
+        hits = np.count_nonzero(draws(rng, IOO, trp, ue, n).los)
         expected = los_probability(IOO, 30.0)
         assert abs(hits / n - expected) < 0.01
 
@@ -59,31 +66,33 @@ class TestRealizeLink:
         params = replace(IOO, force_los=True)
         trp = trp_at()
         ue = (40.0, 0.0, 1.5)
-        link = realize_budget_link(rng, params, trp, ue, 2e9, TS)
+        link = draws(rng, params, trp, ue)
         d = math.dist(trp.position, ue)
-        assert link.los
-        assert link.first_path_excess_s == 0.0
-        assert link.taps[0][0] == pytest.approx(d / SPEED_OF_LIGHT, abs=1e-15)
+        assert link.los[0]
+        assert link.first_path_excess_s[0] == 0.0
+        assert link.first_arrival_s[0] == pytest.approx(d / SPEED_OF_LIGHT, abs=1e-15)
 
     def test_nlos_adds_excess(self):
         rng = np.random.default_rng(2)
         trp = trp_at()
         ue = (100.0, 0.0, 1.5)
-        excesses = []
-        for _ in range(2000):
-            link = realize_budget_link(rng, IOO, trp, ue, 2e9, TS)
-            if not link.los:
-                excesses.append(link.first_path_excess_s)
-        assert excesses
+        links = draws(rng, IOO, trp, ue, 2000)
+        excesses = links.first_path_excess_s[~links.los]
+        assert len(excesses)
         assert np.mean(excesses) == pytest.approx(IOO.nlos_excess_mean_s, rel=0.15)
+        # the first arrival is the propagation delay plus the excess
+        d = math.dist(trp.position, ue)
+        assert np.allclose(links.first_arrival_s - links.first_path_excess_s,
+                           d / SPEED_OF_LIGHT, rtol=0.0, atol=1e-15)
 
     def test_taps_sorted_and_offset(self):
         rng = np.random.default_rng(3)
-        link = realize_budget_link(rng, IOO, trp_at(), (20.0, 5.0, 1.5), 2e9, TS)
-        delays = [t[0] for t in link.taps]
-        assert delays == sorted(delays)
-        assert len(delays) == IOO.n_taps
-        assert delays[1] - delays[0] == pytest.approx(TS)
+        link = draws(rng, IOO, trp_at(), (20.0, 5.0, 1.5))
+        assert link.gains.shape == (1, IOO.n_taps)
+        offsets = _tap_tables(IOO, TS)[0]
+        assert np.allclose(offsets, np.arange(IOO.n_taps) * TS, rtol=0.0, atol=0.0)
+        ideal = draws(rng, replace(IOO, ideal=True), trp_at(), (20.0, 5.0, 1.5))
+        assert ideal.gains.tolist() == [[1.0 + 0j]]
 
     def test_zero_distance_rejected(self):
         rng = np.random.default_rng(4)
@@ -92,13 +101,12 @@ class TestRealizeLink:
 
     def test_budget_fills_path_loss(self):
         rng = np.random.default_rng(5)
-        link = realize_budget_link(rng, IOO, trp_at(), (20.0, 0.0, 1.5), 2e9, TS)
-        assert link.path_loss_db > 0
+        links = draws(rng, IOO, trp_at(), (20.0, 0.0, 1.5), 50)
+        assert np.all(links.path_loss_db > 0)
         # NLOS path loss never undercuts the LOS law
         d3 = math.hypot(20.0, 1.5)
-        for _ in range(50):
-            l = realize_budget_link(rng, IOO, trp_at(), (20.0, 0.0, 1.5), 2e9, TS)
-            assert l.path_loss_db >= IOO.los.at(d3, 2e9) - 1e-9
+        assert not links.los.all()
+        assert np.all(links.path_loss_db >= IOO.los.at(d3, 2e9) - 1e-9)
 
     def test_cached_tap_tables_follow_their_key(self):
         """Links drawn in turn under IOO and UMa parameters, a tap_decay_s
@@ -110,10 +118,12 @@ class TestRealizeLink:
         keys = [(IOO, TS), (UMA, TS), (replace(UMA, tap_decay_s=100e-9), TS), (IOO, TS / 2)]
         for params, ts in keys + keys[::-1]:
             cached, uncached = np.random.default_rng(7), np.random.default_rng(7)
-            links = [realize_budget_link(cached, params, trp, ue, 2e9, ts) for ue in ues]
-            assert links == [sweep_oracle.realize_budget_link(uncached, params, trp, ue, 2e9, ts)
-                             for ue in ues]
-            assert {l.los for l in links} == {True, False}
+            links = [draw_links(cached, params, [trp], ue, 2e9, ts, np.zeros(1)) for ue in ues]
+            for link, ue in zip(links, ues):
+                want = sweep_oracle.realize_budget_link(uncached, params, trp, ue, 2e9, ts)
+                for name, value in want.items():
+                    assert np.array_equal(getattr(link, name)[0], value), name
+            assert {bool(l.los[0]) for l in links} == {True, False}
 
     def test_sector_gain_sees_geometric_azimuth(self):
         # NLOS perturbs the reported angles, not the antenna gain
@@ -121,37 +131,47 @@ class TestRealizeLink:
         trp = trp_at(sector_azimuth_deg=30.0)
         ue = (150.0, 60.0, 1.5)
         geometric = math.degrees(math.atan2(60.0, 150.0))
-        links = [realize_budget_link(rng, UMA, trp, ue, 2e9, TS) for _ in range(100)]
-        nlos = [l for l in links if not l.los]
-        assert nlos
-        for l in nlos:
-            assert l.antenna_gain_db == pytest.approx(sector_gain_db(UMA, geometric - 30.0))
-        assert any(abs(l.angles_deg[0] - geometric) > 1.0 for l in nlos)
+        links = draws(rng, UMA, trp, ue, 100)
+        nlos = ~links.los
+        assert nlos.any()
+        loss = pattern_loss_db(geometric - 30.0, UMA.sector_hpbw_deg, UMA.sector_front_back_db)
+        assert np.allclose(links.antenna_gain_db, UMA.sector_max_gain_db - loss)
+        assert np.any(np.abs(links.angles_deg[nlos, 0] - geometric) > 1.0)
 
 
 class TestSectorGain:
+    """The parabolic pattern of the sector antennas, which the beams share."""
+
     def test_boresight_and_rolloff(self):
-        assert sector_gain_db(UMA, 0.0) == UMA.sector_max_gain_db
-        assert sector_gain_db(UMA, 65.0 / 2) == pytest.approx(
-            UMA.sector_max_gain_db - 3.0
-        )
-        assert sector_gain_db(UMA, 180.0) == UMA.sector_max_gain_db - 30.0
+        hpbw, floor = UMA.sector_hpbw_deg, UMA.sector_front_back_db
+        assert pattern_loss_db(0.0, hpbw, floor) == 0.0
+        assert pattern_loss_db(65.0 / 2, hpbw, floor) == pytest.approx(3.0)
+        assert pattern_loss_db(180.0, hpbw, floor) == 30.0
+
+    def test_offsets_wrap_and_keep_their_shape(self):
+        delta = np.array([[10.0, 370.0], [-350.0, 190.0]])
+        loss = pattern_loss_db(delta, 65.0, 30.0)
+        assert loss.shape == delta.shape
+        assert loss[0, 0] == loss[0, 1] == loss[1, 0] == 12.0 * (10.0 / 65.0) ** 2
+        assert loss[1, 1] == 30.0
 
     def test_omni(self):
-        assert sector_gain_db(IOO, 123.0) == 0.0
+        links = draws(np.random.default_rng(0), IOO, trp_at(sector_azimuth_deg=123.0),
+                      (20.0, 5.0, 1.5), 10)
+        assert links.antenna_gain_db.tolist() == [0.0] * 10
 
 
 def single_tap_link(delay_s, gain=1.0 + 0j, pl_db=60.0):
-    from nrpos.channel import LinkRealization
-
-    return LinkRealization(
-        los=True,
-        path_loss_db=pl_db,
-        shadow_db=0.0,
-        taps=((delay_s, gain),),
-        first_path_excess_s=0.0,
-        angles_deg=(0.0, 90.0),
-        antenna_gain_db=0.0,
+    return Links(
+        los=np.array([True]),
+        path_loss_db=np.array([pl_db]),
+        shadow_db=np.zeros(1),
+        antenna_gain_db=np.zeros(1),
+        first_arrival_s=np.array([delay_s]),
+        gains=np.array([[gain]], dtype=complex),
+        first_path_excess_s=np.zeros(1),
+        angles_deg=np.array([[0.0, 90.0]]),
+        clock_offset_s=np.zeros(1),
     )
 
 
@@ -275,7 +295,7 @@ class TestDrawNoise:
 def re_snr_db(pl_db, n_occupied_per_symbol=1):
     """Per-RE SNR in dB of a 23 dBm transmitter through pl_db to a 9 dB
     noise-figure receiver on 30 kHz subcarriers."""
-    amp = link_amplitude(single_tap_link(1e-7, pl_db=pl_db), 23.0, n_occupied_per_symbol)
+    [amp] = link_amplitude(single_tap_link(1e-7, pl_db=pl_db), 23.0, n_occupied_per_symbol)
     noise = NoiseModel(noise_figure_db=9.0, bandwidth_hz=30e3)
     return 20 * math.log10(amp) - noise.thermal_dbm
 
@@ -283,7 +303,7 @@ def re_snr_db(pl_db, n_occupied_per_symbol=1):
 class TestBudget:
     def test_epre_split(self):
         link = single_tap_link(1e-7, pl_db=60.0)
-        amp = link_amplitude(link, tx_power_dbm=23.0, n_occupied_per_symbol=272)
+        [amp] = link_amplitude(link, tx_power_dbm=23.0, n_occupied_per_symbol=272)
         expected_dbm = 23.0 - 10 * math.log10(272) - 60.0
         assert 20 * math.log10(amp) == pytest.approx(expected_dbm)
 

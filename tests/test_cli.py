@@ -1,5 +1,5 @@
 """The command line: `python -m nrpos run CONFIG OUT` on a preset document,
-and `python -m nrpos matrix OUT`."""
+and `python -m nrpos matrix OUT`, also with a cell that has no fix."""
 
 import json
 import os
@@ -9,8 +9,8 @@ from pathlib import Path
 
 import nrpos
 from nrpos import __main__ as cli
-from nrpos.config import METHODS, PRESETS
-from nrpos.experiments import accuracy_matrix
+from nrpos.config import METHODS, PRESETS, preset_config
+from nrpos.experiments import accuracy_matrix, matrix_cell, run_experiment
 
 
 def test_run_writes_the_artifacts(tmp_path):
@@ -38,3 +38,22 @@ def test_matrix_writes_every_cell(tmp_path, monkeypatch, capsys):
     assert {p: list(row) for p, row in doc["cells"].items()} == \
         {p: list(METHODS) for p in PRESETS}
     assert len(capsys.readouterr().out.splitlines()) == len(PRESETS) * len(METHODS)
+
+
+def test_matrix_prints_a_cell_without_a_fix(tmp_path, monkeypatch, capsys):
+    """UMa DL-TDOA at a 90 dB downlink noise figure converges on neither of
+    its 2 drops: its cell's percentiles are null in ACCURACY.json, which
+    parses as strict JSON, and the printed line names none."""
+    cell = matrix_cell(run_experiment(preset_config("uma", method="dl-tdoa", n_drops=2,
+                                                    dl_noise_figure_db=90.0)))
+    monkeypatch.setattr(cli, "accuracy_matrix",
+                        lambda: {"n_drops": 2, "cells": {"uma": {"dl-tdoa": cell}}})
+    assert cli.main(["matrix", str(tmp_path)]) == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads((tmp_path / "ACCURACY.json").read_text(), parse_constant=reject)
+    assert set(doc["cells"]["uma"]["dl-tdoa"]["percentiles"].values()) == {None}
+    assert capsys.readouterr().out == \
+        "uma dl-tdoa: 0/2 converged, p50 none, p90 none, 0 outside the area\n"

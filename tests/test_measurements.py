@@ -234,11 +234,12 @@ def despread_stack(preset):
     fixed noise draw, with the last TRP silent so that its row fails; and
     the simulation's delay window."""
     sim = Simulator(preset_config(preset, n_drops=1))
-    links = sim._links(0, sim.ues[0])
-    amps = [link_amplitude(l, t.tx_power_dbm, sim.dl_occupied_per_symbol)
-            for l, t in zip(links, sim.trps)]
+    links = sim._links(0)
+    amps = link_amplitude(links, np.array([t.tx_power_dbm for t in sim.trps]),
+                          sim.dl_occupied_per_symbol)
     amps[-1] = 0.0
-    rx, _ = sim._dl_receive(np.random.default_rng(5), amps, sim._channel_matrix(links))
+    rx, _ = sim._dl_receive(np.random.default_rng(5), amps,
+                            sim._channel_matrix(links, links.first_arrival_s))
     vecs = despread_groups(sim._dl_groups, rx, sim._dl_vals, sim.numerology.n_subcarriers,
                            sim.config.dl_comb_size, range(len(sim.trps)))
     window, taper = sim._detection

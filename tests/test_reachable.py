@@ -46,8 +46,8 @@ SESSION_MODULE = "session"
 
 # Fields that only code outside the package reads, and that reader.
 OUTSIDE_READERS = {
-    "channel.LinkRealization.los": "the link's propagation truth, for drop diagnostics",
-    "channel.LinkRealization.first_path_excess_s":
+    "channel.Links.los": "the link's propagation truth, for drop diagnostics",
+    "channel.Links.first_path_excess_s":
         "the link's propagation truth, for drop diagnostics",
     "simulate.DropOutcome.failure": "why a drop has no fix, for callers of run_drop",
     "simulate.DropOutcome.records": "a drop's reports, which sessions and re-solves replay",

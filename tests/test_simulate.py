@@ -1,19 +1,21 @@
-"""Top-level simulation path: pinned results, the channel matrix against
-the oracle's frequency response, the received-RE kernel against the grid
-path, the comb-line receive, despread and sweep against flat RE indices
-for every comb shape, the beam sweep's power draw against the RE-level draw and its
-batched pass against the per-beam loops, the downlink reference values
-against a per-symbol build, detection of the selected TRPs
-only and no detection state built for DL-AoD, accuracy on an ideal
-channel, the multi-RTT fixes of two pinned UMi drops and a pinned
-multi-RTT drop without a downlink arrival, two pinned
-walk-offs that strict-decrease Gauss-Newton ends (UMa DL-AoD and
+"""Top-level simulation path: pinned results, each drop's links against the
+per-link oracle and its clock offsets against the sync draws, the
+channel matrix against the oracle's frequency response, the received-RE
+kernel against the grid path, the comb-line receive, despread and sweep
+against flat RE indices for every comb shape, the beam sweep's power
+draw against the RE-level draw and its batched pass against the per-beam
+loops, the downlink reference values against a per-symbol build,
+detection of the selected TRPs only and no detection state built for
+DL-AoD, accuracy on an ideal channel, the multi-RTT fixes of two pinned
+UMi drops and a pinned multi-RTT drop without a downlink arrival, two
+pinned walk-offs that strict-decrease Gauss-Newton ends (UMa DL-AoD and
 DL-TDOA), fixes that do not depend on the records' order or read the
 power reports, arrival angles that do not depend on the other TRPs, the
-drop's GDOP and the experiment artifacts."""
+drop's GDOP and the experiment artifacts, strict JSON without a fix."""
 
 import hashlib
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -21,9 +23,9 @@ import pytest
 
 import sweep_oracle
 from grid_oracle import (despread, flat_dl_reference, flat_srs_reference, frequency_response,
-                         map_dl_prs, re_indices, received_grid, rsrp, slot_grid)
+                         link_row, map_dl_prs, re_indices, received_grid, rsrp, slot_grid)
 from nrpos import experiments, prs, simulate, solvers
-from nrpos.channel import draw_noise, link_amplitude
+from nrpos.channel import Links, draw_noise, link_amplitude
 from nrpos.config import preset_config
 from nrpos.experiments import ResultSummary, run_experiment
 from nrpos.measurements import read_records, write_records
@@ -77,6 +79,12 @@ PINNED = [
     # gdop column, 4 of 8 empty; no fix moved
     ("uma", dict(method="multi-rtt"),
      "05c5b01450dc7233f4576d171645ccc90ab366966bc3e08965a1623b62f42396"),
+    # uplink arrivals in the TRPs' clocks: pinned when the clock offsets
+    # moved onto the links; a flip of the uplink offset's sign moves both
+    ("uma", dict(method="ul-tdoa", sync_sigma_ns=5.0),
+     "4caca64efcdf8e6da8b67315d79d9f51ffc4d1b0ef899cd02c01a60ee84b4e12"),
+    ("uma", dict(method="multi-rtt", sync_sigma_ns=5.0),
+     "d8b16cd329cb3c1b87189ebcfd46a3cf1ec7e0fd302711ce33aa8ec2e60928e9"),
 ]
 
 
@@ -168,10 +176,9 @@ def test_multi_rtt_drop_without_downlink_arrival_fails_alone():
     measurements, and the uplink draws no noise for it."""
     sim = Simulator(preset_config("uma", method="multi-rtt", dl_noise_figure_db=70.0,
                                   n_drops=200))
-    links = sim._links(3, sim.ues[3])
-    trp_clock, ue_clock = sim._sync_offsets(3)
-    assert sim._dl_stage(links, trp_clock, ue_clock, 3)[1] == {}
-    rsrp, toa = sim._ul_stage(links, trp_clock, ue_clock, 3, detect={})
+    links = sim._links(3)
+    assert sim._dl_stage(links, 3)[1] == {}
+    rsrp, toa = sim._ul_stage(links, 3, detect={})
     assert rsrp == [-300.0] * len(sim.trps) and toa == {}
     outcome = sim.run_drop(3)
     assert outcome.fix is None and outcome.records == []
@@ -187,23 +194,23 @@ def test_kernel_matches_grid_path(interference):
     transmits alone."""
     sim = Simulator(preset_config("uma", n_prb=24, n_drops=1, interference=interference))
     cfg, num = sim.config, sim.numerology
-    links = sim._links(0, sim.ues[0])
-    amps = [link_amplitude(l, t.tx_power_dbm, sim.dl_occupied_per_symbol)
-            for l, t in zip(links, sim.trps)]
-    h = sim._channel_matrix(links)
+    links = sim._links(0)
+    amps = link_amplitude(links, trp_powers(sim), sim.dl_occupied_per_symbol)
+    h = sim._channel_matrix(links, links.first_arrival_s)
     assert any(len(g.members) > 1 for g in sim._dl_groups) == interference
 
     rx, kernel_rsrp = sim._dl_receive(np.random.default_rng(7), amps, h)
     vecs = despread_groups(sim._dl_groups, rx, sim._dl_vals, num.n_subcarriers,
                            cfg.dl_comb_size, range(len(sim.trps)))
-    noise_grid = sim._noise(np.random.default_rng(7), (num.n_subcarriers, cfg.dl_n_symbols),
-                            sim.dl_noise)
+    noise_grid = draw_noise(np.random.default_rng(7), (num.n_subcarriers, cfg.dl_n_symbols),
+                            sim.dl_noise_rms / np.sqrt(2.0))
 
-    def tx_grid(t, link):
+    def tx_grid(t):
         grid = slot_grid(num, symbols=cfg.dl_n_symbols)
-        return map_dl_prs(grid, sim.dl_resources[t.trp_id]), link, t.tx_power_dbm
+        return (map_dl_prs(grid, sim.dl_resources[t.trp_id]), link_row(links, t.trp_id),
+                t.tx_power_dbm)
 
-    everyone = [tx_grid(t, l) for t, l in zip(sim.trps, links)]
+    everyone = [tx_grid(t) for t in sim.trps]
     shared = received_grid(everyone, num, noise_grid=noise_grid)
     for i, t in enumerate(sim.trps):
         grid = shared if interference else \
@@ -212,6 +219,16 @@ def test_kernel_matches_grid_path(interference):
         expected = despread(grid, ref)
         assert np.allclose(vecs[i], expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max())
         assert kernel_rsrp[i] == pytest.approx(rsrp(grid, ref), abs=1e-9)
+
+
+def trp_powers(sim):
+    return np.array([t.tx_power_dbm for t in sim.trps])
+
+
+def assert_links_equal(got: Links, want: Links):
+    for name in vars(want):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
 
 
 def flat_receive(noise, amps, h, k, refs, members):
@@ -246,14 +263,13 @@ def test_dl_comb_lines_match_flat_indices(comb, n_symbols, interference):
                                   interference=interference, dl_comb_size=comb,
                                   dl_n_symbols=n_symbols))
     n_sc = sim.numerology.n_subcarriers
-    links = sim._links(0, sim.ues[0])
-    amps = [link_amplitude(l, t.tx_power_dbm, sim.dl_occupied_per_symbol)
-            for l, t in zip(links, sim.trps)]
-    h = sim._channel_matrix(links)
+    links = sim._links(0)
+    amps = link_amplitude(links, trp_powers(sim), sim.dl_occupied_per_symbol)
+    h = sim._channel_matrix(links, links.first_arrival_s)
     rx, power = sim._dl_receive(np.random.default_rng(3), amps, h)
     vecs = despread_groups(sim._dl_groups, rx, sim._dl_vals, n_sc, comb, range(len(sim.trps)))
 
-    grid = sim._noise(np.random.default_rng(3), (n_sc, n_symbols), sim.dl_noise)
+    grid = draw_noise(np.random.default_rng(3), (n_sc, n_symbols), sim.dl_noise_rms / np.sqrt(2.0))
     refs = [flat_dl_reference(sim.dl_resources[t.trp_id])[2] for t in sim.trps]
     for g, got in zip(sim._dl_groups, rx):
         k, sym = re_indices(sim.dl_resources[g.members[0]])
@@ -287,9 +303,8 @@ def test_ul_comb_lines_match_flat_indices(comb, n_symbols, monkeypatch):
     sim = Simulator(preset_config("ioo-fr1", method="ul-tdoa", n_prb=24, n_drops=1,
                                   ul_comb_size=comb, ul_n_symbols=n_symbols))
     n_sc, n_trps = sim.numerology.n_subcarriers, len(sim.trps)
-    links = sim._links(0, sim.ues[0])
-    amps = [link_amplitude(l, sim.config.ue_tx_power_dbm, sim.ul_occupied_per_symbol)
-            for l in links]
+    links = sim._links(0)
+    amps = link_amplitude(links, sim.config.ue_tx_power_dbm, sim.ul_occupied_per_symbol)
     k, sym = re_indices(sim.srs)
     ref = flat_srs_reference(sim.srs)[2]
     sounded = np.zeros(n_sc, dtype=bool)
@@ -304,13 +319,13 @@ def test_ul_comb_lines_match_flat_indices(comb, n_symbols, monkeypatch):
     for detect in (None, (5, 2, 7)):
         draws = []
         monkeypatch.setattr(simulate, "draw_noise", spy)
-        rsrp, toa = sim._ul_stage(links, np.zeros(n_trps), 0.0, 0, detect=detect)
+        rsrp, toa = sim._ul_stage(links, 0, detect=detect)
         monkeypatch.undo()
 
         received = range(n_trps) if detect is None else detect
-        h = sim._channel_matrix(links, extra_s=np.zeros(n_trps))
+        h = sim._channel_matrix(links, links.first_arrival_s)
         rng = substream(sim.config.master_seed, "noise", 0, 1)
-        flat_noise = [draw_noise(rng, len(k), sim._noise_std(sim.ul_noise))
+        flat_noise = [draw_noise(rng, len(k), sim.ul_noise_rms / np.sqrt(2.0))
                       for _ in range(max(received) + 1)]
         [(stage_rng, stage_noise)] = draws
         assert stage_noise.tobytes() == np.array(flat_noise).tobytes()
@@ -411,21 +426,67 @@ def test_construction_makes_one_seed_call(monkeypatch):
     assert calls == [(len(sim.trps), sim.config.dl_n_symbols)]
 
 
+LINK_CASES = [
+    (preset, overrides)
+    for preset in ("uma", "umi", "ioo-fr1")
+    for overrides in ({}, dict(channel=dict(force_los=True)), dict(ideal=True),
+                      dict(channel=dict(tap_decay_s=50e-9)))
+]
+
+
+@pytest.mark.parametrize(
+    "preset,overrides", LINK_CASES,
+    ids=[f"{p}-{'-'.join(f'{k}={v}' for k, v in o.items())}" for p, o in LINK_CASES],
+)
+def test_links_match_the_per_link_oracle(preset, overrides):
+    """Each drop's `Links` against the uncached per-link draw of
+    `sweep_oracle`, field by field and bit for bit: LOS flags, budgets,
+    first arrivals, tap gains, excess delays, angles and clock offsets."""
+    n = 4
+    sim = Simulator(preset_config(preset, n_drops=n, **overrides))
+    for d in range(n):
+        links = sim._links(d)
+        assert_links_equal(links, sweep_oracle.links(sim, d))
+        assert links.gains.shape == (len(sim.trps), 1 if sim.channel.ideal else
+                                     sim.channel.n_taps)
+    if sim.channel.force_los or sim.channel.ideal:
+        assert links.los.all() and not links.first_path_excess_s.any()
+
+
+def test_clock_offsets_are_the_terminal_draw_less_the_trp_draws():
+    """A link's clock offset is the terminal's draw less its TRP's, both
+    from the drop's "sync" substream, the TRPs' first; the clock draws move
+    nothing else on the links, and without a sync error the offsets are
+    zero."""
+    n_drops = 3
+    config = preset_config("uma", n_drops=n_drops, sync_sigma_ns=5.0)
+    sim = Simulator(config)
+    synced = Simulator(config.model_copy(update={"sync_sigma_ns": 0.0}))
+    for d in range(n_drops):
+        rng = substream(config.master_seed, "sync", d)
+        trp_clock = rng.normal(0.0, 5e-9, size=len(sim.trps))
+        ue_clock = rng.normal(0.0, 5e-9)
+        links, plain = sim._links(d), synced._links(d)
+        assert np.array_equal(links.clock_offset_s, ue_clock - trp_clock)
+        assert np.all(links.clock_offset_s != 0.0)
+        assert plain.clock_offset_s.tolist() == [0.0] * len(sim.trps)
+        assert_links_equal(replace(links, clock_offset_s=plain.clock_offset_s), plain)
+
+
 def test_channel_matrix_matches_oracle_response():
     """The blocked-ramp channel matrix of a full 272-PRB UMa drop with clock
     offsets against the oracle's direct per-tap sum, on the same links with
     every tap moved by the downlink clock term."""
     sim = Simulator(preset_config("uma", n_drops=1, sync_sigma_ns=5.0))
     assert sim.numerology.n_subcarriers == 3264
-    links = sim._links(0, sim.ues[0])
-    trp_clock, ue_clock = sim._sync_offsets(0)
-    extra = ue_clock - trp_clock
+    links = sim._links(0)
+    extra = links.clock_offset_s
     assert np.all(extra != 0.0)
-    h = sim._channel_matrix(links, extra_s=extra)
+    h = sim._channel_matrix(links, links.first_arrival_s + extra)
     freqs = np.arange(sim.numerology.n_subcarriers) * sim.scs_hz
     expected = np.array([
-        frequency_response(replace(l, taps=tuple((d + e, g) for d, g in l.taps)), freqs)
-        for l, e in zip(links, extra)
+        frequency_response(first + e, gains, sim.sample_period_s, freqs)
+        for first, e, gains in zip(links.first_arrival_s, extra, links.gains)
     ])
     assert h.shape == expected.shape
     assert np.allclose(h, expected, rtol=0.0, atol=1e-10 * np.abs(expected).max())
@@ -462,19 +523,20 @@ def test_multi_rtt_channel_matrix_builds(sync_sigma_ns, builds, monkeypatch):
     sim, rebuilding = Simulator(config), Simulator(config)
     build = rebuilding._channel_matrix
 
-    def always_build(links, extra_s=None):
+    def always_build(links, first_s):
         rebuilding._h_built_for = (None, b"")
-        return build(links, extra_s)
+        return build(links, first_s)
 
     rebuilding._channel_matrix = always_build
     ramps = []
     real = simulate.phase_ramps
     monkeypatch.setattr(simulate, "phase_ramps", lambda *a: ramps.append(a) or real(*a))
-    outcome = sim.run_drop(1)
-    assert len(ramps) == builds
-    want = rebuilding.run_drop(1)
-    assert outcome.records and outcome.records == want.records
-    assert np.array_equal(outcome.fix.position, want.fix.position)
+    outcomes = [sim.run_drop(d) for d in range(2)]
+    assert len(ramps) == 2 * builds
+    for d, outcome in enumerate(outcomes):
+        want = rebuilding.run_drop(d)
+        assert outcome.records and outcome.records == want.records
+        assert np.array_equal(outcome.fix.position, want.fix.position)
 
 
 @pytest.mark.parametrize("interference,scale", [(True, 1.0), (False, 0.02)])
@@ -486,10 +548,9 @@ def test_sweep_draw_matches_re_level_draw(interference, scale):
     offset see the same noise, so their powers stay correlated; a draw per
     TRP would make them independent. Without noise the draw is exact."""
     sim = Simulator(preset_config("uma", n_prb=24, n_drops=1, interference=interference))
-    links = sim._links(0, sim.ues[0])
-    amps = scale * np.array([link_amplitude(l, t.tx_power_dbm, sim.dl_occupied_per_symbol)
-                             for l, t in zip(links, sim.trps)])
-    h = sim._channel_matrix(links)
+    links = sim._links(0)
+    amps = scale * link_amplitude(links, trp_powers(sim), sim.dl_occupied_per_symbol)
+    h = sim._channel_matrix(links, links.first_arrival_s)
     factors = sim._sweep_factors(h)
     n = 4000
 
@@ -498,7 +559,7 @@ def test_sweep_draw_matches_re_level_draw(interference, scale):
     n_re = sim._dl_vals[0].size
     sweep_draws = sweep_powers(sim._dl_sets, factors, np.repeat(amps[:, None], n, axis=1),
                                interference, np.random.default_rng(12),
-                               sim._noise_std(sim.dl_noise), n_re)
+                               sim.dl_noise_rms / np.sqrt(2.0), n_re)
     m1, m2 = grid_draws.mean(axis=1), sweep_draws.mean(axis=1)
     v1, v2 = grid_draws.var(axis=1), sweep_draws.var(axis=1)
     assert np.all(np.abs(m1 - m2) < 4.0 * np.sqrt((v1 + v2) / n))
@@ -513,7 +574,8 @@ def test_sweep_draw_matches_re_level_draw(interference, scale):
     noise = [np.zeros(sim._dl_vals[0].shape, dtype=complex) for g in sim._dl_groups]
     _, expected = receive_groups(sim._dl_groups, noise, amps,
                                  comb_lines(h, sim.config.dl_comb_size), sim._dl_vals)
-    noiseless = sweep_powers(sim._dl_sets, factors, amps[:, None], interference, None, 0.0, n_re)
+    noiseless = sweep_powers(sim._dl_sets, factors, amps[:, None], interference,
+                             np.random.default_rng(13), 0.0, n_re)
     assert [power_dbm(p) for p in noiseless[:, 0]] == pytest.approx(expected, abs=1e-9)
 
 
@@ -540,8 +602,8 @@ def test_aod_sweep_matches_the_per_beam_oracle(preset, overrides):
     for beams, az in zip(sim.beams.values(), sweep_oracle.beam_azimuths(sim)):
         assert np.array_equal(beams, az)
     for d in range(n):
-        links = sim._links(d, sim.ues[d])
-        assert links == sweep_oracle.links(sim, d)
+        links = sim._links(d)
+        assert_links_equal(links, sweep_oracle.links(sim, d))
         assert sim._aod_stage(links, d) == list(sweep_oracle.aod_stage(sim, links, d).values())
 
 
@@ -552,11 +614,11 @@ def test_beam_amplitudes_match_the_per_beam_oracle():
     about 1 in 1,200 random q, and about a third of those differences
     survive the budget's sums."""
     sim = Simulator(preset_config("uma", method="dl-aod", n_drops=1))
-    links = sim._links(0, sim.ues[0])
+    links = sim._links(0)
     rng = np.random.default_rng(3)
     for _ in range(300):
-        turned = [replace(l, angles_deg=(az, l.angles_deg[1]))
-                  for l, az in zip(links, rng.uniform(-180.0, 180.0, len(links)))]
+        turned = replace(links, angles_deg=np.column_stack(
+            [rng.uniform(-180.0, 180.0, len(sim.trps)), links.angles_deg[:, 1]]))
         assert np.array_equal(sim._beam_amplitudes(turned),
                               sweep_oracle.beam_amplitudes(sim, turned))
 
@@ -573,9 +635,9 @@ def test_detection_runs_on_selected_trps_only(method, monkeypatch):
     monkeypatch.setattr(Simulator, "_batched_toa",
                         lambda self, vecs: rows.append(len(vecs)) or batched_toa(self, vecs))
     for d in range(3):
-        links = sim._links(d, sim.ues[d])
+        links = sim._links(d)
         stage = sim._ul_stage if method in ("ul-tdoa", "ul-aoa") else sim._dl_stage
-        rsrp, toa = stage(links, *sim._sync_offsets(d), d)
+        rsrp, toa = stage(links, d)
         n = len(sim._select_trps(rsrp))
         assert n < len(sim.trps)
         rows.clear()
@@ -610,7 +672,8 @@ def test_dl_aod_builds_no_detection_state():
     lean = Simulator(config)
     full = Simulator(config)
     full._detection = Simulator(config.model_copy(update={"method": "dl-tdoa"}))._detection
-    h = full._channel_matrix(full._links(0, full.ues[0]))
+    links = full._links(0)
+    h = full._channel_matrix(links, links.first_arrival_s)
     before = dict(vars(full))
     full._dl_receive(np.random.default_rng(0), [0.0] * len(full.trps), h)
     assert vars(full).keys() == before.keys()
@@ -665,6 +728,25 @@ def test_artifact_schema(tmp_path):
     ran = {"links", "dl", "detection", "solve", "gdop"}
     assert list(summary["stage_s"]) == list(simulate.STAGES)
     assert all((v > 0.0) == (stage in ran) for stage, v in summary["stage_s"].items())
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_summary_without_a_converged_drop_is_strict_json(tmp_path):
+    """UMa DL-TDOA at a 90 dB downlink noise figure, master seed 1: neither
+    of drops 0-1 converges, so the run has no error percentiles.
+    summary.json wrote each as NaN, which JSON has no literal for and a
+    strict parser rejects; each is null, and reads back as NaN."""
+    result = run_experiment(preset_config("uma", method="dl-tdoa", n_drops=2,
+                                          dl_noise_figure_db=90.0), out_dir=tmp_path)
+    assert result.summary.n_converged == 0
+    doc = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject_constant)
+    assert doc["percentiles"] == {str(p): None for p in experiments.PERCENTILES}
+    back = ResultSummary.from_dict(doc)
+    assert list(back.percentiles) == list(experiments.PERCENTILES)
+    assert all(math.isnan(v) for v in back.percentiles.values())
 
 
 @pytest.mark.parametrize("method", ["dl-tdoa", "ul-tdoa", "multi-rtt", "ul-aoa", "dl-aod"])
@@ -738,8 +820,8 @@ def test_aoa_angle_does_not_depend_on_the_other_trps():
     TRP's noise depended on the TRPs asked before it."""
     sim = Simulator(preset_config("uma", method="ul-aoa", n_prb=24, n_drops=4))
     for d in range(4):
-        links = sim._links(d, sim.ues[d])
-        _, toa = sim._ul_stage(links, *sim._sync_offsets(d), d, detect=range(len(sim.trps)))
+        links = sim._links(d)
+        _, toa = sim._ul_stage(links, d, detect=range(len(sim.trps)))
         together = sim._aoa_stage(links, toa, d)
         assert len(together) > 1
         for t in toa:
