@@ -1,24 +1,22 @@
-"""Location-session procedure flows replayed as message-passing state
-machines: a location server (`Lmf`) drives one session per terminal
-against radio nodes over an in-memory transport, producing an auditable
-message trace.
+"""Location sessions replayed as message-passing state machines: a
+location server (`Lmf`) drives one session per terminal against radio
+nodes over an in-memory transport, producing an auditable message trace.
 
-Message bodies are JSON-friendly dicts; the trace file is JSON lines with
-a stable field order (seq, kind, from, to, timestamp, payload), which is
-the contract for replay tooling.
+A message is its own trace entry, a JSON-normalised dict with the fields
+seq, kind, from, to, timestamp and payload in that order: `Transport.send`
+appends it to the trace and delivers that same dict, so the live server
+and trace replay read the same values, and no node changes a payload. The
+trace file is JSON lines of these entries, the contract for replay tooling.
 
-There is one session flow, and the method's entry of
-`simulate.METHOD_TABLE` decides its legs. A method with gNB report kinds
-first asks the radio nodes for their TRPs and sounding configuration;
-then the UE reports its kinds; and the radio nodes report theirs last. A
-method whose entry names no UE report kinds has no session. The nodes
-answer from a simulated drop's `MeasurementRecord`s: a `Ue` holds its own
-records, a `Gnb` holds each UE's records, and a TRP with no record is
-left out of the report. Every report carries `{"records": [...]}`, each
-entry a record as `MeasurementRecord.to_dict` writes it to a record file,
-so the live server and trace replay read the same records back and solve
-them with `simulate.solve_records`, the solver of batch runs: a session
-fix is the drop's fix.
+A session's legs come from the method's entry of `simulate.METHOD_TABLE`
+(`Lmf.start`); an uplink method's server talks to the radio nodes alone.
+The nodes answer from a simulated drop's `MeasurementRecord`s: a `Ue`
+holds its own, a `Gnb` each UE's, and a TRP with no record is left out.
+A report carries `{"records": [...]}`, each entry as
+`MeasurementRecord.to_dict` writes it to a record file, and the server
+and replay solve them with `simulate.solve_records`, the batch solver: a
+session fix is the drop's fix, and a malformed entry aborts only its own
+session.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -47,6 +46,9 @@ NRPPA_KINDS = {
     "NrppaMeasurementResponse",
 }
 RRC_KINDS = {"RrcSrsConfig"}
+# the replies that end a session's legs; each names its UE or comes from it
+REPLY_KINDS = {"NrppaPositioningInformationResponse", "LppProvideLocationInformation",
+               "NrppaMeasurementResponse"}
 
 ABORT_KIND = "SessionAborted"
 
@@ -56,35 +58,6 @@ DEFAULT_LATENCY_S = 0.005
 
 class ProtocolError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class Message:
-    seq: int
-    kind: str
-    sender: str
-    receiver: str
-    timestamp: float
-    payload: dict
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seq": self.seq,
-                "kind": self.kind,
-                "from": self.sender,
-                "to": self.receiver,
-                "timestamp": self.timestamp,
-                "payload": self.payload,
-            },
-            sort_keys=False,
-        )
-
-    @classmethod
-    def from_json(cls, line: str) -> "Message":
-        d = json.loads(line)
-        return cls(seq=d["seq"], kind=d["kind"], sender=d["from"],
-                   receiver=d["to"], timestamp=d["timestamp"], payload=d["payload"])
 
 
 def _role(node_id: str) -> str:
@@ -125,43 +98,38 @@ class Transport:
         node.transport = self
 
     def send(self, kind: str, sender: str, receiver: str, payload: dict):
+        """Trace the message and deliver its trace entry after one hop."""
         check_routing(kind, sender, receiver)
         if receiver not in self._nodes:
             raise ProtocolError(f"unknown receiver {receiver}")
         self._seq += 1
-        msg = Message(seq=self._seq, kind=kind, sender=sender, receiver=receiver,
-                      timestamp=self.now, payload=payload)
-        self.trace.append(json.loads(msg.to_json()))
-        heapq.heappush(self._queue, (self.now + self.latency_s, self._seq, "msg", msg))
-        return msg
+        entry = self._log(self._seq, kind, sender, receiver, payload)
+        heapq.heappush(self._queue, (self.now + self.latency_s, self._seq,
+                                     partial(self._nodes[receiver].handle, entry)))
 
     def schedule(self, delay_s: float, callback):
         self._seq += 1
-        heapq.heappush(self._queue, (self.now + delay_s, self._seq, "timer", callback))
+        heapq.heappush(self._queue, (self.now + delay_s, self._seq, callback))
 
     def record_abort(self, ue_id: str, reason: str):
-        self.trace.append({
-            "seq": None,
-            "kind": ABORT_KIND,
-            "from": None,
-            "to": None,
-            "timestamp": self.now,
-            "payload": {"ue_id": ue_id, "reason": reason},
-        })
+        self._log(None, ABORT_KIND, None, None, {"ue_id": ue_id, "reason": reason})
+
+    def _log(self, seq, kind, sender, receiver, payload) -> dict:
+        """Append the JSON-normalised trace entry and return it."""
+        entry = json.loads(json.dumps({"seq": seq, "kind": kind, "from": sender, "to": receiver,
+                                       "timestamp": self.now, "payload": payload}))
+        self.trace.append(entry)
+        return entry
 
     def run(self):
         while self._queue:
-            t, _seq, what, item = heapq.heappop(self._queue)
-            self.now = t
-            if what == "timer":
-                item()
-            else:
-                self._nodes[item.receiver].handle(item)
+            self.now, _seq, callback = heapq.heappop(self._queue)
+            callback()
 
     def dump_trace(self, path):
         with open(path, "w") as fh:
             for entry in self.trace:
-                fh.write(json.dumps(entry, sort_keys=False) + "\n")
+                fh.write(json.dumps(entry) + "\n")
 
 
 class Node:
@@ -178,7 +146,8 @@ class Node:
     def send(self, kind, receiver, payload):
         self.transport.send(kind, self.node_id, receiver, payload)
 
-    def handle(self, msg: Message):
+    def handle(self, msg: dict):
+        """React to a delivered trace entry."""
         raise NotImplementedError
 
 
@@ -189,9 +158,13 @@ def _report(records, kinds, trp_ids) -> list[dict]:
     return [r.to_dict() for r in records if r.kind in kinds and r.trp_id in wanted]
 
 
-def _records(reports) -> list[MeasurementRecord]:
-    """The records that reports carry, in report order."""
-    return [MeasurementRecord.from_dict(doc) for report in reports for doc in report["records"]]
+def _records(replies) -> list[MeasurementRecord]:
+    """The records that replies carry, in reply order; a malformed report
+    entry fails the solve."""
+    try:
+        return [MeasurementRecord.from_dict(doc) for r in replies for doc in r.get("records", ())]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SolverError(f"malformed report entry: {exc!r}") from exc
 
 
 class Ue(Node):
@@ -205,21 +178,21 @@ class Ue(Node):
         self.responsive = responsive
         self.assistance: dict | None = None
 
-    def handle(self, msg: Message):
+    def handle(self, msg: dict):
         if not self.responsive:
             return
-        if msg.kind == "RrcSrsConfig":
+        kind, payload = msg["kind"], msg["payload"]
+        if kind == "RrcSrsConfig":
             pass  # the sounding configuration is already in the records
-        elif msg.kind == "LppProvideAssistanceData":
-            self.assistance = msg.payload
-        elif msg.kind == "LppRequestLocationInformation":
-            method = msg.payload["method"]
-            kinds = METHOD_TABLE[method].ue_report
-            self.send("LppProvideLocationInformation", msg.sender,
-                      {"method": method,
-                       "records": _report(self.records, kinds, msg.payload["trp_ids"])})
+        elif kind == "LppProvideAssistanceData":
+            self.assistance = payload
+        elif kind == "LppRequestLocationInformation":
+            kinds = METHOD_TABLE[payload["method"]].ue_report
+            self.send("LppProvideLocationInformation", msg["from"],
+                      {"method": payload["method"],
+                       "records": _report(self.records, kinds, payload["trp_ids"])})
         else:
-            raise ProtocolError(f"UE cannot handle {msg.kind}")
+            raise ProtocolError(f"UE cannot handle {kind}")
 
 
 class Gnb(Node):
@@ -237,21 +210,22 @@ class Gnb(Node):
         self.srs = srs
         self.records = records or {}
 
-    def handle(self, msg: Message):
-        if msg.kind == "NrppaPositioningInformationRequest":
-            ue_id = msg.payload["ue_id"]
+    def handle(self, msg: dict):
+        kind, payload = msg["kind"], msg["payload"]
+        if kind == "NrppaPositioningInformationRequest":
+            ue_id = payload["ue_id"]
             srs = asdict(self.srs)
             self.send("RrcSrsConfig", ue_id, {"ue_id": ue_id, "srs": srs})
-            self.send("NrppaPositioningInformationResponse", msg.sender,
+            self.send("NrppaPositioningInformationResponse", msg["from"],
                       {"ue_id": ue_id, "srs": srs, "trp_ids": self.trp_ids})
-        elif msg.kind == "NrppaMeasurementRequest":
-            ue_id = msg.payload["ue_id"]
-            kinds = METHOD_TABLE[msg.payload["method"]].gnb_report
-            self.send("NrppaMeasurementResponse", msg.sender,
+        elif kind == "NrppaMeasurementRequest":
+            ue_id = payload["ue_id"]
+            kinds = METHOD_TABLE[payload["method"]].gnb_report
+            self.send("NrppaMeasurementResponse", msg["from"],
                       {"ue_id": ue_id,
                        "records": _report(self.records.get(ue_id, ()), kinds, self.trp_ids)})
         else:
-            raise ProtocolError(f"gNB cannot handle {msg.kind}")
+            raise ProtocolError(f"gNB cannot handle {kind}")
 
 
 @dataclass
@@ -281,90 +255,91 @@ class Lmf(Node):
         self.results: dict[str, SessionResult] = {}
 
     def start(self, ue_id: str, method: str, gnb_ids=(), trp_ids=()):
-        """Open a session of method for the UE. With the method's gNB
-        report kinds, the radio nodes gnb_ids first give their TRPs, then
-        the UE reports and those nodes report last; without, the UE's
-        report ends the session. The UE is asked for trp_ids and the radio
-        nodes' TRPs, or for every anchor when that list is empty. A method
-        with no UE report kinds has no session."""
+        """Open a session of method for the UE. Its legs come from the
+        method's `METHOD_TABLE` entry: with gNB report kinds the radio
+        nodes gnb_ids first give their TRPs ("info"); with UE report kinds
+        the UE then reports ("ue"); with gNB report kinds those nodes
+        report last ("report"). The last leg's replies are solved. The UE
+        is asked for trp_ids and the radio nodes' TRPs, or for every anchor
+        when that list is empty. A method with no table entry or no report
+        kinds has no session."""
         spec = METHOD_TABLE.get(method)
-        if spec is None or not spec.ue_report:
+        if spec is None or not (spec.ue_report or spec.gnb_report):
             raise ProtocolError(f"unsupported method {method}")
-        gnb_ids = list(gnb_ids) if spec.gnb_report else []
-        self.sessions[ue_id] = {
-            "method": method,
-            "gnbs": gnb_ids,
-            "pending": set(gnb_ids),
-            "trp_ids": list(trp_ids),
-            "reports": [],
-            "done": False,
-        }
-        for g in gnb_ids:
-            self.send("NrppaPositioningInformationRequest", g, {"ue_id": ue_id})
-        if not gnb_ids:
-            self._request_location(ue_id)
+        legs = [leg for leg, kinds in (("info", spec.gnb_report), ("ue", spec.ue_report),
+                                       ("report", spec.gnb_report)) if kinds]
+        self.sessions[ue_id] = {"method": method, "legs": legs, "gnbs": list(gnb_ids),
+                                "pending": set(), "trp_ids": list(trp_ids), "replies": [],
+                                "done": False}
+        self._next_leg(ue_id)
         self.transport.schedule(self.timeout_s, lambda: self._timeout(ue_id))
 
-    def _request_location(self, ue_id: str):
+    def _next_leg(self, ue_id: str):
+        """Send the next leg's requests, skipping a leg with no one to ask;
+        after the last leg, solve."""
         s = self.sessions[ue_id]
-        self.send("LppProvideAssistanceData", ue_id, self._assistance())
-        self.send("LppRequestLocationInformation", ue_id,
-                  {"method": s["method"], "trp_ids": s["trp_ids"] or list(self.anchors)})
+        while not s["pending"]:
+            if not s["legs"]:
+                self._solve(ue_id)
+                return
+            leg = s["legs"].pop(0)
+            if leg == "ue":
+                s["pending"] = {ue_id}
+                self.send("LppProvideAssistanceData", ue_id, self._assistance())
+                self.send("LppRequestLocationInformation", ue_id,
+                          {"method": s["method"], "trp_ids": s["trp_ids"] or list(self.anchors)})
+            else:
+                s["pending"] = set(s["gnbs"])
+                for g in s["gnbs"]:
+                    if leg == "info":
+                        self.send("NrppaPositioningInformationRequest", g, {"ue_id": ue_id})
+                    else:
+                        self.send("NrppaMeasurementRequest", g,
+                                  {"ue_id": ue_id, "method": s["method"]})
 
     def _assistance(self) -> dict:
         return {"trp_ids": list(self.anchors)}
 
     def _timeout(self, ue_id: str):
-        s = self.sessions.get(ue_id)
-        if s and not s["done"]:
-            s["done"] = True
-            self.transport.record_abort(ue_id, "timeout")
-            self.results[ue_id] = SessionResult(ue_id=ue_id, status="aborted")
+        if not self.sessions[ue_id]["done"]:
+            self._abort(ue_id, "timeout")
+
+    def _abort(self, ue_id: str, reason: str):
+        self.sessions[ue_id]["done"] = True
+        self.transport.record_abort(ue_id, reason)
+        self.results[ue_id] = SessionResult(ue_id=ue_id, status="aborted")
 
     # -- message handling
 
-    def handle(self, msg: Message):
-        if msg.kind == "NrppaPositioningInformationResponse":
-            ue_id = msg.payload["ue_id"]
+    def handle(self, msg: dict):
+        kind, payload = msg["kind"], msg["payload"]
+        if kind in REPLY_KINDS:
+            ue_id = payload.get("ue_id", msg["from"])  # a UE's reply is its own
             s = self.sessions[ue_id]
-            if s["done"]:
+            if s["done"] or msg["from"] not in s["pending"]:
                 return
-            s["pending"].discard(msg.sender)
-            s["trp_ids"].extend(msg.payload["trp_ids"])
+            s["replies"].append(payload)
+            s["trp_ids"].extend(payload.get("trp_ids", ()))
+            s["pending"].discard(msg["from"])
             if not s["pending"]:
-                self._request_location(ue_id)
-        elif msg.kind in ("LppProvideLocationInformation", "NrppaMeasurementResponse"):
-            ue_id = msg.payload.get("ue_id", msg.sender)  # a UE's report is its own
-            s = self.sessions[ue_id]
-            if s["done"]:
-                return
-            s["reports"].append(msg.payload)
-            if msg.kind == "LppProvideLocationInformation":
-                # the UE reports first, then the radio nodes
-                s["pending"] = set(s["gnbs"])
-                for g in s["gnbs"]:
-                    self.send("NrppaMeasurementRequest", g, {"ue_id": ue_id, "method": s["method"]})
-            s["pending"].discard(msg.sender)
-            if not s["pending"]:
-                self._solve(ue_id)
-        elif msg.kind == "LppRequestAssistanceData":
-            if "ue_id" not in msg.payload:
+                self._next_leg(ue_id)
+        elif kind == "LppRequestAssistanceData":
+            if "ue_id" not in payload:
                 raise ProtocolError("malformed assistance request")
-            self.send("LppProvideAssistanceData", msg.sender, self._assistance())
+            self.send("LppProvideAssistanceData", msg["from"], self._assistance())
         else:
-            raise ProtocolError(f"LMF cannot handle {msg.kind}")
+            raise ProtocolError(f"LMF cannot handle {kind}")
 
     def _solve(self, ue_id: str):
         s = self.sessions[ue_id]
-        s["done"] = True
         try:
-            fix = solve_records(_records(s["reports"]), self.anchors, s["method"],
+            fix = solve_records(_records(s["replies"]), self.anchors, s["method"],
                                 self.options, self.beams)
         except SolverError as exc:
             # one UE's unsolvable report must not end the other sessions
-            self.transport.record_abort(ue_id, str(exc))
-            self.results[ue_id] = SessionResult(ue_id=ue_id, status="aborted")
+            self._abort(ue_id, str(exc))
             return
+        s["done"] = True
         self.results[ue_id] = SessionResult(ue_id=ue_id, status="fixed", fix=fix)
 
 
@@ -400,19 +375,24 @@ def replay_solve(trace: list[dict], anchors: dict[int, np.ndarray],
                  options: SolverOptions, beams=None) -> dict[str, object]:
     """Re-run the solver on the measurement reports of a trace.
 
-    Produces exactly the live fixes: each UE's reports arrive in trace
-    order and give the same records to the same solver, and a session the
-    trace shows aborted, for a timeout or a failed solve, gets no fix.
+    Produces exactly the live fixes: each session's method is the one its
+    server asked the UE or the radio nodes for, its replies arrive in
+    trace order and give the same records to the same solver, and a
+    session the trace shows aborted, for a timeout or a failed solve, gets
+    no fix.
     """
-    sessions: dict[str, tuple[str, list]] = {}
+    methods: dict[str, str] = {}
+    replies: dict[str, list] = {}
     aborted = set()
     for entry in trace:
         kind, payload = entry["kind"], entry["payload"]
-        if kind == "LppProvideLocationInformation":
-            sessions[entry["from"]] = (payload["method"], [payload])
-        elif kind == "NrppaMeasurementResponse":
-            sessions[payload["ue_id"]][1].append(payload)
+        if kind == "LppRequestLocationInformation":
+            methods[entry["to"]] = payload["method"]
+        elif kind == "NrppaMeasurementRequest":
+            methods[payload["ue_id"]] = payload["method"]
+        elif kind in REPLY_KINDS:
+            replies.setdefault(payload.get("ue_id", entry["from"]), []).append(payload)
         elif kind == ABORT_KIND:
             aborted.add(payload["ue_id"])
-    return {ue_id: solve_records(_records(reports), anchors, method, options, beams)
-            for ue_id, (method, reports) in sessions.items() if ue_id not in aborted}
+    return {ue_id: solve_records(_records(replies.get(ue_id, ())), anchors, method, options, beams)
+            for ue_id, method in methods.items() if ue_id not in aborted}

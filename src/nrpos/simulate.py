@@ -649,7 +649,7 @@ class Simulator:
                              self._dl_stacked.shape[1])
         dbm = [power_dbm(p) for p in power.ravel().tolist()]
         if cfg.quantize:
-            dbm = [float(reported_power_dbm(p)) for p in dbm]
+            dbm = [reported_power_dbm(p) for p in dbm]
         n = cfg.n_beams
         reports = [dbm[i * n:(i + 1) * n] for i in range(len(self.trps))]
         self._lap("aod", started)
@@ -843,7 +843,8 @@ class MethodSpec:
       a fix, the starts and, through the fix's rows, the drop's GDOP.
     - `first_path` says whether the method detects first paths.
     - A session's UE and gNB reports carry the kinds `ue_report` and
-      `gnb_report`.
+      `gnb_report`, which together hold every record the rows read. An
+      uplink method's UE reports nothing.
     """
 
     measure: Callable
@@ -855,10 +856,11 @@ class MethodSpec:
 
 METHOD_TABLE = {
     "dl-tdoa": MethodSpec(Simulator._dl_tdoa_records, _dl_tdoa_rows, True, ("RSTD", "PRS_RSRP")),
-    "ul-tdoa": MethodSpec(Simulator._ul_tdoa_records, _ul_tdoa_rows, True),
+    "ul-tdoa": MethodSpec(Simulator._ul_tdoa_records, _ul_tdoa_rows, True, (),
+                          ("UL_RTOA", "SRS_RSRP")),
     "multi-rtt": MethodSpec(Simulator._multi_rtt_records, _multi_rtt_rows, True, ("UE_RXTX",),
                             ("GNB_RXTX",)),
-    "ul-aoa": MethodSpec(Simulator._ul_aoa_records, _ul_aoa_rows, True),
+    "ul-aoa": MethodSpec(Simulator._ul_aoa_records, _ul_aoa_rows, True, (), ("AOA",)),
     "dl-aod": MethodSpec(Simulator._dl_aod_records, _dl_aod_rows, False, ("PRS_RSRP",)),
 }
 
@@ -878,8 +880,9 @@ def solve_records(records, anchors, method: str, options: SolverOptions, beams=N
     anchors maps each trp_id to its position; the solver's anchor rows
     follow the mapping's order. beams is the TRPs' beam table
     (`Simulator.beams`), which a DL-AoD solve needs; a record lacking a
-    payload value fails the solve. The batch pipeline, the location-session
-    server and offline re-solves of written records all solve here.
+    payload value, or holding one of the wrong type, fails the solve. The
+    batch pipeline, the location-session server and offline re-solves of
+    written records all solve here.
     """
     if method not in METHOD_TABLE:
         raise SolverError(f"unknown method {method!r}")
@@ -889,4 +892,6 @@ def solve_records(records, anchors, method: str, options: SolverOptions, beams=N
         rows = METHOD_TABLE[method].rows(records, index, beams)
     except KeyError as exc:
         raise SolverError(f"a record's payload lacks {exc}") from exc
+    except TypeError as exc:
+        raise SolverError(f"a record's payload is malformed: {exc}") from exc
     return solve_rows(rows, xyz, options)

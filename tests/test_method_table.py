@@ -4,9 +4,11 @@ solve with a `SolverError`, and no other module of src/nrpos dispatches
 on a method name."""
 
 import ast
+import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nrpos.config import METHODS, preset_config
@@ -52,6 +54,28 @@ def test_dl_aod_solve_needs_the_beam_table():
         stray = replace(records[0], resource_id=beam)
         with pytest.raises(SolverError, match=f"has no beam {beam}"):
             solve_records([stray, *records], sim.anchors, "dl-aod", sim.options, sim.beams)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_report_kinds_carry_what_the_method_solves_from(method):
+    """A session solves what the UE and the radio nodes report: the records
+    of the entry's `ue_report` and `gnb_report` kinds. Over UMa drops 0-7
+    at master seed 1, those records alone give each drop's fix bit for
+    bit, or its failure. The uplink entries named no report kinds, so a
+    session over them had nothing to solve."""
+    spec = METHOD_TABLE[method]
+    sim = Simulator(preset_config("uma", method=method, n_drops=8))
+    outcomes = [sim.run_drop(d) for d in range(8)]
+    assert any(o.fix is not None for o in outcomes)
+    for o in outcomes:
+        reported = [r for r in o.records if r.kind in spec.ue_report + spec.gnb_report]
+        if o.fix is None:
+            with pytest.raises(SolverError, match=re.escape(o.failure)):
+                solve_records(reported, sim.anchors, method, sim.options, sim.beams)
+            continue
+        fix = solve_records(reported, sim.anchors, method, sim.options, sim.beams)
+        assert np.array_equal(fix.position, o.fix.position)
+        assert fix.residual_rms == o.fix.residual_rms
 
 
 def method_dispatch(source: str) -> list[str]:

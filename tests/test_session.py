@@ -2,19 +2,20 @@
 message flows, aborts, trace replay, and session fixes against the batch
 fixes of the same simulated drops."""
 
+import json
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from nrpos import simulate
 from nrpos.config import preset_config
 from nrpos.session import (
     ABORT_KIND,
     Gnb,
     Lmf,
-    Message,
     ProtocolError,
     Transport,
     Ue,
@@ -349,6 +350,44 @@ def test_malformed_report_aborts_its_own_session_only(method, kind, key):
     assert aborts == [{"ue_id": "ue:0", "reason": f"a record's payload lacks {key!r}"}]
 
 
+class RawEntry:
+    """A UE's record that reports as the given entry, malformed or not."""
+
+    kind, trp_id = "RSTD", 1
+
+    def __init__(self, doc):
+        self.doc = doc
+
+    def to_dict(self):
+        return self.doc
+
+
+@pytest.mark.parametrize("entry,reason", [
+    ({"kind": "BOGUS", "trp_id": 1, "payload": {}},
+     "malformed report entry: ValueError(\"unknown measurement kind 'BOGUS'\")"),
+    ({"trp_id": 1, "payload": {}}, "malformed report entry: KeyError('kind')"),
+    ({"kind": "RSTD", "trp_id": 1, "resource_id": 1,
+      "payload": {"value_tc": "12", "k": 0, "fr": "FR1", "ref_trp_id": 0}},
+     "a record's payload is malformed: can't multiply sequence by non-int of type 'float'"),
+], ids=["unknown-kind", "no-kind", "string-value"])
+def test_malformed_report_entry_aborts_its_own_session_only(entry, reason):
+    """One UE's report entry of an unknown kind, without a kind, or with a
+    string timing value aborts that UE's session with the reason; before,
+    it raised out of `Transport.run` and no session got a result. A record
+    the entry makes fails `solve_records` with `SolverError`."""
+    transport, lmf, gnbs, ues, _ = make_world("dl-tdoa", n_ues=2)
+    ues[0].records.append(RawEntry(entry))
+    results, trace = run_sessions(lmf, "dl-tdoa", ues, transport)
+    assert {uid: r.status for uid, r in results.items()} == {"ue:0": "aborted", "ue:1": "fixed"}
+    aborts = [e["payload"] for e in trace if e["kind"] == ABORT_KIND]
+    assert aborts == [{"ue_id": "ue:0", "reason": reason}]
+    assert list(replay_solve(trace, lmf.anchors, lmf.options)) == ["ue:1"]
+    if entry.get("kind") == "RSTD":
+        with pytest.raises(SolverError, match="malformed"):
+            solve_records([MeasurementRecord.from_dict(entry)], lmf.anchors, "dl-tdoa",
+                          lmf.options)
+
+
 @pytest.mark.parametrize("method,record", [
     ("ul-aoa", MeasurementRecord("AOA", 0, {"azimuth_deg": 10.0})),
     ("dl-aod", MeasurementRecord("PRS_RSRP", 0, {}, resource_id=0)),
@@ -360,10 +399,8 @@ def test_malformed_record_fails_the_solve(method, record):
         solve_records([record], sim.anchors, method, sim.options, sim.beams)
 
 
-@pytest.mark.parametrize("method", ["ul-tdoa", "ul-aoa", "fingerprint"])
-def test_method_without_ue_report_has_no_session(method):
-    """A method whose table entry names no UE report kinds, or no entry,
-    is refused before any message is sent."""
+def assert_refused(method):
+    """Starting a session of method raises before any message is sent."""
     transport, lmf, gnbs, ues, _ = make_world()
     for node in [lmf, *gnbs, *ues]:
         transport.register(node)
@@ -372,8 +409,40 @@ def test_method_without_ue_report_has_no_session(method):
     assert transport.trace == [] and lmf.sessions == {}
 
 
+@pytest.mark.parametrize("method", ["fingerprint"])
+def test_method_without_table_entry_has_no_session(method):
+    """A method with no `METHOD_TABLE` entry is refused."""
+    assert_refused(method)
+
+
+def test_method_without_report_kinds_has_no_session(monkeypatch):
+    """A table entry that names no report kinds gives a session nothing to
+    ask for, so it is refused like a method with no entry."""
+    spec = replace(simulate.METHOD_TABLE["ul-tdoa"], gnb_report=())
+    monkeypatch.setitem(simulate.METHOD_TABLE, "silent", spec)
+    assert_refused("silent")
+
+
+@pytest.mark.parametrize("method", ["ul-tdoa", "ul-aoa"])
+def test_uplink_session_talks_to_the_radio_nodes_alone(method):
+    """The UE measures nothing in an uplink method: each gNB is asked for
+    its TRPs, configures the UE's SRS and reports its measurements, one
+    message of each kind, and no LPP message is sent. The fix is the
+    drop's."""
+    transport, lmf, gnbs, ues, outcomes = make_world(method, n_gnbs=3)
+    results, trace = run_sessions(lmf, method, ues, transport, gnbs)
+    assert_routing_invariant(trace)
+    per_gnb = Counter((e["kind"], e["from"] if e["from"].startswith("gnb:") else e["to"])
+                      for e in trace)
+    kinds = ["NrppaPositioningInformationRequest", "NrppaPositioningInformationResponse",
+             "RrcSrsConfig", "NrppaMeasurementRequest", "NrppaMeasurementResponse"]
+    assert per_gnb == Counter((k, g.node_id) for k in kinds for g in gnbs)
+    assert np.array_equal(results["ue:0"].fix.position, outcomes["ue:0"].fix.position)
+
+
 @pytest.mark.parametrize("preset,method", [("ioo-fr1", "multi-rtt"), ("uma", "dl-tdoa"),
-                                           ("uma", "dl-aod")])
+                                           ("uma", "dl-aod"), ("uma", "ul-tdoa"),
+                                           ("ioo-fr1", "ul-aoa"), ("uma", "ul-aoa")])
 def test_sessions_reproduce_batch_fixes(preset, method, tmp_path):
     """One session per drop, for drops 0-39 at master seed 1, with the
     nodes holding each drop's records: every session fix is the drop's fix
@@ -431,15 +500,20 @@ class TestAssistance:
 
 
 class TestMessageSerialization:
-    def test_json_round_trip(self):
-        msg = Message(seq=1, kind="LppRequestAssistanceData", sender="ue:0",
-                      receiver="lmf:0", timestamp=0.01, payload={"ue_id": "ue:0"})
-        assert Message.from_json(msg.to_json()) == msg
-
-    def test_stable_field_order(self):
-        msg = Message(seq=1, kind="RrcSrsConfig", sender="gnb:0",
-                      receiver="ue:0", timestamp=0.0, payload={})
-        assert msg.to_json().startswith('{"seq": 1, "kind": "RrcSrsConfig", "from"')
+    def test_stable_field_order(self, tmp_path):
+        """Every line of a dumped trace, messages and aborts alike, has the
+        keys seq, kind, from, to, timestamp, payload in that order, and the
+        file reads back as the trace."""
+        transport, lmf, gnbs, ues, _ = make_world(n_ues=2, responsive={"ue:0": False})
+        run_sessions(lmf, "multi-rtt", ues, transport, gnbs)
+        path = tmp_path / "trace.jsonl"
+        transport.dump_trace(path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == len(transport.trace)
+        assert ABORT_KIND in {e["kind"] for e in transport.trace}
+        for line in lines:
+            assert list(json.loads(line)) == ["seq", "kind", "from", "to", "timestamp", "payload"]
+        assert load_trace(path) == transport.trace
 
     def test_node_id_prefix_enforced(self):
         with pytest.raises(ProtocolError):

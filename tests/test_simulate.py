@@ -26,7 +26,7 @@ from grid_oracle import (despread, flat_dl_reference, flat_srs_reference, freque
                          link_row, map_dl_prs, re_indices, received_grid, rsrp, slot_grid)
 from nrpos import experiments, prs, simulate, solvers
 from nrpos.channel import Links, draw_noise, link_amplitude
-from nrpos.config import preset_config
+from nrpos.config import METHODS, preset_config
 from nrpos.experiments import ResultSummary, run_experiment
 from nrpos.measurements import read_records, write_records
 from nrpos.prs import DL_VALID_SYMBOLS, UL_VALID_SYMBOLS, comb_pattern
@@ -864,6 +864,18 @@ def test_dl_aod_reports_name_a_beam_and_carry_its_power_alone():
         assert set(r.payload) == {"value_dbm"}
         assert r.resource_id in range(sim.config.n_beams)
         assert len(sim.beams[r.trp_id]) == sim.config.n_beams
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_quantized_power_reports_are_ints(method):
+    """Every quantized PRS-RSRP and SRS-RSRP report holds an int, the type
+    `reported_power_dbm` returns, so record files and traces write -80 for
+    every method. DL-AoD's beam sweep wrote -80.0."""
+    sim = Simulator(preset_config("ioo-fr1", method=method, n_prb=24, n_drops=2))
+    power = [r.payload["value_dbm"] for d in range(2) for r in sim.run_drop(d).records
+             if r.kind in ("PRS_RSRP", "SRS_RSRP")]
+    assert all(type(v) is int for v in power)
+    assert bool(power) == (method in ("dl-tdoa", "ul-tdoa", "dl-aod"))
 
 
 def test_cdf_cells_are_plain_numbers(tmp_path):
