@@ -262,17 +262,21 @@ class Lmf(Node):
         report last ("report"). The last leg's replies are solved. The UE
         is asked for trp_ids and the radio nodes' TRPs, or for every anchor
         when that list is empty. A method with no table entry or no report
-        kinds has no session."""
+        kinds has no session, and neither has a UE whose session is still
+        open."""
         spec = METHOD_TABLE.get(method)
         if spec is None or not (spec.ue_report or spec.gnb_report):
             raise ProtocolError(f"unsupported method {method}")
+        if ue_id in self.sessions and not self.sessions[ue_id]["done"]:
+            raise ProtocolError(f"{ue_id} already has an open session")
         legs = [leg for leg, kinds in (("info", spec.gnb_report), ("ue", spec.ue_report),
                                        ("report", spec.gnb_report)) if kinds]
-        self.sessions[ue_id] = {"method": method, "legs": legs, "gnbs": list(gnb_ids),
-                                "pending": set(), "trp_ids": list(trp_ids), "replies": [],
-                                "done": False}
+        s = self.sessions[ue_id] = {"method": method, "legs": legs, "gnbs": list(gnb_ids),
+                                    "pending": set(), "trp_ids": list(trp_ids), "replies": [],
+                                    "done": False}
         self._next_leg(ue_id)
-        self.transport.schedule(self.timeout_s, lambda: self._timeout(ue_id))
+        # a session is replaced only once done, so its timer spares the next one
+        self.transport.schedule(self.timeout_s, lambda: s["done"] or self._abort(ue_id, "timeout"))
 
     def _next_leg(self, ue_id: str):
         """Send the next leg's requests, skipping a leg with no one to ask;
@@ -300,10 +304,6 @@ class Lmf(Node):
     def _assistance(self) -> dict:
         return {"trp_ids": list(self.anchors)}
 
-    def _timeout(self, ue_id: str):
-        if not self.sessions[ue_id]["done"]:
-            self._abort(ue_id, "timeout")
-
     def _abort(self, ue_id: str, reason: str):
         self.sessions[ue_id]["done"] = True
         self.transport.record_abort(ue_id, reason)
@@ -315,9 +315,9 @@ class Lmf(Node):
         kind, payload = msg["kind"], msg["payload"]
         if kind in REPLY_KINDS:
             ue_id = payload.get("ue_id", msg["from"])  # a UE's reply is its own
-            s = self.sessions[ue_id]
-            if s["done"] or msg["from"] not in s["pending"]:
-                return
+            s = self.sessions.get(ue_id)
+            if s is None or s["done"] or msg["from"] not in s["pending"]:
+                return  # no session of its UE is waiting for it
             s["replies"].append(payload)
             s["trp_ids"].extend(payload.get("trp_ids", ()))
             s["pending"].discard(msg["from"])

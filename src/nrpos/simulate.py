@@ -15,8 +15,10 @@ directions are the server's TRP data (`Simulator.beams`), which
 
 Interference is comb-exact: transmitters sharing a comb offset occupy the
 same REs and superpose there; distinct offsets never interact. The
-downlink and uplink arrival stages sum their received REs in one kernel,
-`receive_groups`, over groups of sources that share REs:
+downlink PRS and the uplink SRS take one receive path,
+`Simulator._receive`, which reads all the sides differ in from a per-side
+record (`Side`) and sums received REs in one kernel, `receive_groups`,
+over groups of sources that share REs:
 
 - Group sharing. With interference on, all TRPs on one downlink comb
   offset form one group and share one received signal, hence one RSRP.
@@ -24,23 +26,26 @@ downlink and uplink arrival stages sum their received REs in one kernel,
   is always its own group: it receives the terminal's sounding signal
   alone, under its own noise.
 - Noise order. Receiver noise comes only from `channel.draw_noise`, on
-  substreams keyed by (master_seed, drop), so runs that differ only in
-  which transmitters are summed see identical noise; a noiseless (ideal)
-  receiver draws it at zero std. A group's REs are a (symbol, line)
-  array: row s holds comb line residue[s] of symbol s, residue from
-  `prs.comb_pattern`. The downlink stage draws one full
-  (subcarrier, symbol) grid per sample, real parts first, and gathers
-  every group's lines from it, viewed as (line, residue, symbol), in one
-  indexing op. The uplink makes one stacked `draw_noise` call: a
-  (symbol, line) block per TRP, in TRP order, each block's real parts
-  before its imaginary parts, the stream of one call per TRP. It stops
-  after the last TRP it receives: every TRP when it ranks them itself,
-  the highest of `detect` otherwise. Multi-RTT receives only the TRPs
-  with a downlink arrival, and a drop with none draws no uplink noise.
-  Nothing else draws from that substream, so the blocks it does draw are
-  those of a draw for every TRP. A group's REs are its noise plus each
-  member's (amp*H)*ref, H read as the comb lines h[i, r::comb], added in
-  TRP order. Results are pinned to this order bit for bit. Every source
+  substreams keyed by (master_seed, drop) and the side's `noise_keys`,
+  one per sample: (0, sample) on the downlink, (1,) on the uplink. Runs
+  that differ only in which transmitters are summed see identical noise;
+  a noiseless (ideal) receiver draws it at zero std. A group's REs are a
+  (symbol, line) array: row s holds comb line residue[s] of symbol s,
+  residue from `prs.comb_pattern`. The side's `noise_layout` is the one
+  behaviour the sides differ in. The downlink's `grid_noise` draws one
+  full (subcarrier, symbol) grid per sample, real parts first, and
+  gathers every group's lines from it, viewed as (line, residue, symbol),
+  in one indexing op. The uplink's `block_noise` makes one stacked
+  `draw_noise` call: a (symbol, line) block per group, that is per TRP,
+  in TRP order, each block's real parts before its imaginary parts, the
+  stream of one call per TRP. It stops after the last group received:
+  every group when the path ranks the TRPs itself, the highest holding a
+  TRP of `detect` otherwise. Multi-RTT receives only the TRPs with a
+  downlink arrival, and a drop with none draws no uplink noise. Nothing
+  else draws from that substream, so the blocks it does draw are those of
+  a draw for every TRP. A group's REs are its noise plus each member's
+  (amp*H)*ref, H read as the comb lines h[i, r::comb], added in TRP
+  order. Results are pinned to this order bit for bit. Every source
   received gets noise and a power, but only the sources that cell
   selection keeps are despread and detected: selection ranks by RSRP,
   known before detection, and afterwards only drops sources without an
@@ -59,11 +64,11 @@ under that blocking, and unquantized ones may differ in their last bits.
 The large per-drop arrays live as long as the `Simulator`, so that a warm
 drop asks the operating system for no new pages: the (link, subcarrier)
 channel matrix is one buffer that `_channel_matrix` rewrites on every
-call, the uplink stage overwriting what the downlink stage used, and the
+call, the uplink's receive overwriting what the downlink's used, and the
 detection workspace and magnitude buffer belong to the simulator's
 `DelayWindow`, whose returned magnitudes the next detection overwrites.
-`_batched_toa` tapers its despread stack in place; `despread_groups` makes
-that stack fresh on every call.
+`_receive` tapers its despread stack in place for detection;
+`despread_groups` makes that stack fresh on every call.
 
 The downlink beam sweep needs only each group's mean power per beam, so
 it never forms REs. `sweep_powers` draws every group's power on every
@@ -181,6 +186,41 @@ def comb_lines(h: np.ndarray, comb: int) -> np.ndarray:
     """The (row, subcarrier) matrix h as (row, residue, line): a view with
     lines[i, r] = h[i, r::comb], also of a matrix with no rows."""
     return h.reshape(len(h), h.shape[1] // comb, comb).transpose(0, 2, 1)
+
+
+@dataclass(frozen=True)
+class Side:
+    """All that the receive path (`Simulator._receive`) reads of one link
+    direction, the downlink PRS or the uplink SRS, and the two differ in."""
+
+    stage: str  # its key in `Simulator.stage_s`
+    tx_power_dbm: object  # per TRP row, or the terminal's one power
+    occupied_per_symbol: int
+    clock_sign: float  # times a link's clock offset, added to its first arrival
+    comb: int
+    groups: list  # ReGroups, in noise order
+    refs: list  # per source, its (symbol, line) reference values
+    noise_rms: float  # complex noise RMS per RE; 0 for a noiseless receiver
+    noise_keys: tuple  # per sample, its "noise" substream path after the drop
+    noise_layout: Callable  # (side, rng, received group positions) -> their noise
+
+
+def grid_noise(side: Side, rng, received):
+    """The downlink's noise: one full (subcarrier, symbol) grid, each
+    received group's (symbol, line) REs gathered from its comb lines."""
+    n_sym, n_lines = side.refs[0].shape
+    # grid[r, s, j]: the noise on subcarrier j * comb + r of symbol s
+    grid = draw_noise(rng, (n_lines * side.comb, n_sym), side.noise_rms / math.sqrt(2.0)) \
+        .reshape(n_lines, side.comb, n_sym).transpose(1, 2, 0)
+    return grid[np.array([side.groups[e].residues for e in received]), np.arange(n_sym)]
+
+
+def block_noise(side: Side, rng, received):
+    """The uplink's noise: one stacked draw of a (symbol, line) block per
+    group, in group order, up to the last group received."""
+    blocks = draw_noise(rng, (max(received, default=-1) + 1, *side.refs[0].shape),
+                        side.noise_rms / math.sqrt(2.0), stacked=True)
+    return [blocks[e] for e in received]
 
 
 def receive_groups(groups, noise, amps, lines, refs):
@@ -351,12 +391,8 @@ class Simulator:
         order = [i for pos in _by_member_count(sets).values() for e in pos for i in sets[e]]
         self._dl_stacked = dl_prs_reference([self.dl_resources[i] for i in order], slot=0)
         rows = dict(zip(order, self._dl_stacked.reshape(len(order), config.dl_n_symbols, -1)))
-        self._dl_vals = [rows[i] for i in range(len(self.trps))]
-        self.dl_occupied_per_symbol = self._dl_vals[0].shape[1]
+        dl_vals = [rows[i] for i in range(len(self.trps))]
         self._dl_sets = [ReGroup(m, np.array(comb_pattern(self.dl_resources[m[0]]))) for m in sets]
-        self._dl_groups = self._dl_sets if config.interference else \
-            [ReGroup((i,), g.residues) for g in self._dl_sets for i in g.members]
-        self._dl_grid_shape = (self.numerology.n_subcarriers, config.dl_n_symbols)
 
         # uplink sounding signal (single terminal per drop)
         self.srs = SrsPosResource(
@@ -365,16 +401,28 @@ class Simulator:
             n_symbols=config.ul_n_symbols,
             n_prb=config.n_prb,
         )
-        self._ul_vals = srs_reference(self.srs).reshape(config.ul_n_symbols, -1)
+        ul_vals = srs_reference(self.srs).reshape(config.ul_n_symbols, -1)
         residues = np.array(comb_pattern(self.srs))
-        self._ul_groups = [ReGroup((i,), residues) for i in range(len(self.trps))]
-        self.ul_occupied_per_symbol = self._ul_vals.shape[1]
 
         # each receiver's complex noise RMS per RE; an ideal run's receivers
         # are noiseless, and their zero-std draws add nothing
-        self.dl_noise_rms, self.ul_noise_rms = (
+        dl_rms, ul_rms = (
             0.0 if config.ideal else noise_amplitude(NoiseModel(figure_db, self.scs_hz))
             for figure_db in (config.dl_noise_figure_db, config.ul_noise_figure_db))
+        self._dl = Side(
+            stage="dl", tx_power_dbm=np.array([t.tx_power_dbm for t in self.trps]),
+            occupied_per_symbol=dl_vals[0].shape[1], clock_sign=1.0, comb=config.dl_comb_size,
+            groups=self._dl_sets if config.interference else
+            [ReGroup((i,), g.residues) for g in self._dl_sets for i in g.members],
+            refs=dl_vals, noise_rms=dl_rms,
+            noise_keys=tuple((0, sample) for sample in range(config.n_samples)),
+            noise_layout=grid_noise)
+        self._ul = Side(
+            stage="ul", tx_power_dbm=config.ue_tx_power_dbm,
+            occupied_per_symbol=ul_vals.shape[1], clock_sign=-1.0, comb=config.ul_comb_size,
+            groups=[ReGroup((i,), residues) for i in range(len(self.trps))],
+            refs=[ul_vals] * len(self.trps), noise_rms=ul_rms, noise_keys=((1,),),
+            noise_layout=block_noise)
 
         self.sample_period_s = 1.0 / self.numerology.sample_rate_hz
         x0, y0, x1, y1 = deployment.area
@@ -408,7 +456,6 @@ class Simulator:
         steps = np.arange(n) * (360.0 / n) if self.channel.omni else np.linspace(-52.5, 52.5, n)
         self._beam_azimuths = np.array([t.sector_azimuth_deg + steps for t in self.trps])
         self.beams = dict(zip(self.anchors, self._beam_azimuths))
-        self._tx_power_dbm = np.array([t.tx_power_dbm for t in self.trps])
 
     # -- helpers ----------------------------------------------------------
 
@@ -465,26 +512,6 @@ class Simulator:
         self._h_built_for = built_for
         return h
 
-    def _batched_toa(self, vec_matrix: np.ndarray) -> list[float | None]:
-        """First-path delays for a stack of despread vectors (None = failed).
-        The stack is tapered in place."""
-        window, taper = self._detection
-        vec_matrix *= taper
-        taus = first_paths(vec_matrix, window)
-        return [None if np.isnan(tau) else float(tau) for tau in taus]
-
-    def _dl_receive(self, rng, amps, h):
-        """Downlink REs and RSRP of every group under one fresh noise grid,
-        each group's (symbol, line) noise gathered from the grid's comb
-        lines."""
-        n_sc, n_sym = self._dl_grid_shape
-        comb = self.config.dl_comb_size
-        # grid[r, s, j]: the noise on subcarrier j * comb + r of symbol s
-        grid = draw_noise(rng, self._dl_grid_shape, self.dl_noise_rms / math.sqrt(2.0)).reshape(
-            n_sc // comb, comb, n_sym).transpose(1, 2, 0)
-        noise = grid[np.array([g.residues for g in self._dl_groups]), np.arange(n_sym)]
-        return receive_groups(self._dl_groups, noise, amps, comb_lines(h, comb), self._dl_vals)
-
     def _sweep_tables(self) -> list[tuple[list[int], tuple, np.ndarray]]:
         """Per member count: the positions of its RE sets, the (member,
         comb residue) index of each (set, member, symbol) into the channel
@@ -519,79 +546,51 @@ class Simulator:
                 factors[e] = np.linalg.qr(matrix.T, mode="r")
         return factors
 
-    # -- downlink stage ----------------------------------------------------
+    # -- receive path ------------------------------------------------------
 
-    def _dl_stage(self, links: Links, drop_idx):
-        """Received power of every TRP's signal and first-path arrivals of
-        the TRPs cell selection keeps.
+    def _receive(self, links: Links, side: Side, drop_idx, detect=None):
+        """Received power of every source's signal on one side, the
+        downlink or the uplink, and first-path arrivals of those detected.
 
-        Sample 0's RSRP ranks the TRPs, and only `_select_trps(rsrp)` are
-        despread and detected, in every sample; every sample still draws
-        its full noise grid. Returns (rsrp, toa): rsrp holds sample 0's
-        dBm per TRP row, and toa {trp_id: seconds} the selected TRPs with
-        an arrival in any sample, in rank order. Arrival times are in the
-        terminal clock: propagation + terminal offset - transmitter offset.
-        """
+        Every group of the side is received, or with detect (a collection
+        of trp_ids, possibly empty) only the groups holding one of them.
+        Sample 0's RSRP ranks the sources, and without detect only
+        `_select_trps(rsrp)` are despread and detected, in rank order, in
+        every sample; with detect those TRPs are, in that order. Every
+        sample draws its full noise layout. Returns (rsrp, toa): rsrp holds
+        sample 0's dBm per TRP row, -300 for a TRP not received, and toa
+        {trp_id: seconds} the detected TRPs with an arrival in any sample,
+        their mean, in detection order. Arrival times are in the
+        receiver's clock: propagation + receiver offset - transmitter
+        offset."""
         mark = perf_counter()
-        cfg = self.config
-        amps = link_amplitude(links, self._tx_power_dbm, self.dl_occupied_per_symbol)
-        h = self._channel_matrix(links, links.first_arrival_s + links.clock_offset_s)
+        amps = link_amplitude(links, side.tx_power_dbm, side.occupied_per_symbol)
+        h = self._channel_matrix(
+            links, links.first_arrival_s + side.clock_sign * links.clock_offset_s)
+        received = range(len(side.groups)) if detect is None else [
+            e for e, g in enumerate(side.groups) if not set(g.members).isdisjoint(detect)]
+        groups = [side.groups[e] for e in received]
+        window, taper = self._detection
 
         toas: dict[int, list[float]] = {}
-        for sample in range(cfg.n_samples):
-            rng = substream(cfg.master_seed, "noise", drop_idx, 0, sample)
-            rx, power = self._dl_receive(rng, amps, h)
+        for sample, key in enumerate(side.noise_keys):
+            rng = substream(self.config.master_seed, "noise", drop_idx, *key)
+            rx, power = receive_groups(groups, side.noise_layout(side, rng, received), amps,
+                                       comb_lines(h, side.comb), side.refs)
             if sample == 0:
                 rsrp = power
-                selected = self._select_trps(rsrp)
-            vecs = despread_groups(self._dl_groups, rx, self._dl_vals,
-                                   self.numerology.n_subcarriers, cfg.dl_comb_size, selected)
-            mark = self._lap("dl", mark)
-            taus = self._batched_toa(vecs)
+                detected = self._select_trps(rsrp) if detect is None else list(detect)
+            vecs = despread_groups(groups, rx, side.refs, self.numerology.n_subcarriers,
+                                   side.comb, detected)
+            mark = self._lap(side.stage, mark)
+            vecs *= taper
+            taus = first_paths(vecs, window).tolist()
             mark = self._lap("detection", mark)
-            for t, tau in zip(selected, taus):
-                if tau is not None:
+            for t, tau in zip(detected, taus):
+                if not math.isnan(tau):
                     toas.setdefault(t, []).append(tau)
-        toa = {t: aggregate_samples(toas[t]) for t in selected if t in toas}
-        self._lap("dl", mark)
-        return rsrp, toa
-
-    # -- uplink stage ------------------------------------------------------
-
-    def _ul_stage(self, links: Links, drop_idx, detect=None):
-        """Received sounding power at the TRPs and arrival times at those
-        detected.
-
-        Each TRP's noise is drawn in TRP order, up to the last TRP
-        received. With detect (an iterable of trp_ids, possibly empty)
-        only those TRPs sum their REs, get a power and are despread and
-        detected, in that order. Without it every TRP is received and
-        `_select_trps` of the sounding RSRP picks the ones to detect, in
-        rank order. Returns (rsrp, toa): rsrp holds dBm per TRP
-        row, -300 for a TRP not received, and toa {trp_id: seconds} the
-        detected TRPs with an arrival, in detection order.
-        """
-        mark = perf_counter()
-        cfg = self.config
-        amps = link_amplitude(links, cfg.ue_tx_power_dbm, self.ul_occupied_per_symbol)
-        h = self._channel_matrix(links, links.first_arrival_s - links.clock_offset_s)
-
-        received = range(len(self.trps)) if detect is None else list(detect)
-        rng = substream(cfg.master_seed, "noise", drop_idx, 1)
-        noise = draw_noise(rng, (max(received, default=-1) + 1, *self._ul_vals.shape),
-                           self.ul_noise_rms / math.sqrt(2.0), stacked=True)
-        groups = [self._ul_groups[t] for t in received]
-        refs = [self._ul_vals] * len(self.trps)
-        rx, rsrp = receive_groups(groups, [noise[t] for t in received], amps,
-                                  comb_lines(h, cfg.ul_comb_size), refs)
-        detected = self._select_trps(rsrp) if detect is None else received
-        vecs = despread_groups(groups, rx, refs, self.numerology.n_subcarriers,
-                               cfg.ul_comb_size, detected)
-        mark = self._lap("ul", mark)
-        taus = self._batched_toa(vecs)
-        mark = self._lap("detection", mark)
-        toa = {t: tau for t, tau in zip(detected, taus) if tau is not None}
-        self._lap("ul", mark)
+        toa = {t: aggregate_samples(toas[t]) for t in detected if t in toas}
+        self._lap(side.stage, mark)
         return rsrp, toa
 
     # -- arrival angles ----------------------------------------------------
@@ -605,9 +604,9 @@ class Simulator:
         started = perf_counter()
         cfg = self.config
         grid = self.beamformer()
-        n_re = self._ul_vals.size
-        amps = link_amplitude(links, cfg.ue_tx_power_dbm, self.ul_occupied_per_symbol)
-        noise_std = math.sqrt(n_re * self.ul_noise_rms ** 2 / 2.0)
+        n_re = self._ul.refs[0].size
+        amps = link_amplitude(links, self._ul.tx_power_dbm, self._ul.occupied_per_symbol)
+        noise_std = math.sqrt(n_re * self._ul.noise_rms ** 2 / 2.0)
         angles: dict[int, tuple[float, float]] = {}
         for t in ul_toa:
             az, zen = links.angles_deg[t].tolist()
@@ -629,8 +628,8 @@ class Simulator:
         departure azimuth, through `link_amplitude`."""
         loss = pattern_loss_db(links.angles_deg[:, :1] - self._beam_azimuths,
                                self.config.beam_hpbw_deg, 30.0)
-        return link_amplitude(links, self._tx_power_dbm[:, None] - loss,
-                              self.dl_occupied_per_symbol)
+        return link_amplitude(links, self._dl.tx_power_dbm[:, None] - loss,
+                              self._dl.occupied_per_symbol)
 
     def _aod_stage(self, links: Links, drop_idx):
         """Received power of every TRP's beams at the terminal: one list
@@ -645,7 +644,7 @@ class Simulator:
         rng = substream(cfg.master_seed, "rsrp", drop_idx)
         h = self._channel_matrix(links, links.first_arrival_s)
         power = sweep_powers(self._dl_sets, self._sweep_factors(h), self._beam_amplitudes(links),
-                             cfg.interference, rng, self.dl_noise_rms / math.sqrt(2.0),
+                             cfg.interference, rng, self._dl.noise_rms / math.sqrt(2.0),
                              self._dl_stacked.shape[1])
         dbm = [power_dbm(p) for p in power.ravel().tolist()]
         if cfg.quantize:
@@ -719,7 +718,7 @@ class Simulator:
         ]
 
     def _dl_tdoa_records(self, links, drop_idx):
-        rsrp, toa = self._dl_stage(links, drop_idx)
+        rsrp, toa = self._receive(links, self._dl, drop_idx)
         selected = list(toa)
         records = self._rsrp_records("PRS_RSRP", selected, rsrp)
         cfg = self.config
@@ -730,7 +729,7 @@ class Simulator:
         return records
 
     def _ul_tdoa_records(self, links, drop_idx):
-        rsrp, toa = self._ul_stage(links, drop_idx)
+        rsrp, toa = self._receive(links, self._ul, drop_idx)
         records = self._rsrp_records("SRS_RSRP", toa, rsrp)
         cfg = self.config
         for t in toa:
@@ -739,8 +738,8 @@ class Simulator:
         return records
 
     def _multi_rtt_records(self, links, drop_idx):
-        _, dl_toa = self._dl_stage(links, drop_idx)
-        _, ul_toa = self._ul_stage(links, drop_idx, detect=dl_toa)
+        _, dl_toa = self._receive(links, self._dl, drop_idx)
+        _, ul_toa = self._receive(links, self._ul, drop_idx, detect=dl_toa)
         cfg = self.config
         records = []
         for t in ul_toa:
@@ -751,7 +750,7 @@ class Simulator:
         return records
 
     def _ul_aoa_records(self, links, drop_idx):
-        _, ul_toa = self._ul_stage(links, drop_idx)
+        _, ul_toa = self._receive(links, self._ul, drop_idx)
         return [
             MeasurementRecord(kind="AOA", trp_id=t, payload={"azimuth_deg": az, "zenith_deg": zen})
             for t, (az, zen) in self._aoa_stage(links, ul_toa, drop_idx).items()

@@ -126,7 +126,7 @@ def beam_gain_db(sim, beam_az, toward_az):
 def sweep_factors(sim, h):
     return [
         np.linalg.qr((h[np.ix_(g.members, re_indices(sim.dl_resources[g.members[0]])[0])]
-                      * np.array([sim._dl_vals[i].ravel() for i in g.members])).T, mode="r")
+                      * np.array([sim._dl.refs[i].ravel() for i in g.members])).T, mode="r")
         for g in sim._dl_sets
     ]
 
@@ -177,7 +177,7 @@ def beam_amplitudes(sim, links):
                   links.shadow_db.tolist())
     return np.array([
         [link_amplitude(t.tx_power_dbm + beam_gain_db(sim, az, toward),
-                        sim.dl_occupied_per_symbol, *budget)
+                        sim._dl.occupied_per_symbol, *budget)
          for az in beam_az]
         for t, beam_az, toward, budget in zip(sim.trps, beam_azimuths(sim),
                                               links.angles_deg[:, 0].tolist(), budgets)
@@ -192,7 +192,7 @@ def aod_stage(sim, links, drop_idx):
     rng = substream(cfg.master_seed, "rsrp", drop_idx)
     h = sim._channel_matrix(links, links.first_arrival_s)
     amps = beam_amplitudes(sim, links)
-    std = sim.dl_noise_rms / np.sqrt(2.0)
+    std = sim._dl.noise_rms / np.sqrt(2.0)
     n_re = len(re_indices(sim.dl_resources[sim.trps[0].trp_id])[0])
     power = sweep_powers(sim._dl_sets, sweep_factors(sim, h), amps, cfg.interference, rng, std,
                          n_re)

@@ -32,7 +32,7 @@ from nrpos.measurements import (
 from nrpos.numerology import SPEED_OF_LIGHT, TC_SECONDS, Numerology
 from nrpos.prs import DlPrsResource
 from nrpos.scenario import AntennaArray
-from nrpos.simulate import Simulator, despread_groups
+from nrpos.simulate import Simulator, comb_lines, despread_groups, receive_groups
 
 NUM = Numerology(scs_khz=30, n_prb=24)
 FREQS = np.arange(NUM.n_subcarriers) * NUM.scs_khz * 1e3
@@ -235,13 +235,15 @@ def despread_stack(preset):
     the simulation's delay window."""
     sim = Simulator(preset_config(preset, n_drops=1))
     links = sim._links(0)
-    amps = link_amplitude(links, np.array([t.tx_power_dbm for t in sim.trps]),
-                          sim.dl_occupied_per_symbol)
+    side = sim._dl
+    amps = link_amplitude(links, side.tx_power_dbm, side.occupied_per_symbol)
     amps[-1] = 0.0
-    rx, _ = sim._dl_receive(np.random.default_rng(5), amps,
-                            sim._channel_matrix(links, links.first_arrival_s))
-    vecs = despread_groups(sim._dl_groups, rx, sim._dl_vals, sim.numerology.n_subcarriers,
-                           sim.config.dl_comb_size, range(len(sim.trps)))
+    everyone = range(len(side.groups))
+    rx, _ = receive_groups(side.groups, side.noise_layout(side, np.random.default_rng(5), everyone),
+                           amps, comb_lines(sim._channel_matrix(links, links.first_arrival_s),
+                                            side.comb), side.refs)
+    vecs = despread_groups(side.groups, rx, side.refs, sim.numerology.n_subcarriers, side.comb,
+                           range(len(sim.trps)))
     window, taper = sim._detection
     return vecs * taper, window
 

@@ -331,6 +331,74 @@ def test_timed_out_session_sends_nothing_more():
     assert not any(e["kind"].startswith("Lpp") for e in trace)
 
 
+def test_reply_for_a_ue_without_session_is_ignored():
+    """A three-gNB multi-RTT run in which the server also gets a gNB's
+    measurement response for ue:9, which has no session. The reply is
+    dropped and ue:0 gets its batch fix; before, looking ue:9's session
+    up raised `KeyError` out of `Transport.run` and no session got a
+    result."""
+    transport, lmf, gnbs, ues, outcomes = make_world(n_gnbs=3)
+    for node in [lmf, *gnbs, *ues]:
+        transport.register(node)
+    lmf.start("ue:0", "multi-rtt", [g.node_id for g in gnbs])
+    transport.send("NrppaMeasurementResponse", "gnb:0", "lmf:0", {"ue_id": "ue:9", "records": []})
+    transport.run()
+    assert list(lmf.results) == ["ue:0"] and lmf.results["ue:0"].status == "fixed"
+    assert np.array_equal(lmf.results["ue:0"].fix.position, outcomes["ue:0"].fix.position)
+
+
+def test_restarted_session_outlives_the_first_sessions_timer():
+    """With 0.3 s per hop and a 1.0 s timeout, a DL-TDOA session fixes at
+    0.6 s and the UE's session is started again at 0.7 s. The first
+    session's timer fires at 1.0 s on a session that has ended and aborts
+    nothing; the UE reports again at 1.0 s, and at 1.3 s the second
+    session gets the same fix. Before, that timer aborted the second
+    session for "timeout". A restart at 0.5 s, while the first session is open, is
+    refused (`test_second_start_on_an_open_session_is_refused`)."""
+    _, lmf, _, ues, _ = make_world("dl-tdoa")
+    lmf = Lmf("lmf:0", lmf.anchors, solver_options=lmf.options, timeout_s=1.0)
+    transport = Transport(latency_s=0.3)
+    for node in [lmf, *ues]:
+        transport.register(node)
+    lmf.start("ue:0", "dl-tdoa")
+    fixes = []
+    transport.schedule(0.7, lambda: fixes.append(lmf.results["ue:0"].fix)
+                       or lmf.start("ue:0", "dl-tdoa"))
+    transport.run()
+    assert lmf.results["ue:0"].status == "fixed"
+    assert np.array_equal(lmf.results["ue:0"].fix.position, fixes[0].position)
+    reports = [e["timestamp"] for e in transport.trace
+               if e["kind"] == "LppProvideLocationInformation"]
+    assert reports == pytest.approx([0.3, 1.0])
+    assert not any(e["kind"] == ABORT_KIND for e in transport.trace)
+
+
+def test_second_start_on_an_open_session_is_refused():
+    """Starting a session for a UE whose session is still open, at 0.5 s
+    of a multi-RTT session with 0.3 s per hop and a 2.0 s timeout, raises
+    and sends nothing; the open session goes on to its fix at 1.8 s."""
+    transport, lmf, gnbs, ues, outcomes = make_world(n_gnbs=3)
+    lmf = Lmf("lmf:0", lmf.anchors, solver_options=lmf.options, timeout_s=2.0)
+    transport.latency_s = 0.3
+    for node in [lmf, *gnbs, *ues]:
+        transport.register(node)
+    gnb_ids = [g.node_id for g in gnbs]
+    lmf.start("ue:0", "multi-rtt", gnb_ids)
+    refused = []
+
+    def restart():
+        sent = len(transport.trace)
+        with pytest.raises(ProtocolError, match="ue:0 already has an open session"):
+            lmf.start("ue:0", "multi-rtt", gnb_ids)
+        refused.append(len(transport.trace) == sent)
+
+    transport.schedule(0.5, restart)
+    transport.run()
+    assert refused == [True] and transport.now == pytest.approx(2.0)
+    assert lmf.results["ue:0"].status == "fixed"
+    assert np.array_equal(lmf.results["ue:0"].fix.position, outcomes["ue:0"].fix.position)
+
+
 @pytest.mark.parametrize("method,kind,key", [
     ("dl-tdoa", "RSTD", "ref_trp_id"),
     ("dl-tdoa", "RSTD", "value_tc"),

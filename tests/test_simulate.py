@@ -28,7 +28,7 @@ from nrpos import experiments, prs, simulate, solvers
 from nrpos.channel import Links, draw_noise, link_amplitude
 from nrpos.config import METHODS, preset_config
 from nrpos.experiments import ResultSummary, run_experiment
-from nrpos.measurements import read_records, write_records
+from nrpos.measurements import first_paths, read_records, write_records
 from nrpos.prs import DL_VALID_SYMBOLS, UL_VALID_SYMBOLS, comb_pattern
 from nrpos.rng import substream
 from nrpos.simulate import (Simulator, comb_lines, despread_groups, power_dbm,
@@ -177,8 +177,8 @@ def test_multi_rtt_drop_without_downlink_arrival_fails_alone():
     sim = Simulator(preset_config("uma", method="multi-rtt", dl_noise_figure_db=70.0,
                                   n_drops=200))
     links = sim._links(3)
-    assert sim._dl_stage(links, 3)[1] == {}
-    rsrp, toa = sim._ul_stage(links, 3, detect={})
+    assert sim._receive(links, sim._dl, 3)[1] == {}
+    rsrp, toa = sim._receive(links, sim._ul, 3, detect={})
     assert rsrp == [-300.0] * len(sim.trps) and toa == {}
     outcome = sim.run_drop(3)
     assert outcome.fix is None and outcome.records == []
@@ -195,15 +195,16 @@ def test_kernel_matches_grid_path(interference):
     sim = Simulator(preset_config("uma", n_prb=24, n_drops=1, interference=interference))
     cfg, num = sim.config, sim.numerology
     links = sim._links(0)
-    amps = link_amplitude(links, trp_powers(sim), sim.dl_occupied_per_symbol)
+    side = sim._dl
+    amps = link_amplitude(links, trp_powers(sim), side.occupied_per_symbol)
     h = sim._channel_matrix(links, links.first_arrival_s)
-    assert any(len(g.members) > 1 for g in sim._dl_groups) == interference
+    assert any(len(g.members) > 1 for g in side.groups) == interference
 
-    rx, kernel_rsrp = sim._dl_receive(np.random.default_rng(7), amps, h)
-    vecs = despread_groups(sim._dl_groups, rx, sim._dl_vals, num.n_subcarriers,
+    rx, kernel_rsrp = receive_sample(side, np.random.default_rng(7), amps, h)
+    vecs = despread_groups(side.groups, rx, side.refs, num.n_subcarriers,
                            cfg.dl_comb_size, range(len(sim.trps)))
     noise_grid = draw_noise(np.random.default_rng(7), (num.n_subcarriers, cfg.dl_n_symbols),
-                            sim.dl_noise_rms / np.sqrt(2.0))
+                            side.noise_rms / np.sqrt(2.0))
 
     def tx_grid(t):
         grid = slot_grid(num, symbols=cfg.dl_n_symbols)
@@ -223,6 +224,13 @@ def test_kernel_matches_grid_path(interference):
 
 def trp_powers(sim):
     return np.array([t.tx_power_dbm for t in sim.trps])
+
+
+def receive_sample(side, rng, amps, h):
+    """Received REs and RSRP of every group of a side under one sample of
+    its noise layout, drawn from rng, as `Simulator._receive` sums them."""
+    return receive_groups(side.groups, side.noise_layout(side, rng, range(len(side.groups))),
+                          amps, comb_lines(h, side.comb), side.refs)
 
 
 def assert_links_equal(got: Links, want: Links):
@@ -251,38 +259,100 @@ def flat_despread(rx, k, ref, n_sc):
 DL_SHAPES = [(comb, n) for comb, counts in DL_VALID_SYMBOLS.items() for n in counts]
 
 
+def check_receive_against_flat_indices(sim, side, resources, flat_refs, flat_noise,
+                                       monkeypatch):
+    """One side's `Simulator._receive` on drop 0 against the same
+    arithmetic on the flat (subcarrier, symbol) indices that
+    `grid_oracle.re_indices` expands from each TRP's resource, bit for bit,
+    receiving with cell selection (no detect), for detect (5, 2, 7) and
+    for every TRP: the path's one noise draw and the stream it leaves,
+    each received group's REs and RSRP, -300 dBm for a TRP not received,
+    each detected TRP's despread vector, zero on exactly the subcarriers
+    its resource leaves unsounded, and the arrivals. Repeated symbols
+    re-sound subcarriers, whose products add in symbol order.
+    flat_noise(rng, last) is the side's draw from rng, as the path must
+    make it, and each TRP's noise on its flat REs, for the TRPs up to
+    last."""
+    n_sc, n_trps = sim.numerology.n_subcarriers, len(sim.trps)
+    links = sim._links(0)
+    amps = link_amplitude(links, side.tx_power_dbm, side.occupied_per_symbol)
+    draws, despreads = [], []
+
+    def spy_noise(rng, shape, std, stacked=False):
+        noise = draw_noise(rng, shape, std, stacked)
+        draws.append((rng, noise.copy()))  # the path adds its REs in place
+        return noise
+
+    def spy_despread(groups, rx, *args):
+        vecs = despread_groups(groups, rx, *args)
+        despreads.append(([r.tobytes() for r in rx], vecs.copy()))  # detection tapers vecs
+        return vecs
+
+    for detect in (None, (5, 2, 7), range(n_trps)):
+        draws.clear()
+        despreads.clear()
+        monkeypatch.setattr(simulate, "draw_noise", spy_noise)
+        monkeypatch.setattr(simulate, "despread_groups", spy_despread)
+        rsrp, toa = sim._receive(links, side, 0, detect=detect)
+        monkeypatch.undo()
+
+        h = sim._channel_matrix(links, links.first_arrival_s)
+        received = [g for g in side.groups if detect is None or set(g.members) & set(detect)]
+        rng = substream(sim.config.master_seed, "noise", 0, *side.noise_keys[0])
+        draw, noise = flat_noise(rng, max(i for g in received for i in g.members))
+        [(path_rng, path_draw)] = draws
+        assert path_draw.tobytes() == draw.tobytes()
+        assert path_rng.standard_normal() == rng.standard_normal()
+
+        want, want_rsrp = {}, [-300.0] * n_trps
+        for g in received:
+            k, sym = re_indices(resources[g.members[0]])
+            rx = flat_receive(noise[g.members[0]], amps, h, k, flat_refs, g.members)
+            for i in g.members:
+                assert all(np.array_equal(a, b) for a, b in zip(re_indices(resources[i]),
+                                                                (k, sym)))
+                want[i] = rx, k
+                want_rsrp[i] = power_dbm(float(np.mean(np.abs(rx) ** 2)))
+        assert rsrp == want_rsrp
+        detected = sim._select_trps(rsrp) if detect is None else list(detect)
+        flat_vecs = np.array([flat_despread(*want[i], flat_refs[i], n_sc) for i in detected])
+        [(rx, vecs)] = despreads
+        assert rx == [want[g.members[0]][0].tobytes() for g in received]
+        assert vecs.tobytes() == flat_vecs.tobytes()
+        for i, vec in zip(detected, vecs):
+            sounded = np.zeros(n_sc, dtype=bool)
+            sounded[want[i][1]] = True
+            assert not vec[~sounded].any() and np.all(vec[sounded] != 0)
+        window, taper = sim._detection
+        taus = first_paths(flat_vecs * taper, window).tolist()
+        assert toa == {t: tau for t, tau in zip(detected, taus) if not math.isnan(tau)}
+
+
 @pytest.mark.parametrize("interference", [True, False])
 @pytest.mark.parametrize("comb,n_symbols", DL_SHAPES)
-def test_dl_comb_lines_match_flat_indices(comb, n_symbols, interference):
-    """The downlink stage's comb-line receive, despread and beam sweep
-    against the same arithmetic on the flat (subcarrier, symbol) indices
-    that `grid_oracle.re_indices` expands from the comb residues, bit for
-    bit, for every valid (comb, symbols) pair: repeated symbols re-sound
-    subcarriers, whose products add in symbol order."""
-    sim = Simulator(preset_config("uma", method="dl-aod", n_prb=24, n_drops=1, quantize=False,
+def test_dl_comb_lines_match_flat_indices(comb, n_symbols, interference, monkeypatch):
+    """The receive path on the downlink side against flat indices
+    (`check_receive_against_flat_indices`), for every valid (comb,
+    symbols) pair, with and without interference: the path draws one full
+    (subcarrier, symbol) grid, and each TRP's noise is that grid on its
+    REs, shared on one comb offset. The beam sweep's factors and reports
+    match `sweep_oracle`'s, which reads the same flat indices."""
+    sim = Simulator(preset_config("uma", n_prb=24, n_drops=1, quantize=False,
                                   interference=interference, dl_comb_size=comb,
                                   dl_n_symbols=n_symbols))
     n_sc = sim.numerology.n_subcarriers
+    resources = [sim.dl_resources[t.trp_id] for t in sim.trps]
+
+    def grid_noise(rng, last):
+        grid = draw_noise(rng, (n_sc, n_symbols), sim._dl.noise_rms / np.sqrt(2.0))
+        return grid, [grid[re_indices(res)] for res in resources]
+
+    check_receive_against_flat_indices(
+        sim, sim._dl, resources, [flat_dl_reference(res)[2] for res in resources], grid_noise,
+        monkeypatch)
+
     links = sim._links(0)
-    amps = link_amplitude(links, trp_powers(sim), sim.dl_occupied_per_symbol)
     h = sim._channel_matrix(links, links.first_arrival_s)
-    rx, power = sim._dl_receive(np.random.default_rng(3), amps, h)
-    vecs = despread_groups(sim._dl_groups, rx, sim._dl_vals, n_sc, comb, range(len(sim.trps)))
-
-    grid = draw_noise(np.random.default_rng(3), (n_sc, n_symbols), sim.dl_noise_rms / np.sqrt(2.0))
-    refs = [flat_dl_reference(sim.dl_resources[t.trp_id])[2] for t in sim.trps]
-    for g, got in zip(sim._dl_groups, rx):
-        k, sym = re_indices(sim.dl_resources[g.members[0]])
-        for i in g.members:
-            assert all(np.array_equal(a, b) for a, b in zip(re_indices(sim.dl_resources[i]),
-                                                            (k, sym)))
-        want = flat_receive(grid[k, sym], amps, h, k, refs, g.members)
-        assert got.tobytes() == want.tobytes()
-        for i in g.members:
-            assert power[i] == power_dbm(float(np.mean(np.abs(want) ** 2)))
-            assert vecs[i].tobytes() == flat_despread(want, k, refs[i], n_sc).tobytes()
-    assert np.count_nonzero(vecs, axis=1).tolist() == [n_sc] * len(sim.trps)
-
     for got, want in zip(sim._sweep_factors(h), sweep_oracle.sweep_factors(sim, h)):
         assert got.tobytes() == want.tobytes()
     assert sim._aod_stage(links, 0) == list(sweep_oracle.aod_stage(sim, links, 0).values())
@@ -291,63 +361,27 @@ def test_dl_comb_lines_match_flat_indices(comb, n_symbols, interference):
 @pytest.mark.parametrize("n_symbols", UL_VALID_SYMBOLS)
 @pytest.mark.parametrize("comb", [2, 4, 8])
 def test_ul_comb_lines_match_flat_indices(comb, n_symbols, monkeypatch):
-    """The uplink stage's comb-line receive and despread against the same
-    arithmetic on the flat indices `grid_oracle.re_indices` expands, bit
-    for bit: each TRP's noise is one flat draw in RE order, and its powers
-    and arrivals are those of the flat path. The stage's one noise draw
-    equals one `draw_noise` call per TRP on the drop's uplink substream,
-    in TRP order, and the stream stops after the last TRP received: all
-    12 without detect, TRP 7 with detect (5, 2, 7). A comb with fewer
-    symbols than its size leaves comb lines unsounded, whose estimates
-    stay zero."""
+    """The receive path on the uplink side against flat indices
+    (`check_receive_against_flat_indices`), for every sounding comb and
+    symbol count: the path's one stacked draw equals one `draw_noise` call
+    per TRP on the drop's uplink substream, in TRP order, each TRP's noise
+    in RE order, and the stream stops after the last TRP received: all 12
+    with cell selection, TRP 7 with detect (5, 2, 7). A comb with fewer
+    symbols than its size leaves comb lines unsounded."""
     sim = Simulator(preset_config("ioo-fr1", method="ul-tdoa", n_prb=24, n_drops=1,
                                   ul_comb_size=comb, ul_n_symbols=n_symbols))
-    n_sc, n_trps = sim.numerology.n_subcarriers, len(sim.trps)
-    links = sim._links(0)
-    amps = link_amplitude(links, sim.config.ue_tx_power_dbm, sim.ul_occupied_per_symbol)
-    k, sym = re_indices(sim.srs)
-    ref = flat_srs_reference(sim.srs)[2]
-    sounded = np.zeros(n_sc, dtype=bool)
-    sounded[k] = True
-    assert sounded.all() == (n_symbols >= comb)
+    n_trps = len(sim.trps)
+    k, _ = re_indices(sim.srs)
+    assert len(set(k)) == sim.numerology.n_subcarriers or n_symbols < comb
 
-    def spy(rng, shape, std, stacked=False):
-        noise = draw_noise(rng, shape, std, stacked)
-        draws.append((rng, noise.copy()))  # the stage adds its REs in place
-        return noise
+    def block_noise(rng, last):
+        noise = [draw_noise(rng, len(k), sim._ul.noise_rms / np.sqrt(2.0))
+                 for _ in range(last + 1)]
+        return np.array(noise), noise
 
-    for detect in (None, (5, 2, 7)):
-        draws = []
-        monkeypatch.setattr(simulate, "draw_noise", spy)
-        rsrp, toa = sim._ul_stage(links, 0, detect=detect)
-        monkeypatch.undo()
-
-        received = range(n_trps) if detect is None else detect
-        h = sim._channel_matrix(links, links.first_arrival_s)
-        rng = substream(sim.config.master_seed, "noise", 0, 1)
-        flat_noise = [draw_noise(rng, len(k), sim.ul_noise_rms / np.sqrt(2.0))
-                      for _ in range(max(received) + 1)]
-        [(stage_rng, stage_noise)] = draws
-        assert stage_noise.tobytes() == np.array(flat_noise).tobytes()
-        assert stage_rng.standard_normal() == rng.standard_normal()
-        want = {i: flat_receive(flat_noise[i], amps, h, k, [ref] * n_trps, (i,))
-                for i in received}
-        assert rsrp == [power_dbm(float(np.mean(np.abs(want[i]) ** 2))) if i in want
-                        else -300.0 for i in range(n_trps)]
-        detected = sim._select_trps(rsrp) if detect is None else list(detect)
-        flat_vecs = np.array([flat_despread(want[i], k, ref, n_sc) for i in detected])
-
-        groups = [sim._ul_groups[i] for i in received]
-        noise = [flat_noise[i].reshape(sim._ul_vals.shape) for i in received]
-        rx, power = receive_groups(groups, noise, amps, comb_lines(h, comb),
-                                   [sim._ul_vals] * n_trps)
-        assert power == rsrp
-        assert [r.tobytes() for r in rx] == [want[i].tobytes() for i in received]
-        vecs = despread_groups(groups, rx, [sim._ul_vals] * n_trps, n_sc, comb, detected)
-        assert vecs.tobytes() == flat_vecs.tobytes()
-        assert not vecs[:, ~sounded].any() and np.all(vecs[:, sounded] != 0)
-        taus = sim._batched_toa(flat_vecs)
-        assert toa == {t: tau for t, tau in zip(detected, taus) if tau is not None}
+    check_receive_against_flat_indices(
+        sim, sim._ul, [sim.srs] * n_trps, [flat_srs_reference(sim.srs)[2]] * n_trps,
+        block_noise, monkeypatch)
 
 
 @pytest.mark.parametrize("comb,n_symbols", [(2, 2), (4, 4), (6, 6), (12, 12)])
@@ -375,12 +409,12 @@ def test_dl_reference_matches_per_symbol_build(preset, interference, comb, n_sym
     assert sorted(row.tobytes() for row in sim._dl_stacked) == \
         sorted(v.tobytes() for v in expected.values())
     members = []
-    for g in sim._dl_groups:
+    for g in sim._dl.groups:
         assert interference or len(g.members) == 1
         for i in g.members:
-            assert sim._dl_vals[i].shape == (n_symbols, sim.dl_occupied_per_symbol)
-            assert sim._dl_vals[i].tobytes() == expected[i].tobytes()
-            assert np.shares_memory(sim._dl_vals[i], sim._dl_stacked)
+            assert sim._dl.refs[i].shape == (n_symbols, sim._dl.occupied_per_symbol)
+            assert sim._dl.refs[i].tobytes() == expected[i].tobytes()
+            assert np.shares_memory(sim._dl.refs[i], sim._dl_stacked)
             assert list(g.residues) == comb_pattern(sim.dl_resources[i])
             members.append(i)
     assert sorted(members) == [t.trp_id for t in sim.trps]
@@ -549,17 +583,19 @@ def test_sweep_draw_matches_re_level_draw(interference, scale):
     TRP would make them independent. Without noise the draw is exact."""
     sim = Simulator(preset_config("uma", n_prb=24, n_drops=1, interference=interference))
     links = sim._links(0)
-    amps = scale * link_amplitude(links, trp_powers(sim), sim.dl_occupied_per_symbol)
+    side = sim._dl
+    amps = scale * link_amplitude(links, trp_powers(sim), side.occupied_per_symbol)
     h = sim._channel_matrix(links, links.first_arrival_s)
     factors = sim._sweep_factors(h)
     n = 4000
 
     rng = np.random.default_rng(11)
-    grid_draws = 10.0 ** (np.array([sim._dl_receive(rng, amps, h)[1] for _ in range(n)]).T / 10.0)
-    n_re = sim._dl_vals[0].size
+    grid_draws = 10.0 ** (np.array([receive_sample(side, rng, amps, h)[1]
+                                    for _ in range(n)]).T / 10.0)
+    n_re = side.refs[0].size
     sweep_draws = sweep_powers(sim._dl_sets, factors, np.repeat(amps[:, None], n, axis=1),
                                interference, np.random.default_rng(12),
-                               sim.dl_noise_rms / np.sqrt(2.0), n_re)
+                               side.noise_rms / np.sqrt(2.0), n_re)
     m1, m2 = grid_draws.mean(axis=1), sweep_draws.mean(axis=1)
     v1, v2 = grid_draws.var(axis=1), sweep_draws.var(axis=1)
     assert np.all(np.abs(m1 - m2) < 4.0 * np.sqrt((v1 + v2) / n))
@@ -571,9 +607,8 @@ def test_sweep_draw_matches_re_level_draw(interference, scale):
     if not interference:
         assert corr[1] > 0.5
 
-    noise = [np.zeros(sim._dl_vals[0].shape, dtype=complex) for g in sim._dl_groups]
-    _, expected = receive_groups(sim._dl_groups, noise, amps,
-                                 comb_lines(h, sim.config.dl_comb_size), sim._dl_vals)
+    noise = [np.zeros(side.refs[0].shape, dtype=complex) for g in side.groups]
+    _, expected = receive_groups(side.groups, noise, amps, comb_lines(h, side.comb), side.refs)
     noiseless = sweep_powers(sim._dl_sets, factors, amps[:, None], interference,
                              np.random.default_rng(13), 0.0, n_re)
     assert [power_dbm(p) for p in noiseless[:, 0]] == pytest.approx(expected, abs=1e-9)
@@ -631,13 +666,13 @@ def test_detection_runs_on_selected_trps_only(method, monkeypatch):
     selection by sounding RSRP for UL-TDOA and UL-AoA."""
     sim = Simulator(preset_config("uma", method=method, n_prb=24, n_drops=3))
     rows = []
-    batched_toa = Simulator._batched_toa
-    monkeypatch.setattr(Simulator, "_batched_toa",
-                        lambda self, vecs: rows.append(len(vecs)) or batched_toa(self, vecs))
+    detect = simulate.first_paths
+    monkeypatch.setattr(simulate, "first_paths",
+                        lambda vecs, window: rows.append(len(vecs)) or detect(vecs, window))
     for d in range(3):
         links = sim._links(d)
-        stage = sim._ul_stage if method in ("ul-tdoa", "ul-aoa") else sim._dl_stage
-        rsrp, toa = stage(links, d)
+        side = sim._ul if method in ("ul-tdoa", "ul-aoa") else sim._dl
+        rsrp, toa = sim._receive(links, side, d)
         n = len(sim._select_trps(rsrp))
         assert n < len(sim.trps)
         rows.clear()
@@ -673,9 +708,9 @@ def test_dl_aod_builds_no_detection_state():
     full = Simulator(config)
     full._detection = Simulator(config.model_copy(update={"method": "dl-tdoa"}))._detection
     links = full._links(0)
-    h = full._channel_matrix(links, links.first_arrival_s)
+    full._channel_matrix(links, links.first_arrival_s)
     before = dict(vars(full))
-    full._dl_receive(np.random.default_rng(0), [0.0] * len(full.trps), h)
+    full._receive(links, full._dl, 0)
     assert vars(full).keys() == before.keys()
     assert all(getattr(full, name) is value for name, value in before.items())
     assert full._detection is not None
@@ -821,7 +856,7 @@ def test_aoa_angle_does_not_depend_on_the_other_trps():
     sim = Simulator(preset_config("uma", method="ul-aoa", n_prb=24, n_drops=4))
     for d in range(4):
         links = sim._links(d)
-        _, toa = sim._ul_stage(links, d, detect=range(len(sim.trps)))
+        _, toa = sim._receive(links, sim._ul, d, detect=range(len(sim.trps)))
         together = sim._aoa_stage(links, toa, d)
         assert len(together) > 1
         for t in toa:
