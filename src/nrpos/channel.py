@@ -285,23 +285,16 @@ def noise_amplitude(noise: NoiseModel) -> float:
     return 10.0 ** (noise.thermal_dbm / 20.0)
 
 
-def draw_noise(rng: np.random.Generator, shape, std: float, stacked: bool = False) -> np.ndarray:
+def draw_noise(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     """Circular complex Gaussian noise, `std` per real component.
 
-    Stream order: all real parts are drawn before all imaginary parts, so
-    a draw of shape (a, b) is not a stack of a draws of shape b. With
-    stacked, the first axis of shape indexes draws of shape[1:] made one
-    after the other, each its real parts and then its imaginary parts, so
-    a stacked draw of shape (a, b) is a stack of a draws of shape b and
-    stopping at a smaller a leaves the earlier draws as they are. Either
-    way the normals come from one `standard_normal` call, scaled into the
-    real and imaginary halves of the result, and each draw of shape s is
-    bit for bit (rng.normal(size=s) + 1j * rng.normal(size=s)) * std.
+    Stream order: all real parts are drawn before all imaginary parts. The
+    normals come from one `standard_normal` call, scaled into the real and
+    imaginary halves of the result, so a draw of shape s is bit for bit
+    (rng.normal(size=s) + 1j * rng.normal(size=s)) * std.
     """
     shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
-    lead = shape[:1] if stacked else ()
-    normals = rng.standard_normal(lead + (2,) + shape[len(lead):])
-    real, imag = np.moveaxis(normals, len(lead), 0)
+    real, imag = rng.standard_normal((2,) + shape)
     out = np.empty(shape, dtype=complex)
     np.multiply(real, std, out=out.real)
     np.multiply(imag, std, out=out.imag)

@@ -46,7 +46,10 @@ NRPPA_KINDS = {
     "NrppaMeasurementResponse",
 }
 RRC_KINDS = {"RrcSrsConfig"}
-# the replies that end a session's legs; each names its UE or comes from it
+# the server's requests in a session's legs, and the replies that end the
+# legs; each names its UE or goes to it or comes from it
+REQUEST_KINDS = {"NrppaPositioningInformationRequest", "LppRequestLocationInformation",
+                 "NrppaMeasurementRequest"}
 REPLY_KINDS = {"NrppaPositioningInformationResponse", "LppProvideLocationInformation",
                "NrppaMeasurementResponse"}
 
@@ -375,24 +378,40 @@ def replay_solve(trace: list[dict], anchors: dict[int, np.ndarray],
                  options: SolverOptions, beams=None) -> dict[str, object]:
     """Re-run the solver on the measurement reports of a trace.
 
-    Produces exactly the live fixes: each session's method is the one its
-    server asked the UE or the radio nodes for, its replies arrive in
-    trace order and give the same records to the same solver, and a
-    session the trace shows aborted, for a timeout or a failed solve, gets
-    no fix.
+    Produces exactly the live fixes, keyed by session as `Lmf` keys them.
+    A server request for a UE with no open session opens one. A reply
+    counts for its UE's open session only if it answers one of that
+    session's requests. A session ends when its last leg's replies are
+    in, the leg whose request names the method and, when the method has
+    gNB report kinds, asks the radio nodes; or with an abort entry for
+    its UE, for a timeout or a failed solve. Each UE gets the fix of its
+    last ended session: its method is the one its server asked for, and
+    its replies, in trace order, give the same records to the same
+    solver. A UE whose last session the trace shows aborted gets no fix.
     """
-    methods: dict[str, str] = {}
-    replies: dict[str, list] = {}
-    aborted = set()
+    open_sessions: dict[str, dict] = {}
+    ended: dict[str, dict | None] = {}
     for entry in trace:
         kind, payload = entry["kind"], entry["payload"]
-        if kind == "LppRequestLocationInformation":
-            methods[entry["to"]] = payload["method"]
-        elif kind == "NrppaMeasurementRequest":
-            methods[payload["ue_id"]] = payload["method"]
+        if kind in REQUEST_KINDS:
+            s = open_sessions.setdefault(payload.get("ue_id", entry["to"]),
+                                         {"pending": set(), "replies": [], "last_leg": False})
+            s["pending"].add(entry["to"])
+            if "method" in payload:
+                s["method"] = payload["method"]
+                s["last_leg"] = (kind == "NrppaMeasurementRequest"
+                                 or not METHOD_TABLE[payload["method"]].gnb_report)
         elif kind in REPLY_KINDS:
-            replies.setdefault(payload.get("ue_id", entry["from"]), []).append(payload)
+            ue_id = payload.get("ue_id", entry["from"])
+            s = open_sessions.get(ue_id)
+            if s is None or entry["from"] not in s["pending"]:
+                continue
+            s["replies"].append(payload)
+            s["pending"].discard(entry["from"])
+            if not s["pending"] and s["last_leg"]:
+                ended[ue_id] = open_sessions.pop(ue_id)
         elif kind == ABORT_KIND:
-            aborted.add(payload["ue_id"])
-    return {ue_id: solve_records(_records(replies.get(ue_id, ())), anchors, method, options, beams)
-            for ue_id, method in methods.items() if ue_id not in aborted}
+            open_sessions.pop(payload["ue_id"], None)
+            ended[payload["ue_id"]] = None
+    return {ue_id: solve_records(_records(s["replies"]), anchors, s["method"], options, beams)
+            for ue_id, s in ended.items() if s is not None}

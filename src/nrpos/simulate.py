@@ -17,40 +17,31 @@ Interference is comb-exact: transmitters sharing a comb offset occupy the
 same REs and superpose there; distinct offsets never interact. The
 downlink PRS and the uplink SRS take one receive path,
 `Simulator._receive`, which reads all the sides differ in from a per-side
-record (`Side`) and sums received REs in one kernel, `receive_groups`,
-over groups of sources that share REs:
+record (`Side`):
 
-- Group sharing. With interference on, all TRPs on one downlink comb
-  offset form one group and share one received signal, hence one RSRP.
-  With interference off each TRP is its own group. In the uplink each TRP
-  is always its own group: it receives the terminal's sounding signal
-  alone, under its own noise.
-- Noise order. Receiver noise comes only from `channel.draw_noise`, on
-  substreams keyed by (master_seed, drop) and the side's `noise_keys`,
-  one per sample: (0, sample) on the downlink, (1,) on the uplink. Runs
-  that differ only in which transmitters are summed see identical noise;
-  a noiseless (ideal) receiver draws it at zero std. A group's REs are a
-  (symbol, line) array: row s holds comb line residue[s] of symbol s,
-  residue from `prs.comb_pattern`. The side's `noise_layout` is the one
-  behaviour the sides differ in. The downlink's `grid_noise` draws one
-  full (subcarrier, symbol) grid per sample, real parts first, and
-  gathers every group's lines from it, viewed as (line, residue, symbol),
-  in one indexing op. The uplink's `block_noise` makes one stacked
-  `draw_noise` call: a (symbol, line) block per group, that is per TRP,
-  in TRP order, each block's real parts before its imaginary parts, the
-  stream of one call per TRP. It stops after the last group received:
-  every group when the path ranks the TRPs itself, the highest holding a
-  TRP of `detect` otherwise. Multi-RTT receives only the TRPs with a
-  downlink arrival, and a drop with none draws no uplink noise. Nothing
-  else draws from that substream, so the blocks it does draw are those of
-  a draw for every TRP. A group's REs are its noise plus each member's
-  (amp*H)*ref, H read as the comb lines h[i, r::comb], added in TRP
-  order. Results are pinned to this order bit for bit. Every source
-  received gets noise and a power, but only the sources that cell
-  selection keeps are despread and detected: selection ranks by RSRP,
-  known before detection, and afterwards only drops sources without an
-  arrival, and `first_paths` treats every row on its own, so the kept
-  arrivals are those a detection of every source would give.
+- RE sets and groups. A set is the sources that share REs and so one
+  receiver noise: one comb offset's TRPs on the downlink, one TRP on the
+  uplink. A group shares one received signal, hence one RSRP: a whole
+  downlink set with interference on, one TRP otherwise. A set's REs are
+  a (symbol, line) array: row s holds comb line residue[s] of symbol s
+  (`prs.comb_pattern`).
+- Draw only what is read. A set of q groups with signals C = QR has noise
+  n with z = Q^H n, q complex normals, and rest = |n - Qz|^2, a
+  chi-square; group g's power on the set's N REs is (|z + R e_g|^2 +
+  rest) / N, exactly the RE-level power in distribution. Only the sets
+  holding a TRP that is despread and detected, the read sets, get their
+  noise on every RE, completed exactly given the statistic.
+- Noise order. Noise comes from substreams keyed by (master_seed, drop)
+  and the side's `noise_keys`, one per sample: (0, sample) on the
+  downlink, (1,) on the uplink. Each draws every statistic first, set by
+  set (`draw_statistics`): of every set received in sample 0, of the read
+  sets in later samples. It then completes the read sets, set by set
+  (`complete_set`). Nothing else draws from it; a noiseless (ideal)
+  receiver draws all the same at zero std. Results are pinned to this
+  order bit for bit. Selection ranks by RSRP, known before detection,
+  and afterwards only drops sources without an arrival, and
+  `first_paths` treats every row on its own, so the kept arrivals are
+  those a detection of every source would give.
 
 The channel matrix holds every link's response on every subcarrier. Its
 taps sit at fixed one-sample offsets from the first arrival, so a link's
@@ -176,7 +167,8 @@ class DropOutcome:
 
 @dataclass(frozen=True)
 class ReGroup:
-    """Sources whose signals land on the same resource elements."""
+    """Sources whose signals land on the same resource elements (REs) and
+    sum to one received signal."""
 
     members: tuple[int, ...]  # source indices, in summation order
     residues: np.ndarray  # comb line of each symbol, `prs.comb_pattern`
@@ -198,49 +190,74 @@ class Side:
     occupied_per_symbol: int
     clock_sign: float  # times a link's clock offset, added to its first arrival
     comb: int
-    groups: list  # ReGroups, in noise order
+    sets: list  # RE sets, in noise order: each a tuple of the ReGroups on its REs
     refs: list  # per source, its (symbol, line) reference values
     noise_rms: float  # complex noise RMS per RE; 0 for a noiseless receiver
     noise_keys: tuple  # per sample, its "noise" substream path after the drop
-    noise_layout: Callable  # (side, rng, received group positions) -> their noise
 
 
-def grid_noise(side: Side, rng, received):
-    """The downlink's noise: one full (subcarrier, symbol) grid, each
-    received group's (symbol, line) REs gathered from its comb lines."""
-    n_sym, n_lines = side.refs[0].shape
-    # grid[r, s, j]: the noise on subcarrier j * comb + r of symbol s
-    grid = draw_noise(rng, (n_lines * side.comb, n_sym), side.noise_rms / math.sqrt(2.0)) \
-        .reshape(n_lines, side.comb, n_sym).transpose(1, 2, 0)
-    return grid[np.array([side.groups[e].residues for e in received]), np.arange(n_sym)]
-
-
-def block_noise(side: Side, rng, received):
-    """The uplink's noise: one stacked draw of a (symbol, line) block per
-    group, in group order, up to the last group received."""
-    blocks = draw_noise(rng, (max(received, default=-1) + 1, *side.refs[0].shape),
-                        side.noise_rms / math.sqrt(2.0), stacked=True)
-    return [blocks[e] for e in received]
-
-
-def receive_groups(groups, noise, amps, lines, refs):
-    """Received REs of each group, and the RSRP each source's group sees.
-
-    noise[g] is the receiver noise already gathered onto group g's
-    (symbol, line) REs; each member's amps[i] * lines[i, residues] *
-    refs[i] is added to it in place, in member order, from the channel
-    matrix's `comb_lines` and source i's (symbol, line) reference values.
-    Returns the received REs per group and, per source, the mean power on
-    its group's REs in dBm; a source in no group reads -300 dBm.
-    """
-    rsrp = [power_dbm(0.0)] * len(refs)
-    for g, rx in zip(groups, noise):
+def set_signals(groups, amps, lines, refs) -> np.ndarray:
+    """Each group's (symbol, line) signal on its RE set: its members'
+    lines[i, residues] * refs[i] * amps[i], added in member order."""
+    c = np.zeros((len(groups),) + refs[groups[0].members[0]].shape, dtype=complex)
+    for row, g in zip(c, groups):
         for i in g.members:
-            rx += amps[i] * lines[i, g.residues] * refs[i]
-        dbm = power_dbm(float(np.mean(np.abs(rx) ** 2)))
-        for i in g.members:
-            rsrp[i] = dbm
-    return noise, rsrp
+            x = lines[i, g.residues]  # a copy: fancy indexing
+            x *= refs[i]
+            x *= amps[i]
+            row += x
+    return c
+
+
+def set_factors(signals) -> list[np.ndarray]:
+    """R of each RE set's (group, symbol, line) signals C = QR: the
+    conjugate transpose of the Cholesky factor of the groups' Gram matrix,
+    in one call per group count. A set's signals must be linearly
+    independent, as positive link amplitudes make them."""
+    factors = [None] * len(signals)
+    for q, pos in _by_length(signals).items():
+        grams = np.array([np.vdot(a, b) for e in pos for a in signals[e] for b in signals[e]])
+        upper = np.linalg.cholesky(grams.reshape(len(pos), q, q)).conj().transpose(0, 2, 1)
+        for e, r in zip(pos, upper):
+            factors[e] = r
+    return factors
+
+
+def draw_statistics(rng, factors, std: float, n_re: int):
+    """Each RE set's noise statistic (z, rest), drawn set by set
+    (`_draw_statistic`) and scaled by std, the noise per real component,
+    and its groups' mean RE powers (|z + R e_g|^2 + rest) / n_re, in one
+    pass over the sets of each rank; factors are the sets' R."""
+    start = np.cumsum([0] + [2 * len(r) for r in factors]).tolist()
+    normals, rest = np.empty(start[-1]), np.empty(len(factors))
+    _draw_statistic(rng, [len(r) for r in factors], n_re, normals, rest)
+    normals *= std
+    rest *= std**2
+    z, power = [None] * len(factors), [None] * len(factors)
+    for q, pos in _by_length(factors).items():
+        parts = normals[[start[e] + j for e in pos for j in range(2 * q)]].reshape(len(pos), 2, q)
+        zs = parts[:, 0] + 1j * parts[:, 1]
+        y = zs[:, :, None] + np.array([factors[e] for e in pos])
+        powers = ((y.real**2 + y.imag**2).sum(axis=1) + rest[pos, None]) / n_re
+        for e, z_e, p in zip(pos, zs, powers.tolist()):
+            z[e], power[e] = z_e, p
+    return z, rest.tolist(), power
+
+
+def complete_set(c: np.ndarray, r: np.ndarray, z: np.ndarray, rest: float, rng) -> np.ndarray:
+    """Received REs of each group of an RE set, (group, symbol, line): its
+    signal plus the set's noise n = Qz + sqrt(rest) P w / |P w|, exactly
+    distributed given the statistic (z, rest). Q = C R^-1, P projects out
+    span(Q), and w is 2N fresh standard normals, real and imaginary parts
+    in turn. As Q(z - s Q^H w) + s w, s = sqrt(rest) / |P w|, it needs no
+    Q."""
+    flat = c.reshape(len(c), -1)
+    w = rng.standard_normal(2 * flat.shape[1]).view(complex)
+    y = np.linalg.solve(r.conj().T, flat.conj() @ w)  # Q^H w
+    s = math.sqrt(rest / (np.vdot(w, w).real - np.vdot(y, y).real))
+    noise = np.dot(np.linalg.solve(r, z - s * y), flat)
+    noise += s * w
+    return c + noise.reshape(c.shape[1:])
 
 
 def power_dbm(power: float) -> float:
@@ -263,24 +280,21 @@ def sweep_powers(sets, factors, amps, shared: bool, rng, std: float, n_re: int) 
     rest, the noise energy outside span(Q), is std**2 times a chi-square
     with 2(N - r) degrees of freedom, independent of z. Per beam and per
     set, in that order, z's r real then r imaginary parts are drawn as
-    2r standard normals, then rest: the stream of `draw_noise` and a
-    chi-square per (beam, set). A noiseless receiver's std = 0 scales its
-    draws to zeros. Only the draws go set by set; the powers are one
-    batched pass over the sets of each member count.
+    2r standard normals, then rest (`_draw_statistic`, beam by beam). A
+    noiseless receiver's std = 0 scales its draws to zeros. Only the draws
+    go set by set; the powers are one batched pass over the sets of each
+    member count.
     """
     n_beams = amps.shape[1]
     # normals[b]: z's parts on beam b, set after set, r real then r imaginary
     start = np.cumsum([0] + [2 * len(g.members) for g in sets]).tolist()
     normals = np.empty((n_beams, start[-1]))
     rest = np.empty((n_beams, len(sets)))
-    dof = [2 * (n_re - len(g.members)) for g in sets]
     for row, rest_b in zip(normals, rest):
-        for e, df in enumerate(dof):
-            rng.standard_normal(out=row[start[e]:start[e + 1]])
-            rest_b[e] = rng.chisquare(df)
+        _draw_statistic(rng, [len(g.members) for g in sets], n_re, row, rest_b)
     rest *= std**2
     power = np.empty(amps.shape)
-    for r, pos in _by_member_count([g.members for g in sets]).items():
+    for r, pos in _by_length([g.members for g in sets]).items():
         members = np.array([sets[e].members for e in pos])
         parts = normals[:, [start[e] + j for e in pos for j in range(2 * r)]]
         parts = parts.reshape(n_beams, len(pos), 2, r).transpose(2, 1, 3, 0)
@@ -299,12 +313,25 @@ def sweep_powers(sets, factors, amps, shared: bool, rng, std: float, n_re: int) 
     return power
 
 
-def _by_member_count(members) -> dict[int, list[int]]:
-    """Positions of the sets with each member count, in set order, from
-    the sets' member tuples."""
+def _draw_statistic(rng, ranks, n_re: int, normals: np.ndarray, rest: np.ndarray):
+    """Draw into normals and rest the standard normals and chi-squares of
+    the noise statistics of RE sets of n_re REs and the given ranks q, set
+    after set: z's q real and then q imaginary parts, then a chi-square
+    with 2(n_re - q) degrees of freedom."""
+    start = 0
+    for e, q in enumerate(ranks):
+        rng.standard_normal(out=normals[start:start + 2 * q])
+        rest[e] = rng.chisquare(2 * (n_re - q))
+        start += 2 * q
+
+
+def _by_length(items) -> dict[int, list[int]]:
+    """Positions of the items of each length, in order: of the RE sets with
+    each member count, from their member tuples, or of each rank, from
+    their signals or factors."""
     blocks: dict[int, list[int]] = {}
-    for e, m in enumerate(members):
-        blocks.setdefault(len(m), []).append(e)
+    for e, item in enumerate(items):
+        blocks.setdefault(len(item), []).append(e)
     return blocks
 
 
@@ -388,7 +415,7 @@ class Simulator:
         # one dl_prs_reference pass gives each TRP's reference values as a
         # row of one array, stacked by member count, RE set and member: the
         # beam sweep reads the rows of one count as a (set, member, RE) view
-        order = [i for pos in _by_member_count(sets).values() for e in pos for i in sets[e]]
+        order = [i for pos in _by_length(sets).values() for e in pos for i in sets[e]]
         self._dl_stacked = dl_prs_reference([self.dl_resources[i] for i in order], slot=0)
         rows = dict(zip(order, self._dl_stacked.reshape(len(order), config.dl_n_symbols, -1)))
         dl_vals = [rows[i] for i in range(len(self.trps))]
@@ -412,17 +439,15 @@ class Simulator:
         self._dl = Side(
             stage="dl", tx_power_dbm=np.array([t.tx_power_dbm for t in self.trps]),
             occupied_per_symbol=dl_vals[0].shape[1], clock_sign=1.0, comb=config.dl_comb_size,
-            groups=self._dl_sets if config.interference else
-            [ReGroup((i,), g.residues) for g in self._dl_sets for i in g.members],
+            sets=[(g,) if config.interference else
+                  tuple(ReGroup((i,), g.residues) for i in g.members) for g in self._dl_sets],
             refs=dl_vals, noise_rms=dl_rms,
-            noise_keys=tuple((0, sample) for sample in range(config.n_samples)),
-            noise_layout=grid_noise)
+            noise_keys=tuple((0, sample) for sample in range(config.n_samples)))
         self._ul = Side(
             stage="ul", tx_power_dbm=config.ue_tx_power_dbm,
             occupied_per_symbol=ul_vals.shape[1], clock_sign=-1.0, comb=config.ul_comb_size,
-            groups=[ReGroup((i,), residues) for i in range(len(self.trps))],
-            refs=[ul_vals] * len(self.trps), noise_rms=ul_rms, noise_keys=((1,),),
-            noise_layout=block_noise)
+            sets=[(ReGroup((i,), residues),) for i in range(len(self.trps))],
+            refs=[ul_vals] * len(self.trps), noise_rms=ul_rms, noise_keys=((1,),))
 
         self.sample_period_s = 1.0 / self.numerology.sample_rate_hz
         x0, y0, x1, y1 = deployment.area
@@ -521,7 +546,7 @@ class Simulator:
         if self._sweep_index is None:
             self._sweep_index = []
             start = 0
-            for r, pos in _by_member_count([g.members for g in self._dl_sets]).items():
+            for r, pos in _by_length([g.members for g in self._dl_sets]).items():
                 residues = np.array([self._dl_sets[e].residues for e in pos])
                 members = np.array([self._dl_sets[e].members for e in pos])
                 vals = self._dl_stacked[start:start + members.size].reshape(
@@ -552,36 +577,49 @@ class Simulator:
         """Received power of every source's signal on one side, the
         downlink or the uplink, and first-path arrivals of those detected.
 
-        Every group of the side is received, or with detect (a collection
-        of trp_ids, possibly empty) only the groups holding one of them.
+        Every RE set of the side is received, or with detect (a collection
+        of trp_ids, possibly empty) only the sets holding one of them.
         Sample 0's RSRP ranks the sources, and without detect only
         `_select_trps(rsrp)` are despread and detected, in rank order, in
-        every sample; with detect those TRPs are, in that order. Every
-        sample draws its full noise layout. Returns (rsrp, toa): rsrp holds
-        sample 0's dBm per TRP row, -300 for a TRP not received, and toa
-        {trp_id: seconds} the detected TRPs with an arrival in any sample,
-        their mean, in detection order. Arrival times are in the
-        receiver's clock: propagation + receiver offset - transmitter
-        offset."""
+        every sample; with detect those TRPs are, in that order. Only the
+        sets holding a detected TRP get their noise on every RE, in the
+        module's noise order. Returns (rsrp, toa): rsrp holds sample 0's
+        dBm per TRP row, -300 for a TRP not received, and toa {trp_id:
+        seconds} the detected TRPs with an arrival in any sample, their
+        mean, in detection order. Arrival times are in the receiver's
+        clock: propagation + receiver offset - transmitter offset."""
         mark = perf_counter()
         amps = link_amplitude(links, side.tx_power_dbm, side.occupied_per_symbol)
         h = self._channel_matrix(
             links, links.first_arrival_s + side.clock_sign * links.clock_offset_s)
-        received = range(len(side.groups)) if detect is None else [
-            e for e, g in enumerate(side.groups) if not set(g.members).isdisjoint(detect)]
-        groups = [side.groups[e] for e in received]
+        lines = comb_lines(h, side.comb)
+        received = [s for s in side.sets
+                    if detect is None or any(i in detect for g in s for i in g.members)]
+        signals = [set_signals(s, amps, lines, side.refs) for s in received]
+        factors = set_factors(signals)
+        std, n_re = side.noise_rms / math.sqrt(2.0), side.refs[0].size
         window, taper = self._detection
 
         toas: dict[int, list[float]] = {}
+        # positions of the sets a sample draws: all received, then those read
+        drawn = range(len(received))
         for sample, key in enumerate(side.noise_keys):
             rng = substream(self.config.master_seed, "noise", drop_idx, *key)
-            rx, power = receive_groups(groups, side.noise_layout(side, rng, received), amps,
-                                       comb_lines(h, side.comb), side.refs)
+            z, rest, powers = draw_statistics(rng, [factors[e] for e in drawn], std, n_re)
+            stats = dict(zip(drawn, zip(z, rest)))
             if sample == 0:
-                rsrp = power
+                rsrp = [power_dbm(0.0)] * len(side.refs)
+                for s, power in zip(received, powers):
+                    for g, p in zip(s, power):
+                        for i in g.members:
+                            rsrp[i] = power_dbm(p)
                 detected = self._select_trps(rsrp) if detect is None else list(detect)
-            vecs = despread_groups(groups, rx, side.refs, self.numerology.n_subcarriers,
-                                   side.comb, detected)
+                drawn = [e for e in drawn
+                         if any(i in detected for g in received[e] for i in g.members)]
+            rx = [row for e in drawn
+                  for row in complete_set(signals[e], factors[e], *stats[e], rng)]
+            vecs = despread_groups([g for e in drawn for g in received[e]], rx, side.refs,
+                                   self.numerology.n_subcarriers, side.comb, detected)
             mark = self._lap(side.stage, mark)
             vecs *= taper
             taus = first_paths(vecs, window).tolist()

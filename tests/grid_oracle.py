@@ -1,5 +1,6 @@
-"""Resource-grid reference path for the received-RE kernel
-(`simulate.receive_groups`) and the first-path detector.
+"""Resource-grid reference path for the receive path's signal sums
+(`simulate.set_signals`), its per-set noise draw and the first-path
+detector.
 
 Each transmitter's positioning signal is mapped onto a full (subcarrier,
 symbol) grid, filtered by its link's frequency response and summed with
@@ -161,6 +162,42 @@ def estimate_toa(rx: np.ndarray, reference, numerology, search_window_s) -> floa
     if np.isnan(tau):
         raise MeasurementFailed("no peak above the noise floor")
     return float(tau)
+
+
+def set_noise(rng, signals, std: float, read):
+    """Plain per-set reference for the receive path's noise draw.
+
+    signals holds each received RE set's (group, RE) signal matrix, REs in
+    flat order, and read the positions of the sets whose noise is
+    completed. Each set is factored by the reduced QR of its (RE, group)
+    matrix C = QR, each column of Q turned so that R's diagonal is real and
+    positive. From rng, set after set: z = Q^H n as q real and then q
+    imaginary standard normals, times std, then rest = |n - Qz|^2 as std**2
+    times a chi-square with 2(N - q) degrees of freedom. Group g's mean RE
+    power is |n + C e_g|^2 / N = (|z + R e_g|^2 + rest) / N. Then, read set
+    after read set, w = 2N standard normals, real and imaginary parts in
+    turn, and the noise n = Qz + sqrt(rest) w' / |w'|, w' = w - Q Q^H w.
+    Returns every set's group powers and the read sets' noise.
+    """
+    stats = []
+    for c in signals:
+        q, n_re = c.shape
+        basis, r = np.linalg.qr(c.T)
+        phase = np.diag(r) / np.abs(np.diag(r))
+        basis, r = basis * phase, r / phase[:, None]
+        x = rng.standard_normal(2 * q)
+        z = std * (x[:q] + 1j * x[q:])
+        rest = std**2 * rng.chisquare(2 * (n_re - q))
+        stats.append((basis, z, rest, [(np.sum(np.abs(z + r[:, g]) ** 2) + rest) / n_re
+                                       for g in range(q)]))
+    noise = []
+    for e in read:
+        basis, z, rest, _ = stats[e]
+        x = rng.standard_normal(2 * len(basis))
+        w = x[0::2] + 1j * x[1::2]
+        w = w - basis @ (basis.conj().T @ w)
+        noise.append(basis @ z + np.sqrt(rest) * w / np.linalg.norm(w))
+    return [powers for *_, powers in stats], noise
 
 
 def cp_samples(numerology) -> int:

@@ -277,20 +277,6 @@ class TestDrawNoise:
                               expected.view(float).view(np.uint64))
         assert np.array_equal(out.real, first * std)
 
-    @pytest.mark.parametrize("shape", [(12, 2, 1632), (3, 40)])
-    def test_stacked_draw_is_a_stack_of_draws(self, shape):
-        """A stacked draw equals one draw per block along its first axis, in
-        order, bit for bit, and leaves the generator where those draws
-        leave it: the uplink's per-TRP stream in one call."""
-        rng = np.random.default_rng(9)
-        out = draw_noise(rng, shape, 0.37, stacked=True)
-        ref = np.random.default_rng(9)
-        blocks = [draw_noise(ref, shape[1:], 0.37) for _ in range(shape[0])]
-        assert out.tobytes() == np.array(blocks).tobytes()
-        assert rng.standard_normal() == ref.standard_normal()
-        assert draw_noise(rng, (0,) + shape[1:], 0.37, stacked=True).shape == (0,) + shape[1:]
-        assert rng.standard_normal() == ref.standard_normal()
-
 
 def re_snr_db(pl_db, n_occupied_per_symbol=1):
     """Per-RE SNR in dB of a 23 dBm transmitter through pl_db to a 9 dB

@@ -3,7 +3,7 @@ import pytest
 
 from first_path_oracle import oracle_pick, oracle_polish
 from grid_oracle import despread, estimate_toa, flat_dl_reference, rsrp, slot_grid
-from nrpos.channel import link_amplitude
+from nrpos.channel import draw_noise, link_amplitude
 from nrpos.config import preset_config
 from nrpos.measurements import (
     DelayWindow,
@@ -32,7 +32,7 @@ from nrpos.measurements import (
 from nrpos.numerology import SPEED_OF_LIGHT, TC_SECONDS, Numerology
 from nrpos.prs import DlPrsResource
 from nrpos.scenario import AntennaArray
-from nrpos.simulate import Simulator, comb_lines, despread_groups, receive_groups
+from nrpos.simulate import Simulator, comb_lines, despread_groups, set_signals
 
 NUM = Numerology(scs_khz=30, n_prb=24)
 FREQS = np.arange(NUM.n_subcarriers) * NUM.scs_khz * 1e3
@@ -230,19 +230,22 @@ def window(request):
 
 
 def despread_stack(preset):
-    """Tapered despread rows of every TRP in drop 0 of `preset`, under a
-    fixed noise draw, with the last TRP silent so that its row fails; and
-    the simulation's delay window."""
+    """Tapered despread rows of every TRP in drop 0 of `preset`, each RE set
+    under its own fixed noise draw, with the last TRP silent so that its
+    row fails; and the simulation's delay window."""
     sim = Simulator(preset_config(preset, n_drops=1))
     links = sim._links(0)
     side = sim._dl
     amps = link_amplitude(links, side.tx_power_dbm, side.occupied_per_symbol)
     amps[-1] = 0.0
-    everyone = range(len(side.groups))
-    rx, _ = receive_groups(side.groups, side.noise_layout(side, np.random.default_rng(5), everyone),
-                           amps, comb_lines(sim._channel_matrix(links, links.first_arrival_s),
-                                            side.comb), side.refs)
-    vecs = despread_groups(side.groups, rx, side.refs, sim.numerology.n_subcarriers, side.comb,
+    lines = comb_lines(sim._channel_matrix(links, links.first_arrival_s), side.comb)
+    rng = np.random.default_rng(5)
+    groups, rx = [], []
+    for s in side.sets:
+        noise = draw_noise(rng, side.refs[0].shape, side.noise_rms / np.sqrt(2.0))
+        groups += s
+        rx += [c + noise for c in set_signals(s, amps, lines, side.refs)]
+    vecs = despread_groups(groups, rx, side.refs, sim.numerology.n_subcarriers, side.comb,
                            range(len(sim.trps)))
     window, taper = sim._detection
     return vecs * taper, window

@@ -1,15 +1,17 @@
-"""The downlink PRS and the uplink SRS take one receive path: the
-received-RE kernel `receive_groups` and the despread `despread_groups`
-are each named in exactly one place in src/nrpos, `Simulator._receive`.
-A second receive path, such as a copy of the chain for one side, fails
-here. The walk goes over the AST: a call, or any other load of the name
-or of an attribute of that name, is a use; the def and imports are not."""
+"""The downlink PRS and the uplink SRS take one receive path: its
+kernels, the signal sums `set_signals`, the per-set noise draw
+(`set_factors`, `draw_statistics` and `complete_set`) and the despread
+`despread_groups`, are each named in exactly one place in src/nrpos,
+`Simulator._receive`. A second receive path, such as a copy of the chain
+for one side, or a second noise path, fails here. The walk goes over the
+AST: a call, or any other load of the name or of an attribute of that
+name, is a use; the def and imports are not."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nrpos"
-KERNELS = ("receive_groups", "despread_groups")
+KERNELS = ("set_signals", "set_factors", "draw_statistics", "complete_set", "despread_groups")
 
 
 class _Uses(ast.NodeVisitor):
@@ -54,19 +56,19 @@ def test_each_kernel_has_one_caller():
 
 def test_guard_sees_a_second_path(tmp_path):
     (tmp_path / "kernels.py").write_text(
-        "def receive_groups(groups): ...\n"
+        "def complete_set(groups): ...\n"
     )
     (tmp_path / "paths.py").write_text(
         "from . import kernels\n"
-        "from .kernels import receive_groups\n"
+        "from .kernels import complete_set\n"
         "class Sim:\n"
         "    def downlink(self):\n"
-        "        return receive_groups([])\n"
+        "        return complete_set([])\n"
         "    def uplink(self):\n"
         "        def inner():\n"
-        "            return kernels.receive_groups([])\n"
+        "            return kernels.complete_set([])\n"
         "        return inner()\n"
-        "KERNEL = receive_groups\n"
+        "KERNEL = complete_set\n"
     )
-    assert use_sites(tmp_path, "receive_groups") == [
+    assert use_sites(tmp_path, "complete_set") == [
         "paths.Sim.downlink", "paths.Sim.uplink.inner", "paths"]

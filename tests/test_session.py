@@ -586,3 +586,49 @@ class TestMessageSerialization:
     def test_node_id_prefix_enforced(self):
         with pytest.raises(ProtocolError):
             Ue("gnb:7")
+
+
+def restarted_dl_tdoa(silent_first: bool):
+    """A DL-TDOA session of ue:0 with 0.3 s per hop and a 1.0 s timeout,
+    started again once the first has ended: with silent_first the UE
+    answers nothing until 1.5 s, so the first session aborts at 1.0 s and
+    the second starts at 1.5 s; otherwise the first fixes at 0.6 s and the
+    second starts at 0.7 s. Each ends fixed at the drop's fix. Returns
+    (the live result, the trace, lmf, the drop outcome)."""
+    _, lmf, _, ues, outcomes = make_world("dl-tdoa")
+    lmf = Lmf("lmf:0", lmf.anchors, solver_options=lmf.options, timeout_s=1.0)
+    transport = Transport(latency_s=0.3)
+    for node in [lmf, *ues]:
+        transport.register(node)
+    [ue] = ues
+    ue.responsive = not silent_first
+    lmf.start("ue:0", "dl-tdoa")
+
+    def restart():
+        ue.responsive = True
+        lmf.start("ue:0", "dl-tdoa")
+
+    transport.schedule(1.5 if silent_first else 0.7, restart)
+    transport.run()
+    return lmf.results["ue:0"], transport.trace, lmf, outcomes["ue:0"]
+
+
+@pytest.mark.parametrize("silent_first", [True, False])
+def test_replay_keys_replies_by_session(silent_first):
+    """Replay solves each UE's last session from that session's replies
+    alone, as the live server does. It keyed replies and aborts by UE:
+    after a silent first session aborted at 1.0 s, the restarted
+    session's fix replayed as no fix, the abort entry dropping the UE;
+    after two fixed sessions, replay solved both sessions' reports at
+    once, 14 rows against the live fix's 7."""
+    live, trace, lmf, outcome = restarted_dl_tdoa(silent_first)
+    assert live.status == "fixed"
+    assert np.array_equal(live.fix.position, outcome.fix.position)
+    reports = [e["timestamp"] for e in trace if e["kind"] == "LppProvideLocationInformation"]
+    assert reports == pytest.approx([1.8] if silent_first else [0.3, 1.0])
+    assert [e["timestamp"] for e in trace if e["kind"] == ABORT_KIND] == \
+        ([1.0] if silent_first else [])
+    fixes = replay_solve(trace, lmf.anchors, lmf.options)
+    assert list(fixes) == ["ue:0"]
+    assert np.array_equal(fixes["ue:0"].position, live.fix.position)
+    assert len(fixes["ue:0"].rows) == len(live.fix.rows) == 7

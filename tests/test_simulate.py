@@ -1,10 +1,13 @@
 """Top-level simulation path: pinned results, each drop's links against the
 per-link oracle and its clock offsets against the sync draws, the
-channel matrix against the oracle's frequency response, the received-RE
-kernel against the grid path, the comb-line receive, despread and sweep
-against flat RE indices for every comb shape, the beam sweep's power
-draw against the RE-level draw and its batched pass against the per-beam
-loops, the downlink reference values against a per-symbol build,
+channel matrix against the oracle's frequency response, the signal sums
+against the grid path, the comb-line receive, despread and sweep against
+flat RE indices and the per-set reference noise draw for every comb
+shape, the beam sweep's and the receive path's power draws against the
+RE-level draw, completed noise against a full draw, each read group's
+power against its RSRP, later samples drawing only the read sets, the
+sweep's batched pass against the per-beam loops, the downlink reference
+values against a per-symbol build,
 detection of the selected TRPs only and no detection state built for
 DL-AoD, accuracy on an ideal channel, the multi-RTT fixes of two pinned
 UMi drops and a pinned multi-RTT drop without a downlink arrival, two
@@ -23,7 +26,8 @@ import pytest
 
 import sweep_oracle
 from grid_oracle import (despread, flat_dl_reference, flat_srs_reference, frequency_response,
-                         link_row, map_dl_prs, re_indices, received_grid, rsrp, slot_grid)
+                         link_row, map_dl_prs, re_indices, received_grid, rsrp, set_noise,
+                         slot_grid)
 from nrpos import experiments, prs, simulate, solvers
 from nrpos.channel import Links, draw_noise, link_amplitude
 from nrpos.config import METHODS, preset_config
@@ -31,8 +35,9 @@ from nrpos.experiments import ResultSummary, run_experiment
 from nrpos.measurements import first_paths, read_records, write_records
 from nrpos.prs import DL_VALID_SYMBOLS, UL_VALID_SYMBOLS, comb_pattern
 from nrpos.rng import substream
-from nrpos.simulate import (Simulator, comb_lines, despread_groups, power_dbm,
-                            receive_groups, solve_records, sweep_powers)
+from nrpos.simulate import (Simulator, comb_lines, complete_set, despread_groups,
+                            draw_statistics, power_dbm, set_factors, set_signals, solve_records,
+                            sweep_powers)
 from nrpos.sequences import gold_sequence, prs_c_init, qpsk_map
 from nrpos.solvers import RANGE_DIFFERENCE, gdop, in_area, init_guess
 
@@ -45,7 +50,9 @@ N_DROPS = 8
 # rows its fix was solved from, at the truth, and empty without a fix.
 # "plain start": the TDOA solves start from the plain centroid of their
 # anchors, reference included, not the RSRP-weighted one; no drop changed
-# status.
+# status. "Per-set noise redraw": receiver noise is drawn per RE set, a
+# statistic for every set and the full noise of the sets read only
+# (`Simulator._receive`); the downlink-only digests kept their values.
 PINNED = [
     # gdop column; no fix moved
     ("ioo-fr1", dict(method="multi-rtt"),
@@ -73,18 +80,23 @@ PINNED = [
     ("ioo-fr1", dict(method="dl-tdoa", ideal=True),
      "224d9f02ffa7e43bc480c5f153fdc95708e1456540f8f2c5fcb3356ebe22d573"),
     # uplink selection on 21 TRPs, where detection skips the most rows;
-    # plain start moved drop 1 by 4.0e-9 m and unconverged drop 5 by 4.0 m
+    # per-set noise redraw moved 5 of 8 fixes: drop 3 by 190 m, drop 0 by
+    # 13 m, the others by at most 0.27 m
     ("uma", dict(method="ul-tdoa"),
-     "3215fe55f1ff25893292e03975adb1b6b50b81fb4e1805acf7226003440ecaf2"),
-    # gdop column, 4 of 8 empty; no fix moved
+     "b342379674ab1c187c92386b9a3687eef3ab0606283bdafedc1695df2fba4986"),
+    # gdop column, 4 of 8 empty; per-set noise redraw moved 2 of 8 fixes
+    # by at most 0.22 m
     ("uma", dict(method="multi-rtt"),
-     "05c5b01450dc7233f4576d171645ccc90ab366966bc3e08965a1623b62f42396"),
+     "c92cffdbb345439c3024d5b32af375e7b8d78620c2663e535bb4c1b856087821"),
     # uplink arrivals in the TRPs' clocks: pinned when the clock offsets
-    # moved onto the links; a flip of the uplink offset's sign moves both
+    # moved onto the links; a flip of the uplink offset's sign moves both.
+    # Per-set noise redraw: UL-TDOA moved 7 of 8 fixes (drop 3 by 180 m,
+    # the others by at most 1.6 m), and drop 6's no longer converges;
+    # multi-RTT moved 2 of 8 fixes by at most 0.11 m
     ("uma", dict(method="ul-tdoa", sync_sigma_ns=5.0),
-     "4caca64efcdf8e6da8b67315d79d9f51ffc4d1b0ef899cd02c01a60ee84b4e12"),
+     "483f6a16c6ad8916a875be7a3e3650c8c4628bb3ec017ddc42a8ded9f37c8ccb"),
     ("uma", dict(method="multi-rtt", sync_sigma_ns=5.0),
-     "d8b16cd329cb3c1b87189ebcfd46a3cf1ec7e0fd302711ce33aa8ec2e60928e9"),
+     "6d0115f0b5bef0ed6e0a282c0ca1c99b0d8aa12ac36f47200f0b03db73ed27a0"),
 ]
 
 
@@ -187,24 +199,24 @@ def test_multi_rtt_drop_without_downlink_arrival_fails_alone():
 
 @pytest.mark.parametrize("interference", [True, False])
 def test_kernel_matches_grid_path(interference):
-    """The received-RE kernel against the grid path of `grid_oracle` on the
-    same link draws and noise grid. With interference every TRP transmits
-    onto one shared grid, so the kernel's comb-offset groups must
-    reproduce exactly what lands on each TRP's REs; without it each TRP
-    transmits alone."""
+    """The receive path's signal sums (`set_signals`) and despread against
+    the grid path of `grid_oracle` on the same link draws and noise grid.
+    With interference every TRP transmits onto one shared grid, so the
+    comb-offset groups must reproduce exactly what lands on each TRP's
+    REs; without it each TRP transmits alone."""
     sim = Simulator(preset_config("uma", n_prb=24, n_drops=1, interference=interference))
     cfg, num = sim.config, sim.numerology
     links = sim._links(0)
     side = sim._dl
     amps = link_amplitude(links, trp_powers(sim), side.occupied_per_symbol)
     h = sim._channel_matrix(links, links.first_arrival_s)
-    assert any(len(g.members) > 1 for g in side.groups) == interference
+    assert any(len(g.members) > 1 for s in side.sets for g in s) == interference
 
-    rx, kernel_rsrp = receive_sample(side, np.random.default_rng(7), amps, h)
-    vecs = despread_groups(side.groups, rx, side.refs, num.n_subcarriers,
-                           cfg.dl_comb_size, range(len(sim.trps)))
     noise_grid = draw_noise(np.random.default_rng(7), (num.n_subcarriers, cfg.dl_n_symbols),
                             side.noise_rms / np.sqrt(2.0))
+    groups, rx, kernel_rsrp = receive_on_grid(side, noise_grid, amps, h)
+    vecs = despread_groups(groups, rx, side.refs, num.n_subcarriers, cfg.dl_comb_size,
+                           range(len(sim.trps)))
 
     def tx_grid(t):
         grid = slot_grid(num, symbols=cfg.dl_n_symbols)
@@ -226,11 +238,24 @@ def trp_powers(sim):
     return np.array([t.tx_power_dbm for t in sim.trps])
 
 
-def receive_sample(side, rng, amps, h):
-    """Received REs and RSRP of every group of a side under one sample of
-    its noise layout, drawn from rng, as `Simulator._receive` sums them."""
-    return receive_groups(side.groups, side.noise_layout(side, rng, range(len(side.groups))),
-                          amps, comb_lines(h, side.comb), side.refs)
+def receive_on_grid(side, noise_grid, amps, h):
+    """Every group of a side received under a full RE-level noise draw:
+    its signal sum (`set_signals`) plus the noise that noise_grid, a
+    (subcarrier, symbol) grid, holds on its set's REs. Returns the groups,
+    their received REs and, per source, the mean power on its group's REs
+    in dBm."""
+    n_sym = side.refs[0].shape[0]
+    # view[r, s, j]: the noise on subcarrier j * comb + r of symbol s
+    view = noise_grid.reshape(-1, side.comb, n_sym).transpose(1, 2, 0)
+    groups, rx, power = [], [], [power_dbm(0.0)] * len(side.refs)
+    for s in side.sets:
+        noise = view[s[0].residues, np.arange(n_sym)]
+        for g, c in zip(s, set_signals(s, amps, comb_lines(h, side.comb), side.refs)):
+            groups.append(g)
+            rx.append(c + noise)
+            for i in g.members:
+                power[i] = power_dbm(float(np.mean(np.abs(rx[-1]) ** 2)))
+    return groups, rx, power
 
 
 def assert_links_equal(got: Links, want: Links):
@@ -239,13 +264,13 @@ def assert_links_equal(got: Links, want: Links):
         assert getattr(got, name).dtype == getattr(want, name).dtype, name
 
 
-def flat_receive(noise, amps, h, k, refs, members):
-    """Received REs of one group on flat subcarrier indices k: its noise
-    plus each member's (amp * H) * ref, in member order."""
-    rx = noise.copy()
+def flat_signal(amps, h, k, refs, members):
+    """One group's signal on flat subcarrier indices k: each member's
+    h * ref * amp, added in member order."""
+    c = np.zeros(len(k), dtype=complex)
     for i in members:
-        rx += amps[i] * h[i, k] * refs[i]
-    return rx
+        c += h[i, k] * refs[i] * amps[i]
+    return c
 
 
 def flat_despread(rx, k, ref, n_sc):
@@ -259,69 +284,88 @@ def flat_despread(rx, k, ref, n_sc):
 DL_SHAPES = [(comb, n) for comb, counts in DL_VALID_SYMBOLS.items() for n in counts]
 
 
-def check_receive_against_flat_indices(sim, side, resources, flat_refs, flat_noise,
-                                       monkeypatch):
-    """One side's `Simulator._receive` on drop 0 against the same
-    arithmetic on the flat (subcarrier, symbol) indices that
-    `grid_oracle.re_indices` expands from each TRP's resource, bit for bit,
-    receiving with cell selection (no detect), for detect (5, 2, 7) and
-    for every TRP: the path's one noise draw and the stream it leaves,
-    each received group's REs and RSRP, -300 dBm for a TRP not received,
-    each detected TRP's despread vector, zero on exactly the subcarriers
-    its resource leaves unsounded, and the arrivals. Repeated symbols
-    re-sound subcarriers, whose products add in symbol order.
-    flat_noise(rng, last) is the side's draw from rng, as the path must
-    make it, and each TRP's noise on its flat REs, for the TRPs up to
-    last."""
+def check_receive_against_flat_indices(sim, side, resources, flat_refs, monkeypatch):
+    """One side's `Simulator._receive` on drop 0 against the same arithmetic
+    on the flat (subcarrier, symbol) indices that `grid_oracle.re_indices`
+    expands from each TRP's resource, receiving with cell selection (no
+    detect), for detect (5, 2, 7) and for every TRP. Bit for bit: every
+    received group's signal sum, each detected TRP's despread vector, zero
+    on exactly the subcarriers its resource leaves unsounded, and the
+    arrivals. Against `grid_oracle.set_noise`, the plain per-set reference
+    draw on the same substream: every RSRP to 1e-9 dB, -300 dBm for a TRP
+    not received, the received REs of each set read, that is holding a
+    detected TRP, and the stream the path leaves. Repeated symbols
+    re-sound subcarriers, whose products add in symbol order."""
     n_sc, n_trps = sim.numerology.n_subcarriers, len(sim.trps)
     links = sim._links(0)
     amps = link_amplitude(links, side.tx_power_dbm, side.occupied_per_symbol)
-    draws, despreads = [], []
+    signals, completed, despreads = [], [], []
 
-    def spy_noise(rng, shape, std, stacked=False):
-        noise = draw_noise(rng, shape, std, stacked)
-        draws.append((rng, noise.copy()))  # the path adds its REs in place
-        return noise
+    def spy_factors(sets):
+        signals.extend(c.copy() for c in sets)
+        return set_factors(sets)
+
+    def spy_complete(c, r, z, rest, rng):
+        rx = complete_set(c, r, z, rest, rng)
+        completed.append((rx.copy(), rng))  # detection tapers what is despread
+        return rx
 
     def spy_despread(groups, rx, *args):
         vecs = despread_groups(groups, rx, *args)
-        despreads.append(([r.tobytes() for r in rx], vecs.copy()))  # detection tapers vecs
+        despreads.append(([r.tobytes() for r in rx], vecs.copy()))
         return vecs
 
     for detect in (None, (5, 2, 7), range(n_trps)):
-        draws.clear()
+        signals.clear()
+        completed.clear()
         despreads.clear()
-        monkeypatch.setattr(simulate, "draw_noise", spy_noise)
+        monkeypatch.setattr(simulate, "set_factors", spy_factors)
+        monkeypatch.setattr(simulate, "complete_set", spy_complete)
         monkeypatch.setattr(simulate, "despread_groups", spy_despread)
         rsrp, toa = sim._receive(links, side, 0, detect=detect)
         monkeypatch.undo()
 
         h = sim._channel_matrix(links, links.first_arrival_s)
-        received = [g for g in side.groups if detect is None or set(g.members) & set(detect)]
+        received = [s for s in side.sets
+                    if detect is None or {i for g in s for i in g.members} & set(detect)]
+        flat, ks = [], {}
+        for s in received:
+            k, sym = re_indices(resources[s[0].members[0]])
+            for g in s:
+                for i in g.members:
+                    assert all(np.array_equal(a, b) for a, b in zip(re_indices(resources[i]),
+                                                                    (k, sym)))
+                    ks[i] = k
+            flat.append(np.array([flat_signal(amps, h, k, flat_refs, g.members) for g in s]))
+        assert [c.reshape(len(c), -1).tobytes() for c in signals] == [c.tobytes() for c in flat]
+
+        detected = sim._select_trps(rsrp) if detect is None else list(detect)
+        read = [e for e, s in enumerate(received)
+                if any(i in detected for g in s for i in g.members)]
         rng = substream(sim.config.master_seed, "noise", 0, *side.noise_keys[0])
-        draw, noise = flat_noise(rng, max(i for g in received for i in g.members))
-        [(path_rng, path_draw)] = draws
-        assert path_draw.tobytes() == draw.tobytes()
+        powers, noise = set_noise(rng, flat, side.noise_rms / np.sqrt(2.0), read)
+        want_rsrp = [-300.0] * n_trps
+        for s, p in zip(received, powers):
+            for g, power in zip(s, p):
+                for i in g.members:
+                    want_rsrp[i] = power_dbm(power)
+        assert rsrp == pytest.approx(want_rsrp, rel=0, abs=1e-9)
+        assert len(completed) == len(read)
+        for (rows, path_rng), e, n in zip(completed, read, noise):
+            assert np.allclose(rows.reshape(len(rows), -1), flat[e] + n, rtol=0,
+                               atol=1e-9 * np.abs(n).max())
         assert path_rng.standard_normal() == rng.standard_normal()
 
-        want, want_rsrp = {}, [-300.0] * n_trps
-        for g in received:
-            k, sym = re_indices(resources[g.members[0]])
-            rx = flat_receive(noise[g.members[0]], amps, h, k, flat_refs, g.members)
-            for i in g.members:
-                assert all(np.array_equal(a, b) for a, b in zip(re_indices(resources[i]),
-                                                                (k, sym)))
-                want[i] = rx, k
-                want_rsrp[i] = power_dbm(float(np.mean(np.abs(rx) ** 2)))
-        assert rsrp == want_rsrp
-        detected = sim._select_trps(rsrp) if detect is None else list(detect)
-        flat_vecs = np.array([flat_despread(*want[i], flat_refs[i], n_sc) for i in detected])
         [(rx, vecs)] = despreads
-        assert rx == [want[g.members[0]][0].tobytes() for g in received]
+        assert rx == [row.tobytes() for rows, _ in completed for row in rows]
+        by_source = {i: row for (rows, _), e in zip(completed, read)
+                     for g, row in zip(received[e], rows) for i in g.members}
+        flat_vecs = np.array([flat_despread(by_source[i].ravel(), ks[i], flat_refs[i], n_sc)
+                              for i in detected])
         assert vecs.tobytes() == flat_vecs.tobytes()
         for i, vec in zip(detected, vecs):
             sounded = np.zeros(n_sc, dtype=bool)
-            sounded[want[i][1]] = True
+            sounded[ks[i]] = True
             assert not vec[~sounded].any() and np.all(vec[sounded] != 0)
         window, taper = sim._detection
         taus = first_paths(flat_vecs * taper, window).tolist()
@@ -333,23 +377,15 @@ def check_receive_against_flat_indices(sim, side, resources, flat_refs, flat_noi
 def test_dl_comb_lines_match_flat_indices(comb, n_symbols, interference, monkeypatch):
     """The receive path on the downlink side against flat indices
     (`check_receive_against_flat_indices`), for every valid (comb,
-    symbols) pair, with and without interference: the path draws one full
-    (subcarrier, symbol) grid, and each TRP's noise is that grid on its
-    REs, shared on one comb offset. The beam sweep's factors and reports
-    match `sweep_oracle`'s, which reads the same flat indices."""
+    symbols) pair, with and without interference: one comb offset's TRPs
+    share their REs and noise. The beam sweep's factors and reports match
+    `sweep_oracle`'s, which reads the same flat indices."""
     sim = Simulator(preset_config("uma", n_prb=24, n_drops=1, quantize=False,
                                   interference=interference, dl_comb_size=comb,
                                   dl_n_symbols=n_symbols))
-    n_sc = sim.numerology.n_subcarriers
     resources = [sim.dl_resources[t.trp_id] for t in sim.trps]
-
-    def grid_noise(rng, last):
-        grid = draw_noise(rng, (n_sc, n_symbols), sim._dl.noise_rms / np.sqrt(2.0))
-        return grid, [grid[re_indices(res)] for res in resources]
-
     check_receive_against_flat_indices(
-        sim, sim._dl, resources, [flat_dl_reference(res)[2] for res in resources], grid_noise,
-        monkeypatch)
+        sim, sim._dl, resources, [flat_dl_reference(res)[2] for res in resources], monkeypatch)
 
     links = sim._links(0)
     h = sim._channel_matrix(links, links.first_arrival_s)
@@ -363,25 +399,16 @@ def test_dl_comb_lines_match_flat_indices(comb, n_symbols, interference, monkeyp
 def test_ul_comb_lines_match_flat_indices(comb, n_symbols, monkeypatch):
     """The receive path on the uplink side against flat indices
     (`check_receive_against_flat_indices`), for every sounding comb and
-    symbol count: the path's one stacked draw equals one `draw_noise` call
-    per TRP on the drop's uplink substream, in TRP order, each TRP's noise
-    in RE order, and the stream stops after the last TRP received: all 12
-    with cell selection, TRP 7 with detect (5, 2, 7). A comb with fewer
-    symbols than its size leaves comb lines unsounded."""
+    symbol count: each TRP is its own RE set, under its own noise. A comb
+    with fewer symbols than its size leaves comb lines unsounded."""
     sim = Simulator(preset_config("ioo-fr1", method="ul-tdoa", n_prb=24, n_drops=1,
                                   ul_comb_size=comb, ul_n_symbols=n_symbols))
     n_trps = len(sim.trps)
     k, _ = re_indices(sim.srs)
     assert len(set(k)) == sim.numerology.n_subcarriers or n_symbols < comb
-
-    def block_noise(rng, last):
-        noise = [draw_noise(rng, len(k), sim._ul.noise_rms / np.sqrt(2.0))
-                 for _ in range(last + 1)]
-        return np.array(noise), noise
-
     check_receive_against_flat_indices(
         sim, sim._ul, [sim.srs] * n_trps, [flat_srs_reference(sim.srs)[2]] * n_trps,
-        block_noise, monkeypatch)
+        monkeypatch)
 
 
 @pytest.mark.parametrize("comb,n_symbols", [(2, 2), (4, 4), (6, 6), (12, 12)])
@@ -409,7 +436,7 @@ def test_dl_reference_matches_per_symbol_build(preset, interference, comb, n_sym
     assert sorted(row.tobytes() for row in sim._dl_stacked) == \
         sorted(v.tobytes() for v in expected.values())
     members = []
-    for g in sim._dl.groups:
+    for g in (g for s in sim._dl.sets for g in s):
         assert interference or len(g.members) == 1
         for i in g.members:
             assert sim._dl.refs[i].shape == (n_symbols, sim._dl.occupied_per_symbol)
@@ -573,14 +600,46 @@ def test_multi_rtt_channel_matrix_builds(sync_sigma_ns, builds, monkeypatch):
         assert np.array_equal(outcome.fix.position, want.fix.position)
 
 
+def re_level_powers(side, amps, h, n: int, seed: int) -> np.ndarray:
+    """Linear RSRP of every source, (source, draw), under n fresh RE-level
+    noise grids (`receive_on_grid`)."""
+    rng = np.random.default_rng(seed)
+    shape = (h.shape[1], side.refs[0].shape[0])
+    return 10.0 ** (np.array([
+        receive_on_grid(side, draw_noise(rng, shape, side.noise_rms / np.sqrt(2.0)), amps, h)[2]
+        for _ in range(n)]).T / 10.0)
+
+
+def assert_same_distribution(re_level, drawn, shared, correlated):
+    """Per source, the mean and standard deviation of linear power agree
+    within 4 standard errors, and the two sources in shared, on one comb
+    offset, correlate alike; correlated asks that they share their noise
+    in the noise-dominated regime."""
+    n = re_level.shape[1]
+    m1, m2 = re_level.mean(axis=1), drawn.mean(axis=1)
+    v1, v2 = re_level.var(axis=1), drawn.var(axis=1)
+    assert np.all(np.abs(m1 - m2) < 4.0 * np.sqrt((v1 + v2) / n))
+    assert np.all(np.abs(np.sqrt(v1) - np.sqrt(v2)) < 4.0 * np.sqrt((v1 + v2) / (2 * n)))
+    corr = [np.corrcoef(d[list(shared)])[0, 1] for d in (re_level, drawn)]
+    assert corr[0] == pytest.approx(corr[1], abs=0.05)
+    if correlated:
+        assert corr[1] > 0.5
+
+
+def noiseless_rsrp(side, amps, h):
+    """Every source's RSRP without noise, from its group's REs."""
+    return receive_on_grid(side, np.zeros((h.shape[1], side.refs[0].shape[0]), dtype=complex),
+                           amps, h)[2]
+
+
 @pytest.mark.parametrize("interference,scale", [(True, 1.0), (False, 0.02)])
 def test_sweep_draw_matches_re_level_draw(interference, scale):
     """The beam sweep's draw from each RE set's factor R against RSRP taken
-    from fresh noise grids on the REs. Per TRP the mean and standard
-    deviation of linear power agree within 4 standard errors. Scaled into
-    the noise-dominated regime without interference, two TRPs on one comb
-    offset see the same noise, so their powers stay correlated; a draw per
-    TRP would make them independent. Without noise the draw is exact."""
+    from fresh noise grids on the REs (`assert_same_distribution`). Scaled
+    into the noise-dominated regime without interference, two TRPs on one
+    comb offset see the same noise, so their powers stay correlated; a
+    draw per TRP would make them independent. Without noise the draw is
+    exact."""
     sim = Simulator(preset_config("uma", n_prb=24, n_drops=1, interference=interference))
     links = sim._links(0)
     side = sim._dl
@@ -589,29 +648,132 @@ def test_sweep_draw_matches_re_level_draw(interference, scale):
     factors = sim._sweep_factors(h)
     n = 4000
 
-    rng = np.random.default_rng(11)
-    grid_draws = 10.0 ** (np.array([receive_sample(side, rng, amps, h)[1]
-                                    for _ in range(n)]).T / 10.0)
     n_re = side.refs[0].size
     sweep_draws = sweep_powers(sim._dl_sets, factors, np.repeat(amps[:, None], n, axis=1),
                                interference, np.random.default_rng(12),
                                side.noise_rms / np.sqrt(2.0), n_re)
-    m1, m2 = grid_draws.mean(axis=1), sweep_draws.mean(axis=1)
-    v1, v2 = grid_draws.var(axis=1), sweep_draws.var(axis=1)
-    assert np.all(np.abs(m1 - m2) < 4.0 * np.sqrt((v1 + v2) / n))
-    assert np.all(np.abs(np.sqrt(v1) - np.sqrt(v2)) < 4.0 * np.sqrt((v1 + v2) / (2 * n)))
-
     shared = next(g for g in sim._dl_sets if len(g.members) == 2).members
-    corr = [np.corrcoef(d[list(shared)])[0, 1] for d in (grid_draws, sweep_draws)]
-    assert corr[0] == pytest.approx(corr[1], abs=0.05)
-    if not interference:
-        assert corr[1] > 0.5
+    assert_same_distribution(re_level_powers(side, amps, h, n, 11), sweep_draws, shared,
+                             not interference)
 
-    noise = [np.zeros(side.refs[0].shape, dtype=complex) for g in side.groups]
-    _, expected = receive_groups(side.groups, noise, amps, comb_lines(h, side.comb), side.refs)
     noiseless = sweep_powers(sim._dl_sets, factors, amps[:, None], interference,
                              np.random.default_rng(13), 0.0, n_re)
-    assert [power_dbm(p) for p in noiseless[:, 0]] == pytest.approx(expected, abs=1e-9)
+    assert [power_dbm(p) for p in noiseless[:, 0]] == \
+        pytest.approx(noiseless_rsrp(side, amps, h), abs=1e-9)
+
+
+@pytest.mark.parametrize("interference,scale", [(True, 1.0), (False, 0.02)])
+def test_receive_statistic_matches_re_level_draw(interference, scale):
+    """The receive path's RSRP, drawn from each RE set's statistic
+    (`draw_statistics`), against RSRP taken from fresh noise grids on the
+    REs (`assert_same_distribution`): with interference each set is one
+    group, q = 1; without it the sets of two TRPs on one comb offset hold
+    two groups under one noise, q = 2, whose powers stay correlated in the
+    noise-dominated regime. Without noise the draw is exact."""
+    sim = Simulator(preset_config("uma", n_prb=24, n_drops=1, interference=interference))
+    links = sim._links(0)
+    side = sim._dl
+    amps = scale * link_amplitude(links, trp_powers(sim), side.occupied_per_symbol)
+    h = sim._channel_matrix(links, links.first_arrival_s)
+    lines = comb_lines(h, side.comb)
+    factors = set_factors([set_signals(s, amps, lines, side.refs) for s in side.sets])
+    assert {len(r) for r in factors} == ({1} if interference else {1, 2})
+    n, n_re, std = 4000, side.refs[0].size, side.noise_rms / np.sqrt(2.0)
+
+    def draw(rng, std):
+        power = np.empty(len(sim.trps))
+        for s, p in zip(side.sets, draw_statistics(rng, factors, std, n_re)[2]):
+            for g, x in zip(s, p):
+                power[list(g.members)] = x
+        return power
+
+    rng = np.random.default_rng(12)
+    drawn = np.array([draw(rng, std) for _ in range(n)]).T
+    shared = next(g for g in sim._dl_sets if len(g.members) == 2).members
+    assert_same_distribution(re_level_powers(side, amps, h, n, 11), drawn, shared,
+                             not interference)
+    assert [power_dbm(p) for p in draw(np.random.default_rng(13), 0.0)] == \
+        pytest.approx(noiseless_rsrp(side, amps, h), abs=1e-9)
+
+
+@pytest.mark.parametrize("interference", [True, False])
+def test_completed_noise_matches_a_full_draw(interference):
+    """A read set's noise, completed from its statistic (`complete_set`),
+    is distributed as a full draw on its REs, within 5 standard errors of
+    4,000 draws: zero mean, per-RE variance 2 std**2 (the noise RMS
+    squared), no pseudo-covariance E[n n^T], and, within 6, no covariance
+    between REs. The set holds TRPs 0 and 12, one group with
+    interference, q = 1, and two without, q = 2."""
+    sim = Simulator(preset_config("uma", n_prb=24, n_drops=1, interference=interference))
+    links = sim._links(0)
+    side = sim._dl
+    amps = link_amplitude(links, side.tx_power_dbm, side.occupied_per_symbol)
+    h = sim._channel_matrix(links, links.first_arrival_s)
+    [re_set] = [s for s in side.sets if s[0].members[0] == 0]
+    assert [g.members for g in re_set] == ([(0, 12)] if interference else [(0,), (12,)])
+    c = set_signals(re_set, amps, comb_lines(h, side.comb), side.refs)
+    [r] = set_factors([c])
+    n, n_re, std = 4000, c[0].size, side.noise_rms / np.sqrt(2.0)
+    rng = np.random.default_rng(21)
+    noise = np.empty((n, n_re), dtype=complex)
+    for d in range(n):
+        [z], [rest], _ = draw_statistics(rng, [r], std, n_re)
+        noise[d] = (complete_set(c, r, z, rest, rng) - c)[-1].ravel()
+
+    var = 2.0 * std**2
+    assert var == pytest.approx(side.noise_rms**2)
+    mean = noise.mean(axis=0)
+    assert np.all(np.abs(mean.real) < 5.0 * std / np.sqrt(n))
+    assert np.all(np.abs(mean.imag) < 5.0 * std / np.sqrt(n))
+    power = (np.abs(noise) ** 2).mean(axis=0)
+    assert np.all(np.abs(power - var) < 5.0 * var / np.sqrt(n))
+    assert np.all(np.abs((noise**2).mean(axis=0)) < 5.0 * var / np.sqrt(n))
+    cov = noise.conj().T @ noise / n
+    assert np.abs(cov - np.diag(np.diag(cov))).max() < 6.0 * var / np.sqrt(2 * n)
+
+
+@pytest.mark.parametrize("overrides,side_name", [
+    ({}, "_dl"), (dict(interference=False), "_dl"), (dict(method="ul-tdoa"), "_ul")])
+def test_read_groups_carry_their_rsrp(overrides, side_name, monkeypatch):
+    """UMa drop 3 at master seed 1, unquantized: for every group of every
+    set the path reads, 10 log10 of the mean power of its received REs
+    equals the RSRP its members report to 1e-9 dB. The power comes from the
+    set's statistic before its noise is completed; the completion must
+    reproduce it. Downlink with and without interference (q = 1 and up to
+    2) and the uplink."""
+    sim = Simulator(preset_config("uma", n_drops=4, quantize=False, **overrides))
+    side = getattr(sim, side_name)
+    completed = []
+    monkeypatch.setattr(simulate, "complete_set",
+                        lambda *args: completed.append(complete_set(*args)) or completed[-1])
+    rsrp, _ = sim._receive(sim._links(3), side, 3)
+    detected = sim._select_trps(rsrp)
+    read = [s for s in side.sets if any(i in detected for g in s for i in g.members)]
+    assert len(completed) == len(read) > 1
+    for s, rx in zip(read, completed):
+        for g, row in zip(s, rx):
+            for i in g.members:
+                assert power_dbm(float(np.mean(np.abs(row) ** 2))) == \
+                    pytest.approx(rsrp[i], rel=0, abs=1e-9)
+
+
+def test_later_samples_draw_only_the_read_sets(monkeypatch):
+    """UMa DL-TDOA drop 0 at three samples: sample 0 draws the statistic of
+    all 12 comb offsets, and each later sample only those of the sets
+    holding a selected TRP, which every sample completes."""
+    sim = Simulator(preset_config("uma", n_drops=1, n_samples=3))
+    drawn, completed = [], []
+    monkeypatch.setattr(simulate, "draw_statistics",
+                        lambda rng, factors, *a: drawn.append(len(factors))
+                        or draw_statistics(rng, factors, *a))
+    monkeypatch.setattr(simulate, "complete_set",
+                        lambda *args: completed.append(args[0].shape) or complete_set(*args))
+    rsrp, toa = sim._receive(sim._links(0), sim._dl, 0)
+    selected = sim._select_trps(rsrp)
+    read = [s for s in sim._dl.sets if any(i in selected for g in s for i in g.members)]
+    assert 1 < len(read) < len(sim._dl.sets) == 12
+    assert drawn == [12, len(read), len(read)]
+    assert len(completed) == 3 * len(read) and toa
 
 
 SWEEP_CASES = [
