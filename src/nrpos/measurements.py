@@ -44,10 +44,11 @@ def quantize_timing(t_seconds: float, k: int, fr: str = "fr1") -> int:
     return min(max(value, -TIMING_RANGE_TC), TIMING_RANGE_TC)
 
 
-def reported_power_dbm(p_dbm: float) -> int:
+def reported_power_dbm(p_dbm):
     """The power reporting rule: the nearest whole dBm, half to even as
-    np.round, clamped to the reporting range."""
-    return min(max(round(p_dbm), POWER_RANGE_DBM[0]), POWER_RANGE_DBM[1])
+    np.round, clamped to the reporting range. Of a scalar an int, of an
+    array (or list) the same shape as nested lists of ints."""
+    return np.clip(np.round(p_dbm), *POWER_RANGE_DBM).astype(int).tolist()
 
 
 def aggregate_samples(samples) -> float:

@@ -63,10 +63,11 @@ detection workspace and magnitude buffer belong to the simulator's
 
 The downlink beam sweep needs only each group's mean power per beam, so
 it never forms REs. `sweep_powers` draws every group's power on every
-beam from its comb offset's sufficient statistic: the triangular factor
-of the offset's (RE, TRP) signal matrix, r complex normals for the noise
-in that matrix's span and one chi-square for the rest. This is the exact
-joint distribution of the RE-level powers, including the shared noise of
+beam from its comb offset's sufficient statistic, the one the receive
+path draws: the factor R of the offset's (TRP, RE) signals C = QR, by
+`set_factors` as every RE set's, r complex normals for the noise in C's
+span and one chi-square for the rest. This is the exact joint
+distribution of the RE-level powers, including the shared noise of
 same-offset TRPs with interference off. Draws go beam by beam, offsets in
 increasing order, on the "rsrp" substream.
 
@@ -74,11 +75,12 @@ The sweep's arithmetic is batched and its draws are not. The (TRP, beam)
 amplitudes are one array expression, with each power taken per element
 on Python floats, because numpy's array power differs from libm's pow in
 the last bit. The RE sets with one member count are gathered from the
-channel matrix's comb lines in one pass, and their powers are one pass.
-The draws stay a loop over (beam, set), in the order above, because each
-chi-square consumes a variable number of values from the stream:
-batching them would move every later draw. Reports are bit for bit
-those of the per-beam loops.
+channel matrix's comb lines in one pass, their Gram matrices are
+factored in one Cholesky call and their powers are one pass, and the
+reports are quantized in one call. The draws stay a loop over (beam,
+set), in the order above, because each chi-square consumes a variable
+number of values from the stream: batching them would move every later
+draw. Reports are bit for bit those of the per-beam loops.
 """
 
 from __future__ import annotations
@@ -210,10 +212,11 @@ def set_signals(groups, amps, lines, refs) -> np.ndarray:
 
 
 def set_factors(signals) -> list[np.ndarray]:
-    """R of each RE set's (group, symbol, line) signals C = QR: the
-    conjugate transpose of the Cholesky factor of the groups' Gram matrix,
-    in one call per group count. A set's signals must be linearly
-    independent, as positive link amplitudes make them."""
+    """R of each RE set's signals C = QR, a row per group on the set's REs,
+    (symbol, line) or flat: the conjugate transpose of the Cholesky factor
+    of the groups' Gram matrix of np.vdot pairs, in one call per group
+    count, so R's diagonal is real and positive. A set's signals must be
+    linearly independent, as positive link amplitudes make them."""
     factors = [None] * len(signals)
     for q, pos in _by_length(signals).items():
         grams = np.array([np.vdot(a, b) for e in pos for a in signals[e] for b in signals[e]])
@@ -270,8 +273,9 @@ def sweep_powers(sets, factors, amps, shared: bool, rng, std: float, n_re: int) 
     RE set's sufficient statistic instead of its received REs.
 
     sets are the RE sets (all sources on one comb offset), in draw order,
-    each of n_re REs, and factors[e] is R of the reduced QR C = QR of set
-    e's (RE, member) matrix of h[i, k] * refs[i]. amps is (source, beam).
+    each of n_re REs, and factors[e] is R of C = QR, C set e's (RE,
+    member) matrix of h[i, k] * refs[i] (`set_factors`). amps is (source,
+    beam).
     With shared, a set's members form one group and see one power; otherwise each member
     is alone on the set's REs but sees the same noise as the others.
 
@@ -557,19 +561,17 @@ class Simulator:
         return self._sweep_index
 
     def _sweep_factors(self, h) -> list[np.ndarray]:
-        """R of the reduced QR of each RE set's (RE, member) matrix of
-        h[i, k] * ref_i, for `sweep_powers`. The matrices of one member
-        count are gathered in one pass; each is factored on its own,
-        because `np.linalg.qr` copies its whole input, and a copy of every
-        set at once would raise the run's peak memory."""
+        """R of each RE set's (member, RE) rows of h[i, k] * ref_i, by
+        `set_factors`, for `sweep_powers`. The rows of one member count
+        are gathered in one pass."""
         lines = comb_lines(h, self.config.dl_comb_size)
-        factors = [None] * len(self._dl_sets)
+        signals = [None] * len(self._dl_sets)
         for pos, index, vals in self._sweep_tables():
             c = lines[index].reshape(vals.shape)
             c *= vals
-            for e, matrix in zip(pos, c):
-                factors[e] = np.linalg.qr(matrix.T, mode="r")
-        return factors
+            for e, rows in zip(pos, c):
+                signals[e] = rows
+        return set_factors(signals)
 
     # -- receive path ------------------------------------------------------
 
@@ -684,11 +686,8 @@ class Simulator:
         power = sweep_powers(self._dl_sets, self._sweep_factors(h), self._beam_amplitudes(links),
                              cfg.interference, rng, self._dl.noise_rms / math.sqrt(2.0),
                              self._dl_stacked.shape[1])
-        dbm = [power_dbm(p) for p in power.ravel().tolist()]
-        if cfg.quantize:
-            dbm = [reported_power_dbm(p) for p in dbm]
-        n = cfg.n_beams
-        reports = [dbm[i * n:(i + 1) * n] for i in range(len(self.trps))]
+        dbm = [[power_dbm(p) for p in beams] for beams in power.tolist()]
+        reports = reported_power_dbm(dbm) if cfg.quantize else dbm
         self._lap("aod", started)
         return reports
 
@@ -746,13 +745,13 @@ class Simulator:
     def _rsrp_records(self, kind, trp_ids, rsrp):
         """Power reports of the given TRPs; a PRS report's resource is its
         TRP's one resource."""
+        values = [rsrp[t] for t in trp_ids]
+        if self.config.quantize:
+            values = reported_power_dbm(values)
         return [
-            MeasurementRecord(
-                kind=kind, trp_id=t, resource_id=t if kind == "PRS_RSRP" else None,
-                payload={"value_dbm": reported_power_dbm(rsrp[t])
-                         if self.config.quantize else rsrp[t]},
-            )
-            for t in trp_ids
+            MeasurementRecord(kind=kind, trp_id=t, resource_id=t if kind == "PRS_RSRP" else None,
+                              payload={"value_dbm": value})
+            for t, value in zip(trp_ids, values)
         ]
 
     def _dl_tdoa_records(self, links, drop_idx):

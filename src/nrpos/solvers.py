@@ -269,7 +269,10 @@ def _gauss_newton(problem: _Problem, x0: np.ndarray, options: SolverOptions) -> 
     current one. When the full step is shorter than options.tolerance_m
     the run is at its minimum, and a candidate whose RMS is not higher is
     accepted too. A step taken shorter than the tolerance converges the
-    run; 25 halvings without an accepted candidate end it unconverged.
+    run; 25 halvings without an accepted candidate end it unconverged. So
+    does, short of the minimum, a candidate that rounds to the current
+    point: every shorter step rounds to it as well, and none of them can
+    lower the RMS, so the search ends there without evaluating them.
 
     The loop runs on the free coordinates as Python floats: residuals,
     Jacobian rows, the RMS, the line search and the convergence test make
@@ -311,13 +314,15 @@ def _gauss_newton(problem: _Problem, x0: np.ndarray, options: SolverOptions) -> 
         scale = 1.0
         for _ in range(25):
             cand = [vi - scale * si for vi, si in zip(var, s)]
+            if cand == var and not at_minimum:
+                break  # every shorter step rounds to var too: none is accepted
             cand_rms, cand_r = evaluate(cand)
             if cand_rms < rms or (at_minimum and cand_rms <= rms):
+                var, rms, r = cand, cand_rms, cand_r
                 break
             scale *= 0.5
-        else:
+        if var is not cand:
             break
-        var, rms, r = cand, cand_rms, cand_r
         if scale * step_norm < options.tolerance_m:
             converged = True
             break

@@ -1,11 +1,13 @@
 """The DL-AoD beam sweep and the link draw as they were before they became
 array passes: `realize_budget_link` rebuilding its tap tables, TRP-UE
 geometry and sector gain for every link, the clock offsets drawn on their
-own, one scalar link budget and beam gain per (TRP, beam), one
-`np.linalg.qr` per RE set, one `draw_noise` and chi-square per (beam,
-set) and one `reported_power_dbm` per report. Used to pin
-`channel.draw_links`, `Simulator._links` and `Simulator._aod_stage` bit
-for bit.
+own, one scalar link budget and beam gain per (TRP, beam), one Cholesky
+factor per RE set of its Gram matrix of np.vdot pairs, one `draw_noise`
+and chi-square per (beam, set) and one `reported_power_dbm` per report.
+Used to pin `channel.draw_links`, `Simulator._links` and
+`Simulator._aod_stage` bit for bit. `qr_factors` keeps the per-set
+`np.linalg.qr` the sweep factored with before, against which the Cholesky
+factors are checked up to rounding and the sign of each row.
 
 Only the simulator's configuration, TRPs, UEs, channel parameters,
 downlink resources, RE sets, references, beam azimuths, noise RMS and
@@ -123,12 +125,26 @@ def beam_gain_db(sim, beam_az, toward_az):
     return -min(12.0 * (d / sim.config.beam_hpbw_deg) ** 2, 30.0)
 
 
+def set_rows(sim, h):
+    """Each RE set's (member, RE) rows of h[i, k] * ref_i, its REs at flat
+    subcarrier indices."""
+    return [h[np.ix_(g.members, re_indices(sim.dl_resources[g.members[0]])[0])]
+            * np.array([sim._dl.refs[i].ravel() for i in g.members])
+            for g in sim._dl_sets]
+
+
 def sweep_factors(sim, h):
-    return [
-        np.linalg.qr((h[np.ix_(g.members, re_indices(sim.dl_resources[g.members[0]])[0])]
-                      * np.array([sim._dl.refs[i].ravel() for i in g.members])).T, mode="r")
-        for g in sim._dl_sets
-    ]
+    """R of each RE set: the conjugate transpose of the Cholesky factor of
+    its rows' Gram matrix, each entry one np.vdot, one set at a time."""
+    return [np.linalg.cholesky(np.array([[np.vdot(a, b) for b in rows] for a in rows])).conj().T
+            for rows in set_rows(sim, h)]
+
+
+def qr_factors(sim, h):
+    """R of the reduced QR of each RE set's (RE, member) matrix, one
+    `np.linalg.qr` per set, as the sweep took it before: R up to the sign
+    of each row."""
+    return [np.linalg.qr(rows.T, mode="r") for rows in set_rows(sim, h)]
 
 
 def sweep_powers(sets, factors, amps, shared, rng, std, n_re):

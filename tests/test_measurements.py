@@ -121,6 +121,18 @@ class TestQuantizePower:
                 assert type(value) is int
                 assert value == reference(x)
 
+    def test_array_reports_each_value(self):
+        """An array reports as nested lists of ints, each value by the
+        rule, also across half-dBm ties and both clamps and for the -300
+        dBm of no power."""
+        rng = np.random.default_rng(1)
+        values = np.concatenate([[-44.5, -43.5, -156.5, -155.5, -31.5, -30.5, -300.0],
+                                 rng.uniform(-200.0, 0.0, 993)]).reshape(10, 100)
+        got = reported_power_dbm(values)
+        assert got == [[min(max(round(p), -156), -31) for p in row] for row in values.tolist()]
+        assert all(type(v) is int for row in got for v in row)
+        assert reported_power_dbm([-100.4, -100.6]) == [-100, -101]
+
 
 class TestAggregate:
     def test_single(self):

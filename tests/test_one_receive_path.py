@@ -2,8 +2,10 @@
 kernels, the signal sums `set_signals`, the per-set noise draw
 (`set_factors`, `draw_statistics` and `complete_set`) and the despread
 `despread_groups`, are each named in exactly one place in src/nrpos,
-`Simulator._receive`. A second receive path, such as a copy of the chain
-for one side, or a second noise path, fails here. The walk goes over the
+`Simulator._receive`, but `set_factors`, which the DL-AoD beam sweep's
+`Simulator._sweep_factors` shares: every RE set is factored one way. A
+second receive path, such as a copy of the chain for one side, or a
+second noise path or factorization, fails here. The walk goes over the
 AST: a call, or any other load of the name or of an attribute of that
 name, is a use; the def and imports are not."""
 
@@ -51,7 +53,16 @@ def use_sites(package: Path, name: str) -> list[str]:
 
 def test_each_kernel_has_one_caller():
     for name in KERNELS:
-        assert use_sites(PACKAGE, name) == ["simulate.Simulator._receive"], name
+        sites = ["simulate.Simulator._receive"]
+        if name == "set_factors":
+            sites.append("simulate.Simulator._sweep_factors")
+        assert sorted(use_sites(PACKAGE, name)) == sorted(sites), name
+
+
+def test_one_factorization():
+    """No QR anywhere; the one Cholesky factorization is `set_factors`'."""
+    assert use_sites(PACKAGE, "qr") == []
+    assert use_sites(PACKAGE, "cholesky") == ["simulate.set_factors"]
 
 
 def test_guard_sees_a_second_path(tmp_path):

@@ -6,7 +6,8 @@ flat RE indices and the per-set reference noise draw for every comb
 shape, the beam sweep's and the receive path's power draws against the
 RE-level draw, completed noise against a full draw, each read group's
 power against its RSRP, later samples drawing only the read sets, the
-sweep's batched pass against the per-beam loops, the downlink reference
+sweep's batched pass against the per-beam loops and its Cholesky factors
+against the QR factors it took before, the downlink reference
 values against a per-symbol build,
 detection of the selected TRPs only and no detection state built for
 DL-AoD, accuracy on an ideal channel, the multi-RTT fixes of two pinned
@@ -39,7 +40,7 @@ from nrpos.simulate import (Simulator, comb_lines, complete_set, despread_groups
                             draw_statistics, power_dbm, set_factors, set_signals, solve_records,
                             sweep_powers)
 from nrpos.sequences import gold_sequence, prs_c_init, qpsk_map
-from nrpos.solvers import RANGE_DIFFERENCE, gdop, in_area, init_guess
+from nrpos.solvers import AZIMUTH, RANGE_DIFFERENCE, Row, gdop, in_area, init_guess
 
 N_DROPS = 8
 
@@ -57,9 +58,10 @@ PINNED = [
     # gdop column; no fix moved
     ("ioo-fr1", dict(method="multi-rtt"),
      "8182227a0e67f98083856e7ddb6d9b169308f6255d19146c31c00ba26ff4711f"),
-    # gdop column; anchor-row order moved 7 of 8 fixes by at most 2.8e-12 m
+    # gdop column; anchor-row order moved 7 of 8 fixes by at most 2.8e-12 m;
+    # sweep factors from the Gram matrix's Cholesky factor moved drop 0 by 1.15 m
     ("uma", dict(method="dl-aod"),
-     "a92ec268efdf051d5ae01cc06683f989745bfaafd878797e44b49723eb77c263"),
+     "e07c4bf782d60682215b33f928d6b1d7253527f08c1d4411a2a88dc0076c95a2"),
     # gdop column, 5 of 8 empty; plain start moved 2 of 3 fixes by at most 4.6e-5 m
     ("uma", dict(method="dl-tdoa"),
      "8e47c7775beb2457b0f14d84a18694040b1061580d182c7dcd60fbafe8aed6e2"),
@@ -138,11 +140,15 @@ def test_uma_dl_aod_walk_off_is_not_converged():
     it moved about 1 cm. In the canonical row order the drop's run ends
     converged there by a strictly lower RMS, an out-of-area fix (ROADMAP
     item 2), so the test runs the walk-off's own problem: `_Problem` keeps
-    its rows in the order it is given them."""
-    sim = Simulator(preset_config("uma", method="dl-aod", n_drops=9))
-    records = sim.run_drop(8).records
-    index = {t: i for i, t in enumerate(sim.anchors)}
-    rows = simulate._dl_aod_rows(records, index, sim.beams)
+    its rows in the order it is given them. The rows are the drop's as its
+    beam sweep gave them before the sweep's factors came from the Gram
+    matrix's Cholesky factor: the new draws end this record-order run
+    converged at (15561.0, 2406.9), the same defect under another name."""
+    sim = Simulator(preset_config("uma", method="dl-aod", n_drops=1))
+    rows = [Row(AZIMUTH, anchor, value) for anchor, value in [
+        (6, 51.58011846268289), (18, 51.58011846268289), (0, -44.59446882401648),
+        (7, 70.70248504978278), (12, -44.59446882401648), (19, 70.70248504978278),
+        (3, 23.218431670919536), (5, -108.95451218341667)]]
     problem = solvers._Problem(rows, sim.anchor_xyz, sim.options.fix_height)
     x0 = init_guess(problem.anchors, fix_height=sim.options.fix_height)
     fix = solvers._solve_bearings(problem, x0, sim.options)
@@ -392,6 +398,28 @@ def test_dl_comb_lines_match_flat_indices(comb, n_symbols, interference, monkeyp
     for got, want in zip(sim._sweep_factors(h), sweep_oracle.sweep_factors(sim, h)):
         assert got.tobytes() == want.tobytes()
     assert sim._aod_stage(links, 0) == list(sweep_oracle.aod_stage(sim, links, 0).values())
+
+
+@pytest.mark.parametrize("interference", [True, False])
+@pytest.mark.parametrize("comb", [12, 2])
+def test_sweep_factors_are_the_qr_factors(comb, interference):
+    """Every RE set's sweep factor, from its Gram matrix's Cholesky factor,
+    against the R that `np.linalg.qr` gave the sweep (`sweep_oracle`), on
+    UMa drop 0, with and without interference; comb 2 puts 10 and 11 TRPs
+    on one set. Both are R of C = QR: R^H R is the same Gram matrix, and
+    they differ only by the sign of each row and rounding, so |R| agrees
+    entry by entry. The Cholesky factor's diagonal is real and positive."""
+    sim = Simulator(preset_config("uma", method="dl-aod", n_drops=1, dl_comb_size=comb,
+                                  interference=interference))
+    links = sim._links(0)
+    h = sim._channel_matrix(links, links.first_arrival_s)
+    factors = sim._sweep_factors(h)
+    assert [len(r) for r in factors] == [len(g.members) for g in sim._dl_sets]
+    for r, qr in zip(factors, sweep_oracle.qr_factors(sim, h)):
+        gram = qr.conj().T @ qr
+        assert np.abs(r.conj().T @ r - gram).max() <= 1e-12 * np.abs(gram).max()
+        assert np.allclose(np.abs(r), np.abs(qr), rtol=1e-12, atol=0.0)
+        assert np.all(np.diag(r).imag == 0.0) and np.all(np.diag(r).real > 0.0)
 
 
 @pytest.mark.parametrize("n_symbols", UL_VALID_SYMBOLS)

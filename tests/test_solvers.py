@@ -270,6 +270,41 @@ class TestSolverContracts:
         assert not fix.converged and fix.iterations < 10
         assert fix.residual_rms == walk.residual_rms
 
+    def test_search_ends_at_a_candidate_that_rounds_to_the_point(self, monkeypatch):
+        """The first run of UMa DL-AoD drop 9 at master seed 1, its rows and
+        start captured: short of its minimum, the line search's halvings
+        come to a candidate that rounds to the current point, and every
+        shorter one rounds to it too. The search ends there, as 25
+        halvings end it, with the oracle's fix to the bit and 20 residual
+        evaluations against the oracle's 39."""
+        site = {0: [500.0, 0.0, 48.51391088977806],
+                1: [250.00000000000006, 433.0127018922193, 24.324788381589013],
+                2: [-250.00000000000023, -433.0127018922192, 32.699793469177266],
+                3: [250.00000000000006, -433.0127018922193, 44.83107781461325]}
+        anchors = np.array([site[i // 2] for i in range(8)])
+        bearings = [-27.39807652416453, -111.78156832908046, -51.60053467237009,
+                    -70.52598691010702] * 2
+        problem = solvers._problem([Row(AZIMUTH, i, v) for i, v in enumerate(bearings)],
+                                   anchors, 1.5)
+        x0 = np.array([239.58267761293197, -140.1765999097706, 1.5])
+        options = SolverOptions(fix_height=1.5, area=(-800.0, -800.0, 800.0, 800.0))
+        calls = {"package": 0, "oracle": 0}
+
+        def counted(key, f):
+            def call(*args):
+                calls[key] += 1
+                return f(*args)
+            return call
+
+        monkeypatch.setattr(problem, "_residuals", counted("package", problem._residuals))
+        monkeypatch.setattr(oracle, "residuals", counted("oracle", oracle.residuals))
+        fix = solvers._gauss_newton(problem, x0, options)
+        want, _ = oracle.gauss_newton(problem, x0, options)
+        for field in dataclasses.fields(PositionFix):
+            assert bits(getattr(fix, field.name)) == bits(getattr(want, field.name)), field.name
+        assert not fix.converged
+        assert calls == {"package": 20, "oracle": 39}
+
     def test_translation_equivariance(self):
         rng = np.random.default_rng(10)
         anchors = random_anchors(rng)
