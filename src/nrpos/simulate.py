@@ -135,7 +135,7 @@ from .solvers import (
     Row,
     SolverError,
     SolverOptions,
-    beam_bearing,
+    beam_bearings,
     gdop,
     solve_rows,
 )
@@ -845,26 +845,25 @@ def _ul_aoa_rows(records, index, beams):
 
 
 def _dl_aod_rows(records, index, beams):
-    """Each PRS-RSRP report's resource is a beam of its TRP, whose azimuth
-    the beam table holds. A TRP's row is the `beam_bearing` of its beams in
-    beam order, as its top-beam sort keeps report order among equal
-    powers; a TRP whose bearing has low confidence (one beam, or a flat
-    response) has none."""
+    """Each PRS-RSRP report's resource is a beam of its TRP, an int that
+    indexes the TRP's azimuths in the beam table. A TRP's row is the
+    bearing (`beam_bearings`) of its beams in beam order, as its top-beam
+    sort keeps report order among equal powers; a TRP whose bearing has low
+    confidence (one beam, or a flat response) has none."""
     if beams is None:
         raise SolverError("a DL-AoD solve needs the TRPs' beam table")
     sweeps: dict[int, list] = {}
     for r in records:
         if r.kind == "PRS_RSRP":
-            if r.resource_id not in range(len(beams.get(r.trp_id, ()))):
-                raise SolverError(f"TRP {r.trp_id} has no beam {r.resource_id}")
-            sweeps.setdefault(index[r.trp_id], []).append(
-                (r.resource_id, beams[r.trp_id][r.resource_id], r.payload["value_dbm"]))
-    rows = []
-    for i, sweep in sweeps.items():
-        az, low_confidence = beam_bearing([(az, dbm) for _, az, dbm in sorted(sweep)])
-        if not low_confidence:
-            rows.append(Row(AZIMUTH, i, az))
-    return rows
+            b, table = r.resource_id, beams.get(r.trp_id, ())
+            if type(b) is not int or b not in range(len(table)):
+                raise SolverError(f"TRP {r.trp_id} has no beam {b}")
+            sweeps.setdefault(index[r.trp_id], []).append((b, float(table[b]),
+                                                           r.payload["value_dbm"]))
+    bearings = beam_bearings([[(az, dbm) for _, az, dbm in sorted(sweep)]
+                              for sweep in sweeps.values()])
+    return [Row(AZIMUTH, i, az) for i, (az, low_confidence) in zip(sweeps, bearings)
+            if not low_confidence]
 
 
 @dataclass(frozen=True)

@@ -34,22 +34,31 @@ bearing fan) equal-RMS steps would walk the point off to the iteration
 cap, so the only equal RMS accepted is at the minimum, where the full
 step is already shorter than the tolerance and the run converges.
 
-Gauss-Newton runs on Python floats, the problem's residuals and
-Jacobian rows being per-row `math` arithmetic; numpy remains for the
-least-squares step and for the dot products that `np.linalg.norm` takes
-(see `_gauss_newton`). Its arithmetic is pinned: every operation and
-reduction is the one of the plain whole-array loop in
-`tests/gauss_newton_oracle.py`, and a test checks every field of the
-fixes of captured runs against it bit for bit.
+Gauss-Newton runs on Python floats: the problem's residuals and
+Jacobian rows are per-row `math` arithmetic, with one branch on the kind
+per block of rows of one kind. Every least-squares solve, the
+Gauss-Newton step and both closed-form starts, is one kernel, `_lstsq`:
+LAPACK's dgelsd, called through the gufunc that `np.linalg.lstsq` wraps,
+bit for bit the wrapper's solution. numpy also remains for the dot
+products that `np.linalg.norm` takes (see `_gauss_newton`). The
+arithmetic is pinned: every operation and reduction is the one of the
+plain whole-array loop in `tests/gauss_newton_oracle.py`, and a test
+checks every field of the fixes of captured runs against it bit for bit.
+
+`beam_bearings` turns DL-AoD beam sweeps into bearings, the bearings of
+all of a drop's sweeps in one array pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import lstsq as _dgelsd
 
 
 class SolverError(ValueError):
@@ -123,6 +132,23 @@ def init_guess(anchors, fix_height: float | None = None) -> np.ndarray:
 
 # degrees per radian, as np.degrees applies it
 _DEG = 180.0 / np.pi
+# float64 machine epsilon, the unit of np.linalg.lstsq's default cut-off
+_EPS = float(np.finfo(float).eps)
+
+
+def _lstsq(a, b) -> np.ndarray:
+    """The least-squares solution of a x = b, for an (m, n) float system a
+    and an m-vector b: np.linalg.lstsq(a, b, rcond=None)[0] to the bit,
+    without its wrapper. It calls the gufunc that np.linalg.lstsq wraps,
+    LAPACK's dgelsd, with the wrapper's singular-value cut-off rcond =
+    eps * max(m, n), and so the same rank handling. Where the SVD does not
+    converge the wrapper raises LinAlgError; here the solution is NaN and
+    the invalid flag is set, so a caller runs it under np.errstate and
+    tests the solution for finiteness."""
+    a = np.array(a, dtype=float)
+    m, n = a.shape
+    return _dgelsd(a, np.array(b, dtype=float)[:, None], _EPS * max(m, n),
+                   signature="ddd->ddid")[0][:, 0]
 
 
 def _sum_squares(r) -> float:
@@ -159,7 +185,9 @@ class _Problem:
     as three Python floats and returns the residuals as a list of floats,
     and `_jacobian(x, k)` the Jacobian's first k columns as rows of floats.
     Both are per-row `math` arithmetic, so a Gauss-Newton iteration makes
-    no numpy call to evaluate. A zero distance in the Jacobian raises
+    no numpy call to evaluate, and both branch on the kind once per block
+    of consecutive rows of one kind (`_problem`'s canonical order makes
+    one block per kind). A zero distance in the Jacobian raises
     ZeroDivisionError where numpy gave a NaN row.
 
     - A range is a range difference against a reference at distance 0.0,
@@ -182,8 +210,10 @@ class _Problem:
         if len(refs) > 1 or None in refs:
             raise SolverError("all range differences must share one reference anchor")
         self.ref = anchors[refs.pop()] if refs else None
-        self._rows = [(r.kind, *xyzm) for r, xyzm in
-                      zip(self.rows, np.column_stack([self.anchors, self.measured]).tolist())]
+        # (kind, [(anchor x, y, z, value) of each row]) of each block
+        values = np.column_stack([self.anchors, self.measured]).tolist()
+        self._blocks = [(kind, [v for _, v in block]) for kind, block
+                        in groupby(zip(self.kinds.tolist(), values), key=itemgetter(0))]
 
     def _ref_distance(self, x):
         """x less the reference anchor, and its norm; 0.0 without one."""
@@ -196,19 +226,24 @@ class _Problem:
         x0, x1, x2 = x
         d_ref = self._ref_distance(x)[1]
         r = []
-        for kind, a0, a1, a2, m in self._rows:
-            dx = x0 - a0
-            dy = x1 - a1
+        for kind, block in self._blocks:
             if kind == AZIMUTH:
-                # wrap_deg(np.degrees(np.arctan2(dy, dx)) - az)
-                w = (math.atan2(dy, dx) * _DEG - m + 180.0) % 360.0 - 180.0
-                r.append(180.0 if w == -180.0 else w)
+                for a0, a1, _, m in block:
+                    # wrap_deg(np.degrees(np.arctan2(dy, dx)) - az)
+                    w = (math.atan2(x1 - a1, x0 - a0) * _DEG - m + 180.0) % 360.0 - 180.0
+                    r.append(180.0 if w == -180.0 else w)
             elif kind == ZENITH:
-                r.append(math.atan2(math.sqrt(dx * dx + dy * dy), x2 - a2) * _DEG - m)
+                for a0, a1, a2, m in block:
+                    dx = x0 - a0
+                    dy = x1 - a1
+                    r.append(math.atan2(math.sqrt(dx * dx + dy * dy), x2 - a2) * _DEG - m)
             else:
-                dz = x2 - a2
                 to_ref = d_ref if kind == RANGE_DIFFERENCE else 0.0
-                r.append(math.sqrt(dx * dx + dy * dy + dz * dz) - to_ref - m)
+                for a0, a1, a2, m in block:
+                    dx = x0 - a0
+                    dy = x1 - a1
+                    dz = x2 - a2
+                    r.append(math.sqrt(dx * dx + dy * dy + dz * dz) - to_ref - m)
         return r
 
     def _jacobian(self, x, k):
@@ -217,28 +252,35 @@ class _Problem:
         diff_ref, d_ref = self._ref_distance(x)
         g = (0.0, 0.0, 0.0) if diff_ref is None else [c / d_ref for c in diff_ref.tolist()]
         rows = []
-        for kind, a0, a1, a2, _ in self._rows:
-            dx = x0 - a0
-            dy = x1 - a1
+        for kind, block in self._blocks:
             if kind == AZIMUTH:
-                rho2 = dx * dx + dy * dy
-                row = (dy / rho2 * -_DEG, dx / rho2 * _DEG)
-                rows.append(row if k == 2 else row + (0.0,))
+                for a0, a1, _, _ in block:
+                    dx = x0 - a0
+                    dy = x1 - a1
+                    rho2 = dx * dx + dy * dy
+                    row = (dy / rho2 * -_DEG, dx / rho2 * _DEG)
+                    rows.append(row if k == 2 else row + (0.0,))
             elif kind == ZENITH:
-                dz = x2 - a2
-                rho2 = dx * dx + dy * dy
-                rho = math.sqrt(rho2)
-                d2 = rho2 + dz * dz
-                d2_rho = d2 * rho
-                row = (dz * dx / d2_rho * _DEG, dz * dy / d2_rho * _DEG)
-                rows.append(row if k == 2 else row + (-rho / d2 * _DEG,))
+                for a0, a1, a2, _ in block:
+                    dx = x0 - a0
+                    dy = x1 - a1
+                    dz = x2 - a2
+                    rho2 = dx * dx + dy * dy
+                    rho = math.sqrt(rho2)
+                    d2 = rho2 + dz * dz
+                    d2_rho = d2 * rho
+                    row = (dz * dx / d2_rho * _DEG, dz * dy / d2_rho * _DEG)
+                    rows.append(row if k == 2 else row + (-rho / d2 * _DEG,))
             else:
                 # unit vector from the anchor to x, less the reference's
                 g0, g1, g2 = g if kind == RANGE_DIFFERENCE else (0.0, 0.0, 0.0)
-                dz = x2 - a2
-                d = math.sqrt(dx * dx + dy * dy + dz * dz)
-                rows.append((dx / d - g0, dy / d - g1) if k == 2 else
-                            (dx / d - g0, dy / d - g1, dz / d - g2))
+                for a0, a1, a2, _ in block:
+                    dx = x0 - a0
+                    dy = x1 - a1
+                    dz = x2 - a2
+                    d = math.sqrt(dx * dx + dy * dy + dz * dz)
+                    rows.append((dx / d - g0, dy / d - g1) if k == 2 else
+                                (dx / d - g0, dy / d - g1, dz / d - g2))
         return rows
 
     def jacobian(self, x):
@@ -276,17 +318,21 @@ def _gauss_newton(problem: _Problem, x0: np.ndarray, options: SolverOptions) -> 
 
     The loop runs on the free coordinates as Python floats: residuals,
     Jacobian rows, the RMS, the line search and the convergence test make
-    no numpy call. numpy remains in three places per iteration: the step
-    is `np.linalg.lstsq` of the Jacobian's free columns (LAPACK's dgelsd,
-    with its rank handling), the step's norm is its dot product, and a
-    time-difference evaluation takes its reference distance as a dot
-    product, as `np.linalg.norm` does. Residuals are evaluated once per
-    point: the line search's residuals at the accepted candidate drive the
-    next step and the returned fix. Every operation and reduction is the
-    one of the plain whole-array loop in `tests/gauss_newton_oracle.py`,
-    which this one matches bit for bit, angles from `math.atan2` included.
-    A zero distance in the Jacobian divides by zero and ends the run, where
-    the oracle's NaN row makes `lstsq` fail.
+    no numpy call. Per iteration numpy does three things: the step is
+    `_lstsq` of the Jacobian's free columns (dgelsd, with
+    `np.linalg.lstsq`'s rank handling), the step's norm is its dot
+    product, and a time-difference evaluation takes its reference
+    distance as a dot product, as `np.linalg.norm` does. Residuals are
+    evaluated once per point: the line search's residuals at the accepted
+    candidate drive the next step and the returned fix. Every operation
+    and reduction is the one of the plain whole-array loop in
+    `tests/gauss_newton_oracle.py`, which this one matches bit for bit,
+    angles from `math.atan2` included. The run ends where the oracle's
+    `np.linalg.lstsq` fails: at a zero distance in the Jacobian, which
+    divides by zero here where the oracle holds a NaN row, and at an SVD
+    that does not converge, whose step is NaN here where the oracle's
+    raises LinAlgError. One np.errstate for the run silences the flag that
+    a failed SVD sets.
     """
     fixed = [] if options.fix_height is None else [float(options.fix_height)]
     n_free = 3 - len(fixed)
@@ -299,33 +345,34 @@ def _gauss_newton(problem: _Problem, x0: np.ndarray, options: SolverOptions) -> 
     rms, r = evaluate(var)
     converged = False
     iterations = 0
-    for iterations in range(1, options.max_iterations + 1):
-        try:
-            step = np.linalg.lstsq(problem._jacobian(var + fixed, n_free), r, rcond=None)[0]
-        except (ZeroDivisionError, np.linalg.LinAlgError):
-            break
-        s = step.tolist()
-        if not all(map(math.isfinite, s)):
-            break
-        # np.linalg.norm(step); scale is a power of two, so scale * step_norm
-        # is the norm of the step taken, to the bit
-        step_norm = math.sqrt(step.dot(step))
-        at_minimum = step_norm < options.tolerance_m
-        scale = 1.0
-        for _ in range(25):
-            cand = [vi - scale * si for vi, si in zip(var, s)]
-            if cand == var and not at_minimum:
-                break  # every shorter step rounds to var too: none is accepted
-            cand_rms, cand_r = evaluate(cand)
-            if cand_rms < rms or (at_minimum and cand_rms <= rms):
-                var, rms, r = cand, cand_rms, cand_r
+    with np.errstate(all="ignore"):  # a step whose SVD fails is NaN
+        for iterations in range(1, options.max_iterations + 1):
+            try:
+                step = _lstsq(problem._jacobian(var + fixed, n_free), r)
+            except ZeroDivisionError:
                 break
-            scale *= 0.5
-        if var is not cand:
-            break
-        if scale * step_norm < options.tolerance_m:
-            converged = True
-            break
+            s = step.tolist()
+            if not all(map(math.isfinite, s)):
+                break
+            # np.linalg.norm(step); scale is a power of two, so scale * step_norm
+            # is the norm of the step taken, to the bit
+            step_norm = math.sqrt(step.dot(step))
+            at_minimum = step_norm < options.tolerance_m
+            scale = 1.0
+            for _ in range(25):
+                cand = [vi - scale * si for vi, si in zip(var, s)]
+                if cand == var and not at_minimum:
+                    break  # every shorter step rounds to var too: none is accepted
+                cand_rms, cand_r = evaluate(cand)
+                if cand_rms < rms or (at_minimum and cand_rms <= rms):
+                    var, rms, r = cand, cand_rms, cand_r
+                    break
+                scale *= 0.5
+            if var is not cand:
+                break
+            if scale * step_norm < options.tolerance_m:
+                converged = True
+                break
 
     return PositionFix(
         position=np.array(var + fixed),
@@ -421,8 +468,8 @@ def _bearing_start(problem: _Problem) -> np.ndarray:
     az = np.radians(problem.measured[rows])
     s, c = np.sin(az), np.cos(az)
     rhs = s * problem.anchors[rows, 0] - c * problem.anchors[rows, 1]
-    xy, *_ = np.linalg.lstsq(np.column_stack([s, -c]), rhs, rcond=None)
-    return xy
+    with np.errstate(all="ignore"):
+        return _lstsq(np.column_stack([s, -c]), rhs)
 
 
 def in_area(p, area) -> bool:
@@ -457,8 +504,8 @@ def _range_start(problem: _Problem) -> np.ndarray:
     else:
         cols = a[:, :2]
         rhs += a[:, 2] ** 2 - (h - a[:, 2]) ** 2
-    sol, *_ = np.linalg.lstsq(np.column_stack([-2.0 * cols, np.ones(len(a))]), rhs,
-                              rcond=None)
+    with np.errstate(all="ignore"):
+        sol = _lstsq(np.column_stack([-2.0 * cols, np.ones(len(a))]), rhs)
     return sol[:-1] if h is None else np.array([sol[0], sol[1], h])
 
 
@@ -514,17 +561,20 @@ def solve_rows(rows, anchors, options: SolverOptions, x0=None) -> PositionFix:
     takes), whose first kind picks the start: the coarse scan for range
     differences (`_solve_multistart`), the linear range start for ranges
     (`_solve_ranges`), the bearing intersection for azimuths
-    (`_solve_bearings`). Before it runs, the fix must be determined: enough
-    rows, anchors that span the plane for ranges and range differences
-    (reference included), bearings that are not all parallel, and a height
-    that some row constrains when options.fix_height is None. x0 defaults
-    to the plain centroid (`init_guess`) of the distinct anchor rows the
-    rows use, a range difference's reference included, in anchor-row
-    order; a caller passes x0 only to force a start. The fix keeps the
-    problem's rows, in canonical order, as `rows`: row i gave residual i.
+    (`_solve_bearings`). Before it runs, every row's value must be finite
+    and the fix must be determined: enough rows, anchors that span the
+    plane for ranges and range differences (reference included), bearings
+    that are not all parallel, and a height that some row constrains when
+    options.fix_height is None. x0 defaults to the plain centroid
+    (`init_guess`) of the distinct anchor rows the rows use, a range
+    difference's reference included, in anchor-row order; a caller passes
+    x0 only to force a start. The fix keeps the problem's rows, in
+    canonical order, as `rows`: row i gave residual i.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     problem = _problem(rows, anchors, options.fix_height)
+    if not np.all(np.isfinite(problem.measured)):
+        raise SolverError("a measurement is not finite")
     first = problem.kinds == problem.kinds[0]
     name, least, solve = _SOLVES[problem.kinds[0]]
     need = least + (1 if options.fix_height is None else 0)
@@ -555,25 +605,37 @@ def solve_rows(rows, anchors, options: SolverOptions, x0=None) -> PositionFix:
 BEARING_TOP_BEAMS = 3
 
 
-def beam_bearing(beams) -> tuple[float, bool]:
-    """Departure bearing from per-beam powers.
+def beam_bearings(sweeps) -> list[tuple[float, bool]]:
+    """Departure bearings from per-beam powers, one per sweep.
 
-    beams is a list of (azimuth_deg, rsrp_dbm). The bearing is the
-    power-weighted circular mean of the BEARING_TOP_BEAMS strongest beams.
-    Returns (azimuth, low_confidence); confidence drops when the top beams
+    A sweep is a list of (azimuth_deg, rsrp_dbm) in beam order. Its bearing
+    is the power-weighted circular mean of its BEARING_TOP_BEAMS strongest
+    beams, equal powers in sweep order. Returns (azimuth, low_confidence)
+    per sweep; confidence drops for a single beam, or when the top beams
     are indistinguishable, which carries no direction information.
+
+    The means of all sweeps are one pass over a (sweep, top beam) array. A
+    sweep of fewer beams is padded with beams of power -0.0, the exact
+    additive identity, so every sum is that of its own beams to the bit.
     """
-    if not beams:
+    if not all(sweeps):
         raise SolverError("no beams")
-    ordered = sorted(beams, key=lambda b: b[1], reverse=True)[:BEARING_TOP_BEAMS]
-    powers = np.array([10.0 ** (b[1] / 10.0) for b in ordered])
-    az = np.deg2rad([b[0] for b in ordered])
-    w = powers / powers.sum()
-    vec = np.array([np.sum(w * np.cos(az)), np.sum(w * np.sin(az))])
-    az_mean = math.degrees(math.atan2(vec[1], vec[0]))
-    spread = (powers.max() - powers.min()) / powers.max() if len(powers) > 1 else 1.0
-    low_confidence = len(beams) < 2 or spread < 1e-3
-    return az_mean, low_confidence
+    if not sweeps:
+        return []
+    tops = [sorted(sweep, key=itemgetter(1), reverse=True)[:BEARING_TOP_BEAMS]
+            for sweep in sweeps]
+    powers = [[10.0 ** (dbm / 10.0) for _, dbm in top] for top in tops]
+    pad = [[-0.0] * (BEARING_TOP_BEAMS - len(top)) for top in tops]
+    power = np.array([p + z for p, z in zip(powers, pad)])
+    az = np.deg2rad([[a for a, _ in top] + [0.0] * len(z) for top, z in zip(tops, pad)])
+    w = power / power.sum(axis=1)[:, None]
+    east = (w * np.cos(az)).sum(axis=1).tolist()
+    north = (w * np.sin(az)).sum(axis=1).tolist()
+    # the top powers fall, so p[0] is their maximum and p[-1] their
+    # minimum; the spread of all-zero powers is numpy's 0 / 0, NaN, not low
+    return [(math.degrees(math.atan2(y, x)),
+             len(sweep) < 2 or (p[0] > 0.0 and (p[0] - p[-1]) / p[0] < 1e-3))
+            for sweep, p, x, y in zip(sweeps, powers, east, north)]
 
 
 def gdop(rows, anchors, position, fix_height: float | None) -> float:

@@ -49,10 +49,12 @@ def test_dl_aod_solve_needs_the_beam_table():
     assert records
     with pytest.raises(SolverError, match="beam table"):
         solve_records(records, sim.anchors, "dl-aod", sim.options)
-    # a report naming a beam the table does not hold, as a record file may
-    for beam in (-1, sim.config.n_beams):
+    # a report naming a beam the table does not hold, as a record file may;
+    # a beam is an int, so a float equal to one (JSON's 2.0) or a bool names
+    # none (before, 2.0 raised IndexError and True ValueError)
+    for beam in (-1, sim.config.n_beams, 2.0, True):
         stray = replace(records[0], resource_id=beam)
-        with pytest.raises(SolverError, match=f"has no beam {beam}"):
+        with pytest.raises(SolverError, match=f"TRP {stray.trp_id} has no beam {beam}"):
             solve_records([stray, *records], sim.anchors, "dl-aod", sim.options, sim.beams)
 
 

@@ -456,6 +456,24 @@ def test_malformed_report_entry_aborts_its_own_session_only(entry, reason):
                           lmf.options)
 
 
+@pytest.mark.parametrize("beam", [2.0, True])
+def test_dl_aod_beam_that_is_not_an_int_aborts_its_own_session_only(beam):
+    """A DL-AoD report whose beam is a float (JSON 2.0) or a bool aborts
+    that UE's session; before, it raised IndexError or ValueError out of
+    `Transport.run` and no session got a result."""
+    sim, drops = ideal_drops("dl-aod", 2)
+    records = {f"ue:{o.drop_idx}": list(o.records) for o in drops}
+    stray = records["ue:0"][0] = replace(records["ue:0"][0], resource_id=beam)
+    transport = Transport()
+    lmf = Lmf("lmf:0", sim.anchors, solver_options=sim.options, beams=sim.beams)
+    ues = [Ue(uid, records=recs) for uid, recs in records.items()]
+    results, trace = run_sessions(lmf, "dl-aod", ues, transport)
+    assert {uid: r.status for uid, r in results.items()} == {"ue:0": "aborted", "ue:1": "fixed"}
+    aborts = [e["payload"] for e in trace if e["kind"] == ABORT_KIND]
+    assert aborts == [{"ue_id": "ue:0", "reason": f"TRP {stray.trp_id} has no beam {beam}"}]
+    assert np.array_equal(results["ue:1"].fix.position, drops[1].fix.position)
+
+
 @pytest.mark.parametrize("method,record", [
     ("ul-aoa", MeasurementRecord("AOA", 0, {"azimuth_deg": 10.0})),
     ("dl-aod", MeasurementRecord("PRS_RSRP", 0, {}, resource_id=0)),

@@ -18,7 +18,7 @@ from nrpos.solvers import (
     Row,
     SolverError,
     SolverOptions,
-    beam_bearing,
+    beam_bearings,
     gdop,
     init_guess,
     solve_rows,
@@ -26,7 +26,7 @@ from nrpos.solvers import (
 )
 
 OPT2D = SolverOptions(fix_height=1.5)
-# DL-AoD beam reports, which become azimuth rows through `beam_bearing`
+# DL-AoD beam reports, which become azimuth rows through `beam_bearings`
 BEAMS = "beams"
 
 
@@ -218,6 +218,19 @@ class TestSolverContracts:
         with pytest.raises(SolverError, match=message):
             solve_rows(rows, SQUARE, options)
 
+    @pytest.mark.parametrize("kinds", [(AZIMUTH,), (AZIMUTH, ZENITH), (RANGE,),
+                                       (RANGE_DIFFERENCE,)], ids=["aod", "aoa", "rtt", "tdoa"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_value_rejected(self, kinds, value):
+        """A NaN or infinite value, as a report can carry, fails the solve.
+        Before, a bearing's made the closed-form start raise LinAlgError, and
+        a range's or range difference's gave the start back as an
+        unconverged fix with a non-finite residual RMS."""
+        rows = exact_rows(kinds, SQUARE, np.array([10.0, 5.0, 1.5]))
+        rows[1] = rows[1]._replace(value=value)
+        with pytest.raises(SolverError, match="a measurement is not finite"):
+            solve_rows(rows, SQUARE, OPT2D)
+
     def test_divergence_returns_unconverged(self):
         anchors = np.array([[0, 0, 3], [100, 0, 3], [0, 100, 3]], dtype=float)
         options = SolverOptions(fix_height=1.5, max_iterations=1)
@@ -355,16 +368,16 @@ class TestAngleNoisePropagation:
 
 class TestBeamBearing:
     def test_boresight_symmetry(self):
-        az, low = beam_bearing([(-10, -90.0), (0, -80.0), (10, -90.0)])
+        [(az, low)] = beam_bearings([[(-10, -90.0), (0, -80.0), (10, -90.0)]])
         assert az == pytest.approx(0.0, abs=1e-9)
         assert not low
 
     def test_flat_rsrp_flagged(self):
-        _, low = beam_bearing([(-10, -80.0), (0, -80.0), (10, -80.0)])
+        [(_, low)] = beam_bearings([[(-10, -80.0), (0, -80.0), (10, -80.0)]])
         assert low
 
     def test_wraparound(self):
-        az, _ = beam_bearing([(170, -90.0), (180, -80.0), (-170, -90.0)])
+        [(az, _)] = beam_bearings([[(170, -90.0), (180, -80.0), (-170, -90.0)]])
         assert wrap_deg(az - 180.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_single_beam_trp_dropped(self):
