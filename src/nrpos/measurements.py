@@ -52,9 +52,12 @@ def reported_power_dbm(p_dbm):
 
 
 def aggregate_samples(samples) -> float:
-    """Mean of at most four measurement samples."""
+    """Mean of at most four measurement samples; one sample is its own
+    mean, to the bit."""
     if not 1 <= len(samples) <= MAX_SAMPLES:
         raise ValueError(f"need 1..{MAX_SAMPLES} samples, got {len(samples)}")
+    if len(samples) == 1:
+        return float(samples[0])
     return float(np.mean(samples))
 
 

@@ -57,9 +57,19 @@ drop asks the operating system for no new pages: the (link, subcarrier)
 channel matrix is one buffer that `_channel_matrix` rewrites on every
 call, the uplink's receive overwriting what the downlink's used, and the
 detection workspace and magnitude buffer belong to the simulator's
-`DelayWindow`, whose returned magnitudes the next detection overwrites.
-`_receive` tapers its despread stack in place for detection;
-`despread_groups` makes that stack fresh on every call.
+`DelayWindow`, whose returned magnitudes the next detection overwrites,
+and the 2N normals of each completion are drawn into the simulator's
+`DrawBuffer`, which the next completion overwrites; the REs a completion
+returns are fresh and never alias it. `_receive` tapers its despread stack
+in place for detection; `despread_groups` makes that stack fresh on every
+call.
+
+The RE-set kernels call LAPACK's gufuncs without the np.linalg wrappers
+and their per-call checks: `set_factors` zpotrf's `cholesky_lo`, and
+`complete_set` zgesv's `solve1` for its two q x q triangular solves, bit
+for bit the wrappers' results. Where a wrapper raised LinAlgError (a Gram
+matrix that is not positive definite, a zero pivot), a gufunc gives NaN
+and a RuntimeWarning; positive link amplitudes make neither.
 
 The downlink beam sweep needs only each group's mean power per beam, so
 it never forms REs. `sweep_powers` draws every group's power on every
@@ -88,9 +98,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from time import perf_counter
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo, solve1
 
 from .channel import (
     CHANNEL_DEFAULTS,
@@ -200,10 +212,14 @@ class Side:
 
 def set_signals(groups, amps, lines, refs) -> np.ndarray:
     """Each group's (symbol, line) signal on its RE set: its members'
-    lines[i, residues] * refs[i] * amps[i], added in member order."""
-    c = np.zeros((len(groups),) + refs[groups[0].members[0]].shape, dtype=complex)
+    lines[i, residues] * refs[i] * amps[i], added in member order, the
+    first member's written into the group's row in place."""
+    c = np.empty((len(groups),) + refs[groups[0].members[0]].shape, dtype=complex)
     for row, g in zip(c, groups):
-        for i in g.members:
+        first, *others = g.members
+        np.multiply(lines[first, g.residues], refs[first], out=row)
+        row *= amps[first]
+        for i in others:
             x = lines[i, g.residues]  # a copy: fancy indexing
             x *= refs[i]
             x *= amps[i]
@@ -215,13 +231,14 @@ def set_factors(signals) -> list[np.ndarray]:
     """R of each RE set's signals C = QR, a row per group on the set's REs,
     (symbol, line) or flat: the conjugate transpose of the Cholesky factor
     of the groups' Gram matrix of np.vdot pairs, in one call per group
-    count, so R's diagonal is real and positive. A set's signals must be
-    linearly independent, as positive link amplitudes make them."""
+    count of LAPACK's zpotrf gufunc, which np.linalg.cholesky wraps, so R's
+    diagonal is real and positive. A set's signals must be linearly
+    independent, as positive link amplitudes make them."""
     factors = [None] * len(signals)
     for q, pos in _by_length(signals).items():
         grams = np.array([np.vdot(a, b) for e in pos for a in signals[e] for b in signals[e]])
-        upper = np.linalg.cholesky(grams.reshape(len(pos), q, q)).conj().transpose(0, 2, 1)
-        for e, r in zip(pos, upper):
+        lower = cholesky_lo(grams.reshape(len(pos), q, q), signature="D->D")
+        for e, r in zip(pos, lower.conj().transpose(0, 2, 1)):
             factors[e] = r
     return factors
 
@@ -230,15 +247,21 @@ def draw_statistics(rng, factors, std: float, n_re: int):
     """Each RE set's noise statistic (z, rest), drawn set by set
     (`_draw_statistic`) and scaled by std, the noise per real component,
     and its groups' mean RE powers (|z + R e_g|^2 + rest) / n_re, in one
-    pass over the sets of each rank; factors are the sets' R."""
-    start = np.cumsum([0] + [2 * len(r) for r in factors]).tolist()
-    normals, rest = np.empty(start[-1]), np.empty(len(factors))
-    _draw_statistic(rng, [len(r) for r in factors], n_re, normals, rest)
+    pass over the sets of each rank; factors are the sets' R. Sets all of
+    one rank read their normals as one view; otherwise each rank gathers
+    its sets' normals."""
+    ranks = [len(r) for r in factors]
+    normals, rest = np.empty(2 * sum(ranks)), np.empty(len(ranks))
+    _draw_statistic(rng, ranks, n_re, normals, rest)
     normals *= std
     rest *= std**2
-    z, power = [None] * len(factors), [None] * len(factors)
-    for q, pos in _by_length(factors).items():
-        parts = normals[[start[e] + j for e in pos for j in range(2 * q)]].reshape(len(pos), 2, q)
+    z, power = [None] * len(ranks), [None] * len(ranks)
+    blocks = _by_length(factors)
+    start = [0, *accumulate(2 * q for q in ranks)]
+    for q, pos in blocks.items():
+        parts = normals if len(blocks) == 1 else \
+            normals[[start[e] + j for e in pos for j in range(2 * q)]]
+        parts = parts.reshape(len(pos), 2, q)
         zs = parts[:, 0] + 1j * parts[:, 1]
         y = zs[:, :, None] + np.array([factors[e] for e in pos])
         powers = ((y.real**2 + y.imag**2).sum(axis=1) + rest[pos, None]) / n_re
@@ -247,20 +270,42 @@ def draw_statistics(rng, factors, std: float, n_re: int):
     return z, rest.tolist(), power
 
 
-def complete_set(c: np.ndarray, r: np.ndarray, z: np.ndarray, rest: float, rng) -> np.ndarray:
+def complete_set(c: np.ndarray, r: np.ndarray, z: np.ndarray, rest: float, rng,
+                 draws: np.ndarray) -> np.ndarray:
     """Received REs of each group of an RE set, (group, symbol, line): its
     signal plus the set's noise n = Qz + sqrt(rest) P w / |P w|, exactly
     distributed given the statistic (z, rest). Q = C R^-1, P projects out
     span(Q), and w is 2N fresh standard normals, real and imaginary parts
-    in turn. As Q(z - s Q^H w) + s w, s = sqrt(rest) / |P w|, it needs no
-    Q."""
+    in turn, drawn into the float buffer draws (at least 2N long), which
+    the call overwrites. As Q(z - s Q^H w) + s w, s = sqrt(rest) / |P w|,
+    it needs no Q. Both triangular solves call LAPACK's zgesv gufunc,
+    which np.linalg.solve wraps; R's positive diagonal keeps them
+    regular. The REs returned are a fresh array."""
     flat = c.reshape(len(c), -1)
-    w = rng.standard_normal(2 * flat.shape[1]).view(complex)
-    y = np.linalg.solve(r.conj().T, flat.conj() @ w)  # Q^H w
+    w = draws[:2 * flat.shape[1]]
+    rng.standard_normal(out=w)
+    w = w.view(complex)
+    y = solve1(r.conj().T, flat.conj() @ w, signature="DD->D")  # Q^H w
     s = math.sqrt(rest / (np.vdot(w, w).real - np.vdot(y, y).real))
-    noise = np.dot(np.linalg.solve(r, z - s * y), flat)
-    noise += s * w
+    noise = np.dot(solve1(r, z - s * y, signature="DD->D"), flat)
+    w *= s
+    noise += w
     return c + noise.reshape(c.shape[1:])
+
+
+class DrawBuffer:
+    """The float buffer that `complete_set` draws its normals into, held by
+    a `Simulator` for as long as it lives and grown when a set needs more
+    values than it holds, so a warm drop asks the operating system for no
+    new pages. Every completion overwrites it."""
+
+    def __init__(self):
+        self.values = np.empty(0)
+
+    def at_least(self, n: int) -> np.ndarray:
+        if n > len(self.values):
+            self.values = np.empty(n)
+        return self.values
 
 
 def power_dbm(power: float) -> float:
@@ -475,6 +520,7 @@ class Simulator:
         self._detection = (
             DelayWindow(n_sc, delay_spectrum_size(n_sc), self.scs_hz, self.search_window),
             taper_vector(np.ones(n_sc))) if self._method.first_path else None
+        self._draws = DrawBuffer()
 
         self.options = SolverOptions(**config.solver.model_dump(), area=deployment.area)
         self._beamformer: BeamformerGrid | None = None
@@ -600,6 +646,7 @@ class Simulator:
         signals = [set_signals(s, amps, lines, side.refs) for s in received]
         factors = set_factors(signals)
         std, n_re = side.noise_rms / math.sqrt(2.0), side.refs[0].size
+        draws = self._draws.at_least(2 * n_re)
         window, taper = self._detection
 
         toas: dict[int, list[float]] = {}
@@ -619,7 +666,7 @@ class Simulator:
                 drawn = [e for e in drawn
                          if any(i in detected for g in received[e] for i in g.members)]
             rx = [row for e in drawn
-                  for row in complete_set(signals[e], factors[e], *stats[e], rng)]
+                  for row in complete_set(signals[e], factors[e], *stats[e], rng, draws)]
             vecs = despread_groups([g for e in drawn for g in received[e]], rx, side.refs,
                                    self.numerology.n_subcarriers, side.comb, detected)
             mark = self._lap(side.stage, mark)
@@ -915,7 +962,8 @@ def solve_records(records, anchors, method: str, options: SolverOptions, beams=N
     anchors maps each trp_id to its position; the solver's anchor rows
     follow the mapping's order. beams is the TRPs' beam table
     (`Simulator.beams`), which a DL-AoD solve needs; a record lacking a
-    payload value, or holding one of the wrong type, fails the solve. The
+    payload value, or holding one of the wrong type or out of float range
+    (a DL-AoD power whose milliwatts overflow), fails the solve. The
     batch pipeline, the location-session server and offline re-solves of
     written records all solve here.
     """
@@ -929,4 +977,6 @@ def solve_records(records, anchors, method: str, options: SolverOptions, beams=N
         raise SolverError(f"a record's payload lacks {exc}") from exc
     except TypeError as exc:
         raise SolverError(f"a record's payload is malformed: {exc}") from exc
+    except OverflowError as exc:
+        raise SolverError(f"a record's payload is out of range: {exc}") from exc
     return solve_rows(rows, xyz, options)

@@ -136,7 +136,11 @@ class TestQuantizePower:
 
 class TestAggregate:
     def test_single(self):
+        """One sample is its own mean, a float, bit for bit np.mean's."""
         assert aggregate_samples([3.5e-9]) == 3.5e-9
+        for x in np.random.default_rng(3).normal(scale=1e-6, size=200).tolist():
+            got = aggregate_samples([x])
+            assert type(got) is float and got == float(np.mean([x]))
 
     def test_mean(self):
         assert aggregate_samples([1e-9, 2e-9, 3e-9, 4e-9]) == pytest.approx(2.5e-9)

@@ -7,10 +7,17 @@ kernels, the signal sums `set_signals`, the per-set noise draw
 second receive path, such as a copy of the chain for one side, or a
 second noise path or factorization, fails here. The walk goes over the
 AST: a call, or any other load of the name or of an attribute of that
-name, is a use; the def and imports are not."""
+name, is a use; the def and imports are not.
+
+The RE-set kernels call LAPACK's gufuncs directly, without the
+np.linalg wrappers: `set_factors` zpotrf's `cholesky_lo` and
+`complete_set` zgesv's `solve1`, each in that one place."""
 
 import ast
 from pathlib import Path
+
+import numpy as np
+from numpy.linalg import _umath_linalg
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nrpos"
 KERNELS = ("set_signals", "set_factors", "draw_statistics", "complete_set", "despread_groups")
@@ -51,6 +58,25 @@ def use_sites(package: Path, name: str) -> list[str]:
     return sites
 
 
+LINALG_MODULES = ("numpy.linalg", "numpy.linalg._umath_linalg")
+
+
+def linalg_uses(package: Path, name: str) -> list[str]:
+    """The modules of the package that take name from numpy.linalg or its
+    gufunc module: as an attribute of `linalg` or `_umath_linalg`
+    (np.linalg.solve), or by an import from either; one entry per use."""
+    modules = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == name:
+                owner = getattr(node.value, "attr", getattr(node.value, "id", None))
+                if owner in ("linalg", "_umath_linalg"):
+                    modules.append(path.stem)
+            elif isinstance(node, ast.ImportFrom) and node.module in LINALG_MODULES:
+                modules += [path.stem for alias in node.names if alias.name == name]
+    return modules
+
+
 def test_each_kernel_has_one_caller():
     for name in KERNELS:
         sites = ["simulate.Simulator._receive"]
@@ -59,10 +85,49 @@ def test_each_kernel_has_one_caller():
         assert sorted(use_sites(PACKAGE, name)) == sorted(sites), name
 
 
+CHOLESKY = ("cholesky", "cholesky_lo", "cholesky_up")
+
+
 def test_one_factorization():
-    """No QR anywhere; the one Cholesky factorization is `set_factors`'."""
+    """No QR anywhere; the one Cholesky factorization is `set_factors`',
+    through np.linalg.cholesky or either of the zpotrf gufuncs it wraps."""
     assert use_sites(PACKAGE, "qr") == []
-    assert use_sites(PACKAGE, "cholesky") == ["simulate.set_factors"]
+    assert [site for name in CHOLESKY for site in use_sites(PACKAGE, name)] == [
+        "simulate.set_factors"]
+
+
+def test_one_solve_kernel():
+    """The receive path's two q x q triangular solves are LAPACK's zgesv
+    gufunc for one right-hand side, `solve1`, called in `complete_set`
+    alone; nothing takes np.linalg.solve, np.linalg.cholesky or the gesv
+    gufunc for stacked right-hand sides."""
+    assert use_sites(PACKAGE, "solve1") == ["simulate.complete_set"] * 2
+    for name in ("solve", "cholesky"):
+        assert linalg_uses(PACKAGE, name) == [], name
+
+
+def test_numpy_has_the_kernels():
+    for name, loop in (("solve1", "DD->D"), ("cholesky_lo", "D->D")):
+        kernel = getattr(_umath_linalg, name, None)
+        assert kernel is not None, (
+            f"numpy {np.__version__} has no numpy.linalg._umath_linalg.{name}, "
+            "a LAPACK gufunc that the receive path calls")
+        assert loop in kernel.types, (
+            f"numpy {np.__version__}'s {name} gufunc has no {loop!r} loop: {kernel.types}")
+
+
+def test_guard_sees_a_wrapped_solve(tmp_path):
+    (tmp_path / "noise.py").write_text(
+        "import numpy as np\n"
+        "from numpy.linalg import cholesky\n"
+        "from numpy.linalg._umath_linalg import solve\n"
+        "def complete(r, b):\n"
+        "    return np.linalg.solve(r, b), solve(r, b[:, None])\n"
+        "def factor(g):\n"
+        "    return cholesky(g)\n"
+    )
+    assert linalg_uses(tmp_path, "solve") == ["noise", "noise"]
+    assert linalg_uses(tmp_path, "cholesky") == ["noise"]
 
 
 def test_guard_sees_a_second_path(tmp_path):

@@ -474,6 +474,34 @@ def test_dl_aod_beam_that_is_not_an_int_aborts_its_own_session_only(beam):
     assert np.array_equal(results["ue:1"].fix.position, drops[1].fix.position)
 
 
+def test_dl_aod_power_that_overflows_fails_the_solve():
+    """IOO FR1 DL-AoD drop 0 with one report at 4000 dBm, whose milliwatts
+    10 ** 400 overflow a float: the solve fails with `SolverError`; before,
+    OverflowError left `solve_records`."""
+    sim, (drop,) = ideal_drops("dl-aod", 1)
+    records = [replace(drop.records[0], payload={"value_dbm": 4000}), *drop.records[1:]]
+    with pytest.raises(SolverError, match="out of range"):
+        solve_records(records, sim.anchors, "dl-aod", sim.options, sim.beams)
+
+
+def test_dl_aod_power_that_overflows_aborts_its_own_session_only():
+    """One UE's DL-AoD report at 4000 dBm aborts that UE's session with the
+    solver's reason, and the other UE's session still fixes, at its batch
+    fix; before, OverflowError left `Transport.run` and ended every
+    session."""
+    sim, drops = ideal_drops("dl-aod", 2)
+    records = {f"ue:{o.drop_idx}": list(o.records) for o in drops}
+    records["ue:0"][0] = replace(records["ue:0"][0], payload={"value_dbm": 4000})
+    transport = Transport()
+    lmf = Lmf("lmf:0", sim.anchors, solver_options=sim.options, beams=sim.beams)
+    ues = [Ue(uid, records=recs) for uid, recs in records.items()]
+    results, trace = run_sessions(lmf, "dl-aod", ues, transport)
+    assert {uid: r.status for uid, r in results.items()} == {"ue:0": "aborted", "ue:1": "fixed"}
+    [abort] = [e["payload"] for e in trace if e["kind"] == ABORT_KIND]
+    assert abort["ue_id"] == "ue:0" and "out of range" in abort["reason"]
+    assert np.array_equal(results["ue:1"].fix.position, drops[1].fix.position)
+
+
 @pytest.mark.parametrize("method,record", [
     ("ul-aoa", MeasurementRecord("AOA", 0, {"azimuth_deg": 10.0})),
     ("dl-aod", MeasurementRecord("PRS_RSRP", 0, {}, resource_id=0)),
