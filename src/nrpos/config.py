@@ -10,7 +10,7 @@ from typing import Literal, Optional
 import yaml
 from pydantic import BaseModel, ConfigDict, Field, model_validator
 
-from .measurements import K_RANGE, MAX_SAMPLES
+from .measurements import K_RANGE
 
 CONFIG_VERSION = 1
 
@@ -69,10 +69,6 @@ class ExperimentConfig(BaseModel):
     # measured (quality gating); at least min_trps strongest are kept
     rsrp_window_db: float = Field(18.0, gt=0)
     min_trps: int = Field(5, ge=3)
-    # downlink samples, each under fresh noise, whose arrivals are averaged
-    # (`aggregate_samples`); the uplink measures one sounding, so UL-TDOA
-    # and UL-AoA ignore it and multi-RTT averages only its downlink leg
-    n_samples: int = Field(1, ge=1, le=MAX_SAMPLES)
     quantize: bool = True
     timing_k: Optional[int] = None  # default: finest legal step per range, K_RANGE[fr][0]
     sync_sigma_ns: float = Field(0.0, ge=0)

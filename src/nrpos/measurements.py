@@ -18,7 +18,6 @@ from .scenario import AntennaArray
 TIMING_RANGE_TC = 985024
 POWER_RANGE_DBM = (-156, -31)
 K_RANGE = {"fr1": (2, 5), "fr2": (0, 5)}
-MAX_SAMPLES = 4
 
 # first-path picker: earliest local peak within this many dB of the
 # strongest one and above this multiple of the noise floor
@@ -49,16 +48,6 @@ def reported_power_dbm(p_dbm):
     np.round, clamped to the reporting range. Of a scalar an int, of an
     array (or list) the same shape as nested lists of ints."""
     return np.clip(np.round(p_dbm), *POWER_RANGE_DBM).astype(int).tolist()
-
-
-def aggregate_samples(samples) -> float:
-    """Mean of at most four measurement samples; one sample is its own
-    mean, to the bit."""
-    if not 1 <= len(samples) <= MAX_SAMPLES:
-        raise ValueError(f"need 1..{MAX_SAMPLES} samples, got {len(samples)}")
-    if len(samples) == 1:
-        return float(samples[0])
-    return float(np.mean(samples))
 
 
 def _smooth5_at_least(n: int) -> int:

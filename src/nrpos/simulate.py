@@ -31,14 +31,13 @@ record (`Side`):
   rest) / N, exactly the RE-level power in distribution. Only the sets
   holding a TRP that is despread and detected, the read sets, get their
   noise on every RE, completed exactly given the statistic.
-- Noise order. Noise comes from substreams keyed by (master_seed, drop)
-  and the side's `noise_keys`, one per sample: (0, sample) on the
-  downlink, (1,) on the uplink. Each draws every statistic first, set by
-  set (`draw_statistics`): of every set received in sample 0, of the read
-  sets in later samples. It then completes the read sets, set by set
-  (`complete_set`). Nothing else draws from it; a noiseless (ideal)
-  receiver draws all the same at zero std. Results are pinned to this
-  order bit for bit. Selection ranks by RSRP, known before detection,
+- Noise order. Each side draws its noise from one substream, keyed by
+  (master_seed, drop) and the side's `noise_key`: (0, 0) on the downlink,
+  (1,) on the uplink. It draws the statistic of every received set
+  first, set by set (`draw_statistics`), then completes the read sets,
+  set by set (`complete_set`). Nothing else draws from it; a noiseless
+  (ideal) receiver draws all the same at zero std. Results are pinned to
+  this order bit for bit. Selection ranks by RSRP, known before detection,
   and afterwards only drops sources without an arrival, and
   `first_paths` treats every row on its own, so the kept arrivals are
   those a detection of every source would give.
@@ -123,7 +122,6 @@ from .measurements import (
     DelayWindow,
     MeasurementFailed,
     MeasurementRecord,
-    aggregate_samples,
     delay_spectrum_size,
     estimate_aoa,
     first_paths,
@@ -207,7 +205,7 @@ class Side:
     sets: list  # RE sets, in noise order: each a tuple of the ReGroups on its REs
     refs: list  # per source, its (symbol, line) reference values
     noise_rms: float  # complex noise RMS per RE; 0 for a noiseless receiver
-    noise_keys: tuple  # per sample, its "noise" substream path after the drop
+    noise_key: tuple  # its "noise" substream path after (master_seed, drop)
 
 
 def set_signals(groups, amps, lines, refs) -> np.ndarray:
@@ -490,13 +488,12 @@ class Simulator:
             occupied_per_symbol=dl_vals[0].shape[1], clock_sign=1.0, comb=config.dl_comb_size,
             sets=[(g,) if config.interference else
                   tuple(ReGroup((i,), g.residues) for i in g.members) for g in self._dl_sets],
-            refs=dl_vals, noise_rms=dl_rms,
-            noise_keys=tuple((0, sample) for sample in range(config.n_samples)))
+            refs=dl_vals, noise_rms=dl_rms, noise_key=(0, 0))
         self._ul = Side(
             stage="ul", tx_power_dbm=config.ue_tx_power_dbm,
             occupied_per_symbol=ul_vals.shape[1], clock_sign=-1.0, comb=config.ul_comb_size,
             sets=[(ReGroup((i,), residues),) for i in range(len(self.trps))],
-            refs=[ul_vals] * len(self.trps), noise_rms=ul_rms, noise_keys=((1,),))
+            refs=[ul_vals] * len(self.trps), noise_rms=ul_rms, noise_key=(1,))
 
         self.sample_period_s = 1.0 / self.numerology.sample_rate_hz
         x0, y0, x1, y1 = deployment.area
@@ -627,15 +624,15 @@ class Simulator:
 
         Every RE set of the side is received, or with detect (a collection
         of trp_ids, possibly empty) only the sets holding one of them.
-        Sample 0's RSRP ranks the sources, and without detect only
-        `_select_trps(rsrp)` are despread and detected, in rank order, in
-        every sample; with detect those TRPs are, in that order. Only the
-        sets holding a detected TRP get their noise on every RE, in the
-        module's noise order. Returns (rsrp, toa): rsrp holds sample 0's
-        dBm per TRP row, -300 for a TRP not received, and toa {trp_id:
-        seconds} the detected TRPs with an arrival in any sample, their
-        mean, in detection order. Arrival times are in the receiver's
-        clock: propagation + receiver offset - transmitter offset."""
+        RSRP ranks the sources, and without detect only
+        `_select_trps(rsrp)` are despread and detected, in rank order;
+        with detect those TRPs are, in that order. Only the sets holding a
+        detected TRP get their noise on every RE, in the module's noise
+        order. Returns (rsrp, toa): rsrp holds the dBm per TRP row, -300
+        for a TRP not received, and toa {trp_id: seconds} the detected
+        TRPs with an arrival, in detection order. Arrival times are in the
+        receiver's clock: propagation + receiver offset - transmitter
+        offset."""
         mark = perf_counter()
         amps = link_amplitude(links, side.tx_power_dbm, side.occupied_per_symbol)
         h = self._channel_matrix(
@@ -646,39 +643,27 @@ class Simulator:
         signals = [set_signals(s, amps, lines, side.refs) for s in received]
         factors = set_factors(signals)
         std, n_re = side.noise_rms / math.sqrt(2.0), side.refs[0].size
+        rng = substream(self.config.master_seed, "noise", drop_idx, *side.noise_key)
+        z, rest, powers = draw_statistics(rng, factors, std, n_re)
+        rsrp = [power_dbm(0.0)] * len(side.refs)
+        for s, power in zip(received, powers):
+            for g, p in zip(s, power):
+                for i in g.members:
+                    rsrp[i] = power_dbm(p)
+        detected = self._select_trps(rsrp) if detect is None else list(detect)
+        read = [e for e, s in enumerate(received)
+                if any(i in detected for g in s for i in g.members)]
         draws = self._draws.at_least(2 * n_re)
+        rx = [row for e in read
+              for row in complete_set(signals[e], factors[e], z[e], rest[e], rng, draws)]
+        vecs = despread_groups([g for e in read for g in received[e]], rx, side.refs,
+                               self.numerology.n_subcarriers, side.comb, detected)
+        mark = self._lap(side.stage, mark)
         window, taper = self._detection
-
-        toas: dict[int, list[float]] = {}
-        # positions of the sets a sample draws: all received, then those read
-        drawn = range(len(received))
-        for sample, key in enumerate(side.noise_keys):
-            rng = substream(self.config.master_seed, "noise", drop_idx, *key)
-            z, rest, powers = draw_statistics(rng, [factors[e] for e in drawn], std, n_re)
-            stats = dict(zip(drawn, zip(z, rest)))
-            if sample == 0:
-                rsrp = [power_dbm(0.0)] * len(side.refs)
-                for s, power in zip(received, powers):
-                    for g, p in zip(s, power):
-                        for i in g.members:
-                            rsrp[i] = power_dbm(p)
-                detected = self._select_trps(rsrp) if detect is None else list(detect)
-                drawn = [e for e in drawn
-                         if any(i in detected for g in received[e] for i in g.members)]
-            rx = [row for e in drawn
-                  for row in complete_set(signals[e], factors[e], *stats[e], rng, draws)]
-            vecs = despread_groups([g for e in drawn for g in received[e]], rx, side.refs,
-                                   self.numerology.n_subcarriers, side.comb, detected)
-            mark = self._lap(side.stage, mark)
-            vecs *= taper
-            taus = first_paths(vecs, window).tolist()
-            mark = self._lap("detection", mark)
-            for t, tau in zip(detected, taus):
-                if not math.isnan(tau):
-                    toas.setdefault(t, []).append(tau)
-        toa = {t: aggregate_samples(toas[t]) for t in detected if t in toas}
-        self._lap(side.stage, mark)
-        return rsrp, toa
+        vecs *= taper
+        taus = first_paths(vecs, window).tolist()
+        self._lap("detection", mark)
+        return rsrp, {t: tau for t, tau in zip(detected, taus) if not math.isnan(tau)}
 
     # -- arrival angles ----------------------------------------------------
 

@@ -7,9 +7,10 @@ import pytest
 
 from pydantic import ValidationError
 
-from nrpos.config import dump_config, load_config, preset_config
+from nrpos.config import (ChannelOverrides, ExperimentConfig, SolverConfig, dump_config,
+                          load_config, preset_config)
 from nrpos.experiments import run_experiment
-from nrpos.measurements import K_RANGE, MAX_SAMPLES
+from nrpos.measurements import K_RANGE
 
 
 def test_dump_load_round_trip(tmp_path):
@@ -21,12 +22,21 @@ def test_dump_load_round_trip(tmp_path):
     assert load_config(path) == config
 
 
+# Deleted knobs, each with a document that still names it: the residual
+# trim solver.nlos_rejection and the downlink sample loop's n_samples.
+DELETED_KNOBS = {
+    "nlos_rejection": "preset: ioo-fr1\nsolver:\n  nlos_rejection: \"off\"\n",
+    "n_samples": "preset: ioo-fr1\nn_samples: 1\n",
+}
+
+
 def test_deleted_residual_trim_knob_rejected(tmp_path):
-    """solver.nlos_rejection is gone; a document still naming it fails."""
+    """A document still naming a deleted knob fails, on that knob."""
     path = tmp_path / "config.yaml"
-    path.write_text("preset: ioo-fr1\nsolver:\n  nlos_rejection: \"off\"\n")
-    with pytest.raises(ValidationError, match="nlos_rejection"):
-        load_config(path)
+    for knob, document in DELETED_KNOBS.items():
+        path.write_text(document)
+        with pytest.raises(ValidationError, match=knob):
+            load_config(path)
 
 
 def test_preset_with_override(tmp_path):
@@ -53,14 +63,6 @@ def test_timing_k_follows_the_reporting_range():
         assert config.effective_timing_k == K_RANGE[config.fr][0]
 
 
-def test_n_samples_follows_the_sample_limit():
-    """n_samples is bounded by the samples `measurements.aggregate_samples`
-    averages, `measurements.MAX_SAMPLES`."""
-    assert preset_config("ioo-fr1", n_samples=MAX_SAMPLES).n_samples == MAX_SAMPLES
-    with pytest.raises(ValidationError, match="less than or equal to"):
-        preset_config("ioo-fr1", n_samples=MAX_SAMPLES + 1)
-
-
 def test_min_trps_may_not_exceed_n_best_trps():
     """Selection keeps at most n_best_trps, so a larger minimum would be
     cut back without a word."""
@@ -70,7 +72,7 @@ def test_min_trps_may_not_exceed_n_best_trps():
 
 
 def short_run_csv(preset: str, method: str, **overrides) -> str:
-    config = preset_config(preset, method=method, n_drops=4, n_prb=24, **overrides)
+    config = preset_config(preset, method=method, **{"n_drops": 4, "n_prb": 24, **overrides})
     return run_experiment(config).results_csv
 
 
@@ -119,7 +121,37 @@ KNOBS = [
     ("uma", "ul-tdoa", "channel", {"nlos_excess_mean_s": 300e-9}),
     ("uma", "dl-aod", "channel", {"sector_max_gain_db": 0.0}),
     ("ioo-fr1", "dl-tdoa", "dl_n_symbols", 6),
+    ("uma", "dl-tdoa", "interference", False),
+    ("ioo-fr1", "dl-tdoa", "sync_sigma_ns", 10.0),
+    ("ioo-fr1", "dl-tdoa", "ideal", True),
+    ("ioo-fr1", "dl-tdoa", "timing_k", 5),
+    ("ioo-fr1", "dl-tdoa", "n_prb", 52),
+    ("uma", "dl-aod", "solver", {"max_iterations": 2}),
+    ("ioo-fr1", "dl-tdoa", "solver", {"fix_height": None}),
 ]
+
+# Fields that no short run can show moving: they set a run's schema,
+# identity or size.
+NOT_KNOBS = {
+    "version": "the document's schema version; any other value is refused",
+    "scenario": "the deployment itself, the base of every knob's run",
+    "fr": "the frequency range, named by the run's preset",
+    "method": "the positioning method, the base of every knob's run",
+    "n_drops": "the run's size: more drops only add rows",
+}
+
+
+def test_every_field_is_a_knob_or_named():
+    """Every configuration field, the channel's and solver's by their
+    dotted names, is either in KNOBS, so a short run shows it moving, or
+    in NOT_KNOBS with a reason; a field in neither may be dead."""
+    nested = {"channel": ChannelOverrides, "solver": SolverConfig}
+    fields = {name for name in ExperimentConfig.model_fields if name not in nested}
+    fields |= {f"{name}.{sub}" for name, model in nested.items() for sub in model.model_fields}
+    knobs = {k for _, _, k, v in KNOBS if not isinstance(v, dict)}
+    knobs |= {f"{k}.{sub}" for _, _, k, v in KNOBS if isinstance(v, dict) for sub in v}
+    assert not knobs & NOT_KNOBS.keys()
+    assert fields == knobs | NOT_KNOBS.keys()
 
 
 @pytest.mark.parametrize("preset,method,knob,value", KNOBS,

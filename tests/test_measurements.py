@@ -9,7 +9,6 @@ from nrpos.measurements import (
     DelayWindow,
     MeasurementFailed,
     MeasurementRecord,
-    aggregate_samples,
     estimate_aoa,
     quantize_timing,
     read_records,
@@ -132,24 +131,6 @@ class TestQuantizePower:
         assert got == [[min(max(round(p), -156), -31) for p in row] for row in values.tolist()]
         assert all(type(v) is int for row in got for v in row)
         assert reported_power_dbm([-100.4, -100.6]) == [-100, -101]
-
-
-class TestAggregate:
-    def test_single(self):
-        """One sample is its own mean, a float, bit for bit np.mean's."""
-        assert aggregate_samples([3.5e-9]) == 3.5e-9
-        for x in np.random.default_rng(3).normal(scale=1e-6, size=200).tolist():
-            got = aggregate_samples([x])
-            assert type(got) is float and got == float(np.mean([x]))
-
-    def test_mean(self):
-        assert aggregate_samples([1e-9, 2e-9, 3e-9, 4e-9]) == pytest.approx(2.5e-9)
-
-    def test_five_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_samples([1, 2, 3, 4, 5])
-        with pytest.raises(ValueError):
-            aggregate_samples([])
 
 
 class TestToa:

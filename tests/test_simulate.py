@@ -5,10 +5,9 @@ against the grid path, the comb-line receive, despread and sweep against
 flat RE indices and the per-set reference noise draw for every comb
 shape, the beam sweep's and the receive path's power draws against the
 RE-level draw, completed noise against a full draw, each read group's
-power against its RSRP, later samples drawing only the read sets, the
-sweep's batched pass against the per-beam loops and its Cholesky factors
-against the QR factors it took before, the downlink reference
-values against a per-symbol build,
+power against its RSRP, the sweep's batched pass against the per-beam
+loops and its Cholesky factors against the QR factors it took before, the
+downlink reference values against a per-symbol build,
 detection of the selected TRPs only and no detection state built for
 DL-AoD, accuracy on an ideal channel, the multi-RTT fixes of two pinned
 UMi drops and a pinned multi-RTT drop without a downlink arrival, two
@@ -76,7 +75,7 @@ PINNED = [
     ("uma", dict(method="dl-tdoa", interference=False),
      "228d4e02e3b8d97e4522fbf06574f03e927447ecb0fa0c2fb35d2afab090bfb9"),
     # plain start moved 3 of 8 fixes by at most 2.5e-7 m
-    ("ioo-fr1", dict(method="dl-tdoa", n_samples=3, sync_sigma_ns=5.0),
+    ("ioo-fr1", dict(method="dl-tdoa", sync_sigma_ns=5.0),
      "c56b8a8e52be3af8fa4e4d73d937e0d3eba13c443f80960b47b68897bae29783"),
     # plain start moved 2 of 8 fixes by at most 1.9e-8 m
     ("ioo-fr1", dict(method="dl-tdoa", ideal=True),
@@ -348,7 +347,7 @@ def check_receive_against_flat_indices(sim, side, resources, flat_refs, monkeypa
         detected = sim._select_trps(rsrp) if detect is None else list(detect)
         read = [e for e, s in enumerate(received)
                 if any(i in detected for g in s for i in g.members)]
-        rng = substream(sim.config.master_seed, "noise", 0, *side.noise_keys[0])
+        rng = substream(sim.config.master_seed, "noise", 0, *side.noise_key)
         powers, noise = set_noise(rng, flat, side.noise_rms / np.sqrt(2.0), read)
         want_rsrp = [-300.0] * n_trps
         for s, p in zip(received, powers):
@@ -783,25 +782,6 @@ def test_read_groups_carry_their_rsrp(overrides, side_name, monkeypatch):
             for i in g.members:
                 assert power_dbm(float(np.mean(np.abs(row) ** 2))) == \
                     pytest.approx(rsrp[i], rel=0, abs=1e-9)
-
-
-def test_later_samples_draw_only_the_read_sets(monkeypatch):
-    """UMa DL-TDOA drop 0 at three samples: sample 0 draws the statistic of
-    all 12 comb offsets, and each later sample only those of the sets
-    holding a selected TRP, which every sample completes."""
-    sim = Simulator(preset_config("uma", n_drops=1, n_samples=3))
-    drawn, completed = [], []
-    monkeypatch.setattr(simulate, "draw_statistics",
-                        lambda rng, factors, *a: drawn.append(len(factors))
-                        or draw_statistics(rng, factors, *a))
-    monkeypatch.setattr(simulate, "complete_set",
-                        lambda *args: completed.append(args[0].shape) or complete_set(*args))
-    rsrp, toa = sim._receive(sim._links(0), sim._dl, 0)
-    selected = sim._select_trps(rsrp)
-    read = [s for s in sim._dl.sets if any(i in selected for g in s for i in g.members)]
-    assert 1 < len(read) < len(sim._dl.sets) == 12
-    assert drawn == [12, len(read), len(read)]
-    assert len(completed) == 3 * len(read) and toa
 
 
 SWEEP_CASES = [
