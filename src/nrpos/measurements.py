@@ -7,8 +7,8 @@ records that carry them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -62,6 +62,11 @@ def _smooth5_at_least(n: int) -> int:
         n += 1
 
 
+# block length of the polish's exponentials: e^{j w_k tau} = z^a * z^(64b)
+# for k = 64b + a
+_POLISH_BLOCK = 64
+
+
 class DelayWindow:
     """Delay-domain magnitudes |ifft(x, m)| at the search-window bins only.
 
@@ -72,6 +77,10 @@ class DelayWindow:
     drops out of the magnitude. Chirp phases are reduced exactly in
     integers, pi*((2*k*lo + k^2) mod 2m)/m, so they stay accurate at large
     k. Bins wrap modulo m, so a negative lo reaches the end of the spectrum.
+
+    The window tapers what it transforms: the input chirp carries the
+    Hamming taper (`taper_vector`), so a despread vector goes in as it is,
+    and the polish's moment weights (`polish_tables`) carry it too.
 
     A window owns its transform workspace, (rows, L) complex, and its
     (rows, W) magnitude buffer for as long as it lives, and grows both when
@@ -91,17 +100,41 @@ class DelayWindow:
         self.n_bins = hi_bin - self.lo_bin + 1
         self._fft_len = _smooth5_at_least(n_sc + self.n_bins - 1)
         k = np.arange(n_sc, dtype=np.int64)
-        self._chirp = np.exp(1j * np.pi * ((2 * k * self.lo_bin + k * k) % (2 * m)) / m)
+        self._taper = taper_vector(np.ones(n_sc))
+        self._chirp = self._taper * np.exp(
+            1j * np.pi * ((2 * k * self.lo_bin + k * k) % (2 * m)) / m)
         n = np.arange(-(n_sc - 1), self.n_bins, dtype=np.int64)
         kernel = np.zeros(self._fft_len, dtype=complex)
         kernel[n % self._fft_len] = np.exp(-1j * np.pi * ((n * n) % (2 * m)) / m) / m
         self._kernel_f = np.fft.fft(kernel)
         self._work = np.empty((0, self._fft_len), dtype=complex)
         self._mag = np.empty((0, self.n_bins))
+        # built at the first polish, so that construction stays cheap
+        self._polish: tuple | None = None
+
+    def polish_tables(self):
+        """The polish's constant tables over the subcarriers padded to
+        whole blocks of _POLISH_BLOCK: the moment weights (t_k, t_k w_k,
+        t_k w_k^2), t the taper and w_k = 2j pi k scs_hz, zero in the
+        padding, and the inner (a) and outer (64b) block angles of its
+        exponentials. Built once, read-only."""
+        if self._polish is None:
+            n = len(self._taper)
+            k = np.arange(-(-n // _POLISH_BLOCK) * _POLISH_BLOCK)
+            omega = 2j * np.pi * k[:n] * self.scs_hz
+            weights = np.zeros((3, len(k)), dtype=complex)
+            weights[0, :n] = self._taper
+            weights[1, :n] = self._taper * omega
+            weights[2, :n] = self._taper * omega**2
+            self._polish = (weights, 2 * np.pi * self.scs_hz * k[:_POLISH_BLOCK],
+                            2 * np.pi * self.scs_hz * k[::_POLISH_BLOCK])
+            for table in self._polish:
+                table.flags.writeable = False
+        return self._polish
 
     def magnitudes(self, stack: np.ndarray) -> np.ndarray:
-        """(rows, n_sc) vectors -> (rows, n_bins) window magnitudes, valid
-        until the next call."""
+        """(rows, n_sc) untapered vectors -> (rows, n_bins) window
+        magnitudes of the tapered vectors, valid until the next call."""
         rows, n_sc = stack.shape
         if rows > len(self._work):
             self._work = np.empty((rows, self._fft_len), dtype=complex)
@@ -133,10 +166,20 @@ def first_path_from_magnitude(wmag: np.ndarray, lo_bin: int, bin_s: float) -> np
     """
     peak_val = wmag.max(axis=1)
     # Rayleigh-magnitude noise floor from the window median; the signal
-    # occupies a tiny fraction of the bins so the median is noise-dominated
-    noise_floor = NOISE_SIGMA_MULT * (_row_median(wmag) / 0.8326)
-    threshold = np.maximum(peak_val * 10 ** (-FIRST_PATH_REL_DB / 20.0), noise_floor)
-    failed = (peak_val < noise_floor) | (peak_val == 0.0)
+    # occupies a tiny fraction of the bins so the median is noise-dominated.
+    # A row with more than half its bins at or below 0.99 rel 0.8326 /
+    # NOISE_SIGMA_MULT, rel the cut FIRST_PATH_REL_DB below its peak, has
+    # its floor below rel: its threshold is rel and it fails only at a zero
+    # peak, so only the other rows take the median
+    threshold = peak_val * 10 ** (-FIRST_PATH_REL_DB / 20.0)
+    failed = peak_val == 0.0
+    cut = threshold * (0.99 * 0.8326 / NOISE_SIGMA_MULT)
+    # (an int32 sum counts faster than np.count_nonzero's intp)
+    floored = (wmag <= cut[:, None]).sum(axis=1, dtype=np.int32) <= wmag.shape[1] // 2
+    if floored.any():
+        noise_floor = NOISE_SIGMA_MULT * (_row_median(wmag[floored]) / 0.8326)
+        threshold[floored] = np.maximum(threshold[floored], noise_floor)
+        failed[floored] |= peak_val[floored] < noise_floor
 
     # interior local maxima at or above the threshold; column j is bin j+1
     mid = wmag[:, 1:-1]
@@ -152,77 +195,65 @@ def first_path_from_magnitude(wmag: np.ndarray, lo_bin: int, bin_s: float) -> np
     return np.where(failed, np.nan, (lo_bin + frac_bin) * bin_s)
 
 
-# block length of the polish's exponentials: e^{j w_k tau} = z^a * z^(64b)
-# for k = 64b + a
-_POLISH_BLOCK = 64
-
-
-@lru_cache(maxsize=8)
-def _polish_tables(n: int, scs_hz: float):
-    """The polish's constant tables for n subcarriers at scs_hz: the
-    moment weights (w_k, w_k^2), w_k = 2j pi k scs_hz, over the n
-    subcarriers padded to whole blocks, and the inner (a) and outer (64b)
-    block angles of its exponentials. They depend on nothing but the key,
-    so every call shares one read-only set."""
-    k = np.arange(-(-n // _POLISH_BLOCK) * _POLISH_BLOCK)
-    omega = 2j * np.pi * k * scs_hz
-    tables = (np.stack([omega, omega**2]), 2 * np.pi * scs_hz * k[:_POLISH_BLOCK],
-              2 * np.pi * scs_hz * k[::_POLISH_BLOCK])
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
-def _polish_peak(vecs: np.ndarray, scs_hz: float, tau0: np.ndarray, span: float) -> np.ndarray:
-    """Newton maximization of |sum_k D_k e^{2j pi k f tau}|^2 near tau0, per row.
+def _polish_peak(vecs: np.ndarray, window: DelayWindow, tau0: np.ndarray,
+                 span: float) -> np.ndarray:
+    """Newton maximization of |sum_k t_k D_k e^{2j pi k f tau}|^2 near tau0,
+    per row of untapered despread vectors D, t the window's taper.
 
     Each row stays within +-span of its parabolic estimate and keeps tau0
     if its local curvature does not look like a maximum. The exponentials
     of one step are blocked: 64 + n/64 complex exponentials per row
-    instead of n.
+    instead of n. A step evaluates every row, so that a row's result does
+    not depend on the others; a row's gradient, curvature and stop rules
+    are a handful of Python floats.
     """
     rows, n = vecs.shape
-    weights, inner, outer = _polish_tables(n, scs_hz)
+    weights, inner, outer = window.polish_tables()
     n_blocks = len(outer)
-    # D_k, D_k w_k and D_k w_k^2 in blocks of 64 subcarriers, D_k zero past n
+    # t_k D_k, t_k D_k w_k and t_k D_k w_k^2 in blocks of 64 subcarriers,
+    # zero past n
     moments = np.empty((rows, 3, weights.shape[1]), dtype=complex)
     moments[:, :, n:] = 0.0
-    moments[:, 0, :n] = vecs
-    np.multiply(vecs[:, None, :], weights[:, :n], out=moments[:, 1:, :n])
+    np.multiply(vecs[:, None, :], weights[:, :n], out=moments[:, :, :n])
     moments = moments.reshape(rows, 3 * n_blocks, _POLISH_BLOCK)
 
-    tau0 = np.asarray(tau0, dtype=float)
-    tau = tau0.copy()
-    out = tau0.copy()
-    live = np.ones(rows, dtype=bool)
+    start = np.asarray(tau0, dtype=float).tolist()
+    taus, out = list(start), list(start)
+    live = range(rows)
     for _ in range(4):
+        tau = np.array(taus)
         # c_i = sum_b z^(64b) sum_a moments_i[64b + a] z^a, z = e^{j 2 pi f tau}
         part = moments @ np.exp(1j * np.outer(tau, inner))[:, :, None]
         c0, c1, c2 = (part.reshape(rows, 3, n_blocks)
-                      @ np.exp(1j * np.outer(tau, outer))[:, :, None])[:, :, 0].T
-        g = 2.0 * np.real(c1 * np.conj(c0))
-        h = 2.0 * np.real(c2 * np.conj(c0)) + 2.0 * np.abs(c1) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = -g / h
-        # h >= 0 keeps tau0 (already in out); a NaN curvature is left to
-        # the step check, as a bad step
-        concave = live & ~(h >= 0)
-        bad_step = ~np.isfinite(step) | (np.abs(tau + step - tau0) > span)
-        stop = concave & bad_step
-        out[stop] = np.where(np.abs(tau - tau0) > span, tau0, tau)[stop]
-        moving = concave & ~bad_step
-        tau[moving] += step[moving]
-        live = moving & ~(np.abs(step) < 1e-16)
-        out[moving & ~live] = tau[moving & ~live]
-        if not live.any():
+                      @ np.exp(1j * np.outer(tau, outer))[:, :, None])[:, :, 0].T.tolist()
+        moving = []
+        for r in live:
+            conj0, mag1 = c0[r].conjugate(), abs(c1[r])
+            h = 2.0 * (c2[r] * conj0).real + 2.0 * (mag1 * mag1)
+            if h >= 0:  # not a maximum: keeps tau0, already in out
+                continue
+            # a NaN curvature is left to the step check, as a bad step
+            g = 2.0 * (c1[r] * conj0).real
+            step, t = -g / h, taus[r]
+            if not math.isfinite(step) or abs(t + step - start[r]) > span:
+                out[r] = start[r] if abs(t - start[r]) > span else t
+            elif abs(step) < 1e-16:
+                out[r] = t + step
+            else:
+                taus[r] = t + step
+                moving.append(r)
+        live = moving
+        if not live:
             break
-    out[live] = tau[live]
-    return out
+    for r in live:
+        out[r] = taus[r]
+    return np.array(out)
 
 
 def first_paths(stack: np.ndarray, window: DelayWindow) -> np.ndarray:
     """First-significant-path delay, seconds, of every row of a despread
-    (already tapered) stack; NaN where nothing rises above the noise floor.
+    stack; NaN where nothing rises above the noise floor. The rows go in
+    untapered: the window applies the taper.
 
     Each row's coarse pick is refined by a short local maximization of its
     continuous correlation (`_polish_peak`).
@@ -230,9 +261,9 @@ def first_paths(stack: np.ndarray, window: DelayWindow) -> np.ndarray:
     taus = first_path_from_magnitude(window.magnitudes(stack), window.lo_bin, window.bin_s)
     found = ~np.isnan(taus)
     if found.all():
-        return _polish_peak(stack, window.scs_hz, taus, span=window.bin_s)
+        return _polish_peak(stack, window, taus, span=window.bin_s)
     if found.any():
-        taus[found] = _polish_peak(stack[found], window.scs_hz, taus[found], span=window.bin_s)
+        taus[found] = _polish_peak(stack[found], window, taus[found], span=window.bin_s)
     return taus
 
 

@@ -59,9 +59,9 @@ detection workspace and magnitude buffer belong to the simulator's
 `DelayWindow`, whose returned magnitudes the next detection overwrites,
 and the 2N normals of each completion are drawn into the simulator's
 `DrawBuffer`, which the next completion overwrites; the REs a completion
-returns are fresh and never alias it. `_receive` tapers its despread stack
-in place for detection; `despread_groups` makes that stack fresh on every
-call.
+returns are fresh and never alias it. `_receive` hands its despread stack
+to detection untapered and unchanged: the window's chirp and the polish's
+moment weights carry the taper, so no pass over the stack applies it.
 
 The RE-set kernels call LAPACK's gufuncs without the np.linalg wrappers
 and their per-call checks: `set_factors` zpotrf's `cholesky_lo`, and
@@ -130,7 +130,6 @@ from .measurements import (
     rstd,
     rtt,
     steering_vector,
-    taper_vector,
     timing_record,
 )
 from .numerology import SPEED_OF_LIGHT, Numerology
@@ -509,14 +508,14 @@ class Simulator:
         self._h = np.empty((len(self.trps), n_sc), dtype=complex)
         # (links, first-arrival delays as bytes) the buffer holds the matrix of
         self._h_built_for: tuple = (None, b"")
-        # first-path detection: the delay window and the taper of a despread
-        # vector. A method that detects no first path (DL-AoD) holds
-        # neither. The others build them here: built at the first
+        # first-path detection: the delay window, which tapers the despread
+        # vectors it is given. A method that detects no first path (DL-AoD)
+        # holds none. The others build it here: built at the first
         # detection, the window's construction temporaries would sit on top
         # of that drop's arrays and raise the run's peak memory.
         self._detection = (
-            DelayWindow(n_sc, delay_spectrum_size(n_sc), self.scs_hz, self.search_window),
-            taper_vector(np.ones(n_sc))) if self._method.first_path else None
+            DelayWindow(n_sc, delay_spectrum_size(n_sc), self.scs_hz, self.search_window)
+            if self._method.first_path else None)
         self._draws = DrawBuffer()
 
         self.options = SolverOptions(**config.solver.model_dump(), area=deployment.area)
@@ -659,9 +658,7 @@ class Simulator:
         vecs = despread_groups([g for e in read for g in received[e]], rx, side.refs,
                                self.numerology.n_subcarriers, side.comb, detected)
         mark = self._lap(side.stage, mark)
-        window, taper = self._detection
-        vecs *= taper
-        taus = first_paths(vecs, window).tolist()
+        taus = first_paths(vecs, self._detection).tolist()
         self._lap("detection", mark)
         return rsrp, {t: tau for t, tau in zip(detected, taus) if not math.isnan(tau)}
 

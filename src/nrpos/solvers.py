@@ -25,7 +25,9 @@ own.
 
 `gdop` builds its problem from rows too: a fix keeps the canonical rows
 it was solved from (`PositionFix.rows`), in residual order, and a drop's
-GDOP is theirs at the truth.
+GDOP is theirs at the truth. It calls LAPACK's SVD and inverse gufuncs,
+which `np.linalg.cond` and `np.linalg.inv` wrap, bit for bit the
+wrappers' results.
 
 Gauss-Newton accepts a step only when it lowers the residual RMS
 strictly, halving it up to 25 times to find one; a run whose halvings
@@ -58,7 +60,9 @@ from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import inv as _inv
 from numpy.linalg._umath_linalg import lstsq as _dgelsd
+from numpy.linalg._umath_linalg import svd as _singular_values
 
 
 class SolverError(ValueError):
@@ -642,15 +646,24 @@ def gdop(rows, anchors, position, fix_height: float | None) -> float:
     """sqrt(trace((J^T J)^-1)) at position of the rows' problem on anchors,
     an (anchor row, xyz) array; the rows' values do not enter.
 
-    Returns +inf for singular geometry.
+    Returns +inf for singular geometry: a condition number above 1e12,
+    taken as np.linalg.cond takes it, the ratio of the extreme singular
+    values with NaN read as inf, or an inverse that LAPACK refuses. A
+    Jacobian with NaN entries raises LinAlgError, as np.linalg.cond does.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     j = _problem(rows, anchors, fix_height).jacobian(position)
     jtj = j.T @ j
-    try:
-        inv = np.linalg.inv(jtj)
-    except np.linalg.LinAlgError:
+    with np.errstate(all="ignore"):
+        s = _singular_values(jtj, signature="d->d")
+        cond = s[0] / s[-1]
+    if not cond <= 1e12:
+        if math.isnan(cond) and np.isnan(jtj).any():
+            raise np.linalg.LinAlgError("SVD did not converge")
         return math.inf
-    if np.linalg.cond(jtj) > 1e12:
-        return math.inf
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        try:
+            inv = _inv(jtj, signature="d->d")
+        except FloatingPointError:  # a zero pivot
+            return math.inf
     return float(np.sqrt(np.trace(inv)))

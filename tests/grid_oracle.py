@@ -28,7 +28,6 @@ from nrpos.measurements import (
     MeasurementFailed,
     delay_spectrum_size,
     first_paths,
-    taper_vector,
 )
 from nrpos.prs import comb_pattern, dl_prs_reference, srs_reference
 
@@ -151,11 +150,11 @@ def rsrp(rx: np.ndarray, reference) -> float:
 
 
 def estimate_toa(rx: np.ndarray, reference, numerology, search_window_s) -> float:
-    """First-path delay, seconds, of the reference on the grid: tapered
+    """First-path delay, seconds, of the reference on the grid: the
     despread estimate through `first_paths` on the delay window a
     simulation builds. Raises MeasurementFailed when nothing rises above
     the noise floor."""
-    vec = taper_vector(despread(rx, reference))
+    vec = despread(rx, reference)
     window = DelayWindow(len(vec), delay_spectrum_size(len(vec)), numerology.scs_khz * 1e3,
                          search_window_s)
     tau = first_paths(vec[None, :], window)[0]

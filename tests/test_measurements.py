@@ -3,9 +3,12 @@ import pytest
 
 from first_path_oracle import oracle_pick, oracle_polish
 from grid_oracle import despread, estimate_toa, flat_dl_reference, rsrp, slot_grid
+from nrpos import measurements
 from nrpos.channel import draw_noise, link_amplitude
 from nrpos.config import preset_config
 from nrpos.measurements import (
+    FIRST_PATH_REL_DB,
+    NOISE_SIGMA_MULT,
     DelayWindow,
     MeasurementFailed,
     MeasurementRecord,
@@ -205,7 +208,7 @@ def path_vector(n_sc, scs_hz, delays_s, gains):
 
 
 def detection_stack(window):
-    """Tapered despread rows: random multipath at several SNRs, a weak early
+    """Despread rows, untapered: random multipath at several SNRs, a weak early
     path ahead of a strong one, pure noise and all zeros."""
     rng = np.random.default_rng(7)
     n_sc, scs = 3264, window.scs_hz
@@ -218,7 +221,22 @@ def detection_stack(window):
     rows.append(path_vector(n_sc, scs, (0.2e-6, 0.9e-6), (0.3, 1.0)) + 0.01 * noise())
     rows.append(noise())
     rows.append(np.zeros(n_sc, dtype=complex))
-    return np.array(rows) * taper_vector(np.ones(n_sc))
+    return np.array(rows)
+
+
+def oracle_taus(mags, win, m, search):
+    """The per-row picker's delay of each row of window magnitudes, NaN
+    where it fails."""
+    bins = np.arange(win.lo_bin, win.lo_bin + win.n_bins) % m
+    want = []
+    for row in mags:
+        full = np.zeros(m)
+        full[bins] = row
+        try:
+            want.append(oracle_pick(full, m, win.scs_hz, search)[0])
+        except MeasurementFailed:
+            want.append(np.nan)
+    return np.array(want)
 
 
 @pytest.fixture(scope="module", params=["ioo-fr1", "uma"])
@@ -227,7 +245,7 @@ def window(request):
 
 
 def despread_stack(preset):
-    """Tapered despread rows of every TRP in drop 0 of `preset`, each RE set
+    """Despread rows, untapered, of every TRP in drop 0 of `preset`, each RE set
     under its own fixed noise draw, with the last TRP silent so that its
     row fails; and the simulation's delay window."""
     sim = Simulator(preset_config(preset, n_drops=1))
@@ -244,8 +262,7 @@ def despread_stack(preset):
         rx += [c + noise for c in set_signals(s, amps, lines, side.refs)]
     vecs = despread_groups(groups, rx, side.refs, sim.numerology.n_subcarriers, side.comb,
                            range(len(sim.trps)))
-    window, taper = sim._detection
-    return vecs * taper, window
+    return vecs, sim._detection
 
 
 class TestFirstPathKernel:
@@ -272,7 +289,7 @@ class TestFirstPathKernel:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(3, 3264)) + 1j * rng.normal(size=(3, 3264))
         bins = np.arange(win.lo_bin, win.lo_bin + win.n_bins) % m
-        want = np.abs(np.fft.ifft(x, m, axis=1))[:, bins]
+        want = np.abs(np.fft.ifft([taper_vector(v) for v in x], m, axis=1))[:, bins]
         assert np.allclose(win.magnitudes(x), want, rtol=1e-9, atol=0)
 
     def test_reused_workspace_matches_a_fresh_window(self, window):
@@ -290,19 +307,52 @@ class TestFirstPathKernel:
         win, m, search = window
         mags = win.magnitudes(detection_stack(win))
         taus = first_path_from_magnitude(mags, win.lo_bin, win.bin_s)
-        bins = np.arange(win.lo_bin, win.lo_bin + win.n_bins) % m
-        want = []
-        for row in mags:
-            full = np.zeros(m)
-            full[bins] = row
-            try:
-                want.append(oracle_pick(full, m, win.scs_hz, search)[0])
-            except MeasurementFailed:
-                want.append(np.nan)
+        want = oracle_taus(mags, win, m, search)
         assert np.isnan(want[-2:]).all()  # noise only, all zeros
         assert not np.isnan(want[:-2]).any()
         assert abs(want[5] - 0.2e-6) < win.bin_s  # weak early path is picked
-        assert np.array_equal(taus, np.array(want), equal_nan=True)
+        assert np.array_equal(taus, want, equal_nan=True)
+
+    def test_floor_median_only_where_it_can_set_the_threshold(self, window, monkeypatch):
+        """A row with more than half its bins at or below 0.99 rel 0.8326 /
+        NOISE_SIGMA_MULT, rel its relative cut, has its floor below rel, so
+        the pick skips the floor's median: clean paths and an all-zero row
+        never reach `_row_median`. Rows whose floor may set the threshold,
+        noise only and a path under a strong co-offset interferer, take
+        it. Every row's pick is the per-row picker's bit for bit."""
+        win, m, search = window
+        n_sc, scs = 3264, win.scs_hz
+        rng = np.random.default_rng(9)
+        noise = lambda: rng.normal(size=n_sc) + 1j * rng.normal(size=n_sc)
+        # another source's path, despread against the wrong sequence
+        interferer = path_vector(n_sc, scs, (0.2e-6,), (3.0,)) * np.exp(
+            2j * np.pi * rng.uniform(size=n_sc))
+        clean = [path_vector(n_sc, scs, (0.3e-6,), (1.0,)),
+                 path_vector(n_sc, scs, (0.2e-6, 0.9e-6), (0.3, 1.0)) + 0.01 * noise(),
+                 np.zeros(n_sc, dtype=complex)]
+        floored = [noise(), path_vector(n_sc, scs, (0.4e-6,), (1.0,)) + interferer]
+        medians = []
+
+        def spy(values):
+            medians.append(values.copy())
+            return _row_median(values)
+
+        monkeypatch.setattr(measurements, "_row_median", spy)
+        mags = win.magnitudes(np.array(clean + floored)).copy()
+        taus = first_path_from_magnitude(mags, win.lo_bin, win.bin_s)
+        assert len(medians) == 1 and np.array_equal(medians[0], mags[len(clean):])
+        medians.clear()
+        assert np.array_equal(first_path_from_magnitude(mags[:len(clean)], win.lo_bin, win.bin_s),
+                              taus[:len(clean)], equal_nan=True)
+        assert medians == []
+
+        want = oracle_taus(mags, win, m, search)
+        assert np.array_equal(taus, want, equal_nan=True)
+        # the floor sets the interfered row's threshold, and it is detected
+        rel = mags[-1].max() * 10 ** (-FIRST_PATH_REL_DB / 20.0)
+        assert NOISE_SIGMA_MULT * (np.median(mags[-1]) / 0.8326) > rel
+        assert abs(taus[-1] - 0.4e-6) < win.bin_s
+        assert np.isnan(taus[[2, 3]]).all() and not np.isnan(taus[[0, 1]]).any()
 
     @pytest.mark.parametrize("width", [1, 2, 7, 8, 1230, 1231, 5515])
     def test_noise_floor_median_is_np_median(self, width):
@@ -321,22 +371,24 @@ class TestFirstPathKernel:
         win, _, _ = window
         stack = detection_stack(win)[:-2]
         tau0 = first_path_from_magnitude(win.magnitudes(stack), win.lo_bin, win.bin_s)
-        got = _polish_peak(stack, win.scs_hz, tau0, span=win.bin_s)
-        want = [oracle_polish(v, win.scs_hz, t, win.bin_s) for v, t in zip(stack, tau0)]
+        got = _polish_peak(stack, win, tau0, span=win.bin_s)
+        want = [oracle_polish(taper_vector(v), win.scs_hz, t, win.bin_s)
+                for v, t in zip(stack, tau0)]
         assert np.max(np.abs(got - want)) < 1e-20
         assert np.any(got != tau0)
 
     def test_polish_keeps_tau0_off_a_maximum_or_out_of_span(self):
         n_sc, scs, delay = 3264, 30e3, 0.4e-6
         vec = path_vector(n_sc, scs, (delay,), (1.0,))
-        null = delay + 1.0 / (n_sc * scs)  # |C|^2 has a minimum here: h >= 0
+        win = DelayWindow(n_sc, delay_spectrum_size(n_sc), scs, (0.0, 1e-6))
+        convex = delay + 1.0 / (n_sc * scs)  # tapered |C|^2 is convex here: h >= 0
         slope = delay + 0.3 / (n_sc * scs)  # first step leaves a 1 ps span
         stack = np.array([vec, vec])
-        tau0 = np.array([null, slope])
-        spans = {"null": 1e-9, "slope": 1e-12}
+        tau0 = np.array([convex, slope])
+        spans = {"convex": 1e-9, "slope": 1e-12}
         for i, (name, span) in enumerate(spans.items()):
-            got = _polish_peak(stack[i:i + 1], scs, tau0[i:i + 1], span=span)[0]
-            assert got == tau0[i] == oracle_polish(vec, scs, tau0[i], span), name
+            got = _polish_peak(stack[i:i + 1], win, tau0[i:i + 1], span=span)[0]
+            assert got == tau0[i] == oracle_polish(taper_vector(vec), scs, tau0[i], span), name
 
 
 class TestDifferences:

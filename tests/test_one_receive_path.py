@@ -11,13 +11,21 @@ name, is a use; the def and imports are not.
 
 The RE-set kernels call LAPACK's gufuncs directly, without the
 np.linalg wrappers: `set_factors` zpotrf's `cholesky_lo` and
-`complete_set` zgesv's `solve1`, each in that one place."""
+`complete_set` zgesv's `solve1`, each in that one place.
+
+Detection tapers once: the delay window builds the taper into its chirp
+and its polish weights, and the receive path hands it the despread stack
+as it is."""
 
 import ast
 from pathlib import Path
 
 import numpy as np
 from numpy.linalg import _umath_linalg
+
+from nrpos.config import preset_config
+from nrpos.measurements import DelayWindow
+from nrpos.simulate import Simulator
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nrpos"
 KERNELS = ("set_signals", "set_factors", "draw_statistics", "complete_set", "despread_groups")
@@ -83,6 +91,14 @@ def test_each_kernel_has_one_caller():
         if name == "set_factors":
             sites.append("simulate.Simulator._sweep_factors")
         assert sorted(use_sites(PACKAGE, name)) == sorted(sites), name
+
+
+def test_one_taper():
+    """The taper is built in one place, the delay window's constructor: a
+    taper pass in the receive path, on every call, fails here. The
+    simulator's detection state is that window alone."""
+    assert use_sites(PACKAGE, "taper_vector") == ["measurements.DelayWindow.__init__"]
+    assert type(Simulator(preset_config("ioo-fr1", n_drops=1))._detection) is DelayWindow
 
 
 CHOLESKY = ("cholesky", "cholesky_lo", "cholesky_up")

@@ -312,7 +312,7 @@ def check_receive_against_flat_indices(sim, side, resources, flat_refs, monkeypa
 
     def spy_complete(c, r, z, rest, rng, draws):
         rx = complete_set(c, r, z, rest, rng, draws)
-        completed.append((rx.copy(), rng))  # detection tapers what is despread
+        completed.append((rx.copy(), rng))
         return rx
 
     def spy_despread(groups, rx, *args):
@@ -372,8 +372,7 @@ def check_receive_against_flat_indices(sim, side, resources, flat_refs, monkeypa
             sounded = np.zeros(n_sc, dtype=bool)
             sounded[ks[i]] = True
             assert not vec[~sounded].any() and np.all(vec[sounded] != 0)
-        window, taper = sim._detection
-        taus = first_paths(flat_vecs * taper, window).tolist()
+        taus = first_paths(flat_vecs, sim._detection).tolist()
         assert toa == {t: tau for t, tau in zip(detected, taus) if not math.isnan(tau)}
 
 
@@ -583,9 +582,9 @@ def test_channel_matrix_matches_oracle_response():
 @pytest.mark.parametrize("preset,method", [("uma", "dl-tdoa"), ("ioo-fr1", "multi-rtt")])
 def test_drop_does_not_see_earlier_drops(preset, method):
     """Drop 7 after drops 0-6 on one simulator equals drop 7 on a fresh
-    one: the channel buffer, the detection workspace and the in-place taper
-    carry nothing from one drop, or one stage, to the next. Multi-RTT's
-    uplink stage reads the channel buffer its downlink stage built."""
+    one: the channel buffer and the detection workspace carry nothing
+    from one drop, or one stage, to the next. Multi-RTT's uplink stage
+    reads the channel buffer its downlink stage built."""
     config = preset_config(preset, method=method, n_drops=10)
     sim = Simulator(config)
     after = [sim.run_drop(d) for d in range(10)][7]
@@ -868,10 +867,10 @@ def test_cell_selection_runs_once_per_drop(method, monkeypatch):
 
 def test_dl_aod_builds_no_detection_state():
     """DL-AoD detects no first path and receives no downlink REs, so its
-    simulator holds no delay window or taper; its results.csv is that of a
+    simulator holds no delay window; its results.csv is that of a
     simulator that has both and has received downlink REs. Receiving them
     builds no state: every attribute is the same object before and after.
-    A DL-TDOA simulator has the window and taper from the start and never
+    A DL-TDOA simulator has the window from the start and never
     builds the beam sweep's tables, which DL-AoD builds at its first drop."""
     config = preset_config("uma", method="dl-aod", n_drops=N_DROPS)
     lean = Simulator(config)

@@ -794,7 +794,51 @@ def geometry_rows(kinds, n):
             for kind in kinds for i in range(n) if i > 0 or kind != RANGE_DIFFERENCE]
 
 
+def wrapper_gdop(rows, anchors, position, fix_height):
+    """gdop through the np.linalg wrappers: inverse first, then the
+    condition number."""
+    j = solvers._problem(rows, np.asarray(anchors, dtype=float), fix_height).jacobian(position)
+    jtj = j.T @ j
+    try:
+        inv = np.linalg.inv(jtj)
+    except np.linalg.LinAlgError:
+        return math.inf
+    if np.linalg.cond(jtj) > 1e12:
+        return math.inf
+    return float(np.sqrt(np.trace(inv)))
+
+
 class TestGdop:
+    def test_matches_the_linalg_wrappers(self):
+        """The SVD and inverse gufuncs give the wrappers' GDOP bit for bit,
+        +inf at the same singular and ill-conditioned geometries, and a
+        LinAlgError where the wrappers raise one (a terminal on an anchor:
+        a NaN Jacobian)."""
+        rng = np.random.default_rng(11)
+        line = np.array([[0, 0, 3], [50, 0, 3], [100, 0, 3]], dtype=float)
+        cases = [(geometry_rows((RANGE,), 3), line, [50.0, y, 1.5], h)
+                 for y in (0.0, 1e-9, 1e-6, 1e-3, 1.0) for h in (1.5, None)]
+        for kinds in ((RANGE,), (RANGE_DIFFERENCE,), (AZIMUTH,), (AZIMUTH, ZENITH)):
+            for _ in range(8):
+                anchors = random_anchors(rng, n=int(rng.integers(3, 7)), z=25.0)
+                p = [*rng.uniform(-150, 150, 2), 1.5]
+                rows = geometry_rows(kinds, len(anchors))
+                cases += [(rows, anchors, p, 1.5), (rows, anchors, p, None)]
+        cases.append((geometry_rows((RANGE,), 3), line, [0.0, 0.0, 3.0], None))
+        infinite = raised = 0
+        for case in cases:
+            try:
+                want = wrapper_gdop(*case)
+            except np.linalg.LinAlgError:
+                raised += 1
+                with pytest.raises(np.linalg.LinAlgError):
+                    gdop(*case)
+                continue
+            got = gdop(*case)
+            assert got == want or math.isnan(got) and math.isnan(want), case
+            infinite += got == math.inf
+        assert infinite >= 4 and raised == 1
+
     def test_square_center_is_minimum(self):
         anchors = square_anchors(z=1.5)
         rows = geometry_rows((RANGE,), 4)
