@@ -82,15 +82,13 @@ class DelayWindow:
     Hamming taper (`taper_vector`), so a despread vector goes in as it is,
     and the polish's moment weights (`polish_tables`) carry it too.
 
-    A window owns its transform workspace, (rows, L) complex, and its
-    (rows, W) magnitude buffer for as long as it lives, and grows both when
-    a call brings more rows than they hold, so repeated calls ask the
-    operating system for no new pages. The magnitudes a call returns are a
-    view of that buffer: the next call overwrites them.
+    m is `delay_spectrum_size(n_sc)`. A window keeps only its constant
+    tables: each call transforms in a fresh (rows, L) workspace and
+    returns fresh magnitudes, which no later call touches.
     """
 
-    def __init__(self, n_sc: int, m: int, scs_hz: float,
-                 search_window_s: tuple[float, float]):
+    def __init__(self, n_sc: int, scs_hz: float, search_window_s: tuple[float, float]):
+        m = delay_spectrum_size(n_sc)
         self.scs_hz = scs_hz
         self.bin_s = 1.0 / (m * scs_hz)
         self.lo_bin = int(np.floor(search_window_s[0] / self.bin_s))
@@ -107,8 +105,6 @@ class DelayWindow:
         kernel = np.zeros(self._fft_len, dtype=complex)
         kernel[n % self._fft_len] = np.exp(-1j * np.pi * ((n * n) % (2 * m)) / m) / m
         self._kernel_f = np.fft.fft(kernel)
-        self._work = np.empty((0, self._fft_len), dtype=complex)
-        self._mag = np.empty((0, self.n_bins))
         # built at the first polish, so that construction stays cheap
         self._polish: tuple | None = None
 
@@ -134,18 +130,15 @@ class DelayWindow:
 
     def magnitudes(self, stack: np.ndarray) -> np.ndarray:
         """(rows, n_sc) untapered vectors -> (rows, n_bins) window
-        magnitudes of the tapered vectors, valid until the next call."""
+        magnitudes of the tapered vectors, a fresh array."""
         rows, n_sc = stack.shape
-        if rows > len(self._work):
-            self._work = np.empty((rows, self._fft_len), dtype=complex)
-            self._mag = np.empty((rows, self.n_bins))
-        w = self._work[:rows]
+        w = np.empty((rows, self._fft_len), dtype=complex)
         np.multiply(stack, self._chirp, out=w[:, :n_sc])
         w[:, n_sc:] = 0.0
         np.fft.fft(w, axis=-1, out=w)
         w *= self._kernel_f
         np.fft.ifft(w, axis=-1, out=w)
-        return np.abs(w[:, :self.n_bins], out=self._mag[:rows])
+        return np.abs(w[:, :self.n_bins])
 
 
 def _row_median(values: np.ndarray) -> np.ndarray:

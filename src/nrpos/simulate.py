@@ -51,17 +51,16 @@ block and a block of every 64th subcarrier. Against a direct exponential
 the ramps differ in the last bits, so quantized reports are bit-stable
 under that blocking, and unquantized ones may differ in their last bits.
 
-The large per-drop arrays live as long as the `Simulator`, so that a warm
-drop asks the operating system for no new pages: the (link, subcarrier)
-channel matrix is one buffer that `_channel_matrix` rewrites on every
-call, the uplink's receive overwriting what the downlink's used, and the
-detection workspace and magnitude buffer belong to the simulator's
-`DelayWindow`, whose returned magnitudes the next detection overwrites,
-and the 2N normals of each completion are drawn into the simulator's
-`DrawBuffer`, which the next completion overwrites; the REs a completion
-returns are fresh and never alias it. `_receive` hands its despread stack
-to detection untapered and unchanged: the window's chirp and the polish's
-moment weights carry the taper, so no pass over the stack applies it.
+One per-drop array lives as long as the `Simulator`: the (link,
+subcarrier) channel matrix, one buffer that `_channel_matrix` rewrites on
+every call, the uplink's receive overwriting what the downlink's used.
+Every other scratch array, the completions' normals and the delay
+window's transform workspace included, is made where it is used: held
+for the run instead, they measured no faster in interleaved drop pairs
+and raised peak memory by 0.7–1.4 MB.
+`_receive` hands its despread stack to detection untapered and unchanged:
+the window's chirp and the polish's moment weights carry the taper, so no
+pass over the stack applies it.
 
 The RE-set kernels call LAPACK's gufuncs without the np.linalg wrappers
 and their per-call checks: `set_factors` zpotrf's `cholesky_lo`, and
@@ -80,16 +79,17 @@ distribution of the RE-level powers, including the shared noise of
 same-offset TRPs with interference off. Draws go beam by beam, offsets in
 increasing order, on the "rsrp" substream.
 
-The sweep's arithmetic is batched and its draws are not. The (TRP, beam)
-amplitudes are one array expression, with each power taken per element
-on Python floats, because numpy's array power differs from libm's pow in
-the last bit. The RE sets with one member count are gathered from the
-channel matrix's comb lines in one pass, their Gram matrices are
-factored in one Cholesky call and their powers are one pass, and the
-reports are quantized in one call. The draws stay a loop over (beam,
-set), in the order above, because each chi-square consumes a variable
-number of values from the stream: batching them would move every later
-draw. Reports are bit for bit those of the per-beam loops.
+The sweep's arithmetic is batched. The (TRP, beam) amplitudes are one
+array expression, with each power taken per element on Python floats,
+because numpy's array power differs from libm's pow in the last bit. The
+RE sets with one member count are gathered from the channel matrix's
+comb lines in one pass, their Gram matrices are factored in one Cholesky
+call and their powers are one pass, and the reports are quantized in one
+call. The draws are one `_draw_statistic` call over every (beam, set), in
+the order above; inside it they stay a loop, because each chi-square
+consumes a variable number of values from the stream: drawing all the
+normals at once would move every later draw. Reports are bit for bit
+those of the per-beam loops.
 """
 
 from __future__ import annotations
@@ -122,7 +122,6 @@ from .measurements import (
     DelayWindow,
     MeasurementFailed,
     MeasurementRecord,
-    delay_spectrum_size,
     estimate_aoa,
     first_paths,
     record_seconds,
@@ -244,21 +243,17 @@ def draw_statistics(rng, factors, std: float, n_re: int):
     """Each RE set's noise statistic (z, rest), drawn set by set
     (`_draw_statistic`) and scaled by std, the noise per real component,
     and its groups' mean RE powers (|z + R e_g|^2 + rest) / n_re, in one
-    pass over the sets of each rank; factors are the sets' R. Sets all of
-    one rank read their normals as one view; otherwise each rank gathers
-    its sets' normals."""
+    pass over the sets of each rank, which gathers its sets' normals;
+    factors are the sets' R."""
     ranks = [len(r) for r in factors]
     normals, rest = np.empty(2 * sum(ranks)), np.empty(len(ranks))
     _draw_statistic(rng, ranks, n_re, normals, rest)
     normals *= std
     rest *= std**2
     z, power = [None] * len(ranks), [None] * len(ranks)
-    blocks = _by_length(factors)
     start = [0, *accumulate(2 * q for q in ranks)]
-    for q, pos in blocks.items():
-        parts = normals if len(blocks) == 1 else \
-            normals[[start[e] + j for e in pos for j in range(2 * q)]]
-        parts = parts.reshape(len(pos), 2, q)
+    for q, pos in _by_length(factors).items():
+        parts = normals[[start[e] + j for e in pos for j in range(2 * q)]].reshape(len(pos), 2, q)
         zs = parts[:, 0] + 1j * parts[:, 1]
         y = zs[:, :, None] + np.array([factors[e] for e in pos])
         powers = ((y.real**2 + y.imag**2).sum(axis=1) + rest[pos, None]) / n_re
@@ -267,42 +262,23 @@ def draw_statistics(rng, factors, std: float, n_re: int):
     return z, rest.tolist(), power
 
 
-def complete_set(c: np.ndarray, r: np.ndarray, z: np.ndarray, rest: float, rng,
-                 draws: np.ndarray) -> np.ndarray:
+def complete_set(c: np.ndarray, r: np.ndarray, z: np.ndarray, rest: float, rng) -> np.ndarray:
     """Received REs of each group of an RE set, (group, symbol, line): its
     signal plus the set's noise n = Qz + sqrt(rest) P w / |P w|, exactly
     distributed given the statistic (z, rest). Q = C R^-1, P projects out
-    span(Q), and w is 2N fresh standard normals, real and imaginary parts
-    in turn, drawn into the float buffer draws (at least 2N long), which
-    the call overwrites. As Q(z - s Q^H w) + s w, s = sqrt(rest) / |P w|,
-    it needs no Q. Both triangular solves call LAPACK's zgesv gufunc,
-    which np.linalg.solve wraps; R's positive diagonal keeps them
-    regular. The REs returned are a fresh array."""
+    span(Q), and w is 2N standard normals from one draw, real and
+    imaginary parts in turn. As Q(z - s Q^H w) + s w, s = sqrt(rest) /
+    |P w|, it needs no Q. Both triangular solves call LAPACK's zgesv
+    gufunc, which np.linalg.solve wraps; R's positive diagonal keeps them
+    regular."""
     flat = c.reshape(len(c), -1)
-    w = draws[:2 * flat.shape[1]]
-    rng.standard_normal(out=w)
-    w = w.view(complex)
+    w = rng.standard_normal(2 * flat.shape[1]).view(complex)
     y = solve1(r.conj().T, flat.conj() @ w, signature="DD->D")  # Q^H w
     s = math.sqrt(rest / (np.vdot(w, w).real - np.vdot(y, y).real))
     noise = np.dot(solve1(r, z - s * y, signature="DD->D"), flat)
     w *= s
     noise += w
     return c + noise.reshape(c.shape[1:])
-
-
-class DrawBuffer:
-    """The float buffer that `complete_set` draws its normals into, held by
-    a `Simulator` for as long as it lives and grown when a set needs more
-    values than it holds, so a warm drop asks the operating system for no
-    new pages. Every completion overwrites it."""
-
-    def __init__(self):
-        self.values = np.empty(0)
-
-    def at_least(self, n: int) -> np.ndarray:
-        if n > len(self.values):
-            self.values = np.empty(n)
-        return self.values
 
 
 def power_dbm(power: float) -> float:
@@ -326,7 +302,7 @@ def sweep_powers(sets, factors, amps, shared: bool, rng, std: float, n_re: int) 
     rest, the noise energy outside span(Q), is std**2 times a chi-square
     with 2(N - r) degrees of freedom, independent of z. Per beam and per
     set, in that order, z's r real then r imaginary parts are drawn as
-    2r standard normals, then rest (`_draw_statistic`, beam by beam). A
+    2r standard normals, then rest (one `_draw_statistic` call). A
     noiseless receiver's std = 0 scales its draws to zeros. Only the draws
     go set by set; the powers are one batched pass over the sets of each
     member count.
@@ -336,8 +312,8 @@ def sweep_powers(sets, factors, amps, shared: bool, rng, std: float, n_re: int) 
     start = np.cumsum([0] + [2 * len(g.members) for g in sets]).tolist()
     normals = np.empty((n_beams, start[-1]))
     rest = np.empty((n_beams, len(sets)))
-    for row, rest_b in zip(normals, rest):
-        _draw_statistic(rng, [len(g.members) for g in sets], n_re, row, rest_b)
+    _draw_statistic(rng, [len(g.members) for g in sets] * n_beams, n_re, normals.ravel(),
+                    rest.ravel())
     rest *= std**2
     power = np.empty(amps.shape)
     for r, pos in _by_length([g.members for g in sets]).items():
@@ -514,9 +490,8 @@ class Simulator:
         # detection, the window's construction temporaries would sit on top
         # of that drop's arrays and raise the run's peak memory.
         self._detection = (
-            DelayWindow(n_sc, delay_spectrum_size(n_sc), self.scs_hz, self.search_window)
+            DelayWindow(n_sc, self.scs_hz, self.search_window)
             if self._method.first_path else None)
-        self._draws = DrawBuffer()
 
         self.options = SolverOptions(**config.solver.model_dump(), area=deployment.area)
         self._beamformer: BeamformerGrid | None = None
@@ -652,9 +627,7 @@ class Simulator:
         detected = self._select_trps(rsrp) if detect is None else list(detect)
         read = [e for e, s in enumerate(received)
                 if any(i in detected for g in s for i in g.members)]
-        draws = self._draws.at_least(2 * n_re)
-        rx = [row for e in read
-              for row in complete_set(signals[e], factors[e], z[e], rest[e], rng, draws)]
+        rx = [row for e in read for row in complete_set(signals[e], factors[e], z[e], rest[e], rng)]
         vecs = despread_groups([g for e in read for g in received[e]], rx, side.refs,
                                self.numerology.n_subcarriers, side.comb, detected)
         mark = self._lap(side.stage, mark)

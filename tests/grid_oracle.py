@@ -26,7 +26,6 @@ from nrpos.channel import Links, link_amplitude
 from nrpos.measurements import (
     DelayWindow,
     MeasurementFailed,
-    delay_spectrum_size,
     first_paths,
 )
 from nrpos.prs import comb_pattern, dl_prs_reference, srs_reference
@@ -155,8 +154,7 @@ def estimate_toa(rx: np.ndarray, reference, numerology, search_window_s) -> floa
     simulation builds. Raises MeasurementFailed when nothing rises above
     the noise floor."""
     vec = despread(rx, reference)
-    window = DelayWindow(len(vec), delay_spectrum_size(len(vec)), numerology.scs_khz * 1e3,
-                         search_window_s)
+    window = DelayWindow(len(vec), numerology.scs_khz * 1e3, search_window_s)
     tau = first_paths(vec[None, :], window)[0]
     if np.isnan(tau):
         raise MeasurementFailed("no peak above the noise floor")

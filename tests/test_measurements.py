@@ -198,8 +198,8 @@ def preset_window(preset):
     """The delay window a simulation of `preset` detects over."""
     sim = Simulator(preset_config(preset, n_drops=1))
     n_sc = sim.numerology.n_subcarriers
-    m = delay_spectrum_size(n_sc)
-    return DelayWindow(n_sc, m, sim.scs_hz, sim.search_window), m, sim.search_window
+    return (DelayWindow(n_sc, sim.scs_hz, sim.search_window), delay_spectrum_size(n_sc),
+            sim.search_window)
 
 
 def path_vector(n_sc, scs_hz, delays_s, gains):
@@ -293,15 +293,27 @@ class TestFirstPathKernel:
         assert np.allclose(win.magnitudes(x), want, rtol=1e-9, atol=0)
 
     def test_reused_workspace_matches_a_fresh_window(self, window):
-        """A call after a larger one reuses the workspace rows whose
-        transform tail the larger call filled: it must read them as zeros."""
-        win, m, search = window
+        """A call after a larger one gives what a fresh window gives: a
+        call must not depend on the calls before it."""
+        win, _, search = window
         rng = np.random.default_rng(4)
         big, small = (rng.normal(size=(r, 3264)) + 1j * rng.normal(size=(r, 3264))
                       for r in (5, 2))
         win.magnitudes(big)
-        fresh = DelayWindow(3264, m, win.scs_hz, search).magnitudes(small)
+        fresh = DelayWindow(3264, win.scs_hz, search).magnitudes(small)
         assert np.array_equal(win.magnitudes(small), fresh)
+
+    def test_magnitudes_are_fresh_arrays(self, window):
+        """Two calls return arrays that share no memory, and the second
+        leaves the first's magnitudes as they were."""
+        win, _, _ = window
+        rng = np.random.default_rng(5)
+        a, b = (rng.normal(size=(3, 3264)) + 1j * rng.normal(size=(3, 3264)) for _ in range(2))
+        first = win.magnitudes(a)
+        kept = first.copy()
+        second = win.magnitudes(b)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
 
     def test_pick_matches_per_row_picker_bit_for_bit(self, window):
         win, m, search = window
@@ -380,7 +392,7 @@ class TestFirstPathKernel:
     def test_polish_keeps_tau0_off_a_maximum_or_out_of_span(self):
         n_sc, scs, delay = 3264, 30e3, 0.4e-6
         vec = path_vector(n_sc, scs, (delay,), (1.0,))
-        win = DelayWindow(n_sc, delay_spectrum_size(n_sc), scs, (0.0, 1e-6))
+        win = DelayWindow(n_sc, scs, (0.0, 1e-6))
         convex = delay + 1.0 / (n_sc * scs)  # tapered |C|^2 is convex here: h >= 0
         slope = delay + 0.3 / (n_sc * scs)  # first step leaves a 1 ps span
         stack = np.array([vec, vec])

@@ -5,8 +5,7 @@ downlink and the uplink of IOO FR1 multi-RTT, where every set holds one
 group (q = 1), and on the UMa downlink without interference, where the
 two TRPs of a shared comb offset make sets of q = 2. Each kernel that
 draws must leave its stream where the oracle leaves it. A completion's
-REs share no memory with the simulator's draw buffer or with any other
-completion's."""
+REs share no memory with its inputs or with any other completion's."""
 
 import copy
 
@@ -54,9 +53,9 @@ def pin_kernels(monkeypatch, calls: dict) -> None:
         calls["draw_statistics"].append([len(r) for r in factors])
         return got
 
-    def complete_set(c, r, z, rest, rng, draws):
+    def complete_set(c, r, z, rest, rng):
         twin = copy.deepcopy(rng)
-        got = real["complete_set"](c, r, z, rest, rng, draws)
+        got = real["complete_set"](c, r, z, rest, rng)
         assert got.tobytes() == receive_oracle.complete_set(c, r, z, rest, twin).tobytes()
         assert rng.bit_generator.state == twin.bit_generator.state
         calls["complete_set"].append(len(r))
@@ -89,36 +88,24 @@ def test_kernels_match_their_plain_bodies(preset, overrides, stages, ranks, monk
 
 def test_completions_share_no_memory(monkeypatch):
     """IOO FR1 multi-RTT drops 0 and 1, with the uplink comb 2 over 12
-    symbols, so an uplink set has 19,584 REs against the downlink's 3,264.
-    Every completion draws into the simulator's one buffer, which the
-    first uplink set grows from 2 x 3,264 to 2 x 19,584 values and which
-    the next drop's downlink sets reuse as it is. No completion's REs share
-    memory with the buffer or with another completion's."""
+    symbols, so an uplink set has 19,584 REs against the downlink's 3,264,
+    and both sizes are completed. No completion's REs share memory with
+    its set's signals or with another completion's."""
     sim = Simulator(preset_config("ioo-fr1", method="multi-rtt", n_drops=2, ul_comb_size=2,
                                   ul_n_symbols=12))
     assert (sim._dl.refs[0].size, sim._ul.refs[0].size) == (3264, 19584)
-    assert len(sim._draws.values) == 0
     real = simulate.complete_set
     completed = []
 
-    def spy(c, r, z, rest, rng, draws):
-        rx = real(c, r, z, rest, rng, draws)
-        completed.append((rx, draws, len(draws)))
+    def spy(c, r, z, rest, rng):
+        rx = real(c, r, z, rest, rng)
+        completed.append((rx, c))
         return rx
 
     monkeypatch.setattr(simulate, "complete_set", spy)
     sim.run_drop(0)
-    n_drop0 = len(completed)
     sim.run_drop(1)
-    buffers = [draws for _, draws, _ in completed]
-    sizes = [size for _, _, size in completed]
-    assert sorted(set(sizes)) == [2 * 3264, 2 * 19584]
-    grown = sizes.index(2 * 19584)
-    assert 0 < grown < n_drop0
-    assert all(b is buffers[0] for b in buffers[:grown])
-    assert all(b is sim._draws.values for b in buffers[grown:])
-    assert sizes[n_drop0:] == [2 * 19584] * (len(sizes) - n_drop0)
-    for k, (rx, _, _) in enumerate(completed):
-        assert not any(np.shares_memory(rx, b) for b in (buffers[0], sim._draws.values))
-        assert not any(np.shares_memory(rx, other) for other, _, _ in completed[:k])
-
+    assert sorted({c[0].size for _, c in completed}) == [3264, 19584]
+    for k, (rx, c) in enumerate(completed):
+        assert not np.shares_memory(rx, c)
+        assert not any(np.shares_memory(rx, other) for other, _ in completed[:k])

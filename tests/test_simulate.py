@@ -310,8 +310,8 @@ def check_receive_against_flat_indices(sim, side, resources, flat_refs, monkeypa
         signals.extend(c.copy() for c in sets)
         return set_factors(sets)
 
-    def spy_complete(c, r, z, rest, rng, draws):
-        rx = complete_set(c, r, z, rest, rng, draws)
+    def spy_complete(c, r, z, rest, rng):
+        rx = complete_set(c, r, z, rest, rng)
         completed.append((rx.copy(), rng))
         return rx
 
@@ -741,10 +741,10 @@ def test_completed_noise_matches_a_full_draw(interference):
     [r] = set_factors([c])
     n, n_re, std = 4000, c[0].size, side.noise_rms / np.sqrt(2.0)
     rng = np.random.default_rng(21)
-    noise, draws = np.empty((n, n_re), dtype=complex), np.empty(2 * n_re)
+    noise = np.empty((n, n_re), dtype=complex)
     for d in range(n):
         [z], [rest], _ = draw_statistics(rng, [r], std, n_re)
-        noise[d] = (complete_set(c, r, z, rest, rng, draws) - c)[-1].ravel()
+        noise[d] = (complete_set(c, r, z, rest, rng) - c)[-1].ravel()
 
     var = 2.0 * std**2
     assert var == pytest.approx(side.noise_rms**2)
