@@ -2,9 +2,10 @@
 fading, a short exponential tap profile and the per-RE link budget, plus
 the thermal noise a receiver adds on each resource element (RE).
 
-A drop's links are one `Links` record of arrays, a row per TRP, stacked
-by `draw_links`; one antenna pattern, `pattern_loss_db`, serves sectors
-and beams alike.
+A drop's links are one `Links` record of arrays, a row per TRP, made by
+`draw_links`: one `realize_budget_link` call per link draws its variates,
+and array passes over every link do the arithmetic. One antenna pattern,
+`pattern_loss_db`, serves sectors and beams alike.
 
 Power bookkeeping: a TRP's configured power is the total per-symbol
 transmit power, split evenly over the occupied subcarriers of a symbol.
@@ -36,10 +37,15 @@ class PathLossLaw:
     freq_coeff_db: float
     shadow_sigma_db: float
 
-    def at(self, d3d_m: float, carrier_hz: float) -> float:
+    def at(self, d3d_m, carrier_hz: float):
+        """Path loss in dB at each 3-D distance of d3d_m, a float or an
+        array. Each logarithm is taken on Python floats, as libm's log10 and
+        numpy's array log10 differ in the last bit."""
+        d = np.asarray(d3d_m, dtype=float)
+        log_d = np.array([*map(math.log10, np.maximum(d, 1.0).ravel().tolist())]).reshape(d.shape)
         return (
             self.intercept_db
-            + self.slope_db * math.log10(max(d3d_m, 1.0))
+            + self.slope_db * log_d
             + self.freq_coeff_db * math.log10(carrier_hz / 1e9)
         )
 
@@ -191,73 +197,83 @@ def _tap_tables(params: ChannelParams, sample_period_s: float):
     return (*tables, np.sqrt(k_lin / (k_lin + 1.0)))
 
 
-def realize_budget_link(rng: np.random.Generator, params: ChannelParams, trp, ue_pos,
-                        carrier_hz: float, sample_period_s: float) -> tuple:
-    """Draw LOS state, taps and shadow for one TRP-UE link: one row of
-    `draw_links`, the `Links` fields up to the clock offset, with the UE's
-    geometric azimuth off the sector boresight in place of the antenna gain.
+def realize_budget_link(rng: np.random.Generator, params: ChannelParams, d2d_m: float,
+                        normals: np.ndarray) -> tuple:
+    """Draw the variates of one TRP-UE link at horizontal distance d2d_m:
+    one row of the draws from which `draw_links` computes the links.
 
-    `sample_period_s` sets the tap spacing (one receiver sample). The tap
-    tables are built once per (params, sample_period_s) and cached; the
-    random draws and their order are those of an uncached draw.
+    Stream order: the LOS state, a uniform against `los_probability`; for
+    NLOS, the azimuth and zenith normals and the excess delay's standard
+    exponential; the taps' real and then imaginary standard normals,
+    written into normals; for LOS, the specular phase's uniform; last the
+    shadow fading's standard normal. An ideal link draws its LOS state
+    only. Returns (los, azimuth normal, zenith normal, exponential, phase
+    uniform, shadow normal), zero for what the link does not draw.
     """
-    v = np.asarray(ue_pos, dtype=float) - np.asarray(trp.position, dtype=float)
-    # np.linalg.norm's own arithmetic: the square root of the dot product
-    d3 = math.sqrt(v.dot(v))
-    if d3 <= 0:
-        raise ValueError("zero TRP-UE distance")
-    d2 = math.sqrt(v[:2].dot(v[:2]))
-
-    los = bool(rng.uniform() < los_probability(params, d2))
-
-    # angles at the TRP (arrival of uplink == departure of downlink here);
-    # the sector gain sees the geometric azimuth, NLOS perturbs only the
-    # angles a receiver measures
-    x, y, z = v.tolist()
-    az = math.degrees(math.atan2(y, x))
-    zen = math.degrees(math.acos(max(-1.0, min(z / d3, 1.0))))
-    off_boresight = az - trp.sector_azimuth_deg
-    if not los and not params.ideal:
-        az += float(rng.normal(0.0, 15.0))
-        zen += float(rng.normal(0.0, 3.0))
-    tau0 = d3 / SPEED_OF_LIGHT
-    excess = 0.0
-    if not los and not params.ideal:
-        excess = float(rng.exponential(params.nlos_excess_mean_s))
-
-    _, los_scale, nlos_scale, los_amp = _tap_tables(params, sample_period_s)
-    n_taps = len(los_scale)
+    los = rng.random() < los_probability(params, d2d_m)
     if params.ideal:
-        gains = np.array([1.0 + 0j])
-    elif los:
-        gains = (rng.normal(size=n_taps) + 1j * rng.normal(size=n_taps)) * los_scale
-        gains[0] += los_amp * np.exp(2j * np.pi * rng.uniform())
-    else:
-        gains = (rng.normal(size=n_taps) + 1j * rng.normal(size=n_taps)) * nlos_scale
-
-    shadow = 0.0
-    law = params.los if los else params.nlos
-    if not params.ideal:
-        shadow = float(rng.normal(0.0, law.shadow_sigma_db))
-    path_loss = law.at(d3, carrier_hz)
-    if not los:
-        path_loss = max(path_loss, params.los.at(d3, carrier_hz))
-    return (los, path_loss, shadow, off_boresight, tau0 + excess, gains,
-            0.0 if los else excess, (az, zen))
+        return True, 0.0, 0.0, 0.0, 0.0, 0.0
+    if los:
+        rng.standard_normal(out=normals)
+        return True, 0.0, 0.0, 0.0, rng.random(), rng.standard_normal()
+    az, zen, excess = rng.standard_normal(), rng.standard_normal(), rng.standard_exponential()
+    rng.standard_normal(out=normals)
+    return False, az, zen, excess, 0.0, rng.standard_normal()
 
 
 def draw_links(rng: np.random.Generator, params: ChannelParams, trps, ue_pos,
                carrier_hz: float, sample_period_s: float, clock_offset_s) -> Links:
-    """One `realize_budget_link` row per TRP, drawn in TRP order from rng,
-    stacked into the drop's `Links`; every sector gain comes from one
-    `pattern_loss_db` pass. clock_offset_s is each link's terminal clock
-    less its TRP clock."""
-    rows = [realize_budget_link(rng, params, t, ue_pos, carrier_hz, sample_period_s)
-            for t in trps]
-    los, path_loss, shadow, off_boresight, *propagation = map(np.array, zip(*rows))
+    """The drop's links, a row per TRP: LOS state, taps and shadow from one
+    `realize_budget_link` draw per TRP, in TRP order from rng, and the
+    geometry, angles, budgets and taps in array passes around them.
+    clock_offset_s is each link's terminal clock less its TRP clock.
+
+    The sector gain sees the UE's geometric azimuth off the boresight, in
+    one `pattern_loss_db` pass; NLOS perturbs only the angles a receiver
+    measures, which are those at the TRP: the uplink arrival and the
+    downlink departure alike. Each squared distance is one ddot, the
+    arithmetic of np.linalg.norm and of v.dot(v), and each arc tangent,
+    arc cosine and logarithm is taken on Python floats, as libm's and
+    numpy's array functions differ in the last bit. The tap tables are
+    built once per (params, sample_period_s) and cached.
+    """
+    v = np.asarray(ue_pos, dtype=float) - np.array([t.position for t in trps], dtype=float)
+    d3 = np.sqrt(np.matmul(v[:, None, :], v[:, :, None]).ravel())
+    if (d3 <= 0).any():
+        raise ValueError("zero TRP-UE distance")
+    d2 = np.sqrt(np.matmul(v[:, None, :2], v[:, :2, None]).ravel())
+    _, los_scale, nlos_scale, los_amp = _tap_tables(params, sample_period_s)
+    n_taps = len(los_scale)
+    normals = np.empty((len(trps), 2 * n_taps))
+    # columns: LOS, azimuth and zenith normals, exponential, phase, shadow normal
+    draws = np.array([realize_budget_link(rng, params, d, row)
+                      for d, row in zip(d2.tolist(), normals)])
+    los = draws[:, 0] == 1.0
+
+    x, y, _ = v.T.tolist()
+    angles = np.degrees([*map(math.atan2, y, x),
+                         *map(math.acos, np.clip(v[:, 2] / d3, -1.0, 1.0).tolist())])
+    angles = angles.reshape(2, -1).T.copy()
     gain = np.zeros(len(trps)) if params.omni else params.sector_max_gain_db - pattern_loss_db(
-        off_boresight, params.sector_hpbw_deg, params.sector_front_back_db)
-    return Links(los, path_loss, shadow, gain, *propagation, clock_offset_s)
+        angles[:, 0] - [t.sector_azimuth_deg for t in trps], params.sector_hpbw_deg,
+        params.sector_front_back_db)
+    np.add(angles, draws[:, 1:3] * (15.0, 3.0), out=angles, where=~los[:, None])
+    excess = draws[:, 3] * params.nlos_excess_mean_s
+
+    if params.ideal:
+        gains = np.ones((len(trps), 1), dtype=complex)
+    else:
+        scale = np.where(los[:, None], los_scale, nlos_scale)
+        gains = np.empty((len(trps), n_taps), dtype=complex)
+        np.multiply(normals[:, :n_taps], scale, out=gains.real)
+        np.multiply(normals[:, n_taps:], scale, out=gains.imag)
+        specular = los_amp * np.exp(2j * np.pi * draws[:, 4])
+        np.add(gains[:, 0], specular, out=gains[:, 0], where=los)
+    shadow = draws[:, 5] * np.where(los, params.los.shadow_sigma_db, params.nlos.shadow_sigma_db)
+    los_loss = params.los.at(d3, carrier_hz)
+    path_loss = np.where(los, los_loss, np.maximum(params.nlos.at(d3, carrier_hz), los_loss))
+    return Links(los, path_loss, shadow, gain, d3 / SPEED_OF_LIGHT + excess, gains, excess,
+                 angles, clock_offset_s)
 
 
 def link_amplitude(links: Links, tx_power_dbm, n_occupied_per_symbol: int) -> np.ndarray:
@@ -304,20 +320,18 @@ def draw_noise(rng: np.random.Generator, shape, std: float) -> np.ndarray:
 _RAMP_BLOCK = 64
 
 
-def phase_ramps(delays_s, n: int, spacing_hz: float) -> np.ndarray:
-    """exp(-2j*pi*tau*k*spacing_hz) for k = 0..n-1, one row per delay tau
-    of the 1-D delays_s.
+def phase_ramps(delays_s, n: int, spacing_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two blocks of exp(-2j*pi*tau*k*spacing_hz), k = 0..n-1, for each
+    delay tau of the 1-D delays_s: writing k = 64b + a, the ramp is
+    outer[:, b] * inner[:, a], with outer a (delay, ceil(n/64)) block over
+    64b and inner a (delay, 64) block over a.
 
-    Subcarrier k = 64b + a factors the ramp into an outer product of a
-    64-column block over a and a ceil(n/64)-column block over 64b, so a
-    delay costs 64 + n/64 complex exponentials instead of n. The rows
-    differ from the direct exponential by about 1e-12 at microsecond
-    delays over 3,264 subcarriers: unquantized results can move in their
-    last bits, while quantized reports stay bit-stable.
+    A delay costs 64 + n/64 complex exponentials instead of n. The
+    products differ from the direct exponential by about 1e-12 at
+    microsecond delays over 3,264 subcarriers: unquantized results can
+    move in their last bits, while quantized reports stay bit-stable.
     """
-    delays = np.asarray(delays_s, dtype=float)
-    n_blocks = -(-n // _RAMP_BLOCK)
-    w = -2.0 * np.pi * spacing_hz * delays
+    w = -2.0 * np.pi * spacing_hz * np.asarray(delays_s, dtype=float)
     inner = np.exp(1j * np.outer(w, np.arange(_RAMP_BLOCK)))
-    outer = np.exp(1j * np.outer(w, np.arange(0, n_blocks * _RAMP_BLOCK, _RAMP_BLOCK)))
-    return (outer[:, :, None] * inner[:, None, :]).reshape(len(delays), -1)[:, :n]
+    outer = np.exp(1j * np.outer(w, np.arange(0, n, _RAMP_BLOCK)))
+    return outer, inner

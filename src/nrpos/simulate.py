@@ -43,18 +43,21 @@ record (`Side`):
   those a detection of every source would give.
 
 The channel matrix holds every link's response on every subcarrier. Its
-taps sit at fixed one-sample offsets from the first arrival, so a link's
-response is the first arrival's phase ramp times a tap-weighted sum of
-ramps built once per run. Per drop no RE costs a complex exponential:
-`channel.phase_ramps` builds each ramp as an outer product of a 64-wide
-block and a block of every 64th subcarrier. Against a direct exponential
-the ramps differ in the last bits, so quantized reports are bit-stable
-under that blocking, and unquantized ones may differ in their last bits.
+taps sit at fixed one-sample offsets from the first arrival, and
+`channel.phase_ramps` gives each delay's ramp as two blocks, one 64
+subcarriers wide and one of every 64th subcarrier, so per drop no RE
+costs a complex exponential. `_channel_matrix` multiplies the taps'
+blocks, built once per run, and the first arrivals' blocks straight into
+the matrix: one batched product of a (link, block, tap) and a (link, tap,
+64) array per build. Against a direct exponential the blocked ramps
+differ in the last bits, so quantized reports are bit-stable under that
+blocking, and unquantized ones may differ in their last bits.
 
-One per-drop array lives as long as the `Simulator`: the (link,
-subcarrier) channel matrix, one buffer that `_channel_matrix` rewrites on
-every call, the uplink's receive overwriting what the downlink's used.
-Every other scratch array, the completions' normals and the delay
+No per-drop array lives as long as the `Simulator`. Each build of the
+channel matrix is a fresh array, and the simulator keeps the last one by
+reference: multi-RTT's uplink stage reads it when its delays are the
+downlink's, and a matrix a caller holds is never written by a later
+build. Every scratch array, the completions' normals and the delay
 window's transform workspace included, is made where it is used: held
 for the run instead, they measured no faster in interleaved drop pairs
 and raised peak memory by 0.7–1.4 MB.
@@ -477,13 +480,12 @@ class Simulator:
         self.search_window = (-guard, diag / SPEED_OF_LIGHT + guard)
 
         # taps sit at fixed one-sample offsets from the first arrival: their
-        # ramps are built once here (see `_channel_matrix`)
+        # ramps' blocks are built once here (see `_channel_matrix`)
         n_sc = self.numerology.n_subcarriers
-        self._tap_ramps = phase_ramps(_tap_tables(self.channel, self.sample_period_s)[0], n_sc,
-                                      self.scs_hz)
-        self._h = np.empty((len(self.trps), n_sc), dtype=complex)
-        # (links, first-arrival delays as bytes) the buffer holds the matrix of
-        self._h_built_for: tuple = (None, b"")
+        self._tap_blocks = phase_ramps(_tap_tables(self.channel, self.sample_period_s)[0], n_sc,
+                                       self.scs_hz)
+        # (links, first-arrival delays as bytes, matrix) of the last build
+        self._h_built_for: tuple = (None, b"", None)
         # first-path detection: the delay window, which tapers the despread
         # vectors it is given. A method that detects no first path (DL-AoD)
         # holds none. The others build it here: built at the first
@@ -536,26 +538,37 @@ class Simulator:
 
     def _channel_matrix(self, links: Links, first_s) -> np.ndarray:
         """Frequency response of every link over all subcarriers, its first
-        arrivals at first_s in the receiver's clock, written into the
-        simulator's one (link, subcarrier) buffer: the next call
-        overwrites it.
+        arrivals at first_s in the receiver's clock: a fresh (link,
+        subcarrier) array per build.
 
-        The first arrival's ramp comes from `phase_ramps`, blocked, so it
-        can differ from a direct exponential in the last bits: quantized
+        Writing subcarrier k as 64b + a, link i's response is
+        h[i, 64b + a] = sum_t (g_it TO[t, b] O[i, b]) (TI[t, a] I[i, a]),
+        with g_it its tap gains, TO and TI the tap delays' ramp blocks and O
+        and I the first arrival's (`phase_ramps`). So h is one batched
+        product of a (link, block, tap) and a (link, tap, 64) array; when
+        the subcarrier count is not a multiple of 64, its slice is made
+        contiguous, so that `comb_lines` gives views. Against a direct
+        exponential the blocked ramps differ in the last bits: quantized
         reports are bit-stable under that, unquantized ones may differ in
         their last bits.
 
         A call on the same links with the same first arrivals, to the bit,
-        as the call that last wrote the buffer returns the buffer as it
-        stands: without clock offsets (sync_sigma_ns = 0) multi-RTT's
-        uplink stage reads the matrix its downlink stage built.
+        as the last build returns that build's matrix: without clock
+        offsets (sync_sigma_ns = 0) multi-RTT's uplink stage reads the
+        matrix its downlink stage built.
         """
-        built_for = (links, first_s.tobytes())
-        if self._h_built_for[0] is links and self._h_built_for[1] == built_for[1]:
-            return self._h
-        h = np.matmul(links.gains, self._tap_ramps, out=self._h)
-        h *= phase_ramps(first_s, self.numerology.n_subcarriers, self.scs_hz)
-        self._h_built_for = built_for
+        built_for = first_s.tobytes()
+        if self._h_built_for[0] is links and self._h_built_for[1] == built_for:
+            return self._h_built_for[2]
+        n_sc = self.numerology.n_subcarriers
+        outer, inner = phase_ramps(first_s, n_sc, self.scs_hz)
+        tap_outer, tap_inner = self._tap_blocks
+        left = links.gains[:, None, :] * tap_outer.T
+        left *= outer[:, :, None]
+        h = np.matmul(left, tap_inner * inner[:, None, :]).reshape(len(left), -1)
+        if h.shape[1] != n_sc:
+            h = np.ascontiguousarray(h[:, :n_sc])
+        self._h_built_for = (links, built_for, h)
         return h
 
     def _sweep_tables(self) -> list[tuple[list[int], tuple, np.ndarray]]:

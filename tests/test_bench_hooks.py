@@ -3,10 +3,12 @@ that perfbench/worker.py names in a `Hook(...)` resolves by import and
 attribute lookup. A hook whose target is gone is skipped and its
 per-layer metric reads null, so a refactor that renames or deletes a
 target must fail here instead. The worker is parsed, not imported: it is
-a script that sets up its own import path."""
+a script that sets up its own import path. A hook on the link draw sees
+one call per TRP, as the benchmark's call count assumes."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,29 @@ def test_hook_target_resolves(module, attr):
     for name in attr.split("."):
         target = getattr(target, name)
     assert callable(target)
+
+
+@pytest.mark.parametrize("preset", ["ioo-fr1", "uma", "umi"])
+def test_link_hook_counts_one_call_per_trp(preset, monkeypatch):
+    """A counting wrapper bound in place of `channel.realize_budget_link` in
+    every nrpos module that holds it, as perfbench/tracer.py installs a
+    hook, sees one call per TRP in a drop: the benchmark's
+    `channel.realize_budget_link.calls` is drops x TRPs."""
+    from nrpos import channel
+    from nrpos.config import preset_config
+    from nrpos.simulate import Simulator
+
+    target, calls = channel.realize_budget_link, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return target(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "nrpos" or name.startswith("nrpos."):
+            for key, value in list(vars(module).items()):
+                if value is target:
+                    monkeypatch.setattr(module, key, counting)
+    sim = Simulator(preset_config(preset, n_drops=1))
+    sim.run_drop(0)
+    assert len(calls) == len(sim.trps)

@@ -18,7 +18,6 @@ from nrpos.channel import (
     noise_amplitude,
     pattern_loss_db,
     phase_ramps,
-    realize_budget_link,
 )
 from nrpos.numerology import SPEED_OF_LIGHT, Numerology
 from nrpos.scenario import Trp
@@ -96,8 +95,8 @@ class TestRealizeLink:
 
     def test_zero_distance_rejected(self):
         rng = np.random.default_rng(4)
-        with pytest.raises(ValueError):
-            realize_budget_link(rng, IOO, trp_at(), (0.0, 0.0, 3.0), 2e9, TS)
+        with pytest.raises(ValueError, match="zero TRP-UE distance"):
+            draws(rng, IOO, trp_at(), (0.0, 0.0, 3.0))
 
     def test_budget_fills_path_loss(self):
         rng = np.random.default_rng(5)
@@ -257,7 +256,9 @@ class TestPhaseRamps:
                                  np.random.default_rng(3).uniform(0.0, 5e-6, 20)])
         k = np.arange(n)
         direct = np.exp(-2j * np.pi * delays[:, None] * k * scs_hz)
-        ramps = phase_ramps(delays, n, scs_hz)
+        outer, inner = phase_ramps(delays, n, scs_hz)
+        assert outer.shape == (len(delays), -(-n // 64)) and inner.shape == (len(delays), 64)
+        ramps = (outer[:, :, None] * inner[:, None, :]).reshape(len(delays), -1)[:, :n]
         assert ramps.shape == (len(delays), n)
         assert np.allclose(ramps, direct, rtol=0.0, atol=1e-10)
 

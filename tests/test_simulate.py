@@ -1,10 +1,11 @@
 """Top-level simulation path: pinned results, each drop's links against the
 per-link oracle and its clock offsets against the sync draws, the
-channel matrix against the oracle's frequency response, the signal sums
-against the grid path, the comb-line receive, despread and sweep against
-flat RE indices and the per-set reference noise draw for every comb
-shape, the beam sweep's and the receive path's power draws against the
-RE-level draw, completed noise against a full draw, each read group's
+channel matrix against the oracle's frequency response, for subcarrier
+counts on and off its 64-subcarrier blocks, and fresh at every build, the
+signal sums against the grid path, the comb-line receive, despread and
+sweep against flat RE indices and the per-set reference noise draw for
+every comb shape, the beam sweep's and the receive path's power draws
+against the RE-level draw, completed noise against a full draw, each read group's
 power against its RSRP, the sweep's batched pass against the per-beam
 loops and its Cholesky factors against the QR factors it took before, the
 downlink reference values against a per-symbol build,
@@ -560,12 +561,10 @@ def test_clock_offsets_are_the_terminal_draw_less_the_trp_draws():
         assert_links_equal(replace(links, clock_offset_s=plain.clock_offset_s), plain)
 
 
-def test_channel_matrix_matches_oracle_response():
-    """The blocked-ramp channel matrix of a full 272-PRB UMa drop with clock
-    offsets against the oracle's direct per-tap sum, on the same links with
-    every tap moved by the downlink clock term."""
-    sim = Simulator(preset_config("uma", n_drops=1, sync_sigma_ns=5.0))
-    assert sim.numerology.n_subcarriers == 3264
+def assert_matrix_matches_oracle(sim):
+    """The channel matrix of the simulator's drop 0, built with its clock
+    offsets, against the oracle's direct per-tap sum, on the same links
+    with every tap moved by the downlink clock term."""
     links = sim._links(0)
     extra = links.clock_offset_s
     assert np.all(extra != 0.0)
@@ -575,16 +574,51 @@ def test_channel_matrix_matches_oracle_response():
         frequency_response(first + e, gains, sim.sample_period_s, freqs)
         for first, e, gains in zip(links.first_arrival_s, extra, links.gains)
     ])
-    assert h.shape == expected.shape
+    assert h.shape == expected.shape and h.flags.c_contiguous
     assert np.allclose(h, expected, rtol=0.0, atol=1e-10 * np.abs(expected).max())
+
+
+def test_channel_matrix_matches_oracle_response():
+    """The blocked-product channel matrix of a full 272-PRB UMa drop with
+    clock offsets against the oracle's direct per-tap sum."""
+    sim = Simulator(preset_config("uma", n_drops=1, sync_sigma_ns=5.0))
+    assert sim.numerology.n_subcarriers == 3264
+    assert_matrix_matches_oracle(sim)
+
+
+@pytest.mark.parametrize("preset,n_prb", [("uma", 24), ("uma", 276), ("ioo-fr1", 272)])
+def test_channel_matrix_layout_matches_oracle(preset, n_prb):
+    """The matrix's (link, block, 64) layout against the oracle: 288 and
+    3,312 subcarriers, neither a multiple of the 64-subcarrier block, and
+    the IOO preset's omni links, each with clock offsets."""
+    sim = Simulator(preset_config(preset, n_drops=1, n_prb=n_prb, sync_sigma_ns=5.0))
+    assert sim.numerology.n_subcarriers == 12 * n_prb
+    assert_matrix_matches_oracle(sim)
+
+
+def test_channel_matrix_builds_are_fresh():
+    """Each build is a fresh array: two builds share no memory, and a build
+    leaves unchanged a matrix that an earlier caller still holds. A call
+    on the same links and first arrivals returns the last build."""
+    sim = Simulator(preset_config("uma", n_drops=2))
+    links = sim._links(0)
+    first = sim._channel_matrix(links, links.first_arrival_s)
+    held = first.copy()
+    assert sim._channel_matrix(links, links.first_arrival_s.copy()) is first
+    later = [sim._channel_matrix(links, links.first_arrival_s + 1e-9),
+             sim._channel_matrix(sim._links(1), sim._links(1).first_arrival_s)]
+    for h in later:
+        assert not np.shares_memory(h, first)
+    assert not np.shares_memory(*later)
+    assert np.array_equal(first, held)
 
 
 @pytest.mark.parametrize("preset,method", [("uma", "dl-tdoa"), ("ioo-fr1", "multi-rtt")])
 def test_drop_does_not_see_earlier_drops(preset, method):
     """Drop 7 after drops 0-6 on one simulator equals drop 7 on a fresh
-    one: the channel buffer and the detection workspace carry nothing
+    one: the cached channel matrix and the detection state carry nothing
     from one drop, or one stage, to the next. Multi-RTT's uplink stage
-    reads the channel buffer its downlink stage built."""
+    reads the channel matrix its downlink stage built."""
     config = preset_config(preset, method=method, n_drops=10)
     sim = Simulator(config)
     after = [sim.run_drop(d) for d in range(10)][7]
@@ -611,7 +645,7 @@ def test_multi_rtt_channel_matrix_builds(sync_sigma_ns, builds, monkeypatch):
     build = rebuilding._channel_matrix
 
     def always_build(links, first_s):
-        rebuilding._h_built_for = (None, b"")
+        rebuilding._h_built_for = (None, b"", None)
         return build(links, first_s)
 
     rebuilding._channel_matrix = always_build
