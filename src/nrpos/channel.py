@@ -121,22 +121,6 @@ CHANNEL_DEFAULTS = {
 
 
 @dataclass(frozen=True)
-class NoiseModel:
-    """Thermal noise floor for a receiver: -174 dBm/Hz + noise figure."""
-
-    noise_figure_db: float
-    bandwidth_hz: float
-
-    def __post_init__(self):
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth must be positive")
-
-    @property
-    def thermal_dbm(self) -> float:
-        return -174.0 + 10.0 * math.log10(self.bandwidth_hz) + self.noise_figure_db
-
-
-@dataclass(frozen=True)
 class Links:
     """One drop's TRP-UE links, one row per TRP, with their link budgets."""
 
@@ -295,10 +279,11 @@ def link_amplitude(links: Links, tx_power_dbm, n_occupied_per_symbol: int) -> np
         epre_dbm.shape)
 
 
-def noise_amplitude(noise: NoiseModel) -> float:
-    """Complex noise RMS in sqrt(mW) over the model's bandwidth; per RE when
-    that bandwidth is the subcarrier spacing."""
-    return 10.0 ** (noise.thermal_dbm / 20.0)
+def noise_amplitude(noise_figure_db: float, bandwidth_hz: float) -> float:
+    """Complex noise RMS in sqrt(mW) of -174 dBm/Hz plus the noise figure
+    over bandwidth_hz, which must be positive; per RE at the subcarrier
+    spacing."""
+    return 10.0 ** ((-174.0 + 10.0 * math.log10(bandwidth_hz) + noise_figure_db) / 20.0)
 
 
 def draw_noise(rng: np.random.Generator, shape, std: float) -> np.ndarray:
@@ -317,21 +302,23 @@ def draw_noise(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     return out
 
 
-_RAMP_BLOCK = 64
+RAMP_BLOCK = 64  # the one block width of a subcarrier ramp
 
 
 def phase_ramps(delays_s, n: int, spacing_hz: float) -> tuple[np.ndarray, np.ndarray]:
     """The two blocks of exp(-2j*pi*tau*k*spacing_hz), k = 0..n-1, for each
-    delay tau of the 1-D delays_s: writing k = 64b + a, the ramp is
-    outer[:, b] * inner[:, a], with outer a (delay, ceil(n/64)) block over
-    64b and inner a (delay, 64) block over a.
+    delay tau of the 1-D delays_s: writing k = 64b + a (64 = RAMP_BLOCK),
+    the ramp is outer[:, b] * inner[:, a], with outer a (delay,
+    ceil(n/64)) block over 64b and inner a (delay, 64) block over a.
 
-    A delay costs 64 + n/64 complex exponentials instead of n. The
-    products differ from the direct exponential by about 1e-12 at
-    microsecond delays over 3,264 subcarriers: unquantized results can
-    move in their last bits, while quantized reports stay bit-stable.
+    The one blocked subcarrier exponential, for the channel matrix and,
+    at negated delays, the first-path polish. A delay costs 64 + n/64
+    complex exponentials instead of n. The products differ from the direct
+    exponential by about 1e-12 at microsecond delays over 3,264
+    subcarriers: unquantized results can move in their last bits, while
+    quantized reports stay bit-stable.
     """
     w = -2.0 * np.pi * spacing_hz * np.asarray(delays_s, dtype=float)
-    inner = np.exp(1j * np.outer(w, np.arange(_RAMP_BLOCK)))
-    outer = np.exp(1j * np.outer(w, np.arange(0, n, _RAMP_BLOCK)))
+    inner = np.exp(1j * np.outer(w, np.arange(RAMP_BLOCK)))
+    outer = np.exp(1j * np.outer(w, np.arange(0, n, RAMP_BLOCK)))
     return outer, inner

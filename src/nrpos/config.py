@@ -11,6 +11,7 @@ import yaml
 from pydantic import BaseModel, ConfigDict, Field, model_validator
 
 from .measurements import K_RANGE
+from .scenario import UE_HEIGHT_M
 
 CONFIG_VERSION = 1
 
@@ -38,7 +39,7 @@ class SolverConfig(BaseModel):
 
     max_iterations: int = Field(50, ge=1)
     tolerance_m: float = Field(1e-4, gt=0)
-    fix_height: Optional[float] = 1.5
+    fix_height: Optional[float] = UE_HEIGHT_M
 
 
 class ExperimentConfig(BaseModel):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import RAMP_BLOCK, phase_ramps
 from .numerology import TC_SECONDS
 from .scenario import AntennaArray
 
@@ -62,11 +63,6 @@ def _smooth5_at_least(n: int) -> int:
         n += 1
 
 
-# block length of the polish's exponentials: e^{j w_k tau} = z^a * z^(64b)
-# for k = 64b + a
-_POLISH_BLOCK = 64
-
-
 class DelayWindow:
     """Delay-domain magnitudes |ifft(x, m)| at the search-window bins only.
 
@@ -80,7 +76,8 @@ class DelayWindow:
 
     The window tapers what it transforms: the input chirp carries the
     Hamming taper (`taper_vector`), so a despread vector goes in as it is,
-    and the polish's moment weights (`polish_tables`) carry it too.
+    and the polish's moment weights (`polish_tables`) carry it too. The
+    polish's exponentials are the channel's `phase_ramps`, not the window's.
 
     m is `delay_spectrum_size(n_sc)`. A window keeps only its constant
     tables: each call transforms in a fresh (rows, L) workspace and
@@ -106,26 +103,22 @@ class DelayWindow:
         kernel[n % self._fft_len] = np.exp(-1j * np.pi * ((n * n) % (2 * m)) / m) / m
         self._kernel_f = np.fft.fft(kernel)
         # built at the first polish, so that construction stays cheap
-        self._polish: tuple | None = None
+        self._polish: np.ndarray | None = None
 
-    def polish_tables(self):
-        """The polish's constant tables over the subcarriers padded to
-        whole blocks of _POLISH_BLOCK: the moment weights (t_k, t_k w_k,
-        t_k w_k^2), t the taper and w_k = 2j pi k scs_hz, zero in the
-        padding, and the inner (a) and outer (64b) block angles of its
-        exponentials. Built once, read-only."""
+    def polish_tables(self) -> np.ndarray:
+        """The polish's moment weights (t_k, t_k w_k, t_k w_k^2), a (3,
+        n_sc padded to whole blocks of channel.RAMP_BLOCK) array, t the
+        taper and w_k = 2j pi k scs_hz, zero in the padding. Built once,
+        read-only."""
         if self._polish is None:
             n = len(self._taper)
-            k = np.arange(-(-n // _POLISH_BLOCK) * _POLISH_BLOCK)
-            omega = 2j * np.pi * k[:n] * self.scs_hz
-            weights = np.zeros((3, len(k)), dtype=complex)
+            omega = 2j * np.pi * np.arange(n) * self.scs_hz
+            weights = np.zeros((3, -(-n // RAMP_BLOCK) * RAMP_BLOCK), dtype=complex)
             weights[0, :n] = self._taper
             weights[1, :n] = self._taper * omega
             weights[2, :n] = self._taper * omega**2
-            self._polish = (weights, 2 * np.pi * self.scs_hz * k[:_POLISH_BLOCK],
-                            2 * np.pi * self.scs_hz * k[::_POLISH_BLOCK])
-            for table in self._polish:
-                table.flags.writeable = False
+            weights.flags.writeable = False
+            self._polish = weights
         return self._polish
 
     def magnitudes(self, stack: np.ndarray) -> np.ndarray:
@@ -195,30 +188,29 @@ def _polish_peak(vecs: np.ndarray, window: DelayWindow, tau0: np.ndarray,
 
     Each row stays within +-span of its parabolic estimate and keeps tau0
     if its local curvature does not look like a maximum. The exponentials
-    of one step are blocked: 64 + n/64 complex exponentials per row
-    instead of n. A step evaluates every row, so that a row's result does
-    not depend on the others; a row's gradient, curvature and stop rules
-    are a handful of Python floats.
+    of one step are the channel's blocked ramps, `phase_ramps(-tau)`:
+    RAMP_BLOCK + n/RAMP_BLOCK complex exponentials per row instead of n.
+    A step evaluates every row, so that a row's result does not depend on
+    the others; a row's gradient, curvature and stop rules are a handful
+    of Python floats.
     """
     rows, n = vecs.shape
-    weights, inner, outer = window.polish_tables()
-    n_blocks = len(outer)
-    # t_k D_k, t_k D_k w_k and t_k D_k w_k^2 in blocks of 64 subcarriers,
-    # zero past n
+    weights = window.polish_tables()
+    n_blocks = weights.shape[1] // RAMP_BLOCK
+    # t_k D_k, t_k D_k w_k and t_k D_k w_k^2 in RAMP_BLOCK-wide blocks, zero past n
     moments = np.empty((rows, 3, weights.shape[1]), dtype=complex)
     moments[:, :, n:] = 0.0
     np.multiply(vecs[:, None, :], weights[:, :n], out=moments[:, :, :n])
-    moments = moments.reshape(rows, 3 * n_blocks, _POLISH_BLOCK)
+    moments = moments.reshape(rows, 3 * n_blocks, RAMP_BLOCK)
 
     start = np.asarray(tau0, dtype=float).tolist()
     taus, out = list(start), list(start)
     live = range(rows)
     for _ in range(4):
-        tau = np.array(taus)
-        # c_i = sum_b z^(64b) sum_a moments_i[64b + a] z^a, z = e^{j 2 pi f tau}
-        part = moments @ np.exp(1j * np.outer(tau, inner))[:, :, None]
-        c0, c1, c2 = (part.reshape(rows, 3, n_blocks)
-                      @ np.exp(1j * np.outer(tau, outer))[:, :, None])[:, :, 0].T.tolist()
+        # c_i = sum_b outer_b sum_a moments_i[RAMP_BLOCK b + a] inner_a
+        outer, inner = phase_ramps(np.negative(taus), n, window.scs_hz)
+        part = moments @ inner[:, :, None]
+        c0, c1, c2 = (part.reshape(rows, 3, n_blocks) @ outer[:, :, None])[:, :, 0].T.tolist()
         moving = []
         for r in live:
             conj0, mag1 = c0[r].conjugate(), abs(c1[r])

@@ -2,9 +2,9 @@
 indoor open-office hall, UE drops and the anchor convex hull.
 
 A deployment is geometry only: its TRPs' places, sectors and powers, and
-its area rectangle (x0, y0, x1, y1), which the drops, the hall's coverage
-and the solver's area all read. The signal each TRP sends, its antenna
-array and the carrier belong to the simulation run.
+its area rectangle (x0, y0, x1, y1), which the drops and the solver's
+area read. The signal each TRP sends, its antenna array and the carrier
+belong to the simulation run.
 """
 
 from __future__ import annotations
@@ -157,12 +157,9 @@ def build_deployment(scenario: str, seed: int = 0) -> Deployment:
 
 def in_coverage(points, deployment: Deployment) -> np.ndarray:
     """One bool per row of points, an (n, >=2) array: True where the row's
-    (x, y) lies in the hexagonal coverage of a 7-site layout (or the full
-    rectangle for the indoor hall)."""
+    (x, y) lies in the hexagonal coverage of a hex layout's sites. The
+    indoor hall has no hexagons: `drop_ues` draws its whole rectangle."""
     p = np.asarray(points, dtype=float)[:, :2]
-    if deployment.scenario == "ioo":
-        x0, y0, x1, y1 = deployment.area
-        return (x0 <= p[:, 0]) & (p[:, 0] <= x1) & (y0 <= p[:, 1]) & (p[:, 1] <= y1)
     sites = np.unique(np.round(deployment.trp_positions()[:, :2], 6), axis=0)
     # flat-top regular hexagons of circumradius isd / sqrt(3) about the sites,
     # vertices at (+-isd / sqrt(3), 0). The sites' own cells are pointy-top

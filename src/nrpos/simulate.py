@@ -49,8 +49,9 @@ subcarriers wide and one of every 64th subcarrier, so per drop no RE
 costs a complex exponential. `_channel_matrix` multiplies the taps'
 blocks, built once per run, and the first arrivals' blocks straight into
 the matrix: one batched product of a (link, block, tap) and a (link, tap,
-64) array per build. Against a direct exponential the blocked ramps
-differ in the last bits, so quantized reports are bit-stable under that
+64) array per build. Detection's polish takes its exponentials from the
+same `phase_ramps`. Against a direct exponential the blocked ramps differ
+in the last bits, so quantized reports are bit-stable under that
 blocking, and unquantized ones may differ in their last bits.
 
 No per-drop array lives as long as the `Simulator`. Each build of the
@@ -110,7 +111,6 @@ from .channel import (
     CHANNEL_DEFAULTS,
     ChannelParams,
     Links,
-    NoiseModel,
     _tap_tables,
     draw_links,
     draw_noise,
@@ -459,7 +459,7 @@ class Simulator:
         # each receiver's complex noise RMS per RE; an ideal run's receivers
         # are noiseless, and their zero-std draws add nothing
         dl_rms, ul_rms = (
-            0.0 if config.ideal else noise_amplitude(NoiseModel(figure_db, self.scs_hz))
+            0.0 if config.ideal else noise_amplitude(figure_db, self.scs_hz)
             for figure_db in (config.dl_noise_figure_db, config.ul_noise_figure_db))
         self._dl = Side(
             stage="dl", tx_power_dbm=np.array([t.tx_power_dbm for t in self.trps]),

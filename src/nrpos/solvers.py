@@ -69,17 +69,28 @@ class SolverError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SolverOptions:
+    """A run's solve: its geometry, which every solve needs, by keyword.
+    area (x0, y0, x1, y1) is the deployment area: the coarse scan covers
+    it, and the range and bearing solves check their starts and fixes
+    against it. fix_height is the terminal height of a 2-D solve, None
+    solving in 3-D."""
+
+    area: tuple[float, float, float, float]
+    fix_height: float | None
     max_iterations: int = 50
     tolerance_m: float = 1e-4
-    # 2D solve with known terminal height by default; None solves full 3D
-    fix_height: float | None = 1.5
-    area: tuple[float, float, float, float] | None = None  # x0, y0, x1, y1
 
     def __post_init__(self):
         if self.tolerance_m <= 0:
             raise SolverError("tolerance must be positive")
+        try:
+            x0, y0, x1, y1 = map(float, self.area)
+        except (TypeError, ValueError):
+            x0 = x1 = y0 = y1 = math.nan
+        if not (-math.inf < x0 < x1 < math.inf and -math.inf < y0 < y1 < math.inf):
+            raise SolverError("area must be four finite numbers, x0 < x1 and y0 < y1")
 
 
 @dataclass
@@ -388,7 +399,6 @@ def _gauss_newton(problem: _Problem, x0: np.ndarray, options: SolverOptions) -> 
 
 
 _GRID_POINTS = 32
-_REGION_GROWTH = 1.5
 # well-separated scan minima zoomed into starts
 _SCAN_STARTS = 3
 
@@ -402,23 +412,10 @@ def _scan_points(problem, lo, hi, z, n):
 
 
 def _coarse_starts(problem: _Problem, options: SolverOptions) -> list[np.ndarray]:
-    """Candidate starts from a coarse objective scan with local zoom.
-
-    The scan covers options.area when given, otherwise the anchor bounding
-    box grown well past its span per side (terminals can sit far outside
-    the anchor hull). The best few well-separated cells are zoomed twice
-    so each start sits deep inside its basin and the refinement cannot
-    jump out of it.
-    """
-    if options.area is not None:
-        lo = np.array(options.area[:2], dtype=float)
-        hi = np.array(options.area[2:], dtype=float)
-    else:
-        a_lo = problem.anchors[:, :2].min(axis=0)
-        a_hi = problem.anchors[:, :2].max(axis=0)
-        span = np.maximum(a_hi - a_lo, 10.0)
-        lo = a_lo - _REGION_GROWTH * span
-        hi = a_hi + _REGION_GROWTH * span
+    """Candidate starts from a coarse objective scan of options.area with
+    local zoom. The best few well-separated cells are zoomed twice so each
+    start sits deep inside its basin and the refinement cannot jump out."""
+    lo, hi = np.reshape(np.asarray(options.area, dtype=float), (2, 2))
     z = options.fix_height
     if z is None:
         z = float(problem.anchors[:, 2].mean()) - 1.5
@@ -477,7 +474,8 @@ def _bearing_start(problem: _Problem) -> np.ndarray:
 
 
 def in_area(p, area) -> bool:
-    return area is None or (area[0] <= p[0] <= area[2] and area[1] <= p[1] <= area[3])
+    """Whether p's (x, y) lies in area (x0, y0, x1, y1), its edges included."""
+    return area[0] <= p[0] <= area[2] and area[1] <= p[1] <= area[3]
 
 
 def _solve_bearings(problem: _Problem, x0, options: SolverOptions) -> PositionFix:

@@ -9,7 +9,6 @@ from grid_oracle import GridError, received_grid, slot_grid
 from nrpos.channel import (
     CHANNEL_DEFAULTS,
     Links,
-    NoiseModel,
     _tap_tables,
     draw_links,
     draw_noise,
@@ -215,10 +214,9 @@ class TestReceivedGrid:
         rng_seed = 11
         links = [single_tap_link(1e-7), single_tap_link(3e-7, gain=0.5 + 0.2j)]
         grids = [full_grid(), full_grid(0.5)]
-        noise = NoiseModel(noise_figure_db=9.0, bandwidth_hz=FR1.scs_khz * 1e3)
         noise_draw = draw_noise(
             np.random.default_rng(rng_seed), grids[0].shape,
-            noise_amplitude(noise) / np.sqrt(2.0),
+            noise_amplitude(9.0, FR1.scs_khz * 1e3) / np.sqrt(2.0),
         )
         combined = received_grid(
             list(zip(grids, links, [23.0, 23.0])), FR1, noise_grid=noise_draw
@@ -239,11 +237,11 @@ class TestReceivedGrid:
             )
 
     def test_noise_energy_matches_thermal(self):
-        noise = NoiseModel(noise_figure_db=9.0, bandwidth_hz=FR1.scs_khz * 1e3)
-        rng = np.random.default_rng(0)
-        draws = draw_noise(rng, (1000, 1000), noise_amplitude(noise) / np.sqrt(2.0))
+        amp = noise_amplitude(9.0, FR1.scs_khz * 1e3)
+        draws = draw_noise(np.random.default_rng(0), (1000, 1000), amp / np.sqrt(2.0))
         measured_dbm = 10 * np.log10(np.mean(np.abs(draws) ** 2))
-        assert abs(measured_dbm - noise.thermal_dbm) < 0.1
+        thermal_dbm = -174.0 + 10.0 * math.log10(FR1.scs_khz * 1e3) + 9.0
+        assert abs(measured_dbm - thermal_dbm) < 0.1
 
 
 class TestPhaseRamps:
@@ -283,8 +281,7 @@ def re_snr_db(pl_db, n_occupied_per_symbol=1):
     """Per-RE SNR in dB of a 23 dBm transmitter through pl_db to a 9 dB
     noise-figure receiver on 30 kHz subcarriers."""
     [amp] = link_amplitude(single_tap_link(1e-7, pl_db=pl_db), 23.0, n_occupied_per_symbol)
-    noise = NoiseModel(noise_figure_db=9.0, bandwidth_hz=30e3)
-    return 20 * math.log10(amp) - noise.thermal_dbm
+    return 20 * math.log10(amp / noise_amplitude(9.0, 30e3))
 
 
 class TestBudget:
@@ -308,8 +305,8 @@ class TestBudget:
 
     def test_zero_bandwidth_rejected(self):
         with pytest.raises(ValueError):
-            NoiseModel(noise_figure_db=9.0, bandwidth_hz=0.0)
+            noise_amplitude(9.0, 0.0)
 
     def test_noise_model_thermal(self):
-        nm = NoiseModel(noise_figure_db=9.0, bandwidth_hz=97.92e6)
-        assert nm.thermal_dbm == pytest.approx(-174 + 10 * math.log10(97.92e6) + 9)
+        thermal_dbm = 20 * math.log10(noise_amplitude(9.0, 97.92e6))
+        assert thermal_dbm == pytest.approx(-174 + 10 * math.log10(97.92e6) + 9)

@@ -112,7 +112,7 @@ def test_nan_system_ends_the_run_as_the_wrapper_did():
                         [0.0, 100.0, 10.0]])
     rows = [Row(RANGE, i, 60.0) for i in range(4)]
     problem = solvers._Problem(rows, anchors, 1.5)
-    options = SolverOptions(fix_height=1.5)
+    options = SolverOptions(fix_height=1.5, area=(-1000.0, -1000.0, 1000.0, 1000.0))
     x0 = np.array([40.0, 30.0, 1.5])
     j, r = problem.jacobian(x0), problem._residuals(x0.tolist())
     with pytest.raises(np.linalg.LinAlgError):

@@ -15,7 +15,9 @@ np.linalg wrappers: `set_factors` zpotrf's `cholesky_lo` and
 
 Detection tapers once: the delay window builds the taper into its chirp
 and its polish weights, and the receive path hands it the despread stack
-as it is."""
+as it is. Its polish takes its exponentials from the channel's blocked
+ramps, `phase_ramps`, the one blocked subcarrier exponential, whose block
+width only `channel` defines."""
 
 import ast
 from pathlib import Path
@@ -99,6 +101,27 @@ def test_one_taper():
     simulator's detection state is that window alone."""
     assert use_sites(PACKAGE, "taper_vector") == ["measurements.DelayWindow.__init__"]
     assert type(Simulator(preset_config("ioo-fr1", n_drops=1))._detection) is DelayWindow
+
+
+def test_one_blocked_exponential():
+    """The channel matrix and the polish take their subcarrier ramps from
+    `phase_ramps`: the polish makes no exponential of its own, and no
+    module but `channel` names a block width, as a constant or as the
+    literal 64."""
+    assert sorted(use_sites(PACKAGE, "phase_ramps")) == [
+        "measurements._polish_peak", "simulate.Simulator.__init__",
+        "simulate.Simulator._channel_matrix"]
+    assert "measurements._polish_peak" not in use_sites(PACKAGE, "exp")
+    widths = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        widths += [(path.stem, target.id) for node in tree.body if isinstance(node, ast.Assign)
+                   for target in node.targets
+                   if isinstance(target, ast.Name) and "BLOCK" in target.id]
+        widths += [(path.stem, 64) for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and type(node.value) is int
+                   and node.value == 64]
+    assert widths == [("channel", "RAMP_BLOCK"), ("channel", 64)]
 
 
 CHOLESKY = ("cholesky", "cholesky_lo", "cholesky_up")

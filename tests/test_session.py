@@ -271,16 +271,21 @@ class TestDlTdoa:
 
     def test_lmf_takes_the_runs_solver_options(self):
         """A session fix is the drop's fix only under the run's solver
-        options: solved without the run's area, UMa DL-TDOA drop 11 at
-        master seed 1 converges 232 m from its batch fix. So the server
-        has no default options, and with the run's it fixes the drop where
-        the batch run did."""
+        options: scanning the square of +-1000 m in place of the run's
+        +-800 m, UMa DL-TDOA drop 11 at master seed 1 converges 232 m from
+        its batch fix. So neither the server nor the options have defaults
+        for the run's geometry, and with the run's options the server fixes
+        the drop where the batch run did."""
         sim = Simulator(preset_config("uma", method="dl-tdoa", n_drops=12))
         with pytest.raises(TypeError):
             Lmf("lmf:0", sim.anchors)
+        with pytest.raises(TypeError):
+            SolverOptions()
         drop = sim.run_drop(11)
-        bare = solve_records(drop.records, sim.anchors, "dl-tdoa", SolverOptions())
-        assert np.linalg.norm(bare.position[:2] - drop.fix.position[:2]) > 200.0
+        other = SolverOptions(fix_height=sim.options.fix_height,
+                              area=(-1000.0, -1000.0, 1000.0, 1000.0))
+        elsewhere = solve_records(drop.records, sim.anchors, "dl-tdoa", other)
+        assert np.linalg.norm(elsewhere.position[:2] - drop.fix.position[:2]) > 200.0
         lmf = Lmf("lmf:0", sim.anchors, solver_options=sim.options)
         results, _ = run_sessions(lmf, "dl-tdoa", [Ue("ue:11", records=drop.records)],
                                   Transport(), trp_ids=list(sim.anchors))

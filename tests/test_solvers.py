@@ -25,7 +25,9 @@ from nrpos.solvers import (
     wrap_deg,
 )
 
-OPT2D = SolverOptions(fix_height=1.5)
+# an area well around every anchor set of these tests
+WIDE_AREA = (-1000.0, -1000.0, 1000.0, 1000.0)
+OPT2D = SolverOptions(fix_height=1.5, area=WIDE_AREA)
 # DL-AoD beam reports, which become azimuth rows through `beam_bearings`
 BEAMS = "beams"
 
@@ -160,7 +162,7 @@ class TestSolverContracts:
         # a free height takes one more
         with pytest.raises(SolverError, match="rtt needs >= 4 measurements, got 3"):
             solve_rows(exact_rows((RANGE,), SQUARE[:3], np.zeros(3)), SQUARE,
-                       SolverOptions(fix_height=None))
+                       SolverOptions(fix_height=None, area=WIDE_AREA))
         with pytest.raises(SolverError, match="no measurements"):
             solve_rows([], SQUARE, OPT2D)
 
@@ -205,7 +207,8 @@ class TestSolverContracts:
                      OPT2D, "parallel bearings have no unique intersection",
                      id="parallel-bearings"),
         pytest.param(exact_rows((AZIMUTH,), SQUARE, np.array([10.0, 5.0, 1.5])),
-                     SolverOptions(fix_height=None), "azimuths alone do not measure the height",
+                     SolverOptions(fix_height=None, area=WIDE_AREA),
+                     "azimuths alone do not measure the height",
                      id="azimuths-and-free-height"),
         pytest.param(exact_rows((RANGE, AZIMUTH), SQUARE, np.zeros(3)), OPT2D,
                      r"no solve from rows of kinds \['azimuth', 'range'\]", id="mixed-kinds"),
@@ -233,10 +236,54 @@ class TestSolverContracts:
 
     def test_divergence_returns_unconverged(self):
         anchors = np.array([[0, 0, 3], [100, 0, 3], [0, 100, 3]], dtype=float)
-        options = SolverOptions(fix_height=1.5, max_iterations=1)
+        options = SolverOptions(fix_height=1.5, area=WIDE_AREA, max_iterations=1)
         rows = [Row(RANGE, 0, 80.0), Row(RANGE, 1, 90.0), Row(RANGE, 2, 95.0)]
         fix = solve_rows(rows, anchors, options, x0=np.array([500.0, 500.0, 1.5]))
         assert isinstance(fix, PositionFix)
+
+    def test_options_need_the_runs_geometry(self):
+        """Every solve has an area and a fix height: options without them,
+        or given by position, are refused."""
+        with pytest.raises(TypeError):
+            SolverOptions(fix_height=1.5)
+        with pytest.raises(TypeError):
+            SolverOptions(area=WIDE_AREA)
+        with pytest.raises(TypeError):
+            SolverOptions(WIDE_AREA, 1.5)
+
+    @pytest.mark.parametrize("area", [
+        pytest.param(None, id="none"),
+        pytest.param((0.0, 0.0, 100.0), id="three-numbers"),
+        pytest.param((0.0, 0.0, 100.0, 100.0, 5.0), id="five-numbers"),
+        pytest.param((0.0, "south", 100.0, 100.0), id="not-a-number"),
+    ])
+    def test_area_not_four_numbers_rejected(self, area):
+        with pytest.raises(SolverError, match="area must be four finite numbers"):
+            SolverOptions(fix_height=1.5, area=area)
+
+    @pytest.mark.parametrize("corner", [0, 1, 2, 3])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_area_not_finite_rejected(self, corner, value):
+        area = list(WIDE_AREA)
+        area[corner] = value
+        with pytest.raises(SolverError, match="area must be four finite numbers"):
+            SolverOptions(fix_height=1.5, area=tuple(area))
+
+    @pytest.mark.parametrize("area", [
+        pytest.param((100.0, 0.0, 100.0, 50.0), id="x0-equals-x1"),
+        pytest.param((100.0, 0.0, 0.0, 50.0), id="x0-above-x1"),
+    ])
+    def test_area_x0_not_below_x1_rejected(self, area):
+        with pytest.raises(SolverError, match="x0 < x1 and y0 < y1"):
+            SolverOptions(fix_height=1.5, area=area)
+
+    @pytest.mark.parametrize("area", [
+        pytest.param((0.0, 50.0, 100.0, 50.0), id="y0-equals-y1"),
+        pytest.param((0.0, 50.0, 100.0, 0.0), id="y0-above-y1"),
+    ])
+    def test_area_y0_not_below_y1_rejected(self, area):
+        with pytest.raises(SolverError, match="x0 < x1 and y0 < y1"):
+            SolverOptions(fix_height=1.5, area=area)
 
     def test_monotone_damping(self, monkeypatch):
         """Every accepted step of every Gauss-Newton run lowers the residual
@@ -776,7 +823,7 @@ class TestZeroDistance:
         problem = random_problem(np.random.default_rng(3), kind, 6, fix_height,
                                  anchor_z=fix_height)
         x0 = np.array(point(problem), dtype=float)
-        options = SolverOptions(fix_height=fix_height)
+        options = SolverOptions(fix_height=fix_height, area=WIDE_AREA)
         assert np.all(np.isfinite(residuals(problem, x0)))
         assert np.all(np.isnan(problem.jacobian(x0)))
         fix = solvers._gauss_newton(problem, x0, options)
